@@ -1,0 +1,66 @@
+"""Golden report digests.
+
+Each scenario pins the sha256 of ``RunReport.to_json()``.  A refactor that
+claims to keep behaviour must leave every digest unchanged; a change that
+alters report bytes on purpose regenerates them and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from shardgraph.config import ScenarioConfig
+from shardgraph.simulation import run_scenario
+
+GOLDEN = {
+    "unsharded": (
+        ScenarioConfig(n=16, s=1, seed=3, duration=40, tx_rate=16.0),
+        "f0bcbb871e78bfb857df58f250c0496e3305840d754da5d196e04fb7dbe0c97d",
+    ),
+    "sharded-cross": (
+        ScenarioConfig(n=32, s=4, seed=5, duration=60, tx_rate=32.0,
+                       cross_ratio=0.3),
+        "bee80eff37578830970adb2079aed53f207c5c3a36f8d376b0fd3adedcefe8fb",
+    ),
+    "equivocator": (
+        ScenarioConfig(n=16, s=2, seed=7, duration=50, tx_rate=16.0,
+                       adversary_kind="equivocator", adversary_fraction=0.2,
+                       adversary_interval=3),
+        "aa287eb602718eaf3512449d0f0489963c7b7f65e465c7a2cafdb06b0761bd8d",
+    ),
+    # five applied reorganizations and one already at its target size
+    "churn-rejoin": (
+        ScenarioConfig(n=32, s=4, seed=9, duration=120, tx_rate=16.0,
+                       cross_ratio=0.2, adversary_kind="churn",
+                       adversary_interval=3, adversary_rejoin=True),
+        "0e9eeac5a13ff311706a9b1d4031db8cb8cfa7e20edc964586951442e6eec149",
+    ),
+    "churn-literal-trigger": (
+        ScenarioConfig(n=24, s=4, seed=4, duration=150, tx_rate=8.0,
+                       adversary_kind="churn", adversary_committee=0,
+                       adversary_interval=3,
+                       trigger_mode="literal-s-over-2"),
+        "14a83dd6b9fb9273b325c92fa45319f5889c4264cc336af4d9debbfeeefc106e",
+    ),
+    # the reorganization is deferred: no committee is above the minimum size
+    "churn-no-donors": (
+        ScenarioConfig(n=12, s=2, seed=2, duration=120, tx_rate=8.0,
+                       min_committee_size=6, adversary_kind="churn",
+                       adversary_committee=0, adversary_interval=3),
+        "8fdf2501a6673889c175e321af97728b5e8a791221faf2ba06e81edb0366ef7e",
+    ),
+    "shard-failure": (
+        ScenarioConfig(n=20, s=2, seed=6, duration=120, tx_rate=10.0,
+                       checkpoint_period=2, adversary_kind="shard_failure",
+                       adversary_committee=1, adversary_fail_at=60,
+                       adversary_recover_delay=15),
+        "4b5e38b6d2ff93f39f27dd643fc5c92fceea9cf92d77e3dff14d395e8b91376d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_digest_unchanged(name):
+    cfg, digest = GOLDEN[name]
+    report = run_scenario(cfg).to_json()
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest
