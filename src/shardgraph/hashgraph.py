@@ -447,9 +447,6 @@ class Hashgraph:
         self.owner = owner
         self.known = 0
         self.heads: dict[NodeId, EventId] = {}
-        if store is not None and store.by_index:
-            # a view over a pre-populated shared store starts empty
-            pass
 
     # -- basic accessors ----------------------------------------------------
 
@@ -475,9 +472,6 @@ class Hashgraph:
             for i, ev in enumerate(self.store.by_index)
             if (self.known >> i) & 1
         ]
-
-    def head_of(self, node: NodeId) -> Optional[EventId]:
-        return self.heads.get(node)
 
     def _absorb(self, idx: int) -> None:
         self.known |= 1 << idx
@@ -570,12 +564,6 @@ def strongly_sees(graph: Hashgraph, a: EventId, b: EventId) -> bool:
         if e not in graph:
             raise HashgraphError(f"unresolved event id {e[:12]}")
     return store.strongly_sees(store.index[a], store.index[b])
-
-
-def assign_rounds(graph: Hashgraph) -> Hashgraph:
-    """Rounds are assigned incrementally at insert; provided for symmetry
-    and used by tests to assert idempotence."""
-    return graph
 
 
 def elect_fame(graph: Hashgraph) -> Hashgraph:

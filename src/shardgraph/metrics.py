@@ -67,13 +67,6 @@ class MetricsReport:
     def empty_event_fraction(self) -> float:
         return self.empty_events / self.total_events if self.total_events else 0.0
 
-    def throughput_total(self) -> float:
-        return (
-            sum(self.ordered_tx_units.values()) / self.duration
-            if self.duration
-            else 0.0
-        )
-
     def add_comm(self, node: int, units: float) -> None:
         self.per_node_comm[node] = self.per_node_comm.get(node, 0.0) + units
 

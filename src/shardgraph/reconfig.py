@@ -11,9 +11,9 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
-from .sharding import CommitteeTable, ShardState, ShardingError
+from .sharding import CommitteeTable, ShardState
 
 NodeId = int
 CommitteeId = int
@@ -23,7 +23,6 @@ TRIGGER_COMMITTEE_FRACTION = "committee-fraction"  # half the committee's own ba
 TRIGGER_LITERAL = "literal-s-over-2"               # half the number of committees
 
 DEFAULT_DONOR_COUNT = 2
-DEFAULT_MIN_COMMITTEE_SIZE = 4
 
 
 class ReconfigError(Exception):
@@ -35,17 +34,6 @@ def derive_value(consensus_timestamp: int) -> int:
     consensus timestamp."""
     blob = consensus_timestamp.to_bytes(8, "big", signed=True)
     return int.from_bytes(hashlib.sha256(blob).digest(), "big")
-
-
-@dataclass(frozen=True)
-class RandomnessDraw:
-    """An auditable record of one timestamp-seeded random choice."""
-
-    purpose: str
-    source_tx: str
-    consensus_timestamp: int
-    derived_value: int
-    choices: tuple = ()
 
 
 @dataclass
@@ -132,11 +120,7 @@ def join_request_receiver(table: CommitteeTable) -> NodeId:
     return min(table.coordinators.values())
 
 
-# -- synchronous operations -------------------------------------------------
-#
-# The simulator routes these decisions through actual control transactions in
-# the graphs; the functions below apply the same logic directly given the
-# settled consensus timestamps, and are what unit tests exercise.
+# -- membership operations --------------------------------------------------
 
 
 def join_node(
@@ -191,137 +175,80 @@ def reselect_coordinator(
     return new
 
 
-@dataclass
-class ReorgPlan:
-    depleted: CommitteeId
-    donors: list[CommitteeId]
-    transfers: dict[CommitteeId, list[NodeId]]
-    draws: list[RandomnessDraw]
-    deferred: bool = False
-    reason: str = ""
+# -- reorganization -----------------------------------------------------------
+#
+# A depleted committee is refilled in two phases, each seeded by an ordered
+# control transaction.  When the global ``reorg`` transaction is ordered, the
+# donor pool is fixed (donor_pool) and donors are drawn from it with that
+# transaction's timestamp (choose_donors).  Once every donor's ``intra_reorg``
+# transaction is ordered in its own committee, the per-donor quotas are fixed
+# (split_quotas), each donor's movers are drawn with its own timestamp
+# (choose_split_members), and apply_transfers moves them.
 
 
-def plan_reorganization(
+def _committee_sizes(table: CommitteeTable) -> dict[CommitteeId, int]:
+    return {cid: len(table.members(cid)) for cid in sorted(table.coordinators)}
+
+
+def _refill_target(sizes: dict[CommitteeId, int], min_size: int) -> int:
+    """The (ceiling) average committee size, never below min_size."""
+    return max(min_size, -(-sum(sizes.values()) // len(sizes)))
+
+
+def donor_pool(
+    table: CommitteeTable, depleted: CommitteeId, min_size: int
+) -> Optional[list[CommitteeId]]:
+    """Committees that may donate members to ``depleted``: every other
+    committee above min_size.  None when ``depleted`` already holds its
+    refill target and there is nothing to do."""
+    sizes = _committee_sizes(table)
+    if sizes[depleted] >= _refill_target(sizes, min_size):
+        return None
+    return [c for c in sizes if c != depleted and sizes[c] > min_size]
+
+
+def split_quotas(
     table: CommitteeTable,
-    ledger: ChurnLedger,
     depleted: CommitteeId,
-    global_ts: int,
-    donor_ts: Callable[[CommitteeId], int],
-    donor_count: int = DEFAULT_DONOR_COUNT,
-    min_size: int = DEFAULT_MIN_COMMITTEE_SIZE,
-    source_tx: str = "",
-) -> ReorgPlan:
-    """Select donors from the global reorg timestamp and split members from
-    each donor's intra-shard timestamp."""
-    draws: list[RandomnessDraw] = []
-    sizes = {cid: len(table.members(cid)) for cid in table.coordinators}
-    active = sum(sizes.values())
-    # refill the depleted committee back to the (ceiling) average size
-    target = max(min_size, -(-active // table.num_committees))
-    need = target - sizes[depleted]
-    if need <= 0:
-        return ReorgPlan(depleted, [], {}, draws)
+    donors: list[CommitteeId],
+    min_size: int,
+) -> list[tuple[CommitteeId, list[NodeId], int]]:
+    """(donor, candidates, quota) for each donor that gives members.
 
-    eligible = [
-        cid
-        for cid, size in sizes.items()
-        if cid != depleted and size > min_size
-    ]
-    donors = choose_donors(global_ts, depleted, eligible, donor_count)
-    draws.append(
-        RandomnessDraw(
-            purpose="reorg-donors",
-            source_tx=source_tx,
-            consensus_timestamp=global_ts,
-            derived_value=derive_value(global_ts),
-            choices=tuple(donors),
-        )
-    )
-    spare = sum(max(0, sizes[d] - min_size) for d in donors)
-    if not donors or spare <= 0:
-        return ReorgPlan(
-            depleted,
-            donors,
-            {},
-            draws,
-            deferred=True,
-            reason="no donor committee can spare members",
-        )
-
-    transfers: dict[CommitteeId, list[NodeId]] = {}
-    remaining = need
+    Donors, in order, each give an even share of what ``depleted`` still
+    lacks of its refill target, without dropping below min_size; the
+    candidates are the donor's members other than its coordinator."""
+    sizes = _committee_sizes(table)
+    remaining = _refill_target(sizes, min_size) - sizes[depleted]
+    quotas = []
     for i, donor in enumerate(donors):
         left = len(donors) - i
-        quota = min(
-            (remaining + left - 1) // left,
-            max(0, sizes[donor] - min_size),
-        )
+        quota = min(-(-remaining // left), sizes[donor] - min_size)
         if quota <= 0:
             continue
         candidates = [
-            m
-            for m in table.members(donor)
-            if m != table.coordinators[donor]
+            m for m in table.members(donor) if m != table.coordinators[donor]
         ]
-        ts = donor_ts(donor)
-        moved = choose_split_members(ts, candidates, quota)
-        transfers[donor] = moved
-        remaining -= len(moved)
-        draws.append(
-            RandomnessDraw(
-                purpose=f"reorg-split-{donor}",
-                source_tx=source_tx,
-                consensus_timestamp=ts,
-                derived_value=derive_value(ts),
-                choices=tuple(moved),
-            )
-        )
-    return ReorgPlan(depleted, donors, transfers, draws)
+        quotas.append((donor, candidates, quota))
+        remaining -= min(quota, len(candidates))
+    return quotas
 
 
-def apply_reorganization(
-    state: ShardState,
-    table: CommitteeTable,
-    ledger: ChurnLedger,
-    plan: ReorgPlan,
-) -> None:
-    if plan.deferred:
-        return
-    for donor, moved in plan.transfers.items():
-        for node in moved:
-            table.assignment[node] = plan.depleted
-            state.local_stores[donor].remove_member(node)
-            state.local_stores[plan.depleted].add_member(node)
-        # donors keep their exit counts; only their baseline moves
-        ledger.baseline[donor] = len(table.members(donor))
-    ledger.reset(plan.depleted, len(table.members(plan.depleted)))
-    table.epoch += 1
-
-
-def reorganize_committee(
+def apply_transfers(
     state: ShardState,
     table: CommitteeTable,
     ledger: ChurnLedger,
     depleted: CommitteeId,
-    global_ts: int,
-    donor_ts: Callable[[CommitteeId], int],
-    reselect_ts: Callable[[CommitteeId], int],
-    donor_count: int = DEFAULT_DONOR_COUNT,
-    min_size: int = DEFAULT_MIN_COMMITTEE_SIZE,
-) -> ReorgPlan:
-    """Full synchronous reorganization: plan, move members, reselect the
-    coordinator of every committee whose membership changed."""
-    plan = plan_reorganization(
-        table,
-        ledger,
-        depleted,
-        global_ts,
-        donor_ts,
-        donor_count=donor_count,
-        min_size=min_size,
-    )
-    apply_reorganization(state, table, ledger, plan)
-    if not plan.deferred:
-        for cid in [plan.depleted, *plan.transfers]:
-            reselect_coordinator(state, table, cid, reselect_ts(cid))
-    return plan
+    transfers: dict[CommitteeId, list[NodeId]],
+) -> None:
+    """Move each donor's drawn members into ``depleted``, rebase the churn
+    ledger and open a new epoch."""
+    for donor, moved in transfers.items():
+        for node in moved:
+            table.assignment[node] = depleted
+            state.local_stores[donor].remove_member(node)
+            state.local_stores[depleted].add_member(node)
+        # donors keep their exit counts; only their baseline moves
+        ledger.baseline[donor] = len(table.members(donor))
+    ledger.reset(depleted, len(table.members(depleted)))
+    table.epoch += 1

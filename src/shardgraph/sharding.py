@@ -16,9 +16,7 @@ from .hashgraph import (
     Event,
     EventStore,
     Hashgraph,
-    HashgraphError,
     OrderedEvent,
-    create_event,
 )
 from .transactions import KIND_PAYLOAD, Transaction
 
@@ -105,17 +103,8 @@ class CacheQueue:
     seen_in: set[str] = field(default_factory=set)
 
 
-# Transaction lifecycle states used for the conservation audit.
-TX_PENDING = "pending"          # injected, not yet inside any event
-TX_ORIGIN = "origin"            # embedded (marked) in the origin local graph
-TX_OUTBOUND = "outbound"        # in the origin coordinator's outbound queue
-TX_GLOBAL = "global"            # inside a global-committee event
-TX_INBOUND = "inbound"          # in the target coordinator's inbound queue
-TX_DELIVERED = "delivered"      # inside a target-committee local event
-
-
 class ShardState:
-    """Graphs, queues, replicas, and the transaction lifecycle registry."""
+    """Graphs, queues and replicas of one sharded deployment."""
 
     def __init__(self, table: CommitteeTable):
         self.table = table
@@ -137,11 +126,6 @@ class ShardState:
         # (holder, committee) -> snapshot
         self.replicas: dict[tuple[NodeId, CommitteeId], ReplicaSnapshot] = {}
         self._checkpoint_seq = 0
-        self.tx_state: dict[str, str] = {}
-
-    def _register(self, tx: Transaction, state: str) -> None:
-        if tx.kind == KIND_PAYLOAD and tx.is_cross:
-            self.tx_state[tx.tx_id] = state
 
 
 @dataclass
@@ -175,46 +159,29 @@ def coordinator_ingest_local(
             continue
         queue.seen_out.add(tx.tx_id)
         queue.outbound.append(tx)
-        state._register(tx, TX_OUTBOUND)
     return queue
 
 
 def flush_outbound(
     state: ShardState, committee: CommitteeId, batch_limit: int
 ) -> list[Transaction]:
+    """Step 2a: the oldest queued outbound transactions, at most batch_limit,
+    for the coordinator's next global event."""
     queue = state.queues[committee]
     batch = queue.outbound[:batch_limit]
     del queue.outbound[:batch_limit]
-    for tx in batch:
-        state._register(tx, TX_GLOBAL)
     return batch
 
 
 def flush_inbound(
     state: ShardState, committee: CommitteeId, batch_limit: int
 ) -> list[Transaction]:
+    """Step 3: the oldest queued inbound transactions, at most batch_limit,
+    for delivery in the coordinator's next local event."""
     queue = state.queues[committee]
     batch = queue.inbound[:batch_limit]
     del queue.inbound[:batch_limit]
-    for tx in batch:
-        state._register(tx, TX_DELIVERED)
     return batch
-
-
-def coordinator_emit_global(
-    state: ShardState,
-    table: CommitteeTable,
-    committee: CommitteeId,
-    now: int,
-    batch_limit: int,
-    other_parent: Optional[str] = None,
-) -> Event:
-    """Step 2a: embed queued outbound transactions in a new global event."""
-    batch = flush_outbound(state, committee, batch_limit)
-    coordinator = table.coordinators[committee]
-    return create_event(
-        coordinator, state.global_graph, other_parent, batch, now
-    )
 
 
 def coordinator_receive_global(
@@ -235,26 +202,7 @@ def coordinator_receive_global(
             continue
         queue.seen_in.add(tx.tx_id)
         queue.inbound.append(tx)
-        state._register(tx, TX_INBOUND)
     return queue
-
-
-def coordinator_emit_local(
-    state: ShardState,
-    table: CommitteeTable,
-    committee: CommitteeId,
-    now: int,
-    batch_limit: int,
-    other_parent: Optional[str] = None,
-    extra_payload: Iterable[Transaction] = (),
-) -> Event:
-    """Step 3: deliver queued inbound transactions into the target
-    committee's local graph."""
-    batch = list(extra_payload) + flush_inbound(state, committee, batch_limit)
-    coordinator = table.coordinators[committee]
-    return create_event(
-        coordinator, state.local_graphs[committee], other_parent, batch, now
-    )
 
 
 # -- replication and recovery ----------------------------------------------

@@ -22,7 +22,7 @@ import heapq
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -39,16 +39,20 @@ from .metrics import MetricsReport, compare_measured
 from .reconfig import (
     DEFAULT_DONOR_COUNT,
     ChurnLedger,
+    apply_transfers,
     check_reorg_trigger,
     choose_donors,
     choose_split_members,
+    donor_pool,
     join_node,
     join_request_receiver,
     leave_node,
     reselect_coordinator,
+    split_quotas,
 )
 from .sharding import (
     ShardState,
+    ShardingError,
     coordinator_ingest_local,
     coordinator_receive_global,
     flush_inbound,
@@ -155,6 +159,14 @@ def inject_workload(config, now, rng, table, active):
     return out
 
 
+def _str_keys(value):
+    """Maps get string keys before json.dumps(sort_keys=True), so integer
+    keys sort as text."""
+    if isinstance(value, dict):
+        return {str(k): v for k, v in value.items()}
+    return value
+
+
 def _full_view(store) -> Hashgraph:
     g = Hashgraph(store.population, store=store)
     g.known = (1 << len(store.by_index)) - 1
@@ -177,43 +189,11 @@ class RunReport:
     checkpoint_count: int = 0
 
     def to_dict(self) -> dict:
+        out = {f.name: _str_keys(getattr(self, f.name)) for f in fields(self)}
         m = self.metrics
-        return {
-            "config": self.config,
-            "metrics": {
-                "duration": m.duration,
-                "per_node_comm": {str(k): v for k, v in m.per_node_comm.items()},
-                "per_node_handshake": {
-                    str(k): v for k, v in m.per_node_handshake.items()
-                },
-                "per_node_received": {
-                    str(k): v for k, v in m.per_node_received.items()
-                },
-                "per_node_storage": {
-                    str(k): v for k, v in m.per_node_storage.items()
-                },
-                "ordered_tx_units": {
-                    str(k): v for k, v in m.ordered_tx_units.items()
-                },
-                "injected_tx_units": m.injected_tx_units,
-                "injected_cross_units": m.injected_cross_units,
-                "cross_latency": {str(k): v for k, v in m.cross_latency.items()},
-                "replica_counts": {str(k): v for k, v in m.replica_counts.items()},
-                "total_events": m.total_events,
-                "empty_events": m.empty_events,
-                "empty_event_fraction": m.empty_event_fraction,
-            },
-            "comparison": self.comparison,
-            "consensus": {str(k): v for k, v in self.consensus.items()},
-            "order_lengths": {str(k): v for k, v in self.order_lengths.items()},
-            "forks": {str(k): v for k, v in self.forks.items()},
-            "reorg_log": self.reorg_log,
-            "action_log": self.action_log,
-            "recovery_log": self.recovery_log,
-            "tx_audit": self.tx_audit,
-            "anomalies": self.anomalies,
-            "checkpoint_count": self.checkpoint_count,
-        }
+        out["metrics"] = {f.name: _str_keys(getattr(m, f.name)) for f in fields(m)}
+        out["metrics"]["empty_event_fraction"] = m.empty_event_fraction
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -228,22 +208,13 @@ class Simulation:
         self.state = ShardState(self.table)
         self.ledger = ChurnLedger.from_table(self.table)
         self.active: set[int] = set(range(config.n))
-        self.views: dict[int, Hashgraph] = {}
+        self.views: dict[int, Hashgraph] = {
+            node: self._local_view(node) for node in sorted(self.table.assignment)
+        }
         self.gviews: dict[int, Hashgraph] = {}
-        for node in sorted(self.table.assignment):
-            cid = self.table.committee_of(node)
-            self.views[node] = Hashgraph(
-                self.table.members(cid),
-                owner=node,
-                store=self.state.local_stores[cid],
-            )
+        self.ever_coordinators: set[int] = set()
         for cid in sorted(self.table.coordinators):
-            coord = self.table.coordinators[cid]
-            self.gviews[coord] = Hashgraph(
-                self.table.global_committee(),
-                owner=coord,
-                store=self.state.global_store,
-            )
+            self._seat_coordinator(self.table.coordinators[cid])
         self.pending: dict[int, list[Transaction]] = {
             node: [] for node in sorted(self.table.assignment)
         }
@@ -252,14 +223,12 @@ class Simulation:
         self.next_node_id = config.n
         self.next_tx = 0
         self.inject_tick: dict[str, int] = {}
-        self.target_of: dict[str, int] = {}
         self.ordered_count: dict[str, int] = {}
         self.consensus_ptr: dict = {cid: 0 for cid in self.table.coordinators}
         self.global_ptr = 0
         self.coord_turn: dict[int, int] = {
             cid: 0 for cid in self.table.coordinators
         }
-        self.ever_coordinators: set[int] = set(self.table.coordinators.values())
         self.reorg: dict[int, dict] = {}
         self.reorg_log: list = []
         self.action_log: list = []
@@ -287,6 +256,20 @@ class Simulation:
                     "safety not guaranteed"
                 )
         self.sched = Scheduler()
+
+    def _local_view(self, node) -> Hashgraph:
+        """An empty view of the node's committee graph."""
+        store = self.state.local_stores[self.table.committee_of(node)]
+        return Hashgraph(store.population, owner=node, store=store)
+
+    def _seat_coordinator(self, new, old=None) -> None:
+        """Give a committee's new coordinator an empty view of the global
+        graph in place of its predecessor's."""
+        self.gviews.pop(old, None)
+        self.gviews[new] = Hashgraph(
+            self.table.global_committee(), owner=new, store=self.state.global_store
+        )
+        self.ever_coordinators.add(new)
 
     # -- run loop ------------------------------------------------------------
 
@@ -330,8 +313,6 @@ class Simulation:
                 if tx.is_cross:
                     self.metrics.injected_cross_units += tx.size_units
                     self.inject_tick[tx.tx_id] = t
-                    self.target_of[tx.tx_id] = target
-                self.state._register(tx, "pending")
         self.sched.push(t + 1, "tx_inject")
 
     def _h_gossip_initiate(self, t, _subject):
@@ -380,8 +361,6 @@ class Simulation:
         self.metrics.total_events += 1
         if event_units(new_ev) == 0:
             self.metrics.empty_events += 1
-        for tx in buffered:
-            self.state._register(tx, "origin")
         if is_coord:
             for ev in transferred:
                 coordinator_ingest_local(self.state, self.table, cid, ev)
@@ -586,7 +565,7 @@ class Simulation:
             ]
         try:
             recover_failed_shard(self.state, self.table, cid, replacements)
-        except Exception as exc:
+        except ShardingError as exc:
             self.anomalies.append(f"shard {cid} recovery failed: {exc}")
             return
         for m in old_members:
@@ -606,14 +585,7 @@ class Simulation:
                 # anchor the new member's chain to the recovered graph so
                 # rounds keep advancing past the replayed history
                 create_event(node, g, tip, (), t)
-        self.gviews.pop(old_coord, None)
-        new_coord = self.table.coordinators[cid]
-        self.gviews[new_coord] = Hashgraph(
-            self.table.global_committee(),
-            owner=new_coord,
-            store=self.state.global_store,
-        )
-        self.ever_coordinators.add(new_coord)
+        self._seat_coordinator(self.table.coordinators[cid], old_coord)
         # ordered-unit accounting for this committee resumes from the
         # replayed prefix; entries ordered before the failure were already
         # counted against the old store
@@ -630,14 +602,12 @@ class Simulation:
     def _leave(self, node, t):
         cid = self.table.committee_of(node)
         self.active.discard(node)
-        was_coord = leave_node(self.state, self.table, self.ledger, node)
+        leave_node(self.state, self.table, self.ledger, node)
         self.views.pop(node, None)
         self.pending.pop(node, None)
         self.action_log.append(
             {"at": t, "action": "leave", "node": node, "committee": cid}
         )
-        if was_coord:
-            self._set_interim_coordinator(cid, t)
         if (
             self.cfg.s > 1
             and cid not in self.reorg
@@ -646,46 +616,6 @@ class Simulation:
             )
         ):
             self._raise_reorg(cid, t)
-
-    def _set_interim_coordinator(self, cid, t):
-        """Lowest active member takes over until a timestamp-seeded
-        reselection settles."""
-        members = [m for m in self.table.members(cid) if m in self.active]
-        if not members:
-            return
-        old = self.table.coordinators[cid]
-        new = min(members)
-        self.table.coordinators[cid] = new
-        self.state.queues[cid].owner = new
-        for (holder, c) in list(self.state.replicas):
-            if holder == old:
-                self.state.replicas[(new, c)] = self.state.replicas.pop((holder, c))
-        if old in self.state.global_store._member_bit:
-            self.state.global_store.remove_member(old)
-        if new not in self.state.global_store._member_bit:
-            self.state.global_store.add_member(new)
-        self.gviews.pop(old, None)
-        self.gviews[new] = Hashgraph(
-            self.table.global_committee(),
-            owner=new,
-            store=self.state.global_store,
-        )
-        self.ever_coordinators.add(new)
-        coord = self.table.coordinators[cid]
-        self.pending[coord].append(
-            Transaction(
-                tx_id=f"resel-interim-{cid}-{t}",
-                origin=cid,
-                target=cid,
-                size_units=0,
-                kind=KIND_RESELECT,
-                data=(cid,),
-            )
-        )
-        self.action_log.append(
-            {"at": t, "action": "interim_coordinator", "committee": cid,
-             "node": new}
-        )
 
     def _request_join(self, node, t):
         receiver = join_request_receiver(self.table)
@@ -711,11 +641,7 @@ class Simulation:
         if node in self.table.assignment:
             return
         cid = join_node(self.state, self.table, node, consensus_ts)
-        self.views[node] = Hashgraph(
-            self.table.members(cid),
-            owner=node,
-            store=self.state.local_stores[cid],
-        )
+        self.views[node] = self._local_view(node)
         self.pending[node] = []
         self.active.add(node)
         self.reorg_log.append(
@@ -749,31 +675,19 @@ class Simulation:
         entry = self.reorg.get(cid)
         if entry is None or entry["phase"] != "await-global":
             return
-        sizes = {
-            c: len(self.table.members(c)) for c in sorted(self.table.coordinators)
-        }
-        active_total = sum(sizes.values())
-        target = max(
-            self.cfg.min_committee_size,
-            -(-active_total // self.cfg.s),
-        )
-        if sizes[cid] >= target:
+        pool = donor_pool(self.table, cid, self.cfg.min_committee_size)
+        if pool is None:
             del self.reorg[cid]
-            self.ledger.reset(cid, sizes[cid])
+            self.ledger.reset(cid, len(self.table.members(cid)))
             return
-        eligible = [
-            c
-            for c in sizes
-            if c != cid and sizes[c] > self.cfg.min_committee_size
-        ]
-        donors = choose_donors(ts_g, cid, eligible, DEFAULT_DONOR_COUNT)
+        donors = choose_donors(ts_g, cid, pool, DEFAULT_DONOR_COUNT)
         self.reorg_log.append(
             {
                 "purpose": "reorg-donors",
                 "at": t,
                 "committee": cid,
                 "consensus_timestamp": ts_g,
-                "pool": eligible,
+                "pool": pool,
                 "chosen": donors,
             }
         )
@@ -784,7 +698,7 @@ class Simulation:
             )
             return
         entry.update(
-            phase="await-donors", ts_g=ts_g, donors=donors, donor_ts={}
+            phase="await-donors", donors=donors, donor_ts={}
         )
         for donor in donors:
             coord = self.table.coordinators[donor]
@@ -815,31 +729,12 @@ class Simulation:
             self._apply_reorg_transfers(depleted, entry, t)
 
     def _apply_reorg_transfers(self, depleted, entry, t):
-        sizes = {
-            c: len(self.table.members(c)) for c in sorted(self.table.coordinators)
-        }
-        active_total = sum(sizes.values())
-        target = max(self.cfg.min_committee_size, -(-active_total // self.cfg.s))
-        remaining = target - sizes[depleted]
-        donors = entry["donors"]
-        moved_all = {}
-        for i, donor in enumerate(donors):
-            left = len(donors) - i
-            quota = min(
-                (remaining + left - 1) // left if remaining > 0 else 0,
-                max(0, sizes[donor] - self.cfg.min_committee_size),
-            )
-            if quota <= 0:
-                continue
-            candidates = [
-                m
-                for m in self.table.members(donor)
-                if m != self.table.coordinators[donor]
-            ]
+        transfers = {}
+        for donor, candidates, quota in split_quotas(
+            self.table, depleted, entry["donors"], self.cfg.min_committee_size
+        ):
             ts_d = entry["donor_ts"][donor]
-            moved = choose_split_members(ts_d, candidates, quota)
-            moved_all[donor] = moved
-            remaining -= len(moved)
+            transfers[donor] = choose_split_members(ts_d, candidates, quota)
             self.reorg_log.append(
                 {
                     "purpose": "reorg-split",
@@ -848,22 +743,14 @@ class Simulation:
                     "donor": donor,
                     "consensus_timestamp": ts_d,
                     "pool": candidates,
-                    "chosen": moved,
+                    "chosen": transfers[donor],
                 }
             )
+        apply_transfers(self.state, self.table, self.ledger, depleted, transfers)
+        for moved in transfers.values():
             for node in moved:
-                self.table.assignment[node] = depleted
-                self.state.local_stores[donor].remove_member(node)
-                self.state.local_stores[depleted].add_member(node)
-                self.views[node] = Hashgraph(
-                    self.table.members(depleted),
-                    owner=node,
-                    store=self.state.local_stores[depleted],
-                )
-            self.ledger.baseline[donor] = len(self.table.members(donor))
-        self.ledger.reset(depleted, len(self.table.members(depleted)))
-        self.table.epoch += 1
-        changed = [depleted] + [d for d in donors if d in moved_all]
+                self.views[node] = self._local_view(node)
+        changed = [depleted, *transfers]
         entry.update(phase="await-reselect", pending_reselect=set(changed))
         for c in changed:
             coord = self.table.coordinators[c]
@@ -882,7 +769,7 @@ class Simulation:
                 "at": t,
                 "action": "reorg_applied",
                 "committee": depleted,
-                "transfers": {str(d): m for d, m in sorted(moved_all.items())},
+                "transfers": {str(d): m for d, m in sorted(transfers.items())},
                 "sizes": {
                     str(c): len(self.table.members(c))
                     for c in sorted(self.table.coordinators)
@@ -908,13 +795,7 @@ class Simulation:
             }
         )
         if new != old:
-            self.gviews.pop(old, None)
-            self.gviews[new] = Hashgraph(
-                self.table.global_committee(),
-                owner=new,
-                store=self.state.global_store,
-            )
-            self.ever_coordinators.add(new)
+            self._seat_coordinator(new, old)
         for entry_cid, entry in list(self.reorg.items()):
             pend = entry.get("pending_reselect")
             if pend is not None and c in pend:

@@ -33,7 +33,3 @@ class Transaction:
     def is_cross(self) -> bool:
         return self.origin != self.target
 
-
-def classify_transaction(tx: Transaction) -> str:
-    """Return "intra" or "cross" depending on origin/target committees."""
-    return "cross" if tx.is_cross else "intra"

@@ -1,21 +1,24 @@
 import pytest
 
 from shardgraph.reconfig import (
+    DEFAULT_DONOR_COUNT,
     TRIGGER_COMMITTEE_FRACTION,
     TRIGGER_LITERAL,
     ChurnLedger,
     ReconfigError,
+    apply_transfers,
     check_reorg_trigger,
     choose_coordinator,
     choose_donors,
     choose_join_committee,
+    choose_split_members,
     derive_value,
+    donor_pool,
     join_node,
     join_request_receiver,
     leave_node,
-    plan_reorganization,
-    reorganize_committee,
     reselect_coordinator,
+    split_quotas,
 )
 from shardgraph.sharding import ShardState, partition_nodes
 
@@ -147,102 +150,117 @@ def test_forced_donor_with_two_shards():
         assert choose_donors(ts, 0, [1], 2) == [1]
 
 
+def deplete(state, table, ledger, committee, to_size):
+    """Remove non-coordinator members until the committee has to_size."""
+    for m in list(table.members(committee)):
+        if len(table.members(committee)) <= to_size:
+            break
+        if m != table.coordinators[committee]:
+            leave_node(state, table, ledger, m)
+
+
+def reorganize(state, table, ledger, depleted, global_ts, donor_ts,
+               min_size=4):
+    """Both phases back to back, seeded by the given ordered timestamps."""
+    pool = donor_pool(table, depleted, min_size)
+    donors = choose_donors(global_ts, depleted, pool, DEFAULT_DONOR_COUNT)
+    quotas = split_quotas(table, depleted, donors, min_size)
+    transfers = {
+        donor: choose_split_members(donor_ts(donor), candidates, quota)
+        for donor, candidates, quota in quotas
+    }
+    apply_transfers(state, table, ledger, depleted, transfers)
+    return pool, donors, quotas, transfers
+
+
 def test_reorg_rebalances_and_preserves_partition():
     state, table, ledger = make_state(100, 10, seed=7)
     depleted = 3
-    members = table.members(depleted)
-    keep = {table.coordinators[depleted]}
-    for m in members:
-        if len(table.members(depleted)) <= 4:
-            break
-        if m in keep:
-            continue
-        leave_node(state, table, ledger, m)
+    deplete(state, table, ledger, depleted, 4)
     assert len(table.members(depleted)) == 4
     assert check_reorg_trigger(ledger, depleted)
-    plan = reorganize_committee(
-        state,
-        table,
-        ledger,
-        depleted,
-        global_ts=500,
+    _, donors, _, transfers = reorganize(
+        state, table, ledger, depleted, global_ts=500,
         donor_ts=lambda cid: 600 + cid,
-        reselect_ts=lambda cid: 700 + cid,
     )
-    assert not plan.deferred
-    assert len(plan.donors) == 2
+    assert len(donors) == 2 and list(transfers) == donors
+    # refilled to the ceiling average of 94 nodes over 10 committees
     assert len(table.members(depleted)) == 10
-    for donor in plan.donors:
+    for donor, moved in transfers.items():
         assert len(table.members(donor)) == 7
+        for node in moved:
+            assert node in state.local_stores[depleted].population
+            assert node not in state.local_stores[donor].population
+        assert ledger.baseline[donor] == 7
     table.validate()
     sizes = sum(len(table.members(c)) for c in range(10))
     assert sizes == len(table.assignment)
     assert ledger.exits[depleted] == 0
+    assert ledger.baseline[depleted] == 10
     assert not check_reorg_trigger(ledger, depleted)
+    assert table.epoch == 1
 
 
 def test_reorg_deterministic_replay():
     def run():
         state, table, ledger = make_state(100, 10, seed=7)
-        depleted = 3
-        for m in list(table.members(depleted)):
-            if len(table.members(depleted)) <= 4:
-                break
-            if m == table.coordinators[depleted]:
-                continue
-            leave_node(state, table, ledger, m)
-        plan = reorganize_committee(
-            state,
-            table,
-            ledger,
-            depleted,
-            global_ts=500,
+        deplete(state, table, ledger, 3, 4)
+        result = reorganize(
+            state, table, ledger, 3, global_ts=500,
             donor_ts=lambda cid: 600 + cid,
-            reselect_ts=lambda cid: 700 + cid,
         )
-        return plan, dict(table.assignment), dict(table.coordinators)
+        return result, dict(table.assignment), dict(table.coordinators)
 
-    p1, a1, c1 = run()
-    p2, a2, c2 = run()
-    assert p1.donors == p2.donors
-    assert p1.transfers == p2.transfers
-    assert a1 == a2 and c1 == c2
-    assert [d.derived_value for d in p1.draws] == [
-        d.derived_value for d in p2.draws
-    ]
+    assert run() == run()
 
 
-def test_reorg_deferred_when_no_donor_can_spare():
+def test_reorg_skipped_when_already_at_target():
     state, table, ledger = make_state(8, 2, seed=1)
-    # both committees at exactly the minimum size: nobody can spare
-    depleted = 0
-    plan = plan_reorganization(
-        table, ledger, depleted, global_ts=5, donor_ts=lambda c: 6
-    )
-    # committee already at/above its fair share: nothing to do
-    assert plan.transfers == {}
+    # both committees hold the average size: nothing to refill
+    assert donor_pool(table, 0, min_size=4) is None
+    assert donor_pool(table, 0, min_size=2) is None
+
+
+def test_reorg_no_donor_above_minimum():
+    state, table, ledger = make_state(12, 2, seed=1)
+    deplete(state, table, ledger, 0, 4)
+    # committee 1 holds exactly the minimum, so it cannot donate
+    assert donor_pool(table, 0, min_size=6) == []
+    assert donor_pool(table, 0, min_size=4) == [1]
+
+
+def test_split_quotas_share_need_and_keep_minimum():
+    state, table, ledger = make_state(40, 4, seed=3)
+    deplete(state, table, ledger, 0, 2)
+    deplete(state, table, ledger, 1, 7)
+    # 29 nodes: target ceil(29/4) = 8, so committee 0 lacks 6; committee 1
+    # can spare only 1 above min_size 6, the later donors share the rest
+    quotas = split_quotas(table, 0, [1, 2, 3], min_size=6)
+    assert [(d, q) for d, _, q in quotas] == [(1, 1), (2, 3), (3, 2)]
+    for donor, candidates, _ in quotas:
+        assert table.coordinators[donor] not in candidates
+        assert sorted(candidates + [table.coordinators[donor]]) == (
+            table.members(donor)
+        )
+    # a committee that cannot spare anything is left out
+    assert [d for d, _, _ in split_quotas(table, 0, [1], min_size=7)] == []
 
 
 def test_reorg_plan_recomputable_from_timestamps():
     state, table, ledger = make_state(100, 10, seed=7)
     depleted = 2
-    for m in list(table.members(depleted)):
-        if len(table.members(depleted)) <= 4:
-            break
-        if m == table.coordinators[depleted]:
-            continue
-        leave_node(state, table, ledger, m)
-    plan = plan_reorganization(
-        table, ledger, depleted, global_ts=911, donor_ts=lambda c: 1000 + c
+    deplete(state, table, ledger, depleted, 4)
+    pool, donors, quotas, transfers = reorganize(
+        state, table, ledger, depleted, global_ts=911,
+        donor_ts=lambda c: 1000 + c,
     )
     # replaying the recorded timestamps reproduces every choice
-    donors = choose_donors(
-        plan.draws[0].consensus_timestamp,
-        depleted,
-        [c for c in range(10) if len(table.members(c)) > 4],
-        2,
-    )
-    assert donors == plan.donors
+    assert pool == [c for c in range(10) if c != depleted]
+    assert choose_donors(911, depleted, pool, 2) == donors
+    for donor, candidates, quota in quotas:
+        assert choose_split_members(1000 + donor, candidates, quota) == (
+            transfers[donor]
+        )
 
 
 # -- coordinator reselection ------------------------------------------------

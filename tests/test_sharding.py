@@ -5,16 +5,16 @@ from shardgraph.sharding import (
     CommitteeTable,
     ShardState,
     ShardingError,
-    coordinator_emit_global,
-    coordinator_emit_local,
     coordinator_ingest_local,
     coordinator_receive_global,
+    flush_inbound,
+    flush_outbound,
     partition_nodes,
     recover_failed_shard,
     replica_holder_count,
     replicate_checkpoint,
 )
-from shardgraph.transactions import Transaction, classify_transaction
+from shardgraph.transactions import Transaction
 
 
 def tx(i, origin, target):
@@ -62,14 +62,6 @@ def test_partition_errors():
         partition_nodes(range(3), 4, seed=0)
 
 
-# -- classification ---------------------------------------------------------
-
-
-def test_classify():
-    assert classify_transaction(tx(1, 2, 2)) == "intra"
-    assert classify_transaction(tx(2, 0, 3)) == "cross"
-
-
 # -- pipeline ---------------------------------------------------------------
 
 
@@ -98,9 +90,8 @@ def test_ingest_queues_cross_and_coordinator_excludes_it(small_state):
     ev = local_event(state, table, 0, (cross, tx(2, 0, 0)))
     queue = coordinator_ingest_local(state, table, 0, ev)
     assert queue.outbound == [cross]
-    # the coordinator's next local event carries only what it is given
-    nxt = coordinator_emit_local(state, table, 0, 1, batch_limit=16)
-    assert cross not in nxt.payload
+    # the coordinator's next local event carries inbound deliveries only
+    assert cross not in flush_inbound(state, 0, batch_limit=16)
 
 
 def test_ingest_deduplicates(small_state):
@@ -123,31 +114,29 @@ def test_ingest_unknown_event_rejected(small_state):
 
 
 def test_emit_global_under_limit_flushes_all(small_state):
-    state, table = small_state
+    state, _ = small_state
     q = state.queues[0]
     t1, t2 = tx(1, 0, 1), tx(2, 0, 1)
     q.outbound.extend([t1, t2])
-    ev = coordinator_emit_global(state, table, 0, 5, batch_limit=10)
-    assert ev.payload == (t1, t2)
+    assert flush_outbound(state, 0, batch_limit=10) == [t1, t2]
     assert q.outbound == []
-    assert ev.creator == table.coordinators[0]
 
 
 def test_emit_global_fifo_respects_limit(small_state):
-    state, table = small_state
+    state, _ = small_state
     q = state.queues[0]
     txs = [tx(i, 0, 1) for i in range(5)]
     q.outbound.extend(txs)
-    ev = coordinator_emit_global(state, table, 0, 5, batch_limit=2)
-    assert ev.payload == tuple(txs[:2])
+    assert flush_outbound(state, 0, batch_limit=2) == txs[:2]
     assert q.outbound == txs[2:]
 
 
 def test_receive_global_filters_by_target(small_state):
     state, table = small_state
     cross = tx(1, 0, 1)
-    state.queues[0].outbound.append(cross)
-    ev = coordinator_emit_global(state, table, 0, 5, batch_limit=10)
+    ev = create_event(
+        table.coordinators[0], state.global_graph, None, (cross,), 5
+    )
     q1 = coordinator_receive_global(state, table, 1, ev)
     assert q1.inbound == [cross]
     # the origin committee's own coordinator ignores it
@@ -159,19 +148,19 @@ def test_receive_global_filters_by_target(small_state):
 
 
 def test_emit_local_delivers_inbound(small_state):
-    state, table = small_state
-    cross = tx(1, 0, 1)
-    state.queues[1].inbound.append(cross)
-    ev = coordinator_emit_local(state, table, 1, 7, batch_limit=16)
-    assert cross in ev.payload
-    assert state.queues[1].inbound == []
-    assert ev.digest in state.local_graphs[1].store.index
+    state, _ = small_state
+    q = state.queues[1]
+    txs = [tx(i, 0, 1) for i in range(5)]
+    q.inbound.extend(txs)
+    assert flush_inbound(state, 1, batch_limit=3) == txs[:3]
+    assert q.inbound == txs[3:]
+    assert flush_inbound(state, 1, batch_limit=16) == txs[3:]
+    assert q.inbound == []
 
 
 def test_emit_local_empty_queue_plain_sync(small_state):
-    state, table = small_state
-    ev = coordinator_emit_local(state, table, 1, 7, batch_limit=16)
-    assert ev.payload == ()
+    state, _ = small_state
+    assert flush_inbound(state, 1, batch_limit=16) == []
 
 
 # -- replication ------------------------------------------------------------

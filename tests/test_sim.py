@@ -268,6 +268,42 @@ def test_shard_failure_recovery_preserves_checkpoint():
     sim.table.validate()
 
 
+def test_churn_reorg_deferred_when_no_donors():
+    # both committees start at min_committee_size, so none can donate
+    cfg = ScenarioConfig(n=12, s=2, seed=2, duration=120, tx_rate=8.0,
+                         min_committee_size=6, adversary_kind="churn",
+                         adversary_committee=0, adversary_interval=3)
+    sim = Simulation(cfg)
+    report = sim.run()
+    assert "reorganization of committee 0 deferred: no donors" in (
+        report.anomalies
+    )
+    rows = [e for e in report.reorg_log if e["purpose"] == "reorg-donors"]
+    assert rows and all(e["chosen"] == [] for e in rows)
+    for e in rows:
+        assert choose_donors(
+            e["consensus_timestamp"], e["committee"], e["pool"], 2
+        ) == []
+    assert not [a for a in report.action_log if a["action"] == "reorg_applied"]
+    sim.table.validate()
+
+
+def test_shard_failure_without_replica_is_reported():
+    # the committee fails before any checkpoint replicates it
+    cfg = ScenarioConfig(n=20, s=2, seed=6, duration=60,
+                         checkpoint_period=1000,
+                         adversary_kind="shard_failure",
+                         adversary_committee=1,
+                         adversary_fail_at=10, adversary_recover_delay=5)
+    report = run_scenario(cfg)
+    assert report.anomalies == [
+        "shard 1 recovery failed: no replica of committee 1 exists: "
+        "unrecoverable loss"
+    ]
+    assert not [e for e in report.recovery_log
+                if e["action"] == "recover_shard"]
+
+
 # -- config -----------------------------------------------------------------
 
 
