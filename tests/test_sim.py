@@ -268,6 +268,20 @@ def test_shard_failure_recovery_preserves_checkpoint():
     sim.table.validate()
 
 
+def test_churn_epoch_counts_applied_reorgs_only():
+    # one of the six requested reorganizations finds its committee already
+    # back at the refill target; it resets the ledger but opens no epoch
+    cfg = ScenarioConfig(n=32, s=4, seed=9, duration=120, tx_rate=16.0,
+                         cross_ratio=0.2, adversary_kind="churn",
+                         adversary_interval=3, adversary_rejoin=True)
+    sim = Simulation(cfg)
+    report = sim.run()
+    actions = [a["action"] for a in report.action_log]
+    assert actions.count("reorg_requested") == 6
+    assert actions.count("reorg_applied") == 5
+    assert sim.table.epoch == 5
+
+
 def test_churn_reorg_deferred_when_no_donors():
     # both committees start at min_committee_size, so none can donate
     cfg = ScenarioConfig(n=12, s=2, seed=2, duration=120, tx_rate=8.0,
