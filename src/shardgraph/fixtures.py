@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .hashgraph import Event, Hashgraph, HashgraphError
+from .hashgraph import Event, EventStore, Hashgraph, HashgraphError
 from .transactions import Transaction
 
 
@@ -41,7 +41,7 @@ def load_fixture(text: str) -> tuple[Hashgraph, list[Event]]:
     if not population:
         raise HashgraphError("fixture missing population line")
 
-    graph = Hashgraph(population)
+    graph = Hashgraph(EventStore(population))
     events: list[Event] = []
     for i, (creator, sp, op, count, at) in enumerate(rows):
         payload = tuple(
@@ -74,12 +74,10 @@ def dump_fixture(population: Iterable[int], events: list[Event]) -> str:
 
 def round_robin_fixture(n: int = 4, events_per_node: int = 3) -> str:
     """A deterministic n-node gossip schedule used by the oracle tests."""
-    from .hashgraph import EventStore, create_event, gossip_sync
+    from .hashgraph import create_event, gossip_sync
 
     store = EventStore(range(n))
-    graphs = [
-        Hashgraph(list(range(n)), owner=i, store=store) for i in range(n)
-    ]
+    graphs = [Hashgraph(store, i) for i in range(n)]
     events: list[Event] = []
     for i in range(n):
         events.append(create_event(i, graphs[i], None, (), 0))

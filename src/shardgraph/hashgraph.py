@@ -6,9 +6,9 @@ numbers, witness flags, fame, round-received, consensus timestamps) are
 functions of an event's fixed ancestry, so they are computed once per event
 on the backing store and are independent of gossip arrival order.
 
-Several ``Hashgraph`` views may share one ``EventStore`` (the simulator uses
-one store per committee with a per-node view bitmask); a standalone graph
-simply owns its store.
+Each committee's graph is one ``EventStore``; every member holds a
+``Hashgraph`` view of it, a bitmask of the events that member knows.  Gossip
+moves bits between views of the same store.
 """
 
 from __future__ import annotations
@@ -144,9 +144,6 @@ class EventStore:
         if node in self.population:
             self.population.remove(node)
 
-    def member_bit(self, node: NodeId) -> int:
-        return self._member_bit[node]
-
     # -- insertion ----------------------------------------------------------
 
     def add_event(self, event: Event) -> int:
@@ -268,27 +265,15 @@ class EventStore:
         )
 
     def strongly_sees(self, a: int, b: int) -> bool:
-        """a descends to b through events by a supermajority of members."""
-        if not self.is_ancestor(a, b):
-            return False
-        cb = self._member_bit[self.by_index[b].creator]
-        forked = self._forked[a]
-        if (forked >> cb) & 1:
-            return False
-        anc_a = self._anc[a]
-        sm = supermajority(len(self.population))
-        count = 0
-        for creator, evs in self._creator_events.items():
-            bit = self._member_bit.get(creator)
-            if bit is None or (forked >> bit) & 1:
-                continue
-            for j in evs:
-                if (anc_a >> j) & 1 and self.is_ancestor(j, b):
-                    count += 1
-                    break
-            if count >= sm:
-                return True
-        return False
+        """a descends to b through events by a supermajority of members.
+
+        Defined for b a witness of round(a) - 1 or later, the only pairs
+        rounds and fame consult; a's creator masks cover just those."""
+        if not self.is_witness[b] or self.round[b] < self.round[a] - 1:
+            raise HashgraphError(
+                "strongly_sees needs a witness of round(a) - 1 or later"
+            )
+        return self._strongly_sees_fast(a, b, self._masks[a])
 
     # -- fame ---------------------------------------------------------------
 
@@ -437,13 +422,8 @@ class EventStore:
 class Hashgraph:
     """One participant's (possibly partial) view over an event store."""
 
-    def __init__(
-        self,
-        population: Iterable[NodeId],
-        owner: Optional[NodeId] = None,
-        store: Optional[EventStore] = None,
-    ):
-        self.store = store if store is not None else EventStore(population)
+    def __init__(self, store: EventStore, owner: Optional[NodeId] = None):
+        self.store = store
         self.owner = owner
         self.known = 0
         self.heads: dict[NodeId, EventId] = {}
@@ -520,25 +500,20 @@ def gossip_sync(
 ) -> tuple[list[Event], Event]:
     """Push the sender's view into the receiver's and record the sync.
 
-    Returns the events the receiver was missing (in topological order) and
-    the receiver's new gossip-record event, whose other_parent is the
-    sender's head.
+    Both views must be of the same store.  Returns the events the receiver
+    was missing (in topological order) and the receiver's new gossip-record
+    event, whose other_parent is the sender's head.
     """
+    if receiver_graph.store is not sender_graph.store:
+        raise HashgraphError("gossip between views of different stores")
     transferred: list[Event] = []
-    if receiver_graph.store is sender_graph.store:
-        diff = sender_graph.known & ~receiver_graph.known
-        x = diff
-        while x:
-            low = x & -x
-            i = low.bit_length() - 1
-            x ^= low
-            transferred.append(sender_graph.store.by_index[i])
-            receiver_graph._absorb(i)
-    else:
-        for ev in sender_graph.events_in_order():
-            if ev.digest not in receiver_graph:
-                transferred.append(ev)
-                receiver_graph.add_event(ev)
+    x = sender_graph.known & ~receiver_graph.known
+    while x:
+        low = x & -x
+        i = low.bit_length() - 1
+        x ^= low
+        transferred.append(sender_graph.store.by_index[i])
+        receiver_graph._absorb(i)
     sender_head = (
         sender_graph.heads.get(sender_graph.owner)
         if sender_graph.owner is not None
@@ -564,11 +539,6 @@ def strongly_sees(graph: Hashgraph, a: EventId, b: EventId) -> bool:
         if e not in graph:
             raise HashgraphError(f"unresolved event id {e[:12]}")
     return store.strongly_sees(store.index[a], store.index[b])
-
-
-def elect_fame(graph: Hashgraph) -> Hashgraph:
-    graph.store.elect_fame()
-    return graph
 
 
 def consensus_order(graph: Hashgraph) -> list[OrderedEvent]:

@@ -164,7 +164,6 @@ def reselect_coordinator(
     old = table.coordinators.get(committee)
     table.coordinators[committee] = new
     if old != new:
-        state.queues[committee].owner = new
         # replicas held by the old coordinator move with the role
         for (holder, cid) in list(state.replicas):
             if holder == old:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .hashgraph import (
     Event,
@@ -50,9 +50,6 @@ class CommitteeTable:
 
     def committee_of(self, node: NodeId) -> CommitteeId:
         return self.assignment[node]
-
-    def is_coordinator(self, node: NodeId) -> bool:
-        return node in self.coordinators.values()
 
     def validate(self) -> None:
         for cid, coord in self.coordinators.items():
@@ -96,7 +93,6 @@ def partition_nodes(
 class CacheQueue:
     """A coordinator's FIFO buffers for cross-shard transactions."""
 
-    owner: NodeId
     outbound: list[Transaction] = field(default_factory=list)
     inbound: list[Transaction] = field(default_factory=list)
     seen_out: set[str] = field(default_factory=set)
@@ -107,21 +103,13 @@ class ShardState:
     """Graphs, queues and replicas of one sharded deployment."""
 
     def __init__(self, table: CommitteeTable):
-        self.table = table
-        s = table.num_committees
-        self.local_stores: dict[CommitteeId, EventStore] = {}
-        self.local_graphs: dict[CommitteeId, Hashgraph] = {}
-        for cid in range(s):
-            members = table.members(cid)
-            store = EventStore(members)
-            self.local_stores[cid] = store
-            self.local_graphs[cid] = Hashgraph(members, store=store)
-        gc = table.global_committee()
-        self.global_store = EventStore(gc)
-        self.global_graph = Hashgraph(gc, store=self.global_store)
+        self.local_stores: dict[CommitteeId, EventStore] = {
+            cid: EventStore(table.members(cid))
+            for cid in range(table.num_committees)
+        }
+        self.global_store = EventStore(table.global_committee())
         self.queues: dict[CommitteeId, CacheQueue] = {
-            cid: CacheQueue(owner=coord)
-            for cid, coord in table.coordinators.items()
+            cid: CacheQueue() for cid in table.coordinators
         }
         # (holder, committee) -> snapshot
         self.replicas: dict[tuple[NodeId, CommitteeId], ReplicaSnapshot] = {}
@@ -148,8 +136,7 @@ def coordinator_ingest_local(
 ) -> CacheQueue:
     """Step 1: pull cross-shard transactions out of a gossiped local event
     into the coordinator's outbound queue (deduplicated by tx id)."""
-    graph = state.local_graphs[committee]
-    if received_event.digest not in graph.store.index:
+    if received_event.digest not in state.local_stores[committee].index:
         raise ShardingError("event not present in the committee's local graph")
     queue = state.queues[committee]
     for tx in received_event.payload:
@@ -192,7 +179,7 @@ def coordinator_receive_global(
 ) -> CacheQueue:
     """Step 2b: file transactions targeting this committee into the
     receiving coordinator's inbound queue."""
-    if global_event.digest not in state.global_graph.store.index:
+    if global_event.digest not in state.global_store.index:
         raise ShardingError("event not present in the global graph")
     queue = state.queues[receiver_committee]
     for tx in global_event.payload:
@@ -212,19 +199,18 @@ def replicate_checkpoint(
     state: ShardState,
     table: CommitteeTable,
     committee: CommitteeId,
-    source: Optional[Hashgraph] = None,
+    source: Hashgraph,
 ) -> dict[tuple[NodeId, CommitteeId], ReplicaSnapshot]:
-    """Copy the committee's graph (the coordinator's view of it, when given)
-    to every other global-committee member."""
+    """Copy ``source``, the coordinator's view of the committee's graph, to
+    every other global-committee member."""
     from .hashgraph import consensus_order
 
-    graph = source if source is not None else state.local_graphs[committee]
     snapshot = ReplicaSnapshot(
         committee=committee,
         checkpoint_seq=state._checkpoint_seq,
-        population=list(graph.population),
-        events=graph.events_in_order(),
-        consensus=consensus_order(graph),
+        population=list(source.population),
+        events=source.events_in_order(),
+        consensus=consensus_order(source),
     )
     state._checkpoint_seq += 1
     own = table.coordinators[committee]
@@ -254,9 +240,9 @@ def recover_failed_shard(
     table: CommitteeTable,
     failed: CommitteeId,
     replacement_members: Iterable[NodeId],
-) -> CommitteeTable:
+) -> ReplicaSnapshot:
     """Rebuild a failed committee from the freshest global-committee replica,
-    preserving the pre-failure consensus prefix."""
+    preserving the pre-failure consensus prefix.  Returns that replica."""
     replacements = sorted(set(replacement_members))
     if not replacements:
         raise ShardingError("no replacement members supplied")
@@ -272,9 +258,8 @@ def recover_failed_shard(
     best = max(candidates, key=lambda s: (len(s.events), s.checkpoint_seq))
 
     store = EventStore(best.population)
-    graph = Hashgraph(best.population, store=store)
     for ev in best.events:
-        graph.add_event(ev)
+        store.add_event(ev)
     store.advance_consensus()
     prefix = [
         (o.event_id, o.round_received, o.consensus_timestamp)
@@ -291,7 +276,6 @@ def recover_failed_shard(
     for node in replacements:
         store.add_member(node)
     state.local_stores[failed] = store
-    state.local_graphs[failed] = graph
 
     old_coordinator = table.coordinators[failed]
     for node in table.members(failed):
@@ -299,8 +283,8 @@ def recover_failed_shard(
     for node in replacements:
         table.assignment[node] = failed
     table.coordinators[failed] = replacements[0]
-    state.queues[failed] = CacheQueue(owner=replacements[0])
+    state.queues[failed] = CacheQueue()
     state.global_store.remove_member(old_coordinator)
     state.global_store.add_member(replacements[0])
     table.epoch += 1
-    return table
+    return best

@@ -121,26 +121,6 @@ def poisson_sample(rng: random.Random, lam: float) -> int:
         count += 1
 
 
-def gossip_partner(node, table, rng, active=None, pool="local"):
-    """Uniform random sync partner for a node.
-
-    Ordinary members draw from their own committee; coordinators on a
-    global-duty round draw from the other coordinators.
-    """
-    if pool == "global":
-        candidates = table.global_committee()
-    else:
-        candidates = table.members(table.committee_of(node))
-    candidates = [
-        c
-        for c in candidates
-        if c != node and (active is None or c in active)
-    ]
-    if not candidates:
-        raise SimulationError(f"no available sync partner for node {node}")
-    return rng.choice(candidates)
-
-
 def inject_workload(config, now, rng, table, active):
     """Poisson arrivals for one tick: (origin_node, Transaction) pairs."""
     pool = sorted(active)
@@ -167,8 +147,8 @@ def _str_keys(value):
     return value
 
 
-def _full_view(store) -> Hashgraph:
-    g = Hashgraph(store.population, store=store)
+def _full_view(store, owner=None) -> Hashgraph:
+    g = Hashgraph(store, owner)
     g.known = (1 << len(store.by_index)) - 1
     return g
 
@@ -259,16 +239,15 @@ class Simulation:
 
     def _local_view(self, node) -> Hashgraph:
         """An empty view of the node's committee graph."""
-        store = self.state.local_stores[self.table.committee_of(node)]
-        return Hashgraph(store.population, owner=node, store=store)
+        return Hashgraph(
+            self.state.local_stores[self.table.committee_of(node)], node
+        )
 
     def _seat_coordinator(self, new, old=None) -> None:
         """Give a committee's new coordinator an empty view of the global
         graph in place of its predecessor's."""
         self.gviews.pop(old, None)
-        self.gviews[new] = Hashgraph(
-            self.table.global_committee(), owner=new, store=self.state.global_store
-        )
+        self.gviews[new] = Hashgraph(self.state.global_store, new)
         self.ever_coordinators.add(new)
 
     # -- run loop ------------------------------------------------------------
@@ -343,6 +322,18 @@ class Simulation:
                 self._global_sync(sender, ring[(i + 1) % len(ring)], t)
         self.sched.push(t + self.cfg.sync_interval, "gossip_initiate")
 
+    def _push(self, sender_view, receiver_view, sender, receiver, t, payload):
+        """One gossip sync, with its communication and storage accounted."""
+        transferred, new_ev = gossip_sync(
+            sender_view, receiver_view, receiver, t, payload
+        )
+        units = sum(event_units(e) for e in transferred)
+        self.metrics.add_comm(sender, units)
+        self.metrics.add_received(receiver, units)
+        self.metrics.add_storage(receiver, units + event_units(new_ev))
+        self.metrics.add_handshake(sender, 1)
+        return transferred, new_ev
+
     def _local_sync(self, cid, sender_view, sender, receiver, t):
         buffered = self.pending[receiver]
         self.pending[receiver] = []
@@ -350,14 +341,9 @@ class Simulation:
         is_coord = self.table.coordinators.get(cid) == receiver
         if is_coord:
             payload.extend(flush_inbound(self.state, cid, self.cfg.batch_limit))
-        transferred, new_ev = gossip_sync(
-            sender_view, self.views[receiver], receiver, t, payload
+        transferred, new_ev = self._push(
+            sender_view, self.views[receiver], sender, receiver, t, payload
         )
-        units = sum(event_units(e) for e in transferred)
-        self.metrics.add_comm(sender, units)
-        self.metrics.add_received(receiver, units)
-        self.metrics.add_storage(receiver, units + event_units(new_ev))
-        self.metrics.add_handshake(sender, 1)
         self.metrics.total_events += 1
         if event_units(new_ev) == 0:
             self.metrics.empty_events += 1
@@ -369,14 +355,9 @@ class Simulation:
     def _global_sync(self, sender, receiver, t):
         rcid = self.table.committee_of(receiver)
         batch = flush_outbound(self.state, rcid, self.cfg.batch_limit)
-        transferred, new_ev = gossip_sync(
-            self.gviews[sender], self.gviews[receiver], receiver, t, batch
+        transferred, new_ev = self._push(
+            self.gviews[sender], self.gviews[receiver], sender, receiver, t, batch
         )
-        units = sum(event_units(e) for e in transferred)
-        self.metrics.add_comm(sender, units)
-        self.metrics.add_received(receiver, units)
-        self.metrics.add_storage(receiver, units + event_units(new_ev))
-        self.metrics.add_handshake(sender, 1)
         for ev in transferred:
             coordinator_receive_global(self.state, self.table, rcid, ev)
         coordinator_receive_global(self.state, self.table, rcid, new_ev)
@@ -482,7 +463,7 @@ class Simulation:
             payload=(marker_b,),
             created_at=t,
         )
-        alt = Hashgraph(view.population, owner=node, store=view.store)
+        alt = Hashgraph(view.store, node)
         alt.known = view.known
         alt.heads = dict(view.heads)
         alt.add_event(branch_b)
@@ -551,33 +532,20 @@ class Simulation:
             range(self.next_node_id, self.next_node_id + len(old_members))
         )
         self.next_node_id += len(old_members)
-        candidates = [
-            snap
-            for (holder, c), snap in self.state.replicas.items()
-            if c == cid
-        ]
-        checkpointed = []
-        if candidates:
-            best = max(candidates, key=lambda s: (len(s.events), s.checkpoint_seq))
-            checkpointed = [
-                [o.event_id, o.round_received, o.consensus_timestamp]
-                for o in best.consensus
-            ]
         try:
-            recover_failed_shard(self.state, self.table, cid, replacements)
+            replica = recover_failed_shard(
+                self.state, self.table, cid, replacements
+            )
         except ShardingError as exc:
             self.anomalies.append(f"shard {cid} recovery failed: {exc}")
             return
         for m in old_members:
             self.views.pop(m, None)
             self.pending.pop(m, None)
-        canonical = self.state.local_graphs[cid]
         store = self.state.local_stores[cid]
         tip = store.by_index[-1].digest if store.by_index else None
         for node in replacements:
-            g = Hashgraph(replacements, owner=node, store=store)
-            g.known = canonical.known
-            g.heads = dict(canonical.heads)
+            g = _full_view(store, node)
             self.views[node] = g
             self.pending[node] = []
             self.active.add(node)
@@ -594,7 +562,10 @@ class Simulation:
         self.recovery_log.append(
             {"at": t, "action": "recover_shard", "committee": cid,
              "replacements": replacements,
-             "checkpointed_order": checkpointed}
+             "checkpointed_order": [
+                 [o.event_id, o.round_received, o.consensus_timestamp]
+                 for o in replica.consensus
+             ]}
         )
 
     # -- churn / reconfiguration ----------------------------------------------

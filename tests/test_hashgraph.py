@@ -12,7 +12,6 @@ from shardgraph.hashgraph import (
     consensus_order,
     create_event,
     detect_forks,
-    elect_fame,
     fame_of,
     gossip_sync,
     is_ancestor,
@@ -28,6 +27,17 @@ from oracles import BruteGraph
 
 def tx(i, origin=0, target=0):
     return Transaction(tx_id=f"tx{i}", origin=origin, target=target)
+
+
+def graph_of(population, owner=None):
+    """A view of a fresh store of its own."""
+    return Hashgraph(EventStore(population), owner)
+
+
+def shared_views(n):
+    """One view per member, all of one store, as a committee gossips."""
+    store = EventStore(range(n))
+    return [Hashgraph(store, i) for i in range(n)]
 
 
 @pytest.fixture
@@ -63,14 +73,14 @@ def test_supermajority_rejects_zero():
 
 
 def test_create_event_genesis():
-    g = Hashgraph([0, 1], owner=0)
+    g = graph_of([0, 1], owner=0)
     ev = create_event(0, g, None, (), 0)
     assert ev.self_parent is None and ev.other_parent is None
     assert g.heads[0] == ev.digest
 
 
 def test_create_event_head_chaining():
-    g = Hashgraph([0, 1], owner=0)
+    g = graph_of([0, 1], owner=0)
     e1 = create_event(0, g, None, (), 0)
     e2 = create_event(1, g, e1.digest, (), 1)
     e3 = create_event(0, g, e2.digest, (tx(1),), 2)
@@ -81,7 +91,7 @@ def test_create_event_head_chaining():
 
 
 def test_create_event_errors():
-    g = Hashgraph([0, 1])
+    g = graph_of([0, 1])
     e1 = create_event(0, g, None, (), 0)
     with pytest.raises(HashgraphError):
         create_event(7, g, None, (), 0)
@@ -94,12 +104,8 @@ def test_create_event_errors():
 # -- gossip_sync ------------------------------------------------------------
 
 
-def two_graphs(n=2):
-    return [Hashgraph(list(range(n)), owner=i) for i in range(n)]
-
-
 def test_gossip_sync_empty_diff():
-    a, b = two_graphs()
+    a, b = shared_views(2)
     ea = create_event(0, a, None, (), 0)
     gossip_sync(a, b, 1, 1)
     before = b.event_count()
@@ -110,7 +116,7 @@ def test_gossip_sync_empty_diff():
 
 
 def test_gossip_sync_transfers_diff():
-    a, b = two_graphs()
+    a, b = shared_views(2)
     create_event(0, a, None, (), 0)
     create_event(0, a, None, (), 1)
     create_event(0, a, None, (), 2)
@@ -122,7 +128,7 @@ def test_gossip_sync_transfers_diff():
 
 def test_gossip_sync_full_schedule_converges():
     n = 4
-    graphs = [Hashgraph(list(range(n)), owner=i) for i in range(n)]
+    graphs = shared_views(n)
     for i in range(n):
         create_event(i, graphs[i], None, (), 0)
     rng = random.Random(7)
@@ -139,6 +145,14 @@ def test_gossip_sync_full_schedule_converges():
         gossip_sync(graphs[s], graphs[r], r, t)
     for g in graphs:
         assert snapshot <= {e.digest for e in g.events_in_order()}
+
+
+def test_gossip_sync_across_stores_rejected():
+    a, b = graph_of([0, 1], owner=0), graph_of([0, 1], owner=1)
+    create_event(0, a, None, (), 0)
+    with pytest.raises(HashgraphError):
+        gossip_sync(a, b, 1, 1)
+    assert b.event_count() == 0
 
 
 # -- is_ancestor ------------------------------------------------------------
@@ -164,7 +178,7 @@ def test_is_ancestor_matches_brute_force(fixture_graph):
 
 
 def test_is_ancestor_unresolved():
-    g = Hashgraph([0])
+    g = graph_of([0])
     e = create_event(0, g, None, (), 0)
     with pytest.raises(HashgraphError):
         is_ancestor(g, e.digest, "00" * 32)
@@ -174,13 +188,13 @@ def test_is_ancestor_unresolved():
 
 
 def test_strongly_sees_single_member():
-    g = Hashgraph([0])
+    g = graph_of([0])
     e = create_event(0, g, None, (), 0)
     assert strongly_sees(g, e.digest, e.digest)
 
 
 def test_strongly_sees_two_of_four_is_not_enough():
-    g = Hashgraph([0, 1, 2, 3])
+    g = graph_of([0, 1, 2, 3])
     e0 = create_event(0, g, None, (), 0)
     e1 = create_event(1, g, e0.digest, (), 1)
     e1b = create_event(1, g, None, (), 2)
@@ -189,23 +203,54 @@ def test_strongly_sees_two_of_four_is_not_enough():
     assert is_ancestor(g, e1.digest, e0.digest)
 
 
-def test_strongly_sees_matches_brute_force(fixture_graph):
-    o = brute(fixture_graph)
-    evs = fixture_graph.events_in_order()
-    for a in evs:
-        for b in evs:
-            got = strongly_sees(fixture_graph, a.digest, b.digest)
-            assert got == (
-                o.is_ancestor(a.digest, b.digest)
-                and o.strongly_sees(a.digest, b.digest)
-            )
+def witness_pairs(graph):
+    """Every (event, witness of round >= round(event) - 1) digest pair: the
+    domain of strongly_sees."""
+    rounds = rounds_of(graph)
+    witnesses = witnesses_of(graph)
+    evs = graph.events_in_order()
+    return [
+        (a.digest, b.digest)
+        for a in evs
+        for b in evs
+        if b.digest in witnesses and rounds[b.digest] >= rounds[a.digest] - 1
+    ]
+
+
+def test_strongly_sees_matches_brute_force(fixture_graph, big_fixture_graph):
+    cases = ((fixture_graph, 84, 15), (big_fixture_graph, 220, 53))
+    for graph, pairs, true in cases:
+        o = brute(graph)
+        domain = witness_pairs(graph)
+        assert len(domain) == pairs
+        got = {(a, b): strongly_sees(graph, a, b) for a, b in domain}
+        assert sum(got.values()) == true
+        for (a, b), seen in got.items():
+            assert seen == (o.is_ancestor(a, b) and o.strongly_sees(a, b))
+
+
+def test_strongly_sees_outside_domain_rejected():
+    graph, _ = load_fixture(round_robin_fixture(4, 8))
+    rounds = rounds_of(graph)
+    witnesses = witnesses_of(graph)
+    evs = graph.events_in_order()
+    late = max(evs, key=lambda e: rounds[e.digest])
+    assert rounds[late.digest] >= 3
+    non_witness = next(e for e in evs if e.digest not in witnesses)
+    old_witness = next(
+        e for e in evs
+        if e.digest in witnesses and rounds[e.digest] < rounds[late.digest] - 1
+    )
+    for b in (non_witness, old_witness):
+        with pytest.raises(HashgraphError):
+            strongly_sees(graph, late.digest, b.digest)
 
 
 # -- rounds -----------------------------------------------------------------
 
 
 def test_rounds_all_genesis():
-    g = Hashgraph([0, 1, 2, 3])
+    g = graph_of([0, 1, 2, 3])
     for i in range(4):
         create_event(i, g, None, (), 0)
     assert set(rounds_of(g).values()) == {1}
@@ -225,7 +270,7 @@ def test_rounds_match_brute_force(big_fixture_graph):
 def test_rounds_never_lowered_by_growth():
     graph, _ = load_fixture(round_robin_fixture(4, 3))
     before = rounds_of(graph)
-    g2 = Hashgraph([0, 1, 2, 3], owner=0)
+    g2 = graph_of([0, 1, 2, 3], owner=0)
     for e in graph.events_in_order():
         g2.add_event(e)
     head0 = g2.heads[0]
@@ -240,22 +285,22 @@ def test_rounds_never_lowered_by_growth():
 
 
 def test_fame_matches_brute_force(big_fixture_graph):
-    elect_fame(big_fixture_graph)
+    big_fixture_graph.store.elect_fame()
     assert fame_of(big_fixture_graph) == brute(big_fixture_graph).fame()
     assert any(fame_of(big_fixture_graph).values())
 
 
 def test_fame_idempotent(big_fixture_graph):
-    elect_fame(big_fixture_graph)
+    big_fixture_graph.store.elect_fame()
     first = dict(fame_of(big_fixture_graph))
-    elect_fame(big_fixture_graph)
+    big_fixture_graph.store.elect_fame()
     assert fame_of(big_fixture_graph) == first
 
 
 def test_unreferenced_witness_not_famous():
     # node 3 creates its genesis witness but never gossips; nobody can see
     # it, so once voting completes it must be decided not famous
-    g = Hashgraph([0, 1, 2, 3], owner=0)
+    g = graph_of([0, 1, 2, 3], owner=0)
     genesis = [create_event(i, g, None, (), 0) for i in range(4)]
     rng = random.Random(2)
     active = [0, 1, 2]
@@ -263,7 +308,7 @@ def test_unreferenced_witness_not_famous():
         creator = active[t % 3]
         partner = active[(t + 1) % 3]
         create_event(creator, g, g.heads[partner], (), t)
-    elect_fame(g)
+    g.store.elect_fame()
     fame = fame_of(g)
     lonely = genesis[3].digest
     assert fame.get(lonely) is False
@@ -274,7 +319,7 @@ def test_unreferenced_witness_not_famous():
 
 
 def test_consensus_order_single_node_chain():
-    g = Hashgraph([0], owner=0)
+    g = graph_of([0], owner=0)
     evs = [create_event(0, g, None, (tx(i),), i) for i in range(5)]
     order = consensus_order(g)
     # the decided prefix follows the self-parent chain with created_at stamps
@@ -300,7 +345,7 @@ def test_consensus_order_matches_brute_force_nonempty():
 
 def test_consensus_order_identical_after_full_sync():
     n = 4
-    graphs = [Hashgraph(list(range(n)), owner=i) for i in range(n)]
+    graphs = shared_views(n)
     for i in range(n):
         create_event(i, graphs[i], None, (), 0)
     rng = random.Random(3)
@@ -323,7 +368,7 @@ def test_consensus_order_identical_after_full_sync():
 
 def test_prefix_stability():
     n = 4
-    graphs = [Hashgraph(list(range(n)), owner=i) for i in range(n)]
+    graphs = shared_views(n)
     for i in range(n):
         create_event(i, graphs[i], None, (), 0)
     rng = random.Random(11)
@@ -345,7 +390,7 @@ def test_annotations_independent_of_arrival_order(fixture_graph):
     for _ in range(5):
         # any topological shuffle must produce identical annotations
         pending = list(evs)
-        g = Hashgraph([0, 1, 2, 3])
+        g = graph_of([0, 1, 2, 3])
         added = set()
         while pending:
             choices = [
@@ -359,8 +404,8 @@ def test_annotations_independent_of_arrival_order(fixture_graph):
             added.add(e.digest)
             pending.remove(e)
         assert rounds_of(g) == rounds_of(fixture_graph)
-        elect_fame(g)
-        elect_fame(fixture_graph)
+        g.store.elect_fame()
+        fixture_graph.store.elect_fame()
         assert fame_of(g) == fame_of(fixture_graph)
         assert consensus_order(g) == consensus_order(fixture_graph)
 
@@ -373,7 +418,7 @@ def test_detect_forks_honest_empty(big_fixture_graph):
 
 
 def test_detect_forks_reports_equivocation():
-    g = Hashgraph([0, 1, 2, 3])
+    g = graph_of([0, 1, 2, 3])
     base = create_event(0, g, None, (), 0)
     f1 = Event(0, base.digest, None, (), 1)
     f2 = Event(0, base.digest, None, (tx(1),), 1)
@@ -384,7 +429,7 @@ def test_detect_forks_reports_equivocation():
 
 
 def test_detect_forks_matches_pairwise_oracle():
-    g = Hashgraph([0, 1, 2, 3])
+    g = graph_of([0, 1, 2, 3])
     base = create_event(0, g, None, (), 0)
     e1 = create_event(1, g, base.digest, (), 1)
     f1 = Event(0, base.digest, e1.digest, (), 2)

@@ -1,6 +1,6 @@
 import pytest
 
-from shardgraph.hashgraph import create_event
+from shardgraph.hashgraph import Hashgraph, create_event, gossip_sync
 from shardgraph.sharding import (
     CommitteeTable,
     ShardState,
@@ -72,9 +72,17 @@ def small_state():
 
 
 def local_event(state, table, cid, payload, creator=None, now=0):
-    graph = state.local_graphs[cid]
+    """A genesis event in the committee's graph, made in a fresh view."""
     creator = creator if creator is not None else table.members(cid)[0]
-    return create_event(creator, graph, None, payload, now)
+    view = Hashgraph(state.local_stores[cid], creator)
+    return create_event(creator, view, None, payload, now)
+
+
+def full_view(store):
+    """A view that knows every event of the store."""
+    view = Hashgraph(store)
+    view.known = (1 << len(store.by_index)) - 1
+    return view
 
 
 def test_ingest_intra_only_leaves_queue_alone(small_state):
@@ -134,9 +142,9 @@ def test_emit_global_fifo_respects_limit(small_state):
 def test_receive_global_filters_by_target(small_state):
     state, table = small_state
     cross = tx(1, 0, 1)
-    ev = create_event(
-        table.coordinators[0], state.global_graph, None, (cross,), 5
-    )
+    coord = table.coordinators[0]
+    view = Hashgraph(state.global_store, coord)
+    ev = create_event(coord, view, None, (cross,), 5)
     q1 = coordinator_receive_global(state, table, 1, ev)
     assert q1.inbound == [cross]
     # the origin committee's own coordinator ignores it
@@ -172,7 +180,8 @@ def test_replica_holder_count_matches_formula():
     state = ShardState(table)
     for cid in range(s):
         local_event(state, table, cid, ())
-        replicate_checkpoint(state, table, cid)
+        source = full_view(state.local_stores[cid])
+        replicate_checkpoint(state, table, cid, source)
     for cid in range(s):
         assert replica_holder_count(state, table, cid) == n // s + s - 1 == 19
 
@@ -180,9 +189,10 @@ def test_replica_holder_count_matches_formula():
 def test_replicate_idempotent(small_state):
     state, table = small_state
     local_event(state, table, 0, (tx(1, 0, 0),))
-    replicate_checkpoint(state, table, 0)
+    source = full_view(state.local_stores[0])
+    replicate_checkpoint(state, table, 0, source)
     before = dict(state.replicas)
-    replicate_checkpoint(state, table, 0)
+    replicate_checkpoint(state, table, 0, source)
     assert state.replicas == before
 
 
@@ -191,13 +201,9 @@ def test_replicate_idempotent(small_state):
 
 def build_consensus_history(state, table, cid, rounds=30):
     """Drive a committee's graph far enough that events reach consensus."""
-    from shardgraph.hashgraph import Hashgraph, gossip_sync
-
     members = table.members(cid)
     store = state.local_stores[cid]
-    views = {
-        m: Hashgraph(members, owner=m, store=store) for m in members
-    }
+    views = {m: Hashgraph(store, m) for m in members}
     for m in members:
         create_event(m, views[m], None, (), 0)
     k = 0
@@ -214,11 +220,6 @@ def build_consensus_history(state, table, cid, rounds=30):
                 t,
                 (Transaction(tx_id=f"c{cid}_{k}", origin=cid, target=cid),),
             )
-    # canonical graph sees everything
-    canon = state.local_graphs[cid]
-    for m in members:
-        canon.known |= views[m].known
-    canon.heads = dict(views[members[0]].heads)
     return views
 
 
@@ -226,25 +227,46 @@ def test_recover_preserves_consensus_prefix():
     table = partition_nodes(range(12), 2, seed=2)
     state = ShardState(table)
     build_consensus_history(state, table, 0)
-    state.local_graphs[0].store.advance_consensus()
-    pre = list(state.local_graphs[0].store.consensus)
+    store = state.local_stores[0]
+    store.advance_consensus()
+    pre = list(store.consensus)
     assert pre
-    replicate_checkpoint(state, table, 0)
+    replicate_checkpoint(state, table, 0, full_view(store))
     replacements = [100, 101, 102, 103, 104, 105]
     recover_failed_shard(state, table, 0, replacements)
     table.validate()
     assert table.members(0) == replacements
-    post = state.local_graphs[0].store.consensus
+    post = state.local_stores[0].consensus
     assert post[: len(pre)] == pre
+
+
+def test_recover_uses_longest_replica():
+    table = partition_nodes(range(12), 3, seed=2)
+    state = ShardState(table)
+    views = build_consensus_history(state, table, 0, rounds=6)
+    replicate_checkpoint(state, table, 0, full_view(state.local_stores[0]))
+    holders = [h for (h, cid) in state.replicas if cid == 0]
+    assert len(holders) == 2
+    stale = state.replicas[(holders[0], 0)]
+    members = table.members(0)
+    gossip_sync(views[members[0]], views[members[1]], members[1], 99)
+    replicate_checkpoint(state, table, 0, full_view(state.local_stores[0]))
+    # the first holder missed the second checkpoint
+    state.replicas[(holders[0], 0)] = stale
+    fresh = state.replicas[(holders[1], 0)]
+    assert len(fresh.events) > len(stale.events)
+    used = recover_failed_shard(state, table, 0, [100, 101, 102, 103])
+    assert used is fresh
+    assert len(state.local_stores[0].by_index) == len(fresh.events)
 
 
 def test_recover_empty_committee():
     table = partition_nodes(range(8), 2, seed=2)
     state = ShardState(table)
     local_event(state, table, 0, ())
-    replicate_checkpoint(state, table, 0)
+    replicate_checkpoint(state, table, 0, full_view(state.local_stores[0]))
     recover_failed_shard(state, table, 0, [50, 51, 52, 53])
-    assert state.local_graphs[0].store.consensus == []
+    assert state.local_stores[0].consensus == []
     table.validate()
 
 

@@ -12,8 +12,6 @@ from shardgraph.reconfig import (
 )
 from shardgraph.simulation import (
     Simulation,
-    SimulationError,
-    gossip_partner,
     inject_workload,
     poisson_sample,
     run_scenario,
@@ -39,25 +37,6 @@ def test_poisson_mean_and_determinism():
     assert poisson_sample(random.Random(1), 0.0) == 0
     # chunked path for large rates must not hang or underflow
     assert poisson_sample(random.Random(2), 200.0) > 100
-
-
-def test_gossip_partner_uniform():
-    table = partition_nodes(range(10), 1, seed=0)
-    rng = random.Random(7)
-    counts = {m: 0 for m in range(10) if m != 3}
-    for _ in range(10_000):
-        counts[gossip_partner(3, table, rng)] += 1
-    expected = 10_000 / 9
-    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
-    assert chi2 < 26.1  # 8 dof, far beyond the 0.999 quantile
-
-
-def test_gossip_partner_two_members_and_empty():
-    table = partition_nodes(range(2), 1, seed=0)
-    rng = random.Random(1)
-    assert all(gossip_partner(0, table, rng) == 1 for _ in range(5))
-    with pytest.raises(SimulationError):
-        gossip_partner(0, table, rng, active={0})
 
 
 def test_inject_workload_cross_fraction():
