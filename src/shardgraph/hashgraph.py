@@ -13,6 +13,7 @@ moves bits between views of the same store.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -26,10 +27,6 @@ EventId = str
 # rounds; they only matter under adversarial scheduling but guarantee
 # termination.
 COIN_PERIOD = 10
-
-# size(event) = EVENT_BASE_SIZE + EVENT_TX_SIZE * total payload units.
-EVENT_BASE_SIZE = 0
-EVENT_TX_SIZE = 1
 
 
 class HashgraphError(Exception):
@@ -53,16 +50,18 @@ class Event:
 
     def __post_init__(self):
         object.__setattr__(self, "_digest", _digest_of(self))
+        object.__setattr__(
+            self, "_units", sum(t.size_units for t in self.payload)
+        )
 
     @property
     def digest(self) -> EventId:
         return self._digest  # type: ignore[attr-defined]
 
     @property
-    def size_units(self) -> int:
-        return EVENT_BASE_SIZE + EVENT_TX_SIZE * sum(
-            t.size_units for t in self.payload
-        )
+    def units(self) -> int:
+        """Payload size: the sum of the transactions' size units."""
+        return self._units  # type: ignore[attr-defined]
 
 
 def _blob(b: bytes) -> bytes:
@@ -99,6 +98,29 @@ class EventStore:
     Events must be inserted parents-first (gossip delivers them in
     topological order), which makes every annotation computable at insert
     time from the event's ancestry alone.
+
+    Indices that keep insert, fame and ordering work bounded by what changed
+    rather than by history:
+
+    - ``_self_parent[i]`` and ``_first_child[i]`` (-1 for none) index the
+      self-parent edges one slot per event; ``_first_root`` holds each
+      creator's first chain root.  A second same-creator child of one parent
+      (or a second root) is a branch point: only then does ``_siblings``
+      get an entry, and ``_branch_pairs[creator]`` one ``(j, mask)`` per
+      sibling pair (j, k): ``mask`` has bits 0 and k - j.
+    - ``_by_digest[r]`` is round r's witnesses sorted by digest, the order
+      fame voting and ordering visit them in.  ``witnesses_by_round`` keeps
+      insertion order, which decides ``fame_decider``.
+
+    The fast paths rely on two invariants.  Forked bits are inherited: a
+    creator caught forking in a parent's ancestry stays caught, so insert
+    only tests the branch pairs of creators not already in ``_forked``.
+    Ancestry is monotone along a self-parent chain: a later event of the
+    chain descends from everything an earlier one does, so one backward walk
+    per famous witness finds, for every event of a round, the earliest
+    self-ancestor of the witness that reaches it.  When a witness sees its
+    own creator fork, its same-creator ancestors are not one chain, and
+    ordering falls back to ``_creator_chain`` and a search per event.
     """
 
     def __init__(self, population: Iterable[NodeId]):
@@ -113,10 +135,15 @@ class EventStore:
         self._seq: list[int] = []            # position along self-parent chain
         self._forked: list[int] = []         # creators with a fork visible
         self._creator_events: dict[NodeId, list[int]] = {}
-        self._branch_pairs: list[tuple[int, int, NodeId]] = []
+        self._self_parent: list[int] = []
+        self._first_child: list[int] = []
+        self._first_root: dict[NodeId, int] = {}
+        self._siblings: dict[int, list[int]] = {}  # first child -> all
+        self._branch_pairs: dict[NodeId, list[tuple[int, int]]] = {}
         self.round: list[int] = []
         self.is_witness: list[bool] = []
         self.witnesses_by_round: dict[int, list[int]] = {}
+        self._by_digest: dict[int, list[int]] = {}
         self.max_round = 0
         # fame machinery
         self._masks: list[dict[int, int]] = []   # witness idx -> creator mask
@@ -181,18 +208,32 @@ class EventStore:
             forked |= self._forked[opi]
         self._anc.append(anc)
         self._seq.append(0 if spi is None else self._seq[spi] + 1)
+        self._creator_events.setdefault(event.creator, []).append(idx)
 
         # fork bookkeeping: a second same-creator child of one parent (or a
         # second chain root) is a branch point
-        siblings = self._creator_events.setdefault(event.creator, [])
-        for j in siblings:
-            other = self.by_index[j]
-            if other.self_parent == sp:
-                self._branch_pairs.append((j, idx, event.creator))
-        siblings.append(idx)
-        for a, b, c in self._branch_pairs:
-            if (anc >> a) & 1 and (anc >> b) & 1:
-                forked |= 1 << self._member_bit[c]
+        self._self_parent.append(-1 if spi is None else spi)
+        self._first_child.append(-1)
+        if spi is None:
+            first = self._first_root.setdefault(event.creator, idx)
+        else:
+            first = self._first_child[spi]
+            if first < 0:
+                self._first_child[spi] = first = idx
+        if first != idx:
+            siblings = self._siblings.setdefault(first, [first])
+            self._branch_pairs.setdefault(event.creator, []).extend(
+                (j, 1 | (1 << (idx - j))) for j in siblings
+            )
+            siblings.append(idx)
+        for c, pairs in self._branch_pairs.items():
+            cbit = 1 << self._member_bit[c]
+            if forked & cbit:
+                continue
+            for j, pair in pairs:
+                if (anc >> j) & pair == pair:
+                    forked |= cbit
+                    break
         self._forked.append(forked)
 
         self._assign_round(idx, spi, opi)
@@ -233,6 +274,10 @@ class EventStore:
         if witness:
             masks[idx] = cbit
             self.witnesses_by_round.setdefault(r, []).append(idx)
+            bisect.insort(
+                self._by_digest.setdefault(r, []), idx,
+                key=lambda i: self.by_index[i].digest,
+            )
         self.max_round = max(self.max_round, r)
         # children only consult witnesses of rounds >= r - 1
         self._masks.append(
@@ -318,19 +363,11 @@ class EventStore:
     def elect_fame(self) -> None:
         """Decide witness fame where decidable; decisions are final."""
         for r in range(self._first_undecided_round, self.max_round + 1):
-            witnesses = sorted(
-                self.witnesses_by_round.get(r, ()),
-                key=lambda i: self.by_index[i].digest,
-            )
-            for w in witnesses:
+            for w in self._by_digest.get(r, ()):
                 if w in self.fame:
                     continue
                 for d in range(r + 1, self.max_round + 1):
-                    voters = sorted(
-                        self.witnesses_by_round.get(d, ()),
-                        key=lambda i: self.by_index[i].digest,
-                    )
-                    for v in voters:
+                    for v in self._by_digest.get(d, ()):
                         self._vote(v, w)
                         if w in self.fame:
                             break
@@ -350,21 +387,41 @@ class EventStore:
         chain.sort(key=lambda j: self._seq[j])
         return chain
 
-    def _median_timestamp(self, x: int, chains: list[list[int]]) -> int:
-        stamps = []
-        for chain in chains:
-            # earliest event on the famous witness's creator chain that
-            # already descends from x; ancestry along the chain is monotone
-            lo, hi = 0, len(chain) - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if self.is_ancestor(chain[mid], x):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            stamps.append(self.by_index[chain[lo]].created_at)
-        stamps.sort()
-        return stamps[(len(stamps) - 1) // 2]
+    def _stamp_chain(self, w: int, fresh: int, lo: int,
+                     stamps: dict[int, list[int]]) -> None:
+        """Append to stamps[x - lo], for each event x in fresh, the
+        created_at of the earliest event of w's creator in anc(w) that
+        descends from x."""
+        cbit = 1 << self._member_bit[self.by_index[w].creator]
+        if self._forked[w] & cbit:
+            # w sees its creator fork: its same-creator ancestors are not
+            # one chain, so search the seq-sorted list per event
+            chain = self._creator_chain(w)
+            for b in stamps:
+                x = lo + b
+                k, hi = 0, len(chain) - 1
+                while k < hi:
+                    mid = (k + hi) // 2
+                    if self.is_ancestor(chain[mid], x):
+                        hi = mid
+                    else:
+                        k = mid + 1
+                stamps[b].append(self.by_index[chain[k]].created_at)
+            return
+        # walk w's self-parent chain backwards; the fresh events a chain
+        # event reaches and its self-parent does not are stamped with it
+        y, hit = w, fresh
+        while hit:
+            sp = self._self_parent[y]
+            below = (self._anc[sp] >> lo) & fresh if sp >= 0 else 0
+            new = hit ^ below
+            if new:
+                ts = self.by_index[y].created_at
+                while new:
+                    low = new & -new
+                    stamps[low.bit_length() - 1].append(ts)
+                    new ^= low
+            y, hit = sp, below
 
     def advance_consensus(self) -> None:
         """Assign round-received and consensus timestamps for every round
@@ -372,33 +429,37 @@ class EventStore:
         self.elect_fame()
         r = self.finalized_round + 1
         while True:
-            witnesses = self.witnesses_by_round.get(r)
+            witnesses = self._by_digest.get(r)
             if not witnesses:
                 break
             if any(w not in self.fame for w in witnesses):
                 break
-            famous = sorted(
-                (w for w in witnesses if self.fame[w]),
-                key=lambda i: self.by_index[i].digest,
-            )
+            famous = [w for w in witnesses if self.fame[w]]
             if famous:
                 inter = self._anc[famous[0]]
                 for w in famous[1:]:
                     inter &= self._anc[w]
                 fresh = inter & ~self._emitted
-                chains = [self._creator_chain(w) for w in famous]
-                batch = []
-                x = fresh
-                while x:
-                    low = x & -x
-                    i = low.bit_length() - 1
-                    x ^= low
-                    ts = self._median_timestamp(i, chains)
-                    batch.append((ts, self.by_index[i].digest, i))
-                batch.sort()
-                for ts, dg, i in batch:
-                    self.consensus.append(OrderedEvent(dg, r, ts))
-                    self._emitted |= 1 << i
+                if fresh:
+                    lo = (fresh & -fresh).bit_length() - 1
+                    fresh >>= lo
+                    stamps: dict[int, list[int]] = {}
+                    x = fresh
+                    while x:
+                        low = x & -x
+                        stamps[low.bit_length() - 1] = []
+                        x ^= low
+                    for w in famous:
+                        self._stamp_chain(w, fresh, lo, stamps)
+                    batch = []
+                    for b, got in stamps.items():
+                        got.sort()
+                        batch.append((got[(len(got) - 1) // 2],
+                                      self.by_index[lo + b].digest))
+                    batch.sort()
+                    for ts, dg in batch:
+                        self.consensus.append(OrderedEvent(dg, r, ts))
+                    self._emitted |= fresh << lo
             self.finalized_round = r
             r += 1
 
@@ -443,9 +504,6 @@ class Hashgraph:
             raise HashgraphError(f"unknown event {event_id[:12]}")
         return self.store.events[event_id]
 
-    def event_count(self) -> int:
-        return self.known.bit_count()
-
     def events_in_order(self) -> list[Event]:
         return [
             ev
@@ -453,16 +511,31 @@ class Hashgraph:
             if (self.known >> i) & 1
         ]
 
-    def _absorb(self, idx: int) -> None:
-        self.known |= 1 << idx
-        ev = self.store.by_index[idx]
-        cur = self.heads.get(ev.creator)
-        if cur is None or self.store._seq[self.store.index[cur]] <= self.store._seq[idx]:
-            self.heads[ev.creator] = ev.digest
+    def _absorb(self, mask: int) -> list[Event]:
+        """Learn the events in mask; returns them in index order.  A
+        creator's head is its known event furthest along its chain, the
+        later-absorbed one on a tie."""
+        self.known |= mask
+        if not mask:
+            return []
+        store, heads = self.store, self.heads
+        by_index, seq, index = store.by_index, store._seq, store.index
+        lo = (mask & -mask).bit_length() - 1
+        x = mask >> lo
+        absorbed = []
+        while x:
+            low = x & -x
+            i = lo + low.bit_length() - 1
+            x ^= low
+            ev = by_index[i]
+            absorbed.append(ev)
+            cur = heads.get(ev.creator)
+            if cur is None or seq[index[cur]] <= seq[i]:
+                heads[ev.creator] = ev.digest
+        return absorbed
 
     def add_event(self, event: Event) -> Event:
-        idx = self.store.add_event(event)
-        self._absorb(idx)
+        self._absorb(1 << self.store.add_event(event))
         return event
 
 
@@ -506,14 +579,9 @@ def gossip_sync(
     """
     if receiver_graph.store is not sender_graph.store:
         raise HashgraphError("gossip between views of different stores")
-    transferred: list[Event] = []
-    x = sender_graph.known & ~receiver_graph.known
-    while x:
-        low = x & -x
-        i = low.bit_length() - 1
-        x ^= low
-        transferred.append(sender_graph.store.by_index[i])
-        receiver_graph._absorb(i)
+    transferred = receiver_graph._absorb(
+        sender_graph.known & ~receiver_graph.known
+    )
     sender_head = (
         sender_graph.heads.get(sender_graph.owner)
         if sender_graph.owner is not None
@@ -585,7 +653,7 @@ def detect_forks(graph: Hashgraph) -> set[tuple[NodeId, EventId, EventId]]:
     store = graph.store
     forks: set[tuple[NodeId, EventId, EventId]] = set()
     for creator, evs in store._creator_events.items():
-        if not any(c == creator for _, _, c in store._branch_pairs):
+        if creator not in store._branch_pairs:
             continue
         visible = [i for i in evs if (graph.known >> i) & 1]
         for ai in range(len(visible)):

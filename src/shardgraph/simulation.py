@@ -101,7 +101,7 @@ class Scheduler:
 
 
 def event_units(event: Event) -> int:
-    return sum(tx.size_units for tx in event.payload)
+    return event.units
 
 
 def poisson_sample(rng: random.Random, lam: float) -> int:
@@ -327,7 +327,7 @@ class Simulation:
         transferred, new_ev = gossip_sync(
             sender_view, receiver_view, receiver, t, payload
         )
-        units = sum(event_units(e) for e in transferred)
+        units = sum(e.units for e in transferred)
         self.metrics.add_comm(sender, units)
         self.metrics.add_received(receiver, units)
         self.metrics.add_storage(receiver, units + event_units(new_ev))

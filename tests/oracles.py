@@ -176,3 +176,49 @@ class BruteGraph:
                 ) and not self.is_ancestor(b.digest, a.digest):
                     out.add((a.creator,) + tuple(sorted((a.digest, b.digest))))
         return out
+
+
+# ordering reference over an EventStore's own annotations -------------------
+
+
+def median_timestamp(store, x, chains):
+    """The per-event rule: for each famous witness's creator chain (its
+    same-creator ancestors sorted by seq), binary-search the earliest event
+    that descends from x; the lower median of those events' created_at."""
+    stamps = []
+    for chain in chains:
+        lo, hi = 0, len(chain) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if store.is_ancestor(chain[mid], x):
+                hi = mid
+            else:
+                lo = mid + 1
+        stamps.append(store.by_index[chain[lo]].created_at)
+    stamps.sort()
+    return stamps[(len(stamps) - 1) // 2]
+
+
+def reference_consensus(store):
+    """store.consensus recomputed from the store's rounds and fame decisions,
+    one median_timestamp search per event over _creator_chain."""
+    out = []
+    emitted = set()
+    for r in range(1, store.finalized_round + 1):
+        famous = sorted(
+            (w for w in store.witnesses_by_round[r] if store.fame[w]),
+            key=lambda i: store.by_index[i].digest,
+        )
+        if not famous:
+            continue
+        chains = [store._creator_chain(w) for w in famous]
+        batch = sorted(
+            (median_timestamp(store, i, chains), store.by_index[i].digest, i)
+            for i in range(len(store.by_index))
+            if i not in emitted
+            and all(store.is_ancestor(w, i) for w in famous)
+        )
+        for ts, digest, i in batch:
+            out.append((digest, r, ts))
+            emitted.add(i)
+    return out

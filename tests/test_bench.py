@@ -1,0 +1,41 @@
+"""Micro-benchmarks of the hashgraph engine's insert and ordering paths on
+a synthetic 16-member round-robin DAG (960 events).  One timed round each,
+so they stay cheap in the regular suite; ``pytest tests/test_bench.py
+--benchmark-autosave`` stores their results under ``.benchmarks/``."""
+
+import pytest
+
+from shardgraph.fixtures import load_fixture, round_robin_fixture
+from shardgraph.hashgraph import EventStore
+
+
+@pytest.fixture(scope="module")
+def dag():
+    graph, events = load_fixture(round_robin_fixture(n=16, events_per_node=60))
+    return graph.population, events
+
+
+def filled_store(population, events):
+    store = EventStore(population)
+    for ev in events:
+        store.add_event(ev)
+    return store
+
+
+def test_bench_add_event(benchmark, dag):
+    store = benchmark.pedantic(filled_store, args=dag, rounds=1, iterations=1)
+    assert len(store.by_index) == len(dag[1])
+    assert store.max_round >= 10
+
+
+def test_bench_advance_consensus(benchmark, dag):
+    def advance(store):
+        store.advance_consensus()
+        return store
+
+    store = benchmark.pedantic(
+        advance, setup=lambda: ((filled_store(*dag),), {}),
+        rounds=1, iterations=1,
+    )
+    assert store.finalized_round >= 8
+    assert len(store.consensus) > len(dag[1]) // 2

@@ -108,10 +108,10 @@ def test_gossip_sync_empty_diff():
     a, b = shared_views(2)
     ea = create_event(0, a, None, (), 0)
     gossip_sync(a, b, 1, 1)
-    before = b.event_count()
+    before = b.known.bit_count()
     transferred, ev = gossip_sync(a, b, 1, 2)
     assert transferred == []
-    assert b.event_count() == before + 1
+    assert b.known.bit_count() == before + 1
     assert ev.other_parent == ea.digest
 
 
@@ -122,7 +122,7 @@ def test_gossip_sync_transfers_diff():
     create_event(0, a, None, (), 2)
     transferred, ev = gossip_sync(a, b, 1, 3)
     assert len(transferred) == 3
-    assert b.event_count() == 4
+    assert b.known.bit_count() == 4
     assert ev.creator == 1
 
 
@@ -152,7 +152,7 @@ def test_gossip_sync_across_stores_rejected():
     create_event(0, a, None, (), 0)
     with pytest.raises(HashgraphError):
         gossip_sync(a, b, 1, 1)
-    assert b.event_count() == 0
+    assert b.known.bit_count() == 0
 
 
 # -- is_ancestor ------------------------------------------------------------
