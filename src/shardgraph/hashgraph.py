@@ -111,6 +111,13 @@ class EventStore:
     - ``_by_digest[r]`` is round r's witnesses sorted by digest, the order
       fame voting and ordering visit them in.  ``witnesses_by_round`` keeps
       insertion order, which decides ``fame_decider``.
+    - ``_wpos[w]`` is witness w's position in ``witnesses_by_round[r]``,
+      which is append-only.  Virtual voting works on masks of these
+      positions: ``_ss_prev[v]`` holds the round(v) - 1 witnesses v strongly
+      sees, and ``_votes[w][d]`` the ``(voted, yes)`` pair of round-d voters
+      on w, so a tally is two popcounts.  Only ``elect_fame`` votes, and only
+      on undecided witnesses, so ``_votes[w]`` is dropped once w's fame is
+      decided.
 
     The fast paths rely on two invariants.  Forked bits are inherited: a
     creator caught forking in a parent's ancestry stays caught, so insert
@@ -134,6 +141,7 @@ class EventStore:
         self._anc: list[int] = []            # ancestor bitmask, includes self
         self._seq: list[int] = []            # position along self-parent chain
         self._forked: list[int] = []         # creators with a fork visible
+        self._cbit: list[int] = []           # the creator's member bit
         self._creator_events: dict[NodeId, list[int]] = {}
         self._self_parent: list[int] = []
         self._first_child: list[int] = []
@@ -143,12 +151,13 @@ class EventStore:
         self.round: list[int] = []
         self.is_witness: list[bool] = []
         self.witnesses_by_round: dict[int, list[int]] = {}
+        self._wpos: dict[int, int] = {}      # witness -> its position there
         self._by_digest: dict[int, list[int]] = {}
         self.max_round = 0
         # fame machinery
         self._masks: list[dict[int, int]] = []   # witness idx -> creator mask
-        self._votes: dict[tuple[int, int], bool] = {}
-        self._ss_prev: dict[int, list[int]] = {}
+        self._votes: dict[int, dict[int, tuple[int, int]]] = {}
+        self._ss_prev: dict[int, int] = {}
         self.fame: dict[int, bool] = {}
         self.fame_decider: dict[int, int] = {}
         self._first_undecided_round = 1
@@ -207,6 +216,7 @@ class EventStore:
             anc |= self._anc[opi]
             forked |= self._forked[opi]
         self._anc.append(anc)
+        self._cbit.append(1 << self._member_bit[event.creator])
         self._seq.append(0 if spi is None else self._seq[spi] + 1)
         self._creator_events.setdefault(event.creator, []).append(idx)
 
@@ -240,49 +250,59 @@ class EventStore:
         return idx
 
     def _assign_round(self, idx: int, spi: Optional[int], opi: Optional[int]):
-        event = self.by_index[idx]
-        masks: dict[int, int] = {}
-        if spi is not None:
-            masks.update(self._masks[spi])
+        # every witness in a parent's masks is an ancestor of the parent, so
+        # the creator's bit joins every merged mask; the self-parent's masks
+        # hold it already
+        cbit = self._cbit[idx]
+        masks = dict(self._masks[spi]) if spi is not None else {}
         if opi is not None:
             for w, m in self._masks[opi].items():
-                masks[w] = masks.get(w, 0) | m
-        cbit = 1 << self._member_bit[event.creator]
-        anc = self._anc[idx]
-        for w in masks:
-            if (anc >> w) & 1:
-                masks[w] |= cbit
+                masks[w] = masks.get(w, cbit) | m
 
         if spi is None and opi is None:
-            r = 1
+            r = low = 1
         else:
-            r = max(
-                self.round[p] for p in (spi, opi) if p is not None
-            )
+            parent_rounds = [self.round[p] for p in (spi, opi) if p is not None]
+            r, low = max(parent_rounds), min(parent_rounds)
             sm = supermajority(len(self.population))
-            seen = 0
-            for w in self.witnesses_by_round.get(r, ()):  # noqa: B007
-                if self._strongly_sees_fast(idx, w, masks):
-                    seen += 1
-                    if seen >= sm:
-                        break
-            if seen >= sm:
+            if self._strongly_seen(idx, masks, r, sm).bit_count() >= sm:
                 r += 1
         self.round.append(r)
         witness = spi is None or self.round[spi] < r
         self.is_witness.append(witness)
         if witness:
             masks[idx] = cbit
-            self.witnesses_by_round.setdefault(r, []).append(idx)
+            same_round = self.witnesses_by_round.setdefault(r, [])
+            self._wpos[idx] = len(same_round)
+            same_round.append(idx)
             bisect.insort(
                 self._by_digest.setdefault(r, []), idx,
                 key=lambda i: self.by_index[i].digest,
             )
         self.max_round = max(self.max_round, r)
-        # children only consult witnesses of rounds >= r - 1
-        self._masks.append(
-            {w: m for w, m in masks.items() if self.round[w] >= r - 1}
-        )
+        # children only consult witnesses of rounds >= r - 1; a parent's
+        # masks hold none below its own round - 1
+        if low < r:
+            masks = {w: m for w, m in masks.items() if self.round[w] >= r - 1}
+        self._masks.append(masks)
+
+    def _strongly_seen(self, a: int, masks: dict[int, int], r: int,
+                       limit: Optional[int] = None) -> int:
+        """Position mask of the round-r witnesses that a strongly sees
+        through masks (a's creator masks), stopping at limit of them."""
+        forked = self._forked[a]
+        unforked, cbits = ~forked, self._cbit
+        sm = supermajority(len(self.population))
+        seen = found = 0
+        for p, w in enumerate(self.witnesses_by_round.get(r, ())):
+            m = masks.get(w)
+            if (m is not None and not forked & cbits[w]
+                    and (m & unforked).bit_count() >= sm):
+                seen |= 1 << p
+                found += 1
+                if found == limit:
+                    break
+        return seen
 
     # -- predicates ---------------------------------------------------------
 
@@ -293,17 +313,11 @@ class EventStore:
     def sees(self, a: int, b: int) -> bool:
         """Ancestry plus fork exclusion: a does not count events by a creator
         it has caught equivocating."""
-        if not self.is_ancestor(a, b):
-            return False
-        cb = self._member_bit[self.by_index[b].creator]
-        return not (self._forked[a] >> cb) & 1
+        return self.is_ancestor(a, b) and not self._forked[a] & self._cbit[b]
 
     def _strongly_sees_fast(self, a: int, b: int, masks: dict[int, int]) -> bool:
         m = masks.get(b)
-        if m is None:
-            return False
-        cb = self._member_bit[self.by_index[b].creator]
-        if (self._forked[a] >> cb) & 1:
+        if m is None or self._forked[a] & self._cbit[b]:
             return False
         return (m & ~self._forked[a]).bit_count() >= supermajority(
             len(self.population)
@@ -322,31 +336,26 @@ class EventStore:
 
     # -- fame ---------------------------------------------------------------
 
-    def _strongly_seen_prev(self, v: int) -> list[int]:
-        cached = self._ss_prev.get(v)
-        if cached is None:
-            prev = self.witnesses_by_round.get(self.round[v] - 1, ())
-            cached = [
-                u for u in prev if self._strongly_sees_fast(v, u, self._masks[v])
-            ]
-            self._ss_prev[v] = cached
-        return cached
+    def _strongly_seen_prev(self, v: int) -> int:
+        ss = self._ss_prev.get(v)
+        if ss is None:
+            ss = self._ss_prev[v] = self._strongly_seen(
+                v, self._masks[v], self.round[v] - 1
+            )
+        return ss
 
-    def _vote(self, v: int, w: int) -> bool:
-        key = (v, w)
-        got = self._votes.get(key)
-        if got is not None:
-            return got
-        diff = self.round[v] - self.round[w]
+    def _vote(self, v: int, w: int, votes: dict[int, tuple[int, int]]) -> None:
+        """Cast witness v's vote on w into votes, w's per-round (voted, yes)
+        position masks.  elect_fame casts every vote of a round before any
+        of the next, so the witnesses v tallies have all voted."""
+        d = self.round[v]
+        diff = d - self.round[w]
         if diff == 1:
             vote = self.sees(v, w)
         else:
-            yes = no = 0
-            for u in self._strongly_seen_prev(v):
-                if self._vote(u, w):
-                    yes += 1
-                else:
-                    no += 1
+            ss = self._strongly_seen_prev(v)
+            yes = (ss & votes[d - 1][1]).bit_count()
+            no = ss.bit_count() - yes
             vote = yes >= no
             tally = max(yes, no)
             sm = supermajority(len(self.population))
@@ -354,11 +363,12 @@ class EventStore:
                 if tally < sm:
                     # deterministic coin: low bit of the voter's digest
                     vote = bool(int(self.by_index[v].digest[-1], 16) & 1)
-            elif tally >= sm and w not in self.fame:
+            elif tally >= sm:
                 self.fame[w] = vote
                 self.fame_decider[w] = v
-        self._votes[key] = vote
-        return vote
+        bit = 1 << self._wpos[v]
+        voted, yes_mask = votes.get(d, (0, 0))
+        votes[d] = (voted | bit, yes_mask | bit if vote else yes_mask)
 
     def elect_fame(self) -> None:
         """Decide witness fame where decidable; decisions are final."""
@@ -366,12 +376,17 @@ class EventStore:
             for w in self._by_digest.get(r, ()):
                 if w in self.fame:
                     continue
+                votes = self._votes.setdefault(w, {})
                 for d in range(r + 1, self.max_round + 1):
+                    voted = votes.get(d, (0, 0))[0]
                     for v in self._by_digest.get(d, ()):
-                        self._vote(v, w)
-                        if w in self.fame:
-                            break
+                        if not voted >> self._wpos[v] & 1:
+                            self._vote(v, w, votes)
+                            if w in self.fame:
+                                break
                     if w in self.fame:
+                        # only undecided witnesses are voted on again
+                        del self._votes[w]
                         break
             if r == self._first_undecided_round and all(
                 w in self.fame for w in self.witnesses_by_round.get(r, ())
@@ -392,8 +407,7 @@ class EventStore:
         """Append to stamps[x - lo], for each event x in fresh, the
         created_at of the earliest event of w's creator in anc(w) that
         descends from x."""
-        cbit = 1 << self._member_bit[self.by_index[w].creator]
-        if self._forked[w] & cbit:
+        if self._forked[w] & self._cbit[w]:
             # w sees its creator fork: its same-creator ancestors are not
             # one chain, so search the seq-sorted list per event
             chain = self._creator_chain(w)
@@ -652,16 +666,19 @@ def detect_forks(graph: Hashgraph) -> set[tuple[NodeId, EventId, EventId]]:
     """Every same-creator event pair where neither is the other's ancestor."""
     store = graph.store
     forks: set[tuple[NodeId, EventId, EventId]] = set()
-    for creator, evs in store._creator_events.items():
-        if creator not in store._branch_pairs:
-            continue
-        visible = [i for i in evs if (graph.known >> i) & 1]
-        for ai in range(len(visible)):
-            for bi in range(ai + 1, len(visible)):
-                a, b = visible[ai], visible[bi]
-                if not store.is_ancestor(a, b) and not store.is_ancestor(b, a):
-                    d1, d2 = sorted(
-                        (store.by_index[a].digest, store.by_index[b].digest)
-                    )
-                    forks.add((creator, d1, d2))
+    for creator in store._branch_pairs:
+        # an ancestor has a lower index, so the earlier visible events of the
+        # creator that b is incomparable to are those missing from anc(b)
+        below = 0
+        for b in store._creator_events[creator]:
+            if not (graph.known >> b) & 1:
+                continue
+            apart = below & ~store._anc[b]
+            below |= 1 << b
+            db = store.by_index[b].digest
+            while apart:
+                low = apart & -apart
+                da = store.by_index[low.bit_length() - 1].digest
+                forks.add((creator,) + ((da, db) if da < db else (db, da)))
+                apart ^= low
     return forks

@@ -7,6 +7,8 @@ incremental bitmask machinery.
 
 from __future__ import annotations
 
+from shardgraph.hashgraph import COIN_PERIOD
+
 
 def sm(n: int) -> int:
     return (2 * n) // 3 + 1
@@ -176,6 +178,77 @@ class BruteGraph:
                 ) and not self.is_ancestor(b.digest, a.digest):
                     out.add((a.creator,) + tuple(sorted((a.digest, b.digest))))
         return out
+
+
+# fame reference over an EventStore's own annotations ------------------------
+
+
+class ReferenceFame:
+    """Virtual voting as one cached bool per (voter, witness) pair, tallied
+    by a recursive loop over the voter's strongly-seen witnesses.  It reads
+    rounds, witnesses and strong sight from the store but keeps its own
+    votes, fame and deciders, so calling its elect_fame on the same schedule
+    as the store's checks the store's vote bookkeeping."""
+
+    def __init__(self, store):
+        self.store = store
+        self.votes: dict[tuple[int, int], bool] = {}
+        self.ss_prev: dict[int, list[int]] = {}
+        self.fame: dict[int, bool] = {}
+        self.fame_decider: dict[int, int] = {}
+
+    def strongly_seen_prev(self, v):
+        store = self.store
+        if v not in self.ss_prev:
+            self.ss_prev[v] = [
+                u for u in store.witnesses_by_round.get(store.round[v] - 1, ())
+                if store.strongly_sees(v, u)
+            ]
+        return self.ss_prev[v]
+
+    def vote(self, v, w):
+        key = (v, w)
+        if key in self.votes:
+            return self.votes[key]
+        store = self.store
+        diff = store.round[v] - store.round[w]
+        if diff == 1:
+            result = store.sees(v, w)
+        else:
+            yes = no = 0
+            for u in self.strongly_seen_prev(v):
+                if self.vote(u, w):
+                    yes += 1
+                else:
+                    no += 1
+            result = yes >= no
+            tally = max(yes, no)
+            if diff % COIN_PERIOD == 0:
+                if tally < sm(len(store.population)):
+                    result = bool(int(store.by_index[v].digest[-1], 16) & 1)
+            elif tally >= sm(len(store.population)) and w not in self.fame:
+                self.fame[w] = result
+                self.fame_decider[w] = v
+        self.votes[key] = result
+        return result
+
+    def elect_fame(self):
+        store = self.store
+
+        def digest_sorted(ids):
+            return sorted(ids, key=lambda i: store.by_index[i].digest)
+
+        for r in range(1, store.max_round + 1):
+            for w in digest_sorted(store.witnesses_by_round.get(r, ())):
+                if w in self.fame:
+                    continue
+                for d in range(r + 1, store.max_round + 1):
+                    for v in digest_sorted(store.witnesses_by_round.get(d, ())):
+                        self.vote(v, w)
+                        if w in self.fame:
+                            break
+                    if w in self.fame:
+                        break
 
 
 # ordering reference over an EventStore's own annotations -------------------

@@ -1,7 +1,8 @@
-"""Micro-benchmarks of the hashgraph engine's insert and ordering paths on
-a synthetic 16-member round-robin DAG (960 events).  One timed round each,
-so they stay cheap in the regular suite; ``pytest tests/test_bench.py
---benchmark-autosave`` stores their results under ``.benchmarks/``."""
+"""Micro-benchmarks of the hashgraph engine's insert, fame and ordering
+paths on a synthetic 16-member round-robin DAG (960 events).  One timed
+round each, so they stay cheap in the regular suite; ``pytest
+tests/test_bench.py --benchmark-autosave`` stores their results under
+``.benchmarks/``."""
 
 import pytest
 
@@ -39,3 +40,16 @@ def test_bench_advance_consensus(benchmark, dag):
     )
     assert store.finalized_round >= 8
     assert len(store.consensus) > len(dag[1]) // 2
+
+
+def test_bench_elect_fame(benchmark, dag):
+    def elect(store):
+        store.elect_fame()
+        return store
+
+    store = benchmark.pedantic(
+        elect, setup=lambda: ((filled_store(*dag),), {}),
+        rounds=1, iterations=1,
+    )
+    assert len(store.fame) > len(dag[0]) * 8
+    assert not store._votes.keys() & store.fame.keys()

@@ -1,6 +1,7 @@
 """Differential tests of the EventStore's incremental indices (fork bits,
-self-parent walks, digest-sorted witnesses, view heads) against brute-force
-recomputation on seeded gossip DAGs with injected forks."""
+rounds and witnesses, fame votes, self-parent walks, digest-sorted
+witnesses, view heads) against brute-force or reference recomputation on
+seeded gossip DAGs with injected forks."""
 
 import random
 
@@ -13,11 +14,13 @@ from shardgraph.hashgraph import (
     create_event,
     detect_forks,
     gossip_sync,
+    supermajority,
 )
-from shardgraph.simulation import _full_view
+from shardgraph.config import ScenarioConfig
+from shardgraph.simulation import Simulation, _full_view
 from shardgraph.transactions import Transaction
 
-from oracles import BruteGraph, reference_consensus
+from oracles import BruteGraph, ReferenceFame, reference_consensus
 
 SEEDS = range(8)
 
@@ -77,7 +80,7 @@ def brute_forked(oracle, digest):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fork_bookkeeping_matches_brute_force(seed):
-    store, _ = gossip_dag(seed)
+    store, views = gossip_dag(seed)
     oracle = BruteGraph(store.population, store.by_index)
     forked_any = set()
     for i, ev in enumerate(store.by_index):
@@ -85,7 +88,130 @@ def test_fork_bookkeeping_matches_brute_force(seed):
         assert got == brute_forked(oracle, ev.digest)
         forked_any |= got
     assert forked_any  # the schedule did inject visible forks
-    assert detect_forks(_full_view(store)) == oracle.forks()
+    forks = oracle.forks()
+    assert detect_forks(_full_view(store)) == forks
+    check_view_forks(store, views, forks)
+
+
+def check_view_forks(store, views, forks):
+    """Each member's detect_forks equals the brute-force fork pairs whose
+    events it knows; returns how many views miss some pair of forks."""
+    missed = 0
+    for view in views:
+        known = {ev.digest for i, ev in enumerate(store.by_index)
+                 if view.known >> i & 1}
+        seen = {f for f in forks if f[1] in known and f[2] in known}
+        assert detect_forks(view) == seen
+        missed += seen != forks
+    return missed
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_detect_forks_on_partial_views(seed):
+    # early in a schedule some fork branches have not reached every member
+    missed = 0
+    for steps in (40, 80):
+        store, views = gossip_dag(seed, steps=steps)
+        forks = BruteGraph(store.population, store.by_index).forks()
+        missed += check_view_forks(store, views, forks)
+    assert missed
+
+
+def bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def brute_rounds(store):
+    """Every event's round and witness flag from the direct definition over
+    _anc, _forked and the population: a strongly sees w when w's creator is
+    not forked in a, and the creators not forked in a that own an event in
+    anc(a) & desc(w) reach a supermajority."""
+    n = len(store.by_index)
+    sm = supermajority(len(store.population))
+    creator_bit = [store._member_bit[ev.creator] for ev in store.by_index]
+    events_of = {}
+    for x, b in enumerate(creator_bit):
+        events_of[b] = events_of.get(b, 0) | 1 << x
+    desc = [0] * n
+    for x in range(n):
+        for y in bits(store._anc[x]):
+            desc[y] |= 1 << x
+    rounds, witness, by_round = [], [], {}
+    for a, ev in enumerate(store.by_index):
+        parents = [store.index[p] for p in (ev.self_parent, ev.other_parent)
+                   if p is not None]
+        r = max((rounds[p] for p in parents), default=1)
+        if parents:
+            forked = store._forked[a]
+            seen = 0
+            for w in by_round.get(r, ()):
+                if forked >> creator_bit[w] & 1:
+                    continue
+                between = store._anc[a] & desc[w]
+                creators = [b for b, mask in events_of.items()
+                            if between & mask and not forked >> b & 1]
+                seen += len(creators) >= sm
+            if seen >= sm:
+                r += 1
+        rounds.append(r)
+        sp = ev.self_parent
+        witness.append(sp is None or rounds[store.index[sp]] < r)
+        if witness[-1]:
+            by_round.setdefault(r, []).append(a)
+    return rounds, witness
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rounds_and_witnesses_match_brute_force(seed):
+    store, _ = gossip_dag(seed)
+    rounds, witness = brute_rounds(store)
+    assert store.round == rounds
+    assert store.is_witness == witness
+    assert store.max_round >= 4
+
+
+def check_fame_against_reference(built):
+    """Replay built's events into a fresh store and compare fame with the
+    tuple-keyed reference.  fame_decider depends on which voters exist when
+    votes are cast, so both sides vote on the same schedule, every 7
+    inserts."""
+    store = EventStore(built.population)
+    ref = ReferenceFame(store)
+    for i, ev in enumerate(built.by_index, 1):
+        store.add_event(ev)
+        if i % 7 == 0 or i == len(built.by_index):
+            store.elect_fame()
+            ref.elect_fame()
+            assert store.fame == ref.fame
+            assert store.fame_decider == ref.fame_decider
+            undecided = {w for ws in store.witnesses_by_round.values()
+                         for w in ws if w not in store.fame}
+            assert store._votes.keys() <= undecided
+    assert len(store.fame) > len(store.population)
+    assert store._votes
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fame_matches_tuple_keyed_reference(seed):
+    check_fame_against_reference(gossip_dag(seed)[0])
+
+
+def test_fame_matches_reference_on_simulated_equivocators():
+    # the simulator's equivocators leave voters that do not strongly see
+    # every witness of the round before, so tallies must count only those
+    # they do
+    sim = Simulation(ScenarioConfig(
+        n=8, s=1, seed=7, duration=30, tx_rate=8.0,
+        adversary_kind="equivocator", adversary_fraction=0.2,
+        adversary_interval=2,
+    ))
+    sim.run()
+    store = sim.state.local_stores[0]
+    assert store._branch_pairs
+    check_fame_against_reference(store)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
