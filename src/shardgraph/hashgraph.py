@@ -7,8 +7,12 @@ functions of an event's fixed ancestry, so they are computed once per event
 on the backing store and are independent of gossip arrival order.
 
 Each committee's graph is one ``EventStore``; every member holds a
-``Hashgraph`` view of it, a bitmask of the events that member knows.  Gossip
-moves bits between views of the same store.
+``Hashgraph`` view of it, a bitmask of the events that member knows.  A view
+is down-closed (it holds every ancestor of every event in it), so a gossip
+sync is the set difference of two masks and needs no walk over history.  A
+view keeps one head, its owner's, which the owner's next event chains onto,
+and the units a sync carries are popcounts over the store's bit planes of
+``Event.units``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from itertools import compress
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .transactions import Transaction
 
@@ -86,6 +91,19 @@ def _digest_of(event: Event) -> EventId:
     return hashlib.sha256(canonical_bytes(event)).hexdigest()
 
 
+_FLAG = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """The positions of mask's set bits, lowest first, in time linear in
+    the span from its lowest to its highest set bit."""
+    if not mask:
+        return iter(())
+    lo = (mask & -mask).bit_length() - 1
+    flags = format(mask >> lo, "b")[::-1].encode().translate(_FLAG)
+    return compress(range(lo, lo + len(flags)), flags)
+
+
 class OrderedEvent(NamedTuple):
     event_id: EventId
     round_received: int
@@ -108,6 +126,10 @@ class EventStore:
       (or a second root) is a branch point: only then does ``_siblings``
       get an entry, and ``_branch_pairs[creator]`` one ``(j, mask)`` per
       sibling pair (j, k): ``mask`` has bits 0 and k - j.
+    - ``_cmask[c]`` has a bit per event of creator c, and ``_unit_planes[k]``
+      a bit per event whose ``units`` has bit k set, so the events of one
+      creator in a mask are one AND and the units of a mask are a few
+      popcounts (``units_of``).
     - ``_by_digest[r]`` is round r's witnesses sorted by digest, the order
       fame voting and ordering visit them in.  ``witnesses_by_round`` keeps
       insertion order, which decides ``fame_decider``.
@@ -142,7 +164,8 @@ class EventStore:
         self._seq: list[int] = []            # position along self-parent chain
         self._forked: list[int] = []         # creators with a fork visible
         self._cbit: list[int] = []           # the creator's member bit
-        self._creator_events: dict[NodeId, list[int]] = {}
+        self._cmask: dict[NodeId, int] = {}  # creator -> its events' mask
+        self._unit_planes: list[int] = []
         self._self_parent: list[int] = []
         self._first_child: list[int] = []
         self._first_root: dict[NodeId, int] = {}
@@ -218,7 +241,14 @@ class EventStore:
         self._anc.append(anc)
         self._cbit.append(1 << self._member_bit[event.creator])
         self._seq.append(0 if spi is None else self._seq[spi] + 1)
-        self._creator_events.setdefault(event.creator, []).append(idx)
+        bit = 1 << idx
+        self._cmask[event.creator] = self._cmask.get(event.creator, 0) | bit
+        units, planes = event.units, self._unit_planes
+        for k in range(units.bit_length()):
+            if k == len(planes):
+                planes.append(0)
+            if units >> k & 1:
+                planes[k] |= bit
 
         # fork bookkeeping: a second same-creator child of one parent (or a
         # second chain root) is a branch point
@@ -304,16 +334,18 @@ class EventStore:
                     break
         return seen
 
+    def units_of(self, mask: int) -> int:
+        """The summed payload units of the events in mask."""
+        total = 0
+        for k, plane in enumerate(self._unit_planes):
+            total += (mask & plane).bit_count() << k
+        return total
+
     # -- predicates ---------------------------------------------------------
 
     def is_ancestor(self, a: int, b: int) -> bool:
         """True iff b is reachable from a along parent edges (reflexive)."""
         return bool((self._anc[a] >> b) & 1)
-
-    def sees(self, a: int, b: int) -> bool:
-        """Ancestry plus fork exclusion: a does not count events by a creator
-        it has caught equivocating."""
-        return self.is_ancestor(a, b) and not self._forked[a] & self._cbit[b]
 
     def _strongly_sees_fast(self, a: int, b: int, masks: dict[int, int]) -> bool:
         m = masks.get(b)
@@ -345,42 +377,54 @@ class EventStore:
         return ss
 
     def _vote(self, v: int, w: int, votes: dict[int, tuple[int, int]]) -> None:
-        """Cast witness v's vote on w into votes, w's per-round (voted, yes)
-        position masks.  elect_fame casts every vote of a round before any
-        of the next, so the witnesses v tallies have all voted."""
+        """Cast witness v's vote on w, two or more rounds below it, into
+        votes, w's per-round (voted, yes) position masks.  elect_fame casts
+        every vote of a round before any of the next, so the witnesses v
+        tallies have all voted."""
         d = self.round[v]
         diff = d - self.round[w]
-        if diff == 1:
-            vote = self.sees(v, w)
-        else:
-            ss = self._strongly_seen_prev(v)
-            yes = (ss & votes[d - 1][1]).bit_count()
-            no = ss.bit_count() - yes
-            vote = yes >= no
-            tally = max(yes, no)
-            sm = supermajority(len(self.population))
-            if diff % COIN_PERIOD == 0:
-                if tally < sm:
-                    # deterministic coin: low bit of the voter's digest
-                    vote = bool(int(self.by_index[v].digest[-1], 16) & 1)
-            elif tally >= sm:
-                self.fame[w] = vote
-                self.fame_decider[w] = v
+        ss = self._strongly_seen_prev(v)
+        yes = (ss & votes[d - 1][1]).bit_count()
+        no = ss.bit_count() - yes
+        vote = yes >= no
+        tally = max(yes, no)
+        sm = supermajority(len(self.population))
+        if diff % COIN_PERIOD == 0:
+            if tally < sm:
+                # deterministic coin: low bit of the voter's digest
+                vote = bool(int(self.by_index[v].digest[-1], 16) & 1)
+        elif tally >= sm:
+            self.fame[w] = vote
+            self.fame_decider[w] = v
         bit = 1 << self._wpos[v]
         voted, yes_mask = votes.get(d, (0, 0))
         votes[d] = (voted | bit, yes_mask | bit if vote else yes_mask)
 
     def elect_fame(self) -> None:
         """Decide witness fame where decidable; decisions are final."""
+        anc, forked, wpos = self._anc, self._forked, self._wpos
         for r in range(self._first_undecided_round, self.max_round + 1):
             for w in self._by_digest.get(r, ()):
                 if w in self.fame:
                     continue
                 votes = self._votes.setdefault(w, {})
-                for d in range(r + 1, self.max_round + 1):
+                if r < self.max_round:
+                    # a round r + 1 witness votes yes iff it sees w: w is
+                    # its ancestor and w's creator is not caught forking.
+                    # First-round votes never decide fame.
+                    voted, yes = votes.get(r + 1, (0, 0))
+                    cw = self._cbit[w]
+                    for v in self._by_digest[r + 1]:
+                        bit = 1 << wpos[v]
+                        if not voted & bit:
+                            voted |= bit
+                            if anc[v] >> w & 1 and not forked[v] & cw:
+                                yes |= bit
+                    votes[r + 1] = (voted, yes)
+                for d in range(r + 2, self.max_round + 1):
                     voted = votes.get(d, (0, 0))[0]
                     for v in self._by_digest.get(d, ()):
-                        if not voted >> self._wpos[v] & 1:
+                        if not voted >> wpos[v] & 1:
                             self._vote(v, w, votes)
                             if w in self.fame:
                                 break
@@ -396,9 +440,8 @@ class EventStore:
     # -- total order --------------------------------------------------------
 
     def _creator_chain(self, w: int) -> list[int]:
-        creator = self.by_index[w].creator
-        anc_w = self._anc[w]
-        chain = [j for j in self._creator_events[creator] if (anc_w >> j) & 1]
+        own = self._cmask[self.by_index[w].creator] & self._anc[w]
+        chain = list(_set_bits(own))
         chain.sort(key=lambda j: self._seq[j])
         return chain
 
@@ -431,10 +474,8 @@ class EventStore:
             new = hit ^ below
             if new:
                 ts = self.by_index[y].created_at
-                while new:
-                    low = new & -new
-                    stamps[low.bit_length() - 1].append(ts)
-                    new ^= low
+                for b in _set_bits(new):
+                    stamps[b].append(ts)
             y, hit = sp, below
 
     def advance_consensus(self) -> None:
@@ -457,12 +498,7 @@ class EventStore:
                 if fresh:
                     lo = (fresh & -fresh).bit_length() - 1
                     fresh >>= lo
-                    stamps: dict[int, list[int]] = {}
-                    x = fresh
-                    while x:
-                        low = x & -x
-                        stamps[low.bit_length() - 1] = []
-                        x ^= low
+                    stamps = {b: [] for b in _set_bits(fresh)}
                     for w in famous:
                         self._stamp_chain(w, fresh, lo, stamps)
                     batch = []
@@ -494,14 +530,43 @@ class EventStore:
         return r
 
 
+class Transfer:
+    """The events of a mask over a store: read-only, sized by popcount and
+    iterated in index order (a topological order), so the events are only
+    built where they are read."""
+
+    __slots__ = ("store", "mask")
+
+    def __init__(self, store: EventStore, mask: int):
+        self.store = store
+        self.mask = mask
+
+    def __len__(self) -> int:
+        return self.mask.bit_count()
+
+    def __iter__(self) -> Iterator[Event]:
+        return map(self.store.by_index.__getitem__, _set_bits(self.mask))
+
+    @property
+    def units(self) -> int:
+        return self.store.units_of(self.mask)
+
+
 class Hashgraph:
-    """One participant's (possibly partial) view over an event store."""
+    """One participant's (possibly partial) view over an event store.
+
+    ``known`` is a down-closed mask of the store's events.  Of the heads the
+    view keeps only ``head``, the owner's known event furthest along its
+    self-parent chain, which the owner's next event chains onto.  On a tie,
+    which only a forked owner has, the later-absorbed event wins: an
+    equivocator's second branch that gossip brings back becomes its head.
+    """
 
     def __init__(self, store: EventStore, owner: Optional[NodeId] = None):
         self.store = store
         self.owner = owner
         self.known = 0
-        self.heads: dict[NodeId, EventId] = {}
+        self.head: Optional[EventId] = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -519,34 +584,20 @@ class Hashgraph:
         return self.store.events[event_id]
 
     def events_in_order(self) -> list[Event]:
-        return [
-            ev
-            for i, ev in enumerate(self.store.by_index)
-            if (self.known >> i) & 1
-        ]
+        return list(Transfer(self.store, self.known))
 
-    def _absorb(self, mask: int) -> list[Event]:
-        """Learn the events in mask; returns them in index order.  A
-        creator's head is its known event furthest along its chain, the
-        later-absorbed one on a tie."""
+    def _absorb(self, mask: int) -> None:
+        """Learn the events in mask; the owner's among them, walked in index
+        order, move the head."""
         self.known |= mask
-        if not mask:
-            return []
-        store, heads = self.store, self.heads
-        by_index, seq, index = store.by_index, store._seq, store.index
-        lo = (mask & -mask).bit_length() - 1
-        x = mask >> lo
-        absorbed = []
-        while x:
-            low = x & -x
-            i = lo + low.bit_length() - 1
-            x ^= low
-            ev = by_index[i]
-            absorbed.append(ev)
-            cur = heads.get(ev.creator)
-            if cur is None or seq[index[cur]] <= seq[i]:
-                heads[ev.creator] = ev.digest
-        return absorbed
+        store = self.store
+        own = mask & store._cmask.get(self.owner, 0)
+        if not own:
+            return
+        seq, index = store._seq, store.index
+        for i in _set_bits(own):
+            if self.head is None or seq[index[self.head]] <= seq[i]:
+                self.head = store.by_index[i].digest
 
     def add_event(self, event: Event) -> Event:
         self._absorb(1 << self.store.add_event(event))
@@ -560,7 +611,10 @@ def create_event(
     payload: Sequence[Transaction],
     now: int,
 ) -> Event:
-    """Append a new event for ``creator``, chaining onto its current head."""
+    """Append a new event for ``creator``, the view's owner, chaining onto
+    the view's head."""
+    if creator != graph.owner:
+        raise HashgraphError(f"creator {creator} does not own the view")
     if creator not in graph.store._member_bit:
         raise HashgraphError(f"unknown creator {creator}")
     if other_parent is not None:
@@ -570,7 +624,7 @@ def create_event(
             raise HashgraphError("other_parent created by creator itself")
     event = Event(
         creator=creator,
-        self_parent=graph.heads.get(creator),
+        self_parent=graph.head,
         other_parent=other_parent,
         payload=tuple(payload),
         created_at=now,
@@ -584,27 +638,23 @@ def gossip_sync(
     receiver: NodeId,
     now: int,
     payload: Sequence[Transaction] = (),
-) -> tuple[list[Event], Event]:
+) -> tuple[Transfer, Event]:
     """Push the sender's view into the receiver's and record the sync.
 
     Both views must be of the same store.  Returns the events the receiver
-    was missing (in topological order) and the receiver's new gossip-record
-    event, whose other_parent is the sender's head.
+    was missing and the receiver's new gossip-record event, whose
+    other_parent is the sender's head.
     """
-    if receiver_graph.store is not sender_graph.store:
+    store = sender_graph.store
+    if receiver_graph.store is not store:
         raise HashgraphError("gossip between views of different stores")
-    transferred = receiver_graph._absorb(
-        sender_graph.known & ~receiver_graph.known
-    )
-    sender_head = (
-        sender_graph.heads.get(sender_graph.owner)
-        if sender_graph.owner is not None
-        else None
-    )
-    if sender_head is not None and sender_graph.store.events[sender_head].creator == receiver:
+    mask = sender_graph.known & ~receiver_graph.known
+    receiver_graph._absorb(mask)
+    sender_head = sender_graph.head
+    if sender_head is not None and store.events[sender_head].creator == receiver:
         sender_head = None
     new_event = create_event(receiver, receiver_graph, sender_head, payload, now)
-    return transferred, new_event
+    return Transfer(store, mask), new_event
 
 
 def is_ancestor(graph: Hashgraph, a: EventId, b: EventId) -> bool:
@@ -670,15 +720,11 @@ def detect_forks(graph: Hashgraph) -> set[tuple[NodeId, EventId, EventId]]:
         # an ancestor has a lower index, so the earlier visible events of the
         # creator that b is incomparable to are those missing from anc(b)
         below = 0
-        for b in store._creator_events[creator]:
-            if not (graph.known >> b) & 1:
-                continue
+        for b in _set_bits(store._cmask[creator] & graph.known):
             apart = below & ~store._anc[b]
             below |= 1 << b
             db = store.by_index[b].digest
-            while apart:
-                low = apart & -apart
-                da = store.by_index[low.bit_length() - 1].digest
+            for a in _set_bits(apart):
+                da = store.by_index[a].digest
                 forks.add((creator,) + ((da, db) if da < db else (db, da)))
-                apart ^= low
     return forks

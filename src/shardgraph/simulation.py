@@ -327,7 +327,7 @@ class Simulation:
         transferred, new_ev = gossip_sync(
             sender_view, receiver_view, receiver, t, payload
         )
-        units = sum(e.units for e in transferred)
+        units = transferred.units
         self.metrics.add_comm(sender, units)
         self.metrics.add_received(receiver, units)
         self.metrics.add_storage(receiver, units + event_units(new_ev))
@@ -439,7 +439,7 @@ class Simulation:
         a different honest peer."""
         cid = self.table.committee_of(node)
         view = self.views[node]
-        head = view.heads.get(node)
+        head = view.head
         if head is None:
             return
         peers = [
@@ -465,7 +465,7 @@ class Simulation:
         )
         alt = Hashgraph(view.store, node)
         alt.known = view.known
-        alt.heads = dict(view.heads)
+        alt.head = head
         alt.add_event(branch_b)
         branch_a = Event(
             creator=node,

@@ -7,7 +7,7 @@ incremental bitmask machinery.
 
 from __future__ import annotations
 
-from shardgraph.hashgraph import COIN_PERIOD
+from shardgraph.hashgraph import COIN_PERIOD, Event
 
 
 def sm(n: int) -> int:
@@ -180,6 +180,28 @@ class BruteGraph:
         return out
 
 
+# growing a DAG for several creators on one view -----------------------------
+
+
+def head_of(graph, creator):
+    """The digest of creator's known event furthest along its self-parent
+    chain in graph, or None; the earliest such event on a tie."""
+    store = graph.store
+    known = [i for i, ev in enumerate(store.by_index)
+             if ev.creator == creator and graph.known >> i & 1]
+    if not known:
+        return None
+    return store.by_index[max(known, key=store._seq.__getitem__)].digest
+
+
+def add_for(graph, creator, other_parent=None, payload=(), now=0):
+    """Add an event by any creator to graph, chained onto head_of(graph,
+    creator).  create_event only appends the view owner's events; tests
+    that grow a DAG for several creators on one view use this instead."""
+    return graph.add_event(Event(creator, head_of(graph, creator),
+                                 other_parent, tuple(payload), now))
+
+
 # fame reference over an EventStore's own annotations ------------------------
 
 
@@ -213,7 +235,9 @@ class ReferenceFame:
         store = self.store
         diff = store.round[v] - store.round[w]
         if diff == 1:
-            result = store.sees(v, w)
+            # v sees w: w is an ancestor and its creator is not caught forking
+            result = (store.is_ancestor(v, w)
+                      and not store._forked[v] & store._cbit[w])
         else:
             yes = no = 0
             for u in self.strongly_seen_prev(v):

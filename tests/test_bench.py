@@ -1,5 +1,5 @@
-"""Micro-benchmarks of the hashgraph engine's insert, fame and ordering
-paths on a synthetic 16-member round-robin DAG (960 events).  One timed
+"""Micro-benchmarks of the hashgraph engine's insert, fame, ordering and
+gossip paths on a synthetic 16-member round-robin DAG (960 events).  One timed
 round each, so they stay cheap in the regular suite; ``pytest
 tests/test_bench.py --benchmark-autosave`` stores their results under
 ``.benchmarks/``."""
@@ -7,7 +7,7 @@ tests/test_bench.py --benchmark-autosave`` stores their results under
 import pytest
 
 from shardgraph.fixtures import load_fixture, round_robin_fixture
-from shardgraph.hashgraph import EventStore
+from shardgraph.hashgraph import EventStore, Hashgraph, gossip_sync
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +53,25 @@ def test_bench_elect_fame(benchmark, dag):
     )
     assert len(store.fame) > len(dag[0]) * 8
     assert not store._votes.keys() & store.fame.keys()
+
+
+def test_bench_gossip_sync(benchmark, dag):
+    # a joiner's empty view takes the whole history in one sync
+    population, events = dag
+    joiner = len(population)
+
+    def setup():
+        store = filled_store(*dag)
+        store.add_member(joiner)
+        full = Hashgraph(store)
+        full.known = (1 << len(events)) - 1
+        return (full, Hashgraph(store, joiner)), {}
+
+    def push(full, empty):
+        return gossip_sync(full, empty, joiner, 1000)
+
+    transfer, ev = benchmark.pedantic(push, setup=setup, rounds=1, iterations=1)
+    assert len(transfer) == len(events)
+    assert list(transfer) == events
+    assert transfer.units == sum(e.units for e in events) > 0
+    assert ev.self_parent is None

@@ -1,7 +1,7 @@
 """Differential tests of the EventStore's incremental indices (fork bits,
 rounds and witnesses, fame votes, self-parent walks, digest-sorted
-witnesses, view heads) against brute-force or reference recomputation on
-seeded gossip DAGs with injected forks."""
+witnesses, view heads, gossip transfers) against brute-force or reference
+recomputation on seeded gossip DAGs with injected forks."""
 
 import random
 
@@ -25,26 +25,29 @@ from oracles import BruteGraph, ReferenceFame, reference_consensus
 SEEDS = range(8)
 
 
-def equivocate(views, node, peers, t):
+def equivocate(views, node, peers, t, sync=gossip_sync):
     """Two events on node's head, each pushed to a different peer, the way
-    the simulator's equivocators fork; neither branch reaches the other."""
+    the simulator's equivocators fork; neither branch reaches the other.
+    Branch b is added first, so it has the lower index."""
     view = views[node]
-    head = view.heads[node]
+    head = view.head
     alt = Hashgraph(view.store, node)
     alt.known = view.known
-    alt.heads = dict(view.heads)
+    alt.head = head
     for branch, marker in ((alt, "b"), (view, "a")):
         payload = (Transaction(tx_id=f"fork{node}-{t}{marker}", origin=0,
                                target=0, size_units=0),)
         branch.add_event(Event(node, head, None, payload, t))
-    gossip_sync(view, views[peers[0]], peers[0], t)
-    gossip_sync(alt, views[peers[1]], peers[1], t)
+    sync(view, views[peers[0]], peers[0], t)
+    sync(alt, views[peers[1]], peers[1], t)
+    return alt
 
 
-def gossip_dag(seed, steps=250, fork_p=0.3):
+def gossip_dag(seed, steps=250, fork_p=0.3, sync=gossip_sync):
     """A random gossip schedule on one store of 4-7 members; member 0 (and
     member 1 too from 7 members, which keeps a supermajority honest)
-    equivocates with probability fork_p when it is picked to send."""
+    equivocates with probability fork_p when it is picked to send.  Each
+    sync carries one transaction of 1-7 units; sync replaces gossip_sync."""
     rng = random.Random(seed)
     n = 4 + seed % 4
     forkers = (0, 1) if n >= 7 else (0,)
@@ -55,11 +58,13 @@ def gossip_dag(seed, steps=250, fork_p=0.3):
     for t in range(1, steps):
         s = rng.randrange(n)
         if s in forkers and rng.random() < fork_p:
-            equivocate(views, s, rng.sample([m for m in range(n) if m != s], 2), t)
+            equivocate(views, s, rng.sample([m for m in range(n) if m != s], 2),
+                       t, sync)
             continue
         r = (s + rng.randrange(1, n)) % n
-        payload = (Transaction(tx_id=f"t{t}", origin=0, target=0),)
-        gossip_sync(views[s], views[r], r, t, payload)
+        payload = (Transaction(tx_id=f"t{t}", origin=0, target=0,
+                               size_units=1 + t % 7),)
+        sync(views[s], views[r], r, t, payload)
     return store, views
 
 
@@ -222,6 +227,11 @@ def test_consensus_matches_per_event_median_search(seed):
     assert [tuple(oe) for oe in store.consensus] == reference_consensus(store)
 
 
+def known_events_of(store, view, creator):
+    return [i for i, ev in enumerate(store.by_index)
+            if ev.creator == creator and view.known >> i & 1]
+
+
 def sees_own_fork(store, w):
     return store._forked[w] >> store._member_bit[store.by_index[w].creator] & 1
 
@@ -259,17 +269,60 @@ def test_famous_witness_seeing_own_fork_takes_chain_search():
 def test_heads_and_digest_order_after_gossip(seed):
     store, views = gossip_dag(seed, steps=120)
     for view in views:
-        best = {}
-        for i, ev in enumerate(store.by_index):
-            if view.known >> i & 1:
-                best[ev.creator] = max(best.get(ev.creator, -1), store._seq[i])
-        assert set(view.heads) == set(best)
-        for c, digest in view.heads.items():
-            i = store.index[digest]
-            assert view.known >> i & 1 and store.by_index[i].creator == c
-            assert store._seq[i] == best[c]
+        own = known_events_of(store, view, view.owner)
+        i = store.index[view.head]
+        assert i in own
+        assert store._seq[i] == max(store._seq[j] for j in own)
     assert store._by_digest.keys() == store.witnesses_by_round.keys()
     for r, ws in store.witnesses_by_round.items():
         assert store._by_digest[r] == sorted(
             ws, key=lambda i: store.by_index[i].digest
         )
+
+
+def test_equivocator_head_is_later_absorbed_branch():
+    # branch b has the lower index; when gossip brings it back to the
+    # equivocator's own view it ties with branch a on _seq and, absorbed
+    # later, becomes the head the next event chains onto
+    store = EventStore(range(4))
+    views = [Hashgraph(store, i) for i in range(4)]
+    for i in range(4):
+        create_event(i, views[i], None, (), 0)
+    alt = equivocate(views, 0, (1, 2), 1)
+    a, b = views[0].head, alt.head
+    assert store._seq[store.index[a]] == store._seq[store.index[b]]
+    assert store.index[b] < store.index[a]
+    transfer, ev = gossip_sync(views[2], views[0], 0, 2)
+    assert b in {e.digest for e in transfer}
+    assert ev.self_parent == b and views[0].head == ev.digest
+
+
+def transfer_checked(sender, receiver, r, t, payload=()):
+    """gossip_sync, asserting that its transfer is sender.known &
+    ~receiver.known as brute force sees it."""
+    store = sender.store
+    want = [ev for i, ev in enumerate(store.by_index)
+            if sender.known >> i & 1 and not receiver.known >> i & 1]
+    transfer, ev = gossip_sync(sender, receiver, r, t, payload)
+    assert len(transfer) == len(want)
+    assert list(transfer) == want
+    assert transfer.units == sum(e.units for e in want)
+    return transfer, ev
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_transfers_match_brute_force(seed):
+    store, views = gossip_dag(seed, sync=transfer_checked)
+    assert len(store._unit_planes) == 3
+    # a joiner's empty view takes the whole history in one sync
+    joiner = len(views)
+    store.add_member(joiner)
+    transfer, _ = transfer_checked(_full_view(store), Hashgraph(store, joiner),
+                                   joiner, 250)
+    assert len(transfer) == len(store.by_index) - 1
+    # a rejoining member's empty view takes its head back: the furthest
+    # along its chain, the last in index order on a tie
+    own = known_events_of(store, views[1], 0)
+    head = max(own, key=lambda i: (store._seq[i], i))
+    _, ev = transfer_checked(views[1], Hashgraph(store, 0), 0, 251)
+    assert ev.self_parent == store.by_index[head].digest

@@ -5,6 +5,7 @@ import pytest
 
 from shardgraph.fixtures import load_fixture, round_robin_fixture
 from shardgraph.hashgraph import (
+    _set_bits,
     Event,
     EventStore,
     Hashgraph,
@@ -22,7 +23,7 @@ from shardgraph.hashgraph import (
 )
 from shardgraph.transactions import Transaction
 
-from oracles import BruteGraph
+from oracles import BruteGraph, add_for, head_of
 
 
 def tx(i, origin=0, target=0):
@@ -69,6 +70,18 @@ def test_supermajority_rejects_zero():
         supermajority(0)
 
 
+def test_set_bits_matches_brute_force():
+    rng = random.Random(4)
+    masks = [0, 1, 1 << 700, (1 << 700) - 1] + [
+        rng.getrandbits(rng.randrange(1, 900)) << rng.randrange(50)
+        for _ in range(50)
+    ]
+    for m in masks:
+        assert list(_set_bits(m)) == [
+            i for i in range(m.bit_length()) if m >> i & 1
+        ]
+
+
 # -- create_event -----------------------------------------------------------
 
 
@@ -76,29 +89,34 @@ def test_create_event_genesis():
     g = graph_of([0, 1], owner=0)
     ev = create_event(0, g, None, (), 0)
     assert ev.self_parent is None and ev.other_parent is None
-    assert g.heads[0] == ev.digest
+    assert g.head == ev.digest
 
 
 def test_create_event_head_chaining():
     g = graph_of([0, 1], owner=0)
     e1 = create_event(0, g, None, (), 0)
-    e2 = create_event(1, g, e1.digest, (), 1)
+    e2 = add_for(g, 1, e1.digest, (), 1)
+    assert g.head == e1.digest
     e3 = create_event(0, g, e2.digest, (tx(1),), 2)
     assert e3.self_parent == e1.digest
     assert e3.other_parent == e2.digest
     e4 = create_event(0, g, None, (), 3)
     assert e4.self_parent == e3.digest
+    assert g.head == e4.digest
 
 
 def test_create_event_errors():
-    g = graph_of([0, 1])
+    g = graph_of([0, 1], owner=0)
     e1 = create_event(0, g, None, (), 0)
     with pytest.raises(HashgraphError):
-        create_event(7, g, None, (), 0)
+        create_event(1, g, None, (), 0)
     with pytest.raises(HashgraphError):
-        create_event(1, g, "ab" * 32, (), 0)
+        create_event(0, g, "ab" * 32, (), 0)
     with pytest.raises(HashgraphError):
         create_event(0, g, e1.digest, (), 1)
+    with pytest.raises(HashgraphError):
+        create_event(7, graph_of([0, 1], owner=7), None, (), 0)
+    assert g.known.bit_count() == 1
 
 
 # -- gossip_sync ------------------------------------------------------------
@@ -110,7 +128,8 @@ def test_gossip_sync_empty_diff():
     gossip_sync(a, b, 1, 1)
     before = b.known.bit_count()
     transferred, ev = gossip_sync(a, b, 1, 2)
-    assert transferred == []
+    assert list(transferred) == []
+    assert len(transferred) == 0 and transferred.units == 0
     assert b.known.bit_count() == before + 1
     assert ev.other_parent == ea.digest
 
@@ -178,7 +197,7 @@ def test_is_ancestor_matches_brute_force(fixture_graph):
 
 
 def test_is_ancestor_unresolved():
-    g = graph_of([0])
+    g = graph_of([0], owner=0)
     e = create_event(0, g, None, (), 0)
     with pytest.raises(HashgraphError):
         is_ancestor(g, e.digest, "00" * 32)
@@ -188,16 +207,16 @@ def test_is_ancestor_unresolved():
 
 
 def test_strongly_sees_single_member():
-    g = graph_of([0])
+    g = graph_of([0], owner=0)
     e = create_event(0, g, None, (), 0)
     assert strongly_sees(g, e.digest, e.digest)
 
 
 def test_strongly_sees_two_of_four_is_not_enough():
     g = graph_of([0, 1, 2, 3])
-    e0 = create_event(0, g, None, (), 0)
-    e1 = create_event(1, g, e0.digest, (), 1)
-    e1b = create_event(1, g, None, (), 2)
+    e0 = add_for(g, 0, None, (), 0)
+    e1 = add_for(g, 1, e0.digest, (), 1)
+    e1b = add_for(g, 1, None, (), 2)
     # paths from e1b's descendants down to e0 touch only creators {0, 1}
     assert not strongly_sees(g, e1b.digest, e0.digest)
     assert is_ancestor(g, e1.digest, e0.digest)
@@ -252,7 +271,7 @@ def test_strongly_sees_outside_domain_rejected():
 def test_rounds_all_genesis():
     g = graph_of([0, 1, 2, 3])
     for i in range(4):
-        create_event(i, g, None, (), 0)
+        add_for(g, i, None, (), 0)
     assert set(rounds_of(g).values()) == {1}
     assert witnesses_of(g) == {e.digest for e in g.events_in_order()}
 
@@ -273,9 +292,7 @@ def test_rounds_never_lowered_by_growth():
     g2 = graph_of([0, 1, 2, 3], owner=0)
     for e in graph.events_in_order():
         g2.add_event(e)
-    head0 = g2.heads[0]
-    head1 = g2.heads[1]
-    create_event(0, g2, head1, (), 99)
+    create_event(0, g2, head_of(g2, 1), (), 99)
     after = rounds_of(g2)
     for d, r in before.items():
         assert after[d] == r
@@ -300,14 +317,13 @@ def test_fame_idempotent(big_fixture_graph):
 def test_unreferenced_witness_not_famous():
     # node 3 creates its genesis witness but never gossips; nobody can see
     # it, so once voting completes it must be decided not famous
-    g = graph_of([0, 1, 2, 3], owner=0)
-    genesis = [create_event(i, g, None, (), 0) for i in range(4)]
-    rng = random.Random(2)
+    g = graph_of([0, 1, 2, 3])
+    genesis = [add_for(g, i, None, (), 0) for i in range(4)]
     active = [0, 1, 2]
     for t in range(1, 60):
         creator = active[t % 3]
         partner = active[(t + 1) % 3]
-        create_event(creator, g, g.heads[partner], (), t)
+        add_for(g, creator, head_of(g, partner), (), t)
     g.store.elect_fame()
     fame = fame_of(g)
     lonely = genesis[3].digest
@@ -418,7 +434,7 @@ def test_detect_forks_honest_empty(big_fixture_graph):
 
 
 def test_detect_forks_reports_equivocation():
-    g = graph_of([0, 1, 2, 3])
+    g = graph_of([0, 1, 2, 3], owner=0)
     base = create_event(0, g, None, (), 0)
     f1 = Event(0, base.digest, None, (), 1)
     f2 = Event(0, base.digest, None, (tx(1),), 1)
@@ -430,8 +446,8 @@ def test_detect_forks_reports_equivocation():
 
 def test_detect_forks_matches_pairwise_oracle():
     g = graph_of([0, 1, 2, 3])
-    base = create_event(0, g, None, (), 0)
-    e1 = create_event(1, g, base.digest, (), 1)
+    base = add_for(g, 0, None, (), 0)
+    e1 = add_for(g, 1, base.digest, (), 1)
     f1 = Event(0, base.digest, e1.digest, (), 2)
     f2 = Event(0, base.digest, None, (tx(9),), 2)
     g.add_event(f1)

@@ -106,8 +106,8 @@ def test_coordinator_alternates_pools():
     sim = Simulation(small_cfg(duration=20))
     sim.run()
     for cid, coord in sim.table.coordinators.items():
-        assert coord in sim.state.local_stores[cid]._creator_events
-        assert coord in sim.state.global_store._creator_events
+        assert coord in sim.state.local_stores[cid]._cmask
+        assert coord in sim.state.global_store._cmask
 
 
 def test_empty_event_fraction_low_at_high_rate():
