@@ -1,7 +1,8 @@
-"""Load and dump small event graphs from a structured text format.
+"""Dump small event graphs to a structured text format.
 
-Fixture files drive the brute-force oracle tests.  Format, one event per
-line, referencing parents by earlier line index (``-`` for absent)::
+Fixture files drive the brute-force oracle tests, which load them back.
+Format, one event per line, referencing parents by earlier line index
+(``-`` for absent)::
 
     population 0 1 2 3
     # creator  self_parent  other_parent  payload_count  created_at
@@ -9,55 +10,16 @@ line, referencing parents by earlier line index (``-`` for absent)::
     1 - - 0 0
     0 0 1 1 1
 
-Payload transactions are synthesized intra-shard units with deterministic
-ids derived from the line index.
+Only payload counts are kept; the loader synthesizes intra-shard
+transactions with deterministic ids derived from the line index.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .hashgraph import Event, EventStore, Hashgraph, HashgraphError
+from .hashgraph import Event, EventStore, Hashgraph
 from .transactions import Transaction
-
-
-def load_fixture(text: str) -> tuple[Hashgraph, list[Event]]:
-    population: list[int] = []
-    rows: list[tuple[int, int | None, int | None, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "population":
-            population = [int(f) for f in fields[1:]]
-            continue
-        if len(fields) != 5:
-            raise HashgraphError(f"fixture line {lineno}: expected 5 fields")
-        creator = int(fields[0])
-        sp = None if fields[1] == "-" else int(fields[1])
-        op = None if fields[2] == "-" else int(fields[2])
-        rows.append((creator, sp, op, int(fields[3]), int(fields[4])))
-    if not population:
-        raise HashgraphError("fixture missing population line")
-
-    graph = Hashgraph(EventStore(population))
-    events: list[Event] = []
-    for i, (creator, sp, op, count, at) in enumerate(rows):
-        payload = tuple(
-            Transaction(tx_id=f"fx{i}_{j}", origin=0, target=0)
-            for j in range(count)
-        )
-        ev = Event(
-            creator=creator,
-            self_parent=events[sp].digest if sp is not None else None,
-            other_parent=events[op].digest if op is not None else None,
-            payload=payload,
-            created_at=at,
-        )
-        graph.add_event(ev)
-        events.append(ev)
-    return graph, events
 
 
 def dump_fixture(population: Iterable[int], events: list[Event]) -> str:

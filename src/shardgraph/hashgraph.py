@@ -147,9 +147,9 @@ class EventStore:
     Ancestry is monotone along a self-parent chain: a later event of the
     chain descends from everything an earlier one does, so one backward walk
     per famous witness finds, for every event of a round, the earliest
-    self-ancestor of the witness that reaches it.  When a witness sees its
-    own creator fork, its same-creator ancestors are not one chain, and
-    ordering falls back to ``_creator_chain`` and a search per event.
+    self-ancestor of the witness that reaches it.  That event's created_at is
+    the witness's stamp for the event (Baird's consensus-timestamp rule); a
+    self-parent chain is one chain even when its creator forks elsewhere.
     """
 
     def __init__(self, population: Iterable[NodeId]):
@@ -341,31 +341,6 @@ class EventStore:
             total += (mask & plane).bit_count() << k
         return total
 
-    # -- predicates ---------------------------------------------------------
-
-    def is_ancestor(self, a: int, b: int) -> bool:
-        """True iff b is reachable from a along parent edges (reflexive)."""
-        return bool((self._anc[a] >> b) & 1)
-
-    def _strongly_sees_fast(self, a: int, b: int, masks: dict[int, int]) -> bool:
-        m = masks.get(b)
-        if m is None or self._forked[a] & self._cbit[b]:
-            return False
-        return (m & ~self._forked[a]).bit_count() >= supermajority(
-            len(self.population)
-        )
-
-    def strongly_sees(self, a: int, b: int) -> bool:
-        """a descends to b through events by a supermajority of members.
-
-        Defined for b a witness of round(a) - 1 or later, the only pairs
-        rounds and fame consult; a's creator masks cover just those."""
-        if not self.is_witness[b] or self.round[b] < self.round[a] - 1:
-            raise HashgraphError(
-                "strongly_sees needs a witness of round(a) - 1 or later"
-            )
-        return self._strongly_sees_fast(a, b, self._masks[a])
-
     # -- fame ---------------------------------------------------------------
 
     def _strongly_seen_prev(self, v: int) -> int:
@@ -439,32 +414,10 @@ class EventStore:
 
     # -- total order --------------------------------------------------------
 
-    def _creator_chain(self, w: int) -> list[int]:
-        own = self._cmask[self.by_index[w].creator] & self._anc[w]
-        chain = list(_set_bits(own))
-        chain.sort(key=lambda j: self._seq[j])
-        return chain
-
     def _stamp_chain(self, w: int, fresh: int, lo: int,
                      stamps: dict[int, list[int]]) -> None:
         """Append to stamps[x - lo], for each event x in fresh, the
-        created_at of the earliest event of w's creator in anc(w) that
-        descends from x."""
-        if self._forked[w] & self._cbit[w]:
-            # w sees its creator fork: its same-creator ancestors are not
-            # one chain, so search the seq-sorted list per event
-            chain = self._creator_chain(w)
-            for b in stamps:
-                x = lo + b
-                k, hi = 0, len(chain) - 1
-                while k < hi:
-                    mid = (k + hi) // 2
-                    if self.is_ancestor(chain[mid], x):
-                        hi = mid
-                    else:
-                        k = mid + 1
-                stamps[b].append(self.by_index[chain[k]].created_at)
-            return
+        created_at of the earliest self-ancestor of w that descends from x."""
         # walk w's self-parent chain backwards; the fresh events a chain
         # event reaches and its self-parent does not are stamped with it
         y, hit = w, fresh
@@ -578,11 +531,6 @@ class Hashgraph:
         i = self.store.index.get(event_id)
         return i is not None and bool((self.known >> i) & 1)
 
-    def get(self, event_id: EventId) -> Event:
-        if event_id not in self:
-            raise HashgraphError(f"unknown event {event_id[:12]}")
-        return self.store.events[event_id]
-
     def events_in_order(self) -> list[Event]:
         return list(Transfer(self.store, self.known))
 
@@ -620,7 +568,7 @@ def create_event(
     if other_parent is not None:
         if other_parent not in graph:
             raise HashgraphError("unresolvable other_parent")
-        if graph.get(other_parent).creator == creator:
+        if graph.store.events[other_parent].creator == creator:
             raise HashgraphError("other_parent created by creator itself")
     event = Event(
         creator=creator,
@@ -657,22 +605,6 @@ def gossip_sync(
     return Transfer(store, mask), new_event
 
 
-def is_ancestor(graph: Hashgraph, a: EventId, b: EventId) -> bool:
-    store = graph.store
-    for e in (a, b):
-        if e not in graph:
-            raise HashgraphError(f"unresolved event id {e[:12]}")
-    return store.is_ancestor(store.index[a], store.index[b])
-
-
-def strongly_sees(graph: Hashgraph, a: EventId, b: EventId) -> bool:
-    store = graph.store
-    for e in (a, b):
-        if e not in graph:
-            raise HashgraphError(f"unresolved event id {e[:12]}")
-    return store.strongly_sees(store.index[a], store.index[b])
-
-
 def consensus_order(graph: Hashgraph) -> list[OrderedEvent]:
     """The view's total order: the canonical order truncated at the last
     round this view can fully decide."""
@@ -683,33 +615,6 @@ def consensus_order(graph: Hashgraph) -> list[OrderedEvent]:
         return list(store.consensus)
     limit = store.view_finalized_round(graph.known)
     return [oe for oe in store.consensus if oe.round_received <= limit]
-
-
-def rounds_of(graph: Hashgraph) -> dict[EventId, int]:
-    store = graph.store
-    return {
-        ev.digest: store.round[i]
-        for i, ev in enumerate(store.by_index)
-        if (graph.known >> i) & 1
-    }
-
-
-def witnesses_of(graph: Hashgraph) -> set[EventId]:
-    store = graph.store
-    return {
-        ev.digest
-        for i, ev in enumerate(store.by_index)
-        if (graph.known >> i) & 1 and store.is_witness[i]
-    }
-
-
-def fame_of(graph: Hashgraph) -> dict[EventId, bool]:
-    store = graph.store
-    out = {}
-    for w, famous in store.fame.items():
-        if (graph.known >> w) & 1:
-            out[store.by_index[w].digest] = famous
-    return out
 
 
 def detect_forks(graph: Hashgraph) -> set[tuple[NodeId, EventId, EventId]]:

@@ -118,7 +118,6 @@ class ShardState:
 
 @dataclass
 class ReplicaSnapshot:
-    committee: CommitteeId
     checkpoint_seq: int
     population: list[NodeId]
     events: list[Event]
@@ -206,7 +205,6 @@ def replicate_checkpoint(
     from .hashgraph import consensus_order
 
     snapshot = ReplicaSnapshot(
-        committee=committee,
         checkpoint_seq=state._checkpoint_seq,
         population=list(source.population),
         events=source.events_in_order(),

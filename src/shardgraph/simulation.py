@@ -121,8 +121,9 @@ def poisson_sample(rng: random.Random, lam: float) -> int:
         count += 1
 
 
-def inject_workload(config, now, rng, table, active):
-    """Poisson arrivals for one tick: (origin_node, Transaction) pairs."""
+def inject_workload(config, rng, table, active):
+    """Poisson arrivals for one tick: (origin node, origin committee,
+    target committee) triples."""
     pool = sorted(active)
     if not pool:
         return []
@@ -281,7 +282,7 @@ class Simulation:
     def _h_tx_inject(self, t, _subject):
         if t < self.inject_until:
             for origin_node, ocid, target in inject_workload(
-                self.cfg, t, self.rng, self.table, self.active
+                self.cfg, self.rng, self.table, self.active
             ):
                 tx = Transaction(
                     tx_id=f"t{self.next_tx}", origin=ocid, target=target

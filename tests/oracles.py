@@ -2,12 +2,69 @@
 
 These work from plain event records (creator, parents, created_at) using
 naive set/transitive-closure computations, independent of the package's
-incremental bitmask machinery.
+incremental bitmask machinery.  The references further down recompute fame
+and ordering over an EventStore's own rounds and strong sight, and
+load_fixture reads the shipped fixture files back into a view.
 """
 
 from __future__ import annotations
 
-from shardgraph.hashgraph import COIN_PERIOD, Event
+from shardgraph.hashgraph import (
+    COIN_PERIOD,
+    Event,
+    EventStore,
+    Hashgraph,
+    HashgraphError,
+)
+from shardgraph.transactions import Transaction
+
+
+# shipped fixture files -----------------------------------------------------
+
+
+def load_fixture(text: str) -> tuple[Hashgraph, list[Event]]:
+    """A view holding every event of a fixture text (the format
+    ``shardgraph.fixtures.dump_fixture`` writes), and the events in line
+    order."""
+    population: list[int] = []
+    rows: list[tuple[int, int | None, int | None, int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if fields[0] == "population":
+            population = [int(f) for f in fields[1:]]
+            continue
+        if len(fields) != 5:
+            raise HashgraphError(f"fixture line {lineno}: expected 5 fields")
+        creator = int(fields[0])
+        sp = None if fields[1] == "-" else int(fields[1])
+        op = None if fields[2] == "-" else int(fields[2])
+        rows.append((creator, sp, op, int(fields[3]), int(fields[4])))
+    if not population:
+        raise HashgraphError("fixture missing population line")
+
+    graph = Hashgraph(EventStore(population))
+    events: list[Event] = []
+    for i, (creator, sp, op, count, at) in enumerate(rows):
+        payload = tuple(
+            Transaction(tx_id=f"fx{i}_{j}", origin=0, target=0)
+            for j in range(count)
+        )
+        ev = Event(
+            creator=creator,
+            self_parent=events[sp].digest if sp is not None else None,
+            other_parent=events[op].digest if op is not None else None,
+            payload=payload,
+            created_at=at,
+        )
+        graph.add_event(ev)
+        events.append(ev)
+    return graph, events
+
+
+# brute force over plain event records --------------------------------------
 
 
 def sm(n: int) -> int:
@@ -35,6 +92,14 @@ class BruteGraph:
 
     def is_ancestor(self, a: str, b: str) -> bool:
         return b in self.anc[a]
+
+    def self_ancestors(self, a: str) -> list:
+        """a and every event down its self-parent chain."""
+        out = []
+        while a is not None:
+            out.append(self.by_id[a])
+            a = self.by_id[a].self_parent
+        return out
 
     def strongly_sees(self, a: str, b: str) -> bool:
         creators = set()
@@ -150,10 +215,8 @@ class BruteGraph:
                     for w in famous:
                         cands = [
                             y
-                            for y in self.events
-                            if y.creator == self.by_id[w].creator
-                            and self.is_ancestor(w, y.digest)
-                            and self.is_ancestor(y.digest, e.digest)
+                            for y in self.self_ancestors(w)
+                            if self.is_ancestor(y.digest, e.digest)
                         ]
                         y = min(
                             cands, key=lambda y: len(self.anc[y.digest])
@@ -205,6 +268,14 @@ def add_for(graph, creator, other_parent=None, payload=(), now=0):
 # fame reference over an EventStore's own annotations ------------------------
 
 
+def strongly_seen(store, a, r):
+    """The round-r witnesses a strongly sees, in witnesses_by_round order,
+    read off the store's _strongly_seen position mask."""
+    seen = store._strongly_seen(a, store._masks[a], r)
+    return [w for p, w in enumerate(store.witnesses_by_round.get(r, ()))
+            if seen >> p & 1]
+
+
 class ReferenceFame:
     """Virtual voting as one cached bool per (voter, witness) pair, tallied
     by a recursive loop over the voter's strongly-seen witnesses.  It reads
@@ -222,10 +293,7 @@ class ReferenceFame:
     def strongly_seen_prev(self, v):
         store = self.store
         if v not in self.ss_prev:
-            self.ss_prev[v] = [
-                u for u in store.witnesses_by_round.get(store.round[v] - 1, ())
-                if store.strongly_sees(v, u)
-            ]
+            self.ss_prev[v] = strongly_seen(store, v, store.round[v] - 1)
         return self.ss_prev[v]
 
     def vote(self, v, w):
@@ -236,8 +304,8 @@ class ReferenceFame:
         diff = store.round[v] - store.round[w]
         if diff == 1:
             # v sees w: w is an ancestor and its creator is not caught forking
-            result = (store.is_ancestor(v, w)
-                      and not store._forked[v] & store._cbit[w])
+            result = bool(store._anc[v] >> w & 1
+                          and not store._forked[v] & store._cbit[w])
         else:
             yes = no = 0
             for u in self.strongly_seen_prev(v):
@@ -278,27 +346,26 @@ class ReferenceFame:
 # ordering reference over an EventStore's own annotations -------------------
 
 
-def median_timestamp(store, x, chains):
-    """The per-event rule: for each famous witness's creator chain (its
-    same-creator ancestors sorted by seq), binary-search the earliest event
-    that descends from x; the lower median of those events' created_at."""
+def median_timestamp(store, x, famous):
+    """The per-event rule: for each famous witness, walk its self-parent
+    digests down while they descend from x; the last one reached is the
+    earliest self-ancestor of the witness that descends from x.  The lower
+    median of those events' created_at."""
     stamps = []
-    for chain in chains:
-        lo, hi = 0, len(chain) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if store.is_ancestor(chain[mid], x):
-                hi = mid
-            else:
-                lo = mid + 1
-        stamps.append(store.by_index[chain[lo]].created_at)
+    for w in famous:
+        earliest = None
+        y = store.by_index[w].digest
+        while y is not None and store._anc[store.index[y]] >> x & 1:
+            earliest = store.events[y]
+            y = earliest.self_parent
+        stamps.append(earliest.created_at)
     stamps.sort()
     return stamps[(len(stamps) - 1) // 2]
 
 
 def reference_consensus(store):
     """store.consensus recomputed from the store's rounds and fame decisions,
-    one median_timestamp search per event over _creator_chain."""
+    one median_timestamp walk per event."""
     out = []
     emitted = set()
     for r in range(1, store.finalized_round + 1):
@@ -308,12 +375,11 @@ def reference_consensus(store):
         )
         if not famous:
             continue
-        chains = [store._creator_chain(w) for w in famous]
         batch = sorted(
-            (median_timestamp(store, i, chains), store.by_index[i].digest, i)
+            (median_timestamp(store, i, famous), store.by_index[i].digest, i)
             for i in range(len(store.by_index))
             if i not in emitted
-            and all(store.is_ancestor(w, i) for w in famous)
+            and all(store._anc[w] >> i & 1 for w in famous)
         )
         for ts, digest, i in batch:
             out.append((digest, r, ts))

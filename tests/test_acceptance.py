@@ -10,15 +10,7 @@ from importlib import resources
 import pytest
 
 from shardgraph.config import ScenarioConfig
-from shardgraph.fixtures import load_fixture
-from shardgraph.hashgraph import (
-    consensus_order,
-    fame_of,
-    is_ancestor,
-    rounds_of,
-    strongly_sees,
-    witnesses_of,
-)
+from shardgraph.hashgraph import consensus_order
 from shardgraph.metrics import mean
 from shardgraph.reconfig import (
     choose_coordinator,
@@ -27,7 +19,7 @@ from shardgraph.reconfig import (
 )
 from shardgraph.simulation import Simulation, run_scenario
 
-from oracles import BruteGraph
+from oracles import BruteGraph, load_fixture, strongly_seen
 
 
 def verdict(num, ok, text):
@@ -168,37 +160,38 @@ def test_criterion_6_oracle_equivalence():
         text = resources.files("shardgraph.data").joinpath(name).read_text()
         graph, events = load_fixture(text)
         assert len(events) <= 20
-        oracle = BruteGraph(graph.population, graph.events_in_order())
+        store = graph.store
+        assert store.by_index == events
+        oracle = BruteGraph(graph.population, events)
         rounds, witness, _ = oracle.rounds()
-        ok = ok and rounds_of(graph) == rounds
-        ok = ok and witnesses_of(graph) == {
-            d for d, w in witness.items() if w
-        }
-        graph.store.elect_fame()
-        ok = ok and fame_of(graph) == oracle.fame()
+        ok = ok and store.round == [rounds[e.digest] for e in events]
+        ok = ok and store.is_witness == [witness[e.digest] for e in events]
+        store.elect_fame()
+        ok = ok and {
+            events[w].digest: f for w, f in store.fame.items()
+        } == oracle.fame()
         got = [
             (o.event_id, o.round_received, o.consensus_timestamp)
             for o in consensus_order(graph)
         ]
         ok = ok and got == oracle.order()
-        for a in events:
-            for b in events:
-                ok = ok and is_ancestor(
-                    graph, a.digest, b.digest
-                ) == oracle.is_ancestor(a.digest, b.digest)
-                # strong seeing is defined toward witnesses of round(a) - 1
-                # or later
-                if (
-                    not witness[b.digest]
-                    or rounds[b.digest] < rounds[a.digest] - 1
-                ):
-                    continue
-                pairs += 1
-                ok = ok and strongly_sees(graph, a.digest, b.digest) == (
-                    oracle.is_ancestor(a.digest, b.digest)
-                    and oracle.strongly_sees(a.digest, b.digest)
+        for i, a in enumerate(events):
+            for j, b in enumerate(events):
+                ok = ok and bool(store._anc[i] >> j & 1) == oracle.is_ancestor(
+                    a.digest, b.digest
                 )
-    ok = ok and pairs == 84 + 220
+            # strong sight is consulted toward the witnesses of round(a) - 1
+            # and round(a)
+            for r in (store.round[i] - 1, store.round[i]):
+                seen = strongly_seen(store, i, r)
+                for w in store.witnesses_by_round.get(r, ()):
+                    pairs += 1
+                    b = events[w].digest
+                    ok = ok and (w in seen) == (
+                        oracle.is_ancestor(a.digest, b)
+                        and oracle.strongly_sees(a.digest, b)
+                    )
+    ok = ok and pairs == 57 + 124
     assert verdict(
         6, ok,
         "rounds, fame, order, ancestry, strong seeing toward witnesses match "

@@ -1,0 +1,63 @@
+"""The package exposes no code path that only tests reach.
+
+Every public module-level function or class, and every public method, in
+``src/shardgraph`` must be referenced by name somewhere in ``src/`` or
+``perfbench/`` other than on its own definition line: as a name in the code,
+or as a string literal equal to the name (the benchmark tracer wraps calls
+looked up by name).  Comments and docstrings do not count.
+"""
+
+import ast
+import io
+import tokenize
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "shardgraph"
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def public_definitions():
+    """(file, line, name) of each public module-level def or class and
+    each public method of a module-level class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not isinstance(node, DEFS):
+                continue
+            members = node.body if isinstance(node, ast.ClassDef) else ()
+            for d in (node, *members):
+                if isinstance(d, DEFS) and not d.name.startswith("_"):
+                    yield path.relative_to(ROOT), d.lineno, d.name
+
+
+def references():
+    """name -> the (file, line) places of each name token, and each string
+    literal, in the sources under src/ and perfbench/."""
+    places = defaultdict(set)
+    for top in ("src", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            rel = path.relative_to(ROOT)
+            source = io.StringIO(path.read_text(encoding="utf-8"))
+            for tok in tokenize.generate_tokens(source.readline):
+                if tok.type == tokenize.NAME:
+                    places[tok.string].add((rel, tok.start[0]))
+                elif tok.type == tokenize.STRING:
+                    try:
+                        value = ast.literal_eval(tok.string)
+                    except ValueError:
+                        continue  # an f-string
+                    if isinstance(value, str) and value.isidentifier():
+                        places[value].add((rel, tok.start[0]))
+    return places
+
+
+def test_every_public_name_is_used_outside_tests():
+    places = references()
+    unused = [
+        f"{rel}:{line} {name}"
+        for rel, line, name in public_definitions()
+        if not places[name] - {(rel, line)}
+    ]
+    assert unused == []

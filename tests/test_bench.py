@@ -6,8 +6,10 @@ tests/test_bench.py --benchmark-autosave`` stores their results under
 
 import pytest
 
-from shardgraph.fixtures import load_fixture, round_robin_fixture
+from shardgraph.fixtures import round_robin_fixture
 from shardgraph.hashgraph import EventStore, Hashgraph, gossip_sync
+
+from oracles import load_fixture
 
 
 @pytest.fixture(scope="module")

@@ -236,11 +236,13 @@ def sees_own_fork(store, w):
     return store._forked[w] >> store._member_bit[store.by_index[w].creator] & 1
 
 
-def test_famous_witness_seeing_own_fork_takes_chain_search():
+def test_famous_witness_seeing_own_fork_stamped_by_self_ancestors():
     # creator 0 forks at tick 1 and its round-2 witness reaches both
     # branches.  Such a witness only gets "no" votes in the first voting
     # round (every voter inherits the fork bit), so fame is decided by hand
-    # here to reach the ordering path for it.
+    # here to reach the ordering path for it.  Its stamp for an event is
+    # still the earliest event down its own self-parent chain that reaches
+    # the event, never an event of the other branch.
     store = EventStore(range(4))
     views = [Hashgraph(store, i) for i in range(4)]
     for i in range(4):
@@ -256,13 +258,15 @@ def test_famous_witness_seeing_own_fork_takes_chain_search():
     for r in (1, 2):
         for u in store.witnesses_by_round[r]:
             store.fame[u] = True
-    searched = []
-    chain_of = store._creator_chain
-    store._creator_chain = lambda u: searched.append(u) or chain_of(u)
     store.advance_consensus()
     assert store.finalized_round == 2 and store.consensus
-    assert searched == [w]
     assert [tuple(oe) for oe in store.consensus] == reference_consensus(store)
+    # w's chain runs through creator 0's branch a991fa80, created at 1, so
+    # w stamps it 1 and the median is 1.  A search over all of creator 0's
+    # ancestors of w, which are not one chain, steps over the branch to the
+    # next chain event, created at 4, and gives a median of 3.
+    stamp = {oe.event_id[:8]: oe.consensus_timestamp for oe in store.consensus}
+    assert stamp["a991fa80"] == 1
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])

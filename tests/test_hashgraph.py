@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from shardgraph.fixtures import load_fixture, round_robin_fixture
+from shardgraph.fixtures import round_robin_fixture
 from shardgraph.hashgraph import (
     _set_bits,
     Event,
@@ -13,17 +13,18 @@ from shardgraph.hashgraph import (
     consensus_order,
     create_event,
     detect_forks,
-    fame_of,
     gossip_sync,
-    is_ancestor,
-    rounds_of,
-    strongly_sees,
     supermajority,
-    witnesses_of,
 )
 from shardgraph.transactions import Transaction
 
-from oracles import BruteGraph, add_for, head_of
+from oracles import (
+    BruteGraph,
+    add_for,
+    head_of,
+    load_fixture,
+    strongly_seen,
+)
 
 
 def tx(i, origin=0, target=0):
@@ -55,6 +56,15 @@ def big_fixture_graph():
 
 def brute(graph):
     return BruteGraph(graph.population, graph.events_in_order())
+
+
+def by_digest(store, values):
+    """values, one per store event in index order, keyed by event digest."""
+    return {ev.digest: v for ev, v in zip(store.by_index, values)}
+
+
+def fame_by_digest(store):
+    return {store.by_index[w].digest: f for w, f in store.fame.items()}
 
 
 # -- supermajority ----------------------------------------------------------
@@ -174,42 +184,48 @@ def test_gossip_sync_across_stores_rejected():
     assert b.known.bit_count() == 0
 
 
-# -- is_ancestor ------------------------------------------------------------
+# -- ancestry ---------------------------------------------------------------
 
 
 def test_is_ancestor_reflexive_and_edges(fixture_graph):
-    evs = fixture_graph.events_in_order()
-    for e in evs:
-        assert is_ancestor(fixture_graph, e.digest, e.digest)
+    store = fixture_graph.store
+    for i, e in enumerate(store.by_index):
+        assert store._anc[i] >> i & 1
         if e.self_parent:
-            assert is_ancestor(fixture_graph, e.digest, e.self_parent)
+            assert store._anc[i] >> store.index[e.self_parent] & 1
 
 
 def test_is_ancestor_matches_brute_force(fixture_graph):
     o = brute(fixture_graph)
-    evs = fixture_graph.events_in_order()
+    store = fixture_graph.store
+    evs = store.by_index
     assert len(evs) <= 20
-    for a in evs:
-        for b in evs:
-            assert is_ancestor(fixture_graph, a.digest, b.digest) == o.is_ancestor(
+    for i, a in enumerate(evs):
+        for j, b in enumerate(evs):
+            assert bool(store._anc[i] >> j & 1) == o.is_ancestor(
                 a.digest, b.digest
             )
 
 
 def test_is_ancestor_unresolved():
-    g = graph_of([0], owner=0)
+    # an unknown digest is in no view, and no event can take it as a parent
+    g = graph_of([0, 1], owner=0)
     e = create_event(0, g, None, (), 0)
+    assert "00" * 32 not in g
     with pytest.raises(HashgraphError):
-        is_ancestor(g, e.digest, "00" * 32)
+        g.add_event(Event(1, None, "00" * 32, (), 1))
+    with pytest.raises(HashgraphError):
+        g.add_event(Event(0, "00" * 32, None, (), 1))
+    assert g.store.by_index == [e]
 
 
-# -- strongly_sees ----------------------------------------------------------
+# -- strong sight -----------------------------------------------------------
 
 
 def test_strongly_sees_single_member():
     g = graph_of([0], owner=0)
-    e = create_event(0, g, None, (), 0)
-    assert strongly_sees(g, e.digest, e.digest)
+    create_event(0, g, None, (), 0)
+    assert strongly_seen(g.store, 0, 1) == [0]
 
 
 def test_strongly_sees_two_of_four_is_not_enough():
@@ -217,52 +233,52 @@ def test_strongly_sees_two_of_four_is_not_enough():
     e0 = add_for(g, 0, None, (), 0)
     e1 = add_for(g, 1, e0.digest, (), 1)
     e1b = add_for(g, 1, None, (), 2)
-    # paths from e1b's descendants down to e0 touch only creators {0, 1}
-    assert not strongly_sees(g, e1b.digest, e0.digest)
-    assert is_ancestor(g, e1.digest, e0.digest)
-
-
-def witness_pairs(graph):
-    """Every (event, witness of round >= round(event) - 1) digest pair: the
-    domain of strongly_sees."""
-    rounds = rounds_of(graph)
-    witnesses = witnesses_of(graph)
-    evs = graph.events_in_order()
-    return [
-        (a.digest, b.digest)
-        for a in evs
-        for b in evs
-        if b.digest in witnesses and rounds[b.digest] >= rounds[a.digest] - 1
-    ]
+    store = g.store
+    a, w = store.index[e1b.digest], store.index[e0.digest]
+    # paths from e1b down to e0 touch only creators {0, 1}
+    assert store.round[a] == store.round[w] == 1 and store.is_witness[w]
+    assert w not in strongly_seen(store, a, 1)
+    assert store._anc[store.index[e1.digest]] >> w & 1
 
 
 def test_strongly_sees_matches_brute_force(fixture_graph, big_fixture_graph):
-    cases = ((fixture_graph, 84, 15), (big_fixture_graph, 220, 53))
+    # strong sight is consulted toward the witnesses of round(a) - 1 and
+    # round(a), the only rounds a's creator masks cover
+    cases = ((fixture_graph, 57, 15), (big_fixture_graph, 124, 53))
     for graph, pairs, true in cases:
         o = brute(graph)
-        domain = witness_pairs(graph)
-        assert len(domain) == pairs
-        got = {(a, b): strongly_sees(graph, a, b) for a, b in domain}
-        assert sum(got.values()) == true
-        for (a, b), seen in got.items():
-            assert seen == (o.is_ancestor(a, b) and o.strongly_sees(a, b))
+        store = graph.store
+        domain = found = 0
+        for a, ev in enumerate(store.by_index):
+            for r in (store.round[a] - 1, store.round[a]):
+                seen = strongly_seen(store, a, r)
+                found += len(seen)
+                for w in store.witnesses_by_round.get(r, ()):
+                    domain += 1
+                    b = store.by_index[w].digest
+                    assert (w in seen) == (
+                        o.is_ancestor(ev.digest, b)
+                        and o.strongly_sees(ev.digest, b)
+                    )
+        assert (domain, found) == (pairs, true)
 
 
 def test_strongly_sees_outside_domain_rejected():
+    # a's creator masks hold only witnesses of round(a) - 1 or later, so
+    # strong sight toward an older witness, or toward a non-witness, is
+    # never answered, though brute force finds such pairs strongly seen
     graph, _ = load_fixture(round_robin_fixture(4, 8))
-    rounds = rounds_of(graph)
-    witnesses = witnesses_of(graph)
-    evs = graph.events_in_order()
-    late = max(evs, key=lambda e: rounds[e.digest])
-    assert rounds[late.digest] >= 3
-    non_witness = next(e for e in evs if e.digest not in witnesses)
-    old_witness = next(
-        e for e in evs
-        if e.digest in witnesses and rounds[e.digest] < rounds[late.digest] - 1
-    )
-    for b in (non_witness, old_witness):
-        with pytest.raises(HashgraphError):
-            strongly_sees(graph, late.digest, b.digest)
+    store = graph.store
+    o = brute(graph)
+    late = max(range(len(store.by_index)), key=store.round.__getitem__)
+    r = store.round[late]
+    assert r >= 3
+    assert all(store.is_witness[w] and store.round[w] >= r - 1
+               for w in store._masks[late])
+    old = [w for w in store.witnesses_by_round[r - 2]
+           if o.strongly_sees(store.by_index[late].digest,
+                              store.by_index[w].digest)]
+    assert old and strongly_seen(store, late, r - 2) == []
 
 
 # -- rounds -----------------------------------------------------------------
@@ -272,46 +288,46 @@ def test_rounds_all_genesis():
     g = graph_of([0, 1, 2, 3])
     for i in range(4):
         add_for(g, i, None, (), 0)
-    assert set(rounds_of(g).values()) == {1}
-    assert witnesses_of(g) == {e.digest for e in g.events_in_order()}
+    assert g.store.round == [1] * 4
+    assert all(g.store.is_witness)
 
 
 def test_rounds_match_brute_force(big_fixture_graph):
     o = brute(big_fixture_graph)
     rounds, witness, _ = o.rounds()
-    assert rounds_of(big_fixture_graph) == rounds
-    assert witnesses_of(big_fixture_graph) == {
-        d for d, w in witness.items() if w
-    }
+    store = big_fixture_graph.store
+    assert by_digest(store, store.round) == rounds
+    assert by_digest(store, store.is_witness) == witness
     assert max(rounds.values()) >= 2
 
 
 def test_rounds_never_lowered_by_growth():
     graph, _ = load_fixture(round_robin_fixture(4, 3))
-    before = rounds_of(graph)
+    before = list(graph.store.round)
     g2 = graph_of([0, 1, 2, 3], owner=0)
     for e in graph.events_in_order():
         g2.add_event(e)
     create_event(0, g2, head_of(g2, 1), (), 99)
-    after = rounds_of(g2)
-    for d, r in before.items():
-        assert after[d] == r
+    assert len(g2.store.round) == len(before) + 1
+    assert g2.store.round[:len(before)] == before
 
 
 # -- fame -------------------------------------------------------------------
 
 
 def test_fame_matches_brute_force(big_fixture_graph):
-    big_fixture_graph.store.elect_fame()
-    assert fame_of(big_fixture_graph) == brute(big_fixture_graph).fame()
-    assert any(fame_of(big_fixture_graph).values())
+    store = big_fixture_graph.store
+    store.elect_fame()
+    assert fame_by_digest(store) == brute(big_fixture_graph).fame()
+    assert any(store.fame.values())
 
 
 def test_fame_idempotent(big_fixture_graph):
-    big_fixture_graph.store.elect_fame()
-    first = dict(fame_of(big_fixture_graph))
-    big_fixture_graph.store.elect_fame()
-    assert fame_of(big_fixture_graph) == first
+    store = big_fixture_graph.store
+    store.elect_fame()
+    first = dict(store.fame)
+    store.elect_fame()
+    assert store.fame == first
 
 
 def test_unreferenced_witness_not_famous():
@@ -325,10 +341,9 @@ def test_unreferenced_witness_not_famous():
         partner = active[(t + 1) % 3]
         add_for(g, creator, head_of(g, partner), (), t)
     g.store.elect_fame()
-    fame = fame_of(g)
-    lonely = genesis[3].digest
-    assert fame.get(lonely) is False
-    assert fame == brute(g).fame()
+    lonely = g.store.index[genesis[3].digest]
+    assert g.store.fame.get(lonely) is False
+    assert fame_by_digest(g.store) == brute(g).fame()
 
 
 # -- consensus order --------------------------------------------------------
@@ -419,10 +434,12 @@ def test_annotations_independent_of_arrival_order(fixture_graph):
             g.add_event(e)
             added.add(e.digest)
             pending.remove(e)
-        assert rounds_of(g) == rounds_of(fixture_graph)
+        assert by_digest(g.store, g.store.round) == by_digest(
+            fixture_graph.store, fixture_graph.store.round
+        )
         g.store.elect_fame()
         fixture_graph.store.elect_fame()
-        assert fame_of(g) == fame_of(fixture_graph)
+        assert fame_by_digest(g.store) == fame_by_digest(fixture_graph.store)
         assert consensus_order(g) == consensus_order(fixture_graph)
 
 

@@ -45,7 +45,7 @@ def test_inject_workload_cross_fraction():
     rng = random.Random(5)
     txs = []
     while len(txs) < 10_000:
-        txs.extend(inject_workload(cfg, 0, rng, table, set(range(20))))
+        txs.extend(inject_workload(cfg, rng, table, set(range(20))))
     cross = sum(1 for _, o, t in txs if o != t)
     assert abs(cross / len(txs) - 0.3) < 0.02
 
@@ -54,9 +54,9 @@ def test_inject_workload_extremes():
     table = partition_nodes(range(8), 2, seed=1)
     rng = random.Random(5)
     cfg0 = ScenarioConfig(n=8, s=2, cross_ratio=0.0, tx_rate=50.0)
-    assert all(o == t for _, o, t in inject_workload(cfg0, 0, rng, table, set(range(8))))
+    assert all(o == t for _, o, t in inject_workload(cfg0, rng, table, set(range(8))))
     cfg1 = ScenarioConfig(n=8, s=2, cross_ratio=1.0, tx_rate=50.0)
-    assert all(o != t for _, o, t in inject_workload(cfg1, 0, rng, table, set(range(8))))
+    assert all(o != t for _, o, t in inject_workload(cfg1, rng, table, set(range(8))))
 
 
 # -- basic runs -------------------------------------------------------------
