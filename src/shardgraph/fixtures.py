@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .hashgraph import Event, EventStore, Hashgraph
+from .hashgraph import Event, EventStore, Hashgraph, create_event, gossip_sync
 from .transactions import Transaction
 
 
@@ -36,13 +36,11 @@ def dump_fixture(population: Iterable[int], events: list[Event]) -> str:
 
 def round_robin_fixture(n: int = 4, events_per_node: int = 3) -> str:
     """A deterministic n-node gossip schedule used by the oracle tests."""
-    from .hashgraph import create_event, gossip_sync
-
     store = EventStore(range(n))
     graphs = [Hashgraph(store, i) for i in range(n)]
     events: list[Event] = []
     for i in range(n):
-        events.append(create_event(i, graphs[i], None, (), 0))
+        events.append(create_event(graphs[i], None, (), 0))
     tick = 1
     created = [1] * n
     while min(created) < events_per_node:
@@ -55,9 +53,7 @@ def round_robin_fixture(n: int = 4, events_per_node: int = 3) -> str:
             payload = (
                 Transaction(tx_id=f"t{tick}_{receiver}", origin=0, target=0),
             )
-            _, ev = gossip_sync(
-                graphs[sender], graphs[receiver], receiver, tick, payload
-            )
+            _, ev = gossip_sync(graphs[sender], graphs[receiver], tick, payload)
             events.append(ev)
             created[receiver] += 1
             tick += 1

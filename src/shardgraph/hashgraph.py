@@ -157,7 +157,6 @@ class EventStore:
         self._member_bit: dict[NodeId, int] = {
             m: i for i, m in enumerate(self.population)
         }
-        self.events: dict[EventId, Event] = {}
         self.index: dict[EventId, int] = {}
         self.by_index: list[Event] = []
         self._anc: list[int] = []            # ancestor bitmask, includes self
@@ -172,7 +171,6 @@ class EventStore:
         self._siblings: dict[int, list[int]] = {}  # first child -> all
         self._branch_pairs: dict[NodeId, list[tuple[int, int]]] = {}
         self.round: list[int] = []
-        self.is_witness: list[bool] = []
         self.witnesses_by_round: dict[int, list[int]] = {}
         self._wpos: dict[int, int] = {}      # witness -> its position there
         self._by_digest: dict[int, list[int]] = {}
@@ -210,26 +208,26 @@ class EventStore:
         if digest in self.index:
             return self.index[digest]
         sp, op = event.self_parent, event.other_parent
+        spi = opi = None
         if sp is not None:
-            if sp not in self.index:
+            spi = self.index.get(sp)
+            if spi is None:
                 raise HashgraphError(f"dangling self_parent {sp[:12]}")
-            if self.events[sp].creator != event.creator:
+            if self.by_index[spi].creator != event.creator:
                 raise HashgraphError("self_parent by a different creator")
         if op is not None:
-            if op not in self.index:
+            opi = self.index.get(op)
+            if opi is None:
                 raise HashgraphError(f"dangling other_parent {op[:12]}")
-            if self.events[op].creator == event.creator:
+            if self.by_index[opi].creator == event.creator:
                 raise HashgraphError("other_parent created by creator itself")
         if event.creator not in self._member_bit:
             self.add_member(event.creator)
 
         idx = len(self.by_index)
-        self.events[digest] = event
         self.index[digest] = idx
         self.by_index.append(event)
 
-        spi = self.index[sp] if sp is not None else None
-        opi = self.index[op] if op is not None else None
         anc = 1 << idx
         forked = 0
         if spi is not None:
@@ -298,9 +296,7 @@ class EventStore:
             if self._strongly_seen(idx, masks, r, sm).bit_count() >= sm:
                 r += 1
         self.round.append(r)
-        witness = spi is None or self.round[spi] < r
-        self.is_witness.append(witness)
-        if witness:
+        if spi is None or self.round[spi] < r:
             masks[idx] = cbit
             same_round = self.witnesses_by_round.setdefault(r, [])
             self._wpos[idx] = len(same_round)
@@ -531,9 +527,6 @@ class Hashgraph:
         i = self.store.index.get(event_id)
         return i is not None and bool((self.known >> i) & 1)
 
-    def events_in_order(self) -> list[Event]:
-        return list(Transfer(self.store, self.known))
-
     def _absorb(self, mask: int) -> None:
         """Learn the events in mask; the owner's among them, walked in index
         order, move the head."""
@@ -553,25 +546,20 @@ class Hashgraph:
 
 
 def create_event(
-    creator: NodeId,
     graph: Hashgraph,
     other_parent: Optional[EventId],
     payload: Sequence[Transaction],
     now: int,
 ) -> Event:
-    """Append a new event for ``creator``, the view's owner, chaining onto
-    the view's head."""
-    if creator != graph.owner:
-        raise HashgraphError(f"creator {creator} does not own the view")
-    if creator not in graph.store._member_bit:
-        raise HashgraphError(f"unknown creator {creator}")
-    if other_parent is not None:
-        if other_parent not in graph:
-            raise HashgraphError("unresolvable other_parent")
-        if graph.store.events[other_parent].creator == creator:
-            raise HashgraphError("other_parent created by creator itself")
+    """Append a new event for the view's owner, chaining onto the view's
+    head.  The store checks the parents' creators; the other-parent must be
+    in the view, which keeps the view down-closed."""
+    if graph.owner not in graph.store._member_bit:
+        raise HashgraphError(f"view owner {graph.owner} is not a member")
+    if other_parent is not None and other_parent not in graph:
+        raise HashgraphError("unresolvable other_parent")
     event = Event(
-        creator=creator,
+        creator=graph.owner,
         self_parent=graph.head,
         other_parent=other_parent,
         payload=tuple(payload),
@@ -583,25 +571,21 @@ def create_event(
 def gossip_sync(
     sender_graph: Hashgraph,
     receiver_graph: Hashgraph,
-    receiver: NodeId,
     now: int,
     payload: Sequence[Transaction] = (),
 ) -> tuple[Transfer, Event]:
     """Push the sender's view into the receiver's and record the sync.
 
     Both views must be of the same store.  Returns the events the receiver
-    was missing and the receiver's new gossip-record event, whose
-    other_parent is the sender's head.
+    was missing and the receiver's new gossip-record event, created by the
+    receiver view's owner, whose other_parent is the sender's head.
     """
     store = sender_graph.store
     if receiver_graph.store is not store:
         raise HashgraphError("gossip between views of different stores")
     mask = sender_graph.known & ~receiver_graph.known
     receiver_graph._absorb(mask)
-    sender_head = sender_graph.head
-    if sender_head is not None and store.events[sender_head].creator == receiver:
-        sender_head = None
-    new_event = create_event(receiver, receiver_graph, sender_head, payload, now)
+    new_event = create_event(receiver_graph, sender_graph.head, payload, now)
     return Transfer(store, mask), new_event
 
 

@@ -142,15 +142,13 @@ def leave_node(
     table: CommitteeTable,
     ledger: ChurnLedger,
     node: NodeId,
-) -> bool:
-    """Remove a node; returns True when the departing node was its
-    committee's coordinator (a reselection must follow)."""
+) -> None:
+    """Remove a node from its committee and note the exit in the ledger."""
     cid = table.assignment.pop(node, None)
     if cid is None:
         raise ReconfigError(f"unknown node {node}")
     ledger.note_exit(cid)
     state.local_stores[cid].remove_member(node)
-    return table.coordinators.get(cid) == node
 
 
 def reselect_coordinator(

@@ -17,6 +17,7 @@ from .hashgraph import (
     EventStore,
     Hashgraph,
     OrderedEvent,
+    Transfer,
 )
 from .transactions import KIND_PAYLOAD, Transaction
 
@@ -120,7 +121,7 @@ class ShardState:
 class ReplicaSnapshot:
     checkpoint_seq: int
     population: list[NodeId]
-    events: list[Event]
+    events: Transfer
     consensus: list[OrderedEvent]
 
 
@@ -207,7 +208,7 @@ def replicate_checkpoint(
     snapshot = ReplicaSnapshot(
         checkpoint_seq=state._checkpoint_seq,
         population=list(source.population),
-        events=source.events_in_order(),
+        events=Transfer(source.store, source.known),
         consensus=consensus_order(source),
     )
     state._checkpoint_seq += 1

@@ -28,7 +28,6 @@ from typing import NamedTuple, Optional
 
 from .config import ScenarioConfig
 from .hashgraph import (
-    Event,
     Hashgraph,
     consensus_order,
     create_event,
@@ -315,7 +314,7 @@ class Simulation:
             self.rng.shuffle(ring)
             for i, sender in enumerate(ring):
                 receiver = ring[(i + 1) % len(ring)]
-                self._local_sync(cid, self.views[sender], sender, receiver, t)
+                self._local_sync(cid, self.views[sender], receiver, t)
         ring = sorted(global_duty)
         if len(ring) >= 2:
             self.rng.shuffle(ring)
@@ -323,11 +322,10 @@ class Simulation:
                 self._global_sync(sender, ring[(i + 1) % len(ring)], t)
         self.sched.push(t + self.cfg.sync_interval, "gossip_initiate")
 
-    def _push(self, sender_view, receiver_view, sender, receiver, t, payload):
+    def _push(self, sender_view, receiver_view, t, payload):
         """One gossip sync, with its communication and storage accounted."""
-        transferred, new_ev = gossip_sync(
-            sender_view, receiver_view, receiver, t, payload
-        )
+        transferred, new_ev = gossip_sync(sender_view, receiver_view, t, payload)
+        sender, receiver = sender_view.owner, receiver_view.owner
         units = transferred.units
         self.metrics.add_comm(sender, units)
         self.metrics.add_received(receiver, units)
@@ -335,7 +333,7 @@ class Simulation:
         self.metrics.add_handshake(sender, 1)
         return transferred, new_ev
 
-    def _local_sync(self, cid, sender_view, sender, receiver, t):
+    def _local_sync(self, cid, sender_view, receiver, t):
         buffered = self.pending[receiver]
         self.pending[receiver] = []
         payload = list(buffered)
@@ -343,7 +341,7 @@ class Simulation:
         if is_coord:
             payload.extend(flush_inbound(self.state, cid, self.cfg.batch_limit))
         transferred, new_ev = self._push(
-            sender_view, self.views[receiver], sender, receiver, t, payload
+            sender_view, self.views[receiver], t, payload
         )
         self.metrics.total_events += 1
         if event_units(new_ev) == 0:
@@ -357,7 +355,7 @@ class Simulation:
         rcid = self.table.committee_of(receiver)
         batch = flush_outbound(self.state, rcid, self.cfg.batch_limit)
         transferred, new_ev = self._push(
-            self.gviews[sender], self.gviews[receiver], sender, receiver, t, batch
+            self.gviews[sender], self.gviews[receiver], t, batch
         )
         for ev in transferred:
             coordinator_receive_global(self.state, self.table, rcid, ev)
@@ -369,7 +367,7 @@ class Simulation:
             store.advance_consensus()
             cons = store.consensus
             for oe in cons[self.consensus_ptr.get(cid, 0):]:
-                ev = store.events[oe.event_id]
+                ev = store.by_index[store.index[oe.event_id]]
                 for tx in ev.payload:
                     if tx.kind == KIND_PAYLOAD:
                         self.metrics.ordered_tx_units[cid] = (
@@ -392,7 +390,7 @@ class Simulation:
         gstore = self.state.global_store
         gstore.advance_consensus()
         for oe in gstore.consensus[self.global_ptr:]:
-            ev = gstore.events[oe.event_id]
+            ev = gstore.by_index[gstore.index[oe.event_id]]
             for tx in ev.payload:
                 if tx.kind == KIND_JOIN:
                     self._apply_join(tx, oe.consensus_timestamp, t)
@@ -457,27 +455,13 @@ class Simulation:
         marker_b = Transaction(
             tx_id=f"fork{node}-{t}b", origin=cid, target=cid, size_units=0
         )
-        branch_b = Event(
-            creator=node,
-            self_parent=head,
-            other_parent=None,
-            payload=(marker_b,),
-            created_at=t,
-        )
         alt = Hashgraph(view.store, node)
         alt.known = view.known
         alt.head = head
-        alt.add_event(branch_b)
-        branch_a = Event(
-            creator=node,
-            self_parent=head,
-            other_parent=None,
-            payload=(marker_a,),
-            created_at=t,
-        )
-        view.add_event(branch_a)
-        self._local_sync(cid, view, node, p1, t)
-        self._local_sync(cid, alt, node, p2, t)
+        create_event(alt, None, (marker_b,), t)
+        create_event(view, None, (marker_a,), t)
+        self._local_sync(cid, view, p1, t)
+        self._local_sync(cid, alt, p2, t)
         self.action_log.append(
             {"at": t, "action": "equivocate", "node": node, "committee": cid}
         )
@@ -553,7 +537,7 @@ class Simulation:
             if tip is not None:
                 # anchor the new member's chain to the recovered graph so
                 # rounds keep advancing past the replayed history
-                create_event(node, g, tip, (), t)
+                create_event(g, tip, (), t)
         self._seat_coordinator(self.table.coordinators[cid], old_coord)
         # ordered-unit accounting for this committee resumes from the
         # replayed prefix; entries ordered before the failure were already

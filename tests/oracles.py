@@ -265,6 +265,12 @@ def add_for(graph, creator, other_parent=None, payload=(), now=0):
                                  other_parent, tuple(payload), now))
 
 
+def witness_flags(store):
+    """Per-event witness flags in index order: an event is a witness iff it
+    has a position among its round's witnesses."""
+    return [i in store._wpos for i in range(len(store.by_index))]
+
+
 # fame reference over an EventStore's own annotations ------------------------
 
 
@@ -356,7 +362,7 @@ def median_timestamp(store, x, famous):
         earliest = None
         y = store.by_index[w].digest
         while y is not None and store._anc[store.index[y]] >> x & 1:
-            earliest = store.events[y]
+            earliest = store.by_index[store.index[y]]
             y = earliest.self_parent
         stamps.append(earliest.created_at)
     stamps.sort()

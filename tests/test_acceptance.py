@@ -19,7 +19,7 @@ from shardgraph.reconfig import (
 )
 from shardgraph.simulation import Simulation, run_scenario
 
-from oracles import BruteGraph, load_fixture, strongly_seen
+from oracles import BruteGraph, load_fixture, strongly_seen, witness_flags
 
 
 def verdict(num, ok, text):
@@ -165,7 +165,7 @@ def test_criterion_6_oracle_equivalence():
         oracle = BruteGraph(graph.population, events)
         rounds, witness, _ = oracle.rounds()
         ok = ok and store.round == [rounds[e.digest] for e in events]
-        ok = ok and store.is_witness == [witness[e.digest] for e in events]
+        ok = ok and witness_flags(store) == [witness[e.digest] for e in events]
         store.elect_fame()
         ok = ok and {
             events[w].digest: f for w, f in store.fame.items()

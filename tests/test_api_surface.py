@@ -5,6 +5,9 @@ Every public module-level function or class, and every public method, in
 ``perfbench/`` other than on its own definition line: as a name in the code,
 or as a string literal equal to the name (the benchmark tracer wraps calls
 looked up by name).  Comments and docstrings do not count.
+
+Nor does it keep write-only state: every attribute the package assigns on
+``self`` must be read somewhere in ``src/`` or ``perfbench/``.
 """
 
 import ast
@@ -61,3 +64,57 @@ def test_every_public_name_is_used_outside_tests():
         if not places[name] - {(rel, line)}
     ]
     assert unused == []
+
+
+def attribute_writes():
+    """(file, line, name) of each attribute assigned on ``self`` in the
+    package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for t in ast.walk(target):
+                    if (isinstance(t, ast.Attribute)
+                            and isinstance(t.value, ast.Name)
+                            and t.value.id == "self"):
+                        yield path.relative_to(ROOT), node.lineno, t.attr
+
+
+def attribute_reads():
+    """Names of the attributes loaded anywhere under src/ and perfbench/.
+    A bare-statement method call on an attribute (``x.items.append(v)``)
+    and a subscript store or ``del`` into one are writes, not reads."""
+    reads = set()
+    for top in ("src", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            writes = set()
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Expr)
+                        and isinstance(node.value, ast.Call)
+                        and isinstance(node.value.func, ast.Attribute)):
+                    writes.add(id(node.value.func.value))
+                elif (isinstance(node, ast.Subscript)
+                        and isinstance(node.ctx, (ast.Store, ast.Del))):
+                    writes.add(id(node.value))
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)
+                        and id(node) not in writes):
+                    reads.add(node.attr)
+    return reads
+
+
+def test_no_write_only_attribute():
+    reads = attribute_reads()
+    write_only = sorted(
+        {f"{rel} {name}" for rel, _, name in attribute_writes()
+         if name not in reads}
+    )
+    assert write_only == []

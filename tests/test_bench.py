@@ -70,7 +70,7 @@ def test_bench_gossip_sync(benchmark, dag):
         return (full, Hashgraph(store, joiner)), {}
 
     def push(full, empty):
-        return gossip_sync(full, empty, joiner, 1000)
+        return gossip_sync(full, empty, 1000)
 
     transfer, ev = benchmark.pedantic(push, setup=setup, rounds=1, iterations=1)
     assert len(transfer) == len(events)

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from shardgraph.hashgraph import (
-    Event,
     EventStore,
     Hashgraph,
     create_event,
@@ -20,7 +19,12 @@ from shardgraph.config import ScenarioConfig
 from shardgraph.simulation import Simulation, _full_view
 from shardgraph.transactions import Transaction
 
-from oracles import BruteGraph, ReferenceFame, reference_consensus
+from oracles import (
+    BruteGraph,
+    ReferenceFame,
+    reference_consensus,
+    witness_flags,
+)
 
 SEEDS = range(8)
 
@@ -37,9 +41,9 @@ def equivocate(views, node, peers, t, sync=gossip_sync):
     for branch, marker in ((alt, "b"), (view, "a")):
         payload = (Transaction(tx_id=f"fork{node}-{t}{marker}", origin=0,
                                target=0, size_units=0),)
-        branch.add_event(Event(node, head, None, payload, t))
-    sync(view, views[peers[0]], peers[0], t)
-    sync(alt, views[peers[1]], peers[1], t)
+        create_event(branch, None, payload, t)
+    sync(view, views[peers[0]], t)
+    sync(alt, views[peers[1]], t)
     return alt
 
 
@@ -54,7 +58,7 @@ def gossip_dag(seed, steps=250, fork_p=0.3, sync=gossip_sync):
     store = EventStore(range(n))
     views = [Hashgraph(store, i) for i in range(n)]
     for i in range(n):
-        create_event(i, views[i], None, (), 0)
+        create_event(views[i], None, (), 0)
     for t in range(1, steps):
         s = rng.randrange(n)
         if s in forkers and rng.random() < fork_p:
@@ -64,7 +68,7 @@ def gossip_dag(seed, steps=250, fork_p=0.3, sync=gossip_sync):
         r = (s + rng.randrange(1, n)) % n
         payload = (Transaction(tx_id=f"t{t}", origin=0, target=0,
                                size_units=1 + t % 7),)
-        sync(views[s], views[r], r, t, payload)
+        sync(views[s], views[r], t, payload)
     return store, views
 
 
@@ -174,7 +178,7 @@ def test_rounds_and_witnesses_match_brute_force(seed):
     store, _ = gossip_dag(seed)
     rounds, witness = brute_rounds(store)
     assert store.round == rounds
-    assert store.is_witness == witness
+    assert witness_flags(store) == witness
     assert store.max_round >= 4
 
 
@@ -246,13 +250,13 @@ def test_famous_witness_seeing_own_fork_stamped_by_self_ancestors():
     store = EventStore(range(4))
     views = [Hashgraph(store, i) for i in range(4)]
     for i in range(4):
-        create_event(i, views[i], None, (), 0)
+        create_event(views[i], None, (), 0)
     equivocate(views, 0, (1, 2), 1)
     for t, (s, r) in enumerate(
         [(1, 3), (2, 3), (3, 0), (0, 1), (1, 2), (2, 3), (3, 0), (0, 1),
          (1, 2), (2, 3), (3, 1), (1, 0)], 2,
     ):
-        gossip_sync(views[s], views[r], r, t)
+        gossip_sync(views[s], views[r], t)
     (w,) = [u for u in store.witnesses_by_round[2] if sees_own_fork(store, u)]
     assert store.by_index[w].creator == 0
     for r in (1, 2):
@@ -291,23 +295,23 @@ def test_equivocator_head_is_later_absorbed_branch():
     store = EventStore(range(4))
     views = [Hashgraph(store, i) for i in range(4)]
     for i in range(4):
-        create_event(i, views[i], None, (), 0)
+        create_event(views[i], None, (), 0)
     alt = equivocate(views, 0, (1, 2), 1)
     a, b = views[0].head, alt.head
     assert store._seq[store.index[a]] == store._seq[store.index[b]]
     assert store.index[b] < store.index[a]
-    transfer, ev = gossip_sync(views[2], views[0], 0, 2)
+    transfer, ev = gossip_sync(views[2], views[0], 2)
     assert b in {e.digest for e in transfer}
     assert ev.self_parent == b and views[0].head == ev.digest
 
 
-def transfer_checked(sender, receiver, r, t, payload=()):
+def transfer_checked(sender, receiver, t, payload=()):
     """gossip_sync, asserting that its transfer is sender.known &
     ~receiver.known as brute force sees it."""
     store = sender.store
     want = [ev for i, ev in enumerate(store.by_index)
             if sender.known >> i & 1 and not receiver.known >> i & 1]
-    transfer, ev = gossip_sync(sender, receiver, r, t, payload)
+    transfer, ev = gossip_sync(sender, receiver, t, payload)
     assert len(transfer) == len(want)
     assert list(transfer) == want
     assert transfer.units == sum(e.units for e in want)
@@ -322,11 +326,11 @@ def test_transfers_match_brute_force(seed):
     joiner = len(views)
     store.add_member(joiner)
     transfer, _ = transfer_checked(_full_view(store), Hashgraph(store, joiner),
-                                   joiner, 250)
+                                   250)
     assert len(transfer) == len(store.by_index) - 1
     # a rejoining member's empty view takes its head back: the furthest
     # along its chain, the last in index order on a tie
     own = known_events_of(store, views[1], 0)
     head = max(own, key=lambda i: (store._seq[i], i))
-    _, ev = transfer_checked(views[1], Hashgraph(store, 0), 0, 251)
+    _, ev = transfer_checked(views[1], Hashgraph(store, 0), 251)
     assert ev.self_parent == store.by_index[head].digest

@@ -10,6 +10,7 @@ from shardgraph.hashgraph import (
     EventStore,
     Hashgraph,
     HashgraphError,
+    Transfer,
     consensus_order,
     create_event,
     detect_forks,
@@ -24,6 +25,7 @@ from oracles import (
     head_of,
     load_fixture,
     strongly_seen,
+    witness_flags,
 )
 
 
@@ -55,7 +57,7 @@ def big_fixture_graph():
 
 
 def brute(graph):
-    return BruteGraph(graph.population, graph.events_in_order())
+    return BruteGraph(graph.population, Transfer(graph.store, graph.known))
 
 
 def by_digest(store, values):
@@ -97,36 +99,41 @@ def test_set_bits_matches_brute_force():
 
 def test_create_event_genesis():
     g = graph_of([0, 1], owner=0)
-    ev = create_event(0, g, None, (), 0)
+    ev = create_event(g, None, (), 0)
     assert ev.self_parent is None and ev.other_parent is None
     assert g.head == ev.digest
 
 
 def test_create_event_head_chaining():
     g = graph_of([0, 1], owner=0)
-    e1 = create_event(0, g, None, (), 0)
+    e1 = create_event(g, None, (), 0)
     e2 = add_for(g, 1, e1.digest, (), 1)
     assert g.head == e1.digest
-    e3 = create_event(0, g, e2.digest, (tx(1),), 2)
+    e3 = create_event(g, e2.digest, (tx(1),), 2)
     assert e3.self_parent == e1.digest
     assert e3.other_parent == e2.digest
-    e4 = create_event(0, g, None, (), 3)
+    e4 = create_event(g, None, (), 3)
     assert e4.self_parent == e3.digest
     assert g.head == e4.digest
 
 
 def test_create_event_errors():
     g = graph_of([0, 1], owner=0)
-    e1 = create_event(0, g, None, (), 0)
+    e1 = create_event(g, None, (), 0)
     with pytest.raises(HashgraphError):
-        create_event(1, g, None, (), 0)
+        create_event(g, "ab" * 32, (), 0)
     with pytest.raises(HashgraphError):
-        create_event(0, g, "ab" * 32, (), 0)
+        create_event(g, e1.digest, (), 1)
     with pytest.raises(HashgraphError):
-        create_event(0, g, e1.digest, (), 1)
-    with pytest.raises(HashgraphError):
-        create_event(7, graph_of([0, 1], owner=7), None, (), 0)
+        create_event(graph_of([0, 1], owner=7), None, (), 0)
     assert g.known.bit_count() == 1
+
+
+def test_create_event_on_ownerless_view_rejected():
+    g = graph_of([0, 1])
+    with pytest.raises(HashgraphError):
+        create_event(g, None, (), 0)
+    assert g.store.by_index == []
 
 
 # -- gossip_sync ------------------------------------------------------------
@@ -134,10 +141,10 @@ def test_create_event_errors():
 
 def test_gossip_sync_empty_diff():
     a, b = shared_views(2)
-    ea = create_event(0, a, None, (), 0)
-    gossip_sync(a, b, 1, 1)
+    ea = create_event(a, None, (), 0)
+    gossip_sync(a, b, 1)
     before = b.known.bit_count()
-    transferred, ev = gossip_sync(a, b, 1, 2)
+    transferred, ev = gossip_sync(a, b, 2)
     assert list(transferred) == []
     assert len(transferred) == 0 and transferred.units == 0
     assert b.known.bit_count() == before + 1
@@ -146,10 +153,10 @@ def test_gossip_sync_empty_diff():
 
 def test_gossip_sync_transfers_diff():
     a, b = shared_views(2)
-    create_event(0, a, None, (), 0)
-    create_event(0, a, None, (), 1)
-    create_event(0, a, None, (), 2)
-    transferred, ev = gossip_sync(a, b, 1, 3)
+    create_event(a, None, (), 0)
+    create_event(a, None, (), 1)
+    create_event(a, None, (), 2)
+    transferred, ev = gossip_sync(a, b, 3)
     assert len(transferred) == 3
     assert b.known.bit_count() == 4
     assert ev.creator == 1
@@ -159,29 +166,39 @@ def test_gossip_sync_full_schedule_converges():
     n = 4
     graphs = shared_views(n)
     for i in range(n):
-        create_event(i, graphs[i], None, (), 0)
+        create_event(graphs[i], None, (), 0)
     rng = random.Random(7)
     for t in range(1, 40):
         sender = rng.randrange(n)
         receiver = (sender + rng.randrange(1, n)) % n
-        gossip_sync(graphs[sender], graphs[receiver], receiver, t)
+        gossip_sync(graphs[sender], graphs[receiver], t)
     snapshot = set().union(
-        *({e.digest for e in g.events_in_order()} for g in graphs)
+        *({e.digest for e in Transfer(g.store, g.known)} for g in graphs)
     )
     # closing rounds: everyone pushes to everyone; every pre-existing event
     # must reach every graph
     for t, (s, r) in enumerate(itertools.permutations(range(n), 2), 40):
-        gossip_sync(graphs[s], graphs[r], r, t)
+        gossip_sync(graphs[s], graphs[r], t)
     for g in graphs:
-        assert snapshot <= {e.digest for e in g.events_in_order()}
+        assert snapshot <= {e.digest for e in Transfer(g.store, g.known)}
 
 
 def test_gossip_sync_across_stores_rejected():
     a, b = graph_of([0, 1], owner=0), graph_of([0, 1], owner=1)
-    create_event(0, a, None, (), 0)
+    create_event(a, None, (), 0)
     with pytest.raises(HashgraphError):
-        gossip_sync(a, b, 1, 1)
+        gossip_sync(a, b, 1)
     assert b.known.bit_count() == 0
+
+
+def test_gossip_sync_between_views_of_one_owner_rejected():
+    # the record event would take its own creator's event as other_parent
+    store = EventStore([0, 1])
+    a, b = Hashgraph(store, 0), Hashgraph(store, 0)
+    create_event(a, None, (), 0)
+    with pytest.raises(HashgraphError):
+        gossip_sync(a, b, 1)
+    assert len(store.by_index) == 1
 
 
 # -- ancestry ---------------------------------------------------------------
@@ -210,7 +227,7 @@ def test_is_ancestor_matches_brute_force(fixture_graph):
 def test_is_ancestor_unresolved():
     # an unknown digest is in no view, and no event can take it as a parent
     g = graph_of([0, 1], owner=0)
-    e = create_event(0, g, None, (), 0)
+    e = create_event(g, None, (), 0)
     assert "00" * 32 not in g
     with pytest.raises(HashgraphError):
         g.add_event(Event(1, None, "00" * 32, (), 1))
@@ -224,7 +241,7 @@ def test_is_ancestor_unresolved():
 
 def test_strongly_sees_single_member():
     g = graph_of([0], owner=0)
-    create_event(0, g, None, (), 0)
+    create_event(g, None, (), 0)
     assert strongly_seen(g.store, 0, 1) == [0]
 
 
@@ -236,7 +253,7 @@ def test_strongly_sees_two_of_four_is_not_enough():
     store = g.store
     a, w = store.index[e1b.digest], store.index[e0.digest]
     # paths from e1b down to e0 touch only creators {0, 1}
-    assert store.round[a] == store.round[w] == 1 and store.is_witness[w]
+    assert store.round[a] == store.round[w] == 1 and w in store._wpos
     assert w not in strongly_seen(store, a, 1)
     assert store._anc[store.index[e1.digest]] >> w & 1
 
@@ -273,7 +290,7 @@ def test_strongly_sees_outside_domain_rejected():
     late = max(range(len(store.by_index)), key=store.round.__getitem__)
     r = store.round[late]
     assert r >= 3
-    assert all(store.is_witness[w] and store.round[w] >= r - 1
+    assert all(w in store._wpos and store.round[w] >= r - 1
                for w in store._masks[late])
     old = [w for w in store.witnesses_by_round[r - 2]
            if o.strongly_sees(store.by_index[late].digest,
@@ -289,7 +306,7 @@ def test_rounds_all_genesis():
     for i in range(4):
         add_for(g, i, None, (), 0)
     assert g.store.round == [1] * 4
-    assert all(g.store.is_witness)
+    assert all(witness_flags(g.store))
 
 
 def test_rounds_match_brute_force(big_fixture_graph):
@@ -297,7 +314,7 @@ def test_rounds_match_brute_force(big_fixture_graph):
     rounds, witness, _ = o.rounds()
     store = big_fixture_graph.store
     assert by_digest(store, store.round) == rounds
-    assert by_digest(store, store.is_witness) == witness
+    assert by_digest(store, witness_flags(store)) == witness
     assert max(rounds.values()) >= 2
 
 
@@ -305,9 +322,9 @@ def test_rounds_never_lowered_by_growth():
     graph, _ = load_fixture(round_robin_fixture(4, 3))
     before = list(graph.store.round)
     g2 = graph_of([0, 1, 2, 3], owner=0)
-    for e in graph.events_in_order():
+    for e in Transfer(graph.store, graph.known):
         g2.add_event(e)
-    create_event(0, g2, head_of(g2, 1), (), 99)
+    create_event(g2, head_of(g2, 1), (), 99)
     assert len(g2.store.round) == len(before) + 1
     assert g2.store.round[:len(before)] == before
 
@@ -351,7 +368,7 @@ def test_unreferenced_witness_not_famous():
 
 def test_consensus_order_single_node_chain():
     g = graph_of([0], owner=0)
-    evs = [create_event(0, g, None, (tx(i),), i) for i in range(5)]
+    evs = [create_event(g, None, (tx(i),), i) for i in range(5)]
     order = consensus_order(g)
     # the decided prefix follows the self-parent chain with created_at stamps
     k = len(order)
@@ -378,17 +395,17 @@ def test_consensus_order_identical_after_full_sync():
     n = 4
     graphs = shared_views(n)
     for i in range(n):
-        create_event(i, graphs[i], None, (), 0)
+        create_event(graphs[i], None, (), 0)
     rng = random.Random(3)
     for t in range(1, 120):
         s = rng.randrange(n)
         r = (s + rng.randrange(1, n)) % n
-        gossip_sync(graphs[s], graphs[r], r, t, (tx(t),))
+        gossip_sync(graphs[s], graphs[r], t, (tx(t),))
     # flood until views agree
     for t, (s, r) in enumerate(itertools.permutations(range(n), 2), 200):
-        gossip_sync(graphs[s], graphs[r], r, t)
+        gossip_sync(graphs[s], graphs[r], t)
     for t, (s, r) in enumerate(itertools.permutations(range(n), 2), 300):
-        gossip_sync(graphs[s], graphs[r], r, t)
+        gossip_sync(graphs[s], graphs[r], t)
     orders = [consensus_order(g) for g in graphs]
     lens = [len(o) for o in orders]
     m = min(lens)
@@ -401,13 +418,13 @@ def test_prefix_stability():
     n = 4
     graphs = shared_views(n)
     for i in range(n):
-        create_event(i, graphs[i], None, (), 0)
+        create_event(graphs[i], None, (), 0)
     rng = random.Random(11)
     prev: list = []
     for t in range(1, 300):
         s = rng.randrange(n)
         r = (s + rng.randrange(1, n)) % n
-        gossip_sync(graphs[s], graphs[r], r, t, (tx(t),))
+        gossip_sync(graphs[s], graphs[r], t, (tx(t),))
         if t % 25 == 0:
             cur = consensus_order(graphs[0])
             assert cur[: len(prev)] == prev
@@ -416,7 +433,7 @@ def test_prefix_stability():
 
 
 def test_annotations_independent_of_arrival_order(fixture_graph):
-    evs = fixture_graph.events_in_order()
+    evs = list(Transfer(fixture_graph.store, fixture_graph.known))
     rng = random.Random(5)
     for _ in range(5):
         # any topological shuffle must produce identical annotations
@@ -452,7 +469,7 @@ def test_detect_forks_honest_empty(big_fixture_graph):
 
 def test_detect_forks_reports_equivocation():
     g = graph_of([0, 1, 2, 3], owner=0)
-    base = create_event(0, g, None, (), 0)
+    base = create_event(g, None, (), 0)
     f1 = Event(0, base.digest, None, (), 1)
     f2 = Event(0, base.digest, None, (tx(1),), 1)
     g.add_event(f1)

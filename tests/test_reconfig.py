@@ -83,16 +83,9 @@ def test_leave_non_coordinator():
     member = next(
         m for m in table.members(cid) if m != table.coordinators[cid]
     )
-    was_coord = leave_node(state, table, ledger, member)
-    assert not was_coord
+    leave_node(state, table, ledger, member)
     assert ledger.exits[cid] == 1
     assert member not in table.assignment
-
-
-def test_leave_coordinator_flags_reselect():
-    state, table, ledger = make_state(12, 2)
-    coord = table.coordinators[1]
-    assert leave_node(state, table, ledger, coord)
 
 
 def test_leave_unknown_node():

@@ -75,7 +75,7 @@ def local_event(state, table, cid, payload, creator=None, now=0):
     """A genesis event in the committee's graph, made in a fresh view."""
     creator = creator if creator is not None else table.members(cid)[0]
     view = Hashgraph(state.local_stores[cid], creator)
-    return create_event(creator, view, None, payload, now)
+    return create_event(view, None, payload, now)
 
 
 def full_view(store):
@@ -144,7 +144,7 @@ def test_receive_global_filters_by_target(small_state):
     cross = tx(1, 0, 1)
     coord = table.coordinators[0]
     view = Hashgraph(state.global_store, coord)
-    ev = create_event(coord, view, None, (cross,), 5)
+    ev = create_event(view, None, (cross,), 5)
     q1 = coordinator_receive_global(state, table, 1, ev)
     assert q1.inbound == [cross]
     # the origin committee's own coordinator ignores it
@@ -205,7 +205,7 @@ def build_consensus_history(state, table, cid, rounds=30):
     store = state.local_stores[cid]
     views = {m: Hashgraph(store, m) for m in members}
     for m in members:
-        create_event(m, views[m], None, (), 0)
+        create_event(views[m], None, (), 0)
     k = 0
     for t in range(1, rounds):
         for i, m in enumerate(members):
@@ -216,7 +216,6 @@ def build_consensus_history(state, table, cid, rounds=30):
             gossip_sync(
                 views[m],
                 views[partner],
-                partner,
                 t,
                 (Transaction(tx_id=f"c{cid}_{k}", origin=cid, target=cid),),
             )
@@ -249,7 +248,7 @@ def test_recover_uses_longest_replica():
     assert len(holders) == 2
     stale = state.replicas[(holders[0], 0)]
     members = table.members(0)
-    gossip_sync(views[members[0]], views[members[1]], members[1], 99)
+    gossip_sync(views[members[0]], views[members[1]], 99)
     replicate_checkpoint(state, table, 0, full_view(state.local_stores[0]))
     # the first holder missed the second checkpoint
     state.replicas[(holders[0], 0)] = stale
