@@ -1,5 +1,5 @@
-"""Command line front end: run scenarios, sweep grids, print formula tables,
-and regenerate the oracle fixtures.
+"""Command line front end: run scenarios, sweep grids and print formula
+tables.
 
 Exit codes:
   0  success
@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig, apply_setting, load_config
-from .fixtures import round_robin_fixture
 from .metrics import (
     MetricsError,
     analytic_comm_cost,
@@ -92,20 +91,6 @@ def cmd_formulas(args) -> int:
     return EXIT_OK
 
 
-def cmd_fixtures(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    specs = {
-        "fixture_4n_12ev.txt": (4, 3),
-        "fixture_4n_20ev.txt": (4, 5),
-    }
-    for name, (nodes, per_node) in specs.items():
-        text = round_robin_fixture(nodes, per_node)
-        (out / name).write_text(text, encoding="utf-8")
-        print(f"wrote {out / name}")
-    return EXIT_OK
-
-
 def cmd_sweep(args) -> int:
     config = _load(args)
     param, _, values_text = args.sweep.partition("=")
@@ -172,12 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_form.add_argument("--event-size", type=float, default=1.0,
                         dest="event_size")
     p_form.set_defaults(func=cmd_formulas)
-
-    p_fix = sub.add_parser(
-        "fixtures", help="regenerate the oracle fixture files"
-    )
-    p_fix.add_argument("--out", default="fixtures", help="output directory")
-    p_fix.set_defaults(func=cmd_fixtures)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter grid")
     p_sweep.add_argument("--config", help="base scenario config file")

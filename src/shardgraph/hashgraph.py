@@ -527,21 +527,20 @@ class Hashgraph:
         i = self.store.index.get(event_id)
         return i is not None and bool((self.known >> i) & 1)
 
-    def _absorb(self, mask: int) -> None:
-        """Learn the events in mask; the owner's among them, walked in index
-        order, move the head."""
-        self.known |= mask
-        store = self.store
-        own = mask & store._cmask.get(self.owner, 0)
-        if not own:
-            return
+    def _head_after(self, mask: int) -> Optional[EventId]:
+        """The head once the view learns the events in mask: the owner's
+        among them, walked in index order, move it."""
+        head, store = self.head, self.store
         seq, index = store._seq, store.index
-        for i in _set_bits(own):
-            if self.head is None or seq[index[self.head]] <= seq[i]:
-                self.head = store.by_index[i].digest
+        for i in _set_bits(mask & store._cmask.get(self.owner, 0)):
+            if head is None or seq[index[head]] <= seq[i]:
+                head = store.by_index[i].digest
+        return head
 
     def add_event(self, event: Event) -> Event:
-        self._absorb(1 << self.store.add_event(event))
+        bit = 1 << self.store.add_event(event)
+        self.head = self._head_after(bit)
+        self.known |= bit
         return event
 
 
@@ -554,18 +553,35 @@ def create_event(
     """Append a new event for the view's owner, chaining onto the view's
     head.  The store checks the parents' creators; the other-parent must be
     in the view, which keeps the view down-closed."""
-    if graph.owner not in graph.store._member_bit:
-        raise HashgraphError(f"view owner {graph.owner} is not a member")
     if other_parent is not None and other_parent not in graph:
         raise HashgraphError("unresolvable other_parent")
+    return _record(graph, 0, other_parent, payload, now)
+
+
+def _record(
+    graph: Hashgraph,
+    learned: int,
+    other_parent: Optional[EventId],
+    payload: Sequence[Transaction],
+    now: int,
+) -> Event:
+    """The owner's next event, chained onto the head the view has once it
+    learns the events in ``learned``.  The view learns them only after the
+    store accepts the event, so a rejected event leaves the view as it
+    was."""
+    if graph.owner not in graph.store._member_bit:
+        raise HashgraphError(f"view owner {graph.owner} is not a member")
     event = Event(
         creator=graph.owner,
-        self_parent=graph.head,
+        self_parent=graph._head_after(learned),
         other_parent=other_parent,
         payload=tuple(payload),
         created_at=now,
     )
-    return graph.add_event(event)
+    graph.add_event(event)
+    # no owner event in learned is past the new event's self-parent
+    graph.known |= learned
+    return event
 
 
 def gossip_sync(
@@ -578,14 +594,14 @@ def gossip_sync(
 
     Both views must be of the same store.  Returns the events the receiver
     was missing and the receiver's new gossip-record event, created by the
-    receiver view's owner, whose other_parent is the sender's head.
+    receiver view's owner, whose other_parent is the sender's head.  A
+    rejected record event leaves the receiver's view unchanged.
     """
     store = sender_graph.store
     if receiver_graph.store is not store:
         raise HashgraphError("gossip between views of different stores")
     mask = sender_graph.known & ~receiver_graph.known
-    receiver_graph._absorb(mask)
-    new_event = create_event(receiver_graph, sender_graph.head, payload, now)
+    new_event = _record(receiver_graph, mask, sender_graph.head, payload, now)
     return Transfer(store, mask), new_event
 
 

@@ -159,15 +159,10 @@ def reselect_coordinator(
 ) -> NodeId:
     members = table.members(committee)
     new = choose_coordinator(consensus_timestamp, members)
-    old = table.coordinators.get(committee)
+    old = table.coordinators[committee]
     table.coordinators[committee] = new
     if old != new:
-        # replicas held by the old coordinator move with the role
-        for (holder, cid) in list(state.replicas):
-            if holder == old:
-                state.replicas[(new, cid)] = state.replicas.pop((holder, cid))
-        if old is not None:
-            state.global_store.remove_member(old)
+        state.global_store.remove_member(old)
         state.global_store.add_member(new)
     return new
 

@@ -112,14 +112,13 @@ class ShardState:
         self.queues: dict[CommitteeId, CacheQueue] = {
             cid: CacheQueue() for cid in table.coordinators
         }
-        # (holder, committee) -> snapshot
-        self.replicas: dict[tuple[NodeId, CommitteeId], ReplicaSnapshot] = {}
-        self._checkpoint_seq = 0
+        # each committee's latest checkpoint; every global-committee member
+        # other than the committee's coordinator holds it
+        self.replicas: dict[CommitteeId, ReplicaSnapshot] = {}
 
 
 @dataclass
 class ReplicaSnapshot:
-    checkpoint_seq: int
     population: list[NodeId]
     events: Transfer
     consensus: list[OrderedEvent]
@@ -200,37 +199,27 @@ def replicate_checkpoint(
     table: CommitteeTable,
     committee: CommitteeId,
     source: Hashgraph,
-) -> dict[tuple[NodeId, CommitteeId], ReplicaSnapshot]:
-    """Copy ``source``, the coordinator's view of the committee's graph, to
-    every other global-committee member."""
+) -> None:
+    """Replace the committee's replica with ``source``, the coordinator's
+    view of its graph, when the global committee has a member to hold it."""
     from .hashgraph import consensus_order
 
-    snapshot = ReplicaSnapshot(
-        checkpoint_seq=state._checkpoint_seq,
-        population=list(source.population),
-        events=Transfer(source.store, source.known),
-        consensus=consensus_order(source),
-    )
-    state._checkpoint_seq += 1
-    own = table.coordinators[committee]
-    for holder in table.global_committee():
-        if holder == own:
-            continue
-        prev = state.replicas.get((holder, committee))
-        if prev is not None and len(prev.events) == len(snapshot.events):
-            continue  # nothing new since last checkpoint
-        state.replicas[(holder, committee)] = snapshot
-    return state.replicas
+    if table.num_committees > 1:
+        state.replicas[committee] = ReplicaSnapshot(
+            population=list(source.population),
+            events=Transfer(source.store, source.known),
+            consensus=consensus_order(source),
+        )
 
 
 def replica_holder_count(
     state: ShardState, table: CommitteeTable, committee: CommitteeId
 ) -> int:
-    """Holders of a complete copy: committee members plus replica holders."""
+    """Holders of a complete copy: committee members plus, once the
+    committee has a replica, the global committee."""
     holders = set(table.members(committee))
-    holders |= {
-        holder for (holder, cid) in state.replicas if cid == committee
-    }
+    if committee in state.replicas:
+        holders |= set(table.global_committee())
     return len(holders)
 
 
@@ -240,37 +229,25 @@ def recover_failed_shard(
     failed: CommitteeId,
     replacement_members: Iterable[NodeId],
 ) -> ReplicaSnapshot:
-    """Rebuild a failed committee from the freshest global-committee replica,
+    """Rebuild a failed committee from its global-committee replica,
     preserving the pre-failure consensus prefix.  Returns that replica."""
     replacements = sorted(set(replacement_members))
     if not replacements:
         raise ShardingError("no replacement members supplied")
-    candidates = [
-        snap
-        for (holder, cid), snap in state.replicas.items()
-        if cid == failed
-    ]
-    if not candidates:
+    replica = state.replicas.get(failed)
+    if replica is None:
         raise ShardingError(
             f"no replica of committee {failed} exists: unrecoverable loss"
         )
-    best = max(candidates, key=lambda s: (len(s.events), s.checkpoint_seq))
 
-    store = EventStore(best.population)
-    for ev in best.events:
+    store = EventStore(replica.population)
+    for ev in replica.events:
         store.add_event(ev)
     store.advance_consensus()
-    prefix = [
-        (o.event_id, o.round_received, o.consensus_timestamp)
-        for o in store.consensus
-    ]
-    want = [
-        (o.event_id, o.round_received, o.consensus_timestamp)
-        for o in best.consensus
-    ]
+    prefix, want = store.consensus, replica.consensus
     if prefix[: len(want)] != want and want[: len(prefix)] != prefix:
         raise ShardingError("replica replay diverged from checkpoint order")
-    for node in best.population:
+    for node in replica.population:
         store.remove_member(node)
     for node in replacements:
         store.add_member(node)
@@ -286,4 +263,4 @@ def recover_failed_shard(
     state.global_store.remove_member(old_coordinator)
     state.global_store.add_member(replacements[0])
     table.epoch += 1
-    return best
+    return replica

@@ -28,6 +28,7 @@ from typing import NamedTuple, Optional
 
 from .config import ScenarioConfig
 from .hashgraph import (
+    Event,
     Hashgraph,
     consensus_order,
     create_event,
@@ -158,7 +159,7 @@ class RunReport:
     config: dict
     metrics: MetricsReport
     comparison: list
-    consensus: dict            # committee id -> [[digest, round, ts], ...]
+    consensus: dict            # committee id -> [OrderedEvent, ...]
     order_lengths: dict        # node -> decided-prefix length of its view
     forks: dict                # committee id -> sorted fork evidence
     reorg_log: list
@@ -502,10 +503,7 @@ class Simulation:
                 "at": t,
                 "action": "fail_shard",
                 "committee": cid,
-                "pre_failure_order": [
-                    [o.event_id, o.round_received, o.consensus_timestamp]
-                    for o in store.consensus
-                ],
+                "pre_failure_order": list(store.consensus),
             }
         )
         self.sched.push(t + self.cfg.adversary_recover_delay, "recover_shard", cid)
@@ -547,10 +545,7 @@ class Simulation:
         self.recovery_log.append(
             {"at": t, "action": "recover_shard", "committee": cid,
              "replacements": replacements,
-             "checkpointed_order": [
-                 [o.event_id, o.round_received, o.consensus_timestamp]
-                 for o in replica.consensus
-             ]}
+             "checkpointed_order": list(replica.consensus)}
         )
 
     # -- churn / reconfiguration ----------------------------------------------
@@ -777,10 +772,7 @@ class Simulation:
         for cid in sorted(self.state.local_stores):
             store = self.state.local_stores[cid]
             store.advance_consensus()
-            consensus[cid] = [
-                [o.event_id, o.round_received, o.consensus_timestamp]
-                for o in store.consensus
-            ]
+            consensus[cid] = list(store.consensus)
             forks[cid] = sorted(detect_forks(_full_view(store)))
         order_lengths = {
             node: len(consensus_order(view))

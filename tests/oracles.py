@@ -4,7 +4,7 @@ These work from plain event records (creator, parents, created_at) using
 naive set/transitive-closure computations, independent of the package's
 incremental bitmask machinery.  The references further down recompute fame
 and ordering over an EventStore's own rounds and strong sight, and
-load_fixture reads the shipped fixture files back into a view.
+round_robin_fixture gossips the small DAGs the oracle tests run on.
 """
 
 from __future__ import annotations
@@ -14,54 +14,44 @@ from shardgraph.hashgraph import (
     Event,
     EventStore,
     Hashgraph,
-    HashgraphError,
+    create_event,
+    gossip_sync,
 )
 from shardgraph.transactions import Transaction
 
 
-# shipped fixture files -----------------------------------------------------
+# a gossiped oracle fixture --------------------------------------------------
 
 
-def load_fixture(text: str) -> tuple[Hashgraph, list[Event]]:
-    """A view holding every event of a fixture text (the format
-    ``shardgraph.fixtures.dump_fixture`` writes), and the events in line
-    order."""
-    population: list[int] = []
-    rows: list[tuple[int, int | None, int | None, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "population":
-            population = [int(f) for f in fields[1:]]
-            continue
-        if len(fields) != 5:
-            raise HashgraphError(f"fixture line {lineno}: expected 5 fields")
-        creator = int(fields[0])
-        sp = None if fields[1] == "-" else int(fields[1])
-        op = None if fields[2] == "-" else int(fields[2])
-        rows.append((creator, sp, op, int(fields[3]), int(fields[4])))
-    if not population:
-        raise HashgraphError("fixture missing population line")
-
-    graph = Hashgraph(EventStore(population))
-    events: list[Event] = []
-    for i, (creator, sp, op, count, at) in enumerate(rows):
-        payload = tuple(
-            Transaction(tx_id=f"fx{i}_{j}", origin=0, target=0)
-            for j in range(count)
-        )
-        ev = Event(
-            creator=creator,
-            self_parent=events[sp].digest if sp is not None else None,
-            other_parent=events[op].digest if op is not None else None,
-            payload=payload,
-            created_at=at,
-        )
-        graph.add_event(ev)
-        events.append(ev)
-    return graph, events
+def round_robin_fixture(
+    n: int = 4, events_per_node: int = 3
+) -> tuple[Hashgraph, list[Event]]:
+    """A deterministic n-node gossip schedule: a view that knows every
+    event of the resulting store, and the events in creation order."""
+    store = EventStore(range(n))
+    graphs = [Hashgraph(store, i) for i in range(n)]
+    events = [create_event(graphs[i], None, (), 0) for i in range(n)]
+    tick = 1
+    created = [1] * n
+    while min(created) < events_per_node:
+        for sender in range(n):
+            receiver = (sender + 1 + tick % (n - 1)) % n
+            if receiver == sender:
+                receiver = (receiver + 1) % n
+            if created[receiver] >= events_per_node:
+                continue
+            payload = (
+                Transaction(tx_id=f"t{tick}_{receiver}", origin=0, target=0),
+            )
+            _, ev = gossip_sync(graphs[sender], graphs[receiver], tick, payload)
+            events.append(ev)
+            created[receiver] += 1
+            tick += 1
+            if min(created) >= events_per_node:
+                break
+    full = Hashgraph(store)
+    full.known = (1 << len(store.by_index)) - 1
+    return full, events
 
 
 # brute force over plain event records --------------------------------------

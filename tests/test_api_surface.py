@@ -8,13 +8,22 @@ looked up by name).  Comments and docstrings do not count.
 
 Nor does it keep write-only state: every attribute the package assigns on
 ``self`` must be read somewhere in ``src/`` or ``perfbench/``.
+
+And every annotation of a function or method it defines names something the
+defining module can resolve.
 """
 
 import ast
+import importlib
+import inspect
 import io
+import pkgutil
 import tokenize
+import typing
 from collections import defaultdict
 from pathlib import Path
+
+import shardgraph
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "shardgraph"
@@ -118,3 +127,33 @@ def test_no_write_only_attribute():
          if name not in reads}
     )
     assert write_only == []
+
+
+def package_functions():
+    """(qualified name, function) of each function and method written in
+    the package's modules."""
+    for info in pkgutil.iter_modules(shardgraph.__path__):
+        module = importlib.import_module(f"shardgraph.{info.name}")
+        source = Path(module.__file__)
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else ()
+            for fn in (obj, *members):
+                if isinstance(fn, property):
+                    fn = fn.fget
+                elif isinstance(fn, (staticmethod, classmethod)):
+                    fn = fn.__func__
+                if (inspect.isfunction(fn)
+                        and Path(fn.__code__.co_filename) == source):
+                    yield f"{module.__name__}.{fn.__qualname__}", fn
+
+
+def test_every_annotation_resolves():
+    unresolved = []
+    for name, fn in package_functions():
+        try:
+            typing.get_type_hints(fn)
+        except Exception as exc:
+            unresolved.append(f"{name}: {exc!r}")
+    assert unresolved == []

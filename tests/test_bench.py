@@ -6,15 +6,14 @@ tests/test_bench.py --benchmark-autosave`` stores their results under
 
 import pytest
 
-from shardgraph.fixtures import round_robin_fixture
 from shardgraph.hashgraph import EventStore, Hashgraph, gossip_sync
 
-from oracles import load_fixture
+from oracles import round_robin_fixture
 
 
 @pytest.fixture(scope="module")
 def dag():
-    graph, events = load_fixture(round_robin_fixture(n=16, events_per_node=60))
+    graph, events = round_robin_fixture(n=16, events_per_node=60)
     return graph.population, events
 
 

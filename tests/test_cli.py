@@ -113,14 +113,3 @@ def test_sweep_grid(tmp_path):
 def test_sweep_empty_grid(tmp_path, capsys):
     assert run_cli("sweep", "--out", str(tmp_path), "--sweep", "s=") == 2
     assert "empty sweep" in capsys.readouterr().err
-
-
-def test_fixtures_regenerate(tmp_path):
-    from importlib import resources
-
-    assert run_cli("fixtures", "--out", str(tmp_path)) == 0
-    for name in ("fixture_4n_12ev.txt", "fixture_4n_20ev.txt"):
-        shipped = (
-            resources.files("shardgraph.data").joinpath(name).read_text()
-        )
-        assert (tmp_path / name).read_text() == shipped

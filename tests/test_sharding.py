@@ -1,5 +1,6 @@
 import pytest
 
+import shardgraph.hashgraph
 from shardgraph.hashgraph import Hashgraph, create_event, gossip_sync
 from shardgraph.sharding import (
     CommitteeTable,
@@ -191,9 +192,29 @@ def test_replicate_idempotent(small_state):
     local_event(state, table, 0, (tx(1, 0, 0),))
     source = full_view(state.local_stores[0])
     replicate_checkpoint(state, table, 0, source)
-    before = dict(state.replicas)
+    first = state.replicas[0]
+    holders = replica_holder_count(state, table, 0)
     replicate_checkpoint(state, table, 0, source)
-    assert state.replicas == before
+    assert list(state.replicas) == [0]
+    again = state.replicas[0]
+    assert again.events.mask == first.events.mask
+    assert again.consensus == first.consensus
+    assert replica_holder_count(state, table, 0) == holders
+
+
+def test_replicate_single_committee_builds_no_snapshot(monkeypatch):
+    # the lone coordinator is the whole global committee: no one else
+    # would hold a copy, so the view's order is not even computed
+    def unexpected(graph):
+        raise AssertionError("consensus_order called")
+
+    table = partition_nodes(range(4), 1, seed=0)
+    state = ShardState(table)
+    local_event(state, table, 0, ())
+    monkeypatch.setattr(shardgraph.hashgraph, "consensus_order", unexpected)
+    replicate_checkpoint(state, table, 0, full_view(state.local_stores[0]))
+    assert state.replicas == {}
+    assert replica_holder_count(state, table, 0) == 4
 
 
 # -- recovery ---------------------------------------------------------------
@@ -239,24 +260,20 @@ def test_recover_preserves_consensus_prefix():
     assert post[: len(pre)] == pre
 
 
-def test_recover_uses_longest_replica():
+def test_recover_uses_latest_checkpoint():
     table = partition_nodes(range(12), 3, seed=2)
     state = ShardState(table)
     views = build_consensus_history(state, table, 0, rounds=6)
     replicate_checkpoint(state, table, 0, full_view(state.local_stores[0]))
-    holders = [h for (h, cid) in state.replicas if cid == 0]
-    assert len(holders) == 2
-    stale = state.replicas[(holders[0], 0)]
+    first = state.replicas[0]
     members = table.members(0)
     gossip_sync(views[members[0]], views[members[1]], 99)
     replicate_checkpoint(state, table, 0, full_view(state.local_stores[0]))
-    # the first holder missed the second checkpoint
-    state.replicas[(holders[0], 0)] = stale
-    fresh = state.replicas[(holders[1], 0)]
-    assert len(fresh.events) > len(stale.events)
+    latest = state.replicas[0]
+    assert len(latest.events) == len(first.events) + 1
     used = recover_failed_shard(state, table, 0, [100, 101, 102, 103])
-    assert used is fresh
-    assert len(state.local_stores[0].by_index) == len(fresh.events)
+    assert used is latest
+    assert len(state.local_stores[0].by_index) == len(latest.events)
 
 
 def test_recover_empty_committee():

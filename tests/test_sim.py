@@ -229,6 +229,26 @@ def test_churn_with_rejoin_keeps_population():
         assert e["chosen"] == choose_join_committee(e["consensus_timestamp"], 2)
 
 
+def test_churn_rejoin_single_committee_settles_joins_at_once():
+    # with s == 1 there is no global graph to order a join request in, so
+    # the single committee takes the joiner on the request's own tick
+    cfg = ScenarioConfig(n=8, s=1, seed=3, duration=60, tx_rate=8.0,
+                         adversary_kind="churn", adversary_interval=5,
+                         adversary_rejoin=True)
+    sim = Simulation(cfg)
+    report = sim.run()
+    joins = [e for e in report.reorg_log if e["purpose"] == "join"]
+    requested = [a for a in report.action_log if a["action"] == "join_request"]
+    assert len(joins) == len(requested) == 11
+    for e in joins:
+        assert e["consensus_timestamp"] == e["at"]
+        assert e["chosen"] == 0
+    assert not [a for a in report.action_log
+                if a["action"] == "reorg_requested"]
+    sim.table.validate()
+    assert sim.active == set(sim.table.assignment)
+
+
 def test_shard_failure_recovery_preserves_checkpoint():
     cfg = ScenarioConfig(n=20, s=2, seed=6, duration=120, tx_rate=10.0,
                          checkpoint_period=2,
