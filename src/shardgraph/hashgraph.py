@@ -140,6 +140,15 @@ class EventStore:
       on w, so a tally is two popcounts.  Only ``elect_fame`` votes, and only
       on undecided witnesses, so ``_votes[w]`` is dropped once w's fame is
       decided.
+    - ``_reach[x]`` packs, for round(x) - 1 and round(x), which creators own
+      an event on a path from each witness of that round down to x.  Field p
+      (bits p*F to p*F + F - 1, F = ``_width``) holds the creator mask for
+      the witness at position p.  A child ORs its parents' reaches and sets
+      its creator's bit in every field the other parent brings; a field
+      count, forked creators and witnesses masked out, is a SWAR popcount,
+      so strong sight is a few big-int operations.  F is a power of two, at
+      least 8 and at least the member bits; when ``add_member`` outgrows it
+      F doubles, and a stored reach is re-laid when it is next read.
 
     The fast paths rely on two invariants.  Forked bits are inherited: a
     creator caught forking in a parent's ancestry stays caught, so insert
@@ -175,8 +184,15 @@ class EventStore:
         self._wpos: dict[int, int] = {}      # witness -> its position there
         self._by_digest: dict[int, list[int]] = {}
         self.max_round = 0
+        # packed witness reach: (width, round - 1 reach, round reach)
+        self._reach: list[tuple[int, int, int]] = []
+        self._wcreators: dict[int, int] = {}  # round -> packed witness creators
+        self._width = 8
+        while self._width < len(self._member_bit):
+            self._width *= 2
+        self._fields = 8                     # fields the constants cover
+        self._pack_constants()
         # fame machinery
-        self._masks: list[dict[int, int]] = []   # witness idx -> creator mask
         self._votes: dict[int, dict[int, tuple[int, int]]] = {}
         self._ss_prev: dict[int, int] = {}
         self.fame: dict[int, bool] = {}
@@ -195,6 +211,11 @@ class EventStore:
         self._member_bit[node] = len(self._member_bit)
         self.population.append(node)
         self.population.sort()
+        if len(self._member_bit) > self._width:
+            old, self._width = self._width, 2 * self._width
+            self._wcreators = {r: self._relay(v, old)
+                               for r, v in self._wcreators.items()}
+            self._pack_constants()
 
     def remove_member(self, node: NodeId) -> None:
         # Bit assignments are kept stable; only the supermajority base shrinks.
@@ -277,57 +298,109 @@ class EventStore:
         self._assign_round(idx, spi, opi)
         return idx
 
-    def _assign_round(self, idx: int, spi: Optional[int], opi: Optional[int]):
-        # every witness in a parent's masks is an ancestor of the parent, so
-        # the creator's bit joins every merged mask; the self-parent's masks
-        # hold it already
-        cbit = self._cbit[idx]
-        masks = dict(self._masks[spi]) if spi is not None else {}
-        if opi is not None:
-            for w, m in self._masks[opi].items():
-                masks[w] = masks.get(w, cbit) | m
+    def _pack_constants(self) -> None:
+        """LOW, bit 0 of each of ``_fields`` fields, and the SWAR masks for
+        the current width."""
+        f = self._width
+        full = self._full = (1 << f) - 1
+        low = self._low = ((1 << f * self._fields) - 1) // full
+        self._swar = [(k, low * (full // ((1 << 2 * k) - 1) * ((1 << k) - 1)))
+                      for k in (1 << j for j in range(f.bit_length() - 1))]
 
-        if spi is None and opi is None:
-            r = low = 1
-        else:
-            parent_rounds = [self.round[p] for p in (spi, opi) if p is not None]
-            r, low = max(parent_rounds), min(parent_rounds)
+    def _relay(self, v: int, f: int) -> int:
+        """v, packed at width f, re-laid at the store's width; fields are
+        whole bytes, so each gets zero bytes appended."""
+        fb, pad = f // 8, bytes((self._width - f) // 8)
+        raw = v.to_bytes(-(-v.bit_length() // f) * fb, "little")
+        return int.from_bytes(b"".join(
+            raw[i:i + fb] + pad for i in range(0, len(raw), fb)), "little")
+
+    def _reach_of(self, i: int) -> tuple[int, int]:
+        """Event i's (round - 1, round) reach at the store's width."""
+        f, prev, cur = self._reach[i]
+        if f != self._width:
+            prev, cur = self._relay(prev, f), self._relay(cur, f)
+            self._reach[i] = (self._width, prev, cur)
+        return prev, cur
+
+    def _present(self, v: int) -> int:
+        """LOW bits of v's nonzero fields."""
+        for k, _ in self._swar:
+            v |= v >> k
+        return v & self._low
+
+    def _seen_flags(self, v: int, q: int, forked: int, sm: int) -> int:
+        """LOW bits of the fields of round-q reach v whose witness creator
+        is not in forked and whose creators outside forked number sm."""
+        f, low = self._width, self._low
+        if forked:
+            v &= low * (self._full & ~forked)
+            caught = self._wcreators.get(q, 0) & low * forked
+            if caught:
+                v &= ~(self._present(caught) * self._full)
+        for k, mk in self._swar:
+            v = (v & mk) + ((v >> k) & mk)
+        # a field's count plus 2F - sm reaches bit log2(F) + 1 iff count >= sm
+        return (v + low * (2 * f - sm)) >> f.bit_length() & low
+
+    def _assign_round(self, idx: int, spi: Optional[int], opi: Optional[int]):
+        # a parent one round below gives its round reach as the round - 1
+        # reach; every field the self-parent brings has the creator's bit
+        # already, and the other parent's new fields get it here
+        cbit = self._cbit[idx]
+        parents = [p for p in (spi, opi) if p is not None]
+        r = max((self.round[p] for p in parents), default=1)
+        prev = cur = 0
+        for p in parents:
+            pp, pc = self._reach_of(p)
+            if self.round[p] < r:
+                pp, pc = (pc if self.round[p] == r - 1 else 0), 0
+            if p == spi:
+                prev, cur = pp, pc
+                continue
+            if pp & ~prev:
+                prev |= pp | self._present(pp) * cbit
+            if pc & ~cur:
+                cur |= pc | self._present(pc) * cbit
+        if parents:
             sm = supermajority(len(self.population))
-            if self._strongly_seen(idx, masks, r, sm).bit_count() >= sm:
+            # sm fields of sm bits need sm * sm bits
+            if cur.bit_count() >= sm * sm and self._seen_flags(
+                    cur, r, self._forked[idx], sm).bit_count() >= sm:
                 r += 1
+                prev, cur = cur, 0
         self.round.append(r)
         if spi is None or self.round[spi] < r:
-            masks[idx] = cbit
             same_round = self.witnesses_by_round.setdefault(r, [])
-            self._wpos[idx] = len(same_round)
+            pos = self._wpos[idx] = len(same_round)
             same_round.append(idx)
+            if pos == self._fields:
+                self._fields *= 2
+                self._pack_constants()
+            field = cbit << pos * self._width
+            cur |= field
+            self._wcreators[r] = self._wcreators.get(r, 0) | field
             bisect.insort(
                 self._by_digest.setdefault(r, []), idx,
                 key=lambda i: self.by_index[i].digest,
             )
         self.max_round = max(self.max_round, r)
-        # children only consult witnesses of rounds >= r - 1; a parent's
-        # masks hold none below its own round - 1
-        if low < r:
-            masks = {w: m for w, m in masks.items() if self.round[w] >= r - 1}
-        self._masks.append(masks)
+        self._reach.append((self._width, prev, cur))
 
-    def _strongly_seen(self, a: int, masks: dict[int, int], r: int,
-                       limit: Optional[int] = None) -> int:
-        """Position mask of the round-r witnesses that a strongly sees
-        through masks (a's creator masks), stopping at limit of them."""
-        forked = self._forked[a]
-        unforked, cbits = ~forked, self._cbit
-        sm = supermajority(len(self.population))
-        seen = found = 0
-        for p, w in enumerate(self.witnesses_by_round.get(r, ())):
-            m = masks.get(w)
-            if (m is not None and not forked & cbits[w]
-                    and (m & unforked).bit_count() >= sm):
-                seen |= 1 << p
-                found += 1
-                if found == limit:
-                    break
+    def _strongly_seen(self, a: int, r: int) -> int:
+        """Position mask of the round-r witnesses that a strongly sees; a's
+        reach answers only rounds round(a) - 1 and round(a)."""
+        below = self.round[a] - r
+        if below not in (0, 1):
+            return 0
+        flags = self._seen_flags(
+            self._reach_of(a)[1 - below], r, self._forked[a],
+            supermajority(len(self.population)),
+        )
+        shift = self._width.bit_length() - 1
+        seen = 0
+        for b in _set_bits(flags):
+            seen |= 1 << (b >> shift)
         return seen
 
     def units_of(self, mask: int) -> int:
@@ -342,9 +415,7 @@ class EventStore:
     def _strongly_seen_prev(self, v: int) -> int:
         ss = self._ss_prev.get(v)
         if ss is None:
-            ss = self._ss_prev[v] = self._strongly_seen(
-                v, self._masks[v], self.round[v] - 1
-            )
+            ss = self._ss_prev[v] = self._strongly_seen(v, self.round[v] - 1)
         return ss
 
     def _vote(self, v: int, w: int, votes: dict[int, tuple[int, int]]) -> None:

@@ -207,9 +207,6 @@ class Simulation:
         self.ordered_count: dict[str, int] = {}
         self.consensus_ptr: dict = {cid: 0 for cid in self.table.coordinators}
         self.global_ptr = 0
-        self.coord_turn: dict[int, int] = {
-            cid: 0 for cid in self.table.coordinators
-        }
         self.reorg: dict[int, dict] = {}
         self.reorg_log: list = []
         self.action_log: list = []
@@ -296,14 +293,11 @@ class Simulation:
         self.sched.push(t + 1, "tx_inject")
 
     def _h_gossip_initiate(self, t, _subject):
+        # every active coordinator is on global duty on odd gossip rounds, so
+        # they all meet there however long any of them was down
         global_duty = set()
-        for cid in sorted(self.coord_turn):
-            coord = self.table.coordinators.get(cid)
-            if coord is None or coord not in self.active:
-                continue
-            if self.cfg.s > 1 and self.coord_turn[cid] % 2 == 1:
-                global_duty.add(coord)
-            self.coord_turn[cid] += 1
+        if self.cfg.s > 1 and (t // self.cfg.sync_interval) % 2 == 1:
+            global_duty = set(self.table.coordinators.values()) & self.active
         for cid in sorted(self.table.coordinators):
             ring = [
                 m

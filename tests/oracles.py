@@ -92,12 +92,10 @@ class BruteGraph:
         return out
 
     def strongly_sees(self, a: str, b: str) -> bool:
-        creators = set()
-        for mid in self.events:
-            if self.is_ancestor(a, mid.digest) and self.is_ancestor(
-                mid.digest, b
-            ):
-                creators.add(mid.creator)
+        """The creators of the events on a path from b up to a reach a
+        supermajority; those events are a's ancestors that descend from b."""
+        creators = {self.by_id[mid].creator for mid in self.anc[a]
+                    if self.is_ancestor(mid, b)}
         return len(creators) >= sm(len(self.population))
 
     # rounds ---------------------------------------------------------------
@@ -267,7 +265,7 @@ def witness_flags(store):
 def strongly_seen(store, a, r):
     """The round-r witnesses a strongly sees, in witnesses_by_round order,
     read off the store's _strongly_seen position mask."""
-    seen = store._strongly_seen(a, store._masks[a], r)
+    seen = store._strongly_seen(a, r)
     return [w for p, w in enumerate(store.witnesses_by_round.get(r, ()))
             if seen >> p & 1]
 

@@ -4,6 +4,8 @@ round each, so they stay cheap in the regular suite; ``pytest
 tests/test_bench.py --benchmark-autosave`` stores their results under
 ``.benchmarks/``."""
 
+import tracemalloc
+
 import pytest
 
 from shardgraph.hashgraph import EventStore, Hashgraph, gossip_sync
@@ -22,6 +24,20 @@ def filled_store(population, events):
     for ev in events:
         store.add_event(ev)
     return store
+
+
+@pytest.mark.parametrize("n, per_node", [(16, 60), (32, 30)])
+def test_store_bytes_per_event(n, per_node):
+    # the memory a store allocates to index and annotate events it is given
+    graph, events = round_robin_fixture(n, per_node)
+    tracemalloc.start()
+    try:
+        store = filled_store(graph.population, events)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(store.by_index) == len(events)
+    assert held / len(events) < 1024
 
 
 def test_bench_add_event(benchmark, dag):

@@ -23,6 +23,7 @@ from oracles import (
     BruteGraph,
     ReferenceFame,
     reference_consensus,
+    strongly_seen,
     witness_flags,
 )
 
@@ -47,19 +48,28 @@ def equivocate(views, node, peers, t, sync=gossip_sync):
     return alt
 
 
-def gossip_dag(seed, steps=250, fork_p=0.3, sync=gossip_sync):
-    """A random gossip schedule on one store of 4-7 members; member 0 (and
-    member 1 too from 7 members, which keeps a supermajority honest)
-    equivocates with probability fork_p when it is picked to send.  Each
-    sync carries one transaction of 1-7 units; sync replaces gossip_sync."""
+def gossip_dag(seed, steps=250, fork_p=0.3, sync=gossip_sync, n=None,
+               joins=0):
+    """A random gossip schedule on one store of n members, 4-7 by default;
+    member 0 (and member 1 too from 7 members, which keeps a supermajority
+    honest) equivocates with probability fork_p when it is picked to send.
+    Each sync carries one transaction of 1-7 units; sync replaces
+    gossip_sync.  Halfway through, joins more members join with a genesis
+    event each."""
     rng = random.Random(seed)
-    n = 4 + seed % 4
+    n = 4 + seed % 4 if n is None else n
     forkers = (0, 1) if n >= 7 else (0,)
     store = EventStore(range(n))
     views = [Hashgraph(store, i) for i in range(n)]
     for i in range(n):
         create_event(views[i], None, (), 0)
     for t in range(1, steps):
+        if joins and t == steps // 2:
+            for i in range(n, n + joins):
+                store.add_member(i)
+                views.append(Hashgraph(store, i))
+                create_event(views[i], None, (), t)
+            n += joins
         s = rng.randrange(n)
         if s in forkers and rng.random() < fork_p:
             equivocate(views, s, rng.sample([m for m in range(n) if m != s], 2),
@@ -180,6 +190,54 @@ def test_rounds_and_witnesses_match_brute_force(seed):
     assert store.round == rounds
     assert witness_flags(store) == witness
     assert store.max_round >= 4
+
+
+def strong_sight(store):
+    """Every event's strongly_seen answer toward every round."""
+    return [[strongly_seen(store, a, r)
+             for r in range(1, store.max_round + 1)]
+            for a in range(len(store.by_index))]
+
+
+@pytest.mark.parametrize("n, steps, width", [(7, 250, 8), (31, 600, 32)])
+def test_strong_sight_survives_widening(n, steps, width):
+    # three members past the field width double it; once they leave, the
+    # supermajority is as before, so every re-laid reach must answer alike
+    store, _ = gossip_dag(3, steps=steps, n=n)
+    assert store._branch_pairs and store._width == width
+    before = strong_sight(store)
+    for m in range(n, n + 3):
+        store.add_member(m)
+    assert store._width == 2 * width
+    for m in range(n, n + 3):
+        store.remove_member(m)
+    assert store.population == list(range(n))
+    assert strong_sight(store) == before
+    assert sum(len(seen) for row in before for seen in row) > n
+
+
+@pytest.mark.parametrize("n, steps, pairs_found",
+                         [(7, 250, (4362, 1619)), (31, 600, (33316, 11749))])
+def test_strong_sight_after_midway_joins_matches_brute_force(n, steps,
+                                                             pairs_found):
+    # three members join halfway, past the field width: reaches stored
+    # before are re-laid when read.  Brute strong sight ignores forks, so
+    # the schedule has none.
+    store, _ = gossip_dag(3, steps=steps, fork_p=0, n=n, joins=3)
+    assert store._width > n + 1 and not store._branch_pairs
+    o = BruteGraph(store.population, store.by_index)
+    pairs = found = 0
+    for a, ev in enumerate(store.by_index):
+        for r in (store.round[a] - 1, store.round[a]):
+            seen = strongly_seen(store, a, r)
+            found += len(seen)
+            for w in store.witnesses_by_round.get(r, ()):
+                pairs += 1
+                b = store.by_index[w].digest
+                assert (w in seen) == (o.is_ancestor(ev.digest, b)
+                                       and o.strongly_sees(ev.digest, b))
+    assert (pairs, found) == pairs_found
+    assert any(store.by_index[w].creator >= n for w in store._wpos)
 
 
 def check_fame_against_reference(built):

@@ -282,17 +282,15 @@ def test_strongly_sees_matches_brute_force(fixture_graph, big_fixture_graph):
 
 
 def test_strongly_sees_outside_domain_rejected():
-    # a's creator masks hold only witnesses of round(a) - 1 or later, so
-    # strong sight toward an older witness, or toward a non-witness, is
-    # never answered, though brute force finds such pairs strongly seen
+    # a's reach covers only round(a) - 1 and round(a), so strong sight
+    # toward an older witness is never answered, though brute force finds
+    # such pairs strongly seen
     graph, _ = round_robin_fixture(4, 8)
     store = graph.store
     o = brute(graph)
     late = max(range(len(store.by_index)), key=store.round.__getitem__)
     r = store.round[late]
     assert r >= 3
-    assert all(w in store._wpos and store.round[w] >= r - 1
-               for w in store._masks[late])
     old = [w for w in store.witnesses_by_round[r - 2]
            if o.strongly_sees(store.by_index[late].digest,
                               store.by_index[w].digest)]

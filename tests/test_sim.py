@@ -249,13 +249,17 @@ def test_churn_rejoin_single_committee_settles_joins_at_once():
     assert sim.active == set(sim.table.assignment)
 
 
+def shard_failure_cfg():
+    # committee 1 is down for 15 gossip rounds, an odd number
+    return ScenarioConfig(n=20, s=2, seed=6, duration=120, tx_rate=10.0,
+                          checkpoint_period=2,
+                          adversary_kind="shard_failure",
+                          adversary_committee=1,
+                          adversary_fail_at=60, adversary_recover_delay=15)
+
+
 def test_shard_failure_recovery_preserves_checkpoint():
-    cfg = ScenarioConfig(n=20, s=2, seed=6, duration=120, tx_rate=10.0,
-                         checkpoint_period=2,
-                         adversary_kind="shard_failure",
-                         adversary_committee=1,
-                         adversary_fail_at=60, adversary_recover_delay=15)
-    sim = Simulation(cfg)
+    sim = Simulation(shard_failure_cfg())
     report = sim.run()
     assert not report.anomalies
     rec = next(e for e in report.recovery_log if e["action"] == "recover_shard")
@@ -265,6 +269,22 @@ def test_shard_failure_recovery_preserves_checkpoint():
     assert post[: len(ckpt)] == ckpt
     assert len(post) > len(ckpt)  # the revived committee keeps ordering
     sim.table.validate()
+
+
+def test_replacement_coordinator_gossips_globally_after_recovery():
+    # coordinators share their global-duty rounds however long a committee
+    # was down, so the replacement coordinator joins the global graph and
+    # checkpoints continue after the recovery
+    sim = Simulation(shard_failure_cfg())
+    report = sim.run()
+    rec = next(e for e in report.recovery_log if e["action"] == "recover_shard")
+    coord = sim.table.coordinators[1]
+    assert coord in rec["replacements"]
+    assert any(e.creator == coord and e.created_at > rec["at"]
+               for e in sim.state.global_store.by_index)
+    checkpoints = [a["at"] for a in report.action_log
+                   if a["action"] == "checkpoint"]
+    assert checkpoints[-1] > rec["at"] + 30
 
 
 def test_churn_epoch_counts_applied_reorgs_only():
