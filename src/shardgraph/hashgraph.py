@@ -139,7 +139,19 @@ class EventStore:
       sees, and ``_votes[w][d]`` the ``(voted, yes)`` pair of round-d voters
       on w, so a tally is two popcounts.  Only ``elect_fame`` votes, and only
       on undecided witnesses, so ``_votes[w]`` is dropped once w's fame is
-      decided.
+      decided.  A vote is cast once per (voter, witness) pair and every pass
+      leaves each voting round of an undecided witness fully voted, so the
+      first-round voted mask is a prefix of positions whose bit length is
+      the cursor to the next voter, a full round is skipped, and a poll with
+      no witness inserted since the last (``_fame_polled``) returns at once.
+    - ``_view_limits[r]`` caches, for finalized round r, its witness count,
+      a mask of its undecided witnesses, its highest decider index and its
+      deciders grouped with the witnesses each decided, so
+      ``view_finalized_round`` checks a round in a few big-int operations,
+      and a round whose deciders all lie below the view's lowest missing
+      event in one comparison.  Fame in a finalized round never changes and
+      a witness that lands there later stays undecided, so the count is an
+      exact key.
     - ``_reach[x]`` packs, for round(x) - 1 and round(x), which creators own
       an event on a path from each witness of that round down to x.  Field p
       (bits p*F to p*F + F - 1, F = ``_width``) holds the creator mask for
@@ -198,10 +210,15 @@ class EventStore:
         self.fame: dict[int, bool] = {}
         self.fame_decider: dict[int, int] = {}
         self._first_undecided_round = 1
+        self._fame_polled = 0                # witnesses at the last poll
         # total ordering
         self.consensus: list[OrderedEvent] = []
         self._emitted = 0                    # bitmask of ordered events
         self.finalized_round = 0
+        # finalized round -> (witnesses, undecided mask, last decider,
+        # (decider bit, mask of the witnesses it decided) pairs)
+        self._view_limits: dict[
+            int, tuple[int, int, int, list[tuple[int, int]]]] = {}
 
     # -- membership ---------------------------------------------------------
 
@@ -444,6 +461,10 @@ class EventStore:
 
     def elect_fame(self) -> None:
         """Decide witness fame where decidable; decisions are final."""
+        if self._fame_polled == len(self._wpos):
+            # no new witness, so no (voter, witness) pair left to vote on
+            return
+        self._fame_polled = len(self._wpos)
         anc, forked, wpos = self._anc, self._forked, self._wpos
         for r in range(self._first_undecided_round, self.max_round + 1):
             for w in self._by_digest.get(r, ()):
@@ -453,18 +474,21 @@ class EventStore:
                 if r < self.max_round:
                     # a round r + 1 witness votes yes iff it sees w: w is
                     # its ancestor and w's creator is not caught forking.
-                    # First-round votes never decide fame.
+                    # First-round votes never decide fame, and every pass
+                    # leaves a full prefix voted, so only the witnesses
+                    # appended since vote.
                     voted, yes = votes.get(r + 1, (0, 0))
+                    voters = self.witnesses_by_round[r + 1]
                     cw = self._cbit[w]
-                    for v in self._by_digest[r + 1]:
-                        bit = 1 << wpos[v]
-                        if not voted & bit:
-                            voted |= bit
-                            if anc[v] >> w & 1 and not forked[v] & cw:
-                                yes |= bit
-                    votes[r + 1] = (voted, yes)
+                    for p in range(voted.bit_length(), len(voters)):
+                        v = voters[p]
+                        if anc[v] >> w & 1 and not forked[v] & cw:
+                            yes |= 1 << p
+                    votes[r + 1] = ((1 << len(voters)) - 1, yes)
                 for d in range(r + 2, self.max_round + 1):
                     voted = votes.get(d, (0, 0))[0]
+                    if voted.bit_count() == len(self.witnesses_by_round[d]):
+                        continue
                     for v in self._by_digest.get(d, ()):
                         if not voted >> wpos[v] & 1:
                             self._vote(v, w, votes)
@@ -534,20 +558,35 @@ class EventStore:
             r += 1
 
     def view_finalized_round(self, known: int) -> int:
-        """Largest finalized round fully decidable inside a node's view."""
-        r = 0
-        while r < self.finalized_round:
-            nxt = r + 1
-            for w in self.witnesses_by_round.get(nxt, ()):
-                if not (known >> w) & 1:
-                    continue
-                decider = self.fame_decider.get(w)
-                if w not in self.fame or (
-                    decider is not None and not (known >> decider) & 1
-                ):
-                    return r
-            r = nxt
-        return r
+        """Largest finalized round fully decidable inside a node's view: every
+        witness the view knows up to it is decided, by a decider it knows."""
+        # the view knows every event below its lowest missing index
+        low = (~known & known + 1).bit_length() - 1
+        for r in range(1, self.finalized_round + 1):
+            witnesses = self.witnesses_by_round[r]
+            limit = self._view_limits.get(r)
+            if limit is None or limit[0] != len(witnesses):
+                # fame in a finalized round never changes, and a witness
+                # that lands in it later stays undecided: a new witness is
+                # the only change, so the count keys the entry.  The masks
+                # are built from the round's first witness up, then shifted
+                # once.
+                lo, undecided, by_decider = witnesses[0], 0, {}
+                for w in witnesses:
+                    if w not in self.fame:
+                        undecided |= 1 << w - lo
+                    elif w in self.fame_decider:
+                        d = self.fame_decider[w]
+                        by_decider[d] = by_decider.get(d, 0) | 1 << w - lo
+                limit = self._view_limits[r] = (
+                    len(witnesses), undecided << lo,
+                    max(by_decider, default=-1),
+                    [(1 << d, ws << lo) for d, ws in by_decider.items()])
+            _, undecided, last_decider, groups = limit
+            if known & undecided or last_decider >= low and any(
+                    known & ws and not known & d for d, ws in groups):
+                return r - 1
+        return self.finalized_round
 
 
 class Transfer:
@@ -678,14 +717,18 @@ def gossip_sync(
 
 def consensus_order(graph: Hashgraph) -> list[OrderedEvent]:
     """The view's total order: the canonical order truncated at the last
-    round this view can fully decide."""
+    round this view can fully decide.  The canonical order is appended round
+    by round, so the view's order is the prefix a bisect on round_received
+    finds."""
     store = graph.store
     store.advance_consensus()
     full = graph.known.bit_count() == len(store.by_index)
     if full:
         return list(store.consensus)
     limit = store.view_finalized_round(graph.known)
-    return [oe for oe in store.consensus if oe.round_received <= limit]
+    end = bisect.bisect_right(store.consensus, limit,
+                              key=lambda oe: oe.round_received)
+    return store.consensus[:end]
 
 
 def detect_forks(graph: Hashgraph) -> set[tuple[NodeId, EventId, EventId]]:

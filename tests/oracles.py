@@ -2,9 +2,10 @@
 
 These work from plain event records (creator, parents, created_at) using
 naive set/transitive-closure computations, independent of the package's
-incremental bitmask machinery.  The references further down recompute fame
-and ordering over an EventStore's own rounds and strong sight, and
-round_robin_fixture gossips the small DAGs the oracle tests run on.
+incremental bitmask machinery.  The references further down recompute fame,
+ordering and a view's finalized round over an EventStore's own rounds,
+strong sight and fame, and round_robin_fixture gossips the small DAGs the
+oracle tests run on.
 """
 
 from __future__ import annotations
@@ -355,6 +356,25 @@ def median_timestamp(store, x, famous):
         stamps.append(earliest.created_at)
     stamps.sort()
     return stamps[(len(stamps) - 1) // 2]
+
+
+def reference_view_finalized_round(store, known):
+    """store.view_finalized_round(known) as a rescan from round 1: the
+    rounds up to the first finalized round with a witness the view knows
+    that is undecided, or decided by a witness the view does not know."""
+    r = 0
+    while r < store.finalized_round:
+        nxt = r + 1
+        for w in store.witnesses_by_round.get(nxt, ()):
+            if not (known >> w) & 1:
+                continue
+            decider = store.fame_decider.get(w)
+            if w not in store.fame or (
+                decider is not None and not (known >> decider) & 1
+            ):
+                return r
+        r = nxt
+    return r
 
 
 def reference_consensus(store):

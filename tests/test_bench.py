@@ -1,14 +1,19 @@
-"""Micro-benchmarks of the hashgraph engine's insert, fame, ordering and
-gossip paths on a synthetic 16-member round-robin DAG (960 events).  One timed
-round each, so they stay cheap in the regular suite; ``pytest
-tests/test_bench.py --benchmark-autosave`` stores their results under
-``.benchmarks/``."""
+"""Micro-benchmarks of the hashgraph engine's insert, fame, ordering,
+partial-view ordering and gossip paths on a synthetic 16-member round-robin
+DAG (960 events).  One timed round each, so they stay cheap in the regular
+suite; ``pytest tests/test_bench.py --benchmark-autosave`` stores their
+results under ``.benchmarks/``."""
 
 import tracemalloc
 
 import pytest
 
-from shardgraph.hashgraph import EventStore, Hashgraph, gossip_sync
+from shardgraph.hashgraph import (
+    EventStore,
+    Hashgraph,
+    consensus_order,
+    gossip_sync,
+)
 
 from oracles import round_robin_fixture
 
@@ -70,6 +75,32 @@ def test_bench_elect_fame(benchmark, dag):
     )
     assert len(store.fame) > len(dag[0]) * 8
     assert not store._votes.keys() & store.fame.keys()
+
+
+def test_bench_consensus_order(benchmark, dag):
+    # each member's view holds what its own last event reaches, so it
+    # lacks what the others created after; ordering it takes the view's
+    # finalized round and a prefix of the store's order
+    population, events = dag
+
+    def setup():
+        store = filled_store(*dag)
+        store.advance_consensus()
+        views = []
+        for m in population:
+            view = Hashgraph(store, m)
+            view.known = store._anc[store._cmask[m].bit_length() - 1]
+            views.append(view)
+        return (views,), {}
+
+    def order(views):
+        return views, [consensus_order(view) for view in views]
+
+    views, orders = benchmark.pedantic(order, setup=setup, rounds=1,
+                                       iterations=1)
+    full = views[0].store.consensus
+    assert all(got == full[:len(got)] for got in orders)
+    assert 0 < min(map(len, orders)) < len(full)
 
 
 def test_bench_gossip_sync(benchmark, dag):

@@ -10,6 +10,7 @@ import pytest
 from shardgraph.hashgraph import (
     EventStore,
     Hashgraph,
+    consensus_order,
     create_event,
     detect_forks,
     gossip_sync,
@@ -23,6 +24,7 @@ from oracles import (
     BruteGraph,
     ReferenceFame,
     reference_consensus,
+    reference_view_finalized_round,
     strongly_seen,
     witness_flags,
 )
@@ -49,13 +51,13 @@ def equivocate(views, node, peers, t, sync=gossip_sync):
 
 
 def gossip_dag(seed, steps=250, fork_p=0.3, sync=gossip_sync, n=None,
-               joins=0):
+               joins=0, poll=None):
     """A random gossip schedule on one store of n members, 4-7 by default;
     member 0 (and member 1 too from 7 members, which keeps a supermajority
     honest) equivocates with probability fork_p when it is picked to send.
     Each sync carries one transaction of 1-7 units; sync replaces
     gossip_sync.  Halfway through, joins more members join with a genesis
-    event each."""
+    event each.  poll(t, views), if given, runs after every step t."""
     rng = random.Random(seed)
     n = 4 + seed % 4 if n is None else n
     forkers = (0, 1) if n >= 7 else (0,)
@@ -74,11 +76,13 @@ def gossip_dag(seed, steps=250, fork_p=0.3, sync=gossip_sync, n=None,
         if s in forkers and rng.random() < fork_p:
             equivocate(views, s, rng.sample([m for m in range(n) if m != s], 2),
                        t, sync)
-            continue
-        r = (s + rng.randrange(1, n)) % n
-        payload = (Transaction(tx_id=f"t{t}", origin=0, target=0,
-                               size_units=1 + t % 7),)
-        sync(views[s], views[r], t, payload)
+        else:
+            r = (s + rng.randrange(1, n)) % n
+            payload = (Transaction(tx_id=f"t{t}", origin=0, target=0,
+                                   size_units=1 + t % 7),)
+            sync(views[s], views[r], t, payload)
+        if poll is not None:
+            poll(t, views)
     return store, views
 
 
@@ -240,23 +244,35 @@ def test_strong_sight_after_midway_joins_matches_brute_force(n, steps,
     assert any(store.by_index[w].creator >= n for w in store._wpos)
 
 
-def check_fame_against_reference(built):
+def check_fame_against_reference(built, remove=None):
     """Replay built's events into a fresh store and compare fame with the
     tuple-keyed reference.  fame_decider depends on which voters exist when
     votes are cast, so both sides vote on the same schedule, every 7
-    inserts."""
+    inserts.  Each poll is made twice in a row, and the second, with no new
+    witness, must cast no vote; with remove, that member leaves at a poll
+    halfway through and both sides poll again before the next insert."""
     store = EventStore(built.population)
     ref = ReferenceFame(store)
+
+    def poll():
+        store.elect_fame()
+        ref.elect_fame()
+        assert store.fame == ref.fame
+        assert store.fame_decider == ref.fame_decider
+        undecided = {w for ws in store.witnesses_by_round.values()
+                     for w in ws if w not in store.fame}
+        assert store._votes.keys() <= undecided
+        return {w: dict(votes) for w, votes in store._votes.items()}
+
+    half = len(built.by_index) // 14 * 7
     for i, ev in enumerate(built.by_index, 1):
         store.add_event(ev)
         if i % 7 == 0 or i == len(built.by_index):
-            store.elect_fame()
-            ref.elect_fame()
-            assert store.fame == ref.fame
-            assert store.fame_decider == ref.fame_decider
-            undecided = {w for ws in store.witnesses_by_round.values()
-                         for w in ws if w not in store.fame}
-            assert store._votes.keys() <= undecided
+            votes = poll()
+            assert poll() == votes
+            if remove is not None and i == half:
+                store.remove_member(remove)
+                assert poll() == votes
     assert len(store.fame) > len(store.population)
     assert store._votes
 
@@ -264,6 +280,14 @@ def check_fame_against_reference(built):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fame_matches_tuple_keyed_reference(seed):
     check_fame_against_reference(gossip_dag(seed)[0])
+
+
+@pytest.mark.parametrize("seed", SEEDS[:4])
+def test_fame_after_member_leaves_matches_reference(seed):
+    # the last member leaves halfway, so every later vote and round is
+    # counted against a smaller supermajority on both sides
+    built = gossip_dag(seed)[0]
+    check_fame_against_reference(built, remove=built.population[-1])
 
 
 def test_fame_matches_reference_on_simulated_equivocators():
@@ -287,6 +311,97 @@ def test_consensus_matches_per_event_median_search(seed):
     store.advance_consensus()
     assert store.finalized_round >= 2 and store.consensus
     assert [tuple(oe) for oe in store.consensus] == reference_consensus(store)
+
+
+def check_view_limits(store, views):
+    """Each view's finalized round against the rescan from round 1, and its
+    consensus_order against the canonical order cut at that round (all of
+    it for a view that knows every event); returns the rounds."""
+    limits = []
+    for view in views:
+        order = consensus_order(view)
+        limit = store.view_finalized_round(view.known)
+        assert limit == reference_view_finalized_round(store, view.known)
+        if view.known.bit_count() == len(store.by_index):
+            assert order == store.consensus
+        else:
+            assert order == [oe for oe in store.consensus
+                             if oe.round_received <= limit]
+        limits.append(limit)
+    return limits
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_view_limits_match_rescan(seed):
+    # every member's view, polled every 20 steps while the store grows.  On
+    # seeds 1 and 5 two members join halfway: their genesis events land in
+    # finalized round 1 and stay undecided, so a view that learns one drops
+    # to round 0
+    polls = []
+
+    def poll(t, views):
+        if t % 20 == 0:
+            limits = check_view_limits(views[0].store, views)
+            polls.append((views[0].store.finalized_round, limits))
+
+    store, views = gossip_dag(seed, joins=2 * (seed % 4 == 1), poll=poll)
+    limits = check_view_limits(store, views)
+    polls.append((store.finalized_round, limits))
+    assert store._branch_pairs
+    # some views reach the store's finalized round and some stop short
+    assert any(0 < limit == final for final, ls in polls for limit in ls)
+    assert any(limit < final for final, ls in polls for limit in ls)
+
+
+def test_late_witness_in_finalized_round_stays_undecided():
+    # members 0-3 of 5 are a supermajority and gossip without member 4.  A
+    # stale copy of member 0's view, taken when its head was a round-2
+    # witness, later syncs to member 4, whose record event lands as a
+    # witness in an already finalized round and is never voted on
+    store = EventStore(range(5))
+    views = [Hashgraph(store, i) for i in range(5)]
+    for i in range(5):
+        create_event(views[i], None, (), 0)
+    rng = random.Random(5)
+    stale = None
+
+    def gossip(steps):
+        nonlocal stale
+        for _ in range(steps):
+            s, r = rng.sample(range(4), 2)
+            gossip_sync(views[s], views[r], len(store.by_index))
+            if stale is None and store.round[store.index[views[0].head]] == 2:
+                stale = Hashgraph(store, 0)
+                stale.known, stale.head = views[0].known, views[0].head
+
+    def limits():
+        full = (1 << len(store.by_index)) - 1
+        got = [store.view_finalized_round(known)
+               for known in (full, full & ~(1 << late))]
+        assert got == [reference_view_finalized_round(store, known)
+                       for known in (full, full & ~(1 << late))]
+        return got
+
+    gossip(140)
+    store.advance_consensus()
+    assert stale is not None and store.finalized_round >= 3
+    # a poll before the late witness fills every finalized round's entry
+    full = (1 << len(store.by_index)) - 1
+    assert store.view_finalized_round(full) == store.finalized_round
+    gossip_sync(stale, views[4], len(store.by_index))
+    late = store.index[views[4].head]
+    r = store.round[late]
+    assert late in store._wpos and 2 <= r <= store.finalized_round
+    store.advance_consensus()
+    # a view that knows the witness stops below its round; one that does
+    # not keeps every finalized round
+    assert late not in store.fame
+    assert limits() == [r - 1, store.finalized_round]
+    finalized = store.finalized_round
+    gossip(60)
+    store.advance_consensus()
+    assert store.finalized_round > finalized and late not in store.fame
+    assert limits() == [r - 1, store.finalized_round]
 
 
 def known_events_of(store, view, creator):
