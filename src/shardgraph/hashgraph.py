@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -45,13 +45,15 @@ def supermajority(member_count: int) -> int:
     return (2 * member_count) // 3 + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     creator: NodeId
     self_parent: Optional[EventId]
     other_parent: Optional[EventId]
     payload: tuple[Transaction, ...]
     created_at: int
+    _digest: EventId = field(init=False, repr=False, compare=False)
+    _units: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_digest", _digest_of(self))
@@ -61,29 +63,34 @@ class Event:
 
     @property
     def digest(self) -> EventId:
-        return self._digest  # type: ignore[attr-defined]
+        return self._digest
 
     @property
     def units(self) -> int:
         """Payload size: the sum of the transactions' size units."""
-        return self._units  # type: ignore[attr-defined]
+        return self._units
 
 
-def _blob(b: bytes) -> bytes:
-    return len(b).to_bytes(4, "big") + b
+_LEN4, _LEN8 = (4).to_bytes(4, "big"), (8).to_bytes(4, "big")
 
 
 def canonical_bytes(event: Event) -> bytes:
-    """Canonical serialization: fixed field order, length-prefixed."""
+    """Canonical serialization: fixed field order, each field prefixed by
+    its byte length (4 bytes, big-endian): creator, self-parent and
+    other-parent digests (empty for none), the transaction count, each
+    transaction id in UTF-8, created_at."""
+    sp = bytes.fromhex(event.self_parent) if event.self_parent else b""
+    op = bytes.fromhex(event.other_parent) if event.other_parent else b""
     parts = [
-        _blob(event.creator.to_bytes(8, "big", signed=True)),
-        _blob(bytes.fromhex(event.self_parent) if event.self_parent else b""),
-        _blob(bytes.fromhex(event.other_parent) if event.other_parent else b""),
-        _blob(len(event.payload).to_bytes(4, "big")),
+        _LEN8, event.creator.to_bytes(8, "big", signed=True),
+        len(sp).to_bytes(4, "big"), sp,
+        len(op).to_bytes(4, "big"), op,
+        _LEN4, len(event.payload).to_bytes(4, "big"),
     ]
     for tx in event.payload:
-        parts.append(_blob(tx.tx_id.encode()))
-    parts.append(_blob(event.created_at.to_bytes(8, "big", signed=True)))
+        raw = tx.tx_id.encode()
+        parts += (len(raw).to_bytes(4, "big"), raw)
+    parts += (_LEN8, event.created_at.to_bytes(8, "big", signed=True))
     return b"".join(parts)
 
 
@@ -647,12 +654,6 @@ class Hashgraph:
                 head = store.by_index[i].digest
         return head
 
-    def add_event(self, event: Event) -> Event:
-        bit = 1 << self.store.add_event(event)
-        self.head = self._head_after(bit)
-        self.known |= bit
-        return event
-
 
 def create_event(
     graph: Hashgraph,
@@ -676,10 +677,12 @@ def _record(
     now: int,
 ) -> Event:
     """The owner's next event, chained onto the head the view has once it
-    learns the events in ``learned``.  The view learns them only after the
-    store accepts the event, so a rejected event leaves the view as it
+    learns the events in ``learned``, becomes the view's head: it is past
+    every owner event the view then knows.  The view learns them only after
+    the store accepts the event, so a rejected event leaves the view as it
     was."""
-    if graph.owner not in graph.store._member_bit:
+    store = graph.store
+    if graph.owner not in store._member_bit:
         raise HashgraphError(f"view owner {graph.owner} is not a member")
     event = Event(
         creator=graph.owner,
@@ -688,9 +691,8 @@ def _record(
         payload=tuple(payload),
         created_at=now,
     )
-    graph.add_event(event)
-    # no owner event in learned is past the new event's self-parent
-    graph.known |= learned
+    graph.known |= learned | 1 << store.add_event(event)
+    graph.head = event.digest
     return event
 
 

@@ -21,10 +21,11 @@ import csv
 import heapq
 import json
 import math
+import os
 import random
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, TextIO
 
 from .config import ScenarioConfig
 from .hashgraph import (
@@ -176,8 +177,13 @@ class RunReport:
         out["metrics"]["empty_event_fraction"] = m.empty_event_fraction
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+    def dump(self, fh: TextIO) -> None:
+        """Stream the report as indented JSON with sorted keys, and a
+        final newline, into the open text file fh, chunk by chunk, so the
+        whole text is never held in memory.  ``write_report`` streams it
+        into a temporary file that then atomically replaces report.json."""
+        json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 class Simulation:
@@ -817,9 +823,19 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
 
 
 def write_report(report: RunReport, outdir) -> None:
+    """Write report.json and the per-node, formula and cross-latency CSV
+    tables into outdir.  The report is streamed into a temporary file in
+    outdir that then atomically replaces report.json, so a write that
+    fails raises and leaves report.json as it was, never partial."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
+    tmp = out / "report.json.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            report.dump(fh)
+        os.replace(tmp, out / "report.json")
+    finally:
+        tmp.unlink(missing_ok=True)
     m = report.metrics
     with open(out / "per_node_metrics.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)

@@ -14,7 +14,7 @@ KIND_INTRA_REORG = "intra_reorg"
 KIND_RESELECT = "reselect"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """A payload unit tagged with origin/target committee.
 

@@ -5,10 +5,13 @@ naive set/transitive-closure computations, independent of the package's
 incremental bitmask machinery.  The references further down recompute fame,
 ordering and a view's finalized round over an EventStore's own rounds,
 strong sight and fame, and round_robin_fixture gossips the small DAGs the
-oracle tests run on.
+oracle tests run on.  insert and add_for grow a DAG on a view by hand, and
+report_text serializes a report the way write_report does.
 """
 
 from __future__ import annotations
+
+import io
 
 from shardgraph.hashgraph import (
     COIN_PERIOD,
@@ -53,6 +56,16 @@ def round_robin_fixture(
     full = Hashgraph(store)
     full.known = (1 << len(store.by_index)) - 1
     return full, events
+
+
+# a report's text -----------------------------------------------------------
+
+
+def report_text(report):
+    """The report's JSON text, as RunReport.dump streams it."""
+    buf = io.StringIO()
+    report.dump(buf)
+    return buf.getvalue()
 
 
 # brute force over plain event records --------------------------------------
@@ -246,12 +259,22 @@ def head_of(graph, creator):
     return store.by_index[max(known, key=store._seq.__getitem__)].digest
 
 
+def insert(graph, event):
+    """Insert a built event into graph's store and view.  The view's head
+    moves as a sync would move it: to the event if it is the owner's and
+    at least as far along the owner's chain as the head."""
+    bit = 1 << graph.store.add_event(event)
+    graph.head = graph._head_after(bit)
+    graph.known |= bit
+    return event
+
+
 def add_for(graph, creator, other_parent=None, payload=(), now=0):
     """Add an event by any creator to graph, chained onto head_of(graph,
     creator).  create_event only appends the view owner's events; tests
     that grow a DAG for several creators on one view use this instead."""
-    return graph.add_event(Event(creator, head_of(graph, creator),
-                                 other_parent, tuple(payload), now))
+    return insert(graph, Event(creator, head_of(graph, creator),
+                               other_parent, tuple(payload), now))
 
 
 def witness_flags(store):

@@ -20,6 +20,7 @@ from shardgraph.simulation import Simulation, run_scenario
 
 from oracles import (
     BruteGraph,
+    report_text,
     round_robin_fixture,
     strongly_seen,
     witness_flags,
@@ -273,7 +274,7 @@ def test_criterion_9_determinism():
         ScenarioConfig(n=14, s=2, seed=104, duration=50, tx_rate=10.0,
                        adversary_kind="equivocator", adversary_fraction=0.1),
     ):
-        a = run_scenario(cfg).to_json()
-        b = run_scenario(cfg).to_json()
+        a = report_text(run_scenario(cfg))
+        b = report_text(run_scenario(cfg))
         ok = ok and a == b
     assert verdict(9, ok, "identical configs produce byte-identical reports")

@@ -2,18 +2,24 @@
 partial-view ordering and gossip paths on a synthetic 16-member round-robin
 DAG (960 events).  One timed round each, so they stay cheap in the regular
 suite; ``pytest tests/test_bench.py --benchmark-autosave`` stores their
-results under ``.benchmarks/``."""
+results under ``.benchmarks/``.  Memory guards: store bytes per event, the
+report writer's allocation peak, and slotted per-event records."""
 
+import dataclasses
 import tracemalloc
 
 import pytest
 
+from shardgraph.config import ScenarioConfig
 from shardgraph.hashgraph import (
+    Event,
     EventStore,
     Hashgraph,
     consensus_order,
     gossip_sync,
 )
+from shardgraph.simulation import run_scenario, write_report
+from shardgraph.transactions import Transaction
 
 from oracles import round_robin_fixture
 
@@ -43,6 +49,41 @@ def test_store_bytes_per_event(n, per_node):
         tracemalloc.stop()
     assert len(store.by_index) == len(events)
     assert held / len(events) < 1024
+
+
+def test_report_write_allocates_less_than_half_its_size(tmp_path):
+    # write_report streams report.json, so its allocation peak is bounded
+    # by the encoder's working set, not by the report's size
+    report = run_scenario(ScenarioConfig(n=32, s=4, seed=5, duration=160,
+                                         tx_rate=32.0, cross_ratio=0.3))
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        write_report(report, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "report.json").stat().st_size
+    assert size >= 500_000
+    assert peak - start < size / 2
+
+
+def test_per_event_records_are_slotted_and_frozen():
+    def build():
+        tx = Transaction("t1", 0, 1, size_units=2)
+        return tx, Event(0, None, None, (tx,), 3)
+
+    (tx, ev), (tx2, ev2) = build(), build()
+    for record in (tx, ev):
+        assert not hasattr(record, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tx.origin = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ev.created_at = 4
+    assert tx == tx2 and hash(tx) == hash(tx2)
+    assert ev == ev2 and hash(ev) == hash(ev2)
+    assert ev.digest == ev2.digest and ev.units == 2
+    assert ev != Event(0, None, None, (tx,), 4)
 
 
 def test_bench_add_event(benchmark, dag):

@@ -461,6 +461,29 @@ def test_heads_and_digest_order_after_gossip(seed):
         )
 
 
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_record_event_heads_receiver_view(seed):
+    # after each sync of a forked schedule the receiver's head is its
+    # record event and its view holds the sender's; an equivocator's alt
+    # view, which sends once, heads its own branch b
+    heads = []
+
+    def sync(sender, receiver, t, payload=()):
+        transfer, ev = gossip_sync(sender, receiver, t, payload)
+        assert receiver.head == ev.digest
+        assert sender.known & ~receiver.known == 0
+        heads.append((sender, sender.head))
+        return transfer, ev
+
+    store, views = gossip_dag(seed, steps=120, sync=sync)
+    members = {id(view) for view in views}
+    alt_heads = [head for sender, head in heads if id(sender) not in members]
+    assert alt_heads
+    for head in alt_heads:
+        (tx,) = store.by_index[store.index[head]].payload
+        assert tx.tx_id.startswith("fork") and tx.tx_id.endswith("b")
+
+
 def test_equivocator_head_is_later_absorbed_branch():
     # branch b has the lower index; when gossip brings it back to the
     # equivocator's own view it ties with branch a on _seq and, absorbed

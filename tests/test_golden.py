@@ -1,8 +1,9 @@
 """Golden report digests.
 
-Each scenario pins the sha256 of ``RunReport.to_json()``.  A refactor that
-claims to keep behaviour must leave every digest unchanged; a change that
-alters report bytes on purpose regenerates them and says why.
+Each scenario pins the sha256 of the ``report.json`` that ``write_report``
+writes, read back from disk, so the digests cover the output path itself.
+A refactor that claims to keep behaviour must leave every digest unchanged;
+a change that alters report bytes on purpose regenerates them and says why.
 """
 
 import hashlib
@@ -10,7 +11,7 @@ import hashlib
 import pytest
 
 from shardgraph.config import ScenarioConfig
-from shardgraph.simulation import run_scenario
+from shardgraph.simulation import run_scenario, write_report
 
 GOLDEN = {
     "unsharded": (
@@ -62,7 +63,8 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_report_digest_unchanged(name):
+def test_report_digest_unchanged(name, tmp_path):
     cfg, digest = GOLDEN[name]
-    report = run_scenario(cfg).to_json()
-    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest
+    write_report(run_scenario(cfg), tmp_path)
+    written = (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == digest

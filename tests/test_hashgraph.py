@@ -22,6 +22,7 @@ from oracles import (
     BruteGraph,
     add_for,
     head_of,
+    insert,
     round_robin_fixture,
     strongly_seen,
     witness_flags,
@@ -231,9 +232,9 @@ def test_is_ancestor_unresolved():
     e = create_event(g, None, (), 0)
     assert "00" * 32 not in g
     with pytest.raises(HashgraphError):
-        g.add_event(Event(1, None, "00" * 32, (), 1))
+        insert(g, Event(1, None, "00" * 32, (), 1))
     with pytest.raises(HashgraphError):
-        g.add_event(Event(0, "00" * 32, None, (), 1))
+        insert(g, Event(0, "00" * 32, None, (), 1))
     assert g.store.by_index == [e]
 
 
@@ -322,7 +323,7 @@ def test_rounds_never_lowered_by_growth():
     before = list(graph.store.round)
     g2 = graph_of([0, 1, 2, 3], owner=0)
     for e in Transfer(graph.store, graph.known):
-        g2.add_event(e)
+        insert(g2, e)
     create_event(g2, head_of(g2, 1), (), 99)
     assert len(g2.store.round) == len(before) + 1
     assert g2.store.round[:len(before)] == before
@@ -447,7 +448,7 @@ def test_annotations_independent_of_arrival_order(fixture_graph):
                 and (e.other_parent is None or e.other_parent in added)
             ]
             e = rng.choice(choices)
-            g.add_event(e)
+            insert(g, e)
             added.add(e.digest)
             pending.remove(e)
         assert by_digest(g.store, g.store.round) == by_digest(
@@ -471,8 +472,8 @@ def test_detect_forks_reports_equivocation():
     base = create_event(g, None, (), 0)
     f1 = Event(0, base.digest, None, (), 1)
     f2 = Event(0, base.digest, None, (tx(1),), 1)
-    g.add_event(f1)
-    g.add_event(f2)
+    insert(g, f1)
+    insert(g, f2)
     forks = detect_forks(g)
     assert forks == {(0,) + tuple(sorted((f1.digest, f2.digest)))}
 
@@ -483,10 +484,10 @@ def test_detect_forks_matches_pairwise_oracle():
     e1 = add_for(g, 1, base.digest, (), 1)
     f1 = Event(0, base.digest, e1.digest, (), 2)
     f2 = Event(0, base.digest, None, (tx(9),), 2)
-    g.add_event(f1)
-    g.add_event(f2)
+    insert(g, f1)
+    insert(g, f2)
     child = Event(0, f1.digest, e1.digest, (), 3)
-    g.add_event(child)
+    insert(g, child)
     assert detect_forks(g) == brute(g).forks()
 
 
@@ -499,3 +500,25 @@ def test_digest_stable_and_unique():
     e3 = Event(0, None, None, (tx(2),), 5)
     assert e1.digest == e2.digest
     assert e1.digest != e3.digest
+
+
+
+def test_digest_known_answers():
+    # digests of the length-prefixed encoding as first written; a rewrite
+    # of canonical_bytes must reproduce them bit for bit
+    genesis = Event(0, None, None, (), 0)
+    assert genesis.digest == (
+        "c4d403b8f5ec9d9abec97ffe663aadcee34472090997bf897c8b5ad6df6958d9"
+    )
+    peer = Event(1, None, None, (), 0)
+    both = Event(0, genesis.digest, peer.digest,
+                 (tx(1), Transaction("x-2", 0, 1, size_units=3)), 7)
+    assert both.digest == (
+        "c0e76cee6c1260d6e01d430b08eafbebc253d3ff4927fb021c28b609a34a5b02"
+    )
+    # created_at is signed, and a tx_id's length prefix counts its UTF-8
+    # bytes (12 here), not its 6 characters
+    wide = Event(5, genesis.digest, None, (Transaction("tx-é€😀", 1, 2),), -3)
+    assert wide.digest == (
+        "676f358aa564f4b9536f9e75cbebe3abe9adf94e2ec9b98b29aa05bb8d4dd971"
+    )

@@ -15,8 +15,11 @@ from shardgraph.simulation import (
     inject_workload,
     poisson_sample,
     run_scenario,
+    write_report,
 )
 from shardgraph.sharding import partition_nodes
+
+from oracles import report_text
 
 
 def small_cfg(**kw):
@@ -75,11 +78,28 @@ def test_unsharded_baseline_agreement():
 
 def test_determinism_byte_identical():
     cfg = small_cfg(cross_ratio=0.25, seed=11)
-    a = run_scenario(cfg).to_json()
-    b = run_scenario(cfg).to_json()
+    a = report_text(run_scenario(cfg))
+    b = report_text(run_scenario(cfg))
     assert a == b
-    c = run_scenario(small_cfg(cross_ratio=0.25, seed=12)).to_json()
+    c = report_text(run_scenario(small_cfg(cross_ratio=0.25, seed=12)))
     assert a != c
+
+
+def test_failed_report_write_leaves_no_report(tmp_path):
+    report = run_scenario(small_cfg(duration=10))
+    report.anomalies.append(object())
+    with pytest.raises(TypeError):
+        write_report(report, tmp_path / "fresh")
+    assert list((tmp_path / "fresh").iterdir()) == []
+    # a failed rewrite leaves the previous report.json as it was
+    report.anomalies.pop()
+    write_report(report, tmp_path)
+    before = (tmp_path / "report.json").read_bytes()
+    report.anomalies.append(object())
+    with pytest.raises(TypeError):
+        write_report(report, tmp_path)
+    assert (tmp_path / "report.json").read_bytes() == before
+    assert not (tmp_path / "report.json.tmp").exists()
 
 
 def test_cross_exactly_once():
