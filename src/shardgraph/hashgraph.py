@@ -20,7 +20,8 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .transactions import Transaction
@@ -141,16 +142,35 @@ class EventStore:
       fame voting and ordering visit them in.  ``witnesses_by_round`` keeps
       insertion order, which decides ``fame_decider``.
     - ``_wpos[w]`` is witness w's position in ``witnesses_by_round[r]``,
-      which is append-only.  Virtual voting works on masks of these
-      positions: ``_ss_prev[v]`` holds the round(v) - 1 witnesses v strongly
-      sees, and ``_votes[w][d]`` the ``(voted, yes)`` pair of round-d voters
-      on w, so a tally is two popcounts.  Only ``elect_fame`` votes, and only
-      on undecided witnesses, so ``_votes[w]`` is dropped once w's fame is
-      decided.  A vote is cast once per (voter, witness) pair and every pass
-      leaves each voting round of an undecided witness fully voted, so the
-      first-round voted mask is a prefix of positions whose bit length is
-      the cursor to the next voter, a full round is skipped, and a poll with
-      no witness inserted since the last (``_fame_polled``) returns at once.
+      which is append-only.
+    - Packed votes: ``_votes[r][v]`` is witness v's vote on every round-r
+      witness at once, packed like a reach: the LOW bit of field p is its
+      yes on the witness at position p.  A round r + 1 witness gets its
+      vector (its first-round votes) at insert, from its own reach: yes on
+      the witnesses it sees, the present fields minus the caught ones.  A
+      later voter's yes counts are the sum of the vectors of the round-below
+      witnesses it strongly sees (``_ss_prev[v]``, computed at its first
+      vote), and SWAR threshold compares give its vote and its decided-yes
+      and decided-no fields; on a coin round the low bit of its digest
+      fills the fields short of a supermajority.  ``_covered[r][v]`` marks
+      the fields v has voted on, so a witness that lands in round r later
+      is still voted on by voters that have voted on the rest.
+    - Vote state lifetime: ``elect_fame`` visits voters round by round in
+      digest order on every pass and stops voting on a decided witness, so
+      fame and ``fame_decider`` are those of one vote per (voter, witness)
+      pair cast in that order.  A vote is never recast, so a poll with no
+      witness inserted since the last (``_fame_polled``) returns at once.
+      Once round r is decided (``_first_undecided_round`` passes it),
+      ``_votes[r]``, ``_covered[r]`` and the strong sight of round r + 2
+      witnesses are dropped: live vote state is bounded by the witnesses
+      of undecided rounds.  ``add_member`` re-lays it when F doubles.
+    - Bit-sliced median: ordering a round walks each famous witness's
+      self-parent chain once (see below) and feeds each chain event's
+      (created_at, newly reached events) segment, in created_at order, into
+      a counter per event kept as bit planes over the round's fresh events.
+      It starts at 2^B - (k + 1) for k = (famous - 1) // 2, so an event's
+      carry out of the top plane comes with its lower-median stamp, and the
+      events that carry out at one stamp are ordered by digest.
     - ``_view_limits[r]`` caches, for finalized round r, its witness count,
       a mask of its undecided witnesses, its highest decider index and its
       deciders grouped with the witnesses each decided, so
@@ -212,8 +232,10 @@ class EventStore:
         self._fields = 8                     # fields the constants cover
         self._pack_constants()
         # fame machinery
-        self._votes: dict[int, dict[int, tuple[int, int]]] = {}
-        self._ss_prev: dict[int, int] = {}
+        # round r -> voter -> vote vector, and -> the fields it voted on
+        self._votes: dict[int, dict[int, int]] = {}
+        self._covered: dict[int, dict[int, int]] = {}
+        self._ss_prev: dict[int, list[int]] = {}
         self.fame: dict[int, bool] = {}
         self.fame_decider: dict[int, int] = {}
         self._first_undecided_round = 1
@@ -239,6 +261,10 @@ class EventStore:
             old, self._width = self._width, 2 * self._width
             self._wcreators = {r: self._relay(v, old)
                                for r, v in self._wcreators.items()}
+            for state in (self._votes, self._covered):
+                for r, vectors in state.items():
+                    state[r] = {v: self._relay(x, old)
+                                for v, x in vectors.items()}
             self._pack_constants()
 
     def remove_member(self, node: NodeId) -> None:
@@ -347,25 +373,49 @@ class EventStore:
             self._reach[i] = (self._width, prev, cur)
         return prev, cur
 
+    def _unpack(self, flags: int, n: int) -> bytes:
+        """The LOW bits of flags' first n fields, one byte each; fields are
+        whole bytes."""
+        fb = self._width // 8
+        return flags.to_bytes(n * fb, "little")[::fb]
+
+    def _pack(self, flags: bytes) -> int:
+        """LOW bits set in the fields whose byte in flags is nonzero."""
+        fb = self._width // 8
+        packed = bytearray(len(flags) * fb)
+        packed[::fb] = flags
+        return int.from_bytes(packed, "little")
+
     def _present(self, v: int) -> int:
         """LOW bits of v's nonzero fields."""
         for k, _ in self._swar:
             v |= v >> k
         return v & self._low
 
+    def _caught(self, q: int, forked: int) -> int:
+        """LOW bits of the fields of round-q witnesses whose creator is in
+        forked."""
+        caught = self._wcreators.get(q, 0) & self._low * forked
+        return self._present(caught) if caught else 0
+
     def _seen_flags(self, v: int, q: int, forked: int, sm: int) -> int:
         """LOW bits of the fields of round-q reach v whose witness creator
         is not in forked and whose creators outside forked number sm."""
-        f, low = self._width, self._low
         if forked:
-            v &= low * (self._full & ~forked)
-            caught = self._wcreators.get(q, 0) & low * forked
+            v &= self._low * (self._full & ~forked)
+            caught = self._caught(q, forked)
             if caught:
-                v &= ~(self._present(caught) * self._full)
+                v &= ~(caught * self._full)
         for k, mk in self._swar:
             v = (v & mk) + ((v >> k) & mk)
-        # a field's count plus 2F - sm reaches bit log2(F) + 1 iff count >= sm
-        return (v + low * (2 * f - sm)) >> f.bit_length() & low
+        return self._at_least(v, sm)
+
+    def _at_least(self, counts: int, t: int) -> int:
+        """LOW bits of the fields of counts, each at most F, that are at
+        least t, for 0 <= t <= F."""
+        # a field's count plus 2F - t reaches bit log2(F) + 1 iff count >= t
+        f, low = self._width, self._low
+        return (counts + low * (2 * f - t)) >> f.bit_length() & low
 
     def _assign_round(self, idx: int, spi: Optional[int], opi: Optional[int]):
         # a parent one round below gives its round reach as the round - 1
@@ -404,6 +454,12 @@ class EventStore:
             field = cbit << pos * self._width
             cur |= field
             self._wcreators[r] = self._wcreators.get(r, 0) | field
+            if r - 1 >= self._first_undecided_round:
+                # first-round votes: yes on the round r - 1 witnesses this
+                # one sees, those it descends from and has not caught
+                # forking
+                self._votes.setdefault(r - 1, {})[idx] = self._present(
+                    prev) & ~self._caught(r - 1, self._forked[idx])
             bisect.insort(
                 self._by_digest.setdefault(r, []), idx,
                 key=lambda i: self.by_index[i].digest,
@@ -411,21 +467,18 @@ class EventStore:
         self.max_round = max(self.max_round, r)
         self._reach.append((self._width, prev, cur))
 
-    def _strongly_seen(self, a: int, r: int) -> int:
-        """Position mask of the round-r witnesses that a strongly sees; a's
-        reach answers only rounds round(a) - 1 and round(a)."""
+    def _strongly_seen(self, a: int, r: int) -> list[int]:
+        """The round-r witnesses that a strongly sees, in position order;
+        a's reach answers only rounds round(a) - 1 and round(a)."""
         below = self.round[a] - r
         if below not in (0, 1):
-            return 0
+            return []
         flags = self._seen_flags(
             self._reach_of(a)[1 - below], r, self._forked[a],
             supermajority(len(self.population)),
         )
-        shift = self._width.bit_length() - 1
-        seen = 0
-        for b in _set_bits(flags):
-            seen |= 1 << (b >> shift)
-        return seen
+        ws = self.witnesses_by_round.get(r, ())
+        return list(compress(ws, self._unpack(flags, len(ws))))
 
     def units_of(self, mask: int) -> int:
         """The summed payload units of the events in mask."""
@@ -436,35 +489,11 @@ class EventStore:
 
     # -- fame ---------------------------------------------------------------
 
-    def _strongly_seen_prev(self, v: int) -> int:
+    def _strongly_seen_prev(self, v: int) -> list[int]:
         ss = self._ss_prev.get(v)
         if ss is None:
             ss = self._ss_prev[v] = self._strongly_seen(v, self.round[v] - 1)
         return ss
-
-    def _vote(self, v: int, w: int, votes: dict[int, tuple[int, int]]) -> None:
-        """Cast witness v's vote on w, two or more rounds below it, into
-        votes, w's per-round (voted, yes) position masks.  elect_fame casts
-        every vote of a round before any of the next, so the witnesses v
-        tallies have all voted."""
-        d = self.round[v]
-        diff = d - self.round[w]
-        ss = self._strongly_seen_prev(v)
-        yes = (ss & votes[d - 1][1]).bit_count()
-        no = ss.bit_count() - yes
-        vote = yes >= no
-        tally = max(yes, no)
-        sm = supermajority(len(self.population))
-        if diff % COIN_PERIOD == 0:
-            if tally < sm:
-                # deterministic coin: low bit of the voter's digest
-                vote = bool(int(self.by_index[v].digest[-1], 16) & 1)
-        elif tally >= sm:
-            self.fame[w] = vote
-            self.fame_decider[w] = v
-        bit = 1 << self._wpos[v]
-        voted, yes_mask = votes.get(d, (0, 0))
-        votes[d] = (voted | bit, yes_mask | bit if vote else yes_mask)
 
     def elect_fame(self) -> None:
         """Decide witness fame where decidable; decisions are final."""
@@ -472,62 +501,113 @@ class EventStore:
             # no new witness, so no (voter, witness) pair left to vote on
             return
         self._fame_polled = len(self._wpos)
-        anc, forked, wpos = self._anc, self._forked, self._wpos
         for r in range(self._first_undecided_round, self.max_round + 1):
-            for w in self._by_digest.get(r, ()):
-                if w in self.fame:
-                    continue
-                votes = self._votes.setdefault(w, {})
-                if r < self.max_round:
-                    # a round r + 1 witness votes yes iff it sees w: w is
-                    # its ancestor and w's creator is not caught forking.
-                    # First-round votes never decide fame, and every pass
-                    # leaves a full prefix voted, so only the witnesses
-                    # appended since vote.
-                    voted, yes = votes.get(r + 1, (0, 0))
-                    voters = self.witnesses_by_round[r + 1]
-                    cw = self._cbit[w]
-                    for p in range(voted.bit_length(), len(voters)):
-                        v = voters[p]
-                        if anc[v] >> w & 1 and not forked[v] & cw:
-                            yes |= 1 << p
-                    votes[r + 1] = ((1 << len(voters)) - 1, yes)
-                for d in range(r + 2, self.max_round + 1):
-                    voted = votes.get(d, (0, 0))[0]
-                    if voted.bit_count() == len(self.witnesses_by_round[d]):
-                        continue
-                    for v in self._by_digest.get(d, ()):
-                        if not voted >> wpos[v] & 1:
-                            self._vote(v, w, votes)
-                            if w in self.fame:
-                                break
-                    if w in self.fame:
-                        # only undecided witnesses are voted on again
-                        del self._votes[w]
-                        break
-            if r == self._first_undecided_round and all(
-                w in self.fame for w in self.witnesses_by_round.get(r, ())
-            ):
+            undecided = self._pack(bytes(
+                w not in self.fame for w in self.witnesses_by_round[r]))
+            if undecided and r + 2 <= self.max_round:
+                undecided = self._tally(r, undecided)
+            if r == self._first_undecided_round and not undecided:
+                # nothing votes on round r again: drop its vote state and
+                # the strong sight of the voters that only voted on it
                 self._first_undecided_round = r + 1
+                self._votes.pop(r, None)
+                self._covered.pop(r, None)
+                for v in self.witnesses_by_round.get(r + 2, ()):
+                    self._ss_prev.pop(v, None)
+
+    def _tally(self, r: int, undecided: int) -> int:
+        """Have every round r + 2 or later witness, round by round in digest
+        order, vote on the fields of undecided (LOW bits over round r's
+        witness positions) it has not voted on; returns the fields left
+        undecided.  A voter's yes count per field is the sum of the vote
+        vectors of the round-below witnesses it strongly sees, which have
+        all voted on those fields before it."""
+        votes = self._votes[r]
+        covered = self._covered.setdefault(r, {})
+        ws = self.witnesses_by_round[r]
+        sm = supermajority(len(self.population))
+        for d in range(r + 2, self.max_round + 1):
+            coin = (d - r) % COIN_PERIOD == 0
+            for v in self._by_digest[d]:
+                todo = undecided & ~covered.get(v, 0)
+                if not todo:
+                    continue
+                ss = self._strongly_seen_prev(v)
+                s = len(ss)
+                yes = sum(map(votes.__getitem__, ss))
+                # vote yes iff yes >= no; decide iff yes or no reaches the
+                # supermajority
+                vote = self._at_least(yes, (s + 1) // 2)
+                decided = 0
+                if s >= sm:
+                    decided = todo & (self._at_least(yes, sm)
+                                      | ~self._at_least(yes, s - sm + 1))
+                if coin:
+                    # deterministic coin, the low bit of the voter's digest,
+                    # where the tally is short of a supermajority
+                    vote = (vote & decided
+                            | (int(self.by_index[v].digest[-1], 16) & 1)
+                            * (todo & ~decided))
+                covered[v] = covered.get(v, 0) | todo
+                votes[v] = votes.get(v, 0) | vote & todo
+                if decided and not coin:
+                    flags = self._unpack(decided, len(ws))
+                    for w, famous in zip(compress(ws, flags), compress(
+                            self._unpack(vote, len(ws)), flags)):
+                        self.fame[w] = bool(famous)
+                        self.fame_decider[w] = v
+                    undecided &= ~decided
+                    if not undecided:
+                        return 0
+        return undecided
 
     # -- total order --------------------------------------------------------
 
-    def _stamp_chain(self, w: int, fresh: int, lo: int,
-                     stamps: dict[int, list[int]]) -> None:
-        """Append to stamps[x - lo], for each event x in fresh, the
-        created_at of the earliest self-ancestor of w that descends from x."""
-        # walk w's self-parent chain backwards; the fresh events a chain
-        # event reaches and its self-parent does not are stamped with it
-        y, hit = w, fresh
-        while hit:
-            sp = self._self_parent[y]
-            below = (self._anc[sp] >> lo) & fresh if sp >= 0 else 0
-            new = hit ^ below
-            if new:
-                ts = self.by_index[y].created_at
-                for b in _set_bits(new):
-                    stamps[b].append(ts)
-            y, hit = sp, below
+    def _order_round(self, r: int, famous: list[int], fresh: int,
+                     lo: int) -> None:
+        """Append the events of fresh (a mask shifted down by lo) to the
+        order, by the lower median of their famous witnesses' stamps, then
+        digest.  Each famous witness's self-parent walk stamps the events a
+        chain event reaches and its self-parent does not with the chain
+        event's created_at.  Those segments, in created_at order, count up
+        a B-bit counter per event, kept as B bit planes over fresh, that
+        starts at 2^B - (k + 1) for k = (len(famous) - 1) // 2 and
+        B = k.bit_length(): an event carries out of the top plane at its
+        (k + 1)-th smallest stamp, the lower median."""
+        anc, self_parent, events = self._anc, self._self_parent, self.by_index
+        segments = []
+        for w in famous:
+            y, hit = w, fresh
+            while hit:
+                sp = self_parent[y]
+                below = (anc[sp] >> lo) & fresh if sp >= 0 else 0
+                if hit != below:
+                    segments.append((events[y].created_at, hit ^ below))
+                y, hit = sp, below
+        segments.sort(key=itemgetter(0))
+        k = (len(famous) - 1) // 2
+        start = (1 << k.bit_length()) - (k + 1)
+        planes = [fresh if start >> j & 1 else 0
+                  for j in range(k.bit_length())]
+        pending = fresh
+        for ts, group in groupby(segments, key=itemgetter(0)):
+            median = 0
+            for _, carry in group:
+                carry &= pending
+                for j, plane in enumerate(planes):
+                    if not carry:
+                        break
+                    planes[j] = plane ^ carry
+                    carry &= plane
+                else:
+                    median |= carry
+                    pending ^= carry
+            if median:
+                for dg in sorted(events[lo + b].digest
+                                 for b in _set_bits(median)):
+                    self.consensus.append(OrderedEvent(dg, r, ts))
+                if not pending:
+                    return
 
     def advance_consensus(self) -> None:
         """Assign round-received and consensus timestamps for every round
@@ -548,19 +628,8 @@ class EventStore:
                 fresh = inter & ~self._emitted
                 if fresh:
                     lo = (fresh & -fresh).bit_length() - 1
-                    fresh >>= lo
-                    stamps = {b: [] for b in _set_bits(fresh)}
-                    for w in famous:
-                        self._stamp_chain(w, fresh, lo, stamps)
-                    batch = []
-                    for b, got in stamps.items():
-                        got.sort()
-                        batch.append((got[(len(got) - 1) // 2],
-                                      self.by_index[lo + b].digest))
-                    batch.sort()
-                    for ts, dg in batch:
-                        self.consensus.append(OrderedEvent(dg, r, ts))
-                    self._emitted |= fresh << lo
+                    self._order_round(r, famous, fresh >> lo, lo)
+                    self._emitted |= fresh
             self.finalized_round = r
             r += 1
 

@@ -4,8 +4,9 @@ These work from plain event records (creator, parents, created_at) using
 naive set/transitive-closure computations, independent of the package's
 incremental bitmask machinery.  The references further down recompute fame,
 ordering and a view's finalized round over an EventStore's own rounds,
-strong sight and fame, and round_robin_fixture gossips the small DAGs the
-oracle tests run on.  insert and add_for grow a DAG on a view by hand, and
+strong sight and fame, vote_state and check_vote_state_bounds read its
+fame vote state, and round_robin_fixture gossips the small DAGs the oracle
+tests run on.  insert and add_for grow a DAG on a view by hand, and
 report_text serializes a report the way write_report does.
 """
 
@@ -288,10 +289,8 @@ def witness_flags(store):
 
 def strongly_seen(store, a, r):
     """The round-r witnesses a strongly sees, in witnesses_by_round order,
-    read off the store's _strongly_seen position mask."""
-    seen = store._strongly_seen(a, r)
-    return [w for p, w in enumerate(store.witnesses_by_round.get(r, ()))
-            if seen >> p & 1]
+    as the store's _strongly_seen lists them."""
+    return store._strongly_seen(a, r)
 
 
 class ReferenceFame:
@@ -299,10 +298,14 @@ class ReferenceFame:
     by a recursive loop over the voter's strongly-seen witnesses.  It reads
     rounds, witnesses and strong sight from the store but keeps its own
     votes, fame and deciders, so calling its elect_fame on the same schedule
-    as the store's checks the store's vote bookkeeping."""
+    as the store's checks the store's vote bookkeeping.  Like the store, it
+    stops voting on a round once every witness there is decided, so a
+    witness that lands in such a round later (a joiner's genesis event)
+    stays undecided."""
 
     def __init__(self, store):
         self.store = store
+        self.first_undecided_round = 1
         self.votes: dict[tuple[int, int], bool] = {}
         self.ss_prev: dict[int, list[int]] = {}
         self.fame: dict[int, bool] = {}
@@ -348,8 +351,9 @@ class ReferenceFame:
         def digest_sorted(ids):
             return sorted(ids, key=lambda i: store.by_index[i].digest)
 
-        for r in range(1, store.max_round + 1):
-            for w in digest_sorted(store.witnesses_by_round.get(r, ())):
+        for r in range(self.first_undecided_round, store.max_round + 1):
+            witnesses = store.witnesses_by_round.get(r, ())
+            for w in digest_sorted(witnesses):
                 if w in self.fame:
                     continue
                 for d in range(r + 1, store.max_round + 1):
@@ -359,16 +363,55 @@ class ReferenceFame:
                             break
                     if w in self.fame:
                         break
+            if r == self.first_undecided_round and all(
+                    w in self.fame for w in witnesses):
+                self.first_undecided_round = r + 1
+
+
+# an EventStore's vote state -----------------------------------------------
+
+
+def vote_state(store):
+    """A copy of the store's vote state: the vote vectors and the voted
+    fields per (round, voter), and the voters' strong sight."""
+    return ({r: dict(vectors) for r, vectors in store._votes.items()},
+            {r: dict(masks) for r, masks in store._covered.items()},
+            dict(store._ss_prev))
+
+
+def check_vote_state_bounds(store):
+    """Vote state lives only for rounds from _first_undecided_round up: a
+    round r's vectors are of later witnesses, its voted fields of witnesses
+    two rounds up or more, and strong sight is kept for witnesses that can
+    still vote.  Returns the live entries, which these bounds cap by the
+    witnesses of those rounds."""
+    fur = store._first_undecided_round
+    above = {}
+    for r in range(store.max_round, fur - 1, -1):
+        above[r] = above.get(r + 1, set()) | set(
+            store.witnesses_by_round.get(r + 1, ()))
+    assert store._votes.keys() <= above.keys()
+    assert store._covered.keys() <= above.keys()
+    for r, vectors in store._votes.items():
+        assert vectors.keys() <= above[r]
+    for r, masks in store._covered.items():
+        assert masks.keys() <= above.get(r + 1, set())
+    assert store._ss_prev.keys() <= above.get(fur + 1, set())
+    live = (sum(map(len, store._votes.values()))
+            + sum(map(len, store._covered.values())) + len(store._ss_prev))
+    assert live <= sum(2 * len(ws) for ws in above.values()) + len(
+        above.get(fur + 1, ()))
+    return live
 
 
 # ordering reference over an EventStore's own annotations -------------------
 
 
-def median_timestamp(store, x, famous):
+def median_stamps(store, x, famous):
     """The per-event rule: for each famous witness, walk its self-parent
     digests down while they descend from x; the last one reached is the
-    earliest self-ancestor of the witness that descends from x.  The lower
-    median of those events' created_at."""
+    earliest self-ancestor of the witness that descends from x.  Those
+    events' created_at, sorted."""
     stamps = []
     for w in famous:
         earliest = None
@@ -377,7 +420,12 @@ def median_timestamp(store, x, famous):
             earliest = store.by_index[store.index[y]]
             y = earliest.self_parent
         stamps.append(earliest.created_at)
-    stamps.sort()
+    return sorted(stamps)
+
+
+def median_timestamp(store, x, famous):
+    """The lower median of x's stamps from the famous witnesses."""
+    stamps = median_stamps(store, x, famous)
     return stamps[(len(stamps) - 1) // 2]
 
 
@@ -402,12 +450,13 @@ def reference_view_finalized_round(store, known):
 
 def reference_consensus(store):
     """store.consensus recomputed from the store's rounds and fame decisions,
-    one median_timestamp walk per event."""
+    one median_timestamp walk per event.  A witness that landed in a round
+    after it was finalized is undecided, and not famous."""
     out = []
     emitted = set()
     for r in range(1, store.finalized_round + 1):
         famous = sorted(
-            (w for w in store.witnesses_by_round[r] if store.fame[w]),
+            (w for w in store.witnesses_by_round[r] if store.fame.get(w)),
             key=lambda i: store.by_index[i].digest,
         )
         if not famous:

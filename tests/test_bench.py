@@ -1,8 +1,9 @@
 """Micro-benchmarks of the hashgraph engine's insert, fame, ordering,
 partial-view ordering and gossip paths on a synthetic 16-member round-robin
-DAG (960 events).  One timed round each, so they stay cheap in the regular
-suite; ``pytest tests/test_bench.py --benchmark-autosave`` stores their
-results under ``.benchmarks/``.  Memory guards: store bytes per event, the
+DAG (960 events), and of consensus polls on a 32-member one (3840 events).
+One timed round each, so they stay cheap in the regular suite;
+``pytest tests/test_bench.py --benchmark-autosave`` stores their results
+under ``.benchmarks/``.  Memory guards: store bytes per event, the
 report writer's allocation peak, and slotted per-event records."""
 
 import dataclasses
@@ -21,7 +22,7 @@ from shardgraph.hashgraph import (
 from shardgraph.simulation import run_scenario, write_report
 from shardgraph.transactions import Transaction
 
-from oracles import round_robin_fixture
+from oracles import check_vote_state_bounds, round_robin_fixture
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +57,10 @@ def test_report_write_allocates_less_than_half_its_size(tmp_path):
     # by the encoder's working set, not by the report's size
     report = run_scenario(ScenarioConfig(n=32, s=4, seed=5, duration=160,
                                          tx_rate=32.0, cross_ratio=0.3))
+    # pathlib interns the output paths' parts; a first write into the same
+    # directory interns them, so that a resize of the interpreter's table
+    # of interned strings (about 1 MB) cannot land in the measured write
+    write_report(report, tmp_path)
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
@@ -115,7 +120,29 @@ def test_bench_elect_fame(benchmark, dag):
         rounds=1, iterations=1,
     )
     assert len(store.fame) > len(dag[0]) * 8
-    assert not store._votes.keys() & store.fame.keys()
+    # vote state is kept only for the rounds still voted on
+    assert min(store._votes) == store._first_undecided_round > 8
+    check_vote_state_bounds(store)
+
+
+def test_bench_consensus_polls_32_members(benchmark):
+    # a 32-member committee's events replayed into a fresh store with a
+    # consensus poll every 32 inserts, so each poll votes on and orders
+    # only what the last 32 events changed (insert time included)
+    graph, events = round_robin_fixture(n=32, events_per_node=120)
+
+    def replay():
+        store = EventStore(graph.population)
+        for i, ev in enumerate(events, 1):
+            store.add_event(ev)
+            if i % 32 == 0:
+                store.advance_consensus()
+        return store
+
+    store = benchmark.pedantic(replay, rounds=1, iterations=1)
+    assert (store.max_round, store.finalized_round) == (18, 16)
+    assert len(store.fame) == sum(store.fame.values()) == 512
+    assert len(store.consensus) == 3158
 
 
 def test_bench_consensus_order(benchmark, dag):

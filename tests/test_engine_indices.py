@@ -7,6 +7,8 @@ import random
 
 import pytest
 
+import oracles
+from shardgraph import hashgraph
 from shardgraph.hashgraph import (
     EventStore,
     Hashgraph,
@@ -23,9 +25,12 @@ from shardgraph.transactions import Transaction
 from oracles import (
     BruteGraph,
     ReferenceFame,
+    check_vote_state_bounds,
+    median_stamps,
     reference_consensus,
     reference_view_finalized_round,
     strongly_seen,
+    vote_state,
     witness_flags,
 )
 
@@ -244,29 +249,35 @@ def test_strong_sight_after_midway_joins_matches_brute_force(n, steps,
     assert any(store.by_index[w].creator >= n for w in store._wpos)
 
 
-def check_fame_against_reference(built, remove=None):
-    """Replay built's events into a fresh store and compare fame with the
-    tuple-keyed reference.  fame_decider depends on which voters exist when
-    votes are cast, so both sides vote on the same schedule, every 7
-    inserts.  Each poll is made twice in a row, and the second, with no new
-    witness, must cast no vote; with remove, that member leaves at a poll
-    halfway through and both sides poll again before the next insert."""
-    store = EventStore(built.population)
+def check_fame_against_reference(built, remove=None, members=None):
+    """Replay built's events into a fresh store of members (built's
+    population by default; a creator outside it joins at its first event)
+    and compare fame with the tuple-keyed reference, then the order with
+    the per-event median search.  fame_decider depends on which voters
+    exist when votes are cast, so both sides vote on the same schedule,
+    every 7 inserts, the store through advance_consensus.  Each poll is
+    made twice in a row, and the second, with no new witness, must change
+    no vote state; with remove, that member leaves at a poll halfway
+    through and both sides poll again before the next insert.  Returns the replayed store, per poll the field
+    width and the live vote-state entries, and how many witnesses landed in
+    a round that witnesses two or more rounds up had voted on."""
+    store = EventStore(built.population if members is None else members)
     ref = ReferenceFame(store)
+    polls = []
+    late = 0
 
     def poll():
-        store.elect_fame()
+        store.advance_consensus()
         ref.elect_fame()
         assert store.fame == ref.fame
         assert store.fame_decider == ref.fame_decider
-        undecided = {w for ws in store.witnesses_by_round.values()
-                     for w in ws if w not in store.fame}
-        assert store._votes.keys() <= undecided
-        return {w: dict(votes) for w, votes in store._votes.items()}
+        polls.append((store._width, check_vote_state_bounds(store)))
+        return vote_state(store)
 
     half = len(built.by_index) // 14 * 7
     for i, ev in enumerate(built.by_index, 1):
-        store.add_event(ev)
+        x = store.add_event(ev)
+        late += x in store._wpos and bool(store._covered.get(store.round[x]))
         if i % 7 == 0 or i == len(built.by_index):
             votes = poll()
             assert poll() == votes
@@ -274,7 +285,9 @@ def check_fame_against_reference(built, remove=None):
                 store.remove_member(remove)
                 assert poll() == votes
     assert len(store.fame) > len(store.population)
-    assert store._votes
+    assert store._votes and store.consensus
+    assert [tuple(oe) for oe in store.consensus] == reference_consensus(store)
+    return store, polls, late
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -290,6 +303,16 @@ def test_fame_after_member_leaves_matches_reference(seed):
     check_fame_against_reference(built, remove=built.population[-1])
 
 
+@pytest.mark.parametrize("seed, n", [(0, 7), (3, 6), (5, 6)])
+def test_fame_with_coin_rounds_matches_reference(seed, n, monkeypatch):
+    # a coin round every other voting round: on these forked schedules
+    # some voters' tallies there fall short of a supermajority, and their
+    # coin bit, not their majority, is their vote, on both sides
+    monkeypatch.setattr(hashgraph, "COIN_PERIOD", 2)
+    monkeypatch.setattr(oracles, "COIN_PERIOD", 2)
+    check_fame_against_reference(gossip_dag(seed, steps=300, n=n)[0])
+
+
 def test_fame_matches_reference_on_simulated_equivocators():
     # the simulator's equivocators leave voters that do not strongly see
     # every witness of the round before, so tallies must count only those
@@ -303,6 +326,84 @@ def test_fame_matches_reference_on_simulated_equivocators():
     store = sim.state.local_stores[0]
     assert store._branch_pairs
     check_fame_against_reference(store)
+
+
+@pytest.mark.parametrize("n, steps, seed, width",
+                         [(7, 300, 0, 8), (31, 1500, 1, 32)])
+def test_fame_and_order_across_widening(n, steps, seed, width):
+    # three members join halfway, past the field width, while rounds are
+    # undecided: the replay's vote vectors and voted fields are re-laid at
+    # the doubled width and must keep voting as the reference does.  The
+    # joiners' genesis events land in round 1 after witnesses two rounds up
+    # have voted on it, so those voters vote again on the new fields alone
+    built = gossip_dag(seed, steps=steps, n=n, joins=3)[0]
+    assert built._branch_pairs and built._width == 2 * width
+    store, polls, late = check_fame_against_reference(built,
+                                                      members=range(n))
+    assert store._width == 2 * width and late == 3
+    before = [live for f, live in polls if f == width]
+    assert before and before[-1] > 0
+    assert any(f == 2 * width and live for f, live in polls)
+
+
+def test_vote_state_stays_flat_in_history():
+    # live vote-state entries are capped by the witnesses of the rounds
+    # still voted on, so the last 1200 steps of a forked 7-member schedule
+    # hold no more of them at any poll than the first 300 did
+    peaks = []
+
+    def poll(t, views):
+        if t % 5 == 0:
+            store = views[0].store
+            store.advance_consensus()
+            peaks.append(check_vote_state_bounds(store))
+
+    store, _ = gossip_dag(3, steps=1500, poll=poll)
+    assert store._first_undecided_round > 20 and store._branch_pairs
+    early, late = max(peaks[:60]), max(peaks[60:])
+    assert 0 < late <= early <= 5 * len(store.population)
+    assert early < len(store._wpos) // 5
+
+
+def median_cases(store):
+    """Per finalized round with famous witnesses: the famous count, and per
+    event ordered in it, its consensus timestamp and its sorted stamps."""
+    received = {}
+    for oe in store.consensus:
+        received.setdefault(oe.round_received, []).append(oe)
+    for r in range(1, store.finalized_round + 1):
+        famous = [w for w in store.witnesses_by_round[r]
+                  if store.fame.get(w)]
+        yield len(famous), [
+            (oe.consensus_timestamp,
+             median_stamps(store, store.index[oe.event_id], famous))
+            for oe in received.get(r, ())]
+
+
+def test_bit_sliced_median_matches_per_event_stamps():
+    # rounds with an even and an odd famous count, and events whose median
+    # stamp is tied with a neighbour in the sorted stamps
+    stores = [gossip_dag(seed)[0] for seed in SEEDS]
+    sim = Simulation(ScenarioConfig(
+        n=8, s=1, seed=7, duration=30, tx_rate=8.0,
+        adversary_kind="equivocator", adversary_fraction=0.2,
+        adversary_interval=2,
+    ))
+    sim.run()
+    stores.append(sim.state.local_stores[0])
+    parities, ties, checked = set(), 0, 0
+    for store in stores:
+        store.advance_consensus()
+        for count, events in median_cases(store):
+            if events:
+                parities.add(count % 2)
+            k = (count - 1) // 2
+            for ts, stamps in events:
+                assert len(stamps) == count and ts == stamps[k]
+                ties += stamps.count(ts) > 1
+                checked += 1
+    assert parities == {0, 1}
+    assert ties > 0 and checked > 1000
 
 
 @pytest.mark.parametrize("seed", SEEDS)
