@@ -134,13 +134,18 @@ class EventStore:
       (or a second root) is a branch point: only then does ``_siblings``
       get an entry, and ``_branch_pairs[creator]`` one ``(j, mask)`` per
       sibling pair (j, k): ``mask`` has bits 0 and k - j.
+      ``_pair_creators`` has the member bit of every creator with branch
+      pairs, so an insert whose inherited forked bits already hold them all
+      skips the pair test in one AND.
     - ``_cmask[c]`` has a bit per event of creator c, and ``_unit_planes[k]``
       a bit per event whose ``units`` has bit k set, so the events of one
       creator in a mask are one AND and the units of a mask are a few
       popcounts (``units_of``).
     - ``_by_digest[r]`` is round r's witnesses sorted by digest, the order
-      fame voting and ordering visit them in.  ``witnesses_by_round`` keeps
-      insertion order, which decides ``fame_decider``.
+      fame voting and ordering visit them in; ``_digest_keys[r]`` holds
+      their digests in the same order, so a new witness's place is one
+      bisect over strings.  ``witnesses_by_round`` keeps insertion order,
+      which decides ``fame_decider``.
     - ``_wpos[w]`` is witness w's position in ``witnesses_by_round[r]``,
       which is append-only.
     - Packed votes: ``_votes[r][v]`` is witness v's vote on every round-r
@@ -188,6 +193,9 @@ class EventStore:
       so strong sight is a few big-int operations.  F is a power of two, at
       least 8 and at least the member bits; when ``add_member`` outgrows it
       F doubles, and a stored reach is re-laid when it is next read.
+    - ``_sm`` is the supermajority of the population, kept by
+      ``add_member`` and ``remove_member`` (0 while the population is empty,
+      which makes a read raise), so neither insert nor a tally recounts it.
 
     The fast paths rely on two invariants.  Forked bits are inherited: a
     creator caught forking in a parent's ancestry stays caught, so insert
@@ -205,12 +213,12 @@ class EventStore:
         self._member_bit: dict[NodeId, int] = {
             m: i for i, m in enumerate(self.population)
         }
+        self._update_supermajority()
         self.index: dict[EventId, int] = {}
         self.by_index: list[Event] = []
         self._anc: list[int] = []            # ancestor bitmask, includes self
         self._seq: list[int] = []            # position along self-parent chain
         self._forked: list[int] = []         # creators with a fork visible
-        self._cbit: list[int] = []           # the creator's member bit
         self._cmask: dict[NodeId, int] = {}  # creator -> its events' mask
         self._unit_planes: list[int] = []
         self._self_parent: list[int] = []
@@ -218,10 +226,12 @@ class EventStore:
         self._first_root: dict[NodeId, int] = {}
         self._siblings: dict[int, list[int]] = {}  # first child -> all
         self._branch_pairs: dict[NodeId, list[tuple[int, int]]] = {}
+        self._pair_creators = 0              # their creators' member bits
         self.round: list[int] = []
         self.witnesses_by_round: dict[int, list[int]] = {}
         self._wpos: dict[int, int] = {}      # witness -> its position there
         self._by_digest: dict[int, list[int]] = {}
+        self._digest_keys: dict[int, list[EventId]] = {}  # their digests
         self.max_round = 0
         # packed witness reach: (width, round - 1 reach, round reach)
         self._reach: list[tuple[int, int, int]] = []
@@ -257,6 +267,7 @@ class EventStore:
         self._member_bit[node] = len(self._member_bit)
         self.population.append(node)
         self.population.sort()
+        self._update_supermajority()
         if len(self._member_bit) > self._width:
             old, self._width = self._width, 2 * self._width
             self._wcreators = {r: self._relay(v, old)
@@ -271,81 +282,164 @@ class EventStore:
         # Bit assignments are kept stable; only the supermajority base shrinks.
         if node in self.population:
             self.population.remove(node)
+            self._update_supermajority()
+
+    def _update_supermajority(self) -> None:
+        # an empty population has no supermajority: 0 makes the next read
+        # raise, as supermajority(0) does
+        pop = len(self.population)
+        self._sm = supermajority(pop) if pop else 0
 
     # -- insertion ----------------------------------------------------------
 
     def add_event(self, event: Event) -> int:
-        digest = event.digest
-        if digest in self.index:
-            return self.index[digest]
+        digest, creator = event._digest, event.creator
+        index, by_index = self.index, self.by_index
+        idx = index.get(digest)
+        if idx is not None:
+            return idx
         sp, op = event.self_parent, event.other_parent
         spi = opi = None
         if sp is not None:
-            spi = self.index.get(sp)
+            spi = index.get(sp)
             if spi is None:
                 raise HashgraphError(f"dangling self_parent {sp[:12]}")
-            if self.by_index[spi].creator != event.creator:
+            if by_index[spi].creator != creator:
                 raise HashgraphError("self_parent by a different creator")
         if op is not None:
-            opi = self.index.get(op)
+            opi = index.get(op)
             if opi is None:
                 raise HashgraphError(f"dangling other_parent {op[:12]}")
-            if self.by_index[opi].creator == event.creator:
+            if by_index[opi].creator == creator:
                 raise HashgraphError("other_parent created by creator itself")
-        if event.creator not in self._member_bit:
-            self.add_member(event.creator)
+        if creator not in self._member_bit:
+            self.add_member(creator)
+        sm = self._sm
+        if not sm and (spi is not None or opi is not None):
+            raise HashgraphError("no members to take a supermajority of")
 
-        idx = len(self.by_index)
-        self.index[digest] = idx
-        self.by_index.append(event)
+        idx = len(by_index)
+        index[digest] = idx
+        by_index.append(event)
+        bit = 1 << idx
+        cbit = 1 << self._member_bit[creator]
+        self._cmask[creator] = self._cmask.get(creator, 0) | bit
+        units = event._units
+        if units:
+            planes = self._unit_planes
+            planes += [0] * (units.bit_length() - len(planes))
+            while units:
+                low = units & -units
+                planes[low.bit_length() - 1] |= bit
+                units ^= low
 
-        anc = 1 << idx
-        forked = 0
-        if spi is not None:
+        # fork bookkeeping: a second same-creator child of one parent (or a
+        # second chain root) is a branch point
+        anc, forked = bit, 0
+        self._self_parent.append(-1 if spi is None else spi)
+        self._first_child.append(-1)
+        if spi is None:
+            self._seq.append(0)
+            first = self._first_root.setdefault(creator, idx)
+        else:
             anc |= self._anc[spi]
-            forked |= self._forked[spi]
+            forked = self._forked[spi]
+            self._seq.append(self._seq[spi] + 1)
+            first = self._first_child[spi]
+            if first < 0:
+                self._first_child[spi] = first = idx
         if opi is not None:
             anc |= self._anc[opi]
             forked |= self._forked[opi]
         self._anc.append(anc)
-        self._cbit.append(1 << self._member_bit[event.creator])
-        self._seq.append(0 if spi is None else self._seq[spi] + 1)
-        bit = 1 << idx
-        self._cmask[event.creator] = self._cmask.get(event.creator, 0) | bit
-        units, planes = event.units, self._unit_planes
-        for k in range(units.bit_length()):
-            if k == len(planes):
-                planes.append(0)
-            if units >> k & 1:
-                planes[k] |= bit
-
-        # fork bookkeeping: a second same-creator child of one parent (or a
-        # second chain root) is a branch point
-        self._self_parent.append(-1 if spi is None else spi)
-        self._first_child.append(-1)
-        if spi is None:
-            first = self._first_root.setdefault(event.creator, idx)
-        else:
-            first = self._first_child[spi]
-            if first < 0:
-                self._first_child[spi] = first = idx
         if first != idx:
             siblings = self._siblings.setdefault(first, [first])
-            self._branch_pairs.setdefault(event.creator, []).extend(
+            self._branch_pairs.setdefault(creator, []).extend(
                 (j, 1 | (1 << (idx - j))) for j in siblings
             )
+            self._pair_creators |= cbit
             siblings.append(idx)
-        for c, pairs in self._branch_pairs.items():
-            cbit = 1 << self._member_bit[c]
-            if forked & cbit:
-                continue
-            for j, pair in pairs:
-                if (anc >> j) & pair == pair:
-                    forked |= cbit
-                    break
+        if self._pair_creators & ~forked:
+            for c, pairs in self._branch_pairs.items():
+                cb = 1 << self._member_bit[c]
+                if forked & cb:
+                    continue
+                for j, pair in pairs:
+                    if (anc >> j) & pair == pair:
+                        forked |= cb
+                        break
         self._forked.append(forked)
 
-        self._assign_round(idx, spi, opi)
+        # round assignment: a parent one round below gives its round reach
+        # as the round - 1 reach; every field the self-parent brings has the
+        # creator's bit already, and the other parent's new fields get it
+        # here.  _present and _seen_flags are written out inline, so a
+        # typical insert calls no helper.
+        f, reach, rounds = self._width, self._reach, self.round
+        low, nh, f1 = self._low, self._nh, f - 1
+        r, prev, cur = 1, 0, 0
+        if spi is not None:
+            r = rounds[spi]
+            w, prev, cur = reach[spi]
+            if w != f:
+                prev, cur = self._reach_of(spi)
+        if opi is not None:
+            ro = rounds[opi]
+            w, pp, pc = reach[opi]
+            if w != f:
+                pp, pc = self._reach_of(opi)
+            if ro < r:
+                pp, pc = (pc if ro == r - 1 else 0), 0
+            elif ro > r:
+                prev, cur, r = (cur if ro == r + 1 else 0), 0, ro
+            if pp & ~prev:
+                prev |= pp | ((((pp & nh) + nh) | pp) >> f1 & low) * cbit
+            if pc & ~cur:
+                cur |= pc | ((((pc & nh) + nh) | pc) >> f1 & low) * cbit
+        # an empty reach (a genesis event's) sees nothing, and sm fields of
+        # sm bits need sm * sm bits
+        if cur and cur.bit_count() >= sm * sm:
+            v = cur
+            if forked:
+                v &= low * (self._full & ~forked)
+                caught = self._wcreators.get(r, 0) & low * forked
+                if caught:
+                    v &= ~(((((caught & nh) + nh) | caught) >> f1 & low)
+                           * self._full)
+            for k, mk in self._swar:
+                v = (v & mk) + ((v >> k) & mk)
+            if ((v + low * (2 * f - sm)) >> f.bit_length()
+                    & low).bit_count() >= sm:
+                r += 1
+                prev, cur = cur, 0
+        rounds.append(r)
+        if spi is None or rounds[spi] < r:
+            same_round = self.witnesses_by_round.setdefault(r, [])
+            pos = self._wpos[idx] = len(same_round)
+            same_round.append(idx)
+            if pos == self._fields:
+                self._fields *= 2
+                self._pack_constants()
+                low, nh = self._low, self._nh
+            field = cbit << pos * f
+            cur |= field
+            self._wcreators[r] = self._wcreators.get(r, 0) | field
+            if r - 1 >= self._first_undecided_round:
+                # first-round votes: yes on the round r - 1 witnesses this
+                # one sees, those it descends from and has not caught
+                # forking
+                yes = (((prev & nh) + nh) | prev) >> f1 & low
+                if forked:
+                    caught = self._wcreators.get(r - 1, 0) & low * forked
+                    yes &= ~((((caught & nh) + nh) | caught) >> f1 & low)
+                self._votes.setdefault(r - 1, {})[idx] = yes
+            keys = self._digest_keys.setdefault(r, [])
+            at = bisect.bisect(keys, digest)
+            keys.insert(at, digest)
+            self._by_digest.setdefault(r, []).insert(at, idx)
+        if r > self.max_round:
+            self.max_round = r
+        reach.append((f, prev, cur))
         return idx
 
     def _pack_constants(self) -> None:
@@ -354,6 +448,7 @@ class EventStore:
         f = self._width
         full = self._full = (1 << f) - 1
         low = self._low = ((1 << f * self._fields) - 1) // full
+        self._nh = low * ((1 << f - 1) - 1)
         self._swar = [(k, low * (full // ((1 << 2 * k) - 1) * ((1 << k) - 1)))
                       for k in (1 << j for j in range(f.bit_length() - 1))]
 
@@ -388,24 +483,19 @@ class EventStore:
 
     def _present(self, v: int) -> int:
         """LOW bits of v's nonzero fields."""
-        for k, _ in self._swar:
-            v |= v >> k
-        return v & self._low
-
-    def _caught(self, q: int, forked: int) -> int:
-        """LOW bits of the fields of round-q witnesses whose creator is in
-        forked."""
-        caught = self._wcreators.get(q, 0) & self._low * forked
-        return self._present(caught) if caught else 0
+        # a field's low F - 1 bits plus 2^(F-1) - 1 carry into its top bit
+        # iff they are nonzero
+        nh = self._nh
+        return (((v & nh) + nh) | v) >> self._width - 1 & self._low
 
     def _seen_flags(self, v: int, q: int, forked: int, sm: int) -> int:
         """LOW bits of the fields of round-q reach v whose witness creator
         is not in forked and whose creators outside forked number sm."""
         if forked:
             v &= self._low * (self._full & ~forked)
-            caught = self._caught(q, forked)
+            caught = self._wcreators.get(q, 0) & self._low * forked
             if caught:
-                v &= ~(caught * self._full)
+                v &= ~(self._present(caught) * self._full)
         for k, mk in self._swar:
             v = (v & mk) + ((v >> k) & mk)
         return self._at_least(v, sm)
@@ -417,56 +507,6 @@ class EventStore:
         f, low = self._width, self._low
         return (counts + low * (2 * f - t)) >> f.bit_length() & low
 
-    def _assign_round(self, idx: int, spi: Optional[int], opi: Optional[int]):
-        # a parent one round below gives its round reach as the round - 1
-        # reach; every field the self-parent brings has the creator's bit
-        # already, and the other parent's new fields get it here
-        cbit = self._cbit[idx]
-        parents = [p for p in (spi, opi) if p is not None]
-        r = max((self.round[p] for p in parents), default=1)
-        prev = cur = 0
-        for p in parents:
-            pp, pc = self._reach_of(p)
-            if self.round[p] < r:
-                pp, pc = (pc if self.round[p] == r - 1 else 0), 0
-            if p == spi:
-                prev, cur = pp, pc
-                continue
-            if pp & ~prev:
-                prev |= pp | self._present(pp) * cbit
-            if pc & ~cur:
-                cur |= pc | self._present(pc) * cbit
-        if parents:
-            sm = supermajority(len(self.population))
-            # sm fields of sm bits need sm * sm bits
-            if cur.bit_count() >= sm * sm and self._seen_flags(
-                    cur, r, self._forked[idx], sm).bit_count() >= sm:
-                r += 1
-                prev, cur = cur, 0
-        self.round.append(r)
-        if spi is None or self.round[spi] < r:
-            same_round = self.witnesses_by_round.setdefault(r, [])
-            pos = self._wpos[idx] = len(same_round)
-            same_round.append(idx)
-            if pos == self._fields:
-                self._fields *= 2
-                self._pack_constants()
-            field = cbit << pos * self._width
-            cur |= field
-            self._wcreators[r] = self._wcreators.get(r, 0) | field
-            if r - 1 >= self._first_undecided_round:
-                # first-round votes: yes on the round r - 1 witnesses this
-                # one sees, those it descends from and has not caught
-                # forking
-                self._votes.setdefault(r - 1, {})[idx] = self._present(
-                    prev) & ~self._caught(r - 1, self._forked[idx])
-            bisect.insort(
-                self._by_digest.setdefault(r, []), idx,
-                key=lambda i: self.by_index[i].digest,
-            )
-        self.max_round = max(self.max_round, r)
-        self._reach.append((self._width, prev, cur))
-
     def _strongly_seen(self, a: int, r: int) -> list[int]:
         """The round-r witnesses that a strongly sees, in position order;
         a's reach answers only rounds round(a) - 1 and round(a)."""
@@ -474,9 +514,7 @@ class EventStore:
         if below not in (0, 1):
             return []
         flags = self._seen_flags(
-            self._reach_of(a)[1 - below], r, self._forked[a],
-            supermajority(len(self.population)),
-        )
+            self._reach_of(a)[1 - below], r, self._forked[a], self._sm)
         ws = self.witnesses_by_round.get(r, ())
         return list(compress(ws, self._unpack(flags, len(ws))))
 
@@ -525,7 +563,9 @@ class EventStore:
         votes = self._votes[r]
         covered = self._covered.setdefault(r, {})
         ws = self.witnesses_by_round[r]
-        sm = supermajority(len(self.population))
+        sm = self._sm
+        if not sm:
+            raise HashgraphError("no members to take a supermajority of")
         for d in range(r + 2, self.max_round + 1):
             coin = (d - r) % COIN_PERIOD == 0
             for v in self._by_digest[d]:

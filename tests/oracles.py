@@ -6,8 +6,10 @@ incremental bitmask machinery.  The references further down recompute fame,
 ordering and a view's finalized round over an EventStore's own rounds,
 strong sight and fame, vote_state and check_vote_state_bounds read its
 fame vote state, and round_robin_fixture gossips the small DAGs the oracle
-tests run on.  insert and add_for grow a DAG on a view by hand, and
-report_text serializes a report the way write_report does.
+tests run on.  insert and add_for grow a DAG on a view by hand,
+report_text serializes a report the way write_report does, and
+check_supermajority checks a store's kept supermajority at every membership
+change.
 """
 
 from __future__ import annotations
@@ -21,8 +23,28 @@ from shardgraph.hashgraph import (
     Hashgraph,
     create_event,
     gossip_sync,
+    supermajority,
 )
 from shardgraph.transactions import Transaction
+
+
+# the kept supermajority ----------------------------------------------------
+
+
+def check_supermajority(monkeypatch) -> list[int]:
+    """Make every EventStore.add_member and remove_member call check that
+    the store's kept supermajority is that of its population afterwards;
+    returns the population sizes seen, one per call."""
+    sizes = []
+    for name in ("add_member", "remove_member"):
+        def checked(store, node, method=getattr(EventStore, name)):
+            method(store, node)
+            n = len(store.population)
+            sizes.append(n)
+            # an empty population has none to compare
+            assert store._sm == (supermajority(n) if n else 0)
+        monkeypatch.setattr(EventStore, name, checked)
+    return sizes
 
 
 # a gossiped oracle fixture --------------------------------------------------
@@ -325,8 +347,9 @@ class ReferenceFame:
         diff = store.round[v] - store.round[w]
         if diff == 1:
             # v sees w: w is an ancestor and its creator is not caught forking
+            creator = store._member_bit[store.by_index[w].creator]
             result = bool(store._anc[v] >> w & 1
-                          and not store._forked[v] & store._cbit[w])
+                          and not store._forked[v] >> creator & 1)
         else:
             yes = no = 0
             for u in self.strongly_seen_prev(v):

@@ -1,6 +1,8 @@
 """Micro-benchmarks of the hashgraph engine's insert, fame, ordering,
 partial-view ordering and gossip paths on a synthetic 16-member round-robin
-DAG (960 events), and of consensus polls on a 32-member one (3840 events).
+DAG (960 events), of insert on a forked 16-member gossip DAG (about 1000
+events, two equivocators), and of consensus polls on a 32-member round-robin
+DAG (3840 events).
 One timed round each, so they stay cheap in the regular suite;
 ``pytest tests/test_bench.py --benchmark-autosave`` stores their results
 under ``.benchmarks/``.  Memory guards: store bytes per event, the
@@ -23,6 +25,7 @@ from shardgraph.simulation import run_scenario, write_report
 from shardgraph.transactions import Transaction
 
 from oracles import check_vote_state_bounds, round_robin_fixture
+from test_engine_indices import gossip_dag
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +98,19 @@ def test_bench_add_event(benchmark, dag):
     store = benchmark.pedantic(filled_store, args=dag, rounds=1, iterations=1)
     assert len(store.by_index) == len(dag[1])
     assert store.max_round >= 10
+
+
+def test_bench_add_event_forked(benchmark):
+    # the branch-pair path: members 0 and 1 equivocate, so inserts register
+    # branch pairs and test them until each event inherits both forks
+    built, _ = gossip_dag(3, steps=900, n=16)
+    events = built.by_index
+    store = benchmark.pedantic(filled_store, args=(built.population, events),
+                               rounds=1, iterations=1)
+    assert len(store.by_index) == len(events) > 1000
+    assert len(store._branch_pairs) == 2 and store.max_round >= 7
+    assert store._forked == built._forked
+    assert sum(f.bit_count() == 2 for f in store._forked) > len(events) // 2
 
 
 def test_bench_advance_consensus(benchmark, dag):

@@ -21,6 +21,7 @@ from shardgraph.transactions import Transaction
 from oracles import (
     BruteGraph,
     add_for,
+    check_supermajority,
     head_of,
     insert,
     round_robin_fixture,
@@ -80,6 +81,32 @@ def test_supermajority(n, expected):
 def test_supermajority_rejects_zero():
     with pytest.raises(HashgraphError):
         supermajority(0)
+
+
+def test_kept_supermajority_follows_membership(monkeypatch):
+    sizes = check_supermajority(monkeypatch)
+    store = EventStore(range(3))
+    assert store._sm == supermajority(3)
+    # joins past two widenings of the reach fields, leaves, and two no-ops:
+    # a leave of a non-member and a join of a member
+    for node in range(3, 20):
+        store.add_member(node)
+    for node in (0, 7, 12, 40):
+        store.remove_member(node)
+    store.add_member(5)
+    assert store._width == 32 and len(store.population) == 17
+    # every member leaves, as in shard recovery before the replacements
+    # join: no supermajority is taken of an empty population
+    for node in list(store.population):
+        store.remove_member(node)
+    genesis = Event(1, None, None, (), 0)
+    assert store.add_event(genesis) == 0
+    with pytest.raises(HashgraphError):
+        store.add_event(Event(1, genesis.digest, None, (), 1))
+    assert len(store.by_index) == len(store.round) == 1
+    for node in (30, 31):
+        store.add_member(node)
+    assert sizes[-1] == 2 and 0 in sizes
 
 
 def test_set_bits_matches_brute_force():

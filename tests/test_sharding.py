@@ -1,7 +1,12 @@
 import pytest
 
 import shardgraph.hashgraph
-from shardgraph.hashgraph import Hashgraph, create_event, gossip_sync
+from shardgraph.hashgraph import (
+    Hashgraph,
+    create_event,
+    gossip_sync,
+    supermajority,
+)
 from shardgraph.sharding import (
     CommitteeTable,
     ShardState,
@@ -16,6 +21,8 @@ from shardgraph.sharding import (
     replicate_checkpoint,
 )
 from shardgraph.transactions import Transaction
+
+from oracles import check_supermajority
 
 
 def tx(i, origin, target):
@@ -258,6 +265,21 @@ def test_recover_preserves_consensus_prefix():
     assert table.members(0) == replacements
     post = state.local_stores[0].consensus
     assert post[: len(pre)] == pre
+
+
+def test_recover_keeps_supermajority_through_empty_population(monkeypatch):
+    # recovery removes every member before the replacements join
+    sizes = check_supermajority(monkeypatch)
+    table = partition_nodes(range(12), 2, seed=2)
+    state = ShardState(table)
+    build_consensus_history(state, table, 0)
+    replicate_checkpoint(state, table, 0, full_view(state.local_stores[0]))
+    recover_failed_shard(state, table, 0, [100, 101, 102, 103])
+    assert 0 in sizes
+    store = state.local_stores[0]
+    assert store.population == [100, 101, 102, 103]
+    assert store._sm == supermajority(4)
+    store.advance_consensus()
 
 
 def test_recover_uses_latest_checkpoint():
