@@ -128,15 +128,13 @@ class EventStore:
     Indices that keep insert, fame and ordering work bounded by what changed
     rather than by history:
 
-    - ``_self_parent[i]`` and ``_first_child[i]`` (-1 for none) index the
-      self-parent edges one slot per event; ``_first_root`` holds each
-      creator's first chain root.  A second same-creator child of one parent
-      (or a second root) is a branch point: only then does ``_siblings``
-      get an entry, and ``_branch_pairs[creator]`` one ``(j, mask)`` per
-      sibling pair (j, k): ``mask`` has bits 0 and k - j.
-      ``_pair_creators`` has the member bit of every creator with branch
-      pairs, so an insert whose inherited forked bits already hold them all
-      skips the pair test in one AND.
+    - ``_self_parent[i]`` (-1 for none) and ``_seq[i]``, its place along
+      that chain, index the self-parent edges one slot per event.
+      ``_forkers`` maps each creator that has made a branch point (an event
+      whose self-parent is not the creator's last inserted event, or a
+      second root) to its member bit, and ``_forker_bits`` ORs those bits,
+      so an insert whose inherited forked bits already hold them all skips
+      the fork test in one AND.
     - ``_cmask[c]`` has a bit per event of creator c, and ``_unit_planes[k]``
       a bit per event whose ``units`` has bit k set, so the events of one
       creator in a mask are one AND and the units of a mask are a few
@@ -146,8 +144,9 @@ class EventStore:
       their digests in the same order, so a new witness's place is one
       bisect over strings.  ``witnesses_by_round`` keeps insertion order,
       which decides ``fame_decider``.
-    - ``_wpos[w]`` is witness w's position in ``witnesses_by_round[r]``,
-      which is append-only.
+    - ``_witness_count`` counts the witnesses inserted so far; a witness's
+      position is its place in ``witnesses_by_round[r]``, which is
+      append-only.
     - Packed votes: ``_votes[r][v]`` is witness v's vote on every round-r
       witness at once, packed like a reach: the LOW bit of field p is its
       yes on the witness at position p.  A round r + 1 witness gets its
@@ -197,15 +196,19 @@ class EventStore:
       ``add_member`` and ``remove_member`` (0 while the population is empty,
       which makes a read raise), so neither insert nor a tally recounts it.
 
-    The fast paths rely on two invariants.  Forked bits are inherited: a
-    creator caught forking in a parent's ancestry stays caught, so insert
-    only tests the branch pairs of creators not already in ``_forked``.
-    Ancestry is monotone along a self-parent chain: a later event of the
-    chain descends from everything an earlier one does, so one backward walk
-    per famous witness finds, for every event of a round, the earliest
-    self-ancestor of the witness that reaches it.  That event's created_at is
-    the witness's stamp for the event (Baird's consensus-timestamp rule); a
-    self-parent chain is one chain even when its creator forks elsewhere.
+    The fast paths rely on three invariants.  A creator's events in a
+    down-closed mask form one chain iff they number one more than the
+    ``_seq`` of the highest-index one, which is the only fork test; a
+    creator that has never branched has one chain, so only forkers are
+    tested.  Forked bits are inherited: a creator caught forking in a
+    parent's ancestry stays caught, so insert only tests the forkers not
+    already in ``_forked``.  Ancestry is monotone along a self-parent
+    chain: a later event of the chain descends from everything an earlier
+    one does, so one backward walk per famous witness finds, for every
+    event of a round, the earliest self-ancestor of the witness that
+    reaches it.  That event's created_at is the witness's stamp for the
+    event (Baird's consensus-timestamp rule); a self-parent chain is one
+    chain even when its creator forks elsewhere.
     """
 
     def __init__(self, population: Iterable[NodeId]):
@@ -222,14 +225,11 @@ class EventStore:
         self._cmask: dict[NodeId, int] = {}  # creator -> its events' mask
         self._unit_planes: list[int] = []
         self._self_parent: list[int] = []
-        self._first_child: list[int] = []
-        self._first_root: dict[NodeId, int] = {}
-        self._siblings: dict[int, list[int]] = {}  # first child -> all
-        self._branch_pairs: dict[NodeId, list[tuple[int, int]]] = {}
-        self._pair_creators = 0              # their creators' member bits
+        self._forkers: dict[NodeId, int] = {}  # creator -> its member bit
+        self._forker_bits = 0
         self.round: list[int] = []
         self.witnesses_by_round: dict[int, list[int]] = {}
-        self._wpos: dict[int, int] = {}      # witness -> its position there
+        self._witness_count = 0
         self._by_digest: dict[int, list[int]] = {}
         self._digest_keys: dict[int, list[EventId]] = {}  # their digests
         self.max_round = 0
@@ -262,12 +262,14 @@ class EventStore:
     # -- membership ---------------------------------------------------------
 
     def add_member(self, node: NodeId) -> None:
+        # a returning member takes its old bit back
+        if node in self.population:
+            return
+        bisect.insort(self.population, node)
+        self._update_supermajority()
         if node in self._member_bit:
             return
         self._member_bit[node] = len(self._member_bit)
-        self.population.append(node)
-        self.population.sort()
-        self._update_supermajority()
         if len(self._member_bit) > self._width:
             old, self._width = self._width, 2 * self._width
             self._wcreators = {r: self._relay(v, old)
@@ -323,7 +325,8 @@ class EventStore:
         by_index.append(event)
         bit = 1 << idx
         cbit = 1 << self._member_bit[creator]
-        self._cmask[creator] = self._cmask.get(creator, 0) | bit
+        own = self._cmask.get(creator, 0)
+        self._cmask[creator] = own | bit
         units = event._units
         if units:
             planes = self._unit_planes
@@ -333,41 +336,32 @@ class EventStore:
                 planes[low.bit_length() - 1] |= bit
                 units ^= low
 
-        # fork bookkeeping: a second same-creator child of one parent (or a
-        # second chain root) is a branch point
-        anc, forked = bit, 0
+        # fork bookkeeping: while a creator has not branched, its last
+        # inserted event is its tip, so an event whose self-parent is not
+        # the tip (or a second root) is a branch point
+        anc, forked, seq = bit, 0, self._seq
         self._self_parent.append(-1 if spi is None else spi)
-        self._first_child.append(-1)
         if spi is None:
-            self._seq.append(0)
-            first = self._first_root.setdefault(creator, idx)
+            seq.append(0)
         else:
             anc |= self._anc[spi]
             forked = self._forked[spi]
-            self._seq.append(self._seq[spi] + 1)
-            first = self._first_child[spi]
-            if first < 0:
-                self._first_child[spi] = first = idx
+            seq.append(seq[spi] + 1)
         if opi is not None:
             anc |= self._anc[opi]
             forked |= self._forked[opi]
         self._anc.append(anc)
-        if first != idx:
-            siblings = self._siblings.setdefault(first, [first])
-            self._branch_pairs.setdefault(creator, []).extend(
-                (j, 1 | (1 << (idx - j))) for j in siblings
-            )
-            self._pair_creators |= cbit
-            siblings.append(idx)
-        if self._pair_creators & ~forked:
-            for c, pairs in self._branch_pairs.items():
-                cb = 1 << self._member_bit[c]
-                if forked & cb:
-                    continue
-                for j, pair in pairs:
-                    if (anc >> j) & pair == pair:
+        if (self._self_parent[idx] != own.bit_length() - 1
+                and not self._forker_bits & cbit):
+            self._forkers[creator] = cbit
+            self._forker_bits |= cbit
+        if self._forker_bits & ~forked:
+            cmask = self._cmask
+            for c, cb in self._forkers.items():
+                if not forked & cb:
+                    x = anc & cmask[c]
+                    if x and x.bit_count() != seq[x.bit_length() - 1] + 1:
                         forked |= cb
-                        break
         self._forked.append(forked)
 
         # round assignment: a parent one round below gives its round reach
@@ -415,8 +409,9 @@ class EventStore:
         rounds.append(r)
         if spi is None or rounds[spi] < r:
             same_round = self.witnesses_by_round.setdefault(r, [])
-            pos = self._wpos[idx] = len(same_round)
+            pos = len(same_round)
             same_round.append(idx)
+            self._witness_count += 1
             if pos == self._fields:
                 self._fields *= 2
                 self._pack_constants()
@@ -535,10 +530,10 @@ class EventStore:
 
     def elect_fame(self) -> None:
         """Decide witness fame where decidable; decisions are final."""
-        if self._fame_polled == len(self._wpos):
+        if self._fame_polled == self._witness_count:
             # no new witness, so no (voter, witness) pair left to vote on
             return
-        self._fame_polled = len(self._wpos)
+        self._fame_polled = self._witness_count
         for r in range(self._first_undecided_round, self.max_round + 1):
             undecided = self._pack(bytes(
                 w not in self.fame for w in self.witnesses_by_round[r]))
@@ -846,7 +841,7 @@ def detect_forks(graph: Hashgraph) -> set[tuple[NodeId, EventId, EventId]]:
     """Every same-creator event pair where neither is the other's ancestor."""
     store = graph.store
     forks: set[tuple[NodeId, EventId, EventId]] = set()
-    for creator in store._branch_pairs:
+    for creator in store._forkers:
         # an ancestor has a lower index, so the earlier visible events of the
         # creator that b is incomparable to are those missing from anc(b)
         below = 0

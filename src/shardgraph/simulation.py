@@ -70,6 +70,7 @@ from .transactions import (
     KIND_REORG,
     KIND_RESELECT,
     Transaction,
+    control_tx,
 )
 
 
@@ -450,12 +451,8 @@ class Simulation:
         if len(peers) < 2:
             return
         p1, p2 = self.rng.sample(peers, 2)
-        marker_a = Transaction(
-            tx_id=f"fork{node}-{t}a", origin=cid, target=cid, size_units=0
-        )
-        marker_b = Transaction(
-            tx_id=f"fork{node}-{t}b", origin=cid, target=cid, size_units=0
-        )
+        marker_a = control_tx(f"fork{node}-{t}a", cid)
+        marker_b = control_tx(f"fork{node}-{t}b", cid)
         alt = Hashgraph(view.store, node)
         alt.known = view.known
         alt.head = head
@@ -571,14 +568,7 @@ class Simulation:
     def _request_join(self, node, t):
         receiver = join_request_receiver(self.table)
         rcid = self.table.committee_of(receiver)
-        tx = Transaction(
-            tx_id=f"join{node}-{t}",
-            origin=rcid,
-            target=rcid,
-            size_units=0,
-            kind=KIND_JOIN,
-            data=(node,),
-        )
+        tx = control_tx(f"join{node}-{t}", rcid, KIND_JOIN, (node,))
         if self.cfg.s == 1:
             # no global graph to order the request in; settle it on the
             # single committee's clock
@@ -607,14 +597,7 @@ class Simulation:
         )
 
     def _raise_reorg(self, cid, t):
-        tx = Transaction(
-            tx_id=f"reorg{cid}-{t}",
-            origin=cid,
-            target=cid,
-            size_units=0,
-            kind=KIND_REORG,
-            data=(cid,),
-        )
+        tx = control_tx(f"reorg{cid}-{t}", cid, KIND_REORG, (cid,))
         self.state.queues[cid].outbound.append(tx)
         self.reorg[cid] = {"phase": "await-global"}
         self.action_log.append(
@@ -653,16 +636,9 @@ class Simulation:
         )
         for donor in donors:
             coord = self.table.coordinators[donor]
-            self.pending[coord].append(
-                Transaction(
-                    tx_id=f"ireorg{cid}-{donor}-{t}",
-                    origin=donor,
-                    target=donor,
-                    size_units=0,
-                    kind=KIND_INTRA_REORG,
-                    data=(cid, donor),
-                )
-            )
+            self.pending[coord].append(control_tx(
+                f"ireorg{cid}-{donor}-{t}", donor, KIND_INTRA_REORG,
+                (cid, donor)))
 
     def _on_intra_reorg(self, ordered_cid, tx, oe, t):
         depleted, donor = tx.data
@@ -705,16 +681,8 @@ class Simulation:
         entry.update(phase="await-reselect", pending_reselect=set(changed))
         for c in changed:
             coord = self.table.coordinators[c]
-            self.pending[coord].append(
-                Transaction(
-                    tx_id=f"resel{c}-{t}-{self.table.epoch}",
-                    origin=c,
-                    target=c,
-                    size_units=0,
-                    kind=KIND_RESELECT,
-                    data=(c,),
-                )
-            )
+            self.pending[coord].append(control_tx(
+                f"resel{c}-{t}-{self.table.epoch}", c, KIND_RESELECT, (c,)))
         self.action_log.append(
             {
                 "at": t,

@@ -33,3 +33,10 @@ class Transaction:
     def is_cross(self) -> bool:
         return self.origin != self.target
 
+
+def control_tx(tx_id: str, committee: int, kind: str = KIND_PAYLOAD,
+               data: tuple = ()) -> Transaction:
+    """A zero-size transaction a committee addresses to itself: a control
+    transaction of kind with its arguments in data, or, of the payload
+    kind, an equivocation marker."""
+    return Transaction(tx_id, committee, committee, 0, kind, data)

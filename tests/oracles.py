@@ -303,7 +303,8 @@ def add_for(graph, creator, other_parent=None, payload=(), now=0):
 def witness_flags(store):
     """Per-event witness flags in index order: an event is a witness iff it
     has a position among its round's witnesses."""
-    return [i in store._wpos for i in range(len(store.by_index))]
+    witnesses = {w for ws in store.witnesses_by_round.values() for w in ws}
+    return [i in witnesses for i in range(len(store.by_index))]
 
 
 # fame reference over an EventStore's own annotations ------------------------

@@ -41,13 +41,28 @@ def filled_store(population, events):
     return store
 
 
-@pytest.mark.parametrize("n, per_node", [(16, 60), (32, 30)])
-def test_store_bytes_per_event(n, per_node):
-    # the memory a store allocates to index and annotate events it is given
+def round_robin_events(n, per_node):
     graph, events = round_robin_fixture(n, per_node)
+    return graph.population, events
+
+
+def forked_events():
+    built, _ = gossip_dag(3, steps=900, n=16)
+    return built.population, built.by_index
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param(lambda: round_robin_events(16, 60), id="16-60"),
+    pytest.param(lambda: round_robin_events(32, 30), id="32-30"),
+    pytest.param(forked_events, id="forked-16"),
+])
+def test_store_bytes_per_event(source):
+    # the memory a store allocates to index and annotate events it is
+    # given, on two round-robin DAGs and a forked 16-member gossip DAG
+    population, events = source()
     tracemalloc.start()
     try:
-        store = filled_store(graph.population, events)
+        store = filled_store(population, events)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -101,14 +116,14 @@ def test_bench_add_event(benchmark, dag):
 
 
 def test_bench_add_event_forked(benchmark):
-    # the branch-pair path: members 0 and 1 equivocate, so inserts register
-    # branch pairs and test them until each event inherits both forks
+    # the fork-test path: members 0 and 1 equivocate, so inserts test each
+    # forker's events in their ancestry until each event inherits both forks
     built, _ = gossip_dag(3, steps=900, n=16)
     events = built.by_index
     store = benchmark.pedantic(filled_store, args=(built.population, events),
                                rounds=1, iterations=1)
     assert len(store.by_index) == len(events) > 1000
-    assert len(store._branch_pairs) == 2 and store.max_round >= 7
+    assert len(store._forkers) == 2 and store.max_round >= 7
     assert store._forked == built._forked
     assert sum(f.bit_count() == 2 for f in store._forked) > len(events) // 2
 

@@ -10,6 +10,7 @@ import pytest
 import oracles
 from shardgraph import hashgraph
 from shardgraph.hashgraph import (
+    Event,
     EventStore,
     Hashgraph,
     consensus_order,
@@ -145,6 +146,60 @@ def test_detect_forks_on_partial_views(seed):
     assert missed
 
 
+def test_fork_shapes_outside_the_equivocator_schedule():
+    # the equivocator schedule only splits a tip in two; here member 1
+    # makes a second genesis event, member 0 forks off a self-ancestor below
+    # its tip, and member 2 forks one of its own branches, each branch
+    # made before it sees the other.  Member 3 merges them by other-parents
+    store = EventStore(range(4))
+    ids = {}
+
+    def add(name, creator, self_parent=None, other_parent=None):
+        ev = Event(creator, ids.get(self_parent), ids.get(other_parent), (),
+                   len(store.by_index))
+        ids[name] = ev.digest
+        return store.add_event(ev)
+
+    for c in range(4):
+        add(f"g{c}", c)
+    add("a1", 0, "g0", "g1")
+    add("a2", 0, "a1", "g2")
+    add("x", 0, "g0", "g3")            # off g0, two below the tip a2
+    add("b1", 1, "g1", "a2")
+    add("h", 1, None, "x")             # a second genesis event
+    add("c1", 2, "g2")
+    add("c1'", 2, "g2", "b1")          # branch c1' ...
+    add("c2", 2, "c1'")
+    add("c2'", 2, "c1'", "h")          # ... forked in two
+    add("d1", 3, "g3", "a2")
+    d2 = add("d2", 3, "d1", "x")
+    add("d3", 3, "d2", "b1")
+    d4 = add("d4", 3, "d3", "h")
+    add("d5", 3, "d4", "c2")
+    d6 = add("d6", 3, "d5", "c2'")
+    add("d7", 3, "d6", "c1")
+    assert list(store._forkers) == [0, 1, 2]
+    # each fork is caught by the first event that reaches both branches;
+    # member 2's only by the branch's own fork, as c1 comes later
+    for i, c in ((d2, 0), (d4, 1), (d6, 2)):
+        assert store._forked[i - 1] >> c & 1 == 0
+        assert store._forked[i] >> c & 1
+    oracle = BruteGraph(store.population, store.by_index)
+    for i, ev in enumerate(store.by_index):
+        got = {c for c, b in store._member_bit.items()
+               if store._forked[i] >> b & 1}
+        assert got == brute_forked(oracle, ev.digest)
+    forks = oracle.forks()
+    assert {f[0] for f in forks} == {0, 1, 2}
+    assert detect_forks(_full_view(store)) == forks
+    views = []
+    for anc in store._anc:
+        view = Hashgraph(store)
+        view.known = anc
+        views.append(view)
+    assert check_view_forks(store, views, forks)
+
+
 def bits(mask):
     while mask:
         low = mask & -mask
@@ -213,7 +268,7 @@ def test_strong_sight_survives_widening(n, steps, width):
     # three members past the field width double it; once they leave, the
     # supermajority is as before, so every re-laid reach must answer alike
     store, _ = gossip_dag(3, steps=steps, n=n)
-    assert store._branch_pairs and store._width == width
+    assert store._forkers and store._width == width
     before = strong_sight(store)
     for m in range(n, n + 3):
         store.add_member(m)
@@ -233,7 +288,7 @@ def test_strong_sight_after_midway_joins_matches_brute_force(n, steps,
     # before are re-laid when read.  Brute strong sight ignores forks, so
     # the schedule has none.
     store, _ = gossip_dag(3, steps=steps, fork_p=0, n=n, joins=3)
-    assert store._width > n + 1 and not store._branch_pairs
+    assert store._width > n + 1 and not store._forkers
     o = BruteGraph(store.population, store.by_index)
     pairs = found = 0
     for a, ev in enumerate(store.by_index):
@@ -246,7 +301,8 @@ def test_strong_sight_after_midway_joins_matches_brute_force(n, steps,
                 assert (w in seen) == (o.is_ancestor(ev.digest, b)
                                        and o.strongly_sees(ev.digest, b))
     assert (pairs, found) == pairs_found
-    assert any(store.by_index[w].creator >= n for w in store._wpos)
+    assert any(store.by_index[w].creator >= n
+               for ws in store.witnesses_by_round.values() for w in ws)
 
 
 def check_fame_against_reference(built, remove=None, members=None):
@@ -277,7 +333,9 @@ def check_fame_against_reference(built, remove=None, members=None):
     half = len(built.by_index) // 14 * 7
     for i, ev in enumerate(built.by_index, 1):
         x = store.add_event(ev)
-        late += x in store._wpos and bool(store._covered.get(store.round[x]))
+        r = store.round[x]
+        late += (x in store.witnesses_by_round[r]
+                 and bool(store._covered.get(r)))
         if i % 7 == 0 or i == len(built.by_index):
             votes = poll()
             assert poll() == votes
@@ -324,7 +382,7 @@ def test_fame_matches_reference_on_simulated_equivocators():
     ))
     sim.run()
     store = sim.state.local_stores[0]
-    assert store._branch_pairs
+    assert store._forkers
     check_fame_against_reference(store)
 
 
@@ -337,7 +395,7 @@ def test_fame_and_order_across_widening(n, steps, seed, width):
     # joiners' genesis events land in round 1 after witnesses two rounds up
     # have voted on it, so those voters vote again on the new fields alone
     built = gossip_dag(seed, steps=steps, n=n, joins=3)[0]
-    assert built._branch_pairs and built._width == 2 * width
+    assert built._forkers and built._width == 2 * width
     store, polls, late = check_fame_against_reference(built,
                                                       members=range(n))
     assert store._width == 2 * width and late == 3
@@ -359,10 +417,10 @@ def test_vote_state_stays_flat_in_history():
             peaks.append(check_vote_state_bounds(store))
 
     store, _ = gossip_dag(3, steps=1500, poll=poll)
-    assert store._first_undecided_round > 20 and store._branch_pairs
+    assert store._first_undecided_round > 20 and store._forkers
     early, late = max(peaks[:60]), max(peaks[60:])
     assert 0 < late <= early <= 5 * len(store.population)
-    assert early < len(store._wpos) // 5
+    assert early < sum(map(len, store.witnesses_by_round.values())) // 5
 
 
 def median_cases(store):
@@ -448,7 +506,7 @@ def test_view_limits_match_rescan(seed):
     store, views = gossip_dag(seed, joins=2 * (seed % 4 == 1), poll=poll)
     limits = check_view_limits(store, views)
     polls.append((store.finalized_round, limits))
-    assert store._branch_pairs
+    assert store._forkers
     # some views reach the store's finalized round and some stop short
     assert any(0 < limit == final for final, ls in polls for limit in ls)
     assert any(limit < final for final, ls in polls for limit in ls)
@@ -492,7 +550,8 @@ def test_late_witness_in_finalized_round_stays_undecided():
     gossip_sync(stale, views[4], len(store.by_index))
     late = store.index[views[4].head]
     r = store.round[late]
-    assert late in store._wpos and 2 <= r <= store.finalized_round
+    assert late in store.witnesses_by_round[r]
+    assert 2 <= r <= store.finalized_round
     store.advance_consensus()
     # a view that knows the witness stops below its round; one that does
     # not keeps every finalized round

@@ -109,6 +109,15 @@ def test_kept_supermajority_follows_membership(monkeypatch):
     assert sizes[-1] == 2 and 0 in sizes
 
 
+def test_returning_member_rejoins_population_with_its_bit():
+    store = EventStore(range(4))
+    store.remove_member(2)
+    store.add_member(2)
+    assert store.population == [0, 1, 2, 3]
+    assert store._sm == supermajority(4)
+    assert store._member_bit == {0: 0, 1: 1, 2: 2, 3: 3}
+
+
 def test_set_bits_matches_brute_force():
     rng = random.Random(4)
     masks = [0, 1, 1 << 700, (1 << 700) - 1] + [
@@ -282,7 +291,8 @@ def test_strongly_sees_two_of_four_is_not_enough():
     store = g.store
     a, w = store.index[e1b.digest], store.index[e0.digest]
     # paths from e1b down to e0 touch only creators {0, 1}
-    assert store.round[a] == store.round[w] == 1 and w in store._wpos
+    assert store.round[a] == store.round[w] == 1
+    assert w in store.witnesses_by_round[1]
     assert w not in strongly_seen(store, a, 1)
     assert store._anc[store.index[e1.digest]] >> w & 1
 
