@@ -140,10 +140,9 @@ class EventStore:
       creator in a mask are one AND and the units of a mask are a few
       popcounts (``units_of``).
     - ``_by_digest[r]`` is round r's witnesses sorted by digest, the order
-      fame voting and ordering visit them in; ``_digest_keys[r]`` holds
-      their digests in the same order, so a new witness's place is one
-      bisect over strings.  ``witnesses_by_round`` keeps insertion order,
-      which decides ``fame_decider``.
+      fame voting and ordering visit them in; a new witness takes its place
+      by one bisect keyed on digest.  ``witnesses_by_round`` keeps
+      insertion order.
     - ``_witness_count`` counts the witnesses inserted so far; a witness's
       position is its place in ``witnesses_by_round[r]``, which is
       append-only.
@@ -161,7 +160,7 @@ class EventStore:
       is still voted on by voters that have voted on the rest.
     - Vote state lifetime: ``elect_fame`` visits voters round by round in
       digest order on every pass and stops voting on a decided witness, so
-      fame and ``fame_decider`` are those of one vote per (voter, witness)
+      fame and its deciders are those of one vote per (voter, witness)
       pair cast in that order.  A vote is never recast, so a poll with no
       witness inserted since the last (``_fame_polled``) returns at once.
       Once round r is decided (``_first_undecided_round`` passes it),
@@ -175,14 +174,15 @@ class EventStore:
       It starts at 2^B - (k + 1) for k = (famous - 1) // 2, so an event's
       carry out of the top plane comes with its lower-median stamp, and the
       events that carry out at one stamp are ordered by digest.
-    - ``_view_limits[r]`` caches, for finalized round r, its witness count,
-      a mask of its undecided witnesses, its highest decider index and its
-      deciders grouped with the witnesses each decided, so
-      ``view_finalized_round`` checks a round in a few big-int operations,
-      and a round whose deciders all lie below the view's lowest missing
-      event in one comparison.  Fame in a finalized round never changes and
-      a witness that lands there later stays undecided, so the count is an
-      exact key.
+    - View limits are written when their facts are decided.
+      ``_deciders[r]`` is [highest decider, {decider: mask of the round-r
+      witnesses its vote decided}], kept by ``_tally``.  ``_late[r]`` masks
+      the witnesses that landed in round r once it was finalized: tallies
+      never revisit a round below ``_first_undecided_round``, which is past
+      ``finalized_round``, so those are exactly the round's undecided
+      witnesses, and they stay undecided.  ``view_finalized_round`` checks
+      a round in a few big-int operations, and a round whose deciders all
+      lie below the view's lowest missing event in one comparison.
     - ``_reach[x]`` packs, for round(x) - 1 and round(x), which creators own
       an event on a path from each witness of that round down to x.  Field p
       (bits p*F to p*F + F - 1, F = ``_width``) holds the creator mask for
@@ -231,7 +231,6 @@ class EventStore:
         self.witnesses_by_round: dict[int, list[int]] = {}
         self._witness_count = 0
         self._by_digest: dict[int, list[int]] = {}
-        self._digest_keys: dict[int, list[EventId]] = {}  # their digests
         self.max_round = 0
         # packed witness reach: (width, round - 1 reach, round reach)
         self._reach: list[tuple[int, int, int]] = []
@@ -247,17 +246,15 @@ class EventStore:
         self._covered: dict[int, dict[int, int]] = {}
         self._ss_prev: dict[int, list[int]] = {}
         self.fame: dict[int, bool] = {}
-        self.fame_decider: dict[int, int] = {}
+        # round -> [highest decider, {decider: mask of witnesses it decided}]
+        self._deciders: dict[int, list] = {}
         self._first_undecided_round = 1
         self._fame_polled = 0                # witnesses at the last poll
         # total ordering
         self.consensus: list[OrderedEvent] = []
         self._emitted = 0                    # bitmask of ordered events
         self.finalized_round = 0
-        # finalized round -> (witnesses, undecided mask, last decider,
-        # (decider bit, mask of the witnesses it decided) pairs)
-        self._view_limits: dict[
-            int, tuple[int, int, int, list[tuple[int, int]]]] = {}
+        self._late: dict[int, int] = {}      # round -> late witnesses
 
     # -- membership ---------------------------------------------------------
 
@@ -428,10 +425,10 @@ class EventStore:
                     caught = self._wcreators.get(r - 1, 0) & low * forked
                     yes &= ~((((caught & nh) + nh) | caught) >> f1 & low)
                 self._votes.setdefault(r - 1, {})[idx] = yes
-            keys = self._digest_keys.setdefault(r, [])
-            at = bisect.bisect(keys, digest)
-            keys.insert(at, digest)
-            self._by_digest.setdefault(r, []).insert(at, idx)
+            if r <= self.finalized_round:
+                self._late[r] = self._late.get(r, 0) | bit
+            bisect.insort(self._by_digest.setdefault(r, []), idx,
+                          key=lambda i: by_index[i]._digest)
         if r > self.max_round:
             self.max_round = r
         reach.append((f, prev, cur))
@@ -587,10 +584,14 @@ class EventStore:
                 votes[v] = votes.get(v, 0) | vote & todo
                 if decided and not coin:
                     flags = self._unpack(decided, len(ws))
+                    won = 0
                     for w, famous in zip(compress(ws, flags), compress(
                             self._unpack(vote, len(ws)), flags)):
                         self.fame[w] = bool(famous)
-                        self.fame_decider[w] = v
+                        won |= 1 << w
+                    record = self._deciders.setdefault(r, [v, {}])
+                    record[0] = max(record[0], v)
+                    record[1][v] = record[1].get(v, 0) | won
                     undecided &= ~decided
                     if not undecided:
                         return 0
@@ -674,28 +675,10 @@ class EventStore:
         # the view knows every event below its lowest missing index
         low = (~known & known + 1).bit_length() - 1
         for r in range(1, self.finalized_round + 1):
-            witnesses = self.witnesses_by_round[r]
-            limit = self._view_limits.get(r)
-            if limit is None or limit[0] != len(witnesses):
-                # fame in a finalized round never changes, and a witness
-                # that lands in it later stays undecided: a new witness is
-                # the only change, so the count keys the entry.  The masks
-                # are built from the round's first witness up, then shifted
-                # once.
-                lo, undecided, by_decider = witnesses[0], 0, {}
-                for w in witnesses:
-                    if w not in self.fame:
-                        undecided |= 1 << w - lo
-                    elif w in self.fame_decider:
-                        d = self.fame_decider[w]
-                        by_decider[d] = by_decider.get(d, 0) | 1 << w - lo
-                limit = self._view_limits[r] = (
-                    len(witnesses), undecided << lo,
-                    max(by_decider, default=-1),
-                    [(1 << d, ws << lo) for d, ws in by_decider.items()])
-            _, undecided, last_decider, groups = limit
-            if known & undecided or last_decider >= low and any(
-                    known & ws and not known & d for d, ws in groups):
+            last, groups = self._deciders[r]
+            if known & self._late.get(r, 0) or last >= low and any(
+                    known & ws and not known >> d & 1
+                    for d, ws in groups.items()):
                 return r - 1
         return self.finalized_round
 
@@ -757,6 +740,19 @@ class Hashgraph:
             if head is None or seq[index[head]] <= seq[i]:
                 head = store.by_index[i].digest
         return head
+
+
+def member_view(store: EventStore, owner: NodeId) -> Hashgraph:
+    """The owner's view as its last event in store left it, headed by that
+    event, so a node back in a committee it left starts no second root;
+    empty if it has no event there."""
+    view = Hashgraph(store, owner)
+    own = store._cmask.get(owner, 0)
+    if own:
+        last = own.bit_length() - 1
+        view.known = store._anc[last]
+        view.head = store.by_index[last].digest
+    return view
 
 
 def create_event(

@@ -35,6 +35,7 @@ from .hashgraph import (
     create_event,
     detect_forks,
     gossip_sync,
+    member_view,
 )
 from .metrics import MetricsReport, compare_measured
 from .reconfig import (
@@ -220,7 +221,6 @@ class Simulation:
         self.recovery_log: list = []
         self.anomalies: list = []
         self.last_ckpt_round = 0
-        self.checkpoint_count = 0
         self.failed_members: dict[int, list[int]] = {}
         self.equivocators: list[int] = []
         if config.adversary_kind == "equivocator":
@@ -243,8 +243,9 @@ class Simulation:
         self.sched = Scheduler()
 
     def _local_view(self, node) -> Hashgraph:
-        """An empty view of the node's committee graph."""
-        return Hashgraph(
+        """The node's view of its committee graph: empty for a newcomer,
+        and for a node moved back, what its own events there knew."""
+        return member_view(
             self.state.local_stores[self.table.committee_of(node)], node
         )
 
@@ -421,7 +422,6 @@ class Simulation:
             self.metrics.replica_counts[cid] = replica_holder_count(
                 self.state, self.table, cid
             )
-        self.checkpoint_count += 1
         self.action_log.append({"at": t, "action": "checkpoint"})
 
     # -- adversaries -----------------------------------------------------------
@@ -779,7 +779,8 @@ class Simulation:
             recovery_log=self.recovery_log,
             tx_audit=audit,
             anomalies=self.anomalies,
-            checkpoint_count=self.checkpoint_count,
+            checkpoint_count=sum(
+                a["action"] == "checkpoint" for a in self.action_log),
         )
 
 

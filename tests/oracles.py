@@ -4,12 +4,12 @@ These work from plain event records (creator, parents, created_at) using
 naive set/transitive-closure computations, independent of the package's
 incremental bitmask machinery.  The references further down recompute fame,
 ordering and a view's finalized round over an EventStore's own rounds,
-strong sight and fame, vote_state and check_vote_state_bounds read its
-fame vote state, and round_robin_fixture gossips the small DAGs the oracle
-tests run on.  insert and add_for grow a DAG on a view by hand,
-report_text serializes a report the way write_report does, and
-check_supermajority checks a store's kept supermajority at every membership
-change.
+strong sight and fame, deciders_of reads its fame deciders, vote_state and
+check_vote_state_bounds read its fame vote state, and round_robin_fixture
+gossips the small DAGs the oracle tests run on.  insert and add_for grow a
+DAG on a view by hand, report_text serializes a report the way write_report
+does, and check_supermajority checks a store's kept supermajority at every
+membership change.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from shardgraph.hashgraph import (
     Event,
     EventStore,
     Hashgraph,
+    _set_bits,
     create_event,
     gossip_sync,
     supermajority,
@@ -320,7 +321,8 @@ class ReferenceFame:
     """Virtual voting as one cached bool per (voter, witness) pair, tallied
     by a recursive loop over the voter's strongly-seen witnesses.  It reads
     rounds, witnesses and strong sight from the store but keeps its own
-    votes, fame and deciders, so calling its elect_fame on the same schedule
+    votes, fame and deciders (``decider``: witness -> the voter that
+    decided it), so calling its elect_fame on the same schedule
     as the store's checks the store's vote bookkeeping.  Like the store, it
     stops voting on a round once every witness there is decided, so a
     witness that lands in such a round later (a joiner's genesis event)
@@ -332,7 +334,7 @@ class ReferenceFame:
         self.votes: dict[tuple[int, int], bool] = {}
         self.ss_prev: dict[int, list[int]] = {}
         self.fame: dict[int, bool] = {}
-        self.fame_decider: dict[int, int] = {}
+        self.decider: dict[int, int] = {}
 
     def strongly_seen_prev(self, v):
         store = self.store
@@ -365,7 +367,7 @@ class ReferenceFame:
                     result = bool(int(store.by_index[v].digest[-1], 16) & 1)
             elif tally >= sm(len(store.population)) and w not in self.fame:
                 self.fame[w] = result
-                self.fame_decider[w] = v
+                self.decider[w] = v
         self.votes[key] = result
         return result
 
@@ -393,6 +395,13 @@ class ReferenceFame:
 
 
 # an EventStore's vote state -----------------------------------------------
+
+
+def deciders_of(store):
+    """Witness -> the witness whose vote decided its fame, read from the
+    store's per-round decider groups."""
+    return {w: d for _, groups in store._deciders.values()
+            for d, ws in groups.items() for w in _set_bits(ws)}
 
 
 def vote_state(store):
@@ -457,13 +466,14 @@ def reference_view_finalized_round(store, known):
     """store.view_finalized_round(known) as a rescan from round 1: the
     rounds up to the first finalized round with a witness the view knows
     that is undecided, or decided by a witness the view does not know."""
+    deciders = deciders_of(store)
     r = 0
     while r < store.finalized_round:
         nxt = r + 1
         for w in store.witnesses_by_round.get(nxt, ()):
             if not (known >> w) & 1:
                 continue
-            decider = store.fame_decider.get(w)
+            decider = deciders.get(w)
             if w not in store.fame or (
                 decider is not None and not (known >> decider) & 1
             ):

@@ -4,18 +4,15 @@ Each test prints one PASS/FAIL line (visible with pytest -s) and asserts the
 corresponding property at its stated tolerance.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from shardgraph.config import ScenarioConfig
 from shardgraph.hashgraph import consensus_order
 from shardgraph.metrics import mean
-from shardgraph.reconfig import (
-    choose_coordinator,
-    choose_donors,
-    choose_split_members,
-)
 from shardgraph.simulation import Simulation, run_scenario
 
 from oracles import (
@@ -25,6 +22,11 @@ from oracles import (
     strongly_seen,
     witness_flags,
 )
+
+# reorg_log entries replay through the benchmark's own output check
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import _replay  # noqa: E402
 
 
 def verdict(num, ok, text):
@@ -220,23 +222,8 @@ def test_criterion_7_reconfiguration():
         sim.table.validate()
     except Exception:
         ok = False
-    replayed = 0
-    for entry in report.reorg_log:
-        ts = entry["consensus_timestamp"]
-        if entry["purpose"] == "reorg-donors":
-            ok = ok and choose_donors(
-                ts, entry["committee"], entry["pool"], 2
-            ) == entry["chosen"]
-            replayed += 1
-        elif entry["purpose"] == "reorg-split":
-            ok = ok and choose_split_members(
-                ts, entry["pool"], len(entry["chosen"])
-            ) == entry["chosen"]
-            replayed += 1
-        elif entry["purpose"] == "reselect":
-            ok = ok and choose_coordinator(ts, entry["pool"]) == entry["chosen"]
-            replayed += 1
-    ok = ok and replayed >= 3
+    replayed = sum(_replay(entry, cfg.s) for entry in report.reorg_log)
+    ok = ok and replayed == len(report.reorg_log) >= 3
     assert verdict(
         7, ok,
         f"churn-triggered reorg: partition valid, rebuilt size >= "

@@ -27,6 +27,7 @@ from oracles import (
     BruteGraph,
     ReferenceFame,
     check_vote_state_bounds,
+    deciders_of,
     median_stamps,
     reference_consensus,
     reference_view_finalized_round,
@@ -309,7 +310,7 @@ def check_fame_against_reference(built, remove=None, members=None):
     """Replay built's events into a fresh store of members (built's
     population by default; a creator outside it joins at its first event)
     and compare fame with the tuple-keyed reference, then the order with
-    the per-event median search.  fame_decider depends on which voters
+    the per-event median search.  The deciders depend on which voters
     exist when votes are cast, so both sides vote on the same schedule,
     every 7 inserts, the store through advance_consensus.  Each poll is
     made twice in a row, and the second, with no new witness, must change
@@ -326,7 +327,7 @@ def check_fame_against_reference(built, remove=None, members=None):
         store.advance_consensus()
         ref.elect_fame()
         assert store.fame == ref.fame
-        assert store.fame_decider == ref.fame_decider
+        assert deciders_of(store) == ref.decider
         polls.append((store._width, check_vote_state_bounds(store)))
         return vote_state(store)
 
@@ -404,6 +405,17 @@ def test_fame_and_order_across_widening(n, steps, seed, width):
     assert any(f == 2 * width and live for f, live in polls)
 
 
+def test_voter_deciding_a_round_on_two_polls_keeps_both():
+    # a joiner's genesis event lands in round 1 while one of its witnesses
+    # is still undecided, and a voter that decided others there on an
+    # earlier poll decides it: that voter's group holds both
+    built = gossip_dag(35, steps=250, n=6, joins=3)[0]
+    store, _, late = check_fame_against_reference(built, members=range(6))
+    joined = [{store.by_index[w].creator >= 6 for w in hashgraph._set_bits(ws)}
+              for ws in store._deciders[1][1].values()]
+    assert late and {False, True} in joined
+
+
 def test_vote_state_stays_flat_in_history():
     # live vote-state entries are capped by the witnesses of the rounds
     # still voted on, so the last 1200 steps of a forked 7-member schedule
@@ -472,10 +484,28 @@ def test_consensus_matches_per_event_median_search(seed):
     assert [tuple(oe) for oe in store.consensus] == reference_consensus(store)
 
 
+def check_view_records(store):
+    """The records view limits read, for each finalized round: _late[r]
+    masks exactly its witnesses without fame, the decider groups partition
+    the rest, and the stored highest decider is the largest of them."""
+    for r in range(1, store.finalized_round + 1):
+        ws = store.witnesses_by_round[r]
+        assert store._late.get(r, 0) == sum(
+            1 << w for w in ws if w not in store.fame)
+        last, groups = store._deciders[r]
+        union = 0
+        for mask in groups.values():
+            assert mask and not union & mask
+            union |= mask
+        assert union == sum(1 << w for w in ws if w in store.fame)
+        assert last == max(groups)
+
+
 def check_view_limits(store, views):
     """Each view's finalized round against the rescan from round 1, and its
     consensus_order against the canonical order cut at that round (all of
-    it for a view that knows every event); returns the rounds."""
+    it for a view that knows every event); then the records the limits are
+    read from.  Returns the rounds."""
     limits = []
     for view in views:
         order = consensus_order(view)
@@ -487,6 +517,7 @@ def check_view_limits(store, views):
             assert order == [oe for oe in store.consensus
                              if oe.round_received <= limit]
         limits.append(limit)
+    check_view_records(store)
     return limits
 
 
@@ -516,7 +547,9 @@ def test_late_witness_in_finalized_round_stays_undecided():
     # members 0-3 of 5 are a supermajority and gossip without member 4.  A
     # stale copy of member 0's view, taken when its head was a round-2
     # witness, later syncs to member 4, whose record event lands as a
-    # witness in an already finalized round and is never voted on
+    # witness in an already finalized round and is never voted on.  Member
+    # 1's view reads that round's limit before the witness lands and again
+    # once it has learned it
     store = EventStore(range(5))
     views = [Hashgraph(store, i) for i in range(5)]
     for i in range(5):
@@ -544,15 +577,23 @@ def test_late_witness_in_finalized_round_stays_undecided():
     gossip(140)
     store.advance_consensus()
     assert stale is not None and store.finalized_round >= 3
-    # a poll before the late witness fills every finalized round's entry
     full = (1 << len(store.by_index)) - 1
     assert store.view_finalized_round(full) == store.finalized_round
+    watcher = views[1]
+    before = store.view_finalized_round(watcher.known)
+    assert before == reference_view_finalized_round(store, watcher.known)
     gossip_sync(stale, views[4], len(store.by_index))
     late = store.index[views[4].head]
     r = store.round[late]
     assert late in store.witnesses_by_round[r]
-    assert 2 <= r <= store.finalized_round
+    assert 2 <= r <= before <= store.finalized_round
     store.advance_consensus()
+    check_view_records(store)
+    assert store._late == {r: 1 << late}
+    gossip_sync(views[4], watcher, len(store.by_index))
+    assert watcher.known >> late & 1
+    assert store.view_finalized_round(watcher.known) == r - 1 == (
+        reference_view_finalized_round(store, watcher.known))
     # a view that knows the witness stops below its round; one that does
     # not keeps every finalized round
     assert late not in store.fame

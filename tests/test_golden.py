@@ -29,12 +29,13 @@ GOLDEN = {
                        adversary_interval=3),
         "aa287eb602718eaf3512449d0f0489963c7b7f65e465c7a2cafdb06b0761bd8d",
     ),
-    # five applied reorganizations and one already at its target size
+    # five applied reorganizations and one already at its target size;
+    # node 53 is moved out of committee 0 and back, and resumes its chain
     "churn-rejoin": (
         ScenarioConfig(n=32, s=4, seed=9, duration=120, tx_rate=16.0,
                        cross_ratio=0.2, adversary_kind="churn",
                        adversary_interval=3, adversary_rejoin=True),
-        "0e9eeac5a13ff311706a9b1d4031db8cb8cfa7e20edc964586951442e6eec149",
+        "9d7ffb3051a2316fbce35a755e736e543ab07b5fe5f6daa35fec95c71310efc3",
     ),
     "churn-literal-trigger": (
         ScenarioConfig(n=24, s=4, seed=4, duration=150, tx_rate=8.0,

