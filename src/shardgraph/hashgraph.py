@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from dataclasses import dataclass, field
+import struct
 from itertools import compress, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -46,57 +46,72 @@ def supermajority(member_count: int) -> int:
     return (2 * member_count) // 3 + 1
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class _EventFields(NamedTuple):
     creator: NodeId
     self_parent: Optional[EventId]
     other_parent: Optional[EventId]
     payload: tuple[Transaction, ...]
     created_at: int
-    _digest: EventId = field(init=False, repr=False, compare=False)
-    _units: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_digest", _digest_of(self))
-        object.__setattr__(
-            self, "_units", sum(t.size_units for t in self.payload)
-        )
-
-    @property
-    def digest(self) -> EventId:
-        return self._digest
-
-    @property
-    def units(self) -> int:
-        """Payload size: the sum of the transactions' size units."""
-        return self._units
+    digest: EventId
+    units: int
 
 
-_LEN4, _LEN8 = (4).to_bytes(4, "big"), (8).to_bytes(4, "big")
+def _frame(sp_len: int, op_len: int):
+    """Packs an event's fields up to its transactions, for parents of
+    these byte lengths."""
+    return struct.Struct(f">IqI{sp_len}sI{op_len}sII").pack
 
 
-def canonical_bytes(event: Event) -> bytes:
-    """Canonical serialization: fixed field order, each field prefixed by
-    its byte length (4 bytes, big-endian): creator, self-parent and
-    other-parent digests (empty for none), the transaction count, each
-    transaction id in UTF-8, created_at."""
-    sp = bytes.fromhex(event.self_parent) if event.self_parent else b""
-    op = bytes.fromhex(event.other_parent) if event.other_parent else b""
-    parts = [
-        _LEN8, event.creator.to_bytes(8, "big", signed=True),
-        len(sp).to_bytes(4, "big"), sp,
-        len(op).to_bytes(4, "big"), op,
-        _LEN4, len(event.payload).to_bytes(4, "big"),
-    ]
-    for tx in event.payload:
-        raw = tx.tx_id.encode()
-        parts += (len(raw).to_bytes(4, "big"), raw)
-    parts += (_LEN8, event.created_at.to_bytes(8, "big", signed=True))
-    return b"".join(parts)
+# the frames of parents that are none or a digest
+_FRAMES = {(a, b): _frame(a, b) for a in (0, 32) for b in (0, 32)}
+_LENGTH = struct.Struct(">I").pack
+_TAIL = struct.Struct(">Iq").pack
 
 
-def _digest_of(event: Event) -> EventId:
-    return hashlib.sha256(canonical_bytes(event)).hexdigest()
+class Event(_EventFields):
+    """An immutable tuple record of an event's five fields plus its
+    ``digest`` and ``units``, both fixed at construction from those fields
+    in one pass over the payload.
+
+    The digest is the SHA-256 of the canonical serialization: fixed field
+    order, each field prefixed by its byte length (4 bytes, big-endian):
+    creator, self-parent and other-parent digests (empty for none), the
+    transaction count, each transaction id in UTF-8, created_at.  Integers
+    are 8-byte signed big-endian, counts 4-byte.  ``units`` is the payload
+    size, the sum of the transactions' size units.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        creator: NodeId,
+        self_parent: Optional[EventId],
+        other_parent: Optional[EventId],
+        payload: tuple[Transaction, ...],
+        created_at: int,
+    ) -> Event:
+        sp = bytes.fromhex(self_parent) if self_parent else b""
+        op = bytes.fromhex(other_parent) if other_parent else b""
+        a, b = len(sp), len(op)
+        frame = _FRAMES.get((a, b)) or _frame(a, b)
+        parts = [frame(8, creator, a, sp, b, op, 4, len(payload))]
+        units = 0
+        for tx in payload:
+            raw = tx.tx_id.encode()
+            parts += (_LENGTH(len(raw)), raw)
+            units += tx.size_units
+        parts.append(_TAIL(8, created_at))
+        return tuple.__new__(cls, (
+            creator, self_parent, other_parent, payload, created_at,
+            hashlib.sha256(b"".join(parts)).hexdigest(), units,
+        ))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> Event:
+        # _replace builds through here: the digest and units are those of
+        # the five fields, whatever values were given for them
+        return cls(*tuple(fields)[:5])
 
 
 _FLAG = bytes.maketrans(b"01", b"\x00\x01")
@@ -292,12 +307,11 @@ class EventStore:
     # -- insertion ----------------------------------------------------------
 
     def add_event(self, event: Event) -> int:
-        digest, creator = event._digest, event.creator
+        creator, sp, op, _, _, digest, units = event
         index, by_index = self.index, self.by_index
         idx = index.get(digest)
         if idx is not None:
             return idx
-        sp, op = event.self_parent, event.other_parent
         spi = opi = None
         if sp is not None:
             spi = index.get(sp)
@@ -324,7 +338,6 @@ class EventStore:
         cbit = 1 << self._member_bit[creator]
         own = self._cmask.get(creator, 0)
         self._cmask[creator] = own | bit
-        units = event._units
         if units:
             planes = self._unit_planes
             planes += [0] * (units.bit_length() - len(planes))
@@ -428,7 +441,7 @@ class EventStore:
             if r <= self.finalized_round:
                 self._late[r] = self._late.get(r, 0) | bit
             bisect.insort(self._by_digest.setdefault(r, []), idx,
-                          key=lambda i: by_index[i]._digest)
+                          key=lambda i: by_index[i].digest)
         if r > self.max_round:
             self.max_round = r
         reach.append((f, prev, cur))
@@ -781,16 +794,13 @@ def _record(
     every owner event the view then knows.  The view learns them only after
     the store accepts the event, so a rejected event leaves the view as it
     was."""
-    store = graph.store
-    if graph.owner not in store._member_bit:
-        raise HashgraphError(f"view owner {graph.owner} is not a member")
-    event = Event(
-        creator=graph.owner,
-        self_parent=graph._head_after(learned),
-        other_parent=other_parent,
-        payload=tuple(payload),
-        created_at=now,
-    )
+    store, owner = graph.store, graph.owner
+    if owner not in store._member_bit:
+        raise HashgraphError(f"view owner {owner} is not a member")
+    # only the owner's events among those learned can move the head
+    head = (graph._head_after(learned)
+            if learned & store._cmask.get(owner, 0) else graph.head)
+    event = Event(owner, head, other_parent, tuple(payload), now)
     graph.known |= learned | 1 << store.add_event(event)
     graph.head = event.digest
     return event

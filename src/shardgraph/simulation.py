@@ -132,11 +132,13 @@ def inject_workload(config, rng, table, active):
         return []
     out = []
     committees = sorted(table.coordinators)
+    others = {c: [d for d in committees if d != c] for c in committees}
+    assignment = table.assignment
     for _ in range(poisson_sample(rng, config.tx_rate)):
         origin_node = rng.choice(pool)
-        ocid = table.committee_of(origin_node)
+        ocid = assignment[origin_node]
         if len(committees) > 1 and rng.random() < config.cross_ratio:
-            target = rng.choice([c for c in committees if c != ocid])
+            target = rng.choice(others[ocid])
         else:
             target = ocid
         out.append((origin_node, ocid, target))
@@ -286,6 +288,8 @@ class Simulation:
 
     def _h_tx_inject(self, t, _subject):
         if t < self.inject_until:
+            pending, inject_tick = self.pending, self.inject_tick
+            units = cross_units = 0
             for origin_node, ocid, target in inject_workload(
                 self.cfg, self.rng, self.table, self.active
             ):
@@ -293,11 +297,13 @@ class Simulation:
                     tx_id=f"t{self.next_tx}", origin=ocid, target=target
                 )
                 self.next_tx += 1
-                self.pending[origin_node].append(tx)
-                self.metrics.injected_tx_units += tx.size_units
+                pending[origin_node].append(tx)
+                units += tx.size_units
                 if tx.is_cross:
-                    self.metrics.injected_cross_units += tx.size_units
-                    self.inject_tick[tx.tx_id] = t
+                    cross_units += tx.size_units
+                    inject_tick[tx.tx_id] = t
+            self.metrics.injected_tx_units += units
+            self.metrics.injected_cross_units += cross_units
         self.sched.push(t + 1, "tx_inject")
 
     def _h_gossip_initiate(self, t, _subject):
@@ -337,9 +343,9 @@ class Simulation:
         return transferred, new_ev
 
     def _local_sync(self, cid, sender_view, receiver, t):
-        buffered = self.pending[receiver]
+        # the buffer is detached from pending, so it becomes the payload
+        payload = self.pending[receiver]
         self.pending[receiver] = []
-        payload = list(buffered)
         is_coord = self.table.coordinators.get(cid) == receiver
         if is_coord:
             payload.extend(flush_inbound(self.state, cid, self.cfg.batch_limit))

@@ -8,12 +8,14 @@ strong sight and fame, deciders_of reads its fame deciders, vote_state and
 check_vote_state_bounds read its fame vote state, and round_robin_fixture
 gossips the small DAGs the oracle tests run on.  insert and add_for grow a
 DAG on a view by hand, report_text serializes a report the way write_report
-does, and check_supermajority checks a store's kept supermajority at every
-membership change.
+does, check_supermajority checks a store's kept supermajority at every
+membership change, and reference_digest serializes an event's fields one
+``int.to_bytes`` at a time, as the digest was first defined.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 
 from shardgraph.hashgraph import (
@@ -27,6 +29,29 @@ from shardgraph.hashgraph import (
     supermajority,
 )
 from shardgraph.transactions import Transaction
+
+
+# the event digest -----------------------------------------------------------
+
+
+def reference_digest(creator, self_parent, other_parent, payload, created_at):
+    """SHA-256 of the canonical serialization, hex: fixed field order, each
+    field prefixed by its byte length (4 bytes, big-endian): creator,
+    self-parent and other-parent digests (empty for none), the transaction
+    count, each transaction id in UTF-8, created_at."""
+    sp = bytes.fromhex(self_parent) if self_parent else b""
+    op = bytes.fromhex(other_parent) if other_parent else b""
+    parts = [
+        (8).to_bytes(4, "big"), creator.to_bytes(8, "big", signed=True),
+        len(sp).to_bytes(4, "big"), sp,
+        len(op).to_bytes(4, "big"), op,
+        (4).to_bytes(4, "big"), len(payload).to_bytes(4, "big"),
+    ]
+    for tx in payload:
+        raw = tx.tx_id.encode()
+        parts += (len(raw).to_bytes(4, "big"), raw)
+    parts += ((8).to_bytes(4, "big"), created_at.to_bytes(8, "big", signed=True))
+    return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
 # the kept supermajority ----------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shardgraph.hashgraph import (
     _set_bits,
@@ -24,6 +25,7 @@ from oracles import (
     check_supermajority,
     head_of,
     insert,
+    reference_digest,
     round_robin_fixture,
     strongly_seen,
     witness_flags,
@@ -559,3 +561,27 @@ def test_digest_known_answers():
     assert wide.digest == (
         "676f358aa564f4b9536f9e75cbebe3abe9adf94e2ec9b98b29aa05bb8d4dd971"
     )
+
+
+# a digest, or any other hex: the digest is defined for every field value
+PARENTS = st.none() | st.binary(min_size=32, max_size=32).map(bytes.hex) | (
+    st.binary(max_size=40).map(bytes.hex))
+PAYLOADS = st.lists(
+    st.builds(Transaction, tx_id=st.text(max_size=12),
+              origin=st.integers(0, 7), target=st.integers(0, 7),
+              size_units=st.integers(0, 9)),
+    max_size=20,
+).map(tuple)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(creator=st.integers(0, 2**31 - 1), self_parent=PARENTS,
+       other_parent=PARENTS, payload=PAYLOADS,
+       created_at=st.integers(-2**63, 2**63 - 1))
+def test_digest_matches_reference_serialization(
+        creator, self_parent, other_parent, payload, created_at):
+    ev = Event(creator, self_parent, other_parent, payload, created_at)
+    assert ev.digest == reference_digest(creator, self_parent, other_parent,
+                                         payload, created_at)
+    assert ev.units == sum(t.size_units for t in payload)
+    assert ev[:5] == (creator, self_parent, other_parent, payload, created_at)
