@@ -70,6 +70,8 @@ class ScenarioConfig:
             raise ConfigError("adversary.fraction must be in [0, 1)")
         if self.adversary_interval < 1:
             raise ConfigError("adversary.interval must be >= 1")
+        if self.adversary_recover_delay < 1:
+            raise ConfigError("adversary.recover_delay must be >= 1")
 
     def resolved_inject_until(self) -> int:
         if self.inject_until > 0:

@@ -326,7 +326,7 @@ class EventStore:
             if by_index[opi].creator == creator:
                 raise HashgraphError("other_parent created by creator itself")
         if creator not in self._member_bit:
-            self.add_member(creator)
+            raise HashgraphError(f"creator {creator} is not a member")
         sm = self._sm
         if not sm and (spi is not None or opi is not None):
             raise HashgraphError("no members to take a supermajority of")

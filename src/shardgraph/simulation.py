@@ -1,24 +1,34 @@
-"""Deterministic discrete-event simulation of the sharded gossip protocol.
+"""Deterministic simulation of the sharded gossip protocol over logical ticks.
 
-One scheduler drives gossip rounds, workload injection, consensus polling,
-checkpoints, and adversary actions over logical ticks.  Every run is a pure
-function of its ScenarioConfig: running the same config twice produces
-byte-identical reports.
+One tick loop drives the run, ticks 0 to duration - 1.  Each tick runs, in
+this order:
 
-Gossip is push-style.  Each round every active node pushes its view to the
-next node along a freshly shuffled ring inside its committee, and the
-receiver records the sync as a new event carrying its pending transaction
-buffer.  The ring gives every node exactly one reception per round (the
-partner is still uniform over the other members), which keeps the
-empty-event fraction near the ideal no-empty-events regime at moderate
-injection rates.  Coordinators alternate rounds between their local
-committee and the global committee ring.
+1. the adversary's move, every ``adversary_interval`` ticks from tick
+   ``adversary_interval`` on (equivocation or churn);
+2. the shard failure, at its tick;
+3. the recovery, ``adversary_recover_delay`` ticks after the failure;
+4. workload injection, until ``inject_until``;
+5. a gossip round, every ``sync_interval`` ticks;
+6. the consensus poll, which also takes checkpoints.
+
+A failed committee is down until its recovery succeeds: its members
+inject no transactions and do not gossip, and its checkpoint is not
+replaced.  Every run is a pure function of its ScenarioConfig: running the
+same config twice produces byte-identical reports.
+
+Gossip is push-style.  Each round every node outside the down committees
+pushes its view to the next node along a freshly shuffled ring inside its
+committee, and the receiver records the sync as a new event carrying its
+pending transaction buffer.  The ring gives every node exactly one
+reception per round (the partner is still uniform over the other members),
+which keeps the empty-event fraction near the ideal no-empty-events regime
+at moderate injection rates.  Coordinators alternate rounds between their
+local committee and the global committee ring.
 """
 
 from __future__ import annotations
 
 import csv
-import heapq
 import json
 import math
 import os
@@ -79,28 +89,20 @@ class SimulationError(Exception):
     pass
 
 
-class SimEvent(NamedTuple):
+class Tick(NamedTuple):
     at: int
-    seq: int
-    kind: str
-    subject: object
 
 
 class Scheduler:
-    """Min-heap of SimEvents, processed in (at, insertion-sequence) order."""
+    """The run's ticks, 0 to duration - 1, in order.  The run loop takes
+    each tick from ``pop``, so a wrapper of ``pop`` sees every tick start."""
 
-    def __init__(self):
-        self._heap: list[SimEvent] = []
-        self._seq = 0
+    def __init__(self, duration: int):
+        self._ticks = map(Tick, range(duration))
 
-    def push(self, at: int, kind: str, subject=None) -> None:
-        heapq.heappush(self._heap, SimEvent(at, self._seq, kind, subject))
-        self._seq += 1
-
-    def pop(self) -> Optional[SimEvent]:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)
+    def pop(self) -> Optional[Tick]:
+        """The next tick, or None after the last."""
+        return next(self._ticks, None)
 
 
 def event_units(event: Event) -> int:
@@ -124,16 +126,17 @@ def poisson_sample(rng: random.Random, lam: float) -> int:
         count += 1
 
 
-def inject_workload(config, rng, table, active):
-    """Poisson arrivals for one tick: (origin node, origin committee,
-    target committee) triples."""
-    pool = sorted(active)
+def inject_workload(config, rng, table, down):
+    """Poisson arrivals for one tick at the members of the committees not
+    in ``down``: (origin node, origin committee, target committee)
+    triples."""
+    assignment = table.assignment
+    pool = sorted(node for node, cid in assignment.items() if cid not in down)
     if not pool:
         return []
     out = []
     committees = sorted(table.coordinators)
     others = {c: [d for d in committees if d != c] for c in committees}
-    assignment = table.assignment
     for _ in range(poisson_sample(rng, config.tx_rate)):
         origin_node = rng.choice(pool)
         ocid = assignment[origin_node]
@@ -198,7 +201,7 @@ class Simulation:
         self.table = partition_nodes(range(config.n), config.s, seed=config.seed)
         self.state = ShardState(self.table)
         self.ledger = ChurnLedger.from_table(self.table)
-        self.active: set[int] = set(range(config.n))
+        self.down: set[int] = set()   # failed committees not yet recovered
         self.views: dict[int, Hashgraph] = {
             node: self._local_view(node) for node in sorted(self.table.assignment)
         }
@@ -223,7 +226,6 @@ class Simulation:
         self.recovery_log: list = []
         self.anomalies: list = []
         self.last_ckpt_round = 0
-        self.failed_members: dict[int, list[int]] = {}
         self.equivocators: list[int] = []
         if config.adversary_kind == "equivocator":
             for cid in sorted(self.table.coordinators):
@@ -242,7 +244,7 @@ class Simulation:
                     "adversary fraction >= 1/3: attack demonstration, "
                     "safety not guaranteed"
                 )
-        self.sched = Scheduler()
+        self.sched = Scheduler(config.duration)
 
     def _local_view(self, node) -> Hashgraph:
         """The node's view of its committee graph: empty for a newcomer,
@@ -261,63 +263,74 @@ class Simulation:
     # -- run loop ------------------------------------------------------------
 
     def run(self) -> RunReport:
-        cfg = self.cfg
-        self.sched.push(0, "tx_inject")
-        self.sched.push(0, "gossip_initiate")
-        self.sched.push(0, "poll")
-        if cfg.adversary_kind in ("equivocator", "churn"):
-            self.sched.push(cfg.adversary_interval, "adversary_act")
-        elif cfg.adversary_kind == "shard_failure":
-            fail_at = (
-                cfg.adversary_fail_at
-                if cfg.adversary_fail_at >= 0
-                else cfg.duration // 3
-            )
-            self.sched.push(fail_at, "fail_shard")
-        while True:
-            ev = self.sched.pop()
-            if ev is None:
-                break
-            if ev.at >= cfg.duration:
-                continue
-            handler = getattr(self, "_h_" + ev.kind)
-            handler(ev.at, ev.subject)
+        while (tick := self.sched.pop()) is not None:
+            self._tick(tick.at)
         return self._finalize()
 
-    # -- handlers --------------------------------------------------------------
-
-    def _h_tx_inject(self, t, _subject):
+    def _tick(self, t):
+        """One tick, in the order the module docstring gives.  An adversary
+        kind runs alone, so no equivocator or churn victim is ever in a
+        down committee."""
+        cfg = self.cfg
+        kind = cfg.adversary_kind
+        if kind == "shard_failure":
+            cid = cfg.adversary_committee
+            if cid < 0:
+                cid = cfg.s - 1
+            fail_at = cfg.adversary_fail_at
+            if fail_at < 0:
+                fail_at = cfg.duration // 3
+            if t == fail_at:
+                self._fail_shard(t, cid)
+            elif t == fail_at + cfg.adversary_recover_delay:
+                self._recover_shard(t, cid)
+        elif kind != "none" and t and t % cfg.adversary_interval == 0:
+            if kind == "equivocator":
+                for node in self.equivocators:
+                    self._equivocate(node, t)
+            else:
+                self._churn_act(t)
         if t < self.inject_until:
-            pending, inject_tick = self.pending, self.inject_tick
-            units = cross_units = 0
-            for origin_node, ocid, target in inject_workload(
-                self.cfg, self.rng, self.table, self.active
-            ):
-                tx = Transaction(
-                    tx_id=f"t{self.next_tx}", origin=ocid, target=target
-                )
-                self.next_tx += 1
-                pending[origin_node].append(tx)
-                units += tx.size_units
-                if tx.is_cross:
-                    cross_units += tx.size_units
-                    inject_tick[tx.tx_id] = t
-            self.metrics.injected_tx_units += units
-            self.metrics.injected_cross_units += cross_units
-        self.sched.push(t + 1, "tx_inject")
+            self._inject(t)
+        if t % cfg.sync_interval == 0:
+            self._gossip(t)
+        self._poll(t)
 
-    def _h_gossip_initiate(self, t, _subject):
-        # every active coordinator is on global duty on odd gossip rounds, so
-        # they all meet there however long any of them was down
+    # -- tick steps ------------------------------------------------------------
+
+    def _inject(self, t):
+        pending, inject_tick = self.pending, self.inject_tick
+        units = cross_units = 0
+        for origin_node, ocid, target in inject_workload(
+            self.cfg, self.rng, self.table, self.down
+        ):
+            tx = Transaction(
+                tx_id=f"t{self.next_tx}", origin=ocid, target=target
+            )
+            self.next_tx += 1
+            pending[origin_node].append(tx)
+            units += tx.size_units
+            if tx.is_cross:
+                cross_units += tx.size_units
+                inject_tick[tx.tx_id] = t
+        self.metrics.injected_tx_units += units
+        self.metrics.injected_cross_units += cross_units
+
+    def _gossip(self, t):
+        table, down = self.table, self.down
+        # every coordinator outside the down committees is on global duty on
+        # odd gossip rounds, so they all meet there however long any of them
+        # was down
         global_duty = set()
         if self.cfg.s > 1 and (t // self.cfg.sync_interval) % 2 == 1:
-            global_duty = set(self.table.coordinators.values()) & self.active
-        for cid in sorted(self.table.coordinators):
-            ring = [
-                m
-                for m in self.table.members(cid)
-                if m in self.active and m not in global_duty
-            ]
+            global_duty = {
+                coord for cid, coord in table.coordinators.items()
+                if cid not in down
+            }
+        for cid in sorted(table.coordinators):
+            if cid in down:
+                continue
+            ring = [m for m in table.members(cid) if m not in global_duty]
             if len(ring) < 2:
                 continue
             self.rng.shuffle(ring)
@@ -329,7 +342,6 @@ class Simulation:
             self.rng.shuffle(ring)
             for i, sender in enumerate(ring):
                 self._global_sync(sender, ring[(i + 1) % len(ring)], t)
-        self.sched.push(t + self.cfg.sync_interval, "gossip_initiate")
 
     def _push(self, sender_view, receiver_view, t, payload):
         """One gossip sync, with its communication and storage accounted."""
@@ -370,7 +382,7 @@ class Simulation:
             coordinator_receive_global(self.state, self.table, rcid, ev)
         coordinator_receive_global(self.state, self.table, rcid, new_ev)
 
-    def _h_poll(self, t, _subject):
+    def _poll(self, t):
         for cid in sorted(self.state.local_stores):
             store = self.state.local_stores[cid]
             store.advance_consensus()
@@ -407,7 +419,6 @@ class Simulation:
                     self._on_reorg_global(tx, oe.consensus_timestamp, t)
         self.global_ptr = len(gstore.consensus)
         self._maybe_checkpoint(t)
-        self.sched.push(t + 1, "poll")
 
     def _maybe_checkpoint(self, t):
         if self.cfg.s == 1:
@@ -419,9 +430,9 @@ class Simulation:
             return
         self.last_ckpt_round = finalized
         for cid in sorted(self.table.coordinators):
-            coord = self.table.coordinators[cid]
-            if coord not in self.active:
+            if cid in self.down:
                 continue
+            coord = self.table.coordinators[cid]
             replicate_checkpoint(
                 self.state, self.table, cid, source=self.views[coord]
             )
@@ -432,15 +443,6 @@ class Simulation:
 
     # -- adversaries -----------------------------------------------------------
 
-    def _h_adversary_act(self, t, _subject):
-        if self.cfg.adversary_kind == "equivocator":
-            for node in self.equivocators:
-                if node in self.active:
-                    self._equivocate(node, t)
-        elif self.cfg.adversary_kind == "churn":
-            self._churn_act(t)
-        self.sched.push(t + self.cfg.adversary_interval, "adversary_act")
-
     def _equivocate(self, node, t):
         """Create two events on the same self-parent and push each branch to
         a different honest peer."""
@@ -449,11 +451,7 @@ class Simulation:
         head = view.head
         if head is None:
             return
-        peers = [
-            m
-            for m in self.table.members(cid)
-            if m != node and m in self.active
-        ]
+        peers = [m for m in self.table.members(cid) if m != node]
         if len(peers) < 2:
             return
         p1, p2 = self.rng.sample(peers, 2)
@@ -477,9 +475,8 @@ class Simulation:
         else:
             cid = self.rng.choice(sorted(self.table.coordinators))
         victims = [
-            m
-            for m in self.table.members(cid)
-            if m in self.active and m != self.table.coordinators[cid]
+            m for m in self.table.members(cid)
+            if m != self.table.coordinators[cid]
         ]
         if len(victims) <= 1:
             return
@@ -489,16 +486,8 @@ class Simulation:
             self._request_join(self.next_node_id, t)
             self.next_node_id += 1
 
-    def _h_fail_shard(self, t, _subject):
-        cid = (
-            self.cfg.adversary_committee
-            if self.cfg.adversary_committee >= 0
-            else self.cfg.s - 1
-        )
-        members = self.table.members(cid)
-        self.failed_members[cid] = members
-        for m in members:
-            self.active.discard(m)
+    def _fail_shard(self, t, cid):
+        self.down.add(cid)
         store = self.state.local_stores[cid]
         store.advance_consensus()
         self.recovery_log.append(
@@ -509,10 +498,9 @@ class Simulation:
                 "pre_failure_order": list(store.consensus),
             }
         )
-        self.sched.push(t + self.cfg.adversary_recover_delay, "recover_shard", cid)
 
-    def _h_recover_shard(self, t, cid):
-        old_members = self.failed_members.pop(cid, [])
+    def _recover_shard(self, t, cid):
+        old_members = self.table.members(cid)
         old_coord = self.table.coordinators[cid]
         replacements = list(
             range(self.next_node_id, self.next_node_id + len(old_members))
@@ -525,6 +513,7 @@ class Simulation:
         except ShardingError as exc:
             self.anomalies.append(f"shard {cid} recovery failed: {exc}")
             return
+        self.down.discard(cid)
         for m in old_members:
             self.views.pop(m, None)
             self.pending.pop(m, None)
@@ -534,7 +523,6 @@ class Simulation:
             g = _full_view(store, node)
             self.views[node] = g
             self.pending[node] = []
-            self.active.add(node)
             if tip is not None:
                 # anchor the new member's chain to the recovered graph so
                 # rounds keep advancing past the replayed history
@@ -555,7 +543,6 @@ class Simulation:
 
     def _leave(self, node, t):
         cid = self.table.committee_of(node)
-        self.active.discard(node)
         leave_node(self.state, self.table, self.ledger, node)
         self.views.pop(node, None)
         self.pending.pop(node, None)
@@ -590,7 +577,6 @@ class Simulation:
         cid = join_node(self.state, self.table, node, consensus_ts)
         self.views[node] = self._local_view(node)
         self.pending[node] = []
-        self.active.add(node)
         self.reorg_log.append(
             {
                 "purpose": "join",

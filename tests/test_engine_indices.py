@@ -308,7 +308,8 @@ def test_strong_sight_after_midway_joins_matches_brute_force(n, steps,
 
 def check_fame_against_reference(built, remove=None, members=None):
     """Replay built's events into a fresh store of members (built's
-    population by default; a creator outside it joins at its first event)
+    population by default; a creator outside it is added as a member just
+    before its first event)
     and compare fame with the tuple-keyed reference, then the order with
     the per-event median search.  The deciders depend on which voters
     exist when votes are cast, so both sides vote on the same schedule,
@@ -333,6 +334,8 @@ def check_fame_against_reference(built, remove=None, members=None):
 
     half = len(built.by_index) // 14 * 7
     for i, ev in enumerate(built.by_index, 1):
+        if ev.creator not in store._member_bit:
+            store.add_member(ev.creator)
         x = store.add_event(ev)
         r = store.round[x]
         late += (x in store.witnesses_by_round[r]

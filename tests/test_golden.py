@@ -51,6 +51,12 @@ GOLDEN = {
                        adversary_committee=0, adversary_interval=3),
         "8fdf2501a6673889c175e321af97728b5e8a791221faf2ba06e81edb0366ef7e",
     ),
+    # gossip every other tick: a gossip tick injects before its round
+    "sync-interval-2": (
+        ScenarioConfig(n=16, s=2, seed=8, duration=60, tx_rate=16.0,
+                       cross_ratio=0.2, sync_interval=2),
+        "67d905f5451a6d3e0b1db7c2e33f5be9373eeaf400b6a4a7e82eb70abf8c3cd4",
+    ),
     # committee 1 is down for 15 gossip rounds; both coordinators keep
     # taking global duty on the same rounds before and after it
     "shard-failure": (

@@ -120,6 +120,25 @@ def test_returning_member_rejoins_population_with_its_bit():
     assert store._member_bit == {0: 0, 1: 1, 2: 2, 3: 3}
 
 
+def test_insert_by_a_non_member_raises_and_leaves_the_store():
+    # a joiner is added with add_member before its first event
+    store = EventStore(range(3))
+    genesis = Event(0, None, None, (), 0)
+    store.add_event(genesis)
+
+    def state():
+        return (list(store.by_index), dict(store.index), store.round[:],
+                store._anc[:], dict(store._cmask), list(store.population),
+                dict(store._member_bit), store._sm, store._width)
+
+    before = state()
+    with pytest.raises(HashgraphError, match="creator 7 is not a member"):
+        store.add_event(Event(7, None, genesis.digest, (), 1))
+    assert state() == before
+    store.add_member(7)
+    assert store.add_event(Event(7, None, genesis.digest, (), 1)) == 1
+
+
 def test_set_bits_matches_brute_force():
     rng = random.Random(4)
     masks = [0, 1, 1 << 700, (1 << 700) - 1] + [

@@ -5,7 +5,9 @@ them up, and reads some of their arguments by position (the committee as
 the 3rd argument of the coordinator pipeline steps, ``source`` as the 4th
 of ``replicate_checkpoint``).  A rename or a reordered parameter would leave
 a per-layer metric missing or stuck at zero, so one traced run must produce
-every per-layer metric BENCHMARK.json lists.
+every per-layer metric BENCHMARK.json lists.  Its tick clock wraps
+``Scheduler.pop``, which must return each tick 0 to duration - 1 once, in
+order, and then None.
 """
 
 import json
@@ -35,6 +37,15 @@ def test_tracer_produces_every_per_layer_metric(tmp_path):
         if not m["name"].startswith("tracing.")
     }
     sim = simulation.Simulation(CHURN_REJOIN)
+    popped = []
+    pop = sim.sched.pop
+
+    def recorded_pop():
+        tick = pop()
+        popped.append(None if tick is None else tick.at)
+        return tick
+
+    sim.sched.pop = recorded_pop
     clock = tracer.TickClock(sim.sched, reference=False)
     traced = tracer.Tracer()
     traced.install(clock)
@@ -49,6 +60,11 @@ def test_tracer_produces_every_per_layer_metric(tmp_path):
     assert sorted(wanted - set(layers)) == []
     idle = sorted(k for k, v in layers.items() if k.endswith(".calls") and v <= 0)
     assert idle == []
+    # the clock cuts one piece per tick, so pieces 1..duration are the
+    # ticks in order, as perfbench/run.py's at_reference_speed reads them
+    duration = CHURN_REJOIN.duration
+    assert popped == [*range(duration), None]
+    assert len(clock.bounds) == duration + 1
     # read from replicate_checkpoint's ``source``
     assert layers["sharding.replicate_checkpoint.events_copied"] > 0
     assert traced.out_wait and traced.in_wait

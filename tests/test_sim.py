@@ -50,7 +50,7 @@ def test_inject_workload_cross_fraction():
     rng = random.Random(5)
     txs = []
     while len(txs) < 10_000:
-        txs.extend(inject_workload(cfg, rng, table, set(range(20))))
+        txs.extend(inject_workload(cfg, rng, table, set()))
     cross = sum(1 for _, o, t in txs if o != t)
     assert abs(cross / len(txs) - 0.3) < 0.02
 
@@ -59,9 +59,18 @@ def test_inject_workload_extremes():
     table = partition_nodes(range(8), 2, seed=1)
     rng = random.Random(5)
     cfg0 = ScenarioConfig(n=8, s=2, cross_ratio=0.0, tx_rate=50.0)
-    assert all(o == t for _, o, t in inject_workload(cfg0, rng, table, set(range(8))))
+    assert all(o == t for _, o, t in inject_workload(cfg0, rng, table, set()))
     cfg1 = ScenarioConfig(n=8, s=2, cross_ratio=1.0, tx_rate=50.0)
-    assert all(o != t for _, o, t in inject_workload(cfg1, rng, table, set(range(8))))
+    assert all(o != t for _, o, t in inject_workload(cfg1, rng, table, set()))
+
+
+def test_inject_workload_skips_down_committees():
+    table = partition_nodes(range(8), 2, seed=1)
+    cfg = ScenarioConfig(n=8, s=2, cross_ratio=0.5, tx_rate=50.0)
+    txs = inject_workload(cfg, random.Random(5), table, {0})
+    assert txs and {o for _, o, _ in txs} == {1}
+    assert all(table.committee_of(node) == 1 for node, _, _ in txs)
+    assert inject_workload(cfg, random.Random(5), table, {0, 1}) == []
 
 
 # -- basic runs -------------------------------------------------------------
@@ -237,7 +246,7 @@ def test_churn_rejoin_single_committee_settles_joins_at_once():
     assert not [a for a in report.action_log
                 if a["action"] == "reorg_requested"]
     sim.table.validate()
-    assert sim.active == set(sim.table.assignment)
+    assert set(sim.views) == set(sim.table.assignment)
 
 
 def shard_failure_cfg():
@@ -357,6 +366,13 @@ def test_config_validation_errors():
         ScenarioConfig(n=4, s=1, cross_ratio=0.5).validate()
     with pytest.raises(ConfigError, match="adversary.kind"):
         ScenarioConfig(adversary_kind="gremlin").validate()
+    # a tick runs the failure before the recovery, so a recovery on the
+    # failure's tick or before it has no place in the tick
+    for delay in (0, -3):
+        with pytest.raises(ConfigError, match="adversary.recover_delay"):
+            ScenarioConfig(adversary_kind="shard_failure",
+                           adversary_recover_delay=delay).validate()
+    ScenarioConfig(adversary_recover_delay=1).validate()
 
 
 def test_config_parse_and_overrides():
