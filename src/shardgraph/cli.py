@@ -50,6 +50,12 @@ def _load(args) -> ScenarioConfig:
     return config
 
 
+def _fmt(value) -> str:
+    """A comparison value for the run summary; n/a where the model has
+    none."""
+    return "n/a" if value is None else f"{value:.3f}"
+
+
 def cmd_run(args) -> int:
     config = _load(args)
     report = run_scenario(config)
@@ -60,8 +66,8 @@ def cmd_run(args) -> int:
     print(f"  empty event fraction: {report.metrics.empty_event_fraction:.3f}")
     for row in report.comparison:
         print(
-            f"  {row['quantity']}: analytic={row['analytic']:.3f} "
-            f"measured={row['measured']:.3f}"
+            f"  {row['quantity']}: analytic={_fmt(row['analytic'])} "
+            f"measured={_fmt(row['measured'])}"
         )
     if report.anomalies:
         for a in report.anomalies:

@@ -101,7 +101,8 @@ def compare_measured(
 
     Coordinator nodes carry the additional global-committee load, so formula
     rows average over non-coordinator nodes only; coordinators get their own
-    informational rows.
+    informational row, whose analytic value and deviation are None (null in
+    report.json): the model has no coordinator term.
     """
     n, s = config.n, config.s
     coordinators = set(coordinators)
@@ -151,9 +152,9 @@ def compare_measured(
         rows.append(
             {
                 "quantity": "comm_per_coordinator",
-                "analytic": float("nan"),
+                "analytic": None,
                 "measured": comm_rate(coords),
-                "relative_deviation": float("nan"),
+                "relative_deviation": None,
                 "within_tolerance": True,
             }
         )

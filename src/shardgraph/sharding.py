@@ -133,13 +133,15 @@ def coordinator_ingest_local(
     committee: CommitteeId,
     received_event: Event,
 ) -> CacheQueue:
-    """Step 1: pull cross-shard transactions out of a gossiped local event
-    into the coordinator's outbound queue (deduplicated by tx id)."""
+    """Step 1: pull the cross-shard transactions that originate in this
+    committee out of a gossiped local event into the coordinator's outbound
+    queue (deduplicated by tx id).  A delivered transaction from another
+    committee is not sent back through the global graph."""
     if received_event.digest not in state.local_stores[committee].index:
         raise ShardingError("event not present in the committee's local graph")
     queue = state.queues[committee]
     for tx in received_event.payload:
-        if tx.kind != KIND_PAYLOAD or not tx.is_cross:
+        if tx.kind != KIND_PAYLOAD or tx.origin != committee or not tx.is_cross:
             continue
         if tx.tx_id in queue.seen_out:
             continue

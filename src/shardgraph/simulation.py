@@ -29,6 +29,7 @@ local committee and the global committee ring.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -156,6 +157,33 @@ def _str_keys(value):
     return value
 
 
+# entries per sha256 update in order_summary: a chunk's text and its
+# per-entry strings stay near 14 KB
+_SUMMARY_CHUNK = 64
+
+# the recovery_log keys whose values are consensus orders
+_RECOVERY_ORDER_KEYS = ("pre_failure_order", "checkpointed_order")
+
+
+def order_summary(order) -> dict:
+    """What report.json holds of a consensus order: its length, the
+    round_received of its last entry (None when empty) and the sha256 of its
+    entries, each encoded as ``event_id,round_received,consensus_timestamp``
+    and a newline.  Event ids are hex digests and the other fields integers,
+    so no field holds a separator and the encoding is injective.  The order
+    is hashed a chunk of entries at a time, so its text is never held
+    whole."""
+    h = hashlib.sha256()
+    for i in range(0, len(order), _SUMMARY_CHUNK):
+        chunk = order[i : i + _SUMMARY_CHUNK]
+        h.update("".join(["%s,%d,%d\n" % e for e in chunk]).encode())
+    return {
+        "length": len(order),
+        "last_round_received": order[-1].round_received if order else None,
+        "sha256": h.hexdigest(),
+    }
+
+
 def _full_view(store, owner=None) -> Hashgraph:
     g = Hashgraph(store, owner)
     g.known = (1 << len(store.by_index)) - 1
@@ -167,18 +195,32 @@ class RunReport:
     config: dict
     metrics: MetricsReport
     comparison: list
-    consensus: dict            # committee id -> [OrderedEvent, ...]
+    # committee id -> [OrderedEvent, ...]; report.json holds each order's
+    # order_summary, the full lists stay in memory
+    consensus: dict
     order_lengths: dict        # node -> decided-prefix length of its view
     forks: dict                # committee id -> sorted fork evidence
     reorg_log: list
     action_log: list
+    # shard failures and recoveries; report.json holds the order_summary
+    # of each entry's pre_failure_order or checkpointed_order
     recovery_log: list
     tx_audit: dict
     anomalies: list
     checkpoint_count: int = 0
 
     def to_dict(self) -> dict:
+        """The serialized report, with every consensus order replaced by
+        its order_summary."""
         out = {f.name: _str_keys(getattr(self, f.name)) for f in fields(self)}
+        out["consensus"] = {
+            cid: order_summary(order) for cid, order in out["consensus"].items()
+        }
+        out["recovery_log"] = [
+            {k: order_summary(v) if k in _RECOVERY_ORDER_KEYS else v
+             for k, v in entry.items()}
+            for entry in self.recovery_log
+        ]
         m = self.metrics
         out["metrics"] = {f.name: _str_keys(getattr(m, f.name)) for f in fields(m)}
         out["metrics"]["empty_event_fraction"] = m.empty_event_fraction

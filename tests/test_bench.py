@@ -73,9 +73,13 @@ def test_store_bytes_per_event(source):
 
 def test_report_write_allocates_less_than_half_its_size(tmp_path):
     # write_report streams report.json, so its allocation peak is bounded
-    # by the encoder's working set, not by the report's size
-    report = run_scenario(ScenarioConfig(n=32, s=4, seed=5, duration=160,
-                                         tx_rate=32.0, cross_ratio=0.3))
+    # by the encoder's working set, not by the report's size; an equivocator
+    # every tick fills the fork evidence, which the report holds in full
+    report = run_scenario(ScenarioConfig(n=32, s=2, seed=5, duration=160,
+                                         tx_rate=32.0,
+                                         adversary_kind="equivocator",
+                                         adversary_fraction=0.3,
+                                         adversary_interval=1))
     # pathlib interns the output paths' parts; a first write into the same
     # directory interns them, so that a resize of the interpreter's table
     # of interned strings (about 1 MB) cannot land in the measured write

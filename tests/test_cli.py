@@ -41,13 +41,17 @@ def test_formulas_invalid_params(capsys):
     assert "s to divide n" in capsys.readouterr().err
 
 
-def test_run_minimal(tmp_path):
+def test_run_minimal(tmp_path, capsys):
     code = run_cli(
         "run", "--out", str(tmp_path),
         "--set", "n=6", "--set", "s=2", "--set", "duration=20",
         "--set", "tx_rate=6",
     )
     assert code == 0
+    # the model has no coordinator term
+    assert "comm_per_coordinator: analytic=n/a measured=" in (
+        capsys.readouterr().out
+    )
     out = tmp_path / "run"
     assert (out / "report.json").is_file()
     assert (out / "per_node_metrics.csv").is_file()

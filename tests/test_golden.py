@@ -4,9 +4,12 @@ Each scenario pins the sha256 of the ``report.json`` that ``write_report``
 writes, read back from disk, so the digests cover the output path itself.
 A refactor that claims to keep behaviour must leave every digest unchanged;
 a change that alters report bytes on purpose regenerates them and says why.
+The same files are checked to be strict JSON and to summarize the orders
+that the in-memory report holds.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -16,18 +19,18 @@ from shardgraph.simulation import run_scenario, write_report
 GOLDEN = {
     "unsharded": (
         ScenarioConfig(n=16, s=1, seed=3, duration=40, tx_rate=16.0),
-        "f0bcbb871e78bfb857df58f250c0496e3305840d754da5d196e04fb7dbe0c97d",
+        "90f61da4d0088db56321f9ee85b66e3777169af06e833dc8a260dc3640810f8c",
     ),
     "sharded-cross": (
         ScenarioConfig(n=32, s=4, seed=5, duration=60, tx_rate=32.0,
                        cross_ratio=0.3),
-        "bee80eff37578830970adb2079aed53f207c5c3a36f8d376b0fd3adedcefe8fb",
+        "1bae264248097af1039e8e98eeb6fb5e3a0779fce550ebee79064f87b0305ce9",
     ),
     "equivocator": (
         ScenarioConfig(n=16, s=2, seed=7, duration=50, tx_rate=16.0,
                        adversary_kind="equivocator", adversary_fraction=0.2,
                        adversary_interval=3),
-        "aa287eb602718eaf3512449d0f0489963c7b7f65e465c7a2cafdb06b0761bd8d",
+        "4840048c3a0a1a3079f7a66c7ac9e8c3f4dcd6bff51ab7d11584af1f6414fac9",
     ),
     # five applied reorganizations and one already at its target size;
     # node 53 is moved out of committee 0 and back, and resumes its chain
@@ -35,27 +38,27 @@ GOLDEN = {
         ScenarioConfig(n=32, s=4, seed=9, duration=120, tx_rate=16.0,
                        cross_ratio=0.2, adversary_kind="churn",
                        adversary_interval=3, adversary_rejoin=True),
-        "9d7ffb3051a2316fbce35a755e736e543ab07b5fe5f6daa35fec95c71310efc3",
+        "2dc5697ed61e62cc3ec0e1a6b54933eb4725861b05b43c9f5f3c09996eed9a3b",
     ),
     "churn-literal-trigger": (
         ScenarioConfig(n=24, s=4, seed=4, duration=150, tx_rate=8.0,
                        adversary_kind="churn", adversary_committee=0,
                        adversary_interval=3,
                        trigger_mode="literal-s-over-2"),
-        "14a83dd6b9fb9273b325c92fa45319f5889c4264cc336af4d9debbfeeefc106e",
+        "e79c5f1bfbcc78699bafceda99e39c9469053d331d5ebdd0e69c4b3f9622d439",
     ),
     # the reorganization is deferred: no committee is above the minimum size
     "churn-no-donors": (
         ScenarioConfig(n=12, s=2, seed=2, duration=120, tx_rate=8.0,
                        min_committee_size=6, adversary_kind="churn",
                        adversary_committee=0, adversary_interval=3),
-        "8fdf2501a6673889c175e321af97728b5e8a791221faf2ba06e81edb0366ef7e",
+        "74a8172c32473291165e05114d3a9a138b737fe310f2ba31c37d7f7effcaefcf",
     ),
     # gossip every other tick: a gossip tick injects before its round
     "sync-interval-2": (
         ScenarioConfig(n=16, s=2, seed=8, duration=60, tx_rate=16.0,
                        cross_ratio=0.2, sync_interval=2),
-        "67d905f5451a6d3e0b1db7c2e33f5be9373eeaf400b6a4a7e82eb70abf8c3cd4",
+        "457331e29e0471ece5090660777aba923e8b6d8b41e803241033adfeff1e1391",
     ),
     # committee 1 is down for 15 gossip rounds; both coordinators keep
     # taking global duty on the same rounds before and after it
@@ -64,14 +67,60 @@ GOLDEN = {
                        checkpoint_period=2, adversary_kind="shard_failure",
                        adversary_committee=1, adversary_fail_at=60,
                        adversary_recover_delay=15),
-        "e148a6075464ad25e25ae076f2db2dc036cb84d39df3533bdb3ab11ec31b598b",
+        "914b2db2ea1e12131dd04087cd056f14eefcca41f5bbc37a30ddf5c910c10c31",
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_report_digest_unchanged(name, tmp_path):
-    cfg, digest = GOLDEN[name]
-    write_report(run_scenario(cfg), tmp_path)
-    written = (tmp_path / "report.json").read_bytes()
-    assert hashlib.sha256(written).hexdigest() == digest
+@pytest.fixture(scope="module", params=sorted(GOLDEN))
+def golden(request, tmp_path_factory):
+    """(name, in-memory report, written report.json bytes) of a scenario."""
+    name = request.param
+    report = run_scenario(GOLDEN[name][0])
+    out = tmp_path_factory.mktemp(name)
+    write_report(report, out)
+    return name, report, (out / "report.json").read_bytes()
+
+
+def test_report_digest_unchanged(golden):
+    name, _, written = golden
+    assert hashlib.sha256(written).hexdigest() == GOLDEN[name][1]
+
+
+def _reject(constant):
+    raise ValueError(f"{constant} in report.json")
+
+
+def test_report_is_strict_json(golden):
+    json.loads(golden[2], parse_constant=_reject)
+
+
+def reference_summary(order):
+    """order_summary written out entry by entry."""
+    digest = hashlib.sha256()
+    for event_id, round_received, timestamp in order:
+        digest.update(f"{event_id},{round_received},{timestamp}\n".encode())
+    return {
+        "length": len(order),
+        "last_round_received": order[-1][1] if order else None,
+        "sha256": digest.hexdigest(),
+    }
+
+
+def test_report_summarizes_the_in_memory_orders(golden):
+    name, report, written = golden
+    data = json.loads(written)
+    assert data["consensus"] == {
+        str(cid): reference_summary(order)
+        for cid, order in report.consensus.items()
+    }
+    assert len(data["recovery_log"]) == len(report.recovery_log)
+    for got, entry in zip(data["recovery_log"], report.recovery_log):
+        for key in ("pre_failure_order", "checkpointed_order"):
+            if key in entry:
+                assert got[key] == reference_summary(entry[key])
+    if name == "shard-failure":
+        assert len(report.recovery_log) == 2
+    if name == "sharded-cross":
+        # 197 KB while the file held every committee's full order
+        assert len(written) < 16_000

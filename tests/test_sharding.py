@@ -110,6 +110,14 @@ def test_ingest_queues_cross_and_coordinator_excludes_it(small_state):
     assert cross not in flush_inbound(state, 0, batch_limit=16)
 
 
+def test_ingest_leaves_delivered_transactions_alone(small_state):
+    state, table = small_state
+    delivered = tx(1, 1, 0)
+    ev = local_event(state, table, 0, (delivered,))
+    queue = coordinator_ingest_local(state, table, 0, ev)
+    assert queue.outbound == []
+
+
 def test_ingest_deduplicates(small_state):
     state, table = small_state
     cross = tx(1, 0, 1)

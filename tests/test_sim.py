@@ -1,15 +1,18 @@
+import hashlib
 import random
 import sys
 from pathlib import Path
 
 import pytest
 
+import shardgraph.simulation
 from shardgraph.config import ConfigError, ScenarioConfig
-from shardgraph.hashgraph import consensus_order
+from shardgraph.hashgraph import OrderedEvent, consensus_order
 from shardgraph.metrics import mean
 from shardgraph.simulation import (
     Simulation,
     inject_workload,
+    order_summary,
     poisson_sample,
     run_scenario,
     write_report,
@@ -111,6 +114,62 @@ def test_failed_report_write_leaves_no_report(tmp_path):
         write_report(report, tmp_path)
     assert (tmp_path / "report.json").read_bytes() == before
     assert not (tmp_path / "report.json.tmp").exists()
+
+
+def test_order_summary_tells_orders_apart():
+    # 600 entries span several hash chunks
+    order = [OrderedEvent(f"{i:064x}", i // 10, 1000 + i) for i in range(600)]
+    base = order_summary(order)
+    assert order_summary(list(order)) == base
+    assert (base["length"], base["last_round_received"]) == (600, 59)
+    assert order_summary([]) == {
+        "length": 0, "last_round_received": None,
+        "sha256": hashlib.sha256(b"").hexdigest(),
+    }
+    e = order[300]
+
+    def with_entry(entry):
+        return order[:300] + [entry] + order[301:]
+
+    swapped = list(order)
+    swapped[255], swapped[256] = swapped[256], swapped[255]
+    variants = [
+        with_entry(e._replace(event_id="f" + e.event_id[1:])),
+        with_entry(e._replace(round_received=e.round_received + 1)),
+        with_entry(e._replace(consensus_timestamp=e.consensus_timestamp + 1)),
+        swapped,
+        order[:-1],
+    ]
+    digests = {order_summary(v)["sha256"] for v in variants}
+    assert len(digests) == len(variants) and base["sha256"] not in digests
+    # a digit shifted across a field boundary
+    shifted = [
+        [OrderedEvent("ab1", 2, 30)], [OrderedEvent("ab", 12, 30)],
+        [OrderedEvent("ab", 1, 230)], [OrderedEvent("ab", 12, 3)],
+    ]
+    assert len({order_summary(v)["sha256"] for v in shifted}) == len(shifted)
+
+
+def test_coordinators_send_only_their_own_transactions(monkeypatch):
+    # a delivered cross transaction is not echoed back through the global
+    # graph by the target committee's coordinator
+    flushed = []
+
+    def recording_flush(state, committee, batch_limit):
+        batch = sharding_flush(state, committee, batch_limit)
+        flushed.extend((committee, tx) for tx in batch)
+        return batch
+
+    sharding_flush = shardgraph.simulation.flush_outbound
+    monkeypatch.setattr(shardgraph.simulation, "flush_outbound",
+                        recording_flush)
+    report = run_scenario(ScenarioConfig(n=16, s=4, seed=7, duration=50,
+                                         tx_rate=16.0, cross_ratio=0.3))
+    assert report.tx_audit["injected_cross"] > 0
+    assert report.tx_audit["missing_count"] == 0
+    sent = [tx for _, tx in flushed]
+    assert len(sent) == len({tx.tx_id for tx in sent}) > 0
+    assert all(tx.origin == committee for committee, tx in flushed)
 
 
 def test_cross_exactly_once():
