@@ -7,6 +7,7 @@ the command line, so sweep scripts can diff configs line by line.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 ADVERSARY_KINDS = ("none", "equivocator", "churn", "shard_failure")
@@ -48,8 +49,9 @@ class ScenarioConfig:
             raise ConfigError("duration must be >= 1")
         if self.sync_interval < 1:
             raise ConfigError("sync_interval must be >= 1")
-        if self.tx_rate < 0:
-            raise ConfigError("tx_rate must be >= 0")
+        # a rate of nan or inf never ends poisson_sample's draw loop
+        if not 0 <= self.tx_rate < math.inf:
+            raise ConfigError("tx_rate must be finite and >= 0")
         if not 0.0 <= self.cross_ratio <= 1.0:
             raise ConfigError("cross_ratio must be in [0, 1]")
         if self.cross_ratio > 0 and self.s < 2:
@@ -72,6 +74,8 @@ class ScenarioConfig:
             raise ConfigError("adversary.interval must be >= 1")
         if self.adversary_recover_delay < 1:
             raise ConfigError("adversary.recover_delay must be >= 1")
+        if not -1 <= self.adversary_committee < self.s:
+            raise ConfigError("adversary.committee must be -1 or in [0, s)")
 
     def resolved_inject_until(self) -> int:
         if self.inject_until > 0:

@@ -342,21 +342,24 @@ class Simulation:
 
     def _inject(self, t):
         pending, inject_tick = self.pending, self.inject_tick
-        units = cross_units = 0
-        for origin_node, ocid, target in inject_workload(
-            self.cfg, self.rng, self.table, self.down
-        ):
-            tx = Transaction(
-                tx_id=f"t{self.next_tx}", origin=ocid, target=target
+        # an injected transaction is a one-unit payload with every other
+        # field at its default; tuple.__new__ builds it without the call to
+        # the generated __new__
+        new = tuple.__new__
+        arrivals = inject_workload(self.cfg, self.rng, self.table, self.down)
+        first = self.next_tx
+        cross = 0
+        for i, (origin_node, ocid, target) in enumerate(arrivals, first):
+            tx_id = f"t{i}"
+            pending[origin_node].append(
+                new(Transaction, (tx_id, ocid, target, 1, KIND_PAYLOAD, ()))
             )
-            self.next_tx += 1
-            pending[origin_node].append(tx)
-            units += tx.size_units
-            if tx.is_cross:
-                cross_units += tx.size_units
-                inject_tick[tx.tx_id] = t
-        self.metrics.injected_tx_units += units
-        self.metrics.injected_cross_units += cross_units
+            if ocid != target:
+                cross += 1
+                inject_tick[tx_id] = t
+        self.next_tx = first + len(arrivals)
+        self.metrics.injected_tx_units += len(arrivals)
+        self.metrics.injected_cross_units += cross
 
     def _gossip(self, t):
         table, down = self.table, self.down
@@ -425,30 +428,34 @@ class Simulation:
         coordinator_receive_global(self.state, self.table, rcid, new_ev)
 
     def _poll(self, t):
+        ordered_units = self.metrics.ordered_tx_units
+        latency = self.metrics.cross_latency
+        ordered_count, inject_tick = self.ordered_count, self.inject_tick
         for cid in sorted(self.state.local_stores):
             store = self.state.local_stores[cid]
             store.advance_consensus()
-            cons = store.consensus
+            cons, by_index, index = store.consensus, store.by_index, store.index
+            # the committee's key exists once any payload-kind transaction,
+            # a zero-size marker included, has been ordered there
+            keyed = cid in ordered_units
+            units = ordered_units.get(cid, 0)
             for oe in cons[self.consensus_ptr.get(cid, 0):]:
-                ev = store.by_index[store.index[oe.event_id]]
-                for tx in ev.payload:
-                    if tx.kind == KIND_PAYLOAD:
-                        self.metrics.ordered_tx_units[cid] = (
-                            self.metrics.ordered_tx_units.get(cid, 0)
-                            + tx.size_units
-                        )
-                        if tx.is_cross and tx.target == cid:
-                            self.ordered_count[tx.tx_id] = (
-                                self.ordered_count.get(tx.tx_id, 0) + 1
-                            )
-                            lat = t - self.inject_tick.get(tx.tx_id, t)
-                            self.metrics.cross_latency[lat] = (
-                                self.metrics.cross_latency.get(lat, 0) + 1
-                            )
-                    elif tx.kind == KIND_INTRA_REORG:
+                for tx in by_index[index[oe.event_id]].payload:
+                    kind = tx.kind
+                    if kind == KIND_PAYLOAD:
+                        keyed = True
+                        units += tx.size_units
+                        if tx.target == cid and tx.origin != cid:
+                            tx_id = tx.tx_id
+                            ordered_count[tx_id] = ordered_count.get(tx_id, 0) + 1
+                            lat = t - inject_tick.get(tx_id, t)
+                            latency[lat] = latency.get(lat, 0) + 1
+                    elif kind == KIND_INTRA_REORG:
                         self._on_intra_reorg(cid, tx, oe, t)
-                    elif tx.kind == KIND_RESELECT:
+                    elif kind == KIND_RESELECT:
                         self._on_reselect(cid, tx, oe, t)
+            if keyed:
+                ordered_units[cid] = units
             self.consensus_ptr[cid] = len(cons)
         gstore = self.state.global_store
         gstore.advance_consensus()

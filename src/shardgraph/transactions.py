@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Lifecycle kinds.  Ordinary value transfers are "payload"; the remaining
 # kinds are control transactions whose consensus timestamps seed
@@ -14,9 +14,10 @@ KIND_INTRA_REORG = "intra_reorg"
 KIND_RESELECT = "reselect"
 
 
-@dataclass(frozen=True, slots=True)
-class Transaction:
-    """A payload unit tagged with origin/target committee.
+class Transaction(NamedTuple):
+    """A payload unit tagged with origin/target committee, as an immutable
+    tuple record: built positionally at tuple speed, compared and hashed by
+    its fields.
 
     A transaction is cross-shard exactly when origin != target.  Control
     transactions (join/reorg/...) carry their arguments in ``data``.
@@ -27,7 +28,7 @@ class Transaction:
     target: int
     size_units: int = 1
     kind: str = KIND_PAYLOAD
-    data: tuple = field(default=())
+    data: tuple = ()
 
     @property
     def is_cross(self) -> bool:

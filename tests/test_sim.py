@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from shardgraph.simulation import (
     write_report,
 )
 from shardgraph.sharding import partition_nodes
+from shardgraph.transactions import KIND_PAYLOAD
 
 from oracles import report_text
 
@@ -182,6 +184,37 @@ def test_cross_exactly_once():
     assert audit["duplicate_count"] == 0
     assert audit["ordered_exactly_once"] == audit["injected_cross"]
     assert sum(report.metrics.cross_latency.values()) == audit["injected_cross"]
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(ScenarioConfig(n=32, s=4, seed=7, duration=80, tx_rate=32.0,
+                                cross_ratio=0.2), id="cross"),
+    pytest.param(ScenarioConfig(n=14, s=2, seed=4, duration=50, tx_rate=10.0,
+                                adversary_kind="equivocator",
+                                adversary_fraction=0.1, adversary_interval=5),
+                 id="equivocator"),
+    # fork markers are the only payload-kind transactions: every key is 0
+    pytest.param(ScenarioConfig(n=14, s=2, seed=4, duration=50, tx_rate=0.0,
+                                adversary_kind="equivocator",
+                                adversary_fraction=0.1, adversary_interval=5),
+                 id="equivocator-markers-only"),
+])
+def test_ordered_units_match_a_walk_of_the_final_orders(cfg):
+    # the polls' per-committee sums equal one walk over each committee's
+    # final order: the size units of its payload-kind transactions, keyed
+    # once any was ordered there, zero-size fork markers included
+    sim = Simulation(cfg)
+    report = sim.run()
+    walked = {}
+    for cid, order in report.consensus.items():
+        store = sim.state.local_stores[cid]
+        for oe in order:
+            for tx in store.by_index[store.index[oe.event_id]].payload:
+                if tx.kind == KIND_PAYLOAD:
+                    walked[cid] = walked.get(cid, 0) + tx.size_units
+    assert report.metrics.ordered_tx_units == walked
+    assert sorted(walked) == sorted(report.consensus)
+    assert (sum(walked.values()) > 0) == (cfg.tx_rate > 0)
 
 
 def test_conservation_and_counters():
@@ -432,6 +465,20 @@ def test_config_validation_errors():
             ScenarioConfig(adversary_kind="shard_failure",
                            adversary_recover_delay=delay).validate()
     ScenarioConfig(adversary_recover_delay=1).validate()
+    # validate() only: poisson_sample never returns on nan or inf
+    for rate in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ConfigError, match="tx_rate"):
+            ScenarioConfig(tx_rate=rate).validate()
+    ScenarioConfig(tx_rate=0.0).validate()
+    # a committee id outside [-1, s) is refused, whatever the kind
+    for kind in ("churn", "shard_failure", "none"):
+        for committee in (5, 2, -2):
+            with pytest.raises(ConfigError, match="adversary.committee"):
+                ScenarioConfig(n=8, s=2, adversary_kind=kind,
+                               adversary_committee=committee).validate()
+    for committee in (-1, 0, 1):
+        ScenarioConfig(n=8, s=2, adversary_kind="churn",
+                       adversary_committee=committee).validate()
 
 
 def test_config_parse_and_overrides():
