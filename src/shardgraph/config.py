@@ -76,6 +76,26 @@ class ScenarioConfig:
             raise ConfigError("adversary.recover_delay must be >= 1")
         if not -1 <= self.adversary_committee < self.s:
             raise ConfigError("adversary.committee must be -1 or in [0, s)")
+        if self.adversary_kind == "shard_failure":
+            # the last tick is duration - 1: a failure or recovery past it
+            # never happens, and the report would not say so
+            fail_at = self.resolved_fail_at()
+            if fail_at >= self.duration:
+                raise ConfigError(
+                    f"adversary.fail_at ({fail_at}) must be before "
+                    f"duration ({self.duration})"
+                )
+            if fail_at + self.adversary_recover_delay >= self.duration:
+                raise ConfigError(
+                    f"adversary.recover_delay puts the recovery at tick "
+                    f"{fail_at + self.adversary_recover_delay}, not before "
+                    f"duration ({self.duration})"
+                )
+
+    def resolved_fail_at(self) -> int:
+        if self.adversary_fail_at < 0:
+            return self.duration // 3
+        return self.adversary_fail_at
 
     def resolved_inject_until(self) -> int:
         if self.inject_until > 0:

@@ -114,6 +114,9 @@ class Event(_EventFields):
         return cls(*tuple(fields)[:5])
 
 
+# a freed packed witness reach: width 0 is no store's
+_FREED = (0, 0, 0)
+
 _FLAG = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -207,6 +210,18 @@ class EventStore:
       so strong sight is a few big-int operations.  F is a power of two, at
       least 8 and at least the member bits; when ``add_member`` outgrows it
       F doubles, and a stored reach is re-laid when it is next read.
+    - Reach lifetime: a reach is read by a child's insert and by the
+      event's own first vote as a witness (``_strongly_seen_prev``), and by
+      nothing else.  Once an event is ordered and has a self-child, neither
+      read comes again but a fork's insert on it: its round is finalized,
+      so it votes no more.  ``advance_consensus`` therefore frees the reach
+      of each newly ordered event's self-parent, replacing it with the
+      shared width-0 entry ``_FREED``.  Live reaches are the unordered
+      events plus, per creator, its last ordered event (one per fork tip
+      for a forker), not the history.  A freed reach read again is rebuilt
+      by ``_reach_of``: a walk over the freed ancestors in its round and
+      the one below, about two rounds of events, merged by the
+      insert's ``_merge``.  The rebuilt entry is not kept.
     - ``_sm`` is the supermajority of the population, kept by
       ``add_member`` and ``remove_member`` (0 while the population is empty,
       which makes a read raise), so neither insert nor a tally recounts it.
@@ -377,10 +392,9 @@ class EventStore:
         # round assignment: a parent one round below gives its round reach
         # as the round - 1 reach; every field the self-parent brings has the
         # creator's bit already, and the other parent's new fields get it
-        # here.  _present and _seen_flags are written out inline, so a
-        # typical insert calls no helper.
+        # here, by _merge.  _present and _seen_flags are written out
+        # inline, so a typical insert calls no other helper.
         f, reach, rounds = self._width, self._reach, self.round
-        low, nh, f1 = self._low, self._nh, f - 1
         r, prev, cur = 1, 0, 0
         if spi is not None:
             r = rounds[spi]
@@ -388,18 +402,12 @@ class EventStore:
             if w != f:
                 prev, cur = self._reach_of(spi)
         if opi is not None:
-            ro = rounds[opi]
             w, pp, pc = reach[opi]
             if w != f:
                 pp, pc = self._reach_of(opi)
-            if ro < r:
-                pp, pc = (pc if ro == r - 1 else 0), 0
-            elif ro > r:
-                prev, cur, r = (cur if ro == r + 1 else 0), 0, ro
-            if pp & ~prev:
-                prev |= pp | ((((pp & nh) + nh) | pp) >> f1 & low) * cbit
-            if pc & ~cur:
-                cur |= pc | ((((pc & nh) + nh) | pc) >> f1 & low) * cbit
+            r, prev, cur = self._merge(r, prev, cur, rounds[opi], pp, pc,
+                                       cbit)
+        low, nh, f1 = self._low, self._nh, f - 1
         # an empty reach (a genesis event's) sees nothing, and sm fields of
         # sm bits need sm * sm bits
         if cur and cur.bit_count() >= sm * sm:
@@ -447,6 +455,25 @@ class EventStore:
         reach.append((f, prev, cur))
         return idx
 
+    def _merge(self, r: int, prev: int, cur: int, ro: int, pp: int,
+               pc: int, cbit: int) -> tuple[int, int, int]:
+        """The round and (round - 1, round) reach of an event whose
+        self-parent brings round r and reach (prev, cur) and whose other
+        parent brings round ro and reach (pp, pc), before strong sight is
+        tested: the parent of the lower round gives its round reach as the
+        round - 1 reach if it is one round below, and nothing else, and the
+        other parent's new fields get the creator's bit cbit."""
+        if ro < r:
+            pp, pc = (pc if ro == r - 1 else 0), 0
+        elif ro > r:
+            prev, cur, r = (cur if ro == r + 1 else 0), 0, ro
+        low, nh, f1 = self._low, self._nh, self._width - 1
+        if pp & ~prev:
+            prev |= pp | ((((pp & nh) + nh) | pp) >> f1 & low) * cbit
+        if pc & ~cur:
+            cur |= pc | ((((pc & nh) + nh) | pc) >> f1 & low) * cbit
+        return r, prev, cur
+
     def _pack_constants(self) -> None:
         """LOW, bit 0 of each of ``_fields`` fields, and the SWAR masks for
         the current width."""
@@ -466,12 +493,60 @@ class EventStore:
             raw[i:i + fb] + pad for i in range(0, len(raw), fb)), "little")
 
     def _reach_of(self, i: int) -> tuple[int, int]:
-        """Event i's (round - 1, round) reach at the store's width."""
+        """Event i's (round - 1, round) reach at the store's width; a freed
+        one is rebuilt, and stays freed."""
         f, prev, cur = self._reach[i]
+        if not f:
+            return self._rebuild(i)
         if f != self._width:
             prev, cur = self._relay(prev, f), self._relay(cur, f)
             self._reach[i] = (self._width, prev, cur)
         return prev, cur
+
+    def _rebuild(self, i: int) -> tuple[int, int]:
+        """Freed event i's reach, by the insert's ``_merge`` over its freed
+        ancestors of round(i) - 1 and up, in index order from the live
+        reaches below them.  The fields of i's reach answer only for those
+        rounds, so a freed ancestor of a lower round enters the merge as an
+        empty reach; an event's round and witness flag are read, not
+        retested, as its strong sight may need rounds below the window."""
+        reach, rounds, index = self._reach, self.round, self.index
+        events, floor = self.by_index, rounds[i] - 1
+        # the window's events, each with its parents' indices (None for none)
+        window: dict[int, tuple] = {}
+        stack = [i]
+        while stack:
+            x = stack.pop()
+            ev = events[x]
+            window[x] = parents = (index.get(ev.self_parent),
+                                   index.get(ev.other_parent))
+            stack += [p for p in parents if p is not None and p not in window
+                      and reach[p] is _FREED and rounds[p] >= floor]
+        built: dict[int, tuple[int, int]] = {}
+
+        def read(p: int) -> tuple[int, int]:
+            if p in built:
+                return built[p]
+            return (0, 0) if reach[p] is _FREED else self._reach_of(p)
+
+        f = self._width
+        for x in sorted(window):
+            sp, op = window[x]
+            cbit = 1 << self._member_bit[events[x].creator]
+            r, prev, cur = 1, 0, 0
+            if sp is not None:
+                r = rounds[sp]
+                prev, cur = read(sp)
+            if op is not None:
+                r, prev, cur = self._merge(r, prev, cur, rounds[op], *read(op),
+                                           cbit)
+            if rounds[x] > r:
+                prev, cur = cur, 0
+            if sp is None or rounds[sp] < rounds[x]:
+                pos = self.witnesses_by_round[rounds[x]].index(x)
+                cur |= cbit << pos * f
+            built[x] = prev, cur
+        return built[i]
 
     def _unpack(self, flags: int, n: int) -> bytes:
         """The LOW bits of flags' first n fields, one byte each; fields are
@@ -662,6 +737,7 @@ class EventStore:
         """Assign round-received and consensus timestamps for every round
         whose witnesses are all fame-decided."""
         self.elect_fame()
+        reach, self_parent = self._reach, self._self_parent
         r = self.finalized_round + 1
         while True:
             witnesses = self._by_digest.get(r)
@@ -679,6 +755,11 @@ class EventStore:
                     lo = (fresh & -fresh).bit_length() - 1
                     self._order_round(r, famous, fresh >> lo, lo)
                     self._emitted |= fresh
+                    # an ordered event's self-parent is ordered and has a
+                    # self-child: only a fork on it reads its reach again
+                    for sp in map(self_parent.__getitem__, _set_bits(fresh)):
+                        if sp >= 0:
+                            reach[sp] = _FREED
             self.finalized_round = r
             r += 1
 

@@ -138,11 +138,13 @@ def inject_workload(config, rng, table, down):
     out = []
     committees = sorted(table.coordinators)
     others = {c: [d for d in committees if d != c] for c in committees}
+    choice, rand, ratio = rng.choice, rng.random, config.cross_ratio
+    cross = len(committees) > 1
     for _ in range(poisson_sample(rng, config.tx_rate)):
-        origin_node = rng.choice(pool)
+        origin_node = choice(pool)
         ocid = assignment[origin_node]
-        if len(committees) > 1 and rng.random() < config.cross_ratio:
-            target = rng.choice(others[ocid])
+        if cross and rand() < ratio:
+            target = choice(others[ocid])
         else:
             target = ocid
         out.append((origin_node, ocid, target))
@@ -319,9 +321,7 @@ class Simulation:
             cid = cfg.adversary_committee
             if cid < 0:
                 cid = cfg.s - 1
-            fail_at = cfg.adversary_fail_at
-            if fail_at < 0:
-                fail_at = cfg.duration // 3
+            fail_at = cfg.resolved_fail_at()
             if t == fail_at:
                 self._fail_shard(t, cid)
             elif t == fail_at + cfg.adversary_recover_delay:

@@ -1,8 +1,9 @@
 """Micro-benchmarks of the hashgraph engine's insert, fame, ordering,
 partial-view ordering and gossip paths on a synthetic 16-member round-robin
-DAG (960 events), of insert on a forked 16-member gossip DAG (about 1000
-events, two equivocators), of consensus polls on a 32-member round-robin
-DAG (3840 events), and of the injection ticks of a `sharded-cross` run.
+DAG (960 events), of insert and of rebuilding every freed reach on a forked
+16-member gossip DAG (about 1000 events, two equivocators), of consensus
+polls on a 32-member round-robin DAG (3840 events), and of the injection
+ticks of a `sharded-cross` run.
 One timed round each, so they stay cheap in the regular suite;
 ``pytest tests/test_bench.py --benchmark-autosave`` stores their results
 under ``.benchmarks/``.  Memory guards: store bytes per event, the
@@ -189,6 +190,23 @@ def test_bench_add_event_forked(benchmark):
     assert len(store._forkers) == 2 and store.max_round >= 7
     assert store._forked == built._forked
     assert sum(f.bit_count() == 2 for f in store._forked) > len(events) // 2
+
+
+def test_bench_reach_rebuild(benchmark):
+    # every freed reach of a polled forked store rebuilt, each from the live
+    # reaches below its window: the miss path a fork on an old event takes
+    built, _ = gossip_dag(3, steps=900, n=16)
+    store = filled_store(built.population, built.by_index)
+    store.advance_consensus()
+    freed = [i for i, (width, _, _) in enumerate(store._reach) if not width]
+
+    def rebuild():
+        return [store._reach_of(i) for i in freed]
+
+    reaches = benchmark.pedantic(rebuild, rounds=1, iterations=1)
+    assert len(freed) > len(built.by_index) // 3
+    # the generating store was never polled, so it freed nothing
+    assert reaches == [built._reach_of(i) for i in freed]
 
 
 def test_bench_advance_consensus(benchmark, dag):

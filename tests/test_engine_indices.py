@@ -734,3 +734,170 @@ def test_transfers_match_brute_force(seed):
     head = max(own, key=lambda i: (store._seq[i], i))
     _, ev = transfer_checked(views[1], Hashgraph(store, 0), 251)
     assert ev.self_parent == store.by_index[head].digest
+
+
+# -- reach lifetime ------------------------------------------------------------
+
+
+def live_reaches(store):
+    return len(store._reach) - store._reach.count(hashgraph._FREED)
+
+
+def check_live_reaches(store):
+    """Live reaches number at most the unordered events plus one per tip of
+    each creator's self-parent tree: one per chain, plus one per extra
+    branch of a fork.  An ordered event keeps its reach only while it has
+    no ordered self-child, and the ordered events are down-closed."""
+    tips = len(store._cmask)
+    for c in store._forkers:
+        children = {}
+        for x in bits(store._cmask[c]):
+            sp = store._self_parent[x]
+            children[sp] = children.get(sp, 0) + 1
+        tips += sum(k - 1 for k in children.values())
+    live = live_reaches(store)
+    assert live <= len(store.by_index) - len(store.consensus) + tips
+    return live
+
+
+@pytest.fixture
+def never_polled(monkeypatch):
+    """Records each store's construction, membership changes and inserts;
+    the returned function replays one store's record into a fresh store
+    that is never polled, so none of its reaches is freed."""
+    log = {}
+    methods = {name: getattr(EventStore, name) for name in
+               ("__init__", "add_member", "remove_member", "add_event")}
+
+    def recorded(name):
+        def call(store, arg):
+            result = methods[name](store, arg)
+            if name == "__init__":
+                arg = list(store.population)
+            log.setdefault(store, []).append((name, arg))
+            return result
+        return call
+
+    for name in methods:
+        monkeypatch.setattr(EventStore, name, recorded(name))
+
+    def replay(store):
+        fresh = EventStore.__new__(EventStore)
+        for name, arg in log[store]:
+            methods[name](fresh, arg)
+        assert fresh.round == store.round
+        assert live_reaches(fresh) == len(fresh.by_index)
+        return fresh
+
+    return replay
+
+
+def check_rebuilt_reaches(store, fresh):
+    """Every freed reach of store rebuilds to fresh's entry for the same
+    event, and stays freed; returns how many were freed."""
+    freed = [i for i, entry in enumerate(store._reach)
+             if entry is hashgraph._FREED]
+    for i in freed:
+        assert store._reach_of(i) == fresh._reach_of(i)
+        assert store._reach[i] is hashgraph._FREED
+    return len(freed)
+
+
+@pytest.mark.parametrize("cfg, forked, widened", [
+    pytest.param(ScenarioConfig(n=16, s=2, seed=5, duration=80, tx_rate=16.0,
+                                adversary_kind="equivocator",
+                                adversary_fraction=0.2, adversary_interval=2),
+                 True, False, id="equivocator"),
+    # leaves and rejoins past a committee's 8 member bits double its width
+    pytest.param(ScenarioConfig(n=24, s=3, seed=4, duration=120,
+                                tx_rate=24.0, cross_ratio=0.2,
+                                adversary_kind="churn",
+                                adversary_fraction=0.3, adversary_interval=5,
+                                adversary_rejoin=True),
+                 False, True, id="churn-widening"),
+])
+def test_freed_reach_rebuilds_to_never_polled_entry(cfg, forked, widened,
+                                                    monkeypatch, never_polled):
+    # the run's inserts and votes read no freed reach
+    rebuild = EventStore._rebuild
+
+    def unexpected(store, i):
+        raise AssertionError(f"reach {i} rebuilt during the run")
+
+    monkeypatch.setattr(EventStore, "_rebuild", unexpected)
+    sim = Simulation(cfg)
+    poll = sim._poll
+
+    def checked(t):
+        poll(t)
+        for store in sim.state.local_stores.values():
+            check_live_reaches(store)
+
+    sim._poll = checked
+    sim.run()
+    monkeypatch.setattr(EventStore, "_rebuild", rebuild)
+    stores = list(sim.state.local_stores.values())
+    assert any(store._forkers for store in stores) == forked
+    assert any(store._width > 8 for store in stores) == widened
+    for store in stores + [sim.state.global_store]:
+        freed = check_rebuilt_reaches(store, never_polled(store))
+        assert freed > len(store.by_index) // 2
+
+
+def test_fork_on_a_freed_reach_rebuilds_it(monkeypatch, never_polled):
+    # member 0 branches on an early event whose self-child is ordered, with
+    # an other-parent the self-child does not precede, so no event sees
+    # both branches and the fork-blind oracle still holds
+    store, _ = gossip_dag(0, steps=200, fork_p=0)
+    store.advance_consensus()
+    assert store.finalized_round >= 4
+    own = [i for i in bits(store._cmask[0]) if store.round[i] >= 2]
+    base, child = own[0], own[1]
+    assert store._reach[base] is hashgraph._FREED
+    other = max(i for i in bits(store._cmask[1]) if i < child)
+    assert store._reach[other] is hashgraph._FREED
+    rebuilt = []
+    rebuild = EventStore._rebuild
+
+    def spy(self, i):
+        rebuilt.append(i)
+        return rebuild(self, i)
+
+    monkeypatch.setattr(EventStore, "_rebuild", spy)
+    fork = Event(0, store.by_index[base].digest,
+                 store.by_index[other].digest, (), 500)
+    store.add_event(fork)
+    branch = Event(0, fork.digest, None, (), 501)
+    store.add_event(branch)
+    assert rebuilt == [base, other]
+    assert 0 in store._forkers and not any(store._forked)
+    o = BruteGraph(store.population, store.by_index)
+    rounds, witness, _ = o.rounds()
+    assert store.round == [rounds[e.digest] for e in store.by_index]
+    assert witness_flags(store) == [witness[e.digest] for e in store.by_index]
+    for a, ev in enumerate(store.by_index):
+        for r in (store.round[a] - 1, store.round[a]):
+            assert strongly_seen(store, a, r) == [
+                w for w in store.witnesses_by_round.get(r, ())
+                if o.strongly_sees(ev.digest, store.by_index[w].digest)]
+    assert check_rebuilt_reaches(store, never_polled(store)) > 100
+
+
+def test_live_reaches_stay_flat_in_history():
+    # the scaling grid's workload (tx_rate 3n, injection to the end): the
+    # peak of live reaches over the polls does not grow with the run
+    peaks = []
+    for duration in (100, 400):
+        sim = Simulation(ScenarioConfig(n=16, s=1, seed=1, duration=duration,
+                                        tx_rate=48.0, inject_until=duration))
+        poll, live = sim._poll, []
+
+        def checked(t):
+            poll(t)
+            live.append(check_live_reaches(sim.state.local_stores[0]))
+
+        sim._poll = checked
+        sim.run()
+        assert len(sim.state.local_stores[0].by_index) > 6 * duration
+        peaks.append(max(live))
+    assert peaks[1] <= peaks[0] < 200

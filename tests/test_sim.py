@@ -465,6 +465,29 @@ def test_config_validation_errors():
             ScenarioConfig(adversary_kind="shard_failure",
                            adversary_recover_delay=delay).validate()
     ScenarioConfig(adversary_recover_delay=1).validate()
+    # the last tick is duration - 1, so a failure or a recovery at duration
+    # or past it never runs; the default fail tick is duration // 3
+    def failure(fail_at, delay):
+        return ScenarioConfig(n=8, s=2, duration=30,
+                              adversary_kind="shard_failure",
+                              adversary_fail_at=fail_at,
+                              adversary_recover_delay=delay)
+
+    for fail_at, delay in ((30, 5), (100, 5)):
+        with pytest.raises(ConfigError, match="adversary.fail_at"):
+            failure(fail_at, delay).validate()
+    for fail_at, delay in ((-1, 20), (20, 10), (29, 1)):
+        with pytest.raises(ConfigError, match="adversary.recover_delay"):
+            failure(fail_at, delay).validate()
+    failure(20, 9).validate()
+    failure(-1, 19).validate()
+    # the defaults (20 + 20 < 60) and the golden shard-failure run
+    # (60 + 15 < 120) fail and recover inside the run
+    ScenarioConfig(adversary_kind="shard_failure").validate()
+    shard_failure_cfg().validate()
+    # a fail tick past the run is a shard failure's alone
+    ScenarioConfig(duration=30, adversary_kind="churn",
+                   adversary_fail_at=100).validate()
     # validate() only: poisson_sample never returns on nan or inf
     for rate in (math.nan, math.inf, -math.inf, -1.0):
         with pytest.raises(ConfigError, match="tx_rate"):
