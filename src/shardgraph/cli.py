@@ -56,6 +56,20 @@ def _fmt(value) -> str:
     return "n/a" if value is None else f"{value:.3f}"
 
 
+def _exactly_once(config: ScenarioConfig, report, label: str = "") -> bool:
+    """Whether the run kept each cross-shard transaction ordered exactly
+    once, where its adversary leaves that expected; says why not on
+    stderr."""
+    bad = report.tx_audit["missing_count"] + report.tx_audit["duplicate_count"]
+    if bad and config.adversary_kind in ("none", "equivocator"):
+        print(
+            f"{label}cross-shard exactly-once violated for {bad} transactions",
+            file=sys.stderr,
+        )
+        return False
+    return True
+
+
 def cmd_run(args) -> int:
     config = _load(args)
     report = run_scenario(config)
@@ -72,14 +86,7 @@ def cmd_run(args) -> int:
     if report.anomalies:
         for a in report.anomalies:
             print(f"  anomaly: {a}", file=sys.stderr)
-    bad = report.tx_audit["missing_count"] + report.tx_audit["duplicate_count"]
-    if bad and config.adversary_kind in ("none", "equivocator"):
-        print(
-            f"cross-shard exactly-once violated for {bad} transactions",
-            file=sys.stderr,
-        )
-        return EXIT_INVARIANT
-    return EXIT_OK
+    return EXIT_OK if _exactly_once(config, report) else EXIT_INVARIANT
 
 
 def cmd_formulas(args) -> int:
@@ -104,13 +111,18 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in values_text.split(",") if v.strip()]
     if not param or not values:
         raise ConfigError(f"empty sweep grid in {args.sweep!r}")
-    out_root = Path(args.out or _default_out_root()) / "sweep"
-    combined = []
-    failures = 0
+    # every point is checked before any runs, so a bad one leaves no
+    # half-written grid
+    points = []
     for value in values:
         point = ScenarioConfig(**config.to_dict())
         apply_setting(point, param, value)
         point.validate()
+        points.append((value, point))
+    out_root = Path(args.out or _default_out_root()) / "sweep"
+    combined = []
+    failures = 0
+    for value, point in points:
         point_dir = out_root / f"{param}-{value}"
         try:
             report = run_scenario(point)
@@ -119,6 +131,7 @@ def cmd_sweep(args) -> int:
             print(f"{param}={value}: invariant failure: {exc}", file=sys.stderr)
             failures += 1
             continue
+        failures += not _exactly_once(point, report, f"{param}={value}: ")
         for row in report.comparison:
             combined.append(
                 [param, value, row["quantity"], row["analytic"],

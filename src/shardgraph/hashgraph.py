@@ -222,6 +222,20 @@ class EventStore:
       by ``_reach_of``: a walk over the freed ancestors in its round and
       the one below, about two rounds of events, merged by the
       insert's ``_merge``.  The rebuilt entry is not kept.
+    - Ancestry lifetime: ``_anc[x]`` is read by a child's insert, by
+      ``advance_consensus`` and ``_order_round`` (the famous witnesses of
+      the round being ordered and their self-parent chains), by
+      ``member_view`` (a creator's last event) and by ``detect_forks`` (a
+      forker's events).  The loop that frees a reach sets the self-parent's
+      mask to 0, which no live mask is (each holds its own bit), unless its
+      creator is a forker: an ordered event's ancestors are ordered, so
+      ``_order_round`` reads 0 as the empty set it would find, and neither a
+      famous witness of an unfinalized round nor a last event is an ordered
+      self-parent.  A forker's events below ``_first_branch`` form one
+      chain, which ``detect_forks`` skips.  Live masks are the unordered
+      events', one per self-parent tree tip and the forkers', each spanning
+      the history below it.  ``_ancestry`` rebuilds a freed mask read again
+      (a fork on an old event) from the live masks below, and keeps nothing.
     - ``_sm`` is the supermajority of the population, kept by
       ``add_member`` and ``remove_member`` (0 while the population is empty,
       which makes a read raise), so neither insert nor a tally recounts it.
@@ -256,6 +270,7 @@ class EventStore:
         self._unit_planes: list[int] = []
         self._self_parent: list[int] = []
         self._forkers: dict[NodeId, int] = {}  # creator -> its member bit
+        self._first_branch: dict[NodeId, int] = {}  # forker -> branch point
         self._forker_bits = 0
         self.round: list[int] = []
         self.witnesses_by_round: dict[int, list[int]] = {}
@@ -369,16 +384,17 @@ class EventStore:
         if spi is None:
             seq.append(0)
         else:
-            anc |= self._anc[spi]
+            anc |= self._anc[spi] or self._ancestry(spi)
             forked = self._forked[spi]
             seq.append(seq[spi] + 1)
         if opi is not None:
-            anc |= self._anc[opi]
+            anc |= self._anc[opi] or self._ancestry(opi)
             forked |= self._forked[opi]
         self._anc.append(anc)
         if (self._self_parent[idx] != own.bit_length() - 1
                 and not self._forker_bits & cbit):
             self._forkers[creator] = cbit
+            self._first_branch[creator] = idx
             self._forker_bits |= cbit
         if self._forker_bits & ~forked:
             cmask = self._cmask
@@ -503,16 +519,11 @@ class EventStore:
             self._reach[i] = (self._width, prev, cur)
         return prev, cur
 
-    def _rebuild(self, i: int) -> tuple[int, int]:
-        """Freed event i's reach, by the insert's ``_merge`` over its freed
-        ancestors of round(i) - 1 and up, in index order from the live
-        reaches below them.  The fields of i's reach answer only for those
-        rounds, so a freed ancestor of a lower round enters the merge as an
-        empty reach; an event's round and witness flag are read, not
-        retested, as its strong sight may need rounds below the window."""
-        reach, rounds, index = self._reach, self.round, self.index
-        events, floor = self.by_index, rounds[i] - 1
-        # the window's events, each with its parents' indices (None for none)
+    def _window(self, i: int, freed) -> dict[int, tuple]:
+        """Event i and its ancestors reached from it through events that
+        freed(p) holds for, each with its parents' indices (None for
+        none)."""
+        index, events = self.index, self.by_index
         window: dict[int, tuple] = {}
         stack = [i]
         while stack:
@@ -520,8 +531,34 @@ class EventStore:
             ev = events[x]
             window[x] = parents = (index.get(ev.self_parent),
                                    index.get(ev.other_parent))
-            stack += [p for p in parents if p is not None and p not in window
-                      and reach[p] is _FREED and rounds[p] >= floor]
+            stack += [p for p in parents
+                      if p is not None and p not in window and freed(p)]
+        return window
+
+    def _ancestry(self, i: int) -> int:
+        """Freed event i's ancestor mask: its freed ancestors' bits and the
+        live masks below them.  It stays freed."""
+        anc = self._anc
+        window = self._window(i, lambda p: not anc[p])
+        mask = 0
+        for x, parents in window.items():
+            mask |= 1 << x
+            for p in parents:
+                if p is not None and p not in window:
+                    mask |= anc[p]
+        return mask
+
+    def _rebuild(self, i: int) -> tuple[int, int]:
+        """Freed event i's reach, by the insert's ``_merge`` over its freed
+        ancestors of round(i) - 1 and up, in index order from the live
+        reaches below them.  The fields of i's reach answer only for those
+        rounds, so a freed ancestor of a lower round enters the merge as an
+        empty reach; an event's round and witness flag are read, not
+        retested, as its strong sight may need rounds below the window."""
+        reach, rounds, events = self._reach, self.round, self.by_index
+        floor = rounds[i] - 1
+        window = self._window(
+            i, lambda p: reach[p] is _FREED and rounds[p] >= floor)
         built: dict[int, tuple[int, int]] = {}
 
         def read(p: int) -> tuple[int, int]:
@@ -704,6 +741,8 @@ class EventStore:
             y, hit = w, fresh
             while hit:
                 sp = self_parent[y]
+                # a freed mask is an ordered event's, and reaches nothing
+                # fresh, as 0 does
                 below = (anc[sp] >> lo) & fresh if sp >= 0 else 0
                 if hit != below:
                     segments.append((events[y].created_at, hit ^ below))
@@ -737,7 +776,8 @@ class EventStore:
         """Assign round-received and consensus timestamps for every round
         whose witnesses are all fame-decided."""
         self.elect_fame()
-        reach, self_parent = self._reach, self._self_parent
+        reach, anc, self_parent = self._reach, self._anc, self._self_parent
+        events, forkers = self.by_index, self._forkers
         r = self.finalized_round + 1
         while True:
             witnesses = self._by_digest.get(r)
@@ -747,19 +787,22 @@ class EventStore:
                 break
             famous = [w for w in witnesses if self.fame[w]]
             if famous:
-                inter = self._anc[famous[0]]
+                inter = anc[famous[0]]
                 for w in famous[1:]:
-                    inter &= self._anc[w]
+                    inter &= anc[w]
                 fresh = inter & ~self._emitted
                 if fresh:
                     lo = (fresh & -fresh).bit_length() - 1
                     self._order_round(r, famous, fresh >> lo, lo)
                     self._emitted |= fresh
                     # an ordered event's self-parent is ordered and has a
-                    # self-child: only a fork on it reads its reach again
+                    # self-child: only a fork on it reads its reach and
+                    # mask again, and detect_forks a forker's mask
                     for sp in map(self_parent.__getitem__, _set_bits(fresh)):
                         if sp >= 0:
                             reach[sp] = _FREED
+                            if events[sp].creator not in forkers:
+                                anc[sp] = 0
             self.finalized_round = r
             r += 1
 
@@ -908,31 +951,37 @@ def gossip_sync(
     return Transfer(store, mask), new_event
 
 
-def consensus_order(graph: Hashgraph) -> list[OrderedEvent]:
-    """The view's total order: the canonical order truncated at the last
-    round this view can fully decide.  The canonical order is appended round
-    by round, so the view's order is the prefix a bisect on round_received
-    finds."""
+def decided_length(graph: Hashgraph) -> int:
+    """The length of the view's total order: the canonical order truncated
+    at the last round this view can fully decide.  The canonical order is
+    appended round by round, so the view's order is the prefix a bisect on
+    round_received finds."""
     store = graph.store
     store.advance_consensus()
-    full = graph.known.bit_count() == len(store.by_index)
-    if full:
-        return list(store.consensus)
+    if graph.known.bit_count() == len(store.by_index):
+        return len(store.consensus)
     limit = store.view_finalized_round(graph.known)
-    end = bisect.bisect_right(store.consensus, limit,
-                              key=lambda oe: oe.round_received)
-    return store.consensus[:end]
+    return bisect.bisect_right(store.consensus, limit,
+                               key=lambda oe: oe.round_received)
+
+
+def consensus_order(graph: Hashgraph) -> list[OrderedEvent]:
+    """The view's total order, a prefix of its store's."""
+    return graph.store.consensus[:decided_length(graph)]
 
 
 def detect_forks(graph: Hashgraph) -> set[tuple[NodeId, EventId, EventId]]:
     """Every same-creator event pair where neither is the other's ancestor."""
     store = graph.store
     forks: set[tuple[NodeId, EventId, EventId]] = set()
-    for creator in store._forkers:
+    for creator, first in store._first_branch.items():
         # an ancestor has a lower index, so the earlier visible events of the
-        # creator that b is incomparable to are those missing from anc(b)
-        below = 0
-        for b in _set_bits(store._cmask[creator] & graph.known):
+        # creator that b is incomparable to are those missing from anc(b).
+        # Its events below its first branch point form one chain, each an
+        # ancestor of the next, and their masks may be freed
+        mine = store._cmask[creator] & graph.known
+        below = mine & (1 << first) - 1
+        for b in _set_bits(mine >> first << first):
             apart = below & ~store._anc[b]
             below |= 1 << b
             db = store.by_index[b].digest

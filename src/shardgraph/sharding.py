@@ -18,6 +18,7 @@ from .hashgraph import (
     Hashgraph,
     OrderedEvent,
     Transfer,
+    decided_length,
 )
 from .transactions import KIND_PAYLOAD, Transaction
 
@@ -121,7 +122,13 @@ class ShardState:
 class ReplicaSnapshot:
     population: list[NodeId]
     events: Transfer
-    consensus: list[OrderedEvent]
+    length: int      # of the checkpointed prefix of the store's order
+
+    @property
+    def consensus(self) -> list[OrderedEvent]:
+        """The checkpointed order: a prefix of the events' store's order,
+        which is append-only."""
+        return self.events.store.consensus[:self.length]
 
 
 # -- pipeline steps ---------------------------------------------------------
@@ -204,13 +211,11 @@ def replicate_checkpoint(
 ) -> None:
     """Replace the committee's replica with ``source``, the coordinator's
     view of its graph, when the global committee has a member to hold it."""
-    from .hashgraph import consensus_order
-
     if table.num_committees > 1:
         state.replicas[committee] = ReplicaSnapshot(
             population=list(source.population),
             events=Transfer(source.store, source.known),
-            consensus=consensus_order(source),
+            length=decided_length(source),
         )
 
 

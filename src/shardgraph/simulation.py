@@ -585,7 +585,7 @@ class Simulation:
         self.recovery_log.append(
             {"at": t, "action": "recover_shard", "committee": cid,
              "replacements": replacements,
-             "checkpointed_order": list(replica.consensus)}
+             "checkpointed_order": replica.consensus}
         )
 
     # -- churn / reconfiguration ----------------------------------------------

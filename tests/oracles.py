@@ -4,7 +4,9 @@ These work from plain event records (creator, parents, created_at) using
 naive set/transitive-closure computations, independent of the package's
 incremental bitmask machinery.  The references further down recompute fame,
 ordering and a view's finalized round over an EventStore's own rounds,
-strong sight and fame, deciders_of reads its fame deciders, vote_state and
+strong sight and fame, with ancestry built from the store's parent links
+(ancestry), not read from the masks it frees once ordered.  deciders_of
+reads its fame deciders, vote_state and
 check_vote_state_bounds read its fame vote state, and round_robin_fixture
 gossips the small DAGs the oracle tests run on.  insert and add_for grow a
 DAG on a view by hand, report_text serializes a report the way write_report
@@ -333,6 +335,31 @@ def witness_flags(store):
     return [i in witnesses for i in range(len(store.by_index))]
 
 
+# ancestry from parent links ------------------------------------------------
+
+
+def ancestry(store, masks=None):
+    """Every event's ancestor mask, itself included, in index order, from
+    its parents' digests alone: inserts are parents-first, so each parent's
+    mask is built first.  Given masks, an earlier result for the same
+    store, it extends that list to the store's events."""
+    masks = [] if masks is None else masks
+    index = store.index
+    for ev in store.by_index[len(masks):]:
+        mask = 1 << len(masks)
+        for p in (ev.self_parent, ev.other_parent):
+            if p is not None:
+                mask |= masks[index[p]]
+        masks.append(mask)
+    return masks
+
+
+def engine_ancestry(store, i):
+    """The store's own ancestor mask of event i: the kept one, or the one
+    it rebuilds where it freed it."""
+    return store._anc[i] or store._ancestry(i)
+
+
 # fame reference over an EventStore's own annotations ------------------------
 
 
@@ -345,7 +372,8 @@ def strongly_seen(store, a, r):
 class ReferenceFame:
     """Virtual voting as one cached bool per (voter, witness) pair, tallied
     by a recursive loop over the voter's strongly-seen witnesses.  It reads
-    rounds, witnesses and strong sight from the store but keeps its own
+    rounds, witnesses and strong sight from the store but builds its own
+    ancestry (``anc``, from parent links) and keeps its own
     votes, fame and deciders (``decider``: witness -> the voter that
     decided it), so calling its elect_fame on the same schedule
     as the store's checks the store's vote bookkeeping.  Like the store, it
@@ -355,6 +383,7 @@ class ReferenceFame:
 
     def __init__(self, store):
         self.store = store
+        self.anc = []
         self.first_undecided_round = 1
         self.votes: dict[tuple[int, int], bool] = {}
         self.ss_prev: dict[int, list[int]] = {}
@@ -376,7 +405,7 @@ class ReferenceFame:
         if diff == 1:
             # v sees w: w is an ancestor and its creator is not caught forking
             creator = store._member_bit[store.by_index[w].creator]
-            result = bool(store._anc[v] >> w & 1
+            result = bool(ancestry(store, self.anc)[v] >> w & 1
                           and not store._forked[v] >> creator & 1)
         else:
             yes = no = 0
@@ -465,25 +494,25 @@ def check_vote_state_bounds(store):
 # ordering reference over an EventStore's own annotations -------------------
 
 
-def median_stamps(store, x, famous):
+def median_stamps(store, anc, x, famous):
     """The per-event rule: for each famous witness, walk its self-parent
-    digests down while they descend from x; the last one reached is the
-    earliest self-ancestor of the witness that descends from x.  Those
-    events' created_at, sorted."""
+    digests down while they descend from x (by anc, the store's ancestry);
+    the last one reached is the earliest self-ancestor of the witness that
+    descends from x.  Those events' created_at, sorted."""
     stamps = []
     for w in famous:
         earliest = None
         y = store.by_index[w].digest
-        while y is not None and store._anc[store.index[y]] >> x & 1:
+        while y is not None and anc[store.index[y]] >> x & 1:
             earliest = store.by_index[store.index[y]]
             y = earliest.self_parent
         stamps.append(earliest.created_at)
     return sorted(stamps)
 
 
-def median_timestamp(store, x, famous):
+def median_timestamp(store, anc, x, famous):
     """The lower median of x's stamps from the famous witnesses."""
-    stamps = median_stamps(store, x, famous)
+    stamps = median_stamps(store, anc, x, famous)
     return stamps[(len(stamps) - 1) // 2]
 
 
@@ -511,7 +540,7 @@ def reference_consensus(store):
     """store.consensus recomputed from the store's rounds and fame decisions,
     one median_timestamp walk per event.  A witness that landed in a round
     after it was finalized is undecided, and not famous."""
-    out = []
+    out, anc = [], ancestry(store)
     emitted = set()
     for r in range(1, store.finalized_round + 1):
         famous = sorted(
@@ -521,10 +550,11 @@ def reference_consensus(store):
         if not famous:
             continue
         batch = sorted(
-            (median_timestamp(store, i, famous), store.by_index[i].digest, i)
+            (median_timestamp(store, anc, i, famous), store.by_index[i].digest,
+             i)
             for i in range(len(store.by_index))
             if i not in emitted
-            and all(store._anc[w] >> i & 1 for w in famous)
+            and all(anc[w] >> i & 1 for w in famous)
         )
         for ts, digest, i in batch:
             out.append((digest, r, ts))

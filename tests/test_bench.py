@@ -1,7 +1,8 @@
 """Micro-benchmarks of the hashgraph engine's insert, fame, ordering,
 partial-view ordering and gossip paths on a synthetic 16-member round-robin
-DAG (960 events), of insert and of rebuilding every freed reach on a forked
-16-member gossip DAG (about 1000 events, two equivocators), of consensus
+DAG (960 events), of insert and of rebuilding every freed reach and every
+freed ancestor mask on a forked 16-member gossip DAG (about 1000 events,
+two equivocators), of consensus
 polls on a 32-member round-robin DAG (3840 events), and of the injection
 ticks of a `sharded-cross` run.
 One timed round each, so they stay cheap in the regular suite;
@@ -26,7 +27,7 @@ from shardgraph.hashgraph import (
 from shardgraph.simulation import Simulation, run_scenario, write_report
 from shardgraph.transactions import Transaction
 
-from oracles import check_vote_state_bounds, round_robin_fixture
+from oracles import ancestry, check_vote_state_bounds, round_robin_fixture
 from test_engine_indices import gossip_dag
 
 
@@ -209,6 +210,24 @@ def test_bench_reach_rebuild(benchmark):
     assert reaches == [built._reach_of(i) for i in freed]
 
 
+def test_bench_ancestry_rebuild(benchmark):
+    # every freed ancestor mask of a polled forked store rebuilt, each by a
+    # walk over its freed ancestors down to the live masks: the miss path a
+    # fork on an old event takes
+    built, _ = gossip_dag(3, steps=900, n=16)
+    store = filled_store(built.population, built.by_index)
+    store.advance_consensus()
+    freed = [i for i, mask in enumerate(store._anc) if not mask]
+
+    def rebuild():
+        return [store._ancestry(i) for i in freed]
+
+    masks = benchmark.pedantic(rebuild, rounds=1, iterations=1)
+    assert len(freed) > len(built.by_index) // 3
+    # the generating store was never polled, so it freed nothing
+    assert masks == [built._anc[i] for i in freed]
+
+
 def test_bench_advance_consensus(benchmark, dag):
     def advance(store):
         store.advance_consensus()
@@ -269,7 +288,7 @@ def test_bench_consensus_order(benchmark, dag):
         views = []
         for m in population:
             view = Hashgraph(store, m)
-            view.known = store._anc[store._cmask[m].bit_length() - 1]
+            view.known = ancestry(store)[store._cmask[m].bit_length() - 1]
             views.append(view)
         return (views,), {}
 

@@ -117,3 +117,26 @@ def test_sweep_grid(tmp_path):
 def test_sweep_empty_grid(tmp_path, capsys):
     assert run_cli("sweep", "--out", str(tmp_path), "--sweep", "s=") == 2
     assert "empty sweep" in capsys.readouterr().err
+
+
+def test_sweep_keeps_runs_exactly_once_check(tmp_path, capsys):
+    # the cross traffic outruns the drain window at cross_ratio 0.6: run
+    # and sweep both exit 4, and sweep still writes every point's rows
+    base = ["--set", "n=8", "--set", "s=4", "--set", "duration=20",
+            "--set", "tx_rate=24", "--set", "seed=3"]
+    assert run_cli("run", "--out", str(tmp_path), *base,
+                   "--set", "cross_ratio=0.6") == 4
+    assert run_cli("sweep", "--out", str(tmp_path), *base,
+                   "--sweep", "cross_ratio=0,0.6") == 4
+    err = capsys.readouterr().err
+    assert "cross_ratio=0.6: cross-shard exactly-once violated" in err
+    assert "cross_ratio=0:" not in err
+    combined = (tmp_path / "sweep" / "combined.csv").read_text().splitlines()
+    assert {line.split(",")[1] for line in combined[1:]} == {"0", "0.6"}
+
+
+def test_sweep_rejects_a_bad_point_before_running_any(tmp_path, capsys):
+    assert run_cli("sweep", "--out", str(tmp_path), "--set", "n=8",
+                   "--sweep", "s=2,0") == 2
+    assert "s must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()

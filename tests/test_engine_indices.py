@@ -3,7 +3,9 @@ rounds and witnesses, fame votes, self-parent walks, digest-sorted
 witnesses, view heads, gossip transfers) against brute-force or reference
 recomputation on seeded gossip DAGs with injected forks."""
 
+import functools
 import random
+import sys
 
 import pytest
 
@@ -58,10 +60,11 @@ def equivocate(views, node, peers, t, sync=gossip_sync):
 
 
 def gossip_dag(seed, steps=250, fork_p=0.3, sync=gossip_sync, n=None,
-               joins=0, poll=None):
+               joins=0, poll=None, fork_from=0):
     """A random gossip schedule on one store of n members, 4-7 by default;
     member 0 (and member 1 too from 7 members, which keeps a supermajority
-    honest) equivocates with probability fork_p when it is picked to send.
+    honest) equivocates with probability fork_p when it is picked to send
+    at step fork_from or later.
     Each sync carries one transaction of 1-7 units; sync replaces
     gossip_sync.  Halfway through, joins more members join with a genesis
     event each.  poll(t, views), if given, runs after every step t."""
@@ -80,7 +83,7 @@ def gossip_dag(seed, steps=250, fork_p=0.3, sync=gossip_sync, n=None,
                 create_event(views[i], None, (), t)
             n += joins
         s = rng.randrange(n)
-        if s in forkers and rng.random() < fork_p:
+        if s in forkers and t >= fork_from and rng.random() < fork_p:
             equivocate(views, s, rng.sample([m for m in range(n) if m != s], 2),
                        t, sync)
         else:
@@ -194,7 +197,7 @@ def test_fork_shapes_outside_the_equivocator_schedule():
     assert {f[0] for f in forks} == {0, 1, 2}
     assert detect_forks(_full_view(store)) == forks
     views = []
-    for anc in store._anc:
+    for anc in oracles.ancestry(store):
         view = Hashgraph(store)
         view.known = anc
         views.append(view)
@@ -210,10 +213,10 @@ def bits(mask):
 
 def brute_rounds(store):
     """Every event's round and witness flag from the direct definition over
-    _anc, _forked and the population: a strongly sees w when w's creator is
-    not forked in a, and the creators not forked in a that own an event in
-    anc(a) & desc(w) reach a supermajority."""
-    n = len(store.by_index)
+    parent-link ancestry, _forked and the population: a strongly sees w when
+    w's creator is not forked in a, and the creators not forked in a that
+    own an event in anc(a) & desc(w) reach a supermajority."""
+    n, anc = len(store.by_index), oracles.ancestry(store)
     sm = supermajority(len(store.population))
     creator_bit = [store._member_bit[ev.creator] for ev in store.by_index]
     events_of = {}
@@ -221,7 +224,7 @@ def brute_rounds(store):
         events_of[b] = events_of.get(b, 0) | 1 << x
     desc = [0] * n
     for x in range(n):
-        for y in bits(store._anc[x]):
+        for y in bits(anc[x]):
             desc[y] |= 1 << x
     rounds, witness, by_round = [], [], {}
     for a, ev in enumerate(store.by_index):
@@ -234,7 +237,7 @@ def brute_rounds(store):
             for w in by_round.get(r, ()):
                 if forked >> creator_bit[w] & 1:
                     continue
-                between = store._anc[a] & desc[w]
+                between = anc[a] & desc[w]
                 creators = [b for b, mask in events_of.items()
                             if between & mask and not forked >> b & 1]
                 seen += len(creators) >= sm
@@ -441,7 +444,7 @@ def test_vote_state_stays_flat_in_history():
 def median_cases(store):
     """Per finalized round with famous witnesses: the famous count, and per
     event ordered in it, its consensus timestamp and its sorted stamps."""
-    received = {}
+    received, anc = {}, oracles.ancestry(store)
     for oe in store.consensus:
         received.setdefault(oe.round_received, []).append(oe)
     for r in range(1, store.finalized_round + 1):
@@ -449,7 +452,7 @@ def median_cases(store):
                   if store.fame.get(w)]
         yield len(famous), [
             (oe.consensus_timestamp,
-             median_stamps(store, store.index[oe.event_id], famous))
+             median_stamps(store, anc, store.index[oe.event_id], famous))
             for oe in received.get(r, ())]
 
 
@@ -743,11 +746,9 @@ def live_reaches(store):
     return len(store._reach) - store._reach.count(hashgraph._FREED)
 
 
-def check_live_reaches(store):
-    """Live reaches number at most the unordered events plus one per tip of
-    each creator's self-parent tree: one per chain, plus one per extra
-    branch of a fork.  An ordered event keeps its reach only while it has
-    no ordered self-child, and the ordered events are down-closed."""
+def tree_tips(store):
+    """The tips of every creator's self-parent tree: one per chain, plus one
+    per extra branch of a fork."""
     tips = len(store._cmask)
     for c in store._forkers:
         children = {}
@@ -755,16 +756,38 @@ def check_live_reaches(store):
             sp = store._self_parent[x]
             children[sp] = children.get(sp, 0) + 1
         tips += sum(k - 1 for k in children.values())
+    return tips
+
+
+def check_live_reaches(store):
+    """Live reaches number at most the unordered events plus one per tip of
+    each creator's self-parent tree.  An ordered event keeps its reach only
+    while it has no ordered self-child, and the ordered events are
+    down-closed."""
     live = live_reaches(store)
-    assert live <= len(store.by_index) - len(store.consensus) + tips
+    assert live <= len(store.by_index) - len(store.consensus) + tree_tips(
+        store)
     return live
+
+
+def check_live_masks(store):
+    """Live ancestor masks number at most the unordered events plus one per
+    tip of each creator's self-parent tree plus the forkers' events: a
+    forker keeps every mask, and any other creator's ordered event keeps
+    its mask only while it has no ordered self-child.  Returns the live
+    masks' summed bytes."""
+    live = [m for m in store._anc if m]
+    forker_events = sum(store._cmask[c].bit_count() for c in store._forkers)
+    assert len(live) <= (len(store.by_index) - len(store.consensus)
+                         + tree_tips(store) + forker_events)
+    return sum(map(sys.getsizeof, live))
 
 
 @pytest.fixture
 def never_polled(monkeypatch):
     """Records each store's construction, membership changes and inserts;
     the returned function replays one store's record into a fresh store
-    that is never polled, so none of its reaches is freed."""
+    that is never polled, so none of its reaches or masks is freed."""
     log = {}
     methods = {name: getattr(EventStore, name) for name in
                ("__init__", "add_member", "remove_member", "add_event")}
@@ -787,6 +810,7 @@ def never_polled(monkeypatch):
             methods[name](fresh, arg)
         assert fresh.round == store.round
         assert live_reaches(fresh) == len(fresh.by_index)
+        assert all(fresh._anc)
         return fresh
 
     return replay
@@ -800,6 +824,16 @@ def check_rebuilt_reaches(store, fresh):
     for i in freed:
         assert store._reach_of(i) == fresh._reach_of(i)
         assert store._reach[i] is hashgraph._FREED
+    return len(freed)
+
+
+def check_rebuilt_masks(store, fresh):
+    """Every freed ancestor mask of store rebuilds to fresh's mask of the
+    same event, and stays freed; returns how many were freed."""
+    freed = [i for i, mask in enumerate(store._anc) if not mask]
+    for i in freed:
+        assert store._ancestry(i) == fresh._anc[i]
+        assert not store._anc[i]
     return len(freed)
 
 
@@ -818,13 +852,14 @@ def check_rebuilt_reaches(store, fresh):
 ])
 def test_freed_reach_rebuilds_to_never_polled_entry(cfg, forked, widened,
                                                     monkeypatch, never_polled):
-    # the run's inserts and votes read no freed reach
-    rebuild = EventStore._rebuild
-
+    # the run's inserts and votes read no freed reach or mask
     def unexpected(store, i):
-        raise AssertionError(f"reach {i} rebuilt during the run")
+        raise AssertionError(f"event {i}'s state rebuilt during the run")
 
-    monkeypatch.setattr(EventStore, "_rebuild", unexpected)
+    kept = {name: getattr(EventStore, name)
+            for name in ("_rebuild", "_ancestry")}
+    for name in kept:
+        monkeypatch.setattr(EventStore, name, unexpected)
     sim = Simulation(cfg)
     poll = sim._poll
 
@@ -832,45 +867,57 @@ def test_freed_reach_rebuilds_to_never_polled_entry(cfg, forked, widened,
         poll(t)
         for store in sim.state.local_stores.values():
             check_live_reaches(store)
+            check_live_masks(store)
 
     sim._poll = checked
     sim.run()
-    monkeypatch.setattr(EventStore, "_rebuild", rebuild)
+    for name, method in kept.items():
+        monkeypatch.setattr(EventStore, name, method)
     stores = list(sim.state.local_stores.values())
     assert any(store._forkers for store in stores) == forked
     assert any(store._width > 8 for store in stores) == widened
     for store in stores + [sim.state.global_store]:
-        freed = check_rebuilt_reaches(store, never_polled(store))
+        fresh = never_polled(store)
+        freed = check_rebuilt_reaches(store, fresh)
         assert freed > len(store.by_index) // 2
+        assert check_rebuilt_masks(store, fresh) > len(store.by_index) // 3
+        assert detect_forks(_full_view(store)) == detect_forks(
+            _full_view(fresh))
 
 
-def test_fork_on_a_freed_reach_rebuilds_it(monkeypatch, never_polled):
-    # member 0 branches on an early event whose self-child is ordered, with
-    # an other-parent the self-child does not precede, so no event sees
-    # both branches and the fork-blind oracle still holds
+def fork_on_freed_event(monkeypatch):
+    """A polled fork-free store in which member 0 then branches on an early
+    event whose self-child is ordered, with an other-parent the self-child
+    does not precede, so no event sees both branches and the fork-blind
+    oracle still holds.  Returns the store and the events whose reach and
+    mask the two new inserts rebuilt, in order."""
     store, _ = gossip_dag(0, steps=200, fork_p=0)
     store.advance_consensus()
     assert store.finalized_round >= 4
     own = [i for i in bits(store._cmask[0]) if store.round[i] >= 2]
     base, child = own[0], own[1]
-    assert store._reach[base] is hashgraph._FREED
     other = max(i for i in bits(store._cmask[1]) if i < child)
-    assert store._reach[other] is hashgraph._FREED
-    rebuilt = []
-    rebuild = EventStore._rebuild
+    for i in (base, other):
+        assert store._reach[i] is hashgraph._FREED and not store._anc[i]
+    rebuilt = {"_rebuild": [], "_ancestry": []}
+    for name, calls in rebuilt.items():
+        def spy(self, i, method=getattr(EventStore, name), calls=calls):
+            calls.append(i)
+            return method(self, i)
 
-    def spy(self, i):
-        rebuilt.append(i)
-        return rebuild(self, i)
-
-    monkeypatch.setattr(EventStore, "_rebuild", spy)
+        monkeypatch.setattr(EventStore, name, spy)
     fork = Event(0, store.by_index[base].digest,
                  store.by_index[other].digest, (), 500)
     store.add_event(fork)
     branch = Event(0, fork.digest, None, (), 501)
     store.add_event(branch)
-    assert rebuilt == [base, other]
-    assert 0 in store._forkers and not any(store._forked)
+    assert rebuilt == {"_rebuild": [base, other], "_ancestry": [base, other]}
+    assert list(store._forkers) == [0] and not any(store._forked)
+    return store
+
+
+def test_fork_on_a_freed_reach_rebuilds_it(monkeypatch, never_polled):
+    store = fork_on_freed_event(monkeypatch)
     o = BruteGraph(store.population, store.by_index)
     rounds, witness, _ = o.rounds()
     assert store.round == [rounds[e.digest] for e in store.by_index]
@@ -883,21 +930,82 @@ def test_fork_on_a_freed_reach_rebuilds_it(monkeypatch, never_polled):
     assert check_rebuilt_reaches(store, never_polled(store)) > 100
 
 
+def test_fork_on_a_freed_mask_matches_brute_force(monkeypatch,
+                                                  never_polled):
+    # the fork's mask is built from the two rebuilt ones, and every mask,
+    # kept or rebuilt, and the fork pairs are brute force's
+    store = fork_on_freed_event(monkeypatch)
+    o = BruteGraph(store.population, store.by_index)
+    for i, ev in enumerate(store.by_index):
+        assert oracles.engine_ancestry(store, i) == sum(
+            1 << store.index[a] for a in o.anc[ev.digest])
+    forks = o.forks()
+    assert {f[0] for f in forks} == {0}
+    assert detect_forks(_full_view(store)) == forks
+    assert check_rebuilt_masks(store, never_polled(store)) > 100
+
+
+def test_detect_forks_skips_freed_masks_below_first_branch(never_polled):
+    # members 0 and 1 gossip honestly while rounds are ordered and their
+    # early masks freed, then equivocate: their masks from the first branch
+    # point up are kept though ordered and superseded, detect_forks pairs
+    # only those events with the ones below, and every view finds the pairs
+    # a never-polled replay and brute force find
+    def poll(t, views):
+        if t % 5 == 0:
+            views[0].store.advance_consensus()
+
+    store, views = gossip_dag(1, steps=400, n=7, poll=poll, fork_from=150)
+    fresh = never_polled(store)
+    assert sorted(store._first_branch) == [0, 1]
+    ordered = set(store.index[oe.event_id] for oe in store.consensus)
+    for c, first in store._first_branch.items():
+        below = store._cmask[c] & (1 << first) - 1
+        assert sum(not store._anc[i] for i in bits(below)) > 10
+        superseded = {store._self_parent[x] for x in bits(store._cmask[c])
+                      if x in ordered and store._self_parent[x] >= first}
+        assert len(superseded) >= 10 and all(
+            store._anc[x] for x in superseded)
+    forks = BruteGraph(store.population, store.by_index).forks()
+    assert detect_forks(_full_view(store)) == forks
+    assert detect_forks(_full_view(fresh)) == forks
+    for view in views:
+        twin = Hashgraph(fresh, view.owner)
+        twin.known = view.known
+        assert detect_forks(view) == detect_forks(twin)
+    assert check_view_forks(store, views, forks)
+
+
+@functools.cache
+def grid_run_peaks(duration):
+    """The scaling grid's workload at n=16 s=1 (tx_rate 3n, injection to the
+    end), checked after every poll: the peaks of the live reaches and of the
+    live masks' summed bytes."""
+    sim = Simulation(ScenarioConfig(n=16, s=1, seed=1, duration=duration,
+                                    tx_rate=48.0, inject_until=duration))
+    store, poll = sim.state.local_stores[0], sim._poll
+    reaches, mask_bytes = [], []
+
+    def checked(t):
+        poll(t)
+        reaches.append(check_live_reaches(store))
+        mask_bytes.append(check_live_masks(store))
+
+    sim._poll = checked
+    sim.run()
+    assert len(store.by_index) > 6 * duration
+    return max(reaches), max(mask_bytes)
+
+
 def test_live_reaches_stay_flat_in_history():
-    # the scaling grid's workload (tx_rate 3n, injection to the end): the
-    # peak of live reaches over the polls does not grow with the run
-    peaks = []
-    for duration in (100, 400):
-        sim = Simulation(ScenarioConfig(n=16, s=1, seed=1, duration=duration,
-                                        tx_rate=48.0, inject_until=duration))
-        poll, live = sim._poll, []
+    # the peak of live reaches over the polls does not grow with the run
+    short, long = (grid_run_peaks(d)[0] for d in (100, 400))
+    assert long <= short < 200
 
-        def checked(t):
-            poll(t)
-            live.append(check_live_reaches(sim.state.local_stores[0]))
 
-        sim._poll = checked
-        sim.run()
-        assert len(sim.state.local_stores[0].by_index) > 6 * duration
-        peaks.append(max(live))
-    assert peaks[1] <= peaks[0] < 200
+def test_live_mask_bytes_grow_linearly_in_history():
+    # live masks are bounded in number, but each spans the history up to
+    # its event, so four times the history takes about four times the
+    # bytes, where keeping every mask took 13.6 times
+    short, long = (grid_run_peaks(d)[1] for d in (100, 400))
+    assert long <= 4.5 * short

@@ -1,8 +1,9 @@
 import pytest
 
-import shardgraph.hashgraph
+import shardgraph.sharding
 from shardgraph.hashgraph import (
     Hashgraph,
+    consensus_order,
     create_event,
     gossip_sync,
     supermajority,
@@ -221,12 +222,12 @@ def test_replicate_single_committee_builds_no_snapshot(monkeypatch):
     # the lone coordinator is the whole global committee: no one else
     # would hold a copy, so the view's order is not even computed
     def unexpected(graph):
-        raise AssertionError("consensus_order called")
+        raise AssertionError("decided_length called")
 
     table = partition_nodes(range(4), 1, seed=0)
     state = ShardState(table)
     local_event(state, table, 0, ())
-    monkeypatch.setattr(shardgraph.hashgraph, "consensus_order", unexpected)
+    monkeypatch.setattr(shardgraph.sharding, "decided_length", unexpected)
     replicate_checkpoint(state, table, 0, full_view(state.local_stores[0]))
     assert state.replicas == {}
     assert replica_holder_count(state, table, 0) == 4
@@ -273,6 +274,28 @@ def test_recover_preserves_consensus_prefix():
     assert table.members(0) == replacements
     post = state.local_stores[0].consensus
     assert post[: len(pre)] == pre
+
+
+def test_replica_order_stays_the_checkpointed_prefix():
+    # a member's view orders a prefix of its store's order; the replica
+    # keeps that prefix's length, and reads the same entries after the
+    # store orders more
+    table = partition_nodes(range(12), 2, seed=2)
+    state = ShardState(table)
+    views = build_consensus_history(state, table, 0)
+    view = views[table.members(0)[0]]
+    want = consensus_order(view)
+    store = state.local_stores[0]
+    assert 0 < len(want) < len(store.consensus)
+    replicate_checkpoint(state, table, 0, view)
+    replica = state.replicas[0]
+    assert replica.length == len(want) and replica.consensus == want
+    members = table.members(0)
+    for t in range(30, 40):
+        gossip_sync(views[members[t % 6]], views[members[(t + 1) % 6]], t)
+    store.advance_consensus()
+    assert len(consensus_order(view)) > len(want)
+    assert replica.consensus == want
 
 
 def test_recover_keeps_supermajority_through_empty_population(monkeypatch):
