@@ -10,6 +10,14 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+# Gossip rounds each stage of a transaction's path may take: the wait in
+# its member's pending buffer, ordering in a committee's graph, and for a
+# cross-shard one the relay between its two orderings (the wait for global
+# duty, the global hop, the target coordinator's next local event).  With
+# cross traffic they sum to 24, at least the cross latency measured at n
+# from 6 to 256 and s from 2 to 16 (at most 24 ticks at sync_interval 1).
+DRAIN_STAGES = {"pending": 2, "order": 8, "relay": 6}
+
 ADVERSARY_KINDS = ("none", "equivocator", "churn", "shard_failure")
 TRIGGER_MODES = ("committee-fraction", "literal-s-over-2")
 
@@ -100,7 +108,13 @@ class ScenarioConfig:
     def resolved_inject_until(self) -> int:
         if self.inject_until > 0:
             return min(self.inject_until, self.duration)
-        return max(1, self.duration - max(8, self.duration // 4))
+        # leave a drain window of a quarter of the run, or of the rounds a
+        # transaction's path may take if that is longer
+        rounds = DRAIN_STAGES["pending"] + DRAIN_STAGES["order"]
+        if self.s > 1 and self.cross_ratio > 0:
+            rounds += DRAIN_STAGES["relay"] + DRAIN_STAGES["order"]
+        drain = max(self.duration // 4, self.sync_interval * rounds)
+        return max(1, self.duration - drain)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

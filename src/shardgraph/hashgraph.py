@@ -50,7 +50,7 @@ class _EventFields(NamedTuple):
     creator: NodeId
     self_parent: Optional[EventId]
     other_parent: Optional[EventId]
-    payload: tuple[Transaction, ...]
+    payload: Optional[tuple[Transaction, ...]]  # None once taken
     created_at: int
     digest: EventId
     units: int
@@ -153,6 +153,12 @@ class EventStore:
       second root) to its member bit, and ``_forker_bits`` ORs those bits,
       so an insert whose inherited forked bits already hold them all skips
       the fork test in one AND.
+    - Fork evidence is recorded at insert: ``_apart[b]`` lists the earlier
+      events of a forker's event b's creator that b does not descend from,
+      each a fork pair with b (no later event is an ancestor of b).  Before
+      its first branch point a creator's events form one chain, so an event
+      inserted then has no pair with an earlier one, and ``detect_forks``
+      reads this record alone.
     - ``_cmask[c]`` has a bit per event of creator c, and ``_unit_planes[k]``
       a bit per event whose ``units`` has bit k set, so the events of one
       creator in a mask are one AND and the units of a mask are a few
@@ -224,18 +230,25 @@ class EventStore:
       insert's ``_merge``.  The rebuilt entry is not kept.
     - Ancestry lifetime: ``_anc[x]`` is read by a child's insert, by
       ``advance_consensus`` and ``_order_round`` (the famous witnesses of
-      the round being ordered and their self-parent chains), by
-      ``member_view`` (a creator's last event) and by ``detect_forks`` (a
-      forker's events).  The loop that frees a reach sets the self-parent's
-      mask to 0, which no live mask is (each holds its own bit), unless its
-      creator is a forker: an ordered event's ancestors are ordered, so
+      the round being ordered and their self-parent chains) and by
+      ``member_view`` (a creator's last event).  The loop that frees a
+      reach sets the self-parent's mask to 0, which no live mask is (each
+      holds its own bit): an ordered event's ancestors are ordered, so
       ``_order_round`` reads 0 as the empty set it would find, and neither a
       famous witness of an unfinalized round nor a last event is an ordered
-      self-parent.  A forker's events below ``_first_branch`` form one
-      chain, which ``detect_forks`` skips.  Live masks are the unordered
-      events', one per self-parent tree tip and the forkers', each spanning
-      the history below it.  ``_ancestry`` rebuilds a freed mask read again
-      (a fork on an old event) from the live masks below, and keeps nothing.
+      self-parent.  Live masks are the unordered events' and one per
+      self-parent tree tip, each spanning the history below it.
+      ``_ancestry`` rebuilds a freed mask read again (a fork on an old
+      event) from the live masks below, and keeps nothing.
+    - Payload lifetime: an event's transactions are read once, by the
+      walk that applies its committee's newly ordered events, and by
+      nothing else.  ``take_payload`` hands them to that walk and swaps the
+      event's record for a header, an ``_EventFields`` with the same seven
+      fields and ``payload`` None, whose digest and units are the event's
+      own.  A header's payload means "applied": a store rebuilt from a
+      replica takes the headers with it, so the walk of the rebuilt store
+      skips them.  The global graph's events keep their payloads, which a
+      coordinator's view receives again when it is seated.
     - ``_sm`` is the supermajority of the population, kept by
       ``add_member`` and ``remove_member`` (0 while the population is empty,
       which makes a read raise), so neither insert nor a tally recounts it.
@@ -262,7 +275,7 @@ class EventStore:
         }
         self._update_supermajority()
         self.index: dict[EventId, int] = {}
-        self.by_index: list[Event] = []
+        self.by_index: list[_EventFields] = []  # Events, or headers
         self._anc: list[int] = []            # ancestor bitmask, includes self
         self._seq: list[int] = []            # position along self-parent chain
         self._forked: list[int] = []         # creators with a fork visible
@@ -270,7 +283,9 @@ class EventStore:
         self._unit_planes: list[int] = []
         self._self_parent: list[int] = []
         self._forkers: dict[NodeId, int] = {}  # creator -> its member bit
-        self._first_branch: dict[NodeId, int] = {}  # forker -> branch point
+        # forker's event -> its creator's earlier events it does not descend
+        # from
+        self._apart: dict[int, tuple[int, ...]] = {}
         self._forker_bits = 0
         self.round: list[int] = []
         self.witnesses_by_round: dict[int, list[int]] = {}
@@ -391,11 +406,12 @@ class EventStore:
             anc |= self._anc[opi] or self._ancestry(opi)
             forked |= self._forked[opi]
         self._anc.append(anc)
-        if (self._self_parent[idx] != own.bit_length() - 1
-                and not self._forker_bits & cbit):
+        if (self._forker_bits & cbit
+                or self._self_parent[idx] != own.bit_length() - 1):
             self._forkers[creator] = cbit
-            self._first_branch[creator] = idx
             self._forker_bits |= cbit
+            if own & anc != own:
+                self._apart[idx] = tuple(_set_bits(own & ~anc))
         if self._forker_bits & ~forked:
             cmask = self._cmask
             for c, cb in self._forkers.items():
@@ -470,6 +486,16 @@ class EventStore:
             self.max_round = r
         reach.append((f, prev, cur))
         return idx
+
+    def take_payload(self, i: int) -> Optional[tuple[Transaction, ...]]:
+        """Event i's transactions, for the walk that applies it once it is
+        ordered, or None if they were taken before; its record becomes a
+        header (see Payload lifetime)."""
+        creator, sp, op, payload, created_at, digest, units = self.by_index[i]
+        if payload is not None:
+            self.by_index[i] = tuple.__new__(_EventFields, (
+                creator, sp, op, None, created_at, digest, units))
+        return payload
 
     def _merge(self, r: int, prev: int, cur: int, ro: int, pp: int,
                pc: int, cbit: int) -> tuple[int, int, int]:
@@ -777,7 +803,6 @@ class EventStore:
         whose witnesses are all fame-decided."""
         self.elect_fame()
         reach, anc, self_parent = self._reach, self._anc, self._self_parent
-        events, forkers = self.by_index, self._forkers
         r = self.finalized_round + 1
         while True:
             witnesses = self._by_digest.get(r)
@@ -797,12 +822,11 @@ class EventStore:
                     self._emitted |= fresh
                     # an ordered event's self-parent is ordered and has a
                     # self-child: only a fork on it reads its reach and
-                    # mask again, and detect_forks a forker's mask
+                    # mask again
                     for sp in map(self_parent.__getitem__, _set_bits(fresh)):
                         if sp >= 0:
                             reach[sp] = _FREED
-                            if events[sp].creator not in forkers:
-                                anc[sp] = 0
+                            anc[sp] = 0
             self.finalized_round = r
             r += 1
 
@@ -971,21 +995,17 @@ def consensus_order(graph: Hashgraph) -> list[OrderedEvent]:
 
 
 def detect_forks(graph: Hashgraph) -> set[tuple[NodeId, EventId, EventId]]:
-    """Every same-creator event pair where neither is the other's ancestor."""
-    store = graph.store
+    """Every same-creator event pair the view knows where neither is the
+    other's ancestor, from the evidence recorded at insert."""
+    store, known = graph.store, graph.known
+    events = store.by_index
     forks: set[tuple[NodeId, EventId, EventId]] = set()
-    for creator, first in store._first_branch.items():
-        # an ancestor has a lower index, so the earlier visible events of the
-        # creator that b is incomparable to are those missing from anc(b).
-        # Its events below its first branch point form one chain, each an
-        # ancestor of the next, and their masks may be freed
-        mine = store._cmask[creator] & graph.known
-        below = mine & (1 << first) - 1
-        for b in _set_bits(mine >> first << first):
-            apart = below & ~store._anc[b]
-            below |= 1 << b
-            db = store.by_index[b].digest
-            for a in _set_bits(apart):
-                da = store.by_index[a].digest
+    for b, apart in store._apart.items():
+        if known >> b & 1:
+            creator, db = events[b].creator, events[b].digest
+            for a in apart:
+                if not known >> a & 1:
+                    continue
+                da = events[a].digest
                 forks.add((creator,) + ((da, db) if da < db else (db, da)))
     return forks

@@ -97,7 +97,8 @@ class CacheQueue:
 
     outbound: list[Transaction] = field(default_factory=list)
     inbound: list[Transaction] = field(default_factory=list)
-    seen_out: set[str] = field(default_factory=set)
+    # a coordinator's global view may receive a global event more than
+    # once: a newly seated coordinator's empty view receives every old one
     seen_in: set[str] = field(default_factory=set)
 
 
@@ -138,22 +139,22 @@ def coordinator_ingest_local(
     state: ShardState,
     table: CommitteeTable,
     committee: CommitteeId,
-    received_event: Event,
+    payloads: Iterable[tuple[Transaction, ...]],
 ) -> CacheQueue:
-    """Step 1: pull the cross-shard transactions that originate in this
-    committee out of a gossiped local event into the coordinator's outbound
-    queue (deduplicated by tx id).  A delivered transaction from another
+    """Step 1: queue the cross-shard transactions that originate in this
+    committee, from the payloads of the events its local graph has newly
+    ordered, in consensus order, for the global graph.  A transaction is
+    relayed only once its origin committee has ordered it, whoever is the
+    committee's coordinator then.  Each payload is ordered once, so no
+    transaction is queued twice; a delivered transaction from another
     committee is not sent back through the global graph."""
-    if received_event.digest not in state.local_stores[committee].index:
-        raise ShardingError("event not present in the committee's local graph")
     queue = state.queues[committee]
-    for tx in received_event.payload:
-        if tx.kind != KIND_PAYLOAD or tx.origin != committee or not tx.is_cross:
-            continue
-        if tx.tx_id in queue.seen_out:
-            continue
-        queue.seen_out.add(tx.tx_id)
-        queue.outbound.append(tx)
+    outbound = queue.outbound
+    for payload in payloads:
+        for tx in payload:
+            if (tx.target != committee and tx.origin == committee
+                    and tx.kind == KIND_PAYLOAD):
+                outbound.append(tx)
     return queue
 
 

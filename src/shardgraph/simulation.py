@@ -406,16 +406,10 @@ class Simulation:
         is_coord = self.table.coordinators.get(cid) == receiver
         if is_coord:
             payload.extend(flush_inbound(self.state, cid, self.cfg.batch_limit))
-        transferred, new_ev = self._push(
-            sender_view, self.views[receiver], t, payload
-        )
+        _, new_ev = self._push(sender_view, self.views[receiver], t, payload)
         self.metrics.total_events += 1
         if event_units(new_ev) == 0:
             self.metrics.empty_events += 1
-        if is_coord:
-            for ev in transferred:
-                coordinator_ingest_local(self.state, self.table, cid, ev)
-            coordinator_ingest_local(self.state, self.table, cid, new_ev)
 
     def _global_sync(self, sender, receiver, t):
         rcid = self.table.committee_of(receiver)
@@ -434,13 +428,19 @@ class Simulation:
         for cid in sorted(self.state.local_stores):
             store = self.state.local_stores[cid]
             store.advance_consensus()
-            cons, by_index, index = store.consensus, store.by_index, store.index
+            cons, take, index = store.consensus, store.take_payload, store.index
             # the committee's key exists once any payload-kind transaction,
             # a zero-size marker included, has been ordered there
             keyed = cid in ordered_units
             units = ordered_units.get(cid, 0)
+            payloads = []
             for oe in cons[self.consensus_ptr.get(cid, 0):]:
-                for tx in by_index[index[oe.event_id]].payload:
+                payload = take(index[oe.event_id])
+                if not payload:
+                    # empty, or applied in the store a recovery replaced
+                    continue
+                payloads.append(payload)
+                for tx in payload:
                     kind = tx.kind
                     if kind == KIND_PAYLOAD:
                         keyed = True
@@ -457,6 +457,7 @@ class Simulation:
             if keyed:
                 ordered_units[cid] = units
             self.consensus_ptr[cid] = len(cons)
+            coordinator_ingest_local(self.state, self.table, cid, payloads)
         gstore = self.state.global_store
         gstore.advance_consensus()
         for oe in gstore.consensus[self.global_ptr:]:
@@ -577,11 +578,9 @@ class Simulation:
                 # rounds keep advancing past the replayed history
                 create_event(g, tip, (), t)
         self._seat_coordinator(self.table.coordinators[cid], old_coord)
-        # ordered-unit accounting for this committee resumes from the
-        # replayed prefix; entries ordered before the failure were already
-        # counted against the old store
-        self.state.local_stores[cid].advance_consensus()
-        self.consensus_ptr[cid] = len(self.state.local_stores[cid].consensus)
+        # the walk starts over on the recovered store's order; the events
+        # the old store applied were replayed as headers, and are skipped
+        self.consensus_ptr[cid] = 0
         self.recovery_log.append(
             {"at": t, "action": "recover_shard", "committee": cid,
              "replacements": replacements,

@@ -772,14 +772,12 @@ def check_live_reaches(store):
 
 def check_live_masks(store):
     """Live ancestor masks number at most the unordered events plus one per
-    tip of each creator's self-parent tree plus the forkers' events: a
-    forker keeps every mask, and any other creator's ordered event keeps
-    its mask only while it has no ordered self-child.  Returns the live
-    masks' summed bytes."""
+    tip of each creator's self-parent tree: an ordered event keeps its mask
+    only while it has no ordered self-child, a forker's as any other's.
+    Returns the live masks' summed bytes."""
     live = [m for m in store._anc if m]
-    forker_events = sum(store._cmask[c].bit_count() for c in store._forkers)
     assert len(live) <= (len(store.by_index) - len(store.consensus)
-                         + tree_tips(store) + forker_events)
+                         + tree_tips(store))
     return sum(map(sys.getsizeof, live))
 
 
@@ -945,26 +943,27 @@ def test_fork_on_a_freed_mask_matches_brute_force(monkeypatch,
     assert check_rebuilt_masks(store, never_polled(store)) > 100
 
 
-def test_detect_forks_skips_freed_masks_below_first_branch(never_polled):
+def test_detect_forks_from_evidence_matches_brute_force(never_polled):
     # members 0 and 1 gossip honestly while rounds are ordered and their
-    # early masks freed, then equivocate: their masks from the first branch
-    # point up are kept though ordered and superseded, detect_forks pairs
-    # only those events with the ones below, and every view finds the pairs
-    # a never-polled replay and brute force find
+    # early masks freed, then equivocate: their masks are freed by the rule
+    # every creator's are, before and after their first branch point, and
+    # the fork pairs recorded at insert are, in every view, brute force's
+    # and those of a never-polled replay
     def poll(t, views):
         if t % 5 == 0:
             views[0].store.advance_consensus()
 
     store, views = gossip_dag(1, steps=400, n=7, poll=poll, fork_from=150)
     fresh = never_polled(store)
-    assert sorted(store._first_branch) == [0, 1]
+    assert sorted(store._forkers) == [0, 1]
     ordered = set(store.index[oe.event_id] for oe in store.consensus)
-    for c, first in store._first_branch.items():
-        below = store._cmask[c] & (1 << first) - 1
-        assert sum(not store._anc[i] for i in bits(below)) > 10
-        superseded = {store._self_parent[x] for x in bits(store._cmask[c])
+    for c in store._forkers:
+        own = list(bits(store._cmask[c]))
+        first = min(b for b in store._apart if store.by_index[b].creator == c)
+        assert sum(not store._anc[i] for i in own if i < first) > 10
+        superseded = {store._self_parent[x] for x in own
                       if x in ordered and store._self_parent[x] >= first}
-        assert len(superseded) >= 10 and all(
+        assert len(superseded) >= 10 and not any(
             store._anc[x] for x in superseded)
     forks = BruteGraph(store.population, store.by_index).forks()
     assert detect_forks(_full_view(store)) == forks

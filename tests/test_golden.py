@@ -24,7 +24,7 @@ GOLDEN = {
     "sharded-cross": (
         ScenarioConfig(n=32, s=4, seed=5, duration=60, tx_rate=32.0,
                        cross_ratio=0.3),
-        "1bae264248097af1039e8e98eeb6fb5e3a0779fce550ebee79064f87b0305ce9",
+        "77c2789aba7adca9ebad170b4d0c237cef6e7525c9ebbcade1af12c98020ea83",
     ),
     "equivocator": (
         ScenarioConfig(n=16, s=2, seed=7, duration=50, tx_rate=16.0,
@@ -38,7 +38,7 @@ GOLDEN = {
         ScenarioConfig(n=32, s=4, seed=9, duration=120, tx_rate=16.0,
                        cross_ratio=0.2, adversary_kind="churn",
                        adversary_interval=3, adversary_rejoin=True),
-        "2dc5697ed61e62cc3ec0e1a6b54933eb4725861b05b43c9f5f3c09996eed9a3b",
+        "0c2e3ef5cee82d50d427558e266c2580ad6fb8e29c8418c79e84eae533d73944",
     ),
     "churn-literal-trigger": (
         ScenarioConfig(n=24, s=4, seed=4, duration=150, tx_rate=8.0,
@@ -58,7 +58,7 @@ GOLDEN = {
     "sync-interval-2": (
         ScenarioConfig(n=16, s=2, seed=8, duration=60, tx_rate=16.0,
                        cross_ratio=0.2, sync_interval=2),
-        "457331e29e0471ece5090660777aba923e8b6d8b41e803241033adfeff1e1391",
+        "4aaf5a958820327c530fbaef0a906d43b5e5bf2db48ccf6555d71ca319751e67",
     ),
     # committee 1 is down for 15 gossip rounds; both coordinators keep
     # taking global duty on the same rounds before and after it
@@ -67,7 +67,7 @@ GOLDEN = {
                        checkpoint_period=2, adversary_kind="shard_failure",
                        adversary_committee=1, adversary_fail_at=60,
                        adversary_recover_delay=15),
-        "914b2db2ea1e12131dd04087cd056f14eefcca41f5bbc37a30ddf5c910c10c31",
+        "e3e599a6847ae601f32d9cec4750aa0d6b2051c0eacbc2ff3687ecc83818dffb",
     ),
 }
 

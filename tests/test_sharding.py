@@ -94,10 +94,20 @@ def full_view(store):
     return view
 
 
+def ingest_ordered(state, table, cid, *events):
+    """What a poll does with the events its committee's graph newly
+    ordered: take each one's payload, skip those taken before, and queue
+    the rest's outbound transactions in one ingest."""
+    store = state.local_stores[cid]
+    payloads = [store.take_payload(store.index[ev.digest]) for ev in events]
+    return coordinator_ingest_local(
+        state, table, cid, [p for p in payloads if p])
+
+
 def test_ingest_intra_only_leaves_queue_alone(small_state):
     state, table = small_state
     ev = local_event(state, table, 0, (tx(1, 0, 0),))
-    queue = coordinator_ingest_local(state, table, 0, ev)
+    queue = ingest_ordered(state, table, 0, ev)
     assert queue.outbound == []
 
 
@@ -105,7 +115,7 @@ def test_ingest_queues_cross_and_coordinator_excludes_it(small_state):
     state, table = small_state
     cross = tx(1, 0, 1)
     ev = local_event(state, table, 0, (cross, tx(2, 0, 0)))
-    queue = coordinator_ingest_local(state, table, 0, ev)
+    queue = ingest_ordered(state, table, 0, ev)
     assert queue.outbound == [cross]
     # the coordinator's next local event carries inbound deliveries only
     assert cross not in flush_inbound(state, 0, batch_limit=16)
@@ -115,27 +125,30 @@ def test_ingest_leaves_delivered_transactions_alone(small_state):
     state, table = small_state
     delivered = tx(1, 1, 0)
     ev = local_event(state, table, 0, (delivered,))
-    queue = coordinator_ingest_local(state, table, 0, ev)
+    queue = ingest_ordered(state, table, 0, ev)
     assert queue.outbound == []
 
 
 def test_ingest_deduplicates(small_state):
+    # an event's payload is taken once, so an event walked again, as a
+    # recovered store walks the replayed events, queues nothing again
     state, table = small_state
     cross = tx(1, 0, 1)
-    members = table.members(0)
-    e1 = local_event(state, table, 0, (cross,), creator=members[0])
-    e2 = local_event(state, table, 0, (cross,), creator=members[1])
-    coordinator_ingest_local(state, table, 0, e1)
-    queue = coordinator_ingest_local(state, table, 0, e2)
+    ev = local_event(state, table, 0, (cross,))
+    ingest_ordered(state, table, 0, ev)
+    queue = ingest_ordered(state, table, 0, ev)
     assert queue.outbound == [cross]
 
 
-def test_ingest_unknown_event_rejected(small_state):
+def test_ingest_keeps_consensus_order_across_payloads(small_state):
     state, table = small_state
-    other = ShardState(table)
-    ev = local_event(other, table, 0, ())
-    with pytest.raises(ShardingError):
-        coordinator_ingest_local(state, table, 0, ev)
+    members = table.members(0)
+    first, second = tx(1, 0, 1), tx(2, 0, 1)
+    e1 = local_event(state, table, 0, (second,), creator=members[0])
+    e2 = local_event(state, table, 0, (tx(3, 0, 0), first),
+                     creator=members[1])
+    queue = ingest_ordered(state, table, 0, e2, e1)
+    assert queue.outbound == [first, second]
 
 
 def test_emit_global_under_limit_flushes_all(small_state):

@@ -8,7 +8,13 @@ import pytest
 
 import shardgraph.simulation
 from shardgraph.config import ConfigError, ScenarioConfig
-from shardgraph.hashgraph import OrderedEvent, consensus_order
+from shardgraph.hashgraph import (
+    Event,
+    EventStore,
+    OrderedEvent,
+    _EventFields,
+    consensus_order,
+)
 from shardgraph.metrics import mean
 from shardgraph.simulation import (
     Simulation,
@@ -26,7 +32,7 @@ from oracles import report_text
 # reorg_log entries replay through the benchmark's own output check
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from workloads import _replay  # noqa: E402
+from workloads import _replay, scenario  # noqa: E402
 
 
 def small_cfg(**kw):
@@ -152,9 +158,39 @@ def test_order_summary_tells_orders_apart():
     assert len({order_summary(v)["sha256"] for v in shifted}) == len(shifted)
 
 
+def record_inserts(monkeypatch):
+    """Each event as first inserted into any store, by digest; a store
+    keeps only a header of an event whose payload it gave up."""
+    inserted = {}
+    add = EventStore.add_event
+
+    def recorded(store, event):
+        inserted.setdefault(event.digest, event)
+        return add(store, event)
+
+    monkeypatch.setattr(EventStore, "add_event", recorded)
+    return inserted
+
+
+def record_ingests(monkeypatch):
+    """The (committee, payloads) of every coordinator_ingest_local call."""
+    calls = []
+    ingest = shardgraph.simulation.coordinator_ingest_local
+
+    def recorded(state, table, committee, payloads):
+        calls.append((committee, list(payloads)))
+        return ingest(state, table, committee, calls[-1][1])
+
+    monkeypatch.setattr(shardgraph.simulation, "coordinator_ingest_local",
+                        recorded)
+    return calls
+
+
 def test_coordinators_send_only_their_own_transactions(monkeypatch):
     # a delivered cross transaction is not echoed back through the global
-    # graph by the target committee's coordinator
+    # graph by the target committee's coordinator, and each committee's
+    # newly ordered payloads are ingested once per poll, not per sync
+    ingests = record_ingests(monkeypatch)
     flushed = []
 
     def recording_flush(state, committee, batch_limit):
@@ -165,13 +201,36 @@ def test_coordinators_send_only_their_own_transactions(monkeypatch):
     sharding_flush = shardgraph.simulation.flush_outbound
     monkeypatch.setattr(shardgraph.simulation, "flush_outbound",
                         recording_flush)
-    report = run_scenario(ScenarioConfig(n=16, s=4, seed=7, duration=50,
-                                         tx_rate=16.0, cross_ratio=0.3))
+    cfg = ScenarioConfig(n=16, s=4, seed=7, duration=50, tx_rate=16.0,
+                         cross_ratio=0.3)
+    report = run_scenario(cfg)
     assert report.tx_audit["injected_cross"] > 0
     assert report.tx_audit["missing_count"] == 0
     sent = [tx for _, tx in flushed]
     assert len(sent) == len({tx.tx_id for tx in sent}) > 0
     assert all(tx.origin == committee for committee, tx in flushed)
+    assert [c for c, _ in ingests] == list(range(cfg.s)) * cfg.duration
+    relayed = {tx.tx_id for c, payloads in ingests for p in payloads
+               for tx in p if tx.origin == c and tx.target != c}
+    assert relayed == {tx.tx_id for tx in sent}
+
+
+@pytest.mark.parametrize("name", ["forks", "churn"])
+def test_no_ordered_stream_repeats_a_transaction(name, monkeypatch):
+    # a transaction enters one event of its origin committee's graph and,
+    # once delivered, one of its target's, and a store gives each ordered
+    # event's payload up once, so the walk of a committee's order hands
+    # ingest no transaction twice, equivocation markers and transactions
+    # carried by members that change committee included: the outbound
+    # queue needs no seen set
+    ingests = record_ingests(monkeypatch)
+    report = run_scenario(scenario(name, 11))
+    streams = {}
+    for c, payloads in ingests:
+        streams.setdefault(c, []).extend(tx.tx_id for p in payloads for tx in p)
+    for ids in streams.values():
+        assert len(ids) == len(set(ids)) > 0
+    assert report.tx_audit["duplicate_count"] == 0
 
 
 def test_cross_exactly_once():
@@ -199,22 +258,65 @@ def test_cross_exactly_once():
                                 adversary_fraction=0.1, adversary_interval=5),
                  id="equivocator-markers-only"),
 ])
-def test_ordered_units_match_a_walk_of_the_final_orders(cfg):
+def test_ordered_units_match_a_walk_of_the_final_orders(cfg, monkeypatch):
     # the polls' per-committee sums equal one walk over each committee's
     # final order: the size units of its payload-kind transactions, keyed
     # once any was ordered there, zero-size fork markers included
+    inserted = record_inserts(monkeypatch)
     sim = Simulation(cfg)
     report = sim.run()
     walked = {}
     for cid, order in report.consensus.items():
-        store = sim.state.local_stores[cid]
         for oe in order:
-            for tx in store.by_index[store.index[oe.event_id]].payload:
+            for tx in inserted[oe.event_id].payload:
                 if tx.kind == KIND_PAYLOAD:
                     walked[cid] = walked.get(cid, 0) + tx.size_units
     assert report.metrics.ordered_tx_units == walked
     assert sorted(walked) == sorted(report.consensus)
     assert (sum(walked.values()) > 0) == (cfg.tx_rate > 0)
+
+
+def test_poll_releases_the_payloads_it_applied(monkeypatch):
+    # after a sharded run every ordered local event is a header: its
+    # payload None, its other fields and digest the event's own; unordered
+    # and global events keep their payloads
+    inserted = record_inserts(monkeypatch)
+    sim = Simulation(ScenarioConfig(n=32, s=4, seed=5, duration=60,
+                                    tx_rate=32.0, cross_ratio=0.3))
+    sim.run()
+    headers = kept = 0
+    for store in sim.state.local_stores.values():
+        ordered = {store.index[oe.event_id] for oe in store.consensus}
+        for i, rec in enumerate(store.by_index):
+            ev = inserted[rec.digest]
+            if i in ordered:
+                assert type(rec) is _EventFields and rec.payload is None
+                assert rec == (*ev[:3], None, *ev[4:])
+                assert Event(*rec[:3], ev.payload, rec.created_at).digest == (
+                    rec.digest)
+                headers += 1
+            else:
+                assert rec is ev and rec.payload is not None
+                kept += 1
+    assert headers > 10 * kept > 0
+    assert all(rec is inserted[rec.digest] and rec.payload is not None
+               for rec in sim.state.global_store.by_index)
+
+
+def test_churn_grid_loses_few_cross_transactions():
+    # a coordinator change loses nothing, as the poll relays what its
+    # committee ordered: the losses left are events that die in one view,
+    # the last event of a member that leaves or moves, and a global event
+    # of a coordinator unseated before it gossips the event on
+    missing = 0
+    for seed in range(1, 5):
+        report = run_scenario(ScenarioConfig(
+            n=32, s=4, seed=seed, duration=150, inject_until=100,
+            tx_rate=16.0, cross_ratio=0.3, adversary_kind="churn",
+            adversary_interval=3, adversary_rejoin=True))
+        assert report.tx_audit["duplicate_count"] == 0
+        missing += report.tx_audit["missing_count"]
+    assert missing <= 9
 
 
 def test_conservation_and_counters():
@@ -379,6 +481,34 @@ def test_replacement_coordinator_gossips_globally_after_recovery():
     assert checkpoints[-1] > rec["at"] + 30
 
 
+def test_shard_recovery_applies_each_event_once(monkeypatch):
+    # the recovered store replays the failed store's events, and orders
+    # again those the old store ordered after the checkpoint: it skips
+    # them, as their payloads were taken, so no event is applied twice and
+    # no more units are ordered than were injected
+    applied, skipped = [], []
+    take = EventStore.take_payload
+
+    def recorded(store, i):
+        payload = take(store, i)
+        (skipped if payload is None else applied).append(
+            store.by_index[i].digest)
+        return payload
+
+    monkeypatch.setattr(EventStore, "take_payload", recorded)
+    sim = Simulation(shard_failure_cfg())
+    report = sim.run()
+    assert len(applied) == len(set(applied))
+    assert skipped and not set(skipped) - set(applied)
+    # and every event either store ordered was applied
+    failed = next(e for e in report.recovery_log
+                  if e["action"] == "fail_shard")
+    ordered = failed["pre_failure_order"] + report.consensus[1]
+    assert {oe.event_id for oe in ordered} <= set(applied)
+    m = report.metrics
+    assert 0 < sum(m.ordered_tx_units.values()) <= m.injected_tx_units
+
+
 def churn_rejoin_cfg():
     # the churn-rejoin golden scenario
     return ScenarioConfig(n=32, s=4, seed=9, duration=120, tx_rate=16.0,
@@ -502,6 +632,18 @@ def test_config_validation_errors():
     for committee in (-1, 0, 1):
         ScenarioConfig(n=8, s=2, adversary_kind="churn",
                        adversary_committee=committee).validate()
+
+
+def test_drain_window_covers_the_relay():
+    # the perfbench workloads keep their injection ticks; with cross
+    # traffic a short run drains for the 24 rounds of the relay's stages
+    assert [scenario(name, 11).resolved_inject_until()
+            for name in ("sharded-cross", "forks", "churn")] == [75, 75, 150]
+    assert small_cfg(duration=40).resolved_inject_until() == 30
+    assert small_cfg(duration=40, cross_ratio=0.2,
+                     sync_interval=2).resolved_inject_until() == 1
+    assert small_cfg(duration=60, cross_ratio=0.2).resolved_inject_until() == 36
+    assert small_cfg(inject_until=50).resolved_inject_until() == 30
 
 
 def test_config_parse_and_overrides():
