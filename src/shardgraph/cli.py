@@ -56,6 +56,12 @@ def _fmt(value) -> str:
     return "n/a" if value is None else f"{value:.3f}"
 
 
+def _warn_short_injection(config: ScenarioConfig, label: str = "") -> None:
+    note = config.injection_warning()
+    if note:
+        print(f"{label}warning: {note}", file=sys.stderr)
+
+
 def _exactly_once(config: ScenarioConfig, report, label: str = "") -> bool:
     """Whether the run kept each cross-shard transaction ordered exactly
     once, where its adversary leaves that expected; says why not on
@@ -72,6 +78,7 @@ def _exactly_once(config: ScenarioConfig, report, label: str = "") -> bool:
 
 def cmd_run(args) -> int:
     config = _load(args)
+    _warn_short_injection(config)
     report = run_scenario(config)
     out = Path(args.out or _default_out_root()) / "run"
     write_report(report, out)
@@ -124,6 +131,7 @@ def cmd_sweep(args) -> int:
     failures = 0
     for value, point in points:
         point_dir = out_root / f"{param}-{value}"
+        _warn_short_injection(point, f"{param}={value}: ")
         try:
             report = run_scenario(point)
             write_report(report, point_dir)

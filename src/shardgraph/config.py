@@ -9,14 +9,19 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Optional
 
-# Gossip rounds each stage of a transaction's path may take: the wait in
-# its member's pending buffer, ordering in a committee's graph, and for a
-# cross-shard one the relay between its two orderings (the wait for global
-# duty, the global hop, the target coordinator's next local event).  With
-# cross traffic they sum to 24, at least the cross latency measured at n
-# from 6 to 256 and s from 2 to 16 (at most 24 ticks at sync_interval 1).
-DRAIN_STAGES = {"pending": 2, "order": 8, "relay": 6}
+# The longest a cross-shard transaction took from its injection to its
+# ordering at the target: 24 ticks at sync_interval 1, and at most 29 more
+# for each further tick of sync_interval (53, 77, 103, 119 and 155 ticks at
+# 2 to 6).  Grid: n from 6 to 128 and s from 2 to 8 (n 256 and s 16 too at
+# sync_interval 1), tx_rate n / sync_interval, cross_ratio 0.3, injection
+# during the first third of a run of 60 gossip rounds, seeds 1 to 3.
+CROSS_LATENCY_TICKS = 24
+CROSS_LATENCY_PER_INTERVAL = 29
+# an automatic drain window that leaves injection fewer gossip rounds than
+# this loads the run too little for its figures to mean much
+MIN_INJECT_ROUNDS = 4
 
 ADVERSARY_KINDS = ("none", "equivocator", "churn", "shard_failure")
 TRIGGER_MODES = ("committee-fraction", "literal-s-over-2")
@@ -108,13 +113,27 @@ class ScenarioConfig:
     def resolved_inject_until(self) -> int:
         if self.inject_until > 0:
             return min(self.inject_until, self.duration)
-        # leave a drain window of a quarter of the run, or of the rounds a
-        # transaction's path may take if that is longer
-        rounds = DRAIN_STAGES["pending"] + DRAIN_STAGES["order"]
+        # leave a drain window of a quarter of the run, at least 8 ticks,
+        # and with cross traffic at least the longest cross latency measured
+        drain = max(8, self.duration // 4)
         if self.s > 1 and self.cross_ratio > 0:
-            rounds += DRAIN_STAGES["relay"] + DRAIN_STAGES["order"]
-        drain = max(self.duration // 4, self.sync_interval * rounds)
+            drain = max(drain, CROSS_LATENCY_TICKS + CROSS_LATENCY_PER_INTERVAL
+                        * (self.sync_interval - 1))
         return max(1, self.duration - drain)
+
+    def injection_warning(self) -> Optional[str]:
+        """Why the automatic drain window leaves the run too little
+        injection, or None."""
+        if self.inject_until > 0:
+            return None
+        ticks = self.resolved_inject_until()
+        if ticks >= MIN_INJECT_ROUNDS * self.sync_interval:
+            return None
+        return (
+            f"the automatic drain window leaves injection {ticks} of "
+            f"{self.duration} ticks, fewer than {MIN_INJECT_ROUNDS} gossip "
+            f"rounds; set inject_until or a longer duration"
+        )
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -267,7 +267,10 @@ def recover_failed_shard(
     for node in replacements:
         table.assignment[node] = failed
     table.coordinators[failed] = replacements[0]
-    state.queues[failed] = CacheQueue()
+    # the new coordinator relays what the committee ordered and had not yet
+    # flushed: the replica replays those events as applied headers, so no
+    # later poll queues their transactions again
+    state.queues[failed] = CacheQueue(outbound=state.queues[failed].outbound)
     state.global_store.remove_member(old_coordinator)
     state.global_store.add_member(replacements[0])
     table.epoch += 1

@@ -42,6 +42,7 @@ from .config import ScenarioConfig
 from .hashgraph import (
     Event,
     Hashgraph,
+    Transfer,
     consensus_order,
     create_event,
     detect_forks,
@@ -299,8 +300,21 @@ class Simulation:
 
     def _seat_coordinator(self, new, old=None) -> None:
         """Give a committee's new coordinator an empty view of the global
-        graph in place of its predecessor's."""
-        self.gviews.pop(old, None)
+        graph in place of its predecessor's.  The global events that no
+        other view has received die with the predecessor's view, so their
+        transactions go back to the front of their origins' outbound
+        queues, in the order they were flushed."""
+        gview = self.gviews.pop(old, None)
+        if gview is not None:
+            seen = 0
+            for view in self.gviews.values():
+                seen |= view.known
+            requeue: dict[int, list] = {}
+            for ev in Transfer(self.state.global_store, gview.known & ~seen):
+                for tx in ev.payload:
+                    requeue.setdefault(tx.origin, []).append(tx)
+            for cid, txs in requeue.items():
+                self.state.queues[cid].outbound[:0] = txs
         self.gviews[new] = Hashgraph(self.state.global_store, new)
         self.ever_coordinators.add(new)
 

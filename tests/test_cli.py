@@ -100,6 +100,24 @@ def test_run_deterministic_reports(tmp_path):
     assert a == b
 
 
+def test_run_warns_when_the_drain_window_leaves_little_injection(
+        tmp_path, capsys):
+    # at d=25 the cross latency's drain window leaves injection one tick; a
+    # longer run injects for 36 ticks and keeps every cross transaction
+    # ordered exactly once
+    args = ["--set", "n=8", "--set", "s=2", "--set", "tx_rate=8",
+            "--set", "cross_ratio=0.2"]
+    assert run_cli("run", "--out", str(tmp_path), *args,
+                   "--set", "duration=25") == 0
+    assert ("warning: the automatic drain window leaves injection 1 of 25 "
+            "ticks") in capsys.readouterr().err
+    assert run_cli("sweep", "--out", str(tmp_path), *args,
+                   "--sweep", "duration=25,60") == 0
+    err = capsys.readouterr().err
+    assert "duration=25: warning" in err
+    assert "duration=60" not in err
+
+
 def test_sweep_grid(tmp_path):
     code = run_cli(
         "sweep", "--out", str(tmp_path),

@@ -38,7 +38,7 @@ GOLDEN = {
         ScenarioConfig(n=32, s=4, seed=9, duration=120, tx_rate=16.0,
                        cross_ratio=0.2, adversary_kind="churn",
                        adversary_interval=3, adversary_rejoin=True),
-        "0c2e3ef5cee82d50d427558e266c2580ad6fb8e29c8418c79e84eae533d73944",
+        "0708b602f49de70c049cedb50b64e5d0d70013df89b7eb46c6e9db10a730c967",
     ),
     "churn-literal-trigger": (
         ScenarioConfig(n=24, s=4, seed=4, duration=150, tx_rate=8.0,
@@ -54,11 +54,12 @@ GOLDEN = {
                        adversary_committee=0, adversary_interval=3),
         "74a8172c32473291165e05114d3a9a138b737fe310f2ba31c37d7f7effcaefcf",
     ),
-    # gossip every other tick: a gossip tick injects before its round
+    # gossip every other tick: a gossip tick injects before its round; 45
+    # ticks of injection and a drain window longer than the cross latency
     "sync-interval-2": (
-        ScenarioConfig(n=16, s=2, seed=8, duration=60, tx_rate=16.0,
-                       cross_ratio=0.2, sync_interval=2),
-        "4aaf5a958820327c530fbaef0a906d43b5e5bf2db48ccf6555d71ca319751e67",
+        ScenarioConfig(n=16, s=2, seed=8, duration=100, tx_rate=16.0,
+                       cross_ratio=0.2, sync_interval=2, inject_until=45),
+        "2a45677e08367ef5242490690a241ee664357cf3f6c5c8af908b323dac1d1d65",
     ),
     # committee 1 is down for 15 gossip rounds; both coordinators keep
     # taking global duty on the same rounds before and after it

@@ -342,6 +342,25 @@ def test_recover_uses_latest_checkpoint():
     assert len(state.local_stores[0].by_index) == len(latest.events)
 
 
+def test_recover_keeps_the_unflushed_outbound_queue():
+    # the failed committee ordered these before it failed, and the replica
+    # replays those events as applied: only the queue still relays them
+    table = partition_nodes(range(8), 2, seed=2)
+    state = ShardState(table)
+    local_event(state, table, 0, ())
+    replicate_checkpoint(state, table, 0, full_view(state.local_stores[0]))
+    queue = state.queues[0]
+    sent = [tx(1, 0, 1), tx(2, 0, 1)]
+    queue.outbound.extend(sent)
+    queue.inbound.append(tx(3, 1, 0))
+    queue.seen_in.add("tx3")
+    recover_failed_shard(state, table, 0, [50, 51, 52, 53])
+    fresh = state.queues[0]
+    assert fresh.outbound == sent
+    assert fresh.inbound == [] and fresh.seen_in == set()
+    assert flush_outbound(state, 0, 16) == sent
+
+
 def test_recover_empty_committee():
     table = partition_nodes(range(8), 2, seed=2)
     state = ShardState(table)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -304,10 +305,11 @@ def test_poll_releases_the_payloads_it_applied(monkeypatch):
 
 
 def test_churn_grid_loses_few_cross_transactions():
-    # a coordinator change loses nothing, as the poll relays what its
-    # committee ordered: the losses left are events that die in one view,
-    # the last event of a member that leaves or moves, and a global event
-    # of a coordinator unseated before it gossips the event on
+    # a coordinator change loses nothing: the poll relays what its
+    # committee ordered, and an unseated coordinator's global events that
+    # no other view received go back to the outbound queue; the losses left
+    # are the last event of a member that leaves or moves, which no one
+    # gossips on (19 missing at seeds 1-4 when ingest ran per sync)
     missing = 0
     for seed in range(1, 5):
         report = run_scenario(ScenarioConfig(
@@ -316,7 +318,7 @@ def test_churn_grid_loses_few_cross_transactions():
             adversary_interval=3, adversary_rejoin=True))
         assert report.tx_audit["duplicate_count"] == 0
         missing += report.tx_audit["missing_count"]
-    assert missing <= 9
+    assert missing <= 6
 
 
 def test_conservation_and_counters():
@@ -509,6 +511,33 @@ def test_shard_recovery_applies_each_event_once(monkeypatch):
     assert 0 < sum(m.ordered_tx_units.values()) <= m.injected_tx_units
 
 
+def test_shard_failure_loses_no_relayed_cross_transaction(monkeypatch):
+    # cross traffic through a shard failure, on the shard-failure scenario's
+    # shape, failing on ticks 58-65: each cross transaction that its origin
+    # committee ordered reaches its target, since the failed committee's
+    # unflushed queue is carried over and the global event its coordinator
+    # made just before failing, which no one received, is flushed again.
+    # The missing ones were in events the failed committee never ordered,
+    # lost with its intra-committee transactions (67 missing here when
+    # ingest ran per sync and relayed some of those before the failure)
+    ingests = record_ingests(monkeypatch)
+    missing = 0
+    for fail_at in range(58, 66):
+        for seed in (1, 2, 3):
+            ingests.clear()
+            report = run_scenario(dataclasses.replace(
+                shard_failure_cfg(), seed=seed, cross_ratio=0.2,
+                adversary_fail_at=fail_at))
+            relayed = {tx.tx_id for c, payloads in ingests
+                       for p in payloads for tx in p
+                       if tx.origin == c and tx.target != c}
+            lost = report.tx_audit["missing"]
+            assert len(lost) == report.tx_audit["missing_count"]
+            assert not relayed & set(lost)
+            missing += len(lost)
+    assert missing <= 49
+
+
 def churn_rejoin_cfg():
     # the churn-rejoin golden scenario
     return ScenarioConfig(n=32, s=4, seed=9, duration=120, tx_rate=16.0,
@@ -635,15 +664,28 @@ def test_config_validation_errors():
 
 
 def test_drain_window_covers_the_relay():
-    # the perfbench workloads keep their injection ticks; with cross
-    # traffic a short run drains for the 24 rounds of the relay's stages
+    # the perfbench workloads keep their injection ticks; without cross
+    # traffic the window is a quarter of the run and at least 8 ticks, with
+    # it at least the longest cross latency measured at the sync interval
     assert [scenario(name, 11).resolved_inject_until()
             for name in ("sharded-cross", "forks", "churn")] == [75, 75, 150]
     assert small_cfg(duration=40).resolved_inject_until() == 30
+    assert small_cfg(duration=20, sync_interval=3).resolved_inject_until() == 12
+    assert small_cfg(duration=60, cross_ratio=0.2).resolved_inject_until() == 36
+    assert small_cfg(duration=100, cross_ratio=0.2,
+                     sync_interval=2).resolved_inject_until() == 47
     assert small_cfg(duration=40, cross_ratio=0.2,
                      sync_interval=2).resolved_inject_until() == 1
-    assert small_cfg(duration=60, cross_ratio=0.2).resolved_inject_until() == 36
     assert small_cfg(inject_until=50).resolved_inject_until() == 30
+    # a window that leaves fewer than four gossip rounds of injection is
+    # reported, an explicit inject_until never
+    assert small_cfg(duration=60, cross_ratio=0.2).injection_warning() is None
+    assert "leaves injection 1 of 40 ticks" in small_cfg(
+        duration=40, cross_ratio=0.2, sync_interval=2).injection_warning()
+    assert small_cfg(duration=28, cross_ratio=0.2).injection_warning() is None
+    assert small_cfg(duration=27, cross_ratio=0.2).injection_warning()
+    assert small_cfg(duration=10).injection_warning()
+    assert small_cfg(duration=10, inject_until=1).injection_warning() is None
 
 
 def test_config_parse_and_overrides():
