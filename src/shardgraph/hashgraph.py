@@ -20,14 +20,17 @@ from __future__ import annotations
 import bisect
 import hashlib
 import struct
-from itertools import compress, groupby
+from collections.abc import Sequence
+from itertools import compress, groupby, islice
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .transactions import Transaction
 
 NodeId = int
-EventId = str
+# an event's raw 32-byte SHA-256 digest; bytes order is the lowercase-hex
+# order, and the program hex-encodes an id only where it leaves it
+EventId = bytes
 
 # Deterministic coin flips enter fame voting every COIN_PERIOD virtual-voting
 # rounds; they only matter under adversarial scheduling but guarantee
@@ -71,14 +74,15 @@ _TAIL = struct.Struct(">Iq").pack
 class Event(_EventFields):
     """An immutable tuple record of an event's five fields plus its
     ``digest`` and ``units``, both fixed at construction from those fields
-    in one pass over the payload.
+    in one pass over the payload.  A store keeps the fields as columns, not
+    the record (see Column layout).
 
-    The digest is the SHA-256 of the canonical serialization: fixed field
-    order, each field prefixed by its byte length (4 bytes, big-endian):
-    creator, self-parent and other-parent digests (empty for none), the
-    transaction count, each transaction id in UTF-8, created_at.  Integers
-    are 8-byte signed big-endian, counts 4-byte.  ``units`` is the payload
-    size, the sum of the transactions' size units.
+    The digest is the raw SHA-256 of the canonical serialization: fixed
+    field order, each field prefixed by its byte length (4 bytes,
+    big-endian): creator, self-parent and other-parent digests (empty for
+    none), the transaction count, each transaction id in UTF-8,
+    created_at.  Integers are 8-byte signed big-endian, counts 4-byte.
+    ``units`` is the payload size, the sum of the transactions' size units.
     """
 
     __slots__ = ()
@@ -91,8 +95,7 @@ class Event(_EventFields):
         payload: tuple[Transaction, ...],
         created_at: int,
     ) -> Event:
-        sp = bytes.fromhex(self_parent) if self_parent else b""
-        op = bytes.fromhex(other_parent) if other_parent else b""
+        sp, op = self_parent or b"", other_parent or b""
         a, b = len(sp), len(op)
         frame = _FRAMES.get((a, b)) or _frame(a, b)
         parts = [frame(8, creator, a, sp, b, op, 4, len(payload))]
@@ -104,7 +107,7 @@ class Event(_EventFields):
         parts.append(_TAIL(8, created_at))
         return tuple.__new__(cls, (
             creator, self_parent, other_parent, payload, created_at,
-            hashlib.sha256(b"".join(parts)).hexdigest(), units,
+            hashlib.sha256(b"".join(parts)).digest(), units,
         ))
 
     @classmethod
@@ -134,6 +137,68 @@ class OrderedEvent(NamedTuple):
     event_id: EventId
     round_received: int
     consensus_timestamp: int
+
+
+class Order(Sequence):
+    """Entries start to stop - 1 of a consensus order kept as three
+    columns: event id, round received and consensus timestamp.  The
+    columns only grow, so a range stays fixed once taken; an entry is built
+    as an ``OrderedEvent`` when read, and a slice is another range of the
+    same columns."""
+
+    __slots__ = ("ids", "rounds", "stamps", "start", "stop")
+
+    def __init__(self, ids: list[EventId], rounds: list[int],
+                 stamps: list[int], start: int = 0,
+                 stop: Optional[int] = None):
+        self.ids, self.rounds, self.stamps = ids, rounds, stamps
+        self.start = start
+        self.stop = len(ids) if stop is None else stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            a, b, step = i.indices(len(self))
+            if step != 1:
+                raise ValueError("an order slice is contiguous")
+            return Order(self.ids, self.rounds, self.stamps,
+                         self.start + a, self.start + max(a, b))
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("order index out of range")
+        i += self.start
+        return OrderedEvent(self.ids[i], self.rounds[i], self.stamps[i])
+
+    def __iter__(self) -> Iterator[OrderedEvent]:
+        a, b = self.start, self.stop
+        return map(OrderedEvent, islice(self.ids, a, b),
+                   islice(self.rounds, a, b), islice(self.stamps, a, b))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Order):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+class Records(Sequence):
+    """A store's events, in index order, each built as an ``_EventFields``
+    from the store's columns when read."""
+
+    __slots__ = ("store",)
+
+    def __init__(self, store: EventStore):
+        self.store = store
+
+    def __len__(self) -> int:
+        return len(self.store._ids)
+
+    def __getitem__(self, i: int) -> _EventFields:
+        if not 0 <= i < len(self):
+            raise IndexError("event index out of range")
+        return self.store._fields_of(i)
 
 
 class EventStore:
@@ -240,15 +305,24 @@ class EventStore:
       self-parent tree tip, each spanning the history below it.
       ``_ancestry`` rebuilds a freed mask read again (a fork on an old
       event) from the live masks below, and keeps nothing.
+    - Column layout: no per-event record outlives its insert.  An event's
+      id (its raw digest), creator, created_at, other-parent index (-1 for
+      none) and payload are appended to ``_ids``, ``_creator``,
+      ``_created_at``, ``_other_parent`` and ``_payload``, beside
+      ``_self_parent``; its units are its bits in the unit planes.  The
+      consensus order is three more columns, ``_order_ids``,
+      ``_order_rounds`` and ``_order_stamps``.  ``by_index`` and
+      ``consensus`` are views that build an ``_EventFields`` or an
+      ``OrderedEvent`` when read; the hot paths read the columns.
     - Payload lifetime: an event's transactions are read once, by the
       walk that applies its committee's newly ordered events, and by
-      nothing else.  ``take_payload`` hands them to that walk and swaps the
-      event's record for a header, an ``_EventFields`` with the same seven
-      fields and ``payload`` None, whose digest and units are the event's
-      own.  A header's payload means "applied": a store rebuilt from a
-      replica takes the headers with it, so the walk of the rebuilt store
-      skips them.  The global graph's events keep their payloads, which a
-      coordinator's view receives again when it is seated.
+      nothing else.  ``take_payload`` hands them to that walk and sets the
+      event's ``_payload`` slot to None.  A payload of None means
+      "applied": a store rebuilt from a replica replays the events with
+      their payloads as they stand, so the walk of the rebuilt store skips
+      those the old store applied.  The global graph's events keep their
+      payloads, which a coordinator's view receives again when it is
+      seated.
     - ``_sm`` is the supermajority of the population, kept by
       ``add_member`` and ``remove_member`` (0 while the population is empty,
       which makes a read raise), so neither insert nor a tally recounts it.
@@ -275,7 +349,12 @@ class EventStore:
         }
         self._update_supermajority()
         self.index: dict[EventId, int] = {}
-        self.by_index: list[_EventFields] = []  # Events, or headers
+        # the event columns (see Column layout)
+        self._ids: list[EventId] = []
+        self._creator: list[NodeId] = []
+        self._created_at: list[int] = []
+        self._other_parent: list[int] = []
+        self._payload: list[Optional[tuple[Transaction, ...]]] = []
         self._anc: list[int] = []            # ancestor bitmask, includes self
         self._seq: list[int] = []            # position along self-parent chain
         self._forked: list[int] = []         # creators with a fork visible
@@ -310,11 +389,35 @@ class EventStore:
         self._deciders: dict[int, list] = {}
         self._first_undecided_round = 1
         self._fame_polled = 0                # witnesses at the last poll
-        # total ordering
-        self.consensus: list[OrderedEvent] = []
+        # total ordering: the consensus order's columns
+        self._order_ids: list[EventId] = []
+        self._order_rounds: list[int] = []
+        self._order_stamps: list[int] = []
         self._emitted = 0                    # bitmask of ordered events
         self.finalized_round = 0
         self._late: dict[int, int] = {}      # round -> late witnesses
+
+    @property
+    def by_index(self) -> Records:
+        return Records(self)
+
+    @property
+    def consensus(self) -> Order:
+        """The consensus order as it stands: a fixed range of its columns,
+        which later appends leave as it is."""
+        return Order(self._order_ids, self._order_rounds, self._order_stamps)
+
+    def _fields_of(self, i: int) -> _EventFields:
+        """Event i's seven fields, from the columns."""
+        sp, op = self._self_parent[i], self._other_parent[i]
+        ids = self._ids
+        units = 0
+        for k, plane in enumerate(self._unit_planes):
+            units |= (plane >> i & 1) << k
+        return _EventFields(
+            self._creator[i], ids[sp] if sp >= 0 else None,
+            ids[op] if op >= 0 else None, self._payload[i],
+            self._created_at[i], ids[i], units)
 
     # -- membership ---------------------------------------------------------
 
@@ -352,8 +455,8 @@ class EventStore:
     # -- insertion ----------------------------------------------------------
 
     def add_event(self, event: Event) -> int:
-        creator, sp, op, _, _, digest, units = event
-        index, by_index = self.index, self.by_index
+        creator, sp, op, payload, created_at, digest, units = event
+        index, ids, creators = self.index, self._ids, self._creator
         idx = index.get(digest)
         if idx is not None:
             return idx
@@ -361,14 +464,14 @@ class EventStore:
         if sp is not None:
             spi = index.get(sp)
             if spi is None:
-                raise HashgraphError(f"dangling self_parent {sp[:12]}")
-            if by_index[spi].creator != creator:
+                raise HashgraphError(f"dangling self_parent {sp.hex()[:12]}")
+            if creators[spi] != creator:
                 raise HashgraphError("self_parent by a different creator")
         if op is not None:
             opi = index.get(op)
             if opi is None:
-                raise HashgraphError(f"dangling other_parent {op[:12]}")
-            if by_index[opi].creator == creator:
+                raise HashgraphError(f"dangling other_parent {op.hex()[:12]}")
+            if creators[opi] == creator:
                 raise HashgraphError("other_parent created by creator itself")
         if creator not in self._member_bit:
             raise HashgraphError(f"creator {creator} is not a member")
@@ -376,9 +479,13 @@ class EventStore:
         if not sm and (spi is not None or opi is not None):
             raise HashgraphError("no members to take a supermajority of")
 
-        idx = len(by_index)
+        idx = len(ids)
         index[digest] = idx
-        by_index.append(event)
+        ids.append(digest)
+        creators.append(creator)
+        self._created_at.append(created_at)
+        self._other_parent.append(-1 if opi is None else opi)
+        self._payload.append(payload)
         bit = 1 << idx
         cbit = 1 << self._member_bit[creator]
         own = self._cmask.get(creator, 0)
@@ -481,7 +588,7 @@ class EventStore:
             if r <= self.finalized_round:
                 self._late[r] = self._late.get(r, 0) | bit
             bisect.insort(self._by_digest.setdefault(r, []), idx,
-                          key=lambda i: by_index[i].digest)
+                          key=ids.__getitem__)
         if r > self.max_round:
             self.max_round = r
         reach.append((f, prev, cur))
@@ -489,12 +596,10 @@ class EventStore:
 
     def take_payload(self, i: int) -> Optional[tuple[Transaction, ...]]:
         """Event i's transactions, for the walk that applies it once it is
-        ordered, or None if they were taken before; its record becomes a
-        header (see Payload lifetime)."""
-        creator, sp, op, payload, created_at, digest, units = self.by_index[i]
-        if payload is not None:
-            self.by_index[i] = tuple.__new__(_EventFields, (
-                creator, sp, op, None, created_at, digest, units))
+        ordered, or None if they were taken before (see Payload
+        lifetime)."""
+        payload = self._payload[i]
+        self._payload[i] = None
         return payload
 
     def _merge(self, r: int, prev: int, cur: int, ro: int, pp: int,
@@ -549,14 +654,14 @@ class EventStore:
         """Event i and its ancestors reached from it through events that
         freed(p) holds for, each with its parents' indices (None for
         none)."""
-        index, events = self.index, self.by_index
+        self_parent, other_parent = self._self_parent, self._other_parent
         window: dict[int, tuple] = {}
         stack = [i]
         while stack:
             x = stack.pop()
-            ev = events[x]
-            window[x] = parents = (index.get(ev.self_parent),
-                                   index.get(ev.other_parent))
+            sp, op = self_parent[x], other_parent[x]
+            window[x] = parents = (sp if sp >= 0 else None,
+                                   op if op >= 0 else None)
             stack += [p for p in parents
                       if p is not None and p not in window and freed(p)]
         return window
@@ -581,7 +686,7 @@ class EventStore:
         rounds, so a freed ancestor of a lower round enters the merge as an
         empty reach; an event's round and witness flag are read, not
         retested, as its strong sight may need rounds below the window."""
-        reach, rounds, events = self._reach, self.round, self.by_index
+        reach, rounds, creators = self._reach, self.round, self._creator
         floor = rounds[i] - 1
         window = self._window(
             i, lambda p: reach[p] is _FREED and rounds[p] >= floor)
@@ -595,7 +700,7 @@ class EventStore:
         f = self._width
         for x in sorted(window):
             sp, op = window[x]
-            cbit = 1 << self._member_bit[events[x].creator]
+            cbit = 1 << self._member_bit[creators[x]]
             r, prev, cur = 1, 0, 0
             if sp is not None:
                 r = rounds[sp]
@@ -729,8 +834,7 @@ class EventStore:
                     # deterministic coin, the low bit of the voter's digest,
                     # where the tally is short of a supermajority
                     vote = (vote & decided
-                            | (int(self.by_index[v].digest[-1], 16) & 1)
-                            * (todo & ~decided))
+                            | (self._ids[v][-1] & 1) * (todo & ~decided))
                 covered[v] = covered.get(v, 0) | todo
                 votes[v] = votes.get(v, 0) | vote & todo
                 if decided and not coin:
@@ -761,7 +865,8 @@ class EventStore:
         starts at 2^B - (k + 1) for k = (len(famous) - 1) // 2 and
         B = k.bit_length(): an event carries out of the top plane at its
         (k + 1)-th smallest stamp, the lower median."""
-        anc, self_parent, events = self._anc, self._self_parent, self.by_index
+        anc, self_parent, created_at = (self._anc, self._self_parent,
+                                        self._created_at)
         segments = []
         for w in famous:
             y, hit = w, fresh
@@ -771,7 +876,7 @@ class EventStore:
                 # fresh, as 0 does
                 below = (anc[sp] >> lo) & fresh if sp >= 0 else 0
                 if hit != below:
-                    segments.append((events[y].created_at, hit ^ below))
+                    segments.append((created_at[y], hit ^ below))
                 y, hit = sp, below
         segments.sort(key=itemgetter(0))
         k = (len(famous) - 1) // 2
@@ -792,9 +897,11 @@ class EventStore:
                     median |= carry
                     pending ^= carry
             if median:
-                for dg in sorted(events[lo + b].digest
-                                 for b in _set_bits(median)):
-                    self.consensus.append(OrderedEvent(dg, r, ts))
+                ids = self._ids
+                batch = sorted(ids[lo + b] for b in _set_bits(median))
+                self._order_ids += batch
+                self._order_rounds += [r] * len(batch)
+                self._order_stamps += [ts] * len(batch)
                 if not pending:
                     return
 
@@ -858,8 +965,8 @@ class Transfer:
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def __iter__(self) -> Iterator[Event]:
-        return map(self.store.by_index.__getitem__, _set_bits(self.mask))
+    def __iter__(self) -> Iterator[_EventFields]:
+        return map(self.store._fields_of, _set_bits(self.mask))
 
     @property
     def units(self) -> int:
@@ -899,7 +1006,7 @@ class Hashgraph:
         seq, index = store._seq, store.index
         for i in _set_bits(mask & store._cmask.get(self.owner, 0)):
             if head is None or seq[index[head]] <= seq[i]:
-                head = store.by_index[i].digest
+                head = store._ids[i]
         return head
 
 
@@ -912,7 +1019,7 @@ def member_view(store: EventStore, owner: NodeId) -> Hashgraph:
     if own:
         last = own.bit_length() - 1
         view.known = store._anc[last]
-        view.head = store.by_index[last].digest
+        view.head = store._ids[last]
     return view
 
 
@@ -982,30 +1089,30 @@ def decided_length(graph: Hashgraph) -> int:
     round_received finds."""
     store = graph.store
     store.advance_consensus()
-    if graph.known.bit_count() == len(store.by_index):
-        return len(store.consensus)
-    limit = store.view_finalized_round(graph.known)
-    return bisect.bisect_right(store.consensus, limit,
-                               key=lambda oe: oe.round_received)
+    rounds = store._order_rounds
+    if graph.known.bit_count() == len(store._ids):
+        return len(rounds)
+    return bisect.bisect_right(rounds, store.view_finalized_round(graph.known))
 
 
-def consensus_order(graph: Hashgraph) -> list[OrderedEvent]:
+def consensus_order(graph: Hashgraph) -> Order:
     """The view's total order, a prefix of its store's."""
-    return graph.store.consensus[:decided_length(graph)]
+    length = decided_length(graph)
+    return graph.store.consensus[:length]
 
 
 def detect_forks(graph: Hashgraph) -> set[tuple[NodeId, EventId, EventId]]:
     """Every same-creator event pair the view knows where neither is the
     other's ancestor, from the evidence recorded at insert."""
     store, known = graph.store, graph.known
-    events = store.by_index
+    ids = store._ids
     forks: set[tuple[NodeId, EventId, EventId]] = set()
     for b, apart in store._apart.items():
         if known >> b & 1:
-            creator, db = events[b].creator, events[b].digest
+            creator, db = store._creator[b], ids[b]
             for a in apart:
                 if not known >> a & 1:
                     continue
-                da = events[a].digest
+                da = ids[a]
                 forks.add((creator,) + ((da, db) if da < db else (db, da)))
     return forks

@@ -16,7 +16,7 @@ from .hashgraph import (
     Event,
     EventStore,
     Hashgraph,
-    OrderedEvent,
+    Order,
     Transfer,
     decided_length,
 )
@@ -126,7 +126,7 @@ class ReplicaSnapshot:
     length: int      # of the checkpointed prefix of the store's order
 
     @property
-    def consensus(self) -> list[OrderedEvent]:
+    def consensus(self) -> Order:
         """The checkpointed order: a prefix of the events' store's order,
         which is append-only."""
         return self.events.store.consensus[:self.length]

@@ -42,6 +42,7 @@ from .config import ScenarioConfig
 from .hashgraph import (
     Event,
     Hashgraph,
+    Order,
     Transfer,
     consensus_order,
     create_event,
@@ -163,23 +164,29 @@ def _str_keys(value):
 # entries per sha256 update in order_summary: a chunk's text and its
 # per-entry strings stay near 14 KB
 _SUMMARY_CHUNK = 64
+# an event id's length: a chunk's joined ids are hex-split every 32 bytes
+_ID_BYTES = 32
 
 # the recovery_log keys whose values are consensus orders
 _RECOVERY_ORDER_KEYS = ("pre_failure_order", "checkpointed_order")
 
 
-def order_summary(order) -> dict:
+def order_summary(order: Order) -> dict:
     """What report.json holds of a consensus order: its length, the
     round_received of its last entry (None when empty) and the sha256 of its
     entries, each encoded as ``event_id,round_received,consensus_timestamp``
-    and a newline.  Event ids are hex digests and the other fields integers,
-    so no field holds a separator and the encoding is injective.  The order
-    is hashed a chunk of entries at a time, so its text is never held
-    whole."""
+    and a newline.  Event ids are raw 32-byte digests in memory and 64
+    lowercase hex digits here; the other fields are integers, so no field
+    holds a separator and the encoding is injective.  The order's columns
+    are hashed a chunk of entries at a time, each chunk's ids hex-encoded in
+    one call, so the order's text is never held whole."""
     h = hashlib.sha256()
-    for i in range(0, len(order), _SUMMARY_CHUNK):
-        chunk = order[i : i + _SUMMARY_CHUNK]
-        h.update("".join(["%s,%d,%d\n" % e for e in chunk]).encode())
+    ids, rounds, stamps = order.ids, order.rounds, order.stamps
+    for i in range(order.start, order.stop, _SUMMARY_CHUNK):
+        j = min(i + _SUMMARY_CHUNK, order.stop)
+        hexed = b"".join(ids[i:j]).hex(",", _ID_BYTES).split(",")
+        h.update("".join(map("%s,%d,%d\n".__mod__, zip(
+            hexed, rounds[i:j], stamps[i:j]))).encode())
     return {
         "length": len(order),
         "last_round_received": order[-1].round_received if order else None,
@@ -189,7 +196,7 @@ def order_summary(order) -> dict:
 
 def _full_view(store, owner=None) -> Hashgraph:
     g = Hashgraph(store, owner)
-    g.known = (1 << len(store.by_index)) - 1
+    g.known = (1 << len(store._ids)) - 1
     return g
 
 
@@ -198,15 +205,16 @@ class RunReport:
     config: dict
     metrics: MetricsReport
     comparison: list
-    # committee id -> [OrderedEvent, ...]; report.json holds each order's
-    # order_summary, the full lists stay in memory
+    # committee id -> its store's Order; report.json holds each order's
+    # order_summary
     consensus: dict
     order_lengths: dict        # node -> decided-prefix length of its view
-    forks: dict                # committee id -> sorted fork evidence
+    # committee id -> sorted fork evidence, (creator, hex id, hex id)
+    forks: dict
     reorg_log: list
     action_log: list
     # shard failures and recoveries; report.json holds the order_summary
-    # of each entry's pre_failure_order or checkpointed_order
+    # of each entry's pre_failure_order or checkpointed_order, each an Order
     recovery_log: list
     tx_audit: dict
     anomalies: list
@@ -442,14 +450,15 @@ class Simulation:
         for cid in sorted(self.state.local_stores):
             store = self.state.local_stores[cid]
             store.advance_consensus()
-            cons, take, index = store.consensus, store.take_payload, store.index
+            ids, stamps = store._order_ids, store._order_stamps
+            take, index = store.take_payload, store.index
             # the committee's key exists once any payload-kind transaction,
             # a zero-size marker included, has been ordered there
             keyed = cid in ordered_units
             units = ordered_units.get(cid, 0)
             payloads = []
-            for oe in cons[self.consensus_ptr.get(cid, 0):]:
-                payload = take(index[oe.event_id])
+            for k in range(self.consensus_ptr.get(cid, 0), len(ids)):
+                payload = take(index[ids[k]])
                 if not payload:
                     # empty, or applied in the store a recovery replaced
                     continue
@@ -465,23 +474,23 @@ class Simulation:
                             lat = t - inject_tick.get(tx_id, t)
                             latency[lat] = latency.get(lat, 0) + 1
                     elif kind == KIND_INTRA_REORG:
-                        self._on_intra_reorg(cid, tx, oe, t)
+                        self._on_intra_reorg(cid, tx, stamps[k], t)
                     elif kind == KIND_RESELECT:
-                        self._on_reselect(cid, tx, oe, t)
+                        self._on_reselect(cid, tx, stamps[k], t)
             if keyed:
                 ordered_units[cid] = units
-            self.consensus_ptr[cid] = len(cons)
+            self.consensus_ptr[cid] = len(ids)
             coordinator_ingest_local(self.state, self.table, cid, payloads)
         gstore = self.state.global_store
         gstore.advance_consensus()
-        for oe in gstore.consensus[self.global_ptr:]:
-            ev = gstore.by_index[gstore.index[oe.event_id]]
-            for tx in ev.payload:
+        ids, stamps = gstore._order_ids, gstore._order_stamps
+        for k in range(self.global_ptr, len(ids)):
+            for tx in gstore._payload[gstore.index[ids[k]]]:
                 if tx.kind == KIND_JOIN:
-                    self._apply_join(tx, oe.consensus_timestamp, t)
+                    self._apply_join(tx, stamps[k], t)
                 elif tx.kind == KIND_REORG:
-                    self._on_reorg_global(tx, oe.consensus_timestamp, t)
-        self.global_ptr = len(gstore.consensus)
+                    self._on_reorg_global(tx, stamps[k], t)
+        self.global_ptr = len(ids)
         self._maybe_checkpoint(t)
 
     def _maybe_checkpoint(self, t):
@@ -489,7 +498,8 @@ class Simulation:
             store = self.state.local_stores[0]
         else:
             store = self.state.global_store
-        finalized = store.consensus[-1].round_received if store.consensus else 0
+        rounds = store._order_rounds
+        finalized = rounds[-1] if rounds else 0
         if finalized < self.last_ckpt_round + self.cfg.checkpoint_period:
             return
         self.last_ckpt_round = finalized
@@ -559,7 +569,7 @@ class Simulation:
                 "at": t,
                 "action": "fail_shard",
                 "committee": cid,
-                "pre_failure_order": list(store.consensus),
+                "pre_failure_order": store.consensus,
             }
         )
 
@@ -582,7 +592,7 @@ class Simulation:
             self.views.pop(m, None)
             self.pending.pop(m, None)
         store = self.state.local_stores[cid]
-        tip = store.by_index[-1].digest if store.by_index else None
+        tip = store._ids[-1] if store._ids else None
         for node in replacements:
             g = _full_view(store, node)
             self.views[node] = g
@@ -694,7 +704,7 @@ class Simulation:
                 f"ireorg{cid}-{donor}-{t}", donor, KIND_INTRA_REORG,
                 (cid, donor)))
 
-    def _on_intra_reorg(self, ordered_cid, tx, oe, t):
+    def _on_intra_reorg(self, ordered_cid, tx, ts, t):
         depleted, donor = tx.data
         entry = self.reorg.get(depleted)
         if (
@@ -705,7 +715,7 @@ class Simulation:
             or donor in entry["donor_ts"]
         ):
             return
-        entry["donor_ts"][donor] = oe.consensus_timestamp
+        entry["donor_ts"][donor] = ts
         if len(entry["donor_ts"]) == len(entry["donors"]):
             self._apply_reorg_transfers(depleted, entry, t)
 
@@ -750,19 +760,19 @@ class Simulation:
             }
         )
 
-    def _on_reselect(self, ordered_cid, tx, oe, t):
+    def _on_reselect(self, ordered_cid, tx, ts, t):
         c = tx.data[0]
         if c != ordered_cid:
             return
         members = self.table.members(c)
         old = self.table.coordinators.get(c)
-        new = reselect_coordinator(self.state, self.table, c, oe.consensus_timestamp)
+        new = reselect_coordinator(self.state, self.table, c, ts)
         self.reorg_log.append(
             {
                 "purpose": "reselect",
                 "at": t,
                 "committee": c,
-                "consensus_timestamp": oe.consensus_timestamp,
+                "consensus_timestamp": ts,
                 "pool": members,
                 "chosen": new,
             }
@@ -794,8 +804,10 @@ class Simulation:
         for cid in sorted(self.state.local_stores):
             store = self.state.local_stores[cid]
             store.advance_consensus()
-            consensus[cid] = list(store.consensus)
-            forks[cid] = sorted(detect_forks(_full_view(store)))
+            consensus[cid] = store.consensus
+            forks[cid] = sorted(
+                (creator, a.hex(), b.hex())
+                for creator, a, b in detect_forks(_full_view(store)))
         order_lengths = {
             node: len(consensus_order(view))
             for node, view in sorted(self.views.items())

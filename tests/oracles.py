@@ -12,17 +12,20 @@ gossips the small DAGs the oracle tests run on.  insert and add_for grow a
 DAG on a view by hand, report_text serializes a report the way write_report
 does, check_supermajority checks a store's kept supermajority at every
 membership change, and reference_digest serializes an event's fields one
-``int.to_bytes`` at a time, as the digest was first defined.
+``int.to_bytes`` at a time, as the digest was first defined.  The oracles
+read a coin from an event id's last hex digit, and build the events they
+insert by hand from reference_digest, not with the engine's Event.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+from itertools import islice
+from typing import NamedTuple, Optional
 
 from shardgraph.hashgraph import (
     COIN_PERIOD,
-    Event,
     EventStore,
     Hashgraph,
     _set_bits,
@@ -39,10 +42,10 @@ from shardgraph.transactions import Transaction
 def reference_digest(creator, self_parent, other_parent, payload, created_at):
     """SHA-256 of the canonical serialization, hex: fixed field order, each
     field prefixed by its byte length (4 bytes, big-endian): creator,
-    self-parent and other-parent digests (empty for none), the transaction
-    count, each transaction id in UTF-8, created_at."""
-    sp = bytes.fromhex(self_parent) if self_parent else b""
-    op = bytes.fromhex(other_parent) if other_parent else b""
+    self-parent and other-parent digests (raw bytes, empty for none), the
+    transaction count, each transaction id in UTF-8, created_at.  The
+    engine's raw digests compare with it through ``.hex()``."""
+    sp, op = self_parent or b"", other_parent or b""
     parts = [
         (8).to_bytes(4, "big"), creator.to_bytes(8, "big", signed=True),
         len(sp).to_bytes(4, "big"), sp,
@@ -80,7 +83,7 @@ def check_supermajority(monkeypatch) -> list[int]:
 
 def round_robin_fixture(
     n: int = 4, events_per_node: int = 3
-) -> tuple[Hashgraph, list[Event]]:
+) -> tuple[Hashgraph, list]:
     """A deterministic n-node gossip schedule: a view that knows every
     event of the resulting store, and the events in creation order."""
     store = EventStore(range(n))
@@ -223,7 +226,7 @@ class BruteGraph:
                 tally = max(yes, no)
                 if diff % coin_period == 0:
                     if tally < sm(len(self.population)):
-                        result = bool(int(v[-1], 16) & 1)
+                        result = bool(int(v.hex()[-1], 16) & 1)
                 elif tally >= sm(len(self.population)) and w not in decided:
                     decided[w] = result
             votes[(v, w)] = result
@@ -320,12 +323,28 @@ def insert(graph, event):
     return event
 
 
+class Record(NamedTuple):
+    """An event's seven fields, in the order the store takes them."""
+    creator: int
+    self_parent: Optional[bytes]
+    other_parent: Optional[bytes]
+    payload: tuple
+    created_at: int
+    digest: bytes
+    units: int
+
+
 def add_for(graph, creator, other_parent=None, payload=(), now=0):
     """Add an event by any creator to graph, chained onto head_of(graph,
-    creator).  create_event only appends the view owner's events; tests
-    that grow a DAG for several creators on one view use this instead."""
-    return insert(graph, Event(creator, head_of(graph, creator),
-                               other_parent, tuple(payload), now))
+    creator), as a Record with its digest from reference_digest.
+    create_event only appends the view owner's events; tests that grow a
+    DAG for several creators on one view use this instead."""
+    self_parent, payload = head_of(graph, creator), tuple(payload)
+    digest = bytes.fromhex(reference_digest(
+        creator, self_parent, other_parent, payload, now))
+    return insert(graph, Record(creator, self_parent, other_parent, payload,
+                                now, digest,
+                                sum(tx.size_units for tx in payload)))
 
 
 def witness_flags(store):
@@ -345,7 +364,7 @@ def ancestry(store, masks=None):
     store, it extends that list to the store's events."""
     masks = [] if masks is None else masks
     index = store.index
-    for ev in store.by_index[len(masks):]:
+    for ev in islice(store.by_index, len(masks), None):
         mask = 1 << len(masks)
         for p in (ev.self_parent, ev.other_parent):
             if p is not None:
@@ -418,7 +437,8 @@ class ReferenceFame:
             tally = max(yes, no)
             if diff % COIN_PERIOD == 0:
                 if tally < sm(len(store.population)):
-                    result = bool(int(store.by_index[v].digest[-1], 16) & 1)
+                    result = bool(
+                        int(store.by_index[v].digest.hex()[-1], 16) & 1)
             elif tally >= sm(len(store.population)) and w not in self.fame:
                 self.fame[w] = result
                 self.decider[w] = v

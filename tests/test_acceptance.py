@@ -168,7 +168,7 @@ def test_criterion_6_oracle_equivalence():
         graph, events = round_robin_fixture(*size)
         assert len(events) <= 20
         store = graph.store
-        assert store.by_index == events
+        assert list(store.by_index) == events
         oracle = BruteGraph(graph.population, events)
         rounds, witness, _ = oracle.rounds()
         ok = ok and store.round == [rounds[e.digest] for e in events]

@@ -12,6 +12,7 @@ from shardgraph.config import ConfigError, ScenarioConfig
 from shardgraph.hashgraph import (
     Event,
     EventStore,
+    Order,
     OrderedEvent,
     _EventFields,
     consensus_order,
@@ -125,13 +126,26 @@ def test_failed_report_write_leaves_no_report(tmp_path):
     assert not (tmp_path / "report.json.tmp").exists()
 
 
+def order_of(entries):
+    """An Order over fresh columns that hold entries."""
+    return Order(*(list(col) for col in zip(*entries))) if entries else (
+        Order([], [], []))
+
+
 def test_order_summary_tells_orders_apart():
     # 600 entries span several hash chunks
-    order = [OrderedEvent(f"{i:064x}", i // 10, 1000 + i) for i in range(600)]
-    base = order_summary(order)
-    assert order_summary(list(order)) == base
+    order = [OrderedEvent(i.to_bytes(32, "big"), i // 10, 1000 + i)
+             for i in range(600)]
+    base = order_summary(order_of(order))
+    # each raw id is written as its 64 hex digits
+    text = "".join(f"{i:064x},{i // 10},{1000 + i}\n" for i in range(600))
+    assert base["sha256"] == hashlib.sha256(text.encode()).hexdigest()
+    # a range of longer columns that starts inside a chunk summarizes as
+    # its entries do
+    pad = [OrderedEvent(bytes(32), 0, 0)] * 5
+    assert order_summary(order_of(pad + order + pad)[5:605]) == base
     assert (base["length"], base["last_round_received"]) == (600, 59)
-    assert order_summary([]) == {
+    assert order_summary(order_of([])) == {
         "length": 0, "last_round_received": None,
         "sha256": hashlib.sha256(b"").hexdigest(),
     }
@@ -143,20 +157,22 @@ def test_order_summary_tells_orders_apart():
     swapped = list(order)
     swapped[255], swapped[256] = swapped[256], swapped[255]
     variants = [
-        with_entry(e._replace(event_id="f" + e.event_id[1:])),
+        with_entry(e._replace(event_id=b"\xff" + e.event_id[1:])),
         with_entry(e._replace(round_received=e.round_received + 1)),
         with_entry(e._replace(consensus_timestamp=e.consensus_timestamp + 1)),
         swapped,
         order[:-1],
     ]
-    digests = {order_summary(v)["sha256"] for v in variants}
+    digests = {order_summary(order_of(v))["sha256"] for v in variants}
     assert len(digests) == len(variants) and base["sha256"] not in digests
-    # a digit shifted across a field boundary
+    # a digit shifted across a field boundary; an id is always 64 digits
+    ab = b"\xab" * 32
     shifted = [
-        [OrderedEvent("ab1", 2, 30)], [OrderedEvent("ab", 12, 30)],
-        [OrderedEvent("ab", 1, 230)], [OrderedEvent("ab", 12, 3)],
+        [OrderedEvent(ab, 1, 230)], [OrderedEvent(ab, 12, 30)],
+        [OrderedEvent(ab, 123, 0)], [OrderedEvent(ab, 12, 3)],
     ]
-    assert len({order_summary(v)["sha256"] for v in shifted}) == len(shifted)
+    assert len({order_summary(order_of(v))["sha256"]
+                for v in shifted}) == len(shifted)
 
 
 def record_inserts(monkeypatch):
@@ -278,29 +294,30 @@ def test_ordered_units_match_a_walk_of_the_final_orders(cfg, monkeypatch):
 
 
 def test_poll_releases_the_payloads_it_applied(monkeypatch):
-    # after a sharded run every ordered local event is a header: its
+    # after a sharded run every ordered local event reads back with its
     # payload None, its other fields and digest the event's own; unordered
     # and global events keep their payloads
     inserted = record_inserts(monkeypatch)
     sim = Simulation(ScenarioConfig(n=32, s=4, seed=5, duration=60,
                                     tx_rate=32.0, cross_ratio=0.3))
     sim.run()
-    headers = kept = 0
+    applied = kept = 0
     for store in sim.state.local_stores.values():
         ordered = {store.index[oe.event_id] for oe in store.consensus}
         for i, rec in enumerate(store.by_index):
             ev = inserted[rec.digest]
+            assert type(rec) is _EventFields
             if i in ordered:
-                assert type(rec) is _EventFields and rec.payload is None
+                assert rec.payload is None
                 assert rec == (*ev[:3], None, *ev[4:])
                 assert Event(*rec[:3], ev.payload, rec.created_at).digest == (
                     rec.digest)
-                headers += 1
+                applied += 1
             else:
-                assert rec is ev and rec.payload is not None
+                assert rec == ev and rec.payload is not None
                 kept += 1
-    assert headers > 10 * kept > 0
-    assert all(rec is inserted[rec.digest] and rec.payload is not None
+    assert applied > 10 * kept > 0
+    assert all(rec == inserted[rec.digest] and rec.payload is not None
                for rec in sim.state.global_store.by_index)
 
 
@@ -505,7 +522,7 @@ def test_shard_recovery_applies_each_event_once(monkeypatch):
     # and every event either store ordered was applied
     failed = next(e for e in report.recovery_log
                   if e["action"] == "fail_shard")
-    ordered = failed["pre_failure_order"] + report.consensus[1]
+    ordered = [*failed["pre_failure_order"], *report.consensus[1]]
     assert {oe.event_id for oe in ordered} <= set(applied)
     m = report.metrics
     assert 0 < sum(m.ordered_tx_units.values()) <= m.injected_tx_units
