@@ -321,8 +321,9 @@ class EventStore:
       "applied": a store rebuilt from a replica replays the events with
       their payloads as they stand, so the walk of the rebuilt store skips
       those the old store applied.  The global graph's events keep their
-      payloads, which a coordinator's view receives again when it is
-      seated.
+      payloads: each coordinator's view reads them when it first receives
+      them, and the global walk reads their join and reorganization
+      transactions.
     - ``_sm`` is the supermajority of the population, kept by
       ``add_member`` and ``remove_member`` (0 while the population is empty,
       which makes a read raise), so neither insert nor a tally recounts it.

@@ -93,13 +93,13 @@ def partition_nodes(
 
 @dataclass
 class CacheQueue:
-    """A coordinator's FIFO buffers for cross-shard transactions."""
+    """A committee's FIFO buffers for cross-shard transactions, held by
+    whoever holds its seat in the global committee.  The seat's global view
+    receives each global event once, so each transaction is filed into
+    ``inbound`` once."""
 
     outbound: list[Transaction] = field(default_factory=list)
     inbound: list[Transaction] = field(default_factory=list)
-    # a coordinator's global view may receive a global event more than
-    # once: a newly seated coordinator's empty view receives every old one
-    seen_in: set[str] = field(default_factory=set)
 
 
 class ShardState:
@@ -191,14 +191,16 @@ def coordinator_receive_global(
     if global_event.digest not in state.global_store.index:
         raise ShardingError("event not present in the global graph")
     queue = state.queues[receiver_committee]
-    for tx in global_event.payload:
-        if tx.kind != KIND_PAYLOAD or not tx.is_cross:
-            continue
-        if tx.target != receiver_committee or tx.tx_id in queue.seen_in:
-            continue
-        queue.seen_in.add(tx.tx_id)
-        queue.inbound.append(tx)
+    queue.inbound += _delivered_to(receiver_committee, global_event.payload)
     return queue
+
+
+def _delivered_to(
+    committee: CommitteeId, txs: Iterable[Transaction]
+) -> list[Transaction]:
+    """The cross-shard transactions among txs that target committee."""
+    return [tx for tx in txs if tx.target == committee
+            and tx.origin != committee and tx.kind == KIND_PAYLOAD]
 
 
 # -- replication and recovery ----------------------------------------------
@@ -267,10 +269,14 @@ def recover_failed_shard(
     for node in replacements:
         table.assignment[node] = failed
     table.coordinators[failed] = replacements[0]
-    # the new coordinator relays what the committee ordered and had not yet
-    # flushed: the replica replays those events as applied headers, so no
-    # later poll queues their transactions again
-    state.queues[failed] = CacheQueue(outbound=state.queues[failed].outbound)
+    # the new coordinator takes over the committee's queues.  The cross
+    # transactions delivered in events the replica lacks, and not applied,
+    # die with those events, so they go back to the front of inbound, in
+    # index order
+    source, held = replica.events.store, replica.events.mask
+    lost = Transfer(source, (1 << len(source.by_index)) - 1 & ~held)
+    state.queues[failed].inbound[:0] = _delivered_to(
+        failed, (tx for ev in lost for tx in ev.payload or ()))
     state.global_store.remove_member(old_coordinator)
     state.global_store.add_member(replacements[0])
     table.epoch += 1

@@ -43,7 +43,6 @@ from .hashgraph import (
     Event,
     Hashgraph,
     Order,
-    Transfer,
     consensus_order,
     create_event,
     detect_forks,
@@ -307,23 +306,14 @@ class Simulation:
         )
 
     def _seat_coordinator(self, new, old=None) -> None:
-        """Give a committee's new coordinator an empty view of the global
-        graph in place of its predecessor's.  The global events that no
-        other view has received die with the predecessor's view, so their
-        transactions go back to the front of their origins' outbound
-        queues, in the order they were flushed."""
-        gview = self.gviews.pop(old, None)
-        if gview is not None:
-            seen = 0
-            for view in self.gviews.values():
-                seen |= view.known
-            requeue: dict[int, list] = {}
-            for ev in Transfer(self.state.global_store, gview.known & ~seen):
-                for tx in ev.payload:
-                    requeue.setdefault(tx.origin, []).append(tx)
-            for cid, txs in requeue.items():
-                self.state.queues[cid].outbound[:0] = txs
-        self.gviews[new] = Hashgraph(self.state.global_store, new)
+        """Seat a committee's new coordinator in the global committee.  The
+        global view is part of the seat: the new coordinator takes over its
+        predecessor's, headed by its own furthest event there, so no global
+        event is received twice by a seat or dies with a dropped view."""
+        gview = Hashgraph(self.state.global_store, new)
+        gview.known = self.gviews.pop(old).known if old is not None else 0
+        gview.head = gview._head_after(gview.known)
+        self.gviews[new] = gview
         self.ever_coordinators.add(new)
 
     # -- run loop ------------------------------------------------------------
@@ -436,12 +426,12 @@ class Simulation:
     def _global_sync(self, sender, receiver, t):
         rcid = self.table.committee_of(receiver)
         batch = flush_outbound(self.state, rcid, self.cfg.batch_limit)
-        transferred, new_ev = self._push(
+        transferred, _ = self._push(
             self.gviews[sender], self.gviews[receiver], t, batch
         )
+        # the receiver's own new event holds only its committee's outbound
         for ev in transferred:
             coordinator_receive_global(self.state, self.table, rcid, ev)
-        coordinator_receive_global(self.state, self.table, rcid, new_ev)
 
     def _poll(self, t):
         ordered_units = self.metrics.ordered_tx_units

@@ -30,10 +30,6 @@ class Transaction(NamedTuple):
     kind: str = KIND_PAYLOAD
     data: tuple = ()
 
-    @property
-    def is_cross(self) -> bool:
-        return self.origin != self.target
-
 
 def control_tx(tx_id: str, committee: int, kind: str = KIND_PAYLOAD,
                data: tuple = ()) -> Transaction:

@@ -1,5 +1,6 @@
 import pytest
 
+import shardgraph.cli
 from shardgraph.cli import main
 
 
@@ -151,6 +152,30 @@ def test_sweep_keeps_runs_exactly_once_check(tmp_path, capsys):
     assert "cross_ratio=0:" not in err
     combined = (tmp_path / "sweep" / "combined.csv").read_text().splitlines()
     assert {line.split(",")[1] for line in combined[1:]} == {"0", "0.6"}
+
+
+@pytest.mark.parametrize("kind,count,code", [
+    ("churn", "missing_count", 0), ("churn", "duplicate_count", 4),
+    ("shard_failure", "missing_count", 0),
+    ("shard_failure", "duplicate_count", 4),
+])
+def test_run_fails_a_duplicate_under_every_adversary(
+        tmp_path, capsys, monkeypatch, kind, count, code):
+    # churn and shard failure may lose transactions in events that are
+    # never ordered, but no adversary excuses one ordered twice
+    run = shardgraph.cli.run_scenario
+
+    def audited(config):
+        report = run(config)
+        report.tx_audit[count] += 1
+        return report
+
+    monkeypatch.setattr(shardgraph.cli, "run_scenario", audited)
+    assert run_cli("run", "--out", str(tmp_path), "--set", "n=8",
+                   "--set", "s=2", "--set", "duration=40",
+                   "--set", f"adversary.kind={kind}") == code
+    violated = "exactly-once violated for 1 transactions"
+    assert (violated in capsys.readouterr().err) == bool(code)
 
 
 def test_sweep_rejects_a_bad_point_before_running_any(tmp_path, capsys):

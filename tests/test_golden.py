@@ -39,7 +39,7 @@ GOLDEN = {
         ScenarioConfig(n=32, s=4, seed=9, duration=120, tx_rate=16.0,
                        cross_ratio=0.2, adversary_kind="churn",
                        adversary_interval=3, adversary_rejoin=True),
-        "0708b602f49de70c049cedb50b64e5d0d70013df89b7eb46c6e9db10a730c967",
+        "83ff708fc4e875fe60ba3319a2b74269f3b5e1a1ef67c6edc95297bdae8ddfb0",
     ),
     "churn-literal-trigger": (
         ScenarioConfig(n=24, s=4, seed=4, duration=150, tx_rate=8.0,
@@ -73,17 +73,15 @@ GOLDEN = {
     ),
     # the shard-failure scenario with cross traffic: replica replay reads
     # every record of the failed store, applied ones included.  It injects
-    # 172 cross transactions, of which 45 are delivered twice and 6 never.
-    # The duplicates come from the recovered committee's empty seen_in and
-    # its new coordinator's empty global view, which receives every old
-    # global event again (a FOUND in CHANGES.md): this digest pins that
-    # fault and must be regenerated once it is fixed.
+    # 172 cross transactions and delivers none twice: the recovered
+    # committee keeps its queues and its coordinator's global view.  The 6
+    # never delivered were in events the failed committee never ordered.
     "shard-failure-cross": (
         ScenarioConfig(n=20, s=2, seed=6, duration=120, tx_rate=10.0,
                        cross_ratio=0.2, checkpoint_period=2,
                        adversary_kind="shard_failure", adversary_committee=1,
                        adversary_fail_at=60, adversary_recover_delay=15),
-        "1772330d5fe550685c50c3006f6927fc2cb7d4c454af326b16d064bba3a3f8c2",
+        "ee02f3bda6102cdeb63c865c49b6fe7c103cf4fa34bf924bbf57fb40466fa020",
     ),
 }
 
@@ -157,7 +155,7 @@ def test_report_summarizes_the_in_memory_orders(golden):
     if name == "shard-failure-cross":
         audit = report.tx_audit
         assert (audit["injected_cross"], audit["duplicate_count"],
-                audit["missing_count"]) == (172, 45, 6)
+                audit["missing_count"]) == (172, 0, 6)
     if name == "sharded-cross":
         # 197 KB while the file held every committee's full order
         assert len(written) < 16_000

@@ -323,10 +323,11 @@ def test_poll_releases_the_payloads_it_applied(monkeypatch):
 
 def test_churn_grid_loses_few_cross_transactions():
     # a coordinator change loses nothing: the poll relays what its
-    # committee ordered, and an unseated coordinator's global events that
-    # no other view received go back to the outbound queue; the losses left
-    # are the last event of a member that leaves or moves, which no one
-    # gossips on (19 missing at seeds 1-4 when ingest ran per sync)
+    # committee ordered, and the global view, with the global events no
+    # other view has received yet, passes to the next coordinator; the
+    # losses left are the last event of a member that leaves or moves,
+    # which no one gossips on (19 missing at seeds 1-4 when ingest ran per
+    # sync)
     missing = 0
     for seed in range(1, 5):
         report = run_scenario(ScenarioConfig(
@@ -531,12 +532,13 @@ def test_shard_recovery_applies_each_event_once(monkeypatch):
 def test_shard_failure_loses_no_relayed_cross_transaction(monkeypatch):
     # cross traffic through a shard failure, on the shard-failure scenario's
     # shape, failing on ticks 58-65: each cross transaction that its origin
-    # committee ordered reaches its target, since the failed committee's
-    # unflushed queue is carried over and the global event its coordinator
-    # made just before failing, which no one received, is flushed again.
-    # The missing ones were in events the failed committee never ordered,
-    # lost with its intra-committee transactions (67 missing here when
-    # ingest ran per sync and relayed some of those before the failure)
+    # committee ordered reaches its target once, since the failed
+    # committee's queues and its coordinator's global view pass to the
+    # recovered committee's coordinator.  The missing ones were in events
+    # the failed committee never ordered, lost with its intra-committee
+    # transactions (67 missing here when ingest ran per sync and relayed
+    # some of those before the failure; 1320 duplicated when the new
+    # coordinator's empty global view received every old event again)
     ingests = record_ingests(monkeypatch)
     missing = 0
     for fail_at in range(58, 66):
@@ -551,6 +553,7 @@ def test_shard_failure_loses_no_relayed_cross_transaction(monkeypatch):
             lost = report.tx_audit["missing"]
             assert len(lost) == report.tx_audit["missing_count"]
             assert not relayed & set(lost)
+            assert report.tx_audit["duplicate_count"] == 0
             missing += len(lost)
     assert missing <= 49
 
@@ -589,6 +592,30 @@ def test_member_moved_back_resumes_its_chain():
     assert own[-1].created_at > 113
     assert not any(report.forks.values())
     assert not any(st._forkers for st in sim.state.local_stores.values())
+
+
+@pytest.mark.parametrize("cfg", [
+    scenario("churn", 11), scenario("churn", 12), churn_rejoin_cfg(),
+], ids=["churn-11", "churn-12", "churn-rejoin"])
+def test_a_seat_receives_each_global_event_once(cfg, monkeypatch):
+    # a committee's global view passes from coordinator to coordinator, so
+    # its seat receives no global event twice, and the next holder chains
+    # onto its own last event there, so no honest coordinator forks the
+    # global graph (at seed 12 node 5's event died with a dropped view and
+    # its next one, when it was seated again, forked)
+    receipts = []
+    receive = shardgraph.simulation.coordinator_receive_global
+
+    def recorded(state, table, committee, event):
+        receipts.append((committee, event.digest))
+        return receive(state, table, committee, event)
+
+    monkeypatch.setattr(shardgraph.simulation, "coordinator_receive_global",
+                        recorded)
+    sim = Simulation(cfg)
+    sim.run()
+    assert len(receipts) == len(set(receipts)) > 0
+    assert not sim.state.global_store._forkers
 
 
 def test_churn_reorg_deferred_when_no_donors():
