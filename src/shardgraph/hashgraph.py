@@ -117,8 +117,8 @@ class Event(_EventFields):
         return cls(*tuple(fields)[:5])
 
 
-# a freed packed witness reach: width 0 is no store's
-_FREED = (0, 0, 0)
+# a freed packed witness reach; a live one, (prev, cur), is never falsy
+_FREED = ()
 
 _FLAG = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -280,17 +280,18 @@ class EventStore:
       count, forked creators and witnesses masked out, is a SWAR popcount,
       so strong sight is a few big-int operations.  F is a power of two, at
       least 8 and at least the member bits; when ``add_member`` outgrows it
-      F doubles, and a stored reach is re-laid when it is next read.
+      F doubles and re-lays every live reach at once, with the vote state,
+      so a stored reach is always at the store's width.
     - Reach lifetime: a reach is read by a child's insert and by the
       event's own first vote as a witness (``_strongly_seen_prev``), and by
       nothing else.  Once an event is ordered and has a self-child, neither
       read comes again but a fork's insert on it: its round is finalized,
       so it votes no more.  ``advance_consensus`` therefore frees the reach
       of each newly ordered event's self-parent, replacing it with the
-      shared width-0 entry ``_FREED``.  Live reaches are the unordered
+      shared falsy entry ``_FREED``.  Live reaches are the unordered
       events plus, per creator, its last ordered event (one per fork tip
       for a forker), not the history.  A freed reach read again is rebuilt
-      by ``_reach_of``: a walk over the freed ancestors in its round and
+      by ``_rebuild``: a walk over the freed ancestors in its round and
       the one below, about two rounds of events, merged by the
       insert's ``_merge``.  The rebuilt entry is not kept.
     - Ancestry lifetime: ``_anc[x]`` is read by a child's insert, by
@@ -372,8 +373,8 @@ class EventStore:
         self._witness_count = 0
         self._by_digest: dict[int, list[int]] = {}
         self.max_round = 0
-        # packed witness reach: (width, round - 1 reach, round reach)
-        self._reach: list[tuple[int, int, int]] = []
+        # packed witness reach: (round - 1 reach, round reach)
+        self._reach: list[tuple[int, int]] = []
         self._wcreators: dict[int, int] = {}  # round -> packed witness creators
         self._width = 8
         while self._width < len(self._member_bit):
@@ -435,6 +436,8 @@ class EventStore:
             old, self._width = self._width, 2 * self._width
             self._wcreators = {r: self._relay(v, old)
                                for r, v in self._wcreators.items()}
+            self._reach = [x and (self._relay(x[0], old),
+                                  self._relay(x[1], old)) for x in self._reach]
             for state in (self._votes, self._covered):
                 for r, vectors in state.items():
                     state[r] = {v: self._relay(x, old)
@@ -538,15 +541,10 @@ class EventStore:
         r, prev, cur = 1, 0, 0
         if spi is not None:
             r = rounds[spi]
-            w, prev, cur = reach[spi]
-            if w != f:
-                prev, cur = self._reach_of(spi)
+            prev, cur = reach[spi] or self._rebuild(spi)
         if opi is not None:
-            w, pp, pc = reach[opi]
-            if w != f:
-                pp, pc = self._reach_of(opi)
-            r, prev, cur = self._merge(r, prev, cur, rounds[opi], pp, pc,
-                                       cbit)
+            pp, pc = reach[opi] or self._rebuild(opi)
+            r, prev, cur = self._merge(r, prev, cur, rounds[opi], pp, pc, cbit)
         low, nh, f1 = self._low, self._nh, f - 1
         # an empty reach (a genesis event's) sees nothing, and sm fields of
         # sm bits need sm * sm bits
@@ -592,7 +590,7 @@ class EventStore:
                           key=ids.__getitem__)
         if r > self.max_round:
             self.max_round = r
-        reach.append((f, prev, cur))
+        reach.append((prev, cur))
         return idx
 
     def take_payload(self, i: int) -> Optional[tuple[Transaction, ...]]:
@@ -641,15 +639,9 @@ class EventStore:
             raw[i:i + fb] + pad for i in range(0, len(raw), fb)), "little")
 
     def _reach_of(self, i: int) -> tuple[int, int]:
-        """Event i's (round - 1, round) reach at the store's width; a freed
-        one is rebuilt, and stays freed."""
-        f, prev, cur = self._reach[i]
-        if not f:
-            return self._rebuild(i)
-        if f != self._width:
-            prev, cur = self._relay(prev, f), self._relay(cur, f)
-            self._reach[i] = (self._width, prev, cur)
-        return prev, cur
+        """Event i's (round - 1, round) reach; a freed one is rebuilt, and
+        stays freed."""
+        return self._reach[i] or self._rebuild(i)
 
     def _window(self, i: int, freed) -> dict[int, tuple]:
         """Event i and its ancestors reached from it through events that
@@ -690,13 +682,13 @@ class EventStore:
         reach, rounds, creators = self._reach, self.round, self._creator
         floor = rounds[i] - 1
         window = self._window(
-            i, lambda p: reach[p] is _FREED and rounds[p] >= floor)
+            i, lambda p: not reach[p] and rounds[p] >= floor)
         built: dict[int, tuple[int, int]] = {}
 
         def read(p: int) -> tuple[int, int]:
             if p in built:
                 return built[p]
-            return (0, 0) if reach[p] is _FREED else self._reach_of(p)
+            return reach[p] or (0, 0)
 
         f = self._width
         for x in sorted(window):

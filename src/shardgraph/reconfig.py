@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .sharding import CommitteeTable, ShardState
+from .sharding import CommitteeTable, ShardState, seat_coordinator
 
 NodeId = int
 CommitteeId = int
@@ -157,13 +157,8 @@ def reselect_coordinator(
     committee: CommitteeId,
     consensus_timestamp: int,
 ) -> NodeId:
-    members = table.members(committee)
-    new = choose_coordinator(consensus_timestamp, members)
-    old = table.coordinators[committee]
-    table.coordinators[committee] = new
-    if old != new:
-        state.global_store.remove_member(old)
-        state.global_store.add_member(new)
+    new = choose_coordinator(consensus_timestamp, table.members(committee))
+    seat_coordinator(state, table, committee, new)
     return new
 
 

@@ -94,16 +94,19 @@ def partition_nodes(
 @dataclass
 class CacheQueue:
     """A committee's FIFO buffers for cross-shard transactions, held by
-    whoever holds its seat in the global committee.  The seat's global view
-    receives each global event once, so each transaction is filed into
-    ``inbound`` once."""
+    whoever holds its seat in the global committee.  They stay with the
+    seat, as its global view does, so each global event is received once
+    and each transaction is filed into ``inbound`` once."""
 
     outbound: list[Transaction] = field(default_factory=list)
     inbound: list[Transaction] = field(default_factory=list)
 
 
 class ShardState:
-    """Graphs, queues and replicas of one sharded deployment."""
+    """Graphs, seats, queues and replicas of one sharded deployment.  A
+    committee's seat in the global committee is its queues and its view of
+    the global graph, ``seats[c]``, owned by the committee's coordinator;
+    ``seat_coordinator`` hands both to a new coordinator."""
 
     def __init__(self, table: CommitteeTable):
         self.local_stores: dict[CommitteeId, EventStore] = {
@@ -113,6 +116,10 @@ class ShardState:
         self.global_store = EventStore(table.global_committee())
         self.queues: dict[CommitteeId, CacheQueue] = {
             cid: CacheQueue() for cid in table.coordinators
+        }
+        self.seats: dict[CommitteeId, Hashgraph] = {
+            cid: Hashgraph(self.global_store, coord)
+            for cid, coord in table.coordinators.items()
         }
         # each committee's latest checkpoint; every global-committee member
         # other than the committee's coordinator holds it
@@ -130,6 +137,28 @@ class ReplicaSnapshot:
         """The checkpointed order: a prefix of the events' store's order,
         which is append-only."""
         return self.events.store.consensus[:self.length]
+
+
+def seat_coordinator(
+    state: ShardState,
+    table: CommitteeTable,
+    committee: CommitteeId,
+    new: NodeId,
+) -> None:
+    """Seat ``new`` as the committee's coordinator: it takes the outgoing
+    one's place in the global graph's membership and the seat's global
+    view, headed by its own furthest event there, so a seat receives each
+    global event once and none dies with a dropped view.  Seating the
+    current coordinator changes nothing."""
+    old = table.coordinators[committee]
+    if new == old:
+        return
+    table.coordinators[committee] = new
+    state.global_store.remove_member(old)
+    state.global_store.add_member(new)
+    seat = state.seats[committee]
+    seat.owner, seat.head = new, None
+    seat.head = seat._head_after(seat.known)
 
 
 # -- pipeline steps ---------------------------------------------------------
@@ -263,12 +292,11 @@ def recover_failed_shard(
         store.add_member(node)
     state.local_stores[failed] = store
 
-    old_coordinator = table.coordinators[failed]
     for node in table.members(failed):
         del table.assignment[node]
     for node in replacements:
         table.assignment[node] = failed
-    table.coordinators[failed] = replacements[0]
+    seat_coordinator(state, table, failed, replacements[0])
     # the new coordinator takes over the committee's queues.  The cross
     # transactions delivered in events the replica lacks, and not applied,
     # die with those events, so they go back to the front of inbound, in
@@ -277,7 +305,5 @@ def recover_failed_shard(
     lost = Transfer(source, (1 << len(source.by_index)) - 1 & ~held)
     state.queues[failed].inbound[:0] = _delivered_to(
         failed, (tx for ev in lost for tx in ev.payload or ()))
-    state.global_store.remove_member(old_coordinator)
-    state.global_store.add_member(replacements[0])
     table.epoch += 1
     return replica

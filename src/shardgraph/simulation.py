@@ -257,10 +257,7 @@ class Simulation:
         self.views: dict[int, Hashgraph] = {
             node: self._local_view(node) for node in sorted(self.table.assignment)
         }
-        self.gviews: dict[int, Hashgraph] = {}
-        self.ever_coordinators: set[int] = set()
-        for cid in sorted(self.table.coordinators):
-            self._seat_coordinator(self.table.coordinators[cid])
+        self.ever_coordinators = set(self.table.coordinators.values())
         self.pending: dict[int, list[Transaction]] = {
             node: [] for node in sorted(self.table.assignment)
         }
@@ -304,17 +301,6 @@ class Simulation:
         return member_view(
             self.state.local_stores[self.table.committee_of(node)], node
         )
-
-    def _seat_coordinator(self, new, old=None) -> None:
-        """Seat a committee's new coordinator in the global committee.  The
-        global view is part of the seat: the new coordinator takes over its
-        predecessor's, headed by its own furthest event there, so no global
-        event is received twice by a seat or dies with a dropped view."""
-        gview = Hashgraph(self.state.global_store, new)
-        gview.known = self.gviews.pop(old).known if old is not None else 0
-        gview.head = gview._head_after(gview.known)
-        self.gviews[new] = gview
-        self.ever_coordinators.add(new)
 
     # -- run loop ------------------------------------------------------------
 
@@ -424,10 +410,11 @@ class Simulation:
             self.metrics.empty_events += 1
 
     def _global_sync(self, sender, receiver, t):
-        rcid = self.table.committee_of(receiver)
+        seats, committee_of = self.state.seats, self.table.committee_of
+        rcid = committee_of(receiver)
         batch = flush_outbound(self.state, rcid, self.cfg.batch_limit)
         transferred, _ = self._push(
-            self.gviews[sender], self.gviews[receiver], t, batch
+            seats[committee_of(sender)], seats[rcid], t, batch
         )
         # the receiver's own new event holds only its committee's outbound
         for ev in transferred:
@@ -565,7 +552,6 @@ class Simulation:
 
     def _recover_shard(self, t, cid):
         old_members = self.table.members(cid)
-        old_coord = self.table.coordinators[cid]
         replacements = list(
             range(self.next_node_id, self.next_node_id + len(old_members))
         )
@@ -591,7 +577,7 @@ class Simulation:
                 # anchor the new member's chain to the recovered graph so
                 # rounds keep advancing past the replayed history
                 create_event(g, tip, (), t)
-        self._seat_coordinator(self.table.coordinators[cid], old_coord)
+        self.ever_coordinators.add(self.table.coordinators[cid])
         # the walk starts over on the recovered store's order; the events
         # the old store applied were replayed as headers, and are skipped
         self.consensus_ptr[cid] = 0
@@ -755,8 +741,8 @@ class Simulation:
         if c != ordered_cid:
             return
         members = self.table.members(c)
-        old = self.table.coordinators.get(c)
         new = reselect_coordinator(self.state, self.table, c, ts)
+        self.ever_coordinators.add(new)
         self.reorg_log.append(
             {
                 "purpose": "reselect",
@@ -767,8 +753,6 @@ class Simulation:
                 "chosen": new,
             }
         )
-        if new != old:
-            self._seat_coordinator(new, old)
         for entry_cid, entry in list(self.reorg.items()):
             pend = entry.get("pending_reselect")
             if pend is not None and c in pend:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-from itertools import islice
 from typing import NamedTuple, Optional
 
 from shardgraph.hashgraph import (
@@ -363,9 +362,10 @@ def ancestry(store, masks=None):
     mask is built first.  Given masks, an earlier result for the same
     store, it extends that list to the store's events."""
     masks = [] if masks is None else masks
-    index = store.index
-    for ev in islice(store.by_index, len(masks), None):
-        mask = 1 << len(masks)
+    index, records = store.index, store.by_index
+    for i in range(len(masks), len(records)):
+        ev = records[i]
+        mask = 1 << i
         for p in (ev.self_parent, ev.other_parent):
             if p is not None:
                 mask |= masks[index[p]]

@@ -199,7 +199,7 @@ def test_bench_reach_rebuild(benchmark):
     built, _ = gossip_dag(3, steps=900, n=16)
     store = filled_store(built.population, built.by_index)
     store.advance_consensus()
-    freed = [i for i, (width, _, _) in enumerate(store._reach) if not width]
+    freed = [i for i, entry in enumerate(store._reach) if not entry]
 
     def rebuild():
         return [store._reach_of(i) for i in freed]

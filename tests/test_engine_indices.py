@@ -291,7 +291,7 @@ def test_strong_sight_survives_widening(n, steps, width):
 def test_strong_sight_after_midway_joins_matches_brute_force(n, steps,
                                                              pairs_found):
     # three members join halfway, past the field width: reaches stored
-    # before are re-laid when read.  Brute strong sight ignores forks, so
+    # before are re-laid then.  Brute strong sight ignores forks, so
     # the schedule has none.
     store, _ = gossip_dag(3, steps=steps, fork_p=0, n=n, joins=3)
     assert store._width > n + 1 and not store._forkers
@@ -1069,7 +1069,8 @@ def test_store_bytes_per_event_stay_at_the_column_layout():
     # module: the event columns, digests, index, masks, reaches, fame and
     # order state.  With one record per event (a hex id, an _EventFields
     # header once applied and an OrderedEvent once ordered) it was 437 B;
-    # the columns keep 352 B.  A no-regression bound: never widen it.
+    # the columns kept 352 B, and reaches without a width tag keep 348.1 B.
+    # A no-regression bound: never widen it.
     cfg = ScenarioConfig(n=16, s=1, seed=1, duration=100, tx_rate=48.0)
     tracemalloc.start()
     try:
@@ -1084,4 +1085,4 @@ def test_store_bytes_per_event_stay_at_the_column_layout():
     stores = [*sim.state.local_stores.values(), sim.state.global_store]
     events = sum(len(st.by_index) for st in stores)
     assert events == 1600
-    assert kept / events <= 352
+    assert kept / events <= 348.1

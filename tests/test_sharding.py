@@ -20,6 +20,7 @@ from shardgraph.sharding import (
     recover_failed_shard,
     replica_holder_count,
     replicate_checkpoint,
+    seat_coordinator,
 )
 from shardgraph.transactions import Transaction
 
@@ -241,6 +242,38 @@ def test_replicate_single_committee_builds_no_snapshot(monkeypatch):
     replicate_checkpoint(state, table, 0, full_view(state.local_stores[0]))
     assert state.replicas == {}
     assert replica_holder_count(state, table, 0) == 4
+
+
+# -- coordinator seats -----------------------------------------------------
+
+
+def test_seat_coordinator_hands_over_the_global_view(small_state):
+    state, table = small_state
+    old = table.coordinators[0]
+    new = next(m for m in table.members(0) if m != old)
+    gstore = state.global_store
+    create_event(state.seats[0], None, (), 0)
+    create_event(state.seats[1], None, (), 0)
+    gossip_sync(state.seats[0], state.seats[1], 1)
+    _, last = gossip_sync(state.seats[1], state.seats[0], 2)
+    known = state.seats[0].known
+    # a node with no event in the global graph takes the seat headless
+    seat_coordinator(state, table, 0, new)
+    seat = state.seats[0]
+    assert table.coordinators[0] == new and seat.owner == new
+    assert seat.store is gstore and seat.known == known and seat.head is None
+    assert gstore.population == sorted([new, table.coordinators[1]])
+    # back with its old holder, the seat is headed by its furthest event
+    seat_coordinator(state, table, 0, old)
+    seat = state.seats[0]
+    assert seat.owner == old and seat.known == known
+    assert seat.head == last.digest
+    assert gstore.population == table.global_committee()
+    # re-seating the holder changes nothing
+    population = list(gstore.population)
+    seat_coordinator(state, table, 0, old)
+    assert state.seats[0] is seat and seat.known == known
+    assert seat.head == last.digest and gstore.population == population
 
 
 # -- recovery ---------------------------------------------------------------

@@ -30,6 +30,7 @@ from shardgraph.sharding import partition_nodes
 from shardgraph.transactions import KIND_PAYLOAD
 
 from oracles import report_text
+from test_golden import GOLDEN
 
 # reorg_log entries replay through the benchmark's own output check
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -596,13 +597,15 @@ def test_member_moved_back_resumes_its_chain():
 
 @pytest.mark.parametrize("cfg", [
     scenario("churn", 11), scenario("churn", 12), churn_rejoin_cfg(),
-], ids=["churn-11", "churn-12", "churn-rejoin"])
+    GOLDEN["shard-failure-cross"][0],
+], ids=["churn-11", "churn-12", "churn-rejoin", "shard-failure-cross"])
 def test_a_seat_receives_each_global_event_once(cfg, monkeypatch):
-    # a committee's global view passes from coordinator to coordinator, so
-    # its seat receives no global event twice, and the next holder chains
-    # onto its own last event there, so no honest coordinator forks the
-    # global graph (at seed 12 node 5's event died with a dropped view and
-    # its next one, when it was seated again, forked)
+    # a committee's global view passes from coordinator to coordinator, on
+    # reselection and on recovery, so its seat receives no global event
+    # twice, and the next holder chains onto its own last event there, so
+    # no honest coordinator forks the global graph (at seed 12 node 5's
+    # event died with a dropped view and its next one, when it was seated
+    # again, forked)
     receipts = []
     receive = shardgraph.simulation.coordinator_receive_global
 
@@ -616,6 +619,9 @@ def test_a_seat_receives_each_global_event_once(cfg, monkeypatch):
     sim.run()
     assert len(receipts) == len(set(receipts)) > 0
     assert not sim.state.global_store._forkers
+    coordinators = sim.table.coordinators
+    assert sim.state.global_store.population == sorted(coordinators.values())
+    assert {c: seat.owner for c, seat in sim.state.seats.items()} == coordinators
 
 
 def test_churn_reorg_deferred_when_no_donors():
