@@ -87,34 +87,41 @@ class Event(_EventFields):
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        creator: NodeId,
-        self_parent: Optional[EventId],
-        other_parent: Optional[EventId],
-        payload: tuple[Transaction, ...],
-        created_at: int,
-    ) -> Event:
-        sp, op = self_parent or b"", other_parent or b""
-        a, b = len(sp), len(op)
-        frame = _FRAMES.get((a, b)) or _frame(a, b)
-        parts = [frame(8, creator, a, sp, b, op, 4, len(payload))]
-        units = 0
-        for tx in payload:
-            raw = tx.tx_id.encode()
-            parts += (_LENGTH(len(raw)), raw)
-            units += tx.size_units
-        parts.append(_TAIL(8, created_at))
-        return tuple.__new__(cls, (
-            creator, self_parent, other_parent, payload, created_at,
-            hashlib.sha256(b"".join(parts)).digest(), units,
-        ))
+    def __new__(cls, *fields) -> Event:
+        # the five fields, in order (see _seal)
+        return _seal(*fields)
 
     @classmethod
     def _make(cls, fields: Iterable) -> Event:
         # _replace builds through here: the digest and units are those of
         # the five fields, whatever values were given for them
         return cls(*tuple(fields)[:5])
+
+
+def _seal(
+    creator: NodeId,
+    self_parent: Optional[EventId],
+    other_parent: Optional[EventId],
+    payload: tuple[Transaction, ...],
+    created_at: int,
+) -> Event:
+    """The event of these five fields, its digest and units taken in one
+    pass over the payload (see Event), built without a call through the
+    class."""
+    sp, op = self_parent or b"", other_parent or b""
+    a, b = len(sp), len(op)
+    frame = _FRAMES.get((a, b)) or _frame(a, b)
+    parts = [frame(8, creator, a, sp, b, op, 4, len(payload))]
+    units = 0
+    for tx in payload:
+        raw = tx.tx_id.encode()
+        parts += (_LENGTH(len(raw)), raw)
+        units += tx.size_units
+    parts.append(_TAIL(8, created_at))
+    return tuple.__new__(Event, (
+        creator, self_parent, other_parent, payload, created_at,
+        hashlib.sha256(b"".join(parts)).digest(), units,
+    ))
 
 
 # a freed packed witness reach; a live one, (prev, cur), is never falsy
@@ -252,10 +259,14 @@ class EventStore:
       fame and its deciders are those of one vote per (voter, witness)
       pair cast in that order.  A vote is never recast, so a poll with no
       witness inserted since the last (``_fame_polled``) returns at once.
+      ``_undecided[r]`` packs round r's undecided witnesses like a vote
+      vector: a witness is set at insert unless its round is below
+      ``_first_undecided_round``, and cleared by the tally that decides it.
       Once round r is decided (``_first_undecided_round`` passes it),
-      ``_votes[r]``, ``_covered[r]`` and the strong sight of round r + 2
-      witnesses are dropped: live vote state is bounded by the witnesses
-      of undecided rounds.  ``add_member`` re-lays it when F doubles.
+      ``_undecided[r]``, ``_votes[r]``, ``_covered[r]`` and the strong
+      sight of round r + 2 witnesses are dropped: live vote state is
+      bounded by the witnesses of undecided rounds.  ``add_member`` re-lays
+      it when F doubles.
     - Bit-sliced median: ordering a round walks each famous witness's
       self-parent chain once (see below) and feeds each chain event's
       (created_at, newly reached events) segment, in created_at order, into
@@ -387,6 +398,7 @@ class EventStore:
         self._covered: dict[int, dict[int, int]] = {}
         self._ss_prev: dict[int, list[int]] = {}
         self.fame: dict[int, bool] = {}
+        self._undecided: dict[int, int] = {}  # round -> undecided witnesses
         # round -> [highest decider, {decider: mask of witnesses it decided}]
         self._deciders: dict[int, list] = {}
         self._first_undecided_round = 1
@@ -434,8 +446,9 @@ class EventStore:
         self._member_bit[node] = len(self._member_bit)
         if len(self._member_bit) > self._width:
             old, self._width = self._width, 2 * self._width
-            self._wcreators = {r: self._relay(v, old)
-                               for r, v in self._wcreators.items()}
+            self._wcreators, self._undecided = (
+                {r: self._relay(v, old) for r, v in packed.items()}
+                for packed in (self._wcreators, self._undecided))
             self._reach = [x and (self._relay(x[0], old),
                                   self._relay(x[1], old)) for x in self._reach]
             for state in (self._votes, self._covered):
@@ -575,6 +588,8 @@ class EventStore:
             field = cbit << pos * f
             cur |= field
             self._wcreators[r] = self._wcreators.get(r, 0) | field
+            if r >= self._first_undecided_round:
+                self._undecided[r] = self._undecided.get(r, 0) | 1 << pos * f
             if r - 1 >= self._first_undecided_round:
                 # first-round votes: yes on the round r - 1 witnesses this
                 # one sees, those it descends from and has not caught
@@ -715,13 +730,6 @@ class EventStore:
         fb = self._width // 8
         return flags.to_bytes(n * fb, "little")[::fb]
 
-    def _pack(self, flags: bytes) -> int:
-        """LOW bits set in the fields whose byte in flags is nonzero."""
-        fb = self._width // 8
-        packed = bytearray(len(flags) * fb)
-        packed[::fb] = flags
-        return int.from_bytes(packed, "little")
-
     def _present(self, v: int) -> int:
         """LOW bits of v's nonzero fields."""
         # a field's low F - 1 bits plus 2^(F-1) - 1 carry into its top bit
@@ -781,14 +789,14 @@ class EventStore:
             return
         self._fame_polled = self._witness_count
         for r in range(self._first_undecided_round, self.max_round + 1):
-            undecided = self._pack(bytes(
-                w not in self.fame for w in self.witnesses_by_round[r]))
+            undecided = self._undecided.get(r, 0)
             if undecided and r + 2 <= self.max_round:
-                undecided = self._tally(r, undecided)
+                undecided = self._undecided[r] = self._tally(r, undecided)
             if r == self._first_undecided_round and not undecided:
                 # nothing votes on round r again: drop its vote state and
                 # the strong sight of the voters that only voted on it
                 self._first_undecided_round = r + 1
+                self._undecided.pop(r, None)
                 self._votes.pop(r, None)
                 self._covered.pop(r, None)
                 for v in self.witnesses_by_round.get(r + 2, ()):
@@ -1048,10 +1056,32 @@ def _record(
     # only the owner's events among those learned can move the head
     head = (graph._head_after(learned)
             if learned & store._cmask.get(owner, 0) else graph.head)
-    event = Event(owner, head, other_parent, tuple(payload), now)
+    event = _seal(owner, head, other_parent, tuple(payload), now)
     graph.known |= learned | 1 << store.add_event(event)
     graph.head = event.digest
     return event
+
+
+def gossip_chain(
+    views: Sequence[Hashgraph],
+    payloads: Sequence[Sequence[Transaction]],
+    now: int,
+) -> list[tuple[int, Event]]:
+    """Each view, in turn, pushes into the next, of the same store, which
+    learns what it was missing and records the sync as its owner's event
+    with payload ``payloads[i]`` for ``views[i + 1]``.  A ring is its views
+    with the first appended.  Returns each sync's transferred mask and
+    record event, which carries its units.  A rejected sync raises and
+    leaves its receiver's view unchanged; the syncs before it stand."""
+    store = views[0].store
+    syncs = []
+    for sender, receiver, payload in zip(views, views[1:], payloads):
+        if receiver.store is not store:
+            raise HashgraphError("gossip between views of different stores")
+        mask = sender.known & ~receiver.known
+        syncs.append(
+            (mask, _record(receiver, mask, sender.head, payload, now)))
+    return syncs
 
 
 def gossip_sync(
@@ -1060,19 +1090,13 @@ def gossip_sync(
     now: int,
     payload: Sequence[Transaction] = (),
 ) -> tuple[Transfer, Event]:
-    """Push the sender's view into the receiver's and record the sync.
-
-    Both views must be of the same store.  Returns the events the receiver
-    was missing and the receiver's new gossip-record event, created by the
-    receiver view's owner, whose other_parent is the sender's head.  A
-    rejected record event leaves the receiver's view unchanged.
-    """
-    store = sender_graph.store
-    if receiver_graph.store is not store:
-        raise HashgraphError("gossip between views of different stores")
-    mask = sender_graph.known & ~receiver_graph.known
-    new_event = _record(receiver_graph, mask, sender_graph.head, payload, now)
-    return Transfer(store, mask), new_event
+    """Push the sender's view into the receiver's and record the sync:
+    the chain of the two views.  Returns the events the receiver was
+    missing and its new gossip-record event, whose other_parent is the
+    sender's head."""
+    ((mask, event),) = gossip_chain(
+        (sender_graph, receiver_graph), (payload,), now)
+    return Transfer(sender_graph.store, mask), event
 
 
 def decided_length(graph: Hashgraph) -> int:

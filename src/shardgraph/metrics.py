@@ -85,6 +85,23 @@ class MetricsReport:
             self.per_node_storage.get(node, 0.0) + units
         )
 
+    def add_syncs(self, nodes: list[int], sent: list[int],
+                  made: list[int]) -> None:
+        """A chain of local gossip syncs: nodes[i] sends sent[i] units to
+        nodes[i + 1], which stores them and its record event of made[i]
+        units.  The counters grow in the order the syncs ran, so each
+        dict's key order, which ``compare_measured``'s float sums follow,
+        is the same as with one ``add_*`` call per sync."""
+        comm, received = self.per_node_comm, self.per_node_received
+        storage, handshake = self.per_node_storage, self.per_node_handshake
+        for sender, receiver, units, own in zip(nodes, nodes[1:], sent, made):
+            comm[sender] = comm.get(sender, 0.0) + units
+            received[receiver] = received.get(receiver, 0.0) + units
+            storage[receiver] = storage.get(receiver, 0.0) + (units + own)
+            handshake[sender] = handshake.get(sender, 0.0) + 1
+        self.total_events += len(made)
+        self.empty_events += made.count(0)
+
 
 def mean(values) -> float:
     values = list(values)

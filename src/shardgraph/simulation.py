@@ -22,8 +22,11 @@ committee, and the receiver records the sync as a new event carrying its
 pending transaction buffer.  The ring gives every node exactly one
 reception per round (the partner is still uniform over the other members),
 which keeps the empty-event fraction near the ideal no-empty-events regime
-at moderate injection rates.  Coordinators alternate rounds between their
-local committee and the global committee ring.
+at moderate injection rates.  A committee's ring runs as one engine pass
+(``gossip_chain``) and is accounted in one call; the receivers' buffers
+are detached before it, as nothing fills them during it.  Coordinators
+alternate rounds between their local committee and the global committee
+ring, whose syncs run and are accounted one at a time.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .hashgraph import (
     consensus_order,
     create_event,
     detect_forks,
+    gossip_chain,
     gossip_sync,
     member_view,
 )
@@ -360,7 +364,7 @@ class Simulation:
         self.metrics.injected_cross_units += cross
 
     def _gossip(self, t):
-        table, down = self.table, self.down
+        table, down, views = self.table, self.down, self.views
         # every coordinator outside the down committees is on global duty on
         # odd gossip rounds, so they all meet there however long any of them
         # was down
@@ -370,52 +374,56 @@ class Simulation:
                 coord for cid, coord in table.coordinators.items()
                 if cid not in down
             }
-        for cid in sorted(table.coordinators):
-            if cid in down:
-                continue
-            ring = [m for m in table.members(cid) if m not in global_duty]
+        # every committee's ring in one pass over the assignment, each in
+        # node order before it is shuffled
+        rings: dict[int, list[int]] = {}
+        for node, cid in sorted(table.assignment.items()):
+            if cid not in down and node not in global_duty:
+                rings.setdefault(cid, []).append(node)
+        for cid in sorted(rings):
+            ring = rings[cid]
             if len(ring) < 2:
                 continue
             self.rng.shuffle(ring)
-            for i, sender in enumerate(ring):
-                receiver = ring[(i + 1) % len(ring)]
-                self._local_sync(cid, self.views[sender], receiver, t)
+            self._chain(cid, [views[m] for m in ring + ring[:1]], t)
         ring = sorted(global_duty)
         if len(ring) >= 2:
             self.rng.shuffle(ring)
             for i, sender in enumerate(ring):
                 self._global_sync(sender, ring[(i + 1) % len(ring)], t)
 
-    def _push(self, sender_view, receiver_view, t, payload):
-        """One gossip sync, with its communication and storage accounted."""
-        transferred, new_ev = gossip_sync(sender_view, receiver_view, t, payload)
-        sender, receiver = sender_view.owner, receiver_view.owner
+    def _chain(self, cid, views, t):
+        """Gossip along views of committee cid in one engine pass (see
+        ``gossip_chain``).  Each receiver's record event carries its pending
+        buffer and, for the coordinator, its inbound batch, all detached
+        before the pass: nothing adds to either during it.  The pass's
+        communication, storage and event counts are accounted at once."""
+        pending, coord = self.pending, self.table.coordinators[cid]
+        payloads = []
+        for view in views[1:]:
+            node = view.owner
+            payload, pending[node] = pending[node], []
+            if node == coord:
+                payload += flush_inbound(self.state, cid, self.cfg.batch_limit)
+            payloads.append(payload)
+        syncs = gossip_chain(views, payloads, t)
+        units_of = views[0].store.units_of
+        self.metrics.add_syncs([view.owner for view in views],
+                               [units_of(mask) for mask, _ in syncs],
+                               [event.units for _, event in syncs])
+
+    def _global_sync(self, sender, receiver, t):
+        """One global gossip sync, accounted sync by sync."""
+        seats, committee_of = self.state.seats, self.table.committee_of
+        rcid = committee_of(receiver)
+        batch = flush_outbound(self.state, rcid, self.cfg.batch_limit)
+        transferred, new_ev = gossip_sync(
+            seats[committee_of(sender)], seats[rcid], t, batch)
         units = transferred.units
         self.metrics.add_comm(sender, units)
         self.metrics.add_received(receiver, units)
         self.metrics.add_storage(receiver, units + event_units(new_ev))
         self.metrics.add_handshake(sender, 1)
-        return transferred, new_ev
-
-    def _local_sync(self, cid, sender_view, receiver, t):
-        # the buffer is detached from pending, so it becomes the payload
-        payload = self.pending[receiver]
-        self.pending[receiver] = []
-        is_coord = self.table.coordinators.get(cid) == receiver
-        if is_coord:
-            payload.extend(flush_inbound(self.state, cid, self.cfg.batch_limit))
-        _, new_ev = self._push(sender_view, self.views[receiver], t, payload)
-        self.metrics.total_events += 1
-        if event_units(new_ev) == 0:
-            self.metrics.empty_events += 1
-
-    def _global_sync(self, sender, receiver, t):
-        seats, committee_of = self.state.seats, self.table.committee_of
-        rcid = committee_of(receiver)
-        batch = flush_outbound(self.state, rcid, self.cfg.batch_limit)
-        transferred, _ = self._push(
-            seats[committee_of(sender)], seats[rcid], t, batch
-        )
         # the receiver's own new event holds only its committee's outbound
         for ev in transferred:
             coordinator_receive_global(self.state, self.table, rcid, ev)
@@ -513,8 +521,8 @@ class Simulation:
         alt.head = head
         create_event(alt, None, (marker_b,), t)
         create_event(view, None, (marker_a,), t)
-        self._local_sync(cid, view, p1, t)
-        self._local_sync(cid, alt, p2, t)
+        self._chain(cid, [view, self.views[p1]], t)
+        self._chain(cid, [alt, self.views[p2]], t)
         self.action_log.append(
             {"at": t, "action": "equivocate", "node": node, "committee": cid}
         )

@@ -423,7 +423,7 @@ class ReferenceFame:
         diff = store.round[v] - store.round[w]
         if diff == 1:
             # v sees w: w is an ancestor and its creator is not caught forking
-            creator = store._member_bit[store.by_index[w].creator]
+            creator = store._member_bit[store._creator[w]]
             result = bool(ancestry(store, self.anc)[v] >> w & 1
                           and not store._forked[v] >> creator & 1)
         else:
@@ -437,8 +437,7 @@ class ReferenceFame:
             tally = max(yes, no)
             if diff % COIN_PERIOD == 0:
                 if tally < sm(len(store.population)):
-                    result = bool(
-                        int(store.by_index[v].digest.hex()[-1], 16) & 1)
+                    result = bool(int(store._ids[v].hex()[-1], 16) & 1)
             elif tally >= sm(len(store.population)) and w not in self.fame:
                 self.fame[w] = result
                 self.decider[w] = v
@@ -449,7 +448,7 @@ class ReferenceFame:
         store = self.store
 
         def digest_sorted(ids):
-            return sorted(ids, key=lambda i: store.by_index[i].digest)
+            return sorted(ids, key=store._ids.__getitem__)
 
         for r in range(self.first_undecided_round, store.max_round + 1):
             witnesses = store.witnesses_by_round.get(r, ())

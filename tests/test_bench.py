@@ -1,6 +1,7 @@
 """Micro-benchmarks of the hashgraph engine's insert, fame, ordering,
 partial-view ordering and gossip paths on a synthetic 16-member round-robin
-DAG (960 events), of insert and of rebuilding every freed reach and every
+DAG (960 events), of 50 gossip rounds of a 16-member committee's ring
+(816 events), of insert and of rebuilding every freed reach and every
 freed ancestor mask on a forked 16-member gossip DAG (about 1000 events,
 two equivocators), of consensus
 polls on a 32-member round-robin DAG (3840 events), and of the injection
@@ -11,6 +12,7 @@ under ``.benchmarks/``.  Memory guards: store bytes per event, the
 report writer's allocation peak, and slotted per-event records."""
 
 import hashlib
+import random
 import sys
 import tracemalloc
 
@@ -22,6 +24,8 @@ from shardgraph.hashgraph import (
     EventStore,
     Hashgraph,
     consensus_order,
+    create_event,
+    gossip_chain,
     gossip_sync,
 )
 from shardgraph.simulation import Simulation, run_scenario, write_report
@@ -130,6 +134,42 @@ def test_bench_add_event(benchmark, dag):
     store = benchmark.pedantic(filled_store, args=dag, rounds=1, iterations=1)
     assert len(store.by_index) == len(dag[1])
     assert store.max_round >= 10
+
+
+def test_bench_gossip_ring(benchmark):
+    # 50 gossip rounds of one 16-member committee, each a freshly shuffled
+    # ring run as one gossip_chain pass whose receivers record one
+    # transaction each: the local gossip the simulator runs every round
+    n, rounds = 16, 50
+    rng = random.Random(5)
+    plan = []
+    for t in range(1, rounds + 1):
+        ring = rng.sample(range(n), n)
+        plan.append((t, ring + ring[:1], [
+            (Transaction(f"t{t}-{m}", 0, 0),) for m in ring[1:] + ring[:1]]))
+
+    def setup():
+        store = EventStore(range(n))
+        views = [Hashgraph(store, m) for m in range(n)]
+        for view in views:
+            create_event(view, None, (), 0)
+        return (views,), {}
+
+    def gossip(views):
+        syncs = []
+        for t, ring, payloads in plan:
+            syncs += gossip_chain([views[m] for m in ring], payloads, t)
+        return views, syncs
+
+    views, syncs = benchmark.pedantic(gossip, setup=setup, rounds=1,
+                                      iterations=1)
+    store = views[0].store
+    assert len(syncs) == n * rounds
+    assert len(store.by_index) == n * (rounds + 1)
+    # the ring's first sender receives last, and then knows every event
+    assert views[plan[-1][1][0]].known == (1 << len(store.by_index)) - 1
+    assert all(ev.units == 1 for _, ev in syncs)
+    assert store.max_round >= 20
 
 
 def test_bench_build_events(benchmark):

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from shardgraph import hashgraph
@@ -20,6 +21,7 @@ from shardgraph.hashgraph import (
     consensus_order,
     create_event,
     detect_forks,
+    gossip_chain,
     gossip_sync,
     supermajority,
 )
@@ -740,6 +742,119 @@ def test_transfers_match_brute_force(seed):
     head = max(own, key=lambda i: (store._seq[i], i))
     _, ev = transfer_checked(views[1], Hashgraph(store, 0), 251)
     assert ev.self_parent == store.by_index[head].digest
+
+
+# -- gossip chains -------------------------------------------------------------
+
+
+def chain_fixture(seed, n, steps):
+    """A forked gossip DAG of n members, then one more fork of member 0
+    whose branch b only member 2 holds, and a joiner, member n, with an
+    empty view.  Returns the store, the views and branch b's digest."""
+    store, views = gossip_dag(seed, steps=steps, n=n)
+    alt = equivocate(views, 0, (1, 2), steps)
+    store.add_member(n)
+    views.append(Hashgraph(store, n))
+    return store, views, alt.head
+
+
+def store_columns(store):
+    return (store.index, store._ids, store._creator, store._created_at,
+            store._self_parent, store._other_parent, store._payload,
+            store._unit_planes, store.round, store.witnesses_by_round,
+            store._forked)
+
+
+def view_states(views):
+    return [(view.known, view.head) for view in views]
+
+
+TXS = st.lists(st.builds(Transaction, tx_id=st.text("abc", max_size=3),
+                         origin=st.just(0), target=st.just(0),
+                         size_units=st.integers(0, 3)), max_size=3)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 999), n=st.integers(4, 7),
+       steps=st.integers(8, 60), data=st.data())
+def test_gossip_chain_equals_its_syncs_one_at_a_time(seed, n, steps, data):
+    # a ring over the members and the empty joiner; when learn is drawn,
+    # member 2 pushes into the equivocator 0 and the branch it brings moves
+    # 0's head.  One receiver is a coordinator, whose payload ends with an
+    # inbound batch of cross-shard transactions
+    ring = data.draw(st.permutations(range(n + 1)))
+    ring = ring[:data.draw(st.integers(2, n + 1))]
+    learn = data.draw(st.booleans())
+    if learn:
+        ring = [m for m in ring if m not in (0, 2)] + [2, 0]
+    payloads = [list(data.draw(TXS)) for _ in ring]
+    coordinator = data.draw(st.integers(0, len(ring) - 1))
+    payloads[coordinator] += [Transaction(f"in{k}", 1, 0) for k in range(3)]
+    receivers = ring[1:] + ring[:1]
+    store, views, branch = chain_fixture(seed, n, steps)
+    twin, singles, _ = chain_fixture(seed, n, steps)
+    syncs = gossip_chain([views[m] for m in ring + ring[:1]], payloads,
+                         steps + 1)
+    want = [gossip_sync(singles[s], singles[r], steps + 1, payload)
+            for s, r, payload in zip(ring, receivers, payloads)]
+    assert [(mask, store.units_of(mask), ev) for mask, ev in syncs] == [
+        (transfer.mask, transfer.units, ev) for transfer, ev in want]
+    assert store_columns(store) == store_columns(twin)
+    assert view_states(views) == view_states(singles)
+    store.advance_consensus()
+    twin.advance_consensus()
+    assert store.consensus == twin.consensus
+    if learn:
+        (made,) = [ev for r, (_, ev) in zip(receivers, syncs) if r == 0]
+        assert made.self_parent == branch
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 999), n=st.integers(4, 7), data=st.data(),
+       kind=st.sampled_from(["store", "member", "owner"]))
+def test_gossip_chain_rejected_step_leaves_its_receiver(seed, n, data, kind):
+    # a view of another store, one whose owner is not a member, and one of
+    # its sender's owner (whose record event would take its own creator's
+    # event as other_parent) each raise at their step: the syncs before it
+    # stand, as gossip_sync makes them, and no view from it on moves
+    at = data.draw(st.integers(1, n - 1))
+    store, views = gossip_dag(seed, steps=30, n=n)
+    twin, singles = gossip_dag(seed, steps=30, n=n)
+    owner = {"store": at, "member": n + 5, "owner": at - 1}[kind]
+    bad = Hashgraph(EventStore(range(n)) if kind == "store" else store, owner)
+    chain = [*views[:at], bad, *views[at:]]
+    with pytest.raises(hashgraph.HashgraphError):
+        gossip_chain(chain, [()] * n, 30)
+    for s, r in zip(singles, singles[1:at]):
+        gossip_sync(s, r, 30)
+    assert (bad.known, bad.head) == (0, None)
+    assert store_columns(store) == store_columns(twin)
+    assert view_states(views) == view_states(singles)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:4])
+def test_undecided_mask_is_each_open_rounds_undecided_witnesses(seed):
+    # after every poll of a forked schedule whose field width doubles
+    # halfway (7 members and 3 joiners outgrow 8 bits), each round still
+    # voted on packs exactly its witnesses that fame has not decided, and
+    # rounds are decided at both widths
+    decided = {}
+
+    def poll(t, views):
+        store = views[0].store
+        store.advance_consensus()
+        f, fur = store._width, store._first_undecided_round
+        decided[f] = fur
+        assert store._undecided.keys() <= set(range(fur, store.max_round + 1))
+        for r in range(fur, store.max_round + 1):
+            assert store._undecided.get(r, 0) == sum(
+                1 << p * f
+                for p, w in enumerate(store.witnesses_by_round[r])
+                if w not in store.fame)
+
+    store, _ = gossip_dag(seed, steps=400, n=7, joins=3, poll=poll)
+    assert store._forkers and decided.keys() == {8, 16}
+    assert 1 < decided[8] < decided[16]
 
 
 # -- reach lifetime ------------------------------------------------------------
