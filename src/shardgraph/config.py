@@ -6,9 +6,7 @@ the command line, so sweep scripts can diff configs line by line.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 # The longest a cross-shard transaction took from its injection to its
@@ -31,8 +29,10 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
 class ScenarioConfig:
+    """Built by keyword from the annotated fields below, whose class
+    values are the defaults; an unknown name raises TypeError."""
+
     n: int = 8                     # node count
     s: int = 2                     # shard (committee) count
     seed: int = 1
@@ -52,6 +52,15 @@ class ScenarioConfig:
     adversary_fail_at: int = -1    # -1 = duration // 3
     adversary_recover_delay: int = 20
     adversary_rejoin: bool = False
+
+    def __init__(self, **settings):
+        for name in _FIELDS:
+            setattr(self, name, settings.pop(name, getattr(ScenarioConfig, name)))
+        if settings:
+            raise TypeError(f"unknown ScenarioConfig fields {sorted(settings)}")
+
+    def __eq__(self, other):
+        return isinstance(other, ScenarioConfig) and vars(self) == vars(other)
 
     def validate(self) -> None:
         if self.s < 1:
@@ -136,20 +145,11 @@ class ScenarioConfig:
         )
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {name: getattr(self, name) for name in _FIELDS}
 
 
-# Dotted config-file keys map onto flat dataclass attributes.
-_KEY_MAP = {
-    "adversary.kind": "adversary_kind",
-    "adversary.fraction": "adversary_fraction",
-    "adversary.interval": "adversary_interval",
-    "adversary.committee": "adversary_committee",
-    "adversary.fail_at": "adversary_fail_at",
-    "adversary.recover_delay": "adversary_recover_delay",
-    "adversary.rejoin": "adversary_rejoin",
-}
-_FIELDS = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
+# field -> its annotated type, a name string under postponed evaluation
+_FIELDS = ScenarioConfig.__annotations__
 
 
 def _cast(attr: str, value: str):
@@ -174,7 +174,8 @@ def _cast(attr: str, value: str):
 
 
 def apply_setting(config: ScenarioConfig, key: str, value: str) -> None:
-    attr = _KEY_MAP.get(key, key)
+    # a dotted config-file key adversary.x sets the flat field adversary_x
+    attr = key.replace("adversary.", "adversary_", 1)
     if attr not in _FIELDS:
         raise ConfigError(f"unknown config key '{key}'")
     setattr(config, attr, _cast(attr, value))

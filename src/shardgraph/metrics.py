@@ -11,8 +11,6 @@ Analytic quantities, for n nodes, s shards, throughput T and event size E:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 class MetricsError(Exception):
     pass
@@ -46,22 +44,22 @@ def analytic_replica_count(n: int, s: int) -> int:
     return n // s + s - 1
 
 
-@dataclass
 class MetricsReport:
     """Counters accumulated during one simulation run."""
 
-    duration: int = 0
-    per_node_comm: dict[int, float] = field(default_factory=dict)
-    per_node_handshake: dict[int, float] = field(default_factory=dict)
-    per_node_received: dict[int, float] = field(default_factory=dict)
-    per_node_storage: dict[int, float] = field(default_factory=dict)
-    ordered_tx_units: dict[int, int] = field(default_factory=dict)  # per committee
-    injected_tx_units: int = 0
-    injected_cross_units: int = 0
-    cross_latency: dict[int, int] = field(default_factory=dict)
-    replica_counts: dict[int, int] = field(default_factory=dict)
-    total_events: int = 0
-    empty_events: int = 0
+    def __init__(self, duration: int = 0):
+        self.duration = duration
+        self.per_node_comm: dict[int, float] = {}
+        self.per_node_handshake: dict[int, float] = {}
+        self.per_node_received: dict[int, float] = {}
+        self.per_node_storage: dict[int, float] = {}
+        self.ordered_tx_units: dict[int, int] = {}  # per committee
+        self.injected_tx_units = 0
+        self.injected_cross_units = 0
+        self.cross_latency: dict[int, int] = {}
+        self.replica_counts: dict[int, int] = {}
+        self.total_events = 0
+        self.empty_events = 0
 
     @property
     def empty_event_fraction(self) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .sharding import CommitteeTable, ShardState, seat_coordinator
@@ -36,12 +35,13 @@ def derive_value(consensus_timestamp: int) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest(), "big")
 
 
-@dataclass
 class ChurnLedger:
     """Per-committee departure counts since the last reorganization."""
 
-    exits: dict[CommitteeId, int] = field(default_factory=dict)
-    baseline: dict[CommitteeId, int] = field(default_factory=dict)
+    def __init__(self, exits: Optional[dict[CommitteeId, int]] = None,
+                 baseline: Optional[dict[CommitteeId, int]] = None):
+        self.exits = {} if exits is None else exits
+        self.baseline = {} if baseline is None else baseline
 
     @classmethod
     def from_table(cls, table: CommitteeTable) -> "ChurnLedger":

@@ -9,8 +9,7 @@ cache queues, and holds replicas of the local graphs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .hashgraph import (
     Event,
@@ -30,13 +29,14 @@ class ShardingError(Exception):
     pass
 
 
-@dataclass
 class CommitteeTable:
     """Node -> committee assignment plus per-committee coordinators."""
 
-    assignment: dict[NodeId, CommitteeId]
-    coordinators: dict[CommitteeId, NodeId]
-    epoch: int = 0
+    def __init__(self, assignment: dict[NodeId, CommitteeId],
+                 coordinators: dict[CommitteeId, NodeId], epoch: int = 0):
+        self.assignment = assignment
+        self.coordinators = coordinators
+        self.epoch = epoch
 
     @property
     def num_committees(self) -> int:
@@ -91,15 +91,15 @@ def partition_nodes(
     return CommitteeTable(assignment=assignment, coordinators=coordinators)
 
 
-@dataclass
 class CacheQueue:
     """A committee's FIFO buffers for cross-shard transactions, held by
     whoever holds its seat in the global committee.  They stay with the
     seat, as its global view does, so each global event is received once
     and each transaction is filed into ``inbound`` once."""
 
-    outbound: list[Transaction] = field(default_factory=list)
-    inbound: list[Transaction] = field(default_factory=list)
+    def __init__(self):
+        self.outbound: list[Transaction] = []
+        self.inbound: list[Transaction] = []
 
 
 class ShardState:
@@ -126,8 +126,7 @@ class ShardState:
         self.replicas: dict[CommitteeId, ReplicaSnapshot] = {}
 
 
-@dataclass
-class ReplicaSnapshot:
+class ReplicaSnapshot(NamedTuple):
     population: list[NodeId]
     events: Transfer
     length: int      # of the checkpointed prefix of the store's order

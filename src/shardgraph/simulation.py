@@ -37,7 +37,6 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, Optional, TextIO
 
@@ -203,8 +202,7 @@ def _full_view(store, owner=None) -> Hashgraph:
     return g
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     config: dict
     metrics: MetricsReport
     comparison: list
@@ -226,7 +224,7 @@ class RunReport:
     def to_dict(self) -> dict:
         """The serialized report, with every consensus order replaced by
         its order_summary."""
-        out = {f.name: _str_keys(getattr(self, f.name)) for f in fields(self)}
+        out = {k: _str_keys(v) for k, v in self._asdict().items()}
         out["consensus"] = {
             cid: order_summary(order) for cid, order in out["consensus"].items()
         }
@@ -236,7 +234,7 @@ class RunReport:
             for entry in self.recovery_log
         ]
         m = self.metrics
-        out["metrics"] = {f.name: _str_keys(getattr(m, f.name)) for f in fields(m)}
+        out["metrics"] = {k: _str_keys(v) for k, v in vars(m).items()}
         out["metrics"]["empty_event_fraction"] = m.empty_event_fraction
         return out
 

@@ -11,13 +11,19 @@ Nor does it keep write-only state: every attribute the package assigns on
 
 And every annotation of a function or method it defines names something the
 defining module can resolve.
+
+Nor does importing it load the stdlib's introspection modules, which every
+run would pay for in set-up time.
 """
 
 import ast
 import importlib
 import inspect
 import io
+import os
 import pkgutil
+import subprocess
+import sys
 import tokenize
 import typing
 from collections import defaultdict
@@ -157,3 +163,23 @@ def test_every_annotation_resolves():
         except Exception as exc:
             unresolved.append(f"{name}: {exc!r}")
     assert unresolved == []
+
+
+# dataclasses imports inspect, which imports dis, ast and tokenize: about
+# 15 ms of set-up for each run, sweep cell and benchmark repetition
+INTROSPECTION = ("dataclasses", "inspect", "ast", "dis")
+
+
+def test_import_loads_no_introspection_module():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import shardgraph.simulation, shardgraph.cli\n"
+        f"print(*sorted(set(sys.modules) - before & set({INTROSPECTION})))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.split() == []

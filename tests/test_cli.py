@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 import shardgraph.cli
@@ -92,13 +94,16 @@ def test_run_missing_config_is_io_error(tmp_path, capsys):
 
 
 def test_run_deterministic_reports(tmp_path):
-    args = ["--set", "n=8", "--set", "s=2", "--set", "duration=25",
-            "--set", "tx_rate=8", "--set", "cross_ratio=0.2"]
+    # 12 gossip rounds of injection, each cross transaction ordered once
+    args = ["--set", "n=8", "--set", "s=2", "--set", "duration=40",
+            "--set", "inject_until=12", "--set", "tx_rate=8",
+            "--set", "cross_ratio=0.2"]
     assert run_cli("run", "--out", str(tmp_path / "a"), *args) == 0
     assert run_cli("run", "--out", str(tmp_path / "b"), *args) == 0
     a = (tmp_path / "a" / "run" / "report.json").read_bytes()
     b = (tmp_path / "b" / "run" / "report.json").read_bytes()
     assert a == b
+    assert json.loads(a)["tx_audit"]["ordered_exactly_once"] >= 12
 
 
 def test_run_warns_when_the_drain_window_leaves_little_injection(

@@ -1,7 +1,9 @@
-import dataclasses
 import hashlib
+import json
 import math
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -108,6 +110,48 @@ def test_determinism_byte_identical():
     assert a == b
     c = report_text(run_scenario(small_cfg(cross_ratio=0.25, seed=12)))
     assert a != c
+
+
+# runs each config given as JSON and prints its report's sha256
+HASH_SEED_SCRIPT = """
+import hashlib, io, json, sys
+from shardgraph.config import ScenarioConfig
+from shardgraph.simulation import run_scenario
+for settings in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    run_scenario(ScenarioConfig(**settings)).dump(buf)
+    print(hashlib.sha256(buf.getvalue().encode()).hexdigest())
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    # str hashes, and so the iteration order of any set of strings, change
+    # with PYTHONHASHSEED; no report may follow them.  Churn with rejoins
+    # and cross traffic, equivocators, and a shard failure with cross
+    # traffic, each short
+    configs = json.dumps([cfg.to_dict() for cfg in (
+        small_cfg(n=16, seed=9, duration=60, tx_rate=16.0, cross_ratio=0.2,
+                  adversary_kind="churn", adversary_interval=3,
+                  adversary_rejoin=True),
+        small_cfg(n=16, seed=7, duration=50, tx_rate=16.0,
+                  adversary_kind="equivocator", adversary_fraction=0.2,
+                  adversary_interval=3),
+        small_cfg(n=12, seed=6, duration=60, tx_rate=10.0, cross_ratio=0.2,
+                  checkpoint_period=2, adversary_kind="shard_failure",
+                  adversary_committee=1, adversary_fail_at=20,
+                  adversary_recover_delay=9),
+    )])
+    src = str(Path(shardgraph.simulation.__file__).resolve().parent.parent)
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT, configs],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout.split()
+        for seed in ("0", "12345")
+    ]
+    assert len(digests[0]) == 3
+    assert digests[0] == digests[1]
 
 
 def test_failed_report_write_leaves_no_report(tmp_path):
@@ -545,9 +589,9 @@ def test_shard_failure_loses_no_relayed_cross_transaction(monkeypatch):
     for fail_at in range(58, 66):
         for seed in (1, 2, 3):
             ingests.clear()
-            report = run_scenario(dataclasses.replace(
-                shard_failure_cfg(), seed=seed, cross_ratio=0.2,
-                adversary_fail_at=fail_at))
+            report = run_scenario(ScenarioConfig(**{
+                **shard_failure_cfg().to_dict(), "seed": seed,
+                "cross_ratio": 0.2, "adversary_fail_at": fail_at}))
             relayed = {tx.tx_id for c, payloads in ingests
                        for p in payloads for tx in p
                        if tx.origin == c and tx.target != c}
@@ -745,9 +789,26 @@ def test_config_parse_and_overrides():
         "n = 16\ns = 4  # four committees\n\nadversary.kind = churn\n"
     )
     assert (cfg.n, cfg.s, cfg.adversary_kind) == (16, 4, "churn")
-    apply_setting(cfg, "tx_rate", "12.5")
-    assert cfg.tx_rate == 12.5
+    # each value is cast by its field's annotated type
+    apply_setting(cfg, "duration", "90")
+    apply_setting(cfg, "tx_rate", "12")
+    apply_setting(cfg, "adversary.rejoin", "yes")
+    assert (cfg.duration, cfg.tx_rate, cfg.adversary_rejoin) == (90, 12.0, True)
+    assert (type(cfg.duration), type(cfg.tx_rate)) == (int, float)
     with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
         apply_setting(cfg, "bogus", "1")
+    with pytest.raises(TypeError):
+        ScenarioConfig(bogus=1)
+    # to_dict gives the fields in declared order, and rebuilds an equal
+    # config
+    assert list(cfg.to_dict()) == [
+        "n", "s", "seed", "duration", "sync_interval", "tx_rate",
+        "cross_ratio", "batch_limit", "checkpoint_period", "inject_until",
+        "trigger_mode", "min_committee_size", "adversary_kind",
+        "adversary_fraction", "adversary_interval", "adversary_committee",
+        "adversary_fail_at", "adversary_recover_delay", "adversary_rejoin",
+    ]
+    assert ScenarioConfig(**cfg.to_dict()) == cfg
+    assert cfg != ScenarioConfig()
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("n = 4\nnot a setting\n")
