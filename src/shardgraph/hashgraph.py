@@ -20,9 +20,10 @@ from __future__ import annotations
 import bisect
 import hashlib
 import struct
+from array import array
 from collections.abc import Sequence
 from itertools import compress, groupby, islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .transactions import Transaction
@@ -68,14 +69,17 @@ def _frame(sp_len: int, op_len: int):
 # the frames of parents that are none or a digest
 _FRAMES = {(a, b): _frame(a, b) for a in (0, 32) for b in (0, 32)}
 _LENGTH = struct.Struct(">I").pack
+_SIZE_UNITS = attrgetter("size_units")
 _TAIL = struct.Struct(">Iq").pack
+# the 32-byte id at a byte offset of an id column, as a 1-tuple
+_ID_AT = struct.Struct("32s").unpack_from
 
 
 class Event(_EventFields):
     """An immutable tuple record of an event's five fields plus its
-    ``digest`` and ``units``, both fixed at construction from those fields
-    in one pass over the payload.  A store keeps the fields as columns, not
-    the record (see Column layout).
+    ``digest`` and ``units``, both fixed at construction from those fields.
+    A store keeps the fields as columns (see Column layout), and builds the
+    record when an event is read (``by_index``, ``Transfer``).
 
     The digest is the raw SHA-256 of the canonical serialization: fixed
     field order, each field prefixed by its byte length (4 bytes,
@@ -87,9 +91,12 @@ class Event(_EventFields):
 
     __slots__ = ()
 
-    def __new__(cls, *fields) -> Event:
-        # the five fields, in order (see _seal)
-        return _seal(*fields)
+    def __new__(cls, creator, self_parent, other_parent, payload,
+                created_at) -> Event:
+        return tuple.__new__(cls, (
+            creator, self_parent, other_parent, payload, created_at,
+            *_seal(creator, self_parent or b"", other_parent or b"",
+                   payload, created_at)))
 
     @classmethod
     def _make(cls, fields: Iterable) -> Event:
@@ -100,28 +107,28 @@ class Event(_EventFields):
 
 def _seal(
     creator: NodeId,
-    self_parent: Optional[EventId],
-    other_parent: Optional[EventId],
+    self_parent: bytes,
+    other_parent: bytes,
     payload: tuple[Transaction, ...],
     created_at: int,
-) -> Event:
-    """The event of these five fields, its digest and units taken in one
-    pass over the payload (see Event), built without a call through the
-    class."""
-    sp, op = self_parent or b"", other_parent or b""
-    a, b = len(sp), len(op)
+) -> tuple[EventId, int]:
+    """The digest and units of the event of these five fields, its parents
+    given by id (empty for none) (see Event)."""
+    a, b = len(self_parent), len(other_parent)
     frame = _FRAMES.get((a, b)) or _frame(a, b)
-    parts = [frame(8, creator, a, sp, b, op, 4, len(payload))]
-    units = 0
+    parts = [frame(8, creator, a, self_parent, b, other_parent, 4,
+                   len(payload))]
     for tx in payload:
         raw = tx.tx_id.encode()
         parts += (_LENGTH(len(raw)), raw)
-        units += tx.size_units
     parts.append(_TAIL(8, created_at))
-    return tuple.__new__(Event, (
-        creator, self_parent, other_parent, payload, created_at,
-        hashlib.sha256(b"".join(parts)).digest(), units,
-    ))
+    return hashlib.sha256(b"".join(parts)).digest(), payload_units(payload)
+
+
+def payload_units(payload: Iterable[Transaction]) -> int:
+    """The units of an event with this payload: its transactions' summed
+    size units."""
+    return sum(map(_SIZE_UNITS, payload))
 
 
 # a freed packed witness reach; a live one, (prev, cur), is never falsy
@@ -148,19 +155,21 @@ class OrderedEvent(NamedTuple):
 
 class Order(Sequence):
     """Entries start to stop - 1 of a consensus order kept as three
-    columns: event id, round received and consensus timestamp.  The
-    columns only grow, so a range stays fixed once taken; an entry is built
-    as an ``OrderedEvent`` when read, and a slice is another range of the
-    same columns."""
+    columns: the event's index in its store, round received and consensus
+    timestamp.  The columns only grow, so a range stays fixed once taken;
+    an entry is built as an ``OrderedEvent`` when read, its id read from
+    the store's id column ``ids``, and a slice is another range of the same
+    columns."""
 
-    __slots__ = ("ids", "rounds", "stamps", "start", "stop")
+    __slots__ = ("ids", "events", "rounds", "stamps", "start", "stop")
 
-    def __init__(self, ids: list[EventId], rounds: list[int],
-                 stamps: list[int], start: int = 0,
-                 stop: Optional[int] = None):
-        self.ids, self.rounds, self.stamps = ids, rounds, stamps
+    def __init__(self, ids: bytearray, events: Sequence[int],
+                 rounds: Sequence[int], stamps: Sequence[int],
+                 start: int = 0, stop: Optional[int] = None):
+        self.ids, self.events = ids, events
+        self.rounds, self.stamps = rounds, stamps
         self.start = start
-        self.stop = len(ids) if stop is None else stop
+        self.stop = len(events) if stop is None else stop
 
     def __len__(self) -> int:
         return self.stop - self.start
@@ -170,19 +179,28 @@ class Order(Sequence):
             a, b, step = i.indices(len(self))
             if step != 1:
                 raise ValueError("an order slice is contiguous")
-            return Order(self.ids, self.rounds, self.stamps,
+            return Order(self.ids, self.events, self.rounds, self.stamps,
                          self.start + a, self.start + max(a, b))
         if i < 0:
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError("order index out of range")
         i += self.start
-        return OrderedEvent(self.ids[i], self.rounds[i], self.stamps[i])
+        (event_id,) = _ID_AT(self.ids, self.events[i] << 5)
+        return OrderedEvent(event_id, self.rounds[i], self.stamps[i])
 
     def __iter__(self) -> Iterator[OrderedEvent]:
-        a, b = self.start, self.stop
-        return map(OrderedEvent, islice(self.ids, a, b),
+        ids, a, b = self.ids, self.start, self.stop
+        return map(OrderedEvent,
+                   (_ID_AT(ids, x << 5)[0]
+                    for x in islice(self.events, a, b)),
                    islice(self.rounds, a, b), islice(self.stamps, a, b))
+
+    def joined_ids(self, i: int, j: int) -> bytes:
+        """The ids of column entries i to j - 1, 32 bytes each, in one
+        bytes object."""
+        ids = self.ids
+        return b"".join([_ID_AT(ids, x << 5)[0] for x in self.events[i:j]])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Order):
@@ -191,8 +209,8 @@ class Order(Sequence):
 
 
 class Records(Sequence):
-    """A store's events, in index order, each built as an ``_EventFields``
-    from the store's columns when read."""
+    """A store's events, in index order, each built as an ``Event`` from
+    the store's columns when read."""
 
     __slots__ = ("store",)
 
@@ -200,9 +218,9 @@ class Records(Sequence):
         self.store = store
 
     def __len__(self) -> int:
-        return len(self.store._ids)
+        return len(self.store._creator)
 
-    def __getitem__(self, i: int) -> _EventFields:
+    def __getitem__(self, i: int) -> Event:
         if not 0 <= i < len(self):
             raise IndexError("event index out of range")
         return self.store._fields_of(i)
@@ -317,25 +335,28 @@ class EventStore:
       self-parent tree tip, each spanning the history below it.
       ``_ancestry`` rebuilds a freed mask read again (a fork on an old
       event) from the live masks below, and keeps nothing.
-    - Column layout: no per-event record outlives its insert.  An event's
-      id (its raw digest), creator, created_at, other-parent index (-1 for
-      none) and payload are appended to ``_ids``, ``_creator``,
-      ``_created_at``, ``_other_parent`` and ``_payload``, beside
-      ``_self_parent``; its units are its bits in the unit planes.  The
-      consensus order is three more columns, ``_order_ids``,
-      ``_order_rounds`` and ``_order_stamps``.  ``by_index`` and
-      ``consensus`` are views that build an ``_EventFields`` or an
-      ``OrderedEvent`` when read; the hot paths read the columns.
+    - Column layout: inside a store an event's only name is its index, and
+      no per-event object outlives its insert.  Ids are one ``bytearray``,
+      ``_ids``, 32 bytes per event; creator, created_at, self-parent and
+      other-parent indices (-1 for none) and ``_seq`` are ``array``
+      columns, payloads a list, and units bits in the unit planes.  The
+      consensus order is three more ``array`` columns, ``_order_events``
+      (event indices), ``_order_rounds`` and ``_order_stamps``.  An id is
+      read from its column only where it leaves the store: sealing a
+      child, the sorts by id (``_by_digest``, an ordered batch), a coin,
+      and the records ``by_index``, ``Transfer`` and ``consensus`` build
+      when read.  No dict is keyed by id, so an exact duplicate is
+      inserted again, as a second branch of its creator.
     - Payload lifetime: an event's transactions are read once, by the
       walk that applies its committee's newly ordered events, and by
       nothing else.  ``take_payload`` hands them to that walk and sets the
       event's ``_payload`` slot to None.  A payload of None means
       "applied": a store rebuilt from a replica replays the events with
-      their payloads as they stand, so the walk of the rebuilt store skips
-      those the old store applied.  The global graph's events keep their
-      payloads: each coordinator's view reads them when it first receives
-      them, and the global walk reads their join and reorganization
-      transactions.
+      their payloads as they stand (``replay``), so the walk of the rebuilt
+      store skips those the old store applied.  The global graph's events
+      keep their payloads: each coordinator's view reads them when it
+      first receives them, and the global walk reads their join and
+      reorganization transactions.
     - ``_sm`` is the supermajority of the population, kept by
       ``add_member`` and ``remove_member`` (0 while the population is empty,
       which makes a read raise), so neither insert nor a tally recounts it.
@@ -361,19 +382,20 @@ class EventStore:
             m: i for i, m in enumerate(self.population)
         }
         self._update_supermajority()
-        self.index: dict[EventId, int] = {}
         # the event columns (see Column layout)
-        self._ids: list[EventId] = []
-        self._creator: list[NodeId] = []
-        self._created_at: list[int] = []
-        self._other_parent: list[int] = []
+        self._ids = ids = bytearray()
+        # the sort key of event i: its id, as a 1-tuple
+        self._id_key = lambda i: _ID_AT(ids, i << 5)
+        self._creator = array("q")
+        self._created_at = array("q")
+        self._self_parent = array("i")
+        self._other_parent = array("i")
+        self._seq = array("i")               # position along self-parent chain
         self._payload: list[Optional[tuple[Transaction, ...]]] = []
         self._anc: list[int] = []            # ancestor bitmask, includes self
-        self._seq: list[int] = []            # position along self-parent chain
         self._forked: list[int] = []         # creators with a fork visible
         self._cmask: dict[NodeId, int] = {}  # creator -> its events' mask
         self._unit_planes: list[int] = []
-        self._self_parent: list[int] = []
         self._forkers: dict[NodeId, int] = {}  # creator -> its member bit
         # forker's event -> its creator's earlier events it does not descend
         # from
@@ -404,9 +426,9 @@ class EventStore:
         self._first_undecided_round = 1
         self._fame_polled = 0                # witnesses at the last poll
         # total ordering: the consensus order's columns
-        self._order_ids: list[EventId] = []
-        self._order_rounds: list[int] = []
-        self._order_stamps: list[int] = []
+        self._order_events = array("i")
+        self._order_rounds = array("i")
+        self._order_stamps = array("q")
         self._emitted = 0                    # bitmask of ordered events
         self.finalized_round = 0
         self._late: dict[int, int] = {}      # round -> late witnesses
@@ -419,19 +441,27 @@ class EventStore:
     def consensus(self) -> Order:
         """The consensus order as it stands: a fixed range of its columns,
         which later appends leave as it is."""
-        return Order(self._order_ids, self._order_rounds, self._order_stamps)
+        return Order(self._ids, self._order_events, self._order_rounds,
+                     self._order_stamps)
 
-    def _fields_of(self, i: int) -> _EventFields:
-        """Event i's seven fields, from the columns."""
+    def _id(self, i: int) -> EventId:
+        """Event i's id, from the id column."""
+        return _ID_AT(self._ids, i << 5)[0]
+
+    def _fields_of(self, i: int) -> Event:
+        """Event i's record, from the columns."""
         sp, op = self._self_parent[i], self._other_parent[i]
-        ids = self._ids
+        return tuple.__new__(Event, (
+            self._creator[i], self._id(sp) if sp >= 0 else None,
+            self._id(op) if op >= 0 else None, self._payload[i],
+            self._created_at[i], self._id(i), self._units_at(i)))
+
+    def _units_at(self, i: int) -> int:
+        """Event i's payload units: its bits in the unit planes."""
         units = 0
         for k, plane in enumerate(self._unit_planes):
             units |= (plane >> i & 1) << k
-        return _EventFields(
-            self._creator[i], ids[sp] if sp >= 0 else None,
-            ids[op] if op >= 0 else None, self._payload[i],
-            self._created_at[i], ids[i], units)
+        return units
 
     # -- membership ---------------------------------------------------------
 
@@ -471,23 +501,27 @@ class EventStore:
 
     # -- insertion ----------------------------------------------------------
 
-    def add_event(self, event: Event) -> int:
-        creator, sp, op, payload, created_at, digest, units = event
-        index, ids, creators = self.index, self._ids, self._creator
-        idx = index.get(digest)
-        if idx is not None:
-            return idx
-        spi = opi = None
-        if sp is not None:
-            spi = index.get(sp)
-            if spi is None:
-                raise HashgraphError(f"dangling self_parent {sp.hex()[:12]}")
+    def add_event(self, creator: NodeId, self_parent: Optional[int],
+                  other_parent: Optional[int],
+                  payload: Optional[tuple[Transaction, ...]], created_at: int,
+                  event_id: Optional[EventId] = None, units: int = 0) -> int:
+        """Insert the event of these five fields, its parents given by
+        index (None for none), and return its index.  Its id and units are
+        sealed from the fields, the parents' ids read from the id column.
+        A replayed event (``replay``) gives its source's ``event_id``: it
+        must reseal to it, or, if its payload was taken (None), it takes
+        that id and ``units`` as given."""
+        spi, opi = self_parent, other_parent
+        ids, creators = self._ids, self._creator
+        idx = len(creators)
+        if spi is not None:
+            if not 0 <= spi < idx:
+                raise HashgraphError(f"dangling self_parent {spi}")
             if creators[spi] != creator:
                 raise HashgraphError("self_parent by a different creator")
-        if op is not None:
-            opi = index.get(op)
-            if opi is None:
-                raise HashgraphError(f"dangling other_parent {op.hex()[:12]}")
+        if opi is not None:
+            if not 0 <= opi < idx:
+                raise HashgraphError(f"dangling other_parent {opi}")
             if creators[opi] == creator:
                 raise HashgraphError("other_parent created by creator itself")
         if creator not in self._member_bit:
@@ -495,10 +529,19 @@ class EventStore:
         sm = self._sm
         if not sm and (spi is not None or opi is not None):
             raise HashgraphError("no members to take a supermajority of")
+        if payload is not None:
+            digest, units = _seal(
+                creator, b"" if spi is None else _ID_AT(ids, spi << 5)[0],
+                b"" if opi is None else _ID_AT(ids, opi << 5)[0],
+                payload, created_at)
+            if event_id is not None and digest != event_id:
+                raise HashgraphError("replayed event reseals to another id")
+        elif event_id is None or len(event_id) != 32:
+            raise HashgraphError("an event without a payload needs its id")
+        else:
+            digest = event_id
 
-        idx = len(ids)
-        index[digest] = idx
-        ids.append(digest)
+        ids += digest
         creators.append(creator)
         self._created_at.append(created_at)
         self._other_parent.append(-1 if opi is None else opi)
@@ -519,7 +562,8 @@ class EventStore:
         # inserted event is its tip, so an event whose self-parent is not
         # the tip (or a second root) is a branch point
         anc, forked, seq = bit, 0, self._seq
-        self._self_parent.append(-1 if spi is None else spi)
+        sp = -1 if spi is None else spi
+        self._self_parent.append(sp)
         if spi is None:
             seq.append(0)
         else:
@@ -530,8 +574,7 @@ class EventStore:
             anc |= self._anc[opi] or self._ancestry(opi)
             forked |= self._forked[opi]
         self._anc.append(anc)
-        if (self._forker_bits & cbit
-                or self._self_parent[idx] != own.bit_length() - 1):
+        if self._forker_bits & cbit or sp != own.bit_length() - 1:
             self._forkers[creator] = cbit
             self._forker_bits |= cbit
             if own & anc != own:
@@ -601,8 +644,9 @@ class EventStore:
                 self._votes.setdefault(r - 1, {})[idx] = yes
             if r <= self.finalized_round:
                 self._late[r] = self._late.get(r, 0) | bit
-            bisect.insort(self._by_digest.setdefault(r, []), idx,
-                          key=ids.__getitem__)
+            ranked = self._by_digest.setdefault(r, [])
+            ranked.insert(bisect.bisect_right(
+                ranked, (digest,), key=self._id_key), idx)
         if r > self.max_round:
             self.max_round = r
         reach.append((prev, cur))
@@ -835,7 +879,7 @@ class EventStore:
                     # deterministic coin, the low bit of the voter's digest,
                     # where the tally is short of a supermajority
                     vote = (vote & decided
-                            | (self._ids[v][-1] & 1) * (todo & ~decided))
+                            | (self._ids[(v << 5) + 31] & 1) * (todo & ~decided))
                 covered[v] = covered.get(v, 0) | todo
                 votes[v] = votes.get(v, 0) | vote & todo
                 if decided and not coin:
@@ -898,11 +942,11 @@ class EventStore:
                     median |= carry
                     pending ^= carry
             if median:
-                ids = self._ids
-                batch = sorted(ids[lo + b] for b in _set_bits(median))
-                self._order_ids += batch
-                self._order_rounds += [r] * len(batch)
-                self._order_stamps += [ts] * len(batch)
+                batch = sorted(map(lo.__add__, _set_bits(median)),
+                               key=self._id_key)
+                self._order_events.extend(batch)
+                self._order_rounds.extend([r] * len(batch))
+                self._order_stamps.extend([ts] * len(batch))
                 if not pending:
                     return
 
@@ -939,15 +983,20 @@ class EventStore:
             r += 1
 
     def view_finalized_round(self, known: int) -> int:
-        """Largest finalized round fully decidable inside a node's view: every
-        witness the view knows up to it is decided, by a decider it knows."""
+        """Largest finalized round fully decidable inside a node's view: up
+        to it, the view knows a decider of every round, and every witness
+        it knows was decided by a decider it knows.  A decider of round r
+        strongly sees a supermajority of round r + 1 witnesses, so it
+        descends from every famous witness of round r, and the view, down-
+        closed, knows every event received by round r."""
         # the view knows every event below its lowest missing index
         low = (~known & known + 1).bit_length() - 1
         for r in range(1, self.finalized_round + 1):
             last, groups = self._deciders[r]
-            if known & self._late.get(r, 0) or last >= low and any(
-                    known & ws and not known >> d & 1
-                    for d, ws in groups.items()):
+            if known & self._late.get(r, 0) or last >= low and (
+                    not any(known >> d & 1 for d in groups) or any(
+                        known & ws and not known >> d & 1
+                        for d, ws in groups.items())):
                 return r - 1
         return self.finalized_round
 
@@ -966,7 +1015,7 @@ class Transfer:
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def __iter__(self) -> Iterator[_EventFields]:
+    def __iter__(self) -> Iterator[Event]:
         return map(self.store._fields_of, _set_bits(self.mask))
 
     @property
@@ -974,21 +1023,39 @@ class Transfer:
         return self.store.units_of(self.mask)
 
 
+def replay(store: EventStore, events: Transfer) -> None:
+    """Insert the events of a transfer from another store into store, in
+    index order, each parent named by its copy's index.  A copy keeps its
+    source's id (see ``add_event``), so a parent index that maps wrong
+    raises: one outside the transfer is dangling, and one inside it makes
+    a child that holds its payload reseal to another id."""
+    source, copies = events.store, {}
+    creators, created_at = source._creator, source._created_at
+    self_parent, other_parent = source._self_parent, source._other_parent
+    for i in _set_bits(events.mask):
+        sp, op = self_parent[i], other_parent[i]
+        copies[i] = store.add_event(
+            creators[i], None if sp < 0 else copies.get(sp, -1),
+            None if op < 0 else copies.get(op, -1), source._payload[i],
+            created_at[i], source._id(i), source._units_at(i))
+
+
 class Hashgraph:
     """One participant's (possibly partial) view over an event store.
 
     ``known`` is a down-closed mask of the store's events.  Of the heads the
-    view keeps only ``head``, the owner's known event furthest along its
-    self-parent chain, which the owner's next event chains onto.  On a tie,
-    which only a forked owner has, the later-absorbed event wins: an
-    equivocator's second branch that gossip brings back becomes its head.
+    view keeps only ``head``, the index of the owner's known event furthest
+    along its self-parent chain, which the owner's next event chains onto.
+    On a tie, which only a forked owner has, the later-absorbed event wins:
+    an equivocator's second branch that gossip brings back becomes its
+    head.
     """
 
     def __init__(self, store: EventStore, owner: Optional[NodeId] = None):
         self.store = store
         self.owner = owner
         self.known = 0
-        self.head: Optional[EventId] = None
+        self.head: Optional[int] = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -996,18 +1063,14 @@ class Hashgraph:
     def population(self) -> list[NodeId]:
         return self.store.population
 
-    def __contains__(self, event_id: EventId) -> bool:
-        i = self.store.index.get(event_id)
-        return i is not None and bool((self.known >> i) & 1)
-
-    def _head_after(self, mask: int) -> Optional[EventId]:
+    def _head_after(self, mask: int) -> Optional[int]:
         """The head once the view learns the events in mask: the owner's
         among them, walked in index order, move it."""
         head, store = self.head, self.store
-        seq, index = store._seq, store.index
+        seq = store._seq
         for i in _set_bits(mask & store._cmask.get(self.owner, 0)):
-            if head is None or seq[index[head]] <= seq[i]:
-                head = store._ids[i]
+            if head is None or seq[head] <= seq[i]:
+                head = i
         return head
 
 
@@ -1018,61 +1081,60 @@ def member_view(store: EventStore, owner: NodeId) -> Hashgraph:
     view = Hashgraph(store, owner)
     own = store._cmask.get(owner, 0)
     if own:
-        last = own.bit_length() - 1
+        view.head = last = own.bit_length() - 1
         view.known = store._anc[last]
-        view.head = store._ids[last]
     return view
 
 
 def create_event(
     graph: Hashgraph,
-    other_parent: Optional[EventId],
+    other_parent: Optional[int],
     payload: Sequence[Transaction],
     now: int,
-) -> Event:
+) -> int:
     """Append a new event for the view's owner, chaining onto the view's
-    head.  The store checks the parents' creators; the other-parent must be
-    in the view, which keeps the view down-closed."""
-    if other_parent is not None and other_parent not in graph:
-        raise HashgraphError("unresolvable other_parent")
+    head, and return its index.  The store checks the parents' creators;
+    the other-parent must be in the view, which keeps the view
+    down-closed."""
+    if other_parent is not None and not (
+            other_parent >= 0 and graph.known >> other_parent & 1):
+        raise HashgraphError(f"other_parent {other_parent} not in the view")
     return _record(graph, 0, other_parent, payload, now)
 
 
 def _record(
     graph: Hashgraph,
     learned: int,
-    other_parent: Optional[EventId],
+    other_parent: Optional[int],
     payload: Sequence[Transaction],
     now: int,
-) -> Event:
+) -> int:
     """The owner's next event, chained onto the head the view has once it
     learns the events in ``learned``, becomes the view's head: it is past
     every owner event the view then knows.  The view learns them only after
     the store accepts the event, so a rejected event leaves the view as it
     was."""
-    store, owner = graph.store, graph.owner
-    if owner not in store._member_bit:
-        raise HashgraphError(f"view owner {owner} is not a member")
+    store = graph.store
     # only the owner's events among those learned can move the head
     head = (graph._head_after(learned)
-            if learned & store._cmask.get(owner, 0) else graph.head)
-    event = _seal(owner, head, other_parent, tuple(payload), now)
-    graph.known |= learned | 1 << store.add_event(event)
-    graph.head = event.digest
-    return event
+            if learned & store._cmask.get(graph.owner, 0) else graph.head)
+    idx = store.add_event(graph.owner, head, other_parent, tuple(payload), now)
+    graph.known |= learned | 1 << idx
+    graph.head = idx
+    return idx
 
 
 def gossip_chain(
     views: Sequence[Hashgraph],
     payloads: Sequence[Sequence[Transaction]],
     now: int,
-) -> list[tuple[int, Event]]:
+) -> list[tuple[int, int]]:
     """Each view, in turn, pushes into the next, of the same store, which
     learns what it was missing and records the sync as its owner's event
     with payload ``payloads[i]`` for ``views[i + 1]``.  A ring is its views
     with the first appended.  Returns each sync's transferred mask and
-    record event, which carries its units.  A rejected sync raises and
-    leaves its receiver's view unchanged; the syncs before it stand."""
+    record event's index.  A rejected sync raises and leaves its receiver's
+    view unchanged; the syncs before it stand."""
     store = views[0].store
     syncs = []
     for sender, receiver, payload in zip(views, views[1:], payloads):
@@ -1089,11 +1151,11 @@ def gossip_sync(
     receiver_graph: Hashgraph,
     now: int,
     payload: Sequence[Transaction] = (),
-) -> tuple[Transfer, Event]:
+) -> tuple[Transfer, int]:
     """Push the sender's view into the receiver's and record the sync:
     the chain of the two views.  Returns the events the receiver was
-    missing and its new gossip-record event, whose other_parent is the
-    sender's head."""
+    missing and the index of its new gossip-record event, whose
+    other_parent is the sender's head."""
     ((mask, event),) = gossip_chain(
         (sender_graph, receiver_graph), (payload,), now)
     return Transfer(sender_graph.store, mask), event
@@ -1107,7 +1169,7 @@ def decided_length(graph: Hashgraph) -> int:
     store = graph.store
     store.advance_consensus()
     rounds = store._order_rounds
-    if graph.known.bit_count() == len(store._ids):
+    if graph.known.bit_count() == len(store._creator):
         return len(rounds)
     return bisect.bisect_right(rounds, store.view_finalized_round(graph.known))
 
@@ -1122,14 +1184,13 @@ def detect_forks(graph: Hashgraph) -> set[tuple[NodeId, EventId, EventId]]:
     """Every same-creator event pair the view knows where neither is the
     other's ancestor, from the evidence recorded at insert."""
     store, known = graph.store, graph.known
-    ids = store._ids
     forks: set[tuple[NodeId, EventId, EventId]] = set()
     for b, apart in store._apart.items():
         if known >> b & 1:
-            creator, db = store._creator[b], ids[b]
+            creator, db = store._creator[b], store._id(b)
             for a in apart:
                 if not known >> a & 1:
                     continue
-                da = ids[a]
+                da = store._id(a)
                 forks.add((creator,) + ((da, db) if da < db else (db, da)))
     return forks

@@ -18,6 +18,7 @@ from .hashgraph import (
     Order,
     Transfer,
     decided_length,
+    replay,
 )
 from .transactions import KIND_PAYLOAD, Transaction
 
@@ -214,10 +215,8 @@ def coordinator_receive_global(
     receiver_committee: CommitteeId,
     global_event: Event,
 ) -> CacheQueue:
-    """Step 2b: file transactions targeting this committee into the
-    receiving coordinator's inbound queue."""
-    if global_event.digest not in state.global_store.index:
-        raise ShardingError("event not present in the global graph")
+    """Step 2b: file transactions targeting this committee, from an event
+    of the global graph, into the receiving coordinator's inbound queue."""
     queue = state.queues[receiver_committee]
     queue.inbound += _delivered_to(receiver_committee, global_event.payload)
     return queue
@@ -279,8 +278,7 @@ def recover_failed_shard(
         )
 
     store = EventStore(replica.population)
-    for ev in replica.events:
-        store.add_event(ev)
+    replay(store, replica.events)
     store.advance_consensus()
     prefix, want = store.consensus, replica.consensus
     if prefix[: len(want)] != want and want[: len(prefix)] != prefix:

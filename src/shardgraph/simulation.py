@@ -42,7 +42,6 @@ from typing import NamedTuple, Optional, TextIO
 
 from .config import ScenarioConfig
 from .hashgraph import (
-    Event,
     Hashgraph,
     Order,
     consensus_order,
@@ -51,6 +50,7 @@ from .hashgraph import (
     gossip_chain,
     gossip_sync,
     member_view,
+    payload_units,
 )
 from .metrics import MetricsReport, compare_measured
 from .reconfig import (
@@ -110,8 +110,8 @@ class Scheduler:
         return next(self._ticks, None)
 
 
-def event_units(event: Event) -> int:
-    return event.units
+def event_units(payload: list[Transaction]) -> int:
+    return payload_units(payload)
 
 
 def poisson_sample(rng: random.Random, lam: float) -> int:
@@ -183,10 +183,10 @@ def order_summary(order: Order) -> dict:
     are hashed a chunk of entries at a time, each chunk's ids hex-encoded in
     one call, so the order's text is never held whole."""
     h = hashlib.sha256()
-    ids, rounds, stamps = order.ids, order.rounds, order.stamps
+    rounds, stamps = order.rounds, order.stamps
     for i in range(order.start, order.stop, _SUMMARY_CHUNK):
         j = min(i + _SUMMARY_CHUNK, order.stop)
-        hexed = b"".join(ids[i:j]).hex(",", _ID_BYTES).split(",")
+        hexed = order.joined_ids(i, j).hex(",", _ID_BYTES).split(",")
         h.update("".join(map("%s,%d,%d\n".__mod__, zip(
             hexed, rounds[i:j], stamps[i:j]))).encode())
     return {
@@ -198,7 +198,7 @@ def order_summary(order: Order) -> dict:
 
 def _full_view(store, owner=None) -> Hashgraph:
     g = Hashgraph(store, owner)
-    g.known = (1 << len(store._ids)) - 1
+    g.known = (1 << len(store.by_index)) - 1
     return g
 
 
@@ -408,19 +408,19 @@ class Simulation:
         units_of = views[0].store.units_of
         self.metrics.add_syncs([view.owner for view in views],
                                [units_of(mask) for mask, _ in syncs],
-                               [event.units for _, event in syncs])
+                               [payload_units(p) for p in payloads])
 
     def _global_sync(self, sender, receiver, t):
         """One global gossip sync, accounted sync by sync."""
         seats, committee_of = self.state.seats, self.table.committee_of
         rcid = committee_of(receiver)
         batch = flush_outbound(self.state, rcid, self.cfg.batch_limit)
-        transferred, new_ev = gossip_sync(
+        transferred, _ = gossip_sync(
             seats[committee_of(sender)], seats[rcid], t, batch)
         units = transferred.units
         self.metrics.add_comm(sender, units)
         self.metrics.add_received(receiver, units)
-        self.metrics.add_storage(receiver, units + event_units(new_ev))
+        self.metrics.add_storage(receiver, units + event_units(batch))
         self.metrics.add_handshake(sender, 1)
         # the receiver's own new event holds only its committee's outbound
         for ev in transferred:
@@ -433,15 +433,15 @@ class Simulation:
         for cid in sorted(self.state.local_stores):
             store = self.state.local_stores[cid]
             store.advance_consensus()
-            ids, stamps = store._order_ids, store._order_stamps
-            take, index = store.take_payload, store.index
+            ordered, stamps = store._order_events, store._order_stamps
+            take = store.take_payload
             # the committee's key exists once any payload-kind transaction,
             # a zero-size marker included, has been ordered there
             keyed = cid in ordered_units
             units = ordered_units.get(cid, 0)
             payloads = []
-            for k in range(self.consensus_ptr.get(cid, 0), len(ids)):
-                payload = take(index[ids[k]])
+            for k in range(self.consensus_ptr.get(cid, 0), len(ordered)):
+                payload = take(ordered[k])
                 if not payload:
                     # empty, or applied in the store a recovery replaced
                     continue
@@ -462,18 +462,18 @@ class Simulation:
                         self._on_reselect(cid, tx, stamps[k], t)
             if keyed:
                 ordered_units[cid] = units
-            self.consensus_ptr[cid] = len(ids)
+            self.consensus_ptr[cid] = len(ordered)
             coordinator_ingest_local(self.state, self.table, cid, payloads)
         gstore = self.state.global_store
         gstore.advance_consensus()
-        ids, stamps = gstore._order_ids, gstore._order_stamps
-        for k in range(self.global_ptr, len(ids)):
-            for tx in gstore._payload[gstore.index[ids[k]]]:
+        ordered, stamps = gstore._order_events, gstore._order_stamps
+        for k in range(self.global_ptr, len(ordered)):
+            for tx in gstore._payload[ordered[k]]:
                 if tx.kind == KIND_JOIN:
                     self._apply_join(tx, stamps[k], t)
                 elif tx.kind == KIND_REORG:
                     self._on_reorg_global(tx, stamps[k], t)
-        self.global_ptr = len(ids)
+        self.global_ptr = len(ordered)
         self._maybe_checkpoint(t)
 
     def _maybe_checkpoint(self, t):
@@ -574,12 +574,12 @@ class Simulation:
             self.views.pop(m, None)
             self.pending.pop(m, None)
         store = self.state.local_stores[cid]
-        tip = store._ids[-1] if store._ids else None
+        tip = len(store.by_index) - 1
         for node in replacements:
             g = _full_view(store, node)
             self.views[node] = g
             self.pending[node] = []
-            if tip is not None:
+            if tip >= 0:
                 # anchor the new member's chain to the recovered graph so
                 # rounds keep advancing past the replayed history
                 create_event(g, tip, (), t)

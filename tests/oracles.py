@@ -9,10 +9,12 @@ strong sight and fame, with ancestry built from the store's parent links
 reads its fame deciders, vote_state and
 check_vote_state_bounds read its fame vote state, and round_robin_fixture
 gossips the small DAGs the oracle tests run on.  insert and add_for grow a
-DAG on a view by hand, report_text serializes a report the way write_report
-does, check_supermajority checks a store's kept supermajority at every
-membership change, and reference_digest serializes an event's fields one
-``int.to_bytes`` at a time, as the digest was first defined.  The oracles
+DAG on a view by hand, naming parents by id through a test-side id to
+index map (index_of), as the store keeps none; report_text serializes a
+report the way write_report does, check_supermajority checks a store's
+kept supermajority at every membership change, and reference_digest
+serializes an event's fields one ``int.to_bytes`` at a time, as the digest
+was first defined.  The oracles
 read a coin from an event id's last hex digit, and build the events they
 insert by hand from reference_digest, not with the engine's Event.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import weakref
 from typing import NamedTuple, Optional
 
 from shardgraph.hashgraph import (
@@ -84,7 +87,8 @@ def round_robin_fixture(
     n: int = 4, events_per_node: int = 3
 ) -> tuple[Hashgraph, list]:
     """A deterministic n-node gossip schedule: a view that knows every
-    event of the resulting store, and the events in creation order."""
+    event of the resulting store, and the events' records in creation
+    order."""
     store = EventStore(range(n))
     graphs = [Hashgraph(store, i) for i in range(n)]
     events = [create_event(graphs[i], None, (), 0) for i in range(n)]
@@ -108,7 +112,7 @@ def round_robin_fixture(
                 break
     full = Hashgraph(store)
     full.known = (1 << len(store.by_index)) - 1
-    return full, events
+    return full, [store.by_index[i] for i in events]
 
 
 # a report's text -----------------------------------------------------------
@@ -312,11 +316,47 @@ def head_of(graph, creator):
     return store.by_index[max(known, key=store._seq.__getitem__)].digest
 
 
+# store -> its id -> index map, extended from the id column as it grows
+_ID_INDEX = weakref.WeakKeyDictionary()
+
+
+def index_of(store):
+    """id -> index over the store's events, for tests that name events by
+    id (the store keeps no such map); of an id inserted twice, the first
+    index."""
+    index = _ID_INDEX.setdefault(store, {})
+    for i in range(len(index), len(store.by_index)):
+        index.setdefault(store._id(i), i)
+    return index
+
+
+def parent_index(store, digest):
+    """The index of the event of this id, or None for None; an id the store
+    does not hold names one past its last event, which it rejects as
+    dangling."""
+    if digest is None:
+        return None
+    return index_of(store).get(digest, len(store.by_index))
+
+
+def insert_event(store, event):
+    """Insert an event record (an Event or Record, or one read from another
+    store) into store, its parents named by id and passed by index; returns
+    its index, which must hold the event's digest.  A record whose payload
+    was taken (None) is replayed with its id and units."""
+    header = () if event.payload is not None else (event.digest, event.units)
+    i = store.add_event(event.creator, parent_index(store, event.self_parent),
+                        parent_index(store, event.other_parent),
+                        event.payload, event.created_at, *header)
+    assert store._id(i) == event.digest
+    return i
+
+
 def insert(graph, event):
     """Insert a built event into graph's store and view.  The view's head
     moves as a sync would move it: to the event if it is the owner's and
     at least as far along the owner's chain as the head."""
-    bit = 1 << graph.store.add_event(event)
+    bit = 1 << insert_event(graph.store, event)
     graph.head = graph._head_after(bit)
     graph.known |= bit
     return event
@@ -358,17 +398,15 @@ def witness_flags(store):
 
 def ancestry(store, masks=None):
     """Every event's ancestor mask, itself included, in index order, from
-    its parents' digests alone: inserts are parents-first, so each parent's
+    its parent links alone: inserts are parents-first, so each parent's
     mask is built first.  Given masks, an earlier result for the same
     store, it extends that list to the store's events."""
     masks = [] if masks is None else masks
-    index, records = store.index, store.by_index
-    for i in range(len(masks), len(records)):
-        ev = records[i]
+    for i in range(len(masks), len(store.by_index)):
         mask = 1 << i
-        for p in (ev.self_parent, ev.other_parent):
-            if p is not None:
-                mask |= masks[index[p]]
+        for p in (store._self_parent[i], store._other_parent[i]):
+            if p >= 0:
+                mask |= masks[p]
         masks.append(mask)
     return masks
 
@@ -437,7 +475,7 @@ class ReferenceFame:
             tally = max(yes, no)
             if diff % COIN_PERIOD == 0:
                 if tally < sm(len(store.population)):
-                    result = bool(int(store._ids[v].hex()[-1], 16) & 1)
+                    result = bool(int(store._id(v).hex()[-1], 16) & 1)
             elif tally >= sm(len(store.population)) and w not in self.fame:
                 self.fame[w] = result
                 self.decider[w] = v
@@ -448,7 +486,7 @@ class ReferenceFame:
         store = self.store
 
         def digest_sorted(ids):
-            return sorted(ids, key=store._ids.__getitem__)
+            return sorted(ids, key=store._id)
 
         for r in range(self.first_undecided_round, store.max_round + 1):
             witnesses = store.witnesses_by_round.get(r, ())
@@ -515,17 +553,17 @@ def check_vote_state_bounds(store):
 
 def median_stamps(store, anc, x, famous):
     """The per-event rule: for each famous witness, walk its self-parent
-    digests down while they descend from x (by anc, the store's ancestry);
+    links down while they descend from x (by anc, the store's ancestry);
     the last one reached is the earliest self-ancestor of the witness that
     descends from x.  Those events' created_at, sorted."""
     stamps = []
     for w in famous:
         earliest = None
-        y = store.by_index[w].digest
-        while y is not None and anc[store.index[y]] >> x & 1:
-            earliest = store.by_index[store.index[y]]
-            y = earliest.self_parent
-        stamps.append(earliest.created_at)
+        y = w
+        while y >= 0 and anc[y] >> x & 1:
+            earliest = y
+            y = store._self_parent[y]
+        stamps.append(store._created_at[earliest])
     return sorted(stamps)
 
 
@@ -537,13 +575,17 @@ def median_timestamp(store, anc, x, famous):
 
 def reference_view_finalized_round(store, known):
     """store.view_finalized_round(known) as a rescan from round 1: the
-    rounds up to the first finalized round with a witness the view knows
-    that is undecided, or decided by a witness the view does not know."""
+    rounds up to the first finalized round none of whose deciders the view
+    knows, or with a witness the view knows that is undecided, or decided
+    by a witness the view does not know."""
     deciders = deciders_of(store)
     r = 0
     while r < store.finalized_round:
         nxt = r + 1
-        for w in store.witnesses_by_round.get(nxt, ()):
+        ws = store.witnesses_by_round.get(nxt, ())
+        if not any(known >> deciders[w] & 1 for w in ws if w in deciders):
+            return r
+        for w in ws:
             if not (known >> w) & 1:
                 continue
             decider = deciders.get(w)

@@ -35,27 +35,35 @@ from oracles import ancestry, check_vote_state_bounds, round_robin_fixture
 from test_engine_indices import gossip_dag
 
 
+def index_fields(events):
+    """Each event record's five fields as add_event takes them, its
+    parents by index in events."""
+    index = {ev.digest: i for i, ev in enumerate(events)}
+    return [(ev.creator, index.get(ev.self_parent), index.get(ev.other_parent),
+             ev.payload, ev.created_at) for ev in events]
+
+
 @pytest.fixture(scope="module")
 def dag():
     graph, events = round_robin_fixture(n=16, events_per_node=60)
-    return graph.population, events
+    return graph.population, index_fields(events)
 
 
-def filled_store(population, events):
+def filled_store(population, fields):
     store = EventStore(population)
-    for ev in events:
-        store.add_event(ev)
+    for f in fields:
+        store.add_event(*f)
     return store
 
 
 def round_robin_events(n, per_node):
     graph, events = round_robin_fixture(n, per_node)
-    return graph.population, events
+    return graph.population, index_fields(events)
 
 
 def forked_events():
     built, _ = gossip_dag(3, steps=900, n=16)
-    return built.population, built.by_index
+    return built.population, index_fields(built.by_index)
 
 
 @pytest.mark.parametrize("source", [
@@ -168,7 +176,7 @@ def test_bench_gossip_ring(benchmark):
     assert len(store.by_index) == n * (rounds + 1)
     # the ring's first sender receives last, and then knows every event
     assert views[plan[-1][1][0]].known == (1 << len(store.by_index)) - 1
-    assert all(ev.units == 1 for _, ev in syncs)
+    assert all(store._units_at(i) == 1 for _, i in syncs)
     assert store.max_round >= 20
 
 
@@ -224,7 +232,7 @@ def test_bench_add_event_forked(benchmark):
     # the fork-test path: members 0 and 1 equivocate, so inserts test each
     # forker's events in their ancestry until each event inherits both forks
     built, _ = gossip_dag(3, steps=900, n=16)
-    events = built.by_index
+    events = index_fields(built.by_index)
     store = benchmark.pedantic(filled_store, args=(built.population, events),
                                rounds=1, iterations=1)
     assert len(store.by_index) == len(events) > 1000
@@ -237,7 +245,7 @@ def test_bench_reach_rebuild(benchmark):
     # every freed reach of a polled forked store rebuilt, each from the live
     # reaches below its window: the miss path a fork on an old event takes
     built, _ = gossip_dag(3, steps=900, n=16)
-    store = filled_store(built.population, built.by_index)
+    store = filled_store(built.population, index_fields(built.by_index))
     store.advance_consensus()
     freed = [i for i, entry in enumerate(store._reach) if not entry]
 
@@ -255,7 +263,7 @@ def test_bench_ancestry_rebuild(benchmark):
     # walk over its freed ancestors down to the live masks: the miss path a
     # fork on an old event takes
     built, _ = gossip_dag(3, steps=900, n=16)
-    store = filled_store(built.population, built.by_index)
+    store = filled_store(built.population, index_fields(built.by_index))
     store.advance_consensus()
     freed = [i for i, mask in enumerate(store._anc) if not mask]
 
@@ -301,11 +309,12 @@ def test_bench_consensus_polls_32_members(benchmark):
     # consensus poll every 32 inserts, so each poll votes on and orders
     # only what the last 32 events changed (insert time included)
     graph, events = round_robin_fixture(n=32, events_per_node=120)
+    events = index_fields(events)
 
     def replay():
         store = EventStore(graph.population)
-        for i, ev in enumerate(events, 1):
-            store.add_event(ev)
+        for i, fields in enumerate(events, 1):
+            store.add_event(*fields)
             if i % 32 == 0:
                 store.advance_consensus()
         return store
@@ -359,6 +368,6 @@ def test_bench_gossip_sync(benchmark, dag):
 
     transfer, ev = benchmark.pedantic(push, setup=setup, rounds=1, iterations=1)
     assert len(transfer) == len(events)
-    assert list(transfer) == events
-    assert transfer.units == sum(e.units for e in events) > 0
-    assert ev.self_parent is None
+    assert index_fields(list(transfer)) == events
+    assert transfer.units == sum(e.units for e in transfer) > 0
+    assert transfer.store._self_parent[ev] == -1

@@ -13,6 +13,7 @@ from shardgraph.hashgraph import (
     Transfer,
     consensus_order,
     create_event,
+    decided_length,
     detect_forks,
     gossip_sync,
     supermajority,
@@ -26,6 +27,7 @@ from oracles import (
     check_supermajority,
     engine_ancestry,
     head_of,
+    index_of,
     insert,
     reference_digest,
     round_robin_fixture,
@@ -103,10 +105,9 @@ def test_kept_supermajority_follows_membership(monkeypatch):
     # join: no supermajority is taken of an empty population
     for node in list(store.population):
         store.remove_member(node)
-    genesis = Event(1, None, None, (), 0)
-    assert store.add_event(genesis) == 0
+    assert store.add_event(1, None, None, (), 0) == 0
     with pytest.raises(HashgraphError):
-        store.add_event(Event(1, genesis.digest, None, (), 1))
+        store.add_event(1, 0, None, (), 1)
     assert len(store.by_index) == len(store.round) == 1
     for node in (30, 31):
         store.add_member(node)
@@ -125,20 +126,19 @@ def test_returning_member_rejoins_population_with_its_bit():
 def test_insert_by_a_non_member_raises_and_leaves_the_store():
     # a joiner is added with add_member before its first event
     store = EventStore(range(3))
-    genesis = Event(0, None, None, (), 0)
-    store.add_event(genesis)
+    store.add_event(0, None, None, (), 0)
 
     def state():
-        return (list(store.by_index), dict(store.index), store.round[:],
+        return (list(store.by_index), bytes(store._ids), store.round[:],
                 store._anc[:], dict(store._cmask), list(store.population),
                 dict(store._member_bit), store._sm, store._width)
 
     before = state()
     with pytest.raises(HashgraphError, match="creator 7 is not a member"):
-        store.add_event(Event(7, None, genesis.digest, (), 1))
+        store.add_event(7, None, 0, (), 1)
     assert state() == before
     store.add_member(7)
-    assert store.add_event(Event(7, None, genesis.digest, (), 1)) == 1
+    assert store.add_event(7, None, 0, (), 1) == 1
 
 
 def test_set_bits_matches_brute_force():
@@ -158,31 +158,37 @@ def test_set_bits_matches_brute_force():
 
 def test_create_event_genesis():
     g = graph_of([0, 1], owner=0)
-    ev = create_event(g, None, (), 0)
+    i = create_event(g, None, (), 0)
+    ev = g.store.by_index[i]
     assert ev.self_parent is None and ev.other_parent is None
-    assert g.head == ev.digest
+    assert g.head == i == 0
 
 
 def test_create_event_head_chaining():
     g = graph_of([0, 1], owner=0)
-    e1 = create_event(g, None, (), 0)
+    records = g.store.by_index
+    e1 = records[create_event(g, None, (), 0)]
     e2 = add_for(g, 1, e1.digest, (), 1)
-    assert g.head == e1.digest
-    e3 = create_event(g, e2.digest, (tx(1),), 2)
+    assert g.head == 0
+    i3 = create_event(g, 1, (tx(1),), 2)
+    e3 = records[i3]
     assert e3.self_parent == e1.digest
     assert e3.other_parent == e2.digest
-    e4 = create_event(g, None, (), 3)
-    assert e4.self_parent == e3.digest
-    assert g.head == e4.digest
+    i4 = create_event(g, None, (), 3)
+    assert records[i4].self_parent == e3.digest
+    assert g.head == i4
 
 
 def test_create_event_errors():
     g = graph_of([0, 1], owner=0)
     e1 = create_event(g, None, (), 0)
+    # an other-parent outside the view: none at that index, or one the
+    # view does not know
+    for unknown in (1, 5, -1):
+        with pytest.raises(HashgraphError):
+            create_event(g, unknown, (), 0)
     with pytest.raises(HashgraphError):
-        create_event(g, b"\xab" * 32, (), 0)
-    with pytest.raises(HashgraphError):
-        create_event(g, e1.digest, (), 1)
+        create_event(g, e1, (), 1)
     with pytest.raises(HashgraphError):
         create_event(graph_of([0, 1], owner=7), None, (), 0)
     assert g.known.bit_count() == 1
@@ -207,7 +213,7 @@ def test_gossip_sync_empty_diff():
     assert list(transferred) == []
     assert len(transferred) == 0 and transferred.units == 0
     assert b.known.bit_count() == before + 1
-    assert ev.other_parent == ea.digest
+    assert a.store._other_parent[ev] == ea
 
 
 def test_gossip_sync_transfers_diff():
@@ -218,7 +224,7 @@ def test_gossip_sync_transfers_diff():
     transferred, ev = gossip_sync(a, b, 3)
     assert len(transferred) == 3
     assert b.known.bit_count() == 4
-    assert ev.creator == 1
+    assert a.store.by_index[ev].creator == 1
 
 
 def test_gossip_sync_full_schedule_converges():
@@ -271,7 +277,7 @@ def test_is_ancestor_reflexive_and_edges(fixture_graph):
         anc = engine_ancestry(store, i)
         assert anc >> i & 1
         if e.self_parent:
-            assert anc >> store.index[e.self_parent] & 1
+            assert anc >> index_of(store)[e.self_parent] & 1
 
 
 def test_is_ancestor_matches_brute_force(fixture_graph):
@@ -287,16 +293,21 @@ def test_is_ancestor_matches_brute_force(fixture_graph):
 
 
 def test_is_ancestor_unresolved():
-    # an unknown digest is in no view, and no event can take it as a parent
+    # an index past the store's events, or below 0, names no event, and no
+    # event can take it as a parent
     g = graph_of([0, 1], owner=0)
-    e = create_event(g, None, (), 0)
-    unknown = b"\xab" * 32
-    assert unknown not in g
-    # the error names the id's hex prefix
-    with pytest.raises(HashgraphError, match="dangling other_parent (ab){6}$"):
-        insert(g, Event(1, None, unknown, (), 1))
-    with pytest.raises(HashgraphError, match="dangling self_parent (ab){6}$"):
-        insert(g, Event(0, unknown, None, (), 1))
+    e = g.store.by_index[create_event(g, None, (), 0)]
+    # the error names the index
+    for unknown in (1, 7, -1):
+        with pytest.raises(HashgraphError,
+                           match=f"dangling other_parent {unknown}$"):
+            g.store.add_event(1, None, unknown, (), 1)
+        with pytest.raises(HashgraphError,
+                           match=f"dangling self_parent {unknown}$"):
+            g.store.add_event(0, unknown, None, (), 1)
+    # so does an id the store does not hold, named through the test map
+    with pytest.raises(HashgraphError, match="dangling other_parent 1$"):
+        insert(g, Event(1, None, b"\xab" * 32, (), 1))
     assert list(g.store.by_index) == [e]
 
 
@@ -315,12 +326,12 @@ def test_strongly_sees_two_of_four_is_not_enough():
     e1 = add_for(g, 1, e0.digest, (), 1)
     e1b = add_for(g, 1, None, (), 2)
     store = g.store
-    a, w = store.index[e1b.digest], store.index[e0.digest]
+    a, w = index_of(store)[e1b.digest], index_of(store)[e0.digest]
     # paths from e1b down to e0 touch only creators {0, 1}
     assert store.round[a] == store.round[w] == 1
     assert w in store.witnesses_by_round[1]
     assert w not in strongly_seen(store, a, 1)
-    assert ancestry(store)[store.index[e1.digest]] >> w & 1
+    assert ancestry(store)[index_of(store)[e1.digest]] >> w & 1
 
 
 def test_strongly_sees_matches_brute_force(fixture_graph, big_fixture_graph):
@@ -387,7 +398,7 @@ def test_rounds_never_lowered_by_growth():
     g2 = graph_of([0, 1, 2, 3], owner=0)
     for e in Transfer(graph.store, graph.known):
         insert(g2, e)
-    create_event(g2, head_of(g2, 1), (), 99)
+    create_event(g2, index_of(g2.store)[head_of(g2, 1)], (), 99)
     assert len(g2.store.round) == len(before) + 1
     assert g2.store.round[:len(before)] == before
 
@@ -421,7 +432,7 @@ def test_unreferenced_witness_not_famous():
         partner = active[(t + 1) % 3]
         add_for(g, creator, head_of(g, partner), (), t)
     g.store.elect_fame()
-    lonely = g.store.index[genesis[3].digest]
+    lonely = index_of(g.store)[genesis[3].digest]
     assert g.store.fame.get(lonely) is False
     assert fame_by_digest(g.store) == brute(g).fame()
 
@@ -436,8 +447,22 @@ def test_consensus_order_single_node_chain():
     # the decided prefix follows the self-parent chain with created_at stamps
     k = len(order)
     assert k >= 3
-    assert [oe.event_id for oe in order] == [e.digest for e in evs][:k]
+    assert [oe.event_id for oe in order] == [
+        g.store.by_index[i].digest for i in evs][:k]
     assert [oe.consensus_timestamp for oe in order] == list(range(k))
+
+
+def test_empty_view_decides_nothing():
+    # a view that knows no event knows no decider of any round, so its
+    # decided prefix is empty, a joiner's as any other's, while the store
+    # has ordered events
+    graph, _ = round_robin_fixture(4, 8)
+    store = graph.store
+    assert len(consensus_order(graph)) == len(store.consensus) > 0
+    store.add_member(4)
+    for owner in (0, 4):
+        assert decided_length(Hashgraph(store, owner)) == 0
+    assert store.view_finalized_round(0) == 0
 
 
 def test_consensus_order_matches_brute_force(big_fixture_graph):
@@ -532,7 +557,7 @@ def test_detect_forks_honest_empty(big_fixture_graph):
 
 def test_detect_forks_reports_equivocation():
     g = graph_of([0, 1, 2, 3], owner=0)
-    base = create_event(g, None, (), 0)
+    base = g.store.by_index[create_event(g, None, (), 0)]
     f1 = Event(0, base.digest, None, (), 1)
     f2 = Event(0, base.digest, None, (tx(1),), 1)
     insert(g, f1)

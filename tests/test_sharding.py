@@ -2,10 +2,14 @@ import pytest
 
 import shardgraph.sharding
 from shardgraph.hashgraph import (
+    EventStore,
     Hashgraph,
+    HashgraphError,
+    Transfer,
     consensus_order,
     create_event,
     gossip_sync,
+    replay,
     supermajority,
 )
 from shardgraph.sharding import (
@@ -82,7 +86,8 @@ def small_state():
 
 
 def local_event(state, table, cid, payload, creator=None, now=0):
-    """A genesis event in the committee's graph, made in a fresh view."""
+    """A genesis event in the committee's graph, made in a fresh view;
+    returns its index."""
     creator = creator if creator is not None else table.members(cid)[0]
     view = Hashgraph(state.local_stores[cid], creator)
     return create_event(view, None, payload, now)
@@ -100,7 +105,7 @@ def ingest_ordered(state, table, cid, *events):
     ordered: take each one's payload, skip those taken before, and queue
     the rest's outbound transactions in one ingest."""
     store = state.local_stores[cid]
-    payloads = [store.take_payload(store.index[ev.digest]) for ev in events]
+    payloads = [store.take_payload(i) for i in events]
     return coordinator_ingest_local(
         state, table, cid, [p for p in payloads if p])
 
@@ -175,7 +180,7 @@ def test_receive_global_filters_by_target(small_state):
     cross = tx(1, 0, 1)
     coord = table.coordinators[0]
     view = Hashgraph(state.global_store, coord)
-    ev = create_event(view, None, (cross,), 5)
+    ev = state.global_store.by_index[create_event(view, None, (cross,), 5)]
     q1 = coordinator_receive_global(state, table, 1, ev)
     assert q1.inbound == [cross]
     # the origin committee's own coordinator ignores it
@@ -267,13 +272,13 @@ def test_seat_coordinator_hands_over_the_global_view(small_state):
     seat_coordinator(state, table, 0, old)
     seat = state.seats[0]
     assert seat.owner == old and seat.known == known
-    assert seat.head == last.digest
+    assert seat.head == last
     assert gstore.population == table.global_committee()
     # re-seating the holder changes nothing
     population = list(gstore.population)
     seat_coordinator(state, table, 0, old)
     assert state.seats[0] is seat and seat.known == known
-    assert seat.head == last.digest and gstore.population == population
+    assert seat.head == last and gstore.population == population
 
 
 # -- recovery ---------------------------------------------------------------
@@ -406,12 +411,45 @@ def test_recover_requeues_deliveries_the_replica_lacks():
     local_event(state, table, 0, (tx(4, 1, 0),), creator=members[2])
     applied = local_event(state, table, 0, (tx(5, 1, 0),), creator=members[3])
     store = state.local_stores[0]
-    store.take_payload(store.index[applied.digest])
+    store.take_payload(applied)
     queue = state.queues[0]
     queue.inbound.append(tx(6, 1, 0))
     recover_failed_shard(state, table, 0, [50, 51, 52, 53])
     assert queue.inbound == [tx(1, 1, 0), tx(4, 1, 0), tx(6, 1, 0)]
     assert flush_inbound(state, 0, 2) == [tx(1, 1, 0), tx(4, 1, 0)]
+
+
+def test_replay_with_a_wrong_parent_index_raises():
+    # a replay names each parent by its copy's index and reseals every
+    # event that holds its payload, so the copy has the source's ids in
+    # index order; a parent index that maps to another event in the
+    # transfer, or to none in it, raises instead of building another graph
+    table = partition_nodes(range(12), 2, seed=2)
+    state = ShardState(table)
+    build_consensus_history(state, table, 0)
+    source = state.local_stores[0]
+    n = len(source.by_index)
+    copy = EventStore(source.population)
+    replay(copy, Transfer(source, (1 << n) - 1))
+    assert copy._ids == source._ids and copy.round == source.round
+    x = n - 1
+    sp, op = source._self_parent[x], source._other_parent[x]
+    other = next(i for i in range(n - 1, -1, -1) if i != op
+                 and source._creator[i] not in (source._creator[x],
+                                                source._creator[op]))
+    earlier = source._self_parent[sp]
+    dropped = (1 << n) - 1 & ~(1 << op)
+    for column, wrong, mask in (
+            (source._other_parent, other, (1 << n) - 1),
+            (source._self_parent, earlier, (1 << n) - 1),
+            (source._other_parent, op, dropped)):
+        kept = column[x]
+        column[x] = wrong
+        try:
+            with pytest.raises(HashgraphError):
+                replay(EventStore(source.population), Transfer(source, mask))
+        finally:
+            column[x] = kept
 
 
 def test_recover_empty_committee():

@@ -16,8 +16,9 @@ from shardgraph.hashgraph import (
     EventStore,
     Order,
     OrderedEvent,
-    _EventFields,
+    _set_bits,
     consensus_order,
+    decided_length,
 )
 from shardgraph.metrics import mean
 from shardgraph.simulation import (
@@ -172,9 +173,11 @@ def test_failed_report_write_leaves_no_report(tmp_path):
 
 
 def order_of(entries):
-    """An Order over fresh columns that hold entries."""
-    return Order(*(list(col) for col in zip(*entries))) if entries else (
-        Order([], [], []))
+    """An Order over fresh columns that hold entries: an id column, the
+    entries' places in it, and their rounds and stamps."""
+    ids, rounds, stamps = (list(col) for col in zip(*entries)) if entries else (
+        [], [], [])
+    return Order(bytearray(b"".join(ids)), range(len(ids)), rounds, stamps)
 
 
 def test_order_summary_tells_orders_apart():
@@ -226,9 +229,11 @@ def record_inserts(monkeypatch):
     inserted = {}
     add = EventStore.add_event
 
-    def recorded(store, event):
+    def recorded(store, *fields):
+        i = add(store, *fields)
+        event = store.by_index[i]
         inserted.setdefault(event.digest, event)
-        return add(store, event)
+        return i
 
     monkeypatch.setattr(EventStore, "add_event", recorded)
     return inserted
@@ -348,10 +353,10 @@ def test_poll_releases_the_payloads_it_applied(monkeypatch):
     sim.run()
     applied = kept = 0
     for store in sim.state.local_stores.values():
-        ordered = {store.index[oe.event_id] for oe in store.consensus}
+        ordered = set(store._order_events)
         for i, rec in enumerate(store.by_index):
             ev = inserted[rec.digest]
-            assert type(rec) is _EventFields
+            assert type(rec) is Event
             if i in ordered:
                 assert rec.payload is None
                 assert rec == (*ev[:3], None, *ev[4:])
@@ -544,6 +549,63 @@ def test_replacement_coordinator_gossips_globally_after_recovery():
     checkpoints = [a["at"] for a in report.action_log
                    if a["action"] == "checkpoint"]
     assert checkpoints[-1] > rec["at"] + 30
+
+
+@pytest.mark.parametrize("cfg", [GOLDEN["shard-failure-cross"][0]] + [
+    ScenarioConfig(n=16, s=2, seed=seed, duration=90, tx_rate=8.0,
+                   cross_ratio=0.2, checkpoint_period=2,
+                   adversary_kind="shard_failure", adversary_committee=1,
+                   adversary_fail_at=fail_at, adversary_recover_delay=10)
+    for seed, fail_at in ((1, 20), (2, 40), (3, 65))
+], ids=["shard-failure-cross", "fail-20", "fail-40", "fail-65"])
+def test_recovery_replays_the_replica_under_its_ids(cfg, monkeypatch):
+    # the recovered store is the replica replayed by index: its id column
+    # is the source store's ids of the replica's mask, in index order, and
+    # the checkpointed order is a prefix of the order it rebuilds
+    recoveries = []
+    recover = shardgraph.simulation.recover_failed_shard
+
+    def recorded(state, table, failed, replacements):
+        replica = recover(state, table, failed, replacements)
+        store = state.local_stores[failed]
+        recoveries.append((replica, bytes(store._ids), list(store.consensus)))
+        return replica
+
+    monkeypatch.setattr(shardgraph.simulation, "recover_failed_shard",
+                        recorded)
+    report = Simulation(cfg).run()
+    assert not report.anomalies
+    ((replica, ids, order),) = recoveries
+    source, mask = replica.events.store, replica.events.mask
+    assert ids == b"".join(source._id(i) for i in _set_bits(mask))
+    assert len(ids) == 32 * mask.bit_count() > 0
+    checkpointed = list(replica.consensus)
+    assert checkpointed and order[:len(checkpointed)] == checkpointed
+
+
+def test_decided_prefix_is_inside_each_view_on_churn():
+    # after every poll of a short churn run, every event of each view's
+    # decided prefix, local and global, is in that view: a view that knows
+    # no decider of a round stops below it.  When only the witnesses a
+    # view knows were checked, 32 of the 2,368 checks here failed (a
+    # joiner's empty view decided every finalized round)
+    sim = Simulation(ScenarioConfig(
+        n=24, s=3, seed=1, duration=100, tx_rate=12.0, cross_ratio=0.2,
+        adversary_kind="churn", adversary_interval=3,
+        adversary_rejoin=True))
+    poll, lengths = sim._poll, []
+
+    def checked(t):
+        poll(t)
+        for view in [*sim.views.values(), *sim.state.seats.values()]:
+            length = decided_length(view)
+            lengths.append(length)
+            assert all(view.known >> i & 1
+                       for i in view.store._order_events[:length])
+
+    sim._poll = checked
+    sim.run()
+    assert len(lengths) == 2368 and 0 in lengths and max(lengths) > 100
 
 
 def test_shard_recovery_applies_each_event_once(monkeypatch):
