@@ -12,7 +12,7 @@ is down-closed (it holds every ancestor of every event in it), so a gossip
 sync is the set difference of two masks and needs no walk over history.  A
 view keeps one head, its owner's, which the owner's next event chains onto,
 and the units a sync carries are popcounts over the store's bit planes of
-``Event.units``.
+each event's payload units.
 """
 
 from __future__ import annotations
@@ -50,16 +50,6 @@ def supermajority(member_count: int) -> int:
     return (2 * member_count) // 3 + 1
 
 
-class _EventFields(NamedTuple):
-    creator: NodeId
-    self_parent: Optional[EventId]
-    other_parent: Optional[EventId]
-    payload: Optional[tuple[Transaction, ...]]  # None once taken
-    created_at: int
-    digest: EventId
-    units: int
-
-
 def _frame(sp_len: int, op_len: int):
     """Packs an event's fields up to its transactions, for parents of
     these byte lengths."""
@@ -75,36 +65,6 @@ _TAIL = struct.Struct(">Iq").pack
 _ID_AT = struct.Struct("32s").unpack_from
 
 
-class Event(_EventFields):
-    """An immutable tuple record of an event's five fields plus its
-    ``digest`` and ``units``, both fixed at construction from those fields.
-    A store keeps the fields as columns (see Column layout), and builds the
-    record when an event is read (``by_index``, ``Transfer``).
-
-    The digest is the raw SHA-256 of the canonical serialization: fixed
-    field order, each field prefixed by its byte length (4 bytes,
-    big-endian): creator, self-parent and other-parent digests (empty for
-    none), the transaction count, each transaction id in UTF-8,
-    created_at.  Integers are 8-byte signed big-endian, counts 4-byte.
-    ``units`` is the payload size, the sum of the transactions' size units.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, creator, self_parent, other_parent, payload,
-                created_at) -> Event:
-        return tuple.__new__(cls, (
-            creator, self_parent, other_parent, payload, created_at,
-            *_seal(creator, self_parent or b"", other_parent or b"",
-                   payload, created_at)))
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> Event:
-        # _replace builds through here: the digest and units are those of
-        # the five fields, whatever values were given for them
-        return cls(*tuple(fields)[:5])
-
-
 def _seal(
     creator: NodeId,
     self_parent: bytes,
@@ -113,7 +73,15 @@ def _seal(
     created_at: int,
 ) -> tuple[EventId, int]:
     """The digest and units of the event of these five fields, its parents
-    given by id (empty for none) (see Event)."""
+    given by id (empty for none).
+
+    The digest is the raw SHA-256 of the canonical serialization: fixed
+    field order, each field prefixed by its byte length (4 bytes,
+    big-endian): creator, self-parent and other-parent digests (empty for
+    none), the transaction count, each transaction id in UTF-8,
+    created_at.  Integers are 8-byte signed big-endian, counts 4-byte.
+    The units are the payload size, the sum of the transactions' size
+    units."""
     a, b = len(self_parent), len(other_parent)
     frame = _FRAMES.get((a, b)) or _frame(a, b)
     parts = [frame(8, creator, a, self_parent, b, other_parent, 4,
@@ -206,24 +174,6 @@ class Order(Sequence):
         if isinstance(other, Order):
             return list(self) == list(other)
         return NotImplemented
-
-
-class Records(Sequence):
-    """A store's events, in index order, each built as an ``Event`` from
-    the store's columns when read."""
-
-    __slots__ = ("store",)
-
-    def __init__(self, store: EventStore):
-        self.store = store
-
-    def __len__(self) -> int:
-        return len(self.store._creator)
-
-    def __getitem__(self, i: int) -> Event:
-        if not 0 <= i < len(self):
-            raise IndexError("event index out of range")
-        return self.store._fields_of(i)
 
 
 class EventStore:
@@ -344,9 +294,11 @@ class EventStore:
       (event indices), ``_order_rounds`` and ``_order_stamps``.  An id is
       read from its column only where it leaves the store: sealing a
       child, the sorts by id (``_by_digest``, an ordered batch), a coin,
-      and the records ``by_index``, ``Transfer`` and ``consensus`` build
-      when read.  No dict is keyed by id, so an exact duplicate is
-      inserted again, as a second branch of its creator.
+      a replayed event's copy (``replay``) and the entries ``consensus``
+      builds when read.  ``by_index`` and a ``Transfer`` yield indices,
+      and a reader takes the column it needs.  No dict is keyed by id, so
+      an exact duplicate is inserted again, as a second branch of its
+      creator.
     - Payload lifetime: an event's transactions are read once, by the
       walk that applies its committee's newly ordered events, and by
       nothing else.  ``take_payload`` hands them to that walk and sets the
@@ -434,8 +386,9 @@ class EventStore:
         self._late: dict[int, int] = {}      # round -> late witnesses
 
     @property
-    def by_index(self) -> Records:
-        return Records(self)
+    def by_index(self) -> range:
+        """The store's event indices, in insert order."""
+        return range(len(self._creator))
 
     @property
     def consensus(self) -> Order:
@@ -447,14 +400,6 @@ class EventStore:
     def _id(self, i: int) -> EventId:
         """Event i's id, from the id column."""
         return _ID_AT(self._ids, i << 5)[0]
-
-    def _fields_of(self, i: int) -> Event:
-        """Event i's record, from the columns."""
-        sp, op = self._self_parent[i], self._other_parent[i]
-        return tuple.__new__(Event, (
-            self._creator[i], self._id(sp) if sp >= 0 else None,
-            self._id(op) if op >= 0 else None, self._payload[i],
-            self._created_at[i], self._id(i), self._units_at(i)))
 
     def _units_at(self, i: int) -> int:
         """Event i's payload units: its bits in the unit planes."""
@@ -1003,8 +948,8 @@ class EventStore:
 
 class Transfer:
     """The events of a mask over a store: read-only, sized by popcount and
-    iterated in index order (a topological order), so the events are only
-    built where they are read."""
+    iterated as the mask's indices in increasing order (a topological
+    order)."""
 
     __slots__ = ("store", "mask")
 
@@ -1015,8 +960,8 @@ class Transfer:
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def __iter__(self) -> Iterator[Event]:
-        return map(self.store._fields_of, _set_bits(self.mask))
+    def __iter__(self) -> Iterator[int]:
+        return _set_bits(self.mask)
 
     @property
     def units(self) -> int:
@@ -1032,7 +977,7 @@ def replay(store: EventStore, events: Transfer) -> None:
     source, copies = events.store, {}
     creators, created_at = source._creator, source._created_at
     self_parent, other_parent = source._self_parent, source._other_parent
-    for i in _set_bits(events.mask):
+    for i in events:
         sp, op = self_parent[i], other_parent[i]
         copies[i] = store.add_event(
             creators[i], None if sp < 0 else copies.get(sp, -1),

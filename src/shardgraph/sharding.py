@@ -12,7 +12,6 @@ import random
 from typing import Iterable, NamedTuple
 
 from .hashgraph import (
-    Event,
     EventStore,
     Hashgraph,
     Order,
@@ -213,12 +212,14 @@ def coordinator_receive_global(
     state: ShardState,
     table: CommitteeTable,
     receiver_committee: CommitteeId,
-    global_event: Event,
+    event: int,
 ) -> CacheQueue:
-    """Step 2b: file transactions targeting this committee, from an event
-    of the global graph, into the receiving coordinator's inbound queue."""
+    """Step 2b: file transactions targeting this committee, from the
+    global graph's event of this index, into the receiving coordinator's
+    inbound queue."""
     queue = state.queues[receiver_committee]
-    queue.inbound += _delivered_to(receiver_committee, global_event.payload)
+    queue.inbound += _delivered_to(
+        receiver_committee, state.global_store._payload[event])
     return queue
 
 
@@ -301,6 +302,6 @@ def recover_failed_shard(
     source, held = replica.events.store, replica.events.mask
     lost = Transfer(source, (1 << len(source.by_index)) - 1 & ~held)
     state.queues[failed].inbound[:0] = _delivered_to(
-        failed, (tx for ev in lost for tx in ev.payload or ()))
+        failed, (tx for i in lost for tx in source._payload[i] or ()))
     table.epoch += 1
     return replica

@@ -423,8 +423,8 @@ class Simulation:
         self.metrics.add_storage(receiver, units + event_units(batch))
         self.metrics.add_handshake(sender, 1)
         # the receiver's own new event holds only its committee's outbound
-        for ev in transferred:
-            coordinator_receive_global(self.state, self.table, rcid, ev)
+        for i in transferred:
+            coordinator_receive_global(self.state, self.table, rcid, i)
 
     def _poll(self, t):
         ordered_units = self.metrics.ordered_tx_units

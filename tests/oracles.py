@@ -15,8 +15,11 @@ report the way write_report does, check_supermajority checks a store's
 kept supermajority at every membership change, and reference_digest
 serializes an event's fields one ``int.to_bytes`` at a time, as the digest
 was first defined.  The oracles
-read a coin from an event id's last hex digit, and build the events they
-insert by hand from reference_digest, not with the engine's Event.
+read a coin from an event id's last hex digit.  Their event records are
+test-side: record_of and records read a store's events from its columns
+as Records (the store names an event by its index alone), and new_record
+builds the events they insert by hand from reference_digest, not with
+the engine's serializer.
 """
 
 from __future__ import annotations
@@ -112,7 +115,8 @@ def round_robin_fixture(
                 break
     full = Hashgraph(store)
     full.known = (1 << len(store.by_index)) - 1
-    return full, [store.by_index[i] for i in events]
+    recs = records(store)
+    return full, [recs[i] for i in events]
 
 
 # a report's text -----------------------------------------------------------
@@ -309,11 +313,11 @@ def head_of(graph, creator):
     """The digest of creator's known event furthest along its self-parent
     chain in graph, or None; the earliest such event on a tie."""
     store = graph.store
-    known = [i for i, ev in enumerate(store.by_index)
-             if ev.creator == creator and graph.known >> i & 1]
+    known = [i for i in store.by_index
+             if store._creator[i] == creator and graph.known >> i & 1]
     if not known:
         return None
-    return store.by_index[max(known, key=store._seq.__getitem__)].digest
+    return store._id(max(known, key=store._seq.__getitem__))
 
 
 # store -> its id -> index map, extended from the id column as it grows
@@ -340,7 +344,7 @@ def parent_index(store, digest):
 
 
 def insert_event(store, event):
-    """Insert an event record (an Event or Record, or one read from another
+    """Insert an event record (a Record, built or read from another
     store) into store, its parents named by id and passed by index; returns
     its index, which must hold the event's digest.  A record whose payload
     was taken (None) is replayed with its id and units."""
@@ -363,34 +367,56 @@ def insert(graph, event):
 
 
 class Record(NamedTuple):
-    """An event's seven fields, in the order the store takes them."""
+    """An event's five fields, in the order the store takes them, its
+    parents by id (None for none), plus its digest and payload units."""
     creator: int
     self_parent: Optional[bytes]
     other_parent: Optional[bytes]
-    payload: tuple
+    payload: Optional[tuple]  # None once taken
     created_at: int
     digest: bytes
     units: int
 
 
+def new_record(creator, self_parent, other_parent, payload, created_at):
+    """The Record of these five fields, its digest from reference_digest
+    and its units the transactions' summed size units."""
+    payload = tuple(payload)
+    digest = bytes.fromhex(reference_digest(
+        creator, self_parent, other_parent, payload, created_at))
+    return Record(creator, self_parent, other_parent, payload, created_at,
+                  digest, sum(tx.size_units for tx in payload))
+
+
+def record_of(store, i):
+    """Event i of store as a Record, read from its columns: the parents'
+    ids from the id column, the payload as it stands (None once taken) and
+    the units from the unit planes."""
+    sp, op = store._self_parent[i], store._other_parent[i]
+    return Record(store._creator[i], store._id(sp) if sp >= 0 else None,
+                  store._id(op) if op >= 0 else None, store._payload[i],
+                  store._created_at[i], store._id(i), store._units_at(i))
+
+
+def records(store):
+    """Every event of store as a Record, in index order."""
+    return [record_of(store, i) for i in store.by_index]
+
+
 def add_for(graph, creator, other_parent=None, payload=(), now=0):
     """Add an event by any creator to graph, chained onto head_of(graph,
-    creator), as a Record with its digest from reference_digest.
-    create_event only appends the view owner's events; tests that grow a
-    DAG for several creators on one view use this instead."""
-    self_parent, payload = head_of(graph, creator), tuple(payload)
-    digest = bytes.fromhex(reference_digest(
-        creator, self_parent, other_parent, payload, now))
-    return insert(graph, Record(creator, self_parent, other_parent, payload,
-                                now, digest,
-                                sum(tx.size_units for tx in payload)))
+    creator), as a new_record.  create_event only appends the view owner's
+    events; tests that grow a DAG for several creators on one view use
+    this instead."""
+    return insert(graph, new_record(creator, head_of(graph, creator),
+                                    other_parent, payload, now))
 
 
 def witness_flags(store):
     """Per-event witness flags in index order: an event is a witness iff it
     has a position among its round's witnesses."""
     witnesses = {w for ws in store.witnesses_by_round.values() for w in ws}
-    return [i in witnesses for i in range(len(store.by_index))]
+    return [i in witnesses for i in store.by_index]
 
 
 # ancestry from parent links ------------------------------------------------
@@ -606,14 +632,13 @@ def reference_consensus(store):
     for r in range(1, store.finalized_round + 1):
         famous = sorted(
             (w for w in store.witnesses_by_round[r] if store.fame.get(w)),
-            key=lambda i: store.by_index[i].digest,
+            key=store._id,
         )
         if not famous:
             continue
         batch = sorted(
-            (median_timestamp(store, anc, i, famous), store.by_index[i].digest,
-             i)
-            for i in range(len(store.by_index))
+            (median_timestamp(store, anc, i, famous), store._id(i), i)
+            for i in store.by_index
             if i not in emitted
             and all(anc[w] >> i & 1 for w in famous)
         )

@@ -18,6 +18,7 @@ from shardgraph.simulation import Simulation, run_scenario
 from oracles import (
     BruteGraph,
     engine_ancestry,
+    records,
     report_text,
     round_robin_fixture,
     strongly_seen,
@@ -168,7 +169,7 @@ def test_criterion_6_oracle_equivalence():
         graph, events = round_robin_fixture(*size)
         assert len(events) <= 20
         store = graph.store
-        assert list(store.by_index) == events
+        assert records(store) == events
         oracle = BruteGraph(graph.population, events)
         rounds, witness, _ = oracle.rounds()
         ok = ok and store.round == [rounds[e.digest] for e in events]

@@ -9,7 +9,7 @@ ticks of a `sharded-cross` run.
 One timed round each, so they stay cheap in the regular suite;
 ``pytest tests/test_bench.py --benchmark-autosave`` stores their results
 under ``.benchmarks/``.  Memory guards: store bytes per event, the
-report writer's allocation peak, and slotted per-event records."""
+report writer's allocation peak, and slotted transaction records."""
 
 import hashlib
 import random
@@ -20,9 +20,9 @@ import pytest
 
 from shardgraph.config import ScenarioConfig
 from shardgraph.hashgraph import (
-    Event,
     EventStore,
     Hashgraph,
+    _seal,
     consensus_order,
     create_event,
     gossip_chain,
@@ -31,7 +31,12 @@ from shardgraph.hashgraph import (
 from shardgraph.simulation import Simulation, run_scenario, write_report
 from shardgraph.transactions import Transaction
 
-from oracles import ancestry, check_vote_state_bounds, round_robin_fixture
+from oracles import (
+    ancestry,
+    check_vote_state_bounds,
+    records,
+    round_robin_fixture,
+)
 from test_engine_indices import gossip_dag
 
 
@@ -63,7 +68,7 @@ def round_robin_events(n, per_node):
 
 def forked_events():
     built, _ = gossip_dag(3, steps=900, n=16)
-    return built.population, index_fields(built.by_index)
+    return built.population, index_fields(records(built))
 
 
 @pytest.mark.parametrize("source", [
@@ -111,31 +116,16 @@ def test_report_write_allocates_less_than_half_its_size(tmp_path):
 
 
 def test_per_event_records_are_slotted_and_frozen():
-    def build():
-        tx = Transaction("t1", 0, 1, size_units=2)
-        return tx, Event(0, None, None, (tx,), 3)
-
-    (tx, ev), (tx2, ev2) = build(), build()
-    for record in (tx, ev):
-        assert not hasattr(record, "__dict__")
+    # an event has no record of its own (a store names it by its index);
+    # its transactions are records
+    tx = Transaction("t1", 0, 1, size_units=2)
+    tx2 = Transaction("t1", 0, 1, size_units=2)
+    assert not hasattr(tx, "__dict__")
     with pytest.raises(AttributeError):
         tx.origin = 1
-    with pytest.raises(AttributeError):
-        ev.created_at = 4
     assert tx == tx2 and hash(tx) == hash(tx2)
-    assert ev == ev2 and hash(ev) == hash(ev2)
-    assert ev.digest == ev2.digest and ev.units == 2
-    assert ev != Event(0, None, None, (tx,), 4)
-    # seven fields and no per-instance dict: 88 bytes as a slotted record,
-    # 96 as a tuple with its length word
-    assert sys.getsizeof(ev) <= 96
     # six fields: 80 bytes as a slotted record, 88 as a tuple
     assert sys.getsizeof(tx) <= 88
-    if hasattr(ev, "_replace"):
-        later = ev._replace(created_at=4)
-        assert later == Event(0, None, None, (tx,), 4)
-        assert later.digest != ev.digest
-        assert ev._replace(digest="0" * 64, units=0) == ev
 
 
 def test_bench_add_event(benchmark, dag):
@@ -181,19 +171,18 @@ def test_bench_gossip_ring(benchmark):
 
 
 def test_bench_build_events(benchmark):
-    # every event of a forked 16-member gossip DAG rebuilt from its five
-    # fields: the serialization and digest cost of the event record alone
+    # every event of a forked 16-member gossip DAG sealed again from its
+    # five fields: the serialization and digest cost of an event alone
     built, _ = gossip_dag(3, steps=900, n=16)
-    events = built.by_index
+    events = records(built)
 
     def rebuild():
-        return [Event(e.creator, e.self_parent, e.other_parent, e.payload,
-                      e.created_at) for e in events]
+        return [_seal(e.creator, e.self_parent or b"", e.other_parent or b"",
+                      e.payload, e.created_at) for e in events]
 
     rebuilt = benchmark.pedantic(rebuild, rounds=1, iterations=1)
     assert len(rebuilt) == len(events) > 1000
-    assert [e.digest for e in rebuilt] == [e.digest for e in events]
-    assert [e.units for e in rebuilt] == [e.units for e in events]
+    assert rebuilt == [(e.digest, e.units) for e in events]
 
 
 def test_bench_inject(benchmark):
@@ -232,7 +221,7 @@ def test_bench_add_event_forked(benchmark):
     # the fork-test path: members 0 and 1 equivocate, so inserts test each
     # forker's events in their ancestry until each event inherits both forks
     built, _ = gossip_dag(3, steps=900, n=16)
-    events = index_fields(built.by_index)
+    events = index_fields(records(built))
     store = benchmark.pedantic(filled_store, args=(built.population, events),
                                rounds=1, iterations=1)
     assert len(store.by_index) == len(events) > 1000
@@ -245,7 +234,7 @@ def test_bench_reach_rebuild(benchmark):
     # every freed reach of a polled forked store rebuilt, each from the live
     # reaches below its window: the miss path a fork on an old event takes
     built, _ = gossip_dag(3, steps=900, n=16)
-    store = filled_store(built.population, index_fields(built.by_index))
+    store = filled_store(built.population, index_fields(records(built)))
     store.advance_consensus()
     freed = [i for i, entry in enumerate(store._reach) if not entry]
 
@@ -263,7 +252,7 @@ def test_bench_ancestry_rebuild(benchmark):
     # walk over its freed ancestors down to the live masks: the miss path a
     # fork on an old event takes
     built, _ = gossip_dag(3, steps=900, n=16)
-    store = filled_store(built.population, index_fields(built.by_index))
+    store = filled_store(built.population, index_fields(records(built)))
     store.advance_consensus()
     freed = [i for i, mask in enumerate(store._anc) if not mask]
 
@@ -368,6 +357,8 @@ def test_bench_gossip_sync(benchmark, dag):
 
     transfer, ev = benchmark.pedantic(push, setup=setup, rounds=1, iterations=1)
     assert len(transfer) == len(events)
-    assert index_fields(list(transfer)) == events
-    assert transfer.units == sum(e.units for e in transfer) > 0
+    assert list(transfer) == list(range(len(events)))
+    recs = records(transfer.store)
+    assert index_fields([recs[i] for i in transfer]) == events
+    assert transfer.units == sum(recs[i].units for i in transfer) > 0
     assert transfer.store._self_parent[ev] == -1

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from shardgraph import hashgraph
 from shardgraph.hashgraph import (
-    Event,
     EventStore,
     Hashgraph,
     consensus_order,
@@ -36,6 +35,7 @@ from oracles import (
     check_vote_state_bounds,
     deciders_of,
     median_stamps,
+    records,
     reference_consensus,
     reference_view_finalized_round,
     strongly_seen,
@@ -119,9 +119,9 @@ def brute_forked(oracle, digest):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fork_bookkeeping_matches_brute_force(seed):
     store, views = gossip_dag(seed)
-    oracle = BruteGraph(store.population, store.by_index)
+    oracle = BruteGraph(store.population, records(store))
     forked_any = set()
-    for i, ev in enumerate(store.by_index):
+    for i, ev in enumerate(records(store)):
         got = {c for c, b in store._member_bit.items() if store._forked[i] >> b & 1}
         assert got == brute_forked(oracle, ev.digest)
         forked_any |= got
@@ -136,7 +136,7 @@ def check_view_forks(store, views, forks):
     events it knows; returns how many views miss some pair of forks."""
     missed = 0
     for view in views:
-        known = {ev.digest for i, ev in enumerate(store.by_index)
+        known = {store._id(i) for i in store.by_index
                  if view.known >> i & 1}
         seen = {f for f in forks if f[1] in known and f[2] in known}
         assert detect_forks(view) == seen
@@ -150,7 +150,7 @@ def test_detect_forks_on_partial_views(seed):
     missed = 0
     for steps in (40, 80):
         store, views = gossip_dag(seed, steps=steps)
-        forks = BruteGraph(store.population, store.by_index).forks()
+        forks = BruteGraph(store.population, records(store)).forks()
         missed += check_view_forks(store, views, forks)
     assert missed
 
@@ -193,8 +193,8 @@ def test_fork_shapes_outside_the_equivocator_schedule():
     for i, c in ((d2, 0), (d4, 1), (d6, 2)):
         assert store._forked[i - 1] >> c & 1 == 0
         assert store._forked[i] >> c & 1
-    oracle = BruteGraph(store.population, store.by_index)
-    for i, ev in enumerate(store.by_index):
+    oracle = BruteGraph(store.population, records(store))
+    for i, ev in enumerate(records(store)):
         got = {c for c, b in store._member_bit.items()
                if store._forked[i] >> b & 1}
         assert got == brute_forked(oracle, ev.digest)
@@ -223,7 +223,7 @@ def brute_rounds(store):
     own an event in anc(a) & desc(w) reach a supermajority."""
     n, anc = len(store.by_index), oracles.ancestry(store)
     sm = supermajority(len(store.population))
-    creator_bit = [store._member_bit[ev.creator] for ev in store.by_index]
+    creator_bit = [store._member_bit[c] for c in store._creator]
     events_of = {}
     for x, b in enumerate(creator_bit):
         events_of[b] = events_of.get(b, 0) | 1 << x
@@ -232,7 +232,7 @@ def brute_rounds(store):
         for y in bits(anc[x]):
             desc[y] |= 1 << x
     rounds, witness, by_round = [], [], {}
-    for a, ev in enumerate(store.by_index):
+    for a in store.by_index:
         parents = [p for p in (store._self_parent[a], store._other_parent[a])
                    if p >= 0]
         r = max((rounds[p] for p in parents), default=1)
@@ -269,7 +269,7 @@ def strong_sight(store):
     """Every event's strongly_seen answer toward every round."""
     return [[strongly_seen(store, a, r)
              for r in range(1, store.max_round + 1)]
-            for a in range(len(store.by_index))]
+            for a in store.by_index]
 
 
 @pytest.mark.parametrize("n, steps, width", [(7, 250, 8), (31, 600, 32)])
@@ -298,19 +298,19 @@ def test_strong_sight_after_midway_joins_matches_brute_force(n, steps,
     # the schedule has none.
     store, _ = gossip_dag(3, steps=steps, fork_p=0, n=n, joins=3)
     assert store._width > n + 1 and not store._forkers
-    o = BruteGraph(store.population, store.by_index)
+    o = BruteGraph(store.population, records(store))
     pairs = found = 0
-    for a, ev in enumerate(store.by_index):
+    for a, ev in enumerate(records(store)):
         for r in (store.round[a] - 1, store.round[a]):
             seen = strongly_seen(store, a, r)
             found += len(seen)
             for w in store.witnesses_by_round.get(r, ()):
                 pairs += 1
-                b = store.by_index[w].digest
+                b = store._id(w)
                 assert (w in seen) == (o.is_ancestor(ev.digest, b)
                                        and o.strongly_sees(ev.digest, b))
     assert (pairs, found) == pairs_found
-    assert any(store.by_index[w].creator >= n
+    assert any(store._creator[w] >= n
                for ws in store.witnesses_by_round.values() for w in ws)
 
 
@@ -341,7 +341,7 @@ def check_fame_against_reference(built, remove=None, members=None):
         return vote_state(store)
 
     half = len(built.by_index) // 14 * 7
-    for i, ev in enumerate(built.by_index, 1):
+    for i, ev in enumerate(records(built), 1):
         if ev.creator not in store._member_bit:
             store.add_member(ev.creator)
         x = oracles.insert_event(store, ev)
@@ -422,7 +422,7 @@ def test_voter_deciding_a_round_on_two_polls_keeps_both():
     # earlier poll decides it: that voter's group holds both
     built = gossip_dag(35, steps=250, n=6, joins=3)[0]
     store, _, late = check_fame_against_reference(built, members=range(6))
-    joined = [{store.by_index[w].creator >= 6 for w in hashgraph._set_bits(ws)}
+    joined = [{store._creator[w] >= 6 for w in hashgraph._set_bits(ws)}
               for ws in store._deciders[1][1].values()]
     assert late and {False, True} in joined
 
@@ -618,12 +618,12 @@ def test_late_witness_in_finalized_round_stays_undecided():
 
 
 def known_events_of(store, view, creator):
-    return [i for i, ev in enumerate(store.by_index)
-            if ev.creator == creator and view.known >> i & 1]
+    return [i for i in store.by_index
+            if store._creator[i] == creator and view.known >> i & 1]
 
 
 def sees_own_fork(store, w):
-    return store._forked[w] >> store._member_bit[store.by_index[w].creator] & 1
+    return store._forked[w] >> store._member_bit[store._creator[w]] & 1
 
 
 def test_famous_witness_seeing_own_fork_stamped_by_self_ancestors():
@@ -644,7 +644,7 @@ def test_famous_witness_seeing_own_fork_stamped_by_self_ancestors():
     ):
         gossip_sync(views[s], views[r], t)
     (w,) = [u for u in store.witnesses_by_round[2] if sees_own_fork(store, u)]
-    assert store.by_index[w].creator == 0
+    assert store._creator[w] == 0
     for r in (1, 2):
         for u in store.witnesses_by_round[r]:
             store.fame[u] = True
@@ -670,9 +670,7 @@ def test_heads_and_digest_order_after_gossip(seed):
         assert store._seq[i] == max(store._seq[j] for j in own)
     assert store._by_digest.keys() == store.witnesses_by_round.keys()
     for r, ws in store.witnesses_by_round.items():
-        assert store._by_digest[r] == sorted(
-            ws, key=lambda i: store.by_index[i].digest
-        )
+        assert store._by_digest[r] == sorted(ws, key=store._id)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
@@ -694,7 +692,7 @@ def test_record_event_heads_receiver_view(seed):
     alt_heads = [head for sender, head in heads if id(sender) not in members]
     assert alt_heads
     for head in alt_heads:
-        (tx,) = store.by_index[head].payload
+        (tx,) = store._payload[head]
         assert tx.tx_id.startswith("fork") and tx.tx_id.endswith("b")
 
 
@@ -711,20 +709,21 @@ def test_equivocator_head_is_later_absorbed_branch():
     assert store._seq[a] == store._seq[b]
     assert b < a
     transfer, ev = gossip_sync(views[2], views[0], 2)
-    assert store._id(b) in {e.digest for e in transfer}
+    assert b in list(transfer)
     assert store._self_parent[ev] == b and views[0].head == ev
 
 
 def transfer_checked(sender, receiver, t, payload=()):
     """gossip_sync, asserting that its transfer is sender.known &
-    ~receiver.known as brute force sees it."""
+    ~receiver.known as brute force sees it, in index order."""
     store = sender.store
-    want = [ev for i, ev in enumerate(store.by_index)
+    want = [i for i in store.by_index
             if sender.known >> i & 1 and not receiver.known >> i & 1]
     transfer, ev = gossip_sync(sender, receiver, t, payload)
     assert len(transfer) == len(want)
     assert list(transfer) == want
-    assert transfer.units == sum(e.units for e in want)
+    assert transfer.units == sum(tx.size_units for i in want
+                                 for tx in store._payload[i])
     return transfer, ev
 
 
@@ -1033,15 +1032,15 @@ def fork_on_freed_event(monkeypatch):
 
 def test_fork_on_a_freed_reach_rebuilds_it(monkeypatch, never_polled):
     store = fork_on_freed_event(monkeypatch)
-    o = BruteGraph(store.population, store.by_index)
+    o = BruteGraph(store.population, records(store))
     rounds, witness, _ = o.rounds()
-    assert store.round == [rounds[e.digest] for e in store.by_index]
-    assert witness_flags(store) == [witness[e.digest] for e in store.by_index]
-    for a, ev in enumerate(store.by_index):
+    assert store.round == [rounds[e.digest] for e in records(store)]
+    assert witness_flags(store) == [witness[e.digest] for e in records(store)]
+    for a, ev in enumerate(records(store)):
         for r in (store.round[a] - 1, store.round[a]):
             assert strongly_seen(store, a, r) == [
                 w for w in store.witnesses_by_round.get(r, ())
-                if o.strongly_sees(ev.digest, store.by_index[w].digest)]
+                if o.strongly_sees(ev.digest, store._id(w))]
     assert check_rebuilt_reaches(store, never_polled(store)) > 100
 
 
@@ -1050,8 +1049,8 @@ def test_fork_on_a_freed_mask_matches_brute_force(monkeypatch,
     # the fork's mask is built from the two rebuilt ones, and every mask,
     # kept or rebuilt, and the fork pairs are brute force's
     store = fork_on_freed_event(monkeypatch)
-    o = BruteGraph(store.population, store.by_index)
-    for i, ev in enumerate(store.by_index):
+    o = BruteGraph(store.population, records(store))
+    for i, ev in enumerate(records(store)):
         assert oracles.engine_ancestry(store, i) == sum(
             1 << oracles.index_of(store)[a] for a in o.anc[ev.digest])
     forks = o.forks()
@@ -1077,13 +1076,13 @@ def test_detect_forks_from_evidence_matches_brute_force(never_polled):
                   for oe in store.consensus)
     for c in store._forkers:
         own = list(bits(store._cmask[c]))
-        first = min(b for b in store._apart if store.by_index[b].creator == c)
+        first = min(b for b in store._apart if store._creator[b] == c)
         assert sum(not store._anc[i] for i in own if i < first) > 10
         superseded = {store._self_parent[x] for x in own
                       if x in ordered and store._self_parent[x] >= first}
         assert len(superseded) >= 10 and not any(
             store._anc[x] for x in superseded)
-    forks = BruteGraph(store.population, store.by_index).forks()
+    forks = BruteGraph(store.population, records(store)).forks()
     assert detect_forks(_full_view(store)) == forks
     assert detect_forks(_full_view(fresh)) == forks
     for view in views:
@@ -1135,17 +1134,18 @@ def test_live_mask_bytes_grow_linearly_in_history():
 def test_columns_read_back_each_inserted_event(seed, monkeypatch):
     # every inserted event reads back from the store's columns with its
     # seven fields, forks and (odd seeds) a width doubling included; a taken
-    # payload reads back as None; and a store rebuilt from a transfer of the
-    # records, under the same membership changes, orders them the same
+    # payload reads back as None; and a store rebuilt from the records of a
+    # transfer's indices, under the same membership changes, orders them
+    # the same
     n, joins, steps = (7, 3, 400) if seed % 2 else (None, 0, 150)
     inserted, log = [], []
     add_event, add_member = EventStore.add_event, EventStore.add_member
 
     def recorded_insert(store, creator, sp, op, payload, created_at):
         i = add_event(store, creator, sp, op, payload, created_at)
-        inserted.append(Event(creator, None if sp is None else store._id(sp),
-                              None if op is None else store._id(op),
-                              payload, created_at))
+        inserted.append(oracles.new_record(
+            creator, None if sp is None else store._id(sp),
+            None if op is None else store._id(op), payload, created_at))
         log.append(("add_event", i))
         return i
 
@@ -1158,25 +1158,26 @@ def test_columns_read_back_each_inserted_event(seed, monkeypatch):
     store, views = gossip_dag(seed, steps=steps, n=n, joins=joins)
     monkeypatch.undo()
     assert store._forkers and store._width == (16 if joins else 8)
-    assert list(store.by_index) == inserted
-    assert all(type(ev) is Event for ev in store.by_index)
+    assert records(store) == inserted
     store.advance_consensus()
     assert store.consensus
     taken = range(0, len(inserted), 3)
     for i in taken:
         assert store.take_payload(i) == inserted[i].payload
         assert store.take_payload(i) is None
-        assert store.by_index[i] == (*inserted[i][:3], None, *inserted[i][4:])
-    records = iter(hashgraph.Transfer(store, (1 << len(inserted)) - 1))
+    recs = records(store)
+    for i in taken:
+        assert recs[i] == (*inserted[i][:3], None, *inserted[i][4:])
+    copies = iter(hashgraph.Transfer(store, (1 << len(inserted)) - 1))
     fresh = EventStore(range(len(views) - joins))
     for name, arg in log:
         if name == "add_member":
             fresh.add_member(arg)
         else:
-            assert oracles.insert_event(fresh, next(records)) == arg
+            assert oracles.insert_event(fresh, recs[next(copies)]) == arg
     fresh.advance_consensus()
     assert fresh.consensus == store.consensus
-    assert list(fresh.by_index) == list(store.by_index)
+    assert records(fresh) == recs
     assert [fresh.take_payload(i) for i in taken] == [None] * len(taken)
 
 
@@ -1192,9 +1193,12 @@ def test_id_column_is_the_canonical_serialization(seed, steps, members):
     store, views = gossip_dag(seed, steps=steps, n=n, joins=joins)
     assert store._width == (16 if n + joins > 8 else 8)
     assert len(store._ids) == 32 * len(store.by_index)
-    for i, rec in enumerate(store.by_index):
-        assert rec.digest == Event(*rec[:5]).digest == bytes(
-            store._ids[32 * i:32 * i + 32])
+    for i, rec in enumerate(records(store)):
+        digest, units = hashgraph._seal(
+            rec.creator, rec.self_parent or b"", rec.other_parent or b"",
+            rec.payload, rec.created_at)
+        assert digest == bytes(store._ids[32 * i:32 * i + 32])
+        assert units == rec.units
     for view in views:
         own = known_events_of(store, view, view.owner)
         if not own:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shardgraph.hashgraph import (
+    _seal,
     _set_bits,
-    Event,
     EventStore,
     Hashgraph,
     HashgraphError,
@@ -29,6 +29,8 @@ from oracles import (
     head_of,
     index_of,
     insert,
+    new_record,
+    records,
     reference_digest,
     round_robin_fixture,
     strongly_seen,
@@ -63,17 +65,23 @@ def big_fixture_graph():
     return graph
 
 
+def known_records(graph):
+    """The records of the events graph knows, in index order."""
+    recs = records(graph.store)
+    return [recs[i] for i in Transfer(graph.store, graph.known)]
+
+
 def brute(graph):
-    return BruteGraph(graph.population, Transfer(graph.store, graph.known))
+    return BruteGraph(graph.population, known_records(graph))
 
 
 def by_digest(store, values):
     """values, one per store event in index order, keyed by event digest."""
-    return {ev.digest: v for ev, v in zip(store.by_index, values)}
+    return {store._id(i): v for i, v in zip(store.by_index, values)}
 
 
 def fame_by_digest(store):
-    return {store.by_index[w].digest: f for w, f in store.fame.items()}
+    return {store._id(w): f for w, f in store.fame.items()}
 
 
 # -- supermajority ----------------------------------------------------------
@@ -129,7 +137,7 @@ def test_insert_by_a_non_member_raises_and_leaves_the_store():
     store.add_event(0, None, None, (), 0)
 
     def state():
-        return (list(store.by_index), bytes(store._ids), store.round[:],
+        return (records(store), bytes(store._ids), store.round[:],
                 store._anc[:], dict(store._cmask), list(store.population),
                 dict(store._member_bit), store._sm, store._width)
 
@@ -159,23 +167,22 @@ def test_set_bits_matches_brute_force():
 def test_create_event_genesis():
     g = graph_of([0, 1], owner=0)
     i = create_event(g, None, (), 0)
-    ev = g.store.by_index[i]
+    ev = records(g.store)[i]
     assert ev.self_parent is None and ev.other_parent is None
     assert g.head == i == 0
 
 
 def test_create_event_head_chaining():
     g = graph_of([0, 1], owner=0)
-    records = g.store.by_index
-    e1 = records[create_event(g, None, (), 0)]
-    e2 = add_for(g, 1, e1.digest, (), 1)
+    i1 = create_event(g, None, (), 0)
+    e2 = add_for(g, 1, g.store._id(i1), (), 1)
     assert g.head == 0
     i3 = create_event(g, 1, (tx(1),), 2)
-    e3 = records[i3]
-    assert e3.self_parent == e1.digest
-    assert e3.other_parent == e2.digest
     i4 = create_event(g, None, (), 3)
-    assert records[i4].self_parent == e3.digest
+    recs = records(g.store)
+    assert recs[i3].self_parent == recs[i1].digest
+    assert recs[i3].other_parent == e2.digest
+    assert recs[i4].self_parent == recs[i3].digest
     assert g.head == i4
 
 
@@ -204,6 +211,20 @@ def test_create_event_on_ownerless_view_rejected():
 # -- gossip_sync ------------------------------------------------------------
 
 
+def test_transfer_iterates_its_mask_indices_in_order(big_fixture_graph):
+    # a transfer names its events by index: the mask's set bits, lowest
+    # first, and as many as its popcount
+    store = big_fixture_graph.store
+    n = len(store.by_index)
+    rng = random.Random(9)
+    masks = [0, 1, 1 << n - 1, (1 << n) - 1] + [
+        rng.getrandbits(n) for _ in range(20)]
+    for mask in masks:
+        transfer = Transfer(store, mask)
+        assert list(transfer) == [i for i in range(n) if mask >> i & 1]
+        assert len(transfer) == mask.bit_count()
+
+
 def test_gossip_sync_empty_diff():
     a, b = shared_views(2)
     ea = create_event(a, None, (), 0)
@@ -224,7 +245,7 @@ def test_gossip_sync_transfers_diff():
     transferred, ev = gossip_sync(a, b, 3)
     assert len(transferred) == 3
     assert b.known.bit_count() == 4
-    assert a.store.by_index[ev].creator == 1
+    assert a.store._creator[ev] == 1
 
 
 def test_gossip_sync_full_schedule_converges():
@@ -238,14 +259,16 @@ def test_gossip_sync_full_schedule_converges():
         receiver = (sender + rng.randrange(1, n)) % n
         gossip_sync(graphs[sender], graphs[receiver], t)
     snapshot = set().union(
-        *({e.digest for e in Transfer(g.store, g.known)} for g in graphs)
+        *({g.store._id(i) for i in Transfer(g.store, g.known)}
+          for g in graphs)
     )
     # closing rounds: everyone pushes to everyone; every pre-existing event
     # must reach every graph
     for t, (s, r) in enumerate(itertools.permutations(range(n), 2), 40):
         gossip_sync(graphs[s], graphs[r], t)
     for g in graphs:
-        assert snapshot <= {e.digest for e in Transfer(g.store, g.known)}
+        assert snapshot <= {g.store._id(i)
+                            for i in Transfer(g.store, g.known)}
 
 
 def test_gossip_sync_across_stores_rejected():
@@ -273,7 +296,7 @@ def test_gossip_sync_between_views_of_one_owner_rejected():
 
 def test_is_ancestor_reflexive_and_edges(fixture_graph):
     store = fixture_graph.store
-    for i, e in enumerate(store.by_index):
+    for i, e in enumerate(records(store)):
         anc = engine_ancestry(store, i)
         assert anc >> i & 1
         if e.self_parent:
@@ -283,7 +306,7 @@ def test_is_ancestor_reflexive_and_edges(fixture_graph):
 def test_is_ancestor_matches_brute_force(fixture_graph):
     o = brute(fixture_graph)
     store = fixture_graph.store
-    evs = store.by_index
+    evs = records(store)
     assert len(evs) <= 20
     for i, a in enumerate(evs):
         for j, b in enumerate(evs):
@@ -296,7 +319,8 @@ def test_is_ancestor_unresolved():
     # an index past the store's events, or below 0, names no event, and no
     # event can take it as a parent
     g = graph_of([0, 1], owner=0)
-    e = g.store.by_index[create_event(g, None, (), 0)]
+    create_event(g, None, (), 0)
+    before = records(g.store)
     # the error names the index
     for unknown in (1, 7, -1):
         with pytest.raises(HashgraphError,
@@ -307,8 +331,8 @@ def test_is_ancestor_unresolved():
             g.store.add_event(0, unknown, None, (), 1)
     # so does an id the store does not hold, named through the test map
     with pytest.raises(HashgraphError, match="dangling other_parent 1$"):
-        insert(g, Event(1, None, b"\xab" * 32, (), 1))
-    assert list(g.store.by_index) == [e]
+        insert(g, new_record(1, None, b"\xab" * 32, (), 1))
+    assert records(g.store) == before
 
 
 # -- strong sight -----------------------------------------------------------
@@ -342,13 +366,13 @@ def test_strongly_sees_matches_brute_force(fixture_graph, big_fixture_graph):
         o = brute(graph)
         store = graph.store
         domain = found = 0
-        for a, ev in enumerate(store.by_index):
+        for a, ev in enumerate(records(store)):
             for r in (store.round[a] - 1, store.round[a]):
                 seen = strongly_seen(store, a, r)
                 found += len(seen)
                 for w in store.witnesses_by_round.get(r, ()):
                     domain += 1
-                    b = store.by_index[w].digest
+                    b = store._id(w)
                     assert (w in seen) == (
                         o.is_ancestor(ev.digest, b)
                         and o.strongly_sees(ev.digest, b)
@@ -363,12 +387,11 @@ def test_strongly_sees_outside_domain_rejected():
     graph, _ = round_robin_fixture(4, 8)
     store = graph.store
     o = brute(graph)
-    late = max(range(len(store.by_index)), key=store.round.__getitem__)
+    late = max(store.by_index, key=store.round.__getitem__)
     r = store.round[late]
     assert r >= 3
     old = [w for w in store.witnesses_by_round[r - 2]
-           if o.strongly_sees(store.by_index[late].digest,
-                              store.by_index[w].digest)]
+           if o.strongly_sees(store._id(late), store._id(w))]
     assert old and strongly_seen(store, late, r - 2) == []
 
 
@@ -396,7 +419,7 @@ def test_rounds_never_lowered_by_growth():
     graph, _ = round_robin_fixture(4, 3)
     before = list(graph.store.round)
     g2 = graph_of([0, 1, 2, 3], owner=0)
-    for e in Transfer(graph.store, graph.known):
+    for e in known_records(graph):
         insert(g2, e)
     create_event(g2, index_of(g2.store)[head_of(g2, 1)], (), 99)
     assert len(g2.store.round) == len(before) + 1
@@ -448,7 +471,7 @@ def test_consensus_order_single_node_chain():
     k = len(order)
     assert k >= 3
     assert [oe.event_id for oe in order] == [
-        g.store.by_index[i].digest for i in evs][:k]
+        g.store._id(i) for i in evs][:k]
     assert [oe.consensus_timestamp for oe in order] == list(range(k))
 
 
@@ -521,7 +544,7 @@ def test_prefix_stability():
 
 
 def test_annotations_independent_of_arrival_order(fixture_graph):
-    evs = list(Transfer(fixture_graph.store, fixture_graph.known))
+    evs = known_records(fixture_graph)
     rng = random.Random(5)
     for _ in range(5):
         # any topological shuffle must produce identical annotations
@@ -557,9 +580,9 @@ def test_detect_forks_honest_empty(big_fixture_graph):
 
 def test_detect_forks_reports_equivocation():
     g = graph_of([0, 1, 2, 3], owner=0)
-    base = g.store.by_index[create_event(g, None, (), 0)]
-    f1 = Event(0, base.digest, None, (), 1)
-    f2 = Event(0, base.digest, None, (tx(1),), 1)
+    base = g.store._id(create_event(g, None, (), 0))
+    f1 = new_record(0, base, None, (), 1)
+    f2 = new_record(0, base, None, (tx(1),), 1)
     insert(g, f1)
     insert(g, f2)
     forks = detect_forks(g)
@@ -570,11 +593,11 @@ def test_detect_forks_matches_pairwise_oracle():
     g = graph_of([0, 1, 2, 3])
     base = add_for(g, 0, None, (), 0)
     e1 = add_for(g, 1, base.digest, (), 1)
-    f1 = Event(0, base.digest, e1.digest, (), 2)
-    f2 = Event(0, base.digest, None, (tx(9),), 2)
+    f1 = new_record(0, base.digest, e1.digest, (), 2)
+    f2 = new_record(0, base.digest, None, (tx(9),), 2)
     insert(g, f1)
     insert(g, f2)
-    child = Event(0, f1.digest, e1.digest, (), 3)
+    child = new_record(0, f1.digest, e1.digest, (), 3)
     insert(g, child)
     assert detect_forks(g) == brute(g).forks()
 
@@ -582,32 +605,39 @@ def test_detect_forks_matches_pairwise_oracle():
 # -- events / serialization -------------------------------------------------
 
 
-def test_digest_stable_and_unique():
-    e1 = Event(0, None, None, (tx(1),), 5)
-    e2 = Event(0, None, None, (tx(1),), 5)
-    e3 = Event(0, None, None, (tx(2),), 5)
-    assert e1.digest == e2.digest
-    assert e1.digest != e3.digest
+def seal(creator, self_parent, other_parent, payload, created_at):
+    """The engine's digest and units of these five fields, its parents
+    given by digest (None for none)."""
+    return _seal(creator, self_parent or b"", other_parent or b"", payload,
+                 created_at)
 
+
+def test_digest_stable_and_unique():
+    d1, _ = seal(0, None, None, (tx(1),), 5)
+    d2, _ = seal(0, None, None, (tx(1),), 5)
+    d3, _ = seal(0, None, None, (tx(2),), 5)
+    assert d1 == d2
+    assert d1 != d3
 
 
 def test_digest_known_answers():
     # digests of the length-prefixed encoding as first written; a rewrite
     # of canonical_bytes must reproduce them bit for bit
-    genesis = Event(0, None, None, (), 0)
-    assert genesis.digest.hex() == (
+    genesis, _ = seal(0, None, None, (), 0)
+    assert genesis.hex() == (
         "c4d403b8f5ec9d9abec97ffe663aadcee34472090997bf897c8b5ad6df6958d9"
     )
-    peer = Event(1, None, None, (), 0)
-    both = Event(0, genesis.digest, peer.digest,
-                 (tx(1), Transaction("x-2", 0, 1, size_units=3)), 7)
-    assert both.digest.hex() == (
+    peer, _ = seal(1, None, None, (), 0)
+    both, units = seal(0, genesis, peer,
+                       (tx(1), Transaction("x-2", 0, 1, size_units=3)), 7)
+    assert both.hex() == (
         "c0e76cee6c1260d6e01d430b08eafbebc253d3ff4927fb021c28b609a34a5b02"
     )
+    assert units == 4
     # created_at is signed, and a tx_id's length prefix counts its UTF-8
     # bytes (12 here), not its 6 characters
-    wide = Event(5, genesis.digest, None, (Transaction("tx-é€😀", 1, 2),), -3)
-    assert wide.digest.hex() == (
+    wide, _ = seal(5, genesis, None, (Transaction("tx-é€😀", 1, 2),), -3)
+    assert wide.hex() == (
         "676f358aa564f4b9536f9e75cbebe3abe9adf94e2ec9b98b29aa05bb8d4dd971"
     )
 
@@ -629,9 +659,9 @@ PAYLOADS = st.lists(
        created_at=st.integers(-2**63, 2**63 - 1))
 def test_digest_matches_reference_serialization(
         creator, self_parent, other_parent, payload, created_at):
-    ev = Event(creator, self_parent, other_parent, payload, created_at)
-    assert len(ev.digest) == 32
-    assert ev.digest.hex() == reference_digest(
+    digest, units = seal(creator, self_parent, other_parent, payload,
+                         created_at)
+    assert len(digest) == 32
+    assert digest.hex() == reference_digest(
         creator, self_parent, other_parent, payload, created_at)
-    assert ev.units == sum(t.size_units for t in payload)
-    assert ev[:5] == (creator, self_parent, other_parent, payload, created_at)
+    assert units == sum(t.size_units for t in payload)

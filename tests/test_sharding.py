@@ -180,7 +180,7 @@ def test_receive_global_filters_by_target(small_state):
     cross = tx(1, 0, 1)
     coord = table.coordinators[0]
     view = Hashgraph(state.global_store, coord)
-    ev = state.global_store.by_index[create_event(view, None, (cross,), 5)]
+    ev = create_event(view, None, (cross,), 5)
     q1 = coordinator_receive_global(state, table, 1, ev)
     assert q1.inbound == [cross]
     # the origin committee's own coordinator ignores it

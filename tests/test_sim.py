@@ -12,7 +12,6 @@ import pytest
 import shardgraph.simulation
 from shardgraph.config import ConfigError, ScenarioConfig
 from shardgraph.hashgraph import (
-    Event,
     EventStore,
     Order,
     OrderedEvent,
@@ -32,7 +31,7 @@ from shardgraph.simulation import (
 from shardgraph.sharding import partition_nodes
 from shardgraph.transactions import KIND_PAYLOAD
 
-from oracles import report_text
+from oracles import new_record, record_of, records, report_text
 from test_golden import GOLDEN
 
 # reorg_log entries replay through the benchmark's own output check
@@ -231,7 +230,7 @@ def record_inserts(monkeypatch):
 
     def recorded(store, *fields):
         i = add(store, *fields)
-        event = store.by_index[i]
+        event = record_of(store, i)
         inserted.setdefault(event.digest, event)
         return i
 
@@ -354,21 +353,20 @@ def test_poll_releases_the_payloads_it_applied(monkeypatch):
     applied = kept = 0
     for store in sim.state.local_stores.values():
         ordered = set(store._order_events)
-        for i, rec in enumerate(store.by_index):
+        for i, rec in enumerate(records(store)):
             ev = inserted[rec.digest]
-            assert type(rec) is Event
             if i in ordered:
                 assert rec.payload is None
                 assert rec == (*ev[:3], None, *ev[4:])
-                assert Event(*rec[:3], ev.payload, rec.created_at).digest == (
-                    rec.digest)
+                assert new_record(*rec[:3], ev.payload,
+                                  rec.created_at).digest == rec.digest
                 applied += 1
             else:
                 assert rec == ev and rec.payload is not None
                 kept += 1
     assert applied > 10 * kept > 0
     assert all(rec == inserted[rec.digest] and rec.payload is not None
-               for rec in sim.state.global_store.by_index)
+               for rec in records(sim.state.global_store))
 
 
 def test_churn_grid_loses_few_cross_transactions():
@@ -544,8 +542,9 @@ def test_replacement_coordinator_gossips_globally_after_recovery():
     rec = next(e for e in report.recovery_log if e["action"] == "recover_shard")
     coord = sim.table.coordinators[1]
     assert coord in rec["replacements"]
-    assert any(e.creator == coord and e.created_at > rec["at"]
-               for e in sim.state.global_store.by_index)
+    store = sim.state.global_store
+    assert any(store._creator[i] == coord and store._created_at[i] > rec["at"]
+               for i in store.by_index)
     checkpoints = [a["at"] for a in report.action_log
                    if a["action"] == "checkpoint"]
     assert checkpoints[-1] > rec["at"] + 30
@@ -618,8 +617,7 @@ def test_shard_recovery_applies_each_event_once(monkeypatch):
 
     def recorded(store, i):
         payload = take(store, i)
-        (skipped if payload is None else applied).append(
-            store.by_index[i].digest)
+        (skipped if payload is None else applied).append(store._id(i))
         return payload
 
     monkeypatch.setattr(EventStore, "take_payload", recorded)
@@ -694,7 +692,7 @@ def test_member_moved_back_resumes_its_chain():
              and any(53 in m for m in a["transfers"].values())]
     assert moved == [92, 113] and sim.table.committee_of(53) == 0
     store = sim.state.local_stores[0]
-    own = [ev for ev in store.by_index if ev.creator == 53]
+    own = [ev for ev in records(store) if ev.creator == 53]
     assert [ev.created_at for ev in own if ev.self_parent is None] == [74]
     assert own[-1].created_at > 113
     assert not any(report.forks.values())
@@ -716,7 +714,7 @@ def test_a_seat_receives_each_global_event_once(cfg, monkeypatch):
     receive = shardgraph.simulation.coordinator_receive_global
 
     def recorded(state, table, committee, event):
-        receipts.append((committee, event.digest))
+        receipts.append((committee, event))
         return receive(state, table, committee, event)
 
     monkeypatch.setattr(shardgraph.simulation, "coordinator_receive_global",
