@@ -22,7 +22,7 @@ import hashlib
 import struct
 from array import array
 from collections.abc import Sequence
-from itertools import compress, groupby, islice
+from itertools import chain, compress, groupby, islice
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -205,8 +205,12 @@ class EventStore:
       popcounts (``units_of``).
     - ``_by_digest[r]`` is round r's witnesses sorted by digest, the order
       fame voting and ordering visit them in; a new witness takes its place
-      by one bisect keyed on digest.  ``witnesses_by_round`` keeps
-      insertion order.
+      by one bisect keyed on digest.  Tallies read the lists of rounds two
+      or more above ``_first_undecided_round`` and ``advance_consensus``
+      those above ``finalized_round``, so round r's list is dropped once r
+      is finalized, and a witness landing in a finalized round is filed
+      only in ``_late``.  ``witnesses_by_round[r]`` keeps insertion order,
+      its first entry the round's lowest index, in an ``array("i")``.
     - ``_witness_count`` counts the witnesses inserted so far; a witness's
       position is its place in ``witnesses_by_round[r]``, which is
       append-only.
@@ -234,7 +238,11 @@ class EventStore:
       ``_undecided[r]``, ``_votes[r]``, ``_covered[r]`` and the strong
       sight of round r + 2 witnesses are dropped: live vote state is
       bounded by the witnesses of undecided rounds.  ``add_member`` re-lays
-      it when F doubles.
+      it when F doubles.  A decision is final, so fame is what outlives the
+      vote: two masks over event index, ``_decided`` (fame decided) and
+      ``_famous`` (decided famous), 2 bits per event.  ``_tally`` sets a
+      witness's bits when it decides it, and ``advance_consensus`` reads
+      them: a round is ordered once every witness of it is decided.
     - Bit-sliced median: ordering a round walks each famous witness's
       self-parent chain once (see below) and feeds each chain event's
       (created_at, newly reached events) segment, in created_at order, into
@@ -244,7 +252,13 @@ class EventStore:
       events that carry out at one stamp are ordered by digest.
     - View limits are written when their facts are decided.
       ``_deciders[r]`` is [highest decider, {decider: mask of the round-r
-      witnesses its vote decided}], kept by ``_tally``.  ``_late[r]`` masks
+      witnesses its vote decided}], kept by ``_tally``, each mask shifted
+      down by round r's first witness index, so it spans the round's
+      witnesses and not the history.  Once round r is decided
+      (``_first_undecided_round`` passes it) the record becomes one flat
+      tuple, (highest decider, first witness index, decider, mask,
+      decider, mask, ...), and every finalized round is decided.
+      ``_late[r]`` masks
       the witnesses that landed in round r once it was finalized: tallies
       never revisit a round below ``_first_undecided_round``, which is past
       ``finalized_round``, so those are exactly the round's undecided
@@ -288,10 +302,12 @@ class EventStore:
     - Column layout: inside a store an event's only name is its index, and
       no per-event object outlives its insert.  Ids are one ``bytearray``,
       ``_ids``, 32 bytes per event; creator, created_at, self-parent and
-      other-parent indices (-1 for none) and ``_seq`` are ``array``
-      columns, payloads a list, and units bits in the unit planes.  The
-      consensus order is three more ``array`` columns, ``_order_events``
-      (event indices), ``_order_rounds`` and ``_order_stamps``.  An id is
+      other-parent indices (-1 for none) and ``_seq`` are ``array("i")``
+      columns, 4 bytes per event, payloads a list, and units bits in the
+      unit planes.  The consensus order is three more ``array("i")``
+      columns, ``_order_events`` (event indices), ``_order_rounds`` and
+      ``_order_stamps``.  A value outside 32 bits raises
+      ``OverflowError`` when appended, so none is truncated.  An id is
       read from its column only where it leaves the store: sealing a
       child, the sorts by id (``_by_digest``, an ordered batch), a coin,
       a replayed event's copy (``replay``) and the entries ``consensus``
@@ -338,8 +354,8 @@ class EventStore:
         self._ids = ids = bytearray()
         # the sort key of event i: its id, as a 1-tuple
         self._id_key = lambda i: _ID_AT(ids, i << 5)
-        self._creator = array("q")
-        self._created_at = array("q")
+        self._creator = array("i")
+        self._created_at = array("i")
         self._self_parent = array("i")
         self._other_parent = array("i")
         self._seq = array("i")               # position along self-parent chain
@@ -354,7 +370,7 @@ class EventStore:
         self._apart: dict[int, tuple[int, ...]] = {}
         self._forker_bits = 0
         self.round: list[int] = []
-        self.witnesses_by_round: dict[int, list[int]] = {}
+        self.witnesses_by_round: dict[int, array] = {}
         self._witness_count = 0
         self._by_digest: dict[int, list[int]] = {}
         self.max_round = 0
@@ -371,16 +387,21 @@ class EventStore:
         self._votes: dict[int, dict[int, int]] = {}
         self._covered: dict[int, dict[int, int]] = {}
         self._ss_prev: dict[int, list[int]] = {}
-        self.fame: dict[int, bool] = {}
+        # fame as two masks over event index: witnesses whose fame is
+        # decided, and those decided famous
+        self._decided = 0
+        self._famous = 0
         self._undecided: dict[int, int] = {}  # round -> undecided witnesses
         # round -> [highest decider, {decider: mask of witnesses it decided}]
-        self._deciders: dict[int, list] = {}
+        # while the round is voted on, then (highest decider, first witness,
+        # decider, mask, ...); masks are shifted down by the first witness
+        self._deciders: dict[int, list | tuple] = {}
         self._first_undecided_round = 1
         self._fame_polled = 0                # witnesses at the last poll
         # total ordering: the consensus order's columns
         self._order_events = array("i")
         self._order_rounds = array("i")
-        self._order_stamps = array("q")
+        self._order_stamps = array("i")
         self._emitted = 0                    # bitmask of ordered events
         self.finalized_round = 0
         self._late: dict[int, int] = {}      # round -> late witnesses
@@ -400,13 +421,6 @@ class EventStore:
     def _id(self, i: int) -> EventId:
         """Event i's id, from the id column."""
         return _ID_AT(self._ids, i << 5)[0]
-
-    def _units_at(self, i: int) -> int:
-        """Event i's payload units: its bits in the unit planes."""
-        units = 0
-        for k, plane in enumerate(self._unit_planes):
-            units |= (plane >> i & 1) << k
-        return units
 
     # -- membership ---------------------------------------------------------
 
@@ -565,7 +579,9 @@ class EventStore:
                 prev, cur = cur, 0
         rounds.append(r)
         if spi is None or rounds[spi] < r:
-            same_round = self.witnesses_by_round.setdefault(r, [])
+            same_round = self.witnesses_by_round.get(r)
+            if same_round is None:
+                same_round = self.witnesses_by_round[r] = array("i")
             pos = len(same_round)
             same_round.append(idx)
             self._witness_count += 1
@@ -589,9 +605,10 @@ class EventStore:
                 self._votes.setdefault(r - 1, {})[idx] = yes
             if r <= self.finalized_round:
                 self._late[r] = self._late.get(r, 0) | bit
-            ranked = self._by_digest.setdefault(r, [])
-            ranked.insert(bisect.bisect_right(
-                ranked, (digest,), key=self._id_key), idx)
+            else:
+                ranked = self._by_digest.setdefault(r, [])
+                ranked.insert(bisect.bisect_right(
+                    ranked, (digest,), key=self._id_key), idx)
         if r > self.max_round:
             self.max_round = r
         reach.append((prev, cur))
@@ -785,6 +802,9 @@ class EventStore:
                 # nothing votes on round r again: drop its vote state and
                 # the strong sight of the voters that only voted on it
                 self._first_undecided_round = r + 1
+                last, groups = self._deciders[r]
+                self._deciders[r] = (last, self.witnesses_by_round[r][0],
+                                     *chain.from_iterable(groups.items()))
                 self._undecided.pop(r, None)
                 self._votes.pop(r, None)
                 self._covered.pop(r, None)
@@ -801,6 +821,7 @@ class EventStore:
         votes = self._votes[r]
         covered = self._covered.setdefault(r, {})
         ws = self.witnesses_by_round[r]
+        base = ws[0]
         sm = self._sm
         if not sm:
             raise HashgraphError("no members to take a supermajority of")
@@ -829,11 +850,13 @@ class EventStore:
                 votes[v] = votes.get(v, 0) | vote & todo
                 if decided and not coin:
                     flags = self._unpack(decided, len(ws))
-                    won = 0
+                    won = fame = 0
                     for w, famous in zip(compress(ws, flags), compress(
                             self._unpack(vote, len(ws)), flags)):
-                        self.fame[w] = bool(famous)
-                        won |= 1 << w
+                        won |= 1 << w - base
+                        fame |= famous << w - base
+                    self._decided |= won << base
+                    self._famous |= fame << base
                     record = self._deciders.setdefault(r, [v, {}])
                     record[0] = max(record[0], v)
                     record[1][v] = record[1].get(v, 0) | won
@@ -900,14 +923,15 @@ class EventStore:
         whose witnesses are all fame-decided."""
         self.elect_fame()
         reach, anc, self_parent = self._reach, self._anc, self._self_parent
+        decided, fame = self._decided, self._famous
         r = self.finalized_round + 1
         while True:
             witnesses = self._by_digest.get(r)
             if not witnesses:
                 break
-            if any(w not in self.fame for w in witnesses):
+            if any(not decided >> w & 1 for w in witnesses):
                 break
-            famous = [w for w in witnesses if self.fame[w]]
+            famous = [w for w in witnesses if fame >> w & 1]
             if famous:
                 inter = anc[famous[0]]
                 for w in famous[1:]:
@@ -925,6 +949,8 @@ class EventStore:
                             reach[sp] = _FREED
                             anc[sp] = 0
             self.finalized_round = r
+            # no witness is filed here from now on (see add_event)
+            del self._by_digest[r]
             r += 1
 
     def view_finalized_round(self, known: int) -> int:
@@ -936,13 +962,23 @@ class EventStore:
         closed, knows every event received by round r."""
         # the view knows every event below its lowest missing index
         low = (~known & known + 1).bit_length() - 1
+        deciders, late = self._deciders, self._late
         for r in range(1, self.finalized_round + 1):
-            last, groups = self._deciders[r]
-            if known & self._late.get(r, 0) or last >= low and (
-                    not any(known >> d & 1 for d in groups) or any(
-                        known & ws and not known >> d & 1
-                        for d, ws in groups.items())):
+            record = deciders[r]
+            if known & late.get(r, 0):
                 return r - 1
+            if record[0] >= low:
+                # the view must know a decider, and every decider of a
+                # witness it knows; masks are shifted down by record[1]
+                base, knows_one = record[1], False
+                pairs = islice(record, 2, None)
+                for d, ws in zip(pairs, pairs):
+                    if known >> d & 1:
+                        knows_one = True
+                    elif known & ws << base:
+                        return r - 1
+                if not knows_one:
+                    return r - 1
         return self.finalized_round
 
 
@@ -973,8 +1009,13 @@ def replay(store: EventStore, events: Transfer) -> None:
     index order, each parent named by its copy's index.  A copy keeps its
     source's id (see ``add_event``), so a parent index that maps wrong
     raises: one outside the transfer is dangling, and one inside it makes
-    a child that holds its payload reseal to another id."""
-    source, copies = events.store, {}
+    a child that holds its payload reseal to another id.  The copies'
+    units are read in one pass per unit plane over the transfer."""
+    source, copies, units = events.store, {}, {}
+    # each event's units, one pass over each unit plane
+    for k, plane in enumerate(source._unit_planes):
+        for i in _set_bits(plane & events.mask):
+            units[i] = units.get(i, 0) | 1 << k
     creators, created_at = source._creator, source._created_at
     self_parent, other_parent = source._self_parent, source._other_parent
     for i in events:
@@ -982,7 +1023,7 @@ def replay(store: EventStore, events: Transfer) -> None:
         copies[i] = store.add_event(
             creators[i], None if sp < 0 else copies.get(sp, -1),
             None if op < 0 else copies.get(op, -1), source._payload[i],
-            created_at[i], source._id(i), source._units_at(i))
+            created_at[i], source._id(i), units.get(i, 0))
 
 
 class Hashgraph:

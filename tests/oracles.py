@@ -5,9 +5,10 @@ naive set/transitive-closure computations, independent of the package's
 incremental bitmask machinery.  The references further down recompute fame,
 ordering and a view's finalized round over an EventStore's own rounds,
 strong sight and fame, with ancestry built from the store's parent links
-(ancestry), not read from the masks it frees once ordered.  deciders_of
-reads its fame deciders, vote_state and
-check_vote_state_bounds read its fame vote state, and round_robin_fixture
+(ancestry), not read from the masks it frees once ordered.  fame_of
+reads its fame masks, decider_groups and deciders_of its fame deciders,
+vote_state and check_vote_state_bounds its fame vote state,
+retained_store_bytes what a run's stores keep, and round_robin_fixture
 gossips the small DAGs the oracle tests run on.  insert and add_for grow a
 DAG on a view by hand, naming parents by id through a test-side id to
 index map (index_of), as the store keeps none; report_text serializes a
@@ -24,11 +25,14 @@ the engine's serializer.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
+import tracemalloc
 import weakref
 from typing import NamedTuple, Optional
 
+from shardgraph import hashgraph
 from shardgraph.hashgraph import (
     COIN_PERIOD,
     EventStore,
@@ -38,6 +42,7 @@ from shardgraph.hashgraph import (
     gossip_sync,
     supermajority,
 )
+from shardgraph.simulation import Simulation
 from shardgraph.transactions import Transaction
 
 
@@ -395,7 +400,13 @@ def record_of(store, i):
     sp, op = store._self_parent[i], store._other_parent[i]
     return Record(store._creator[i], store._id(sp) if sp >= 0 else None,
                   store._id(op) if op >= 0 else None, store._payload[i],
-                  store._created_at[i], store._id(i), store._units_at(i))
+                  store._created_at[i], store._id(i), units_at(store, i))
+
+
+def units_at(store, i):
+    """Event i's payload units: its bits in the store's unit planes."""
+    return sum((plane >> i & 1) << k
+               for k, plane in enumerate(store._unit_planes))
 
 
 def records(store):
@@ -534,11 +545,38 @@ class ReferenceFame:
 # an EventStore's vote state -----------------------------------------------
 
 
+def fame_of(store):
+    """Witness -> whether it is famous, for every witness whose fame is
+    decided, read from the store's decided and famous masks."""
+    decided, famous = store._decided, store._famous
+    return {w: bool(famous >> w & 1)
+            for ws in store.witnesses_by_round.values() for w in ws
+            if decided >> w & 1}
+
+
+def decider_groups(store, r):
+    """Round r's decider record as (highest decider, {decider: mask of
+    the round-r witnesses its vote decided}), the masks over event index.
+    The store keeps each mask shifted down by the round's first witness,
+    in a list and a dict while the round is voted on and in one flat
+    tuple (highest decider, first witness, decider, mask, ...) once it is
+    decided."""
+    record = store._deciders[r]
+    base = store.witnesses_by_round[r][0]
+    if isinstance(record, tuple):
+        assert record[1] == base
+        pairs = zip(record[2::2], record[3::2])
+    else:
+        pairs = record[1].items()
+    return record[0], {d: ws << base for d, ws in pairs}
+
+
 def deciders_of(store):
     """Witness -> the witness whose vote decided its fame, read from the
     store's per-round decider groups."""
-    return {w: d for _, groups in store._deciders.values()
-            for d, ws in groups.items() for w in _set_bits(ws)}
+    return {w: d for r in store._deciders
+            for d, ws in decider_groups(store, r)[1].items()
+            for w in _set_bits(ws)}
 
 
 def vote_state(store):
@@ -574,6 +612,27 @@ def check_vote_state_bounds(store):
     return live
 
 
+# what a run's stores retain --------------------------------------------------
+
+
+def retained_store_bytes(cfg):
+    """Run cfg's simulation under tracemalloc and return the bytes still
+    allocated from the engine module once it has ended and a collection
+    has run, and the events in its stores."""
+    tracemalloc.start()
+    try:
+        sim = Simulation(cfg)
+        sim.run()
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    kept = sum(t.size for t in snapshot.filter_traces(
+        [tracemalloc.Filter(True, hashgraph.__file__)]).traces)
+    stores = [*sim.state.local_stores.values(), sim.state.global_store]
+    return kept, sum(len(st.by_index) for st in stores)
+
+
 # ordering reference over an EventStore's own annotations -------------------
 
 
@@ -604,7 +663,7 @@ def reference_view_finalized_round(store, known):
     rounds up to the first finalized round none of whose deciders the view
     knows, or with a witness the view knows that is undecided, or decided
     by a witness the view does not know."""
-    deciders = deciders_of(store)
+    deciders, fame = deciders_of(store), fame_of(store)
     r = 0
     while r < store.finalized_round:
         nxt = r + 1
@@ -615,7 +674,7 @@ def reference_view_finalized_round(store, known):
             if not (known >> w) & 1:
                 continue
             decider = deciders.get(w)
-            if w not in store.fame or (
+            if w not in fame or (
                 decider is not None and not (known >> decider) & 1
             ):
                 return r
@@ -627,11 +686,11 @@ def reference_consensus(store):
     """store.consensus recomputed from the store's rounds and fame decisions,
     one median_timestamp walk per event.  A witness that landed in a round
     after it was finalized is undecided, and not famous."""
-    out, anc = [], ancestry(store)
+    out, anc, fame = [], ancestry(store), fame_of(store)
     emitted = set()
     for r in range(1, store.finalized_round + 1):
         famous = sorted(
-            (w for w in store.witnesses_by_round[r] if store.fame.get(w)),
+            (w for w in store.witnesses_by_round[r] if fame.get(w)),
             key=store._id,
         )
         if not famous:

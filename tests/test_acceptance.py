@@ -18,6 +18,7 @@ from shardgraph.simulation import Simulation, run_scenario
 from oracles import (
     BruteGraph,
     engine_ancestry,
+    fame_of,
     records,
     report_text,
     round_robin_fixture,
@@ -176,7 +177,7 @@ def test_criterion_6_oracle_equivalence():
         ok = ok and witness_flags(store) == [witness[e.digest] for e in events]
         store.elect_fame()
         ok = ok and {
-            events[w].digest: f for w, f in store.fame.items()
+            events[w].digest: f for w, f in fame_of(store).items()
         } == oracle.fame()
         got = [
             (o.event_id, o.round_received, o.consensus_timestamp)

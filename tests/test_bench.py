@@ -34,8 +34,10 @@ from shardgraph.transactions import Transaction
 from oracles import (
     ancestry,
     check_vote_state_bounds,
+    fame_of,
     records,
     round_robin_fixture,
+    units_at,
 )
 from test_engine_indices import gossip_dag
 
@@ -166,7 +168,7 @@ def test_bench_gossip_ring(benchmark):
     assert len(store.by_index) == n * (rounds + 1)
     # the ring's first sender receives last, and then knows every event
     assert views[plan[-1][1][0]].known == (1 << len(store.by_index)) - 1
-    assert all(store._units_at(i) == 1 for _, i in syncs)
+    assert all(units_at(store, i) == 1 for _, i in syncs)
     assert store.max_round >= 20
 
 
@@ -287,7 +289,7 @@ def test_bench_elect_fame(benchmark, dag):
         elect, setup=lambda: ((filled_store(*dag),), {}),
         rounds=1, iterations=1,
     )
-    assert len(store.fame) > len(dag[0]) * 8
+    assert len(fame_of(store)) > len(dag[0]) * 8
     # vote state is kept only for the rounds still voted on
     assert min(store._votes) == store._first_undecided_round > 8
     check_vote_state_bounds(store)
@@ -310,7 +312,8 @@ def test_bench_consensus_polls_32_members(benchmark):
 
     store = benchmark.pedantic(replay, rounds=1, iterations=1)
     assert (store.max_round, store.finalized_round) == (18, 16)
-    assert len(store.fame) == sum(store.fame.values()) == 512
+    fame = fame_of(store)
+    assert len(fame) == sum(fame.values()) == 512
     assert len(store.consensus) == 3158
 
 

@@ -26,6 +26,7 @@ from oracles import (
     ancestry,
     check_supermajority,
     engine_ancestry,
+    fame_of,
     head_of,
     index_of,
     insert,
@@ -81,7 +82,7 @@ def by_digest(store, values):
 
 
 def fame_by_digest(store):
-    return {store._id(w): f for w, f in store.fame.items()}
+    return {store._id(w): f for w, f in fame_of(store).items()}
 
 
 # -- supermajority ----------------------------------------------------------
@@ -433,15 +434,15 @@ def test_fame_matches_brute_force(big_fixture_graph):
     store = big_fixture_graph.store
     store.elect_fame()
     assert fame_by_digest(store) == brute(big_fixture_graph).fame()
-    assert any(store.fame.values())
+    assert any(fame_of(store).values())
 
 
 def test_fame_idempotent(big_fixture_graph):
     store = big_fixture_graph.store
     store.elect_fame()
-    first = dict(store.fame)
+    first = fame_of(store)
     store.elect_fame()
-    assert store.fame == first
+    assert fame_of(store) == first
 
 
 def test_unreferenced_witness_not_famous():
@@ -456,7 +457,7 @@ def test_unreferenced_witness_not_famous():
         add_for(g, creator, head_of(g, partner), (), t)
     g.store.elect_fame()
     lonely = index_of(g.store)[genesis[3].digest]
-    assert g.store.fame.get(lonely) is False
+    assert fame_of(g.store).get(lonely) is False
     assert fame_by_digest(g.store) == brute(g).fame()
 
 

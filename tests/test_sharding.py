@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import shardgraph.sharding
@@ -6,6 +8,7 @@ from shardgraph.hashgraph import (
     Hashgraph,
     HashgraphError,
     Transfer,
+    _set_bits,
     consensus_order,
     create_event,
     gossip_sync,
@@ -450,6 +453,35 @@ def test_replay_with_a_wrong_parent_index_raises():
                 replay(EventStore(source.population), Transfer(source, mask))
         finally:
             column[x] = kept
+
+
+def test_replay_copies_the_unit_planes_over_the_transfer():
+    # events of 0 to 7 units, every third with its payload taken, so its
+    # copy takes the units replay reads from the planes: each member's
+    # down-closed view replays to planes that are the source's over the
+    # view, compacted to the copies' indices, and the whole store to the
+    # source's planes themselves
+    store = EventStore(range(4))
+    views = [Hashgraph(store, m) for m in range(4)]
+    rng = random.Random(4)
+    for t in range(40):
+        s, r = rng.sample(range(4), 2)
+        gossip_sync(views[s], views[r], t, (Transaction(
+            f"u{t}", 0, 0, size_units=rng.randrange(8)),))
+    n = len(store.by_index)
+    for i in range(0, n, 3):
+        store.take_payload(i)
+    assert len(store._unit_planes) == 3
+    for mask in [view.known for view in views] + [(1 << n) - 1]:
+        copy = EventStore(store.population)
+        replay(copy, Transfer(store, mask))
+        kept = list(_set_bits(mask))
+        want = [sum(1 << j for j, i in enumerate(kept) if plane >> i & 1)
+                for plane in store._unit_planes]
+        while want and not want[-1]:
+            want.pop()
+        assert copy._unit_planes == want and any(want)
+    assert copy._unit_planes == store._unit_planes
 
 
 def test_recover_empty_committee():

@@ -607,6 +607,37 @@ def test_decided_prefix_is_inside_each_view_on_churn():
     assert len(lengths) == 2368 and 0 in lengths and max(lengths) > 100
 
 
+@pytest.mark.parametrize("seed", [11, pytest.param(12, marks=pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 9: a late genesis witness in finalized "
+    "round 1 drops committee 0's views from 1218 to 0 at tick 112 and its "
+    "replica from 1189 to 0 at tick 121"))])
+def test_no_decided_prefix_shrinks_on_the_churn_workload(seed):
+    # after every poll of the benchmark's churn run, no member's local view
+    # decides less than it did at the last poll while it is the same view
+    # object, and no committee's replica holds a shorter prefix than the
+    # replica before it
+    sim = Simulation(scenario("churn", seed))
+    poll, views, replicas, falls = sim._poll, {}, {}, []
+
+    def checked(t):
+        poll(t)
+        for node, view in sim.views.items():
+            length = decided_length(view)
+            last, before = views.get(node, (None, 0))
+            if last is view and length < before:
+                falls.append((t, "view", node, before, length))
+            views[node] = view, length
+        for cid, replica in sim.state.replicas.items():
+            if replica.length < replicas.get(cid, 0):
+                falls.append((t, "replica", cid, replicas[cid], replica.length))
+            replicas[cid] = replica.length
+
+    sim._poll = checked
+    sim.run()
+    assert max(length for _, length in views.values()) > 1000
+    assert replicas and falls == []
+
+
 def test_shard_recovery_applies_each_event_once(monkeypatch):
     # the recovered store replays the failed store's events, and orders
     # again those the old store ordered after the checkpoint: it skips
