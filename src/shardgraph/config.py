@@ -82,6 +82,8 @@ class ScenarioConfig:
             raise ConfigError("batch_limit must be >= 1")
         if self.checkpoint_period < 1:
             raise ConfigError("checkpoint_period must be >= 1")
+        if self.min_committee_size < 1:
+            raise ConfigError("min_committee_size must be >= 1")
         if self.trigger_mode not in TRIGGER_MODES:
             raise ConfigError(
                 f"trigger_mode must be one of {TRIGGER_MODES}"

@@ -277,28 +277,33 @@ class EventStore:
       so a stored reach is always at the store's width.
     - Reach lifetime: a reach is read by a child's insert and by the
       event's own first vote as a witness (``_strongly_seen_prev``), and by
-      nothing else.  Once an event is ordered and has a self-child, neither
-      read comes again but a fork's insert on it: its round is finalized,
-      so it votes no more.  ``advance_consensus`` therefore frees the reach
-      of each newly ordered event's self-parent, replacing it with the
-      shared falsy entry ``_FREED``.  Live reaches are the unordered
-      events plus, per creator, its last ordered event (one per fork tip
-      for a forker), not the history.  A freed reach read again is rebuilt
-      by ``_rebuild``: a walk over the freed ancestors in its round and
-      the one below, about two rounds of events, merged by the
-      insert's ``_merge``.  The rebuilt entry is not kept.
+      nothing else.  Once an event is ordered its round is finalized, so it
+      votes no more, and once it also has a later event of its creator, a
+      self-child or another branch, no insert but a fork's reads it:
+      an honest creator's next event chains onto its last.
+      ``advance_consensus`` therefore frees the reach of each newly ordered
+      event's self-parent, and of each newly ordered event that is not its
+      creator's last, a forker's dead branch tip included, replacing it
+      with the shared falsy entry ``_FREED``.  Live reaches are the
+      unordered events plus about one per creator, its last ordered event,
+      not the history.  A freed reach read again is rebuilt by ``_rebuild``: a
+      walk over the freed ancestors in its round and the one below, about
+      two rounds of events, merged by the insert's ``_merge``.  The
+      rebuilt entry is not kept.
     - Ancestry lifetime: ``_anc[x]`` is read by a child's insert, by
       ``advance_consensus`` and ``_order_round`` (the famous witnesses of
       the round being ordered and their self-parent chains) and by
       ``member_view`` (a creator's last event).  The loop that frees a
-      reach sets the self-parent's mask to 0, which no live mask is (each
+      reach sets the same event's mask to 0, which no live mask is (each
       holds its own bit): an ordered event's ancestors are ordered, so
       ``_order_round`` reads 0 as the empty set it would find, and neither a
-      famous witness of an unfinalized round nor a last event is an ordered
-      self-parent.  Live masks are the unordered events' and one per
-      self-parent tree tip, each spanning the history below it.
-      ``_ancestry`` rebuilds a freed mask read again (a fork on an old
-      event) from the live masks below, and keeps nothing.
+      famous witness of an unfinalized round nor a last event is freed.
+      Live masks are the unordered events' and about one per creator, its
+      last ordered event's, each spanning the history below it.  ``_ancestry``
+      rebuilds a freed mask read again (a fork on an old event) from the
+      live masks below, and keeps nothing.  ``_forked[x]`` is a parent's
+      own int wherever the other parent adds no bit to it, so a chain's
+      events share one.
     - Column layout: inside a store an event's only name is its index, and
       no per-event object outlives its insert.  Ids are one ``bytearray``,
       ``_ids``, 32 bytes per event; creator, created_at, self-parent and
@@ -315,16 +320,18 @@ class EventStore:
       and a reader takes the column it needs.  No dict is keyed by id, so
       an exact duplicate is inserted again, as a second branch of its
       creator.
-    - Payload lifetime: an event's transactions are read once, by the
-      walk that applies its committee's newly ordered events, and by
+    - Payload lifetime: a local event's transactions are read once, by
+      the walk that applies its committee's newly ordered events, and by
       nothing else.  ``take_payload`` hands them to that walk and sets the
       event's ``_payload`` slot to None.  A payload of None means
       "applied": a store rebuilt from a replica replays the events with
       their payloads as they stand (``replay``), so the walk of the rebuilt
-      store skips those the old store applied.  The global graph's events
-      keep their payloads: each coordinator's view reads them when it
-      first receives them, and the global walk reads their join and
-      reorganization transactions.
+      store skips those the old store applied.  A global event's are read
+      by each seat's view as it first receives the event and by the global
+      walk, which reads its join and reorganization transactions once it
+      is ordered; the poll sets the slot to None once the event is ordered
+      and every seat knows it.  A seat that lacks it, a down committee's
+      until it is back, keeps it held.
     - ``_sm`` is the supermajority of the population, kept by
       ``add_member`` and ``remove_member`` (0 while the population is empty,
       which makes a read raise), so neither insert nor a tally recounts it.
@@ -531,7 +538,11 @@ class EventStore:
             seq.append(seq[spi] + 1)
         if opi is not None:
             anc |= self._anc[opi] or self._ancestry(opi)
-            forked |= self._forked[opi]
+            other = self._forked[opi]
+            if other & ~forked:
+                # a child shares a parent's int where the other parent's
+                # mask adds no bit to it
+                forked = forked | other if forked else other
         self._anc.append(anc)
         if self._forker_bits & cbit or sp != own.bit_length() - 1:
             self._forkers[creator] = cbit
@@ -923,6 +934,7 @@ class EventStore:
         whose witnesses are all fame-decided."""
         self.elect_fame()
         reach, anc, self_parent = self._reach, self._anc, self._self_parent
+        creators, cmask = self._creator, self._cmask
         decided, fame = self._decided, self._famous
         r = self.finalized_round + 1
         while True:
@@ -942,12 +954,17 @@ class EventStore:
                     self._order_round(r, famous, fresh >> lo, lo)
                     self._emitted |= fresh
                     # an ordered event's self-parent is ordered and has a
-                    # self-child: only a fork on it reads its reach and
-                    # mask again
-                    for sp in map(self_parent.__getitem__, _set_bits(fresh)):
+                    # self-child, and an ordered event that is not its
+                    # creator's last has one too or is a dead fork tip:
+                    # only a fork on either reads its reach and mask again
+                    for x in _set_bits(fresh):
+                        sp = self_parent[x]
                         if sp >= 0:
                             reach[sp] = _FREED
                             anc[sp] = 0
+                        if cmask[creators[x]].bit_length() - 1 != x:
+                            reach[x] = _FREED
+                            anc[x] = 0
             self.finalized_round = r
             # no witness is filed here from now on (see add_event)
             del self._by_digest[r]

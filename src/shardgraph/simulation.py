@@ -44,6 +44,7 @@ from .config import ScenarioConfig
 from .hashgraph import (
     Hashgraph,
     Order,
+    Transfer,
     consensus_order,
     create_event,
     detect_forks,
@@ -271,6 +272,7 @@ class Simulation:
         self.ordered_count: dict[str, int] = {}
         self.consensus_ptr: dict = {cid: 0 for cid in self.table.coordinators}
         self.global_ptr = 0
+        self.global_released = 0      # global events whose payload is freed
         self.reorg: dict[int, dict] = {}
         self.reorg_log: list = []
         self.action_log: list = []
@@ -474,6 +476,15 @@ class Simulation:
                 elif tx.kind == KIND_REORG:
                     self._on_reorg_global(tx, stamps[k], t)
         self.global_ptr = len(ordered)
+        # an ordered event every seat knows has been received by each seat
+        # and applied by the walk above, so nothing reads its payload again;
+        # a seat still missing it, a down committee's too, keeps it held
+        freed = gstore._emitted & ~self.global_released
+        for seat in self.state.seats.values():
+            freed &= seat.known
+        for i in Transfer(gstore, freed):
+            gstore._payload[i] = None
+        self.global_released |= freed
         self._maybe_checkpoint(t)
 
     def _maybe_checkpoint(self, t):

@@ -342,31 +342,57 @@ def test_ordered_units_match_a_walk_of_the_final_orders(cfg, monkeypatch):
     assert (sum(walked.values()) > 0) == (cfg.tx_rate > 0)
 
 
+def ordered_mask(store):
+    """The mask of store's ordered events, from its order column."""
+    return sum(1 << i for i in set(store._order_events))
+
+
+def known_to_seats(sim, seats):
+    """The mask of the ordered global events that every seat in seats
+    knows."""
+    mask = ordered_mask(sim.state.global_store)
+    for cid in seats:
+        mask &= sim.state.seats[cid].known
+    return mask
+
+
+def check_released(store, inserted, released):
+    """Each event of store in the mask released reads back with its payload
+    None, its other fields and digest the event's own; every other event
+    reads back exactly as inserted.  Returns how many of each there are."""
+    freed = kept = 0
+    for i, rec in enumerate(records(store)):
+        ev = inserted[rec.digest]
+        if released >> i & 1:
+            assert rec.payload is None
+            assert rec == (*ev[:3], None, *ev[4:])
+            assert new_record(*rec[:3], ev.payload,
+                              rec.created_at).digest == rec.digest
+            freed += 1
+        else:
+            assert rec == ev and rec.payload is not None
+            kept += 1
+    return freed, kept
+
+
 def test_poll_releases_the_payloads_it_applied(monkeypatch):
-    # after a sharded run every ordered local event reads back with its
-    # payload None, its other fields and digest the event's own; unordered
-    # and global events keep their payloads
+    # after a sharded run every ordered local event, and every ordered
+    # global event that every seat knows, reads back with its payload None,
+    # its other fields and digest the event's own; the rest keep their
+    # payloads
     inserted = record_inserts(monkeypatch)
     sim = Simulation(ScenarioConfig(n=32, s=4, seed=5, duration=60,
                                     tx_rate=32.0, cross_ratio=0.3))
     sim.run()
     applied = kept = 0
     for store in sim.state.local_stores.values():
-        ordered = set(store._order_events)
-        for i, rec in enumerate(records(store)):
-            ev = inserted[rec.digest]
-            if i in ordered:
-                assert rec.payload is None
-                assert rec == (*ev[:3], None, *ev[4:])
-                assert new_record(*rec[:3], ev.payload,
-                                  rec.created_at).digest == rec.digest
-                applied += 1
-            else:
-                assert rec == ev and rec.payload is not None
-                kept += 1
+        freed, held = check_released(store, inserted, ordered_mask(store))
+        applied += freed
+        kept += held
     assert applied > 10 * kept > 0
-    assert all(rec == inserted[rec.digest] and rec.payload is not None
-               for rec in records(sim.state.global_store))
+    freed, held = check_released(sim.state.global_store, inserted,
+                                 known_to_seats(sim, sim.state.seats))
+    assert freed > 10 * held > 0
 
 
 def test_churn_grid_loses_few_cross_transactions():
@@ -665,6 +691,40 @@ def test_shard_recovery_applies_each_event_once(monkeypatch):
     assert 0 < sum(m.ordered_tx_units.values()) <= m.injected_tx_units
 
 
+def test_down_seat_holds_the_global_payloads_it_lacks():
+    # with four committees the global graph goes on while committee 1 is
+    # down, and its seat receives what it missed once it is back: after
+    # every poll a global event's payload is freed only once it is ordered
+    # and every seat, the down one's too, knows it, and the audit is as it
+    # was when every global event kept its payload
+    sim = Simulation(ScenarioConfig(
+        n=32, s=4, seed=6, duration=120, tx_rate=16.0, cross_ratio=0.3,
+        checkpoint_period=2, adversary_kind="shard_failure",
+        adversary_committee=1, adversary_fail_at=50,
+        adversary_recover_delay=20))
+    gstore, poll = sim.state.global_store, sim._poll
+    others = [cid for cid in sim.state.seats if cid != 1]
+    held_while_down = 0
+
+    def checked(t):
+        nonlocal held_while_down
+        poll(t)
+        everywhere = known_to_seats(sim, sim.state.seats)
+        for i in gstore.by_index:
+            if gstore._payload[i] is None:
+                assert everywhere >> i & 1
+        if 1 in sim.down:
+            # ordered, known to every other seat and held for the down one
+            held_while_down += (known_to_seats(sim, others)
+                                & ~everywhere).bit_count()
+
+    sim._poll = checked
+    audit = sim.run().tx_audit
+    assert held_while_down > 0
+    assert (audit["injected_cross"], audit["missing_count"],
+            audit["duplicate_count"]) == (414, 7, 0)
+
+
 def test_shard_failure_loses_no_relayed_cross_transaction(monkeypatch):
     # cross traffic through a shard failure, on the shard-failure scenario's
     # shape, failing on ticks 58-65: each cross transaction that its origin
@@ -846,6 +906,11 @@ def test_config_validation_errors():
     for committee in (-1, 0, 1):
         ScenarioConfig(n=8, s=2, adversary_kind="churn",
                        adversary_committee=committee).validate()
+    # a committee needs a member to be a committee
+    for size in (0, -3):
+        with pytest.raises(ConfigError, match="min_committee_size"):
+            ScenarioConfig(min_committee_size=size).validate()
+    ScenarioConfig(min_committee_size=1).validate()
 
 
 def test_drain_window_covers_the_relay():
