@@ -286,10 +286,8 @@ class EventStore:
       creator's last, a forker's dead branch tip included, replacing it
       with the shared falsy entry ``_FREED``.  Live reaches are the
       unordered events plus about one per creator, its last ordered event,
-      not the history.  A freed reach read again is rebuilt by ``_rebuild``: a
-      walk over the freed ancestors in its round and the one below, about
-      two rounds of events, merged by the insert's ``_merge``.  The
-      rebuilt entry is not kept.
+      not the history, and no freed reach is read again (see Ancient
+      parents).
     - Ancestry lifetime: ``_anc[x]`` is read by a child's insert, by
       ``advance_consensus`` and ``_order_round`` (the famous witnesses of
       the round being ordered and their self-parent chains) and by
@@ -299,11 +297,17 @@ class EventStore:
       ``_order_round`` reads 0 as the empty set it would find, and neither a
       famous witness of an unfinalized round nor a last event is freed.
       Live masks are the unordered events' and about one per creator, its
-      last ordered event's, each spanning the history below it.  ``_ancestry``
-      rebuilds a freed mask read again (a fork on an old event) from the
-      live masks below, and keeps nothing.  ``_forked[x]`` is a parent's
-      own int wherever the other parent adds no bit to it, so a chain's
-      events share one.
+      last ordered event's, each spanning the history below it.
+      ``_forked[x]`` is a parent's own int wherever the other parent adds
+      no bit to it, so a chain's events share one.
+    - Ancient parents: an event whose reach and mask are freed, ordered
+      and superseded, is ancient, as Hedera's platform calls an event too
+      old to take part in consensus.  An honest creator's next event
+      chains onto its last, and a sync's other-parent is its sender's
+      head, so only a fork on an old event or a stale view names one.
+      ``add_event`` rejects a child of an ancient parent before anything
+      changes: the rule that rejects a parent is the one that freed it,
+      and no freed entry is read again.
     - Column layout: inside a store an event's only name is its index, and
       no per-event object outlives its insert.  Ids are one ``bytearray``,
       ``_ids``, 32 bytes per event; creator, created_at, self-parent and
@@ -476,20 +480,26 @@ class EventStore:
         sealed from the fields, the parents' ids read from the id column.
         A replayed event (``replay``) gives its source's ``event_id``: it
         must reseal to it, or, if its payload was taken (None), it takes
-        that id and ``units`` as given."""
+        that id and ``units`` as given.  A parent whose ancestor mask
+        ``advance_consensus`` freed is ancient, and a child of it is
+        rejected before anything changes (see Ancient parents)."""
         spi, opi = self_parent, other_parent
-        ids, creators = self._ids, self._creator
+        ids, creators, ancs = self._ids, self._creator, self._anc
         idx = len(creators)
         if spi is not None:
             if not 0 <= spi < idx:
                 raise HashgraphError(f"dangling self_parent {spi}")
             if creators[spi] != creator:
                 raise HashgraphError("self_parent by a different creator")
+            if not ancs[spi]:
+                raise HashgraphError(f"ancient self_parent {spi}")
         if opi is not None:
             if not 0 <= opi < idx:
                 raise HashgraphError(f"dangling other_parent {opi}")
             if creators[opi] == creator:
                 raise HashgraphError("other_parent created by creator itself")
+            if not ancs[opi]:
+                raise HashgraphError(f"ancient other_parent {opi}")
         if creator not in self._member_bit:
             raise HashgraphError(f"creator {creator} is not a member")
         sm = self._sm
@@ -533,17 +543,17 @@ class EventStore:
         if spi is None:
             seq.append(0)
         else:
-            anc |= self._anc[spi] or self._ancestry(spi)
+            anc |= ancs[spi]
             forked = self._forked[spi]
             seq.append(seq[spi] + 1)
         if opi is not None:
-            anc |= self._anc[opi] or self._ancestry(opi)
+            anc |= ancs[opi]
             other = self._forked[opi]
             if other & ~forked:
                 # a child shares a parent's int where the other parent's
                 # mask adds no bit to it
                 forked = forked | other if forked else other
-        self._anc.append(anc)
+        ancs.append(anc)
         if self._forker_bits & cbit or sp != own.bit_length() - 1:
             self._forkers[creator] = cbit
             self._forker_bits |= cbit
@@ -558,20 +568,29 @@ class EventStore:
                         forked |= cb
         self._forked.append(forked)
 
-        # round assignment: a parent one round below gives its round reach
-        # as the round - 1 reach; every field the self-parent brings has the
+        # round assignment: the parent of the lower round gives its round
+        # reach as the round - 1 reach if it is one round below, and
+        # nothing else; every field the self-parent brings has the
         # creator's bit already, and the other parent's new fields get it
-        # here, by _merge.  _present and _seen_flags are written out
-        # inline, so a typical insert calls no other helper.
+        # here.  _present and _seen_flags are written out inline, so a
+        # typical insert calls no other helper.
         f, reach, rounds = self._width, self._reach, self.round
+        low, nh, f1 = self._low, self._nh, f - 1
         r, prev, cur = 1, 0, 0
         if spi is not None:
             r = rounds[spi]
-            prev, cur = reach[spi] or self._rebuild(spi)
+            prev, cur = reach[spi]
         if opi is not None:
-            pp, pc = reach[opi] or self._rebuild(opi)
-            r, prev, cur = self._merge(r, prev, cur, rounds[opi], pp, pc, cbit)
-        low, nh, f1 = self._low, self._nh, f - 1
+            ro = rounds[opi]
+            pp, pc = reach[opi]
+            if ro < r:
+                pp, pc = (pc if ro == r - 1 else 0), 0
+            elif ro > r:
+                prev, cur, r = (cur if ro == r + 1 else 0), 0, ro
+            if pp & ~prev:
+                prev |= pp | ((((pp & nh) + nh) | pp) >> f1 & low) * cbit
+            if pc & ~cur:
+                cur |= pc | ((((pc & nh) + nh) | pc) >> f1 & low) * cbit
         # an empty reach (a genesis event's) sees nothing, and sm fields of
         # sm bits need sm * sm bits
         if cur and cur.bit_count() >= sm * sm:
@@ -633,25 +652,6 @@ class EventStore:
         self._payload[i] = None
         return payload
 
-    def _merge(self, r: int, prev: int, cur: int, ro: int, pp: int,
-               pc: int, cbit: int) -> tuple[int, int, int]:
-        """The round and (round - 1, round) reach of an event whose
-        self-parent brings round r and reach (prev, cur) and whose other
-        parent brings round ro and reach (pp, pc), before strong sight is
-        tested: the parent of the lower round gives its round reach as the
-        round - 1 reach if it is one round below, and nothing else, and the
-        other parent's new fields get the creator's bit cbit."""
-        if ro < r:
-            pp, pc = (pc if ro == r - 1 else 0), 0
-        elif ro > r:
-            prev, cur, r = (cur if ro == r + 1 else 0), 0, ro
-        low, nh, f1 = self._low, self._nh, self._width - 1
-        if pp & ~prev:
-            prev |= pp | ((((pp & nh) + nh) | pp) >> f1 & low) * cbit
-        if pc & ~cur:
-            cur |= pc | ((((pc & nh) + nh) | pc) >> f1 & low) * cbit
-        return r, prev, cur
-
     def _pack_constants(self) -> None:
         """LOW, bit 0 of each of ``_fields`` fields, and the SWAR masks for
         the current width."""
@@ -669,77 +669,6 @@ class EventStore:
         raw = v.to_bytes(-(-v.bit_length() // f) * fb, "little")
         return int.from_bytes(b"".join(
             raw[i:i + fb] + pad for i in range(0, len(raw), fb)), "little")
-
-    def _reach_of(self, i: int) -> tuple[int, int]:
-        """Event i's (round - 1, round) reach; a freed one is rebuilt, and
-        stays freed."""
-        return self._reach[i] or self._rebuild(i)
-
-    def _window(self, i: int, freed) -> dict[int, tuple]:
-        """Event i and its ancestors reached from it through events that
-        freed(p) holds for, each with its parents' indices (None for
-        none)."""
-        self_parent, other_parent = self._self_parent, self._other_parent
-        window: dict[int, tuple] = {}
-        stack = [i]
-        while stack:
-            x = stack.pop()
-            sp, op = self_parent[x], other_parent[x]
-            window[x] = parents = (sp if sp >= 0 else None,
-                                   op if op >= 0 else None)
-            stack += [p for p in parents
-                      if p is not None and p not in window and freed(p)]
-        return window
-
-    def _ancestry(self, i: int) -> int:
-        """Freed event i's ancestor mask: its freed ancestors' bits and the
-        live masks below them.  It stays freed."""
-        anc = self._anc
-        window = self._window(i, lambda p: not anc[p])
-        mask = 0
-        for x, parents in window.items():
-            mask |= 1 << x
-            for p in parents:
-                if p is not None and p not in window:
-                    mask |= anc[p]
-        return mask
-
-    def _rebuild(self, i: int) -> tuple[int, int]:
-        """Freed event i's reach, by the insert's ``_merge`` over its freed
-        ancestors of round(i) - 1 and up, in index order from the live
-        reaches below them.  The fields of i's reach answer only for those
-        rounds, so a freed ancestor of a lower round enters the merge as an
-        empty reach; an event's round and witness flag are read, not
-        retested, as its strong sight may need rounds below the window."""
-        reach, rounds, creators = self._reach, self.round, self._creator
-        floor = rounds[i] - 1
-        window = self._window(
-            i, lambda p: not reach[p] and rounds[p] >= floor)
-        built: dict[int, tuple[int, int]] = {}
-
-        def read(p: int) -> tuple[int, int]:
-            if p in built:
-                return built[p]
-            return reach[p] or (0, 0)
-
-        f = self._width
-        for x in sorted(window):
-            sp, op = window[x]
-            cbit = 1 << self._member_bit[creators[x]]
-            r, prev, cur = 1, 0, 0
-            if sp is not None:
-                r = rounds[sp]
-                prev, cur = read(sp)
-            if op is not None:
-                r, prev, cur = self._merge(r, prev, cur, rounds[op], *read(op),
-                                           cbit)
-            if rounds[x] > r:
-                prev, cur = cur, 0
-            if sp is None or rounds[sp] < rounds[x]:
-                pos = self.witnesses_by_round[rounds[x]].index(x)
-                cur |= cbit << pos * f
-            built[x] = prev, cur
-        return built[i]
 
     def _unpack(self, flags: int, n: int) -> bytes:
         """The LOW bits of flags' first n fields, one byte each; fields are
@@ -780,7 +709,7 @@ class EventStore:
         if below not in (0, 1):
             return []
         flags = self._seen_flags(
-            self._reach_of(a)[1 - below], r, self._forked[a], self._sm)
+            self._reach[a][1 - below], r, self._forked[a], self._sm)
         ws = self.witnesses_by_round.get(r, ())
         return list(compress(ws, self._unpack(flags, len(ws))))
 

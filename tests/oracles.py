@@ -448,10 +448,22 @@ def ancestry(store, masks=None):
     return masks
 
 
+def ordered_and_superseded(store, i):
+    """Whether event i is ordered and not its creator's last event: only
+    such an event's reach and ancestor mask are ever freed."""
+    return bool(store._emitted >> i & 1) and (
+        store._cmask[store._creator[i]].bit_length() - 1 != i)
+
+
 def engine_ancestry(store, i):
-    """The store's own ancestor mask of event i: the kept one, or the one
-    it rebuilds where it freed it."""
-    return store._anc[i] or store._ancestry(i)
+    """The store's own ancestor mask of event i, or None where it freed
+    it, which it does only for an ordered, superseded event.  Pairwise
+    ancestry is checked on ``ancestry(store)``, which a kept mask equals."""
+    mask = store._anc[i]
+    if mask:
+        return mask
+    assert ordered_and_superseded(store, i)
+    return None
 
 
 # fame reference over an EventStore's own annotations ------------------------

@@ -1,10 +1,12 @@
 """The package exposes no code path that only tests reach.
 
-Every public module-level function or class, and every public method, in
+Every module-level function or class, and every method, in
 ``src/shardgraph`` must be referenced by name somewhere in ``src/`` or
 ``perfbench/`` other than on its own definition line: as a name in the code,
 or as a string literal equal to the name (the benchmark tracer wraps calls
-looked up by name).  Comments and docstrings do not count.
+looked up by name).  Comments and docstrings do not count.  This holds for
+the public names and for the private ones (``_name``, not a dunder), so a
+helper whose last caller is gone is caught too.
 
 Nor does it keep write-only state: every attribute the package assigns on
 ``self`` must be read somewhere in ``src/`` or ``perfbench/``.
@@ -36,9 +38,14 @@ PACKAGE = ROOT / "src" / "shardgraph"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def public_definitions():
-    """(file, line, name) of each public module-level def or class and
-    each public method of a module-level class."""
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(private=False):
+    """(file, line, name) of each module-level def or class and each
+    method of a module-level class: the public ones, or given private the
+    private ones, each a ``_name`` that is not a dunder."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
@@ -46,13 +53,15 @@ def public_definitions():
                 continue
             members = node.body if isinstance(node, ast.ClassDef) else ()
             for d in (node, *members):
-                if isinstance(d, DEFS) and not d.name.startswith("_"):
+                if (isinstance(d, DEFS) and not is_dunder(d.name)
+                        and d.name.startswith("_") == private):
                     yield path.relative_to(ROOT), d.lineno, d.name
 
 
 def references():
-    """name -> the (file, line) places of each name token, and each string
-    literal, in the sources under src/ and perfbench/."""
+    """name -> the (file, line) places of each name token, each name or
+    attribute inside an f-string's fields, and each string literal, in the
+    sources under src/ and perfbench/."""
     places = defaultdict(set)
     for top in ("src", "perfbench"):
         for path in sorted((ROOT / top).rglob("*.py")):
@@ -65,20 +74,34 @@ def references():
                     try:
                         value = ast.literal_eval(tok.string)
                     except ValueError:
-                        continue  # an f-string
+                        # an f-string: the names its fields read
+                        fields = ast.parse(tok.string, mode="eval")
+                        for node in ast.walk(fields):
+                            if isinstance(node, ast.Name):
+                                places[node.id].add((rel, tok.start[0]))
+                            elif isinstance(node, ast.Attribute):
+                                places[node.attr].add((rel, tok.start[0]))
+                        continue
                     if isinstance(value, str) and value.isidentifier():
                         places[value].add((rel, tok.start[0]))
     return places
 
 
-def test_every_public_name_is_used_outside_tests():
+def unused(private):
     places = references()
-    unused = [
+    return [
         f"{rel}:{line} {name}"
-        for rel, line, name in public_definitions()
+        for rel, line, name in definitions(private)
         if not places[name] - {(rel, line)}
     ]
-    assert unused == []
+
+
+def test_every_public_name_is_used_outside_tests():
+    assert unused(private=False) == []
+
+
+def test_every_private_name_is_used_outside_tests():
+    assert unused(private=True) == []
 
 
 def attribute_writes():

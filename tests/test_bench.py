@@ -1,11 +1,10 @@
 """Micro-benchmarks of the hashgraph engine's insert, fame, ordering,
 partial-view ordering and gossip paths on a synthetic 16-member round-robin
 DAG (960 events), of 50 gossip rounds of a 16-member committee's ring
-(816 events), of insert and of rebuilding every freed reach and every
-freed ancestor mask on a forked 16-member gossip DAG (about 1000 events,
-two equivocators), of consensus
-polls on a 32-member round-robin DAG (3840 events), and of the injection
-ticks of a `sharded-cross` run.
+(816 events), of sealing and inserting a forked 16-member gossip DAG
+(about 1000 events, two equivocators), of consensus polls on a 32-member
+round-robin DAG (3840 events), and of the injection ticks of a
+`sharded-cross` run.
 One timed round each, so they stay cheap in the regular suite;
 ``pytest tests/test_bench.py --benchmark-autosave`` stores their results
 under ``.benchmarks/``.  Memory guards: store bytes per event, the
@@ -230,41 +229,6 @@ def test_bench_add_event_forked(benchmark):
     assert len(store._forkers) == 2 and store.max_round >= 7
     assert store._forked == built._forked
     assert sum(f.bit_count() == 2 for f in store._forked) > len(events) // 2
-
-
-def test_bench_reach_rebuild(benchmark):
-    # every freed reach of a polled forked store rebuilt, each from the live
-    # reaches below its window: the miss path a fork on an old event takes
-    built, _ = gossip_dag(3, steps=900, n=16)
-    store = filled_store(built.population, index_fields(records(built)))
-    store.advance_consensus()
-    freed = [i for i, entry in enumerate(store._reach) if not entry]
-
-    def rebuild():
-        return [store._reach_of(i) for i in freed]
-
-    reaches = benchmark.pedantic(rebuild, rounds=1, iterations=1)
-    assert len(freed) > len(built.by_index) // 3
-    # the generating store was never polled, so it freed nothing
-    assert reaches == [built._reach_of(i) for i in freed]
-
-
-def test_bench_ancestry_rebuild(benchmark):
-    # every freed ancestor mask of a polled forked store rebuilt, each by a
-    # walk over its freed ancestors down to the live masks: the miss path a
-    # fork on an old event takes
-    built, _ = gossip_dag(3, steps=900, n=16)
-    store = filled_store(built.population, index_fields(records(built)))
-    store.advance_consensus()
-    freed = [i for i, mask in enumerate(store._anc) if not mask]
-
-    def rebuild():
-        return [store._ancestry(i) for i in freed]
-
-    masks = benchmark.pedantic(rebuild, rounds=1, iterations=1)
-    assert len(freed) > len(built.by_index) // 3
-    # the generating store was never polled, so it freed nothing
-    assert masks == [built._anc[i] for i in freed]
 
 
 def test_bench_advance_consensus(benchmark, dag):

@@ -3,6 +3,7 @@ rounds and witnesses, fame votes, self-parent walks, digest-sorted
 witnesses, view heads, gossip transfers) against brute-force or reference
 recomputation on seeded gossip DAGs with injected forks."""
 
+import copy
 import functools
 from array import array
 import random
@@ -599,27 +600,23 @@ def test_view_limit_reads_each_decider_group_at_its_round():
 
 
 def test_late_witness_in_finalized_round_stays_undecided():
-    # members 0-3 of 5 are a supermajority and gossip without member 4.  A
-    # stale copy of member 0's view, taken when its head was a round-2
-    # witness, later syncs to member 4, whose record event lands as a
-    # witness in an already finalized round and is never voted on.  Member
-    # 1's view reads that round's limit before the witness lands and again
-    # once it has learned it
-    store = EventStore(range(5))
-    views = [Hashgraph(store, i) for i in range(5)]
-    for i in range(5):
+    # all 7 members gossip until member 6's head is in a round above
+    # member 5's, and in round 2 or later; then members 0-4, a
+    # supermajority, gossip on without 5 and 6, whose last events stay
+    # their creators' last, so neither is ancient.  A 6 -> 5 sync then
+    # lands 5's record event as a witness in an already finalized round,
+    # and it is never voted on.  Member 1's view reads that round's limit
+    # before the witness lands and again once it has learned it
+    store = EventStore(range(7))
+    views = [Hashgraph(store, i) for i in range(7)]
+    for i in range(7):
         create_event(views[i], None, (), 0)
-    rng = random.Random(5)
-    stale = None
+    rng = random.Random(2)
 
-    def gossip(steps):
-        nonlocal stale
+    def gossip(steps, members=range(5)):
         for _ in range(steps):
-            s, r = rng.sample(range(4), 2)
+            s, r = rng.sample(members, 2)
             gossip_sync(views[s], views[r], len(store.by_index))
-            if stale is None and store.round[views[0].head] == 2:
-                stale = Hashgraph(store, 0)
-                stale.known, stale.head = views[0].known, views[0].head
 
     def limits():
         full = (1 << len(store.by_index)) - 1
@@ -629,23 +626,25 @@ def test_late_witness_in_finalized_round_stays_undecided():
                        for known in (full, full & ~(1 << late))]
         return got
 
+    while store.round[views[6].head] <= max(1, store.round[views[5].head]):
+        gossip(1, range(7))
     gossip(140)
     store.advance_consensus()
-    assert stale is not None and store.finalized_round >= 3
+    assert store.finalized_round >= 3
     full = (1 << len(store.by_index)) - 1
     assert store.view_finalized_round(full) == store.finalized_round
     watcher = views[1]
     before = store.view_finalized_round(watcher.known)
     assert before == reference_view_finalized_round(store, watcher.known)
-    gossip_sync(stale, views[4], len(store.by_index))
-    late = views[4].head
+    gossip_sync(views[6], views[5], len(store.by_index))
+    late = views[5].head
     r = store.round[late]
     assert late in store.witnesses_by_round[r]
     assert 2 <= r <= before <= store.finalized_round
     store.advance_consensus()
     check_view_records(store)
     assert store._late == {r: 1 << late}
-    gossip_sync(views[4], watcher, len(store.by_index))
+    gossip_sync(views[5], watcher, len(store.by_index))
     assert watcher.known >> late & 1
     assert store.view_finalized_round(watcher.known) == r - 1 == (
         reference_view_finalized_round(store, watcher.known))
@@ -968,25 +967,21 @@ def never_polled(monkeypatch):
     return replay
 
 
-def check_rebuilt_reaches(store, fresh):
-    """Every freed reach of store rebuilds to fresh's entry for the same
-    event, and stays freed; returns how many were freed."""
-    freed = [i for i, entry in enumerate(store._reach)
-             if entry is hashgraph._FREED]
-    for i in freed:
-        assert store._reach_of(i) == fresh._reach_of(i)
-        assert store._reach[i] is hashgraph._FREED
-    return len(freed)
-
-
-def check_rebuilt_masks(store, fresh):
-    """Every freed ancestor mask of store rebuilds to fresh's mask of the
-    same event, and stays freed; returns how many were freed."""
-    freed = [i for i, mask in enumerate(store._anc) if not mask]
-    for i in freed:
-        assert store._ancestry(i) == fresh._anc[i]
-        assert not store._anc[i]
-    return len(freed)
+def check_kept_state(store, fresh):
+    """Every reach and ancestor mask the polled store kept is the
+    never-polled fresh's entry for the same event, and the two are freed
+    together, only for an ordered, superseded event; returns how many
+    events' state was freed."""
+    freed = 0
+    for i in store.by_index:
+        reach, mask = store._reach[i], store._anc[i]
+        assert (reach is hashgraph._FREED) == (not mask)
+        if mask:
+            assert (reach, mask) == (fresh._reach[i], fresh._anc[i])
+        else:
+            assert oracles.engine_ancestry(store, i) is None
+            freed += 1
+    return freed
 
 
 @pytest.mark.parametrize("cfg, forked, widened", [
@@ -1003,15 +998,10 @@ def check_rebuilt_masks(store, fresh):
                  False, True, id="churn-widening"),
 ])
 def test_freed_reach_rebuilds_to_never_polled_entry(cfg, forked, widened,
-                                                    monkeypatch, never_polled):
-    # the run's inserts and votes read no freed reach or mask
-    def unexpected(store, i):
-        raise AssertionError(f"event {i}'s state rebuilt during the run")
-
-    kept = {name: getattr(EventStore, name)
-            for name in ("_rebuild", "_ancestry")}
-    for name in kept:
-        monkeypatch.setattr(EventStore, name, unexpected)
+                                                    never_polled):
+    # live state stays at the frontier after every poll, the run names no
+    # ancient parent (add_event would raise), and what is kept is what a
+    # never-polled replay of the same inserts holds
     sim = Simulation(cfg)
     poll = sim._poll
 
@@ -1023,75 +1013,125 @@ def test_freed_reach_rebuilds_to_never_polled_entry(cfg, forked, widened,
 
     sim._poll = checked
     sim.run()
-    for name, method in kept.items():
-        monkeypatch.setattr(EventStore, name, method)
     stores = list(sim.state.local_stores.values())
     assert any(store._forkers for store in stores) == forked
     assert any(store._width > 8 for store in stores) == widened
     for store in stores + [sim.state.global_store]:
         fresh = never_polled(store)
-        freed = check_rebuilt_reaches(store, fresh)
-        assert freed > len(store.by_index) // 2
-        assert check_rebuilt_masks(store, fresh) > len(store.by_index) // 3
+        assert check_kept_state(store, fresh) > len(store.by_index) // 2
         assert detect_forks(_full_view(store)) == detect_forks(
             _full_view(fresh))
 
 
-def fork_on_freed_event(monkeypatch):
-    """A polled fork-free store in which member 0 then branches on an early
-    event whose self-child is ordered, with an other-parent the self-child
-    does not precede, so no event sees both branches and the fork-blind
-    oracle still holds.  Returns the store and the events whose reach and
-    mask the two new inserts rebuilt, in order."""
-    store, _ = gossip_dag(0, steps=200, fork_p=0)
+# -- ancient parents -----------------------------------------------------------
+
+
+def ancient_parents():
+    """A polled fork-free store and its views, with two ancient events: an
+    early event of member 0 whose self-child is ordered, and an ordered
+    event of member 1 that is not its last, which member 0's view knows."""
+    store, views = gossip_dag(0, steps=200, fork_p=0)
     store.advance_consensus()
     assert store.finalized_round >= 4
     own = [i for i in bits(store._cmask[0]) if store.round[i] >= 2]
     base, child = own[0], own[1]
     other = max(i for i in bits(store._cmask[1]) if i < child)
     for i in (base, other):
-        assert store._reach[i] is hashgraph._FREED and not store._anc[i]
-    rebuilt = {"_rebuild": [], "_ancestry": []}
-    for name, calls in rebuilt.items():
-        def spy(self, i, method=getattr(EventStore, name), calls=calls):
-            calls.append(i)
-            return method(self, i)
-
-        monkeypatch.setattr(EventStore, name, spy)
-    fork = store.add_event(0, base, other, (), 500)
-    store.add_event(0, fork, None, (), 501)
-    assert rebuilt == {"_rebuild": [base, other], "_ancestry": [base, other]}
-    assert list(store._forkers) == [0] and not any(store._forked)
-    return store
+        assert store._reach[i] is hashgraph._FREED
+        assert oracles.engine_ancestry(store, i) is None
+    assert views[0].known >> other & 1
+    return store, views, base, other
 
 
-def test_fork_on_a_freed_reach_rebuilds_it(monkeypatch, never_polled):
-    store = fork_on_freed_event(monkeypatch)
-    o = BruteGraph(store.population, records(store))
-    rounds, witness, _ = o.rounds()
-    assert store.round == [rounds[e.digest] for e in records(store)]
-    assert witness_flags(store) == [witness[e.digest] for e in records(store)]
-    for a, ev in enumerate(records(store)):
-        for r in (store.round[a] - 1, store.round[a]):
-            assert strongly_seen(store, a, r) == [
-                w for w in store.witnesses_by_round.get(r, ())
-                if o.strongly_sees(ev.digest, store._id(w))]
-    assert check_rebuilt_reaches(store, never_polled(store)) > 100
+def store_state(store):
+    """A copy of every column, mask, unit plane and consensus record the
+    store keeps."""
+    return copy.deepcopy((
+        store_columns(store), store._seq, store._anc, store._reach,
+        store._cmask, store._forkers, store._forker_bits, store._apart,
+        store._wcreators, store._by_digest, store._undecided, store._votes,
+        store._witness_count, store.max_round, store._late))
 
 
-def test_fork_on_a_freed_mask_matches_brute_force(monkeypatch,
-                                                  never_polled):
-    # the fork's mask is built from the two rebuilt ones, and every mask,
-    # kept or rebuilt, and the fork pairs are brute force's
-    store = fork_on_freed_event(monkeypatch)
-    o = BruteGraph(store.population, records(store))
-    for i, ev in enumerate(records(store)):
-        assert oracles.engine_ancestry(store, i) == sum(
-            1 << oracles.index_of(store)[a] for a in o.anc[ev.digest])
-    forks = o.forks()
-    assert {f[0] for f in forks} == {0}
-    assert detect_forks(_full_view(store)) == forks
-    assert check_rebuilt_masks(store, never_polled(store)) > 100
+def check_rejected(store, views, insert, reason):
+    """insert() raises HashgraphError for reason and leaves the store and
+    every view in views as they were."""
+    before = store_state(store), view_states(views)
+    with pytest.raises(hashgraph.HashgraphError, match=f"^{reason}$"):
+        insert()
+    assert (store_state(store), view_states(views)) == before
+
+
+def stale_view(store, owner, head):
+    """owner's view as it stood when head was its last event."""
+    view = Hashgraph(store, owner)
+    view.known, view.head = oracles.ancestry(store)[head], head
+    return view
+
+
+def test_fork_on_a_freed_self_parent_is_rejected():
+    # member 0 branches on an early event whose self-child is ordered
+    store, views, base, _ = ancient_parents()
+    check_rejected(store, views,
+                   lambda: store.add_event(0, base, None, (), 500),
+                   f"ancient self_parent {base}")
+
+
+def test_child_of_a_freed_other_parent_is_rejected():
+    # member 0's next event names an ordered, superseded event of member 1
+    store, views, _, other = ancient_parents()
+    check_rejected(store, views,
+                   lambda: store.add_event(0, views[0].head, other, (), 500),
+                   f"ancient other_parent {other}")
+
+
+def test_create_event_on_an_ancient_parent_leaves_the_view():
+    # a stale view of member 0 chains onto its ancient head, and member 0's
+    # own view names an ancient other-parent it knows
+    store, views, base, other = ancient_parents()
+    stale = stale_view(store, 0, base)
+    check_rejected(store, views + [stale],
+                   lambda: create_event(stale, None, (), 500),
+                   f"ancient self_parent {base}")
+    check_rejected(store, views + [stale],
+                   lambda: create_event(views[0], other, (), 500),
+                   f"ancient other_parent {other}")
+
+
+def joined_ancient_parents():
+    """ancient_parents with two joiners, each with its genesis event."""
+    store, views, base, other = ancient_parents()
+    for m in range(len(views), len(views) + 2):
+        store.add_member(m)
+        views.append(Hashgraph(store, m))
+        create_event(views[m], None, (), 500)
+    return store, views, base, other
+
+
+@pytest.mark.parametrize("kind", ["receiver", "sender"])
+def test_gossip_chain_stops_at_an_ancient_parent(kind):
+    # after the joiners' sync stands, a stale view of member 0 receives
+    # from a joiner, which brings it no later event of its owner, so its
+    # record would chain onto its ancient head; or a stale view of member
+    # 1 sends first, and its ancient head would be the record's
+    # other-parent.  The syncs before stand, as gossip_sync makes them,
+    # and no view from the rejected step on moves
+    store, views, base, other = joined_ancient_parents()
+    twin, singles, _, _ = joined_ancient_parents()
+    a, b = views[-2:]
+    if kind == "receiver":
+        stale = stale_view(store, 0, base)
+        chain, reason = [a, b, stale, views[1]], f"ancient self_parent {base}"
+        gossip_sync(singles[-2], singles[-1], 500)
+    else:
+        stale = stale_view(store, 1, other)
+        chain, reason = [stale, a, b], f"ancient other_parent {other}"
+    head = stale.head
+    with pytest.raises(hashgraph.HashgraphError, match=f"^{reason}$"):
+        gossip_chain(chain, [()] * (len(chain) - 1), 500)
+    assert (stale.known, stale.head) == (oracles.ancestry(store)[head], head)
+    assert store_state(store) == store_state(twin)
+    assert view_states(views) == view_states(singles)
 
 
 def test_detect_forks_from_evidence_matches_brute_force(never_polled):
