@@ -209,7 +209,7 @@ class EventStore:
       or more above ``_first_undecided_round`` and ``advance_consensus``
       those above ``finalized_round``, so round r's list is dropped once r
       is finalized, and a witness landing in a finalized round is filed
-      only in ``_late``.  ``witnesses_by_round[r]`` keeps insertion order,
+      in none.  ``witnesses_by_round[r]`` keeps insertion order,
       its first entry the round's lowest index, in an ``array("i")``.
     - ``_witness_count`` counts the witnesses inserted so far; a witness's
       position is its place in ``witnesses_by_round[r]``, which is
@@ -257,12 +257,12 @@ class EventStore:
       witnesses and not the history.  Once round r is decided
       (``_first_undecided_round`` passes it) the record becomes one flat
       tuple, (highest decider, first witness index, decider, mask,
-      decider, mask, ...), and every finalized round is decided.
-      ``_late[r]`` masks
-      the witnesses that landed in round r once it was finalized: tallies
-      never revisit a round below ``_first_undecided_round``, which is past
-      ``finalized_round``, so those are exactly the round's undecided
-      witnesses, and they stay undecided.  ``view_finalized_round`` checks
+      decider, mask, ...), and every finalized round is decided.  A
+      witness w landing in a finalized round r is in no tally and no
+      group: it is not famous.  A view that knows a decider of round r
+      knows its ancestors, all older than w, among them a round r + 2
+      witness whose first tally, not a coin round, decides w not famous,
+      as no round r + 1 witness sees w.  ``view_finalized_round`` checks
       a round in a few big-int operations, and a round whose deciders all
       lie below the view's lowest missing event in one comparison.
     - ``_reach[x]`` packs, for round(x) - 1 and round(x), which creators own
@@ -415,7 +415,6 @@ class EventStore:
         self._order_stamps = array("i")
         self._emitted = 0                    # bitmask of ordered events
         self.finalized_round = 0
-        self._late: dict[int, int] = {}      # round -> late witnesses
 
     @property
     def by_index(self) -> range:
@@ -633,9 +632,7 @@ class EventStore:
                     caught = self._wcreators.get(r - 1, 0) & low * forked
                     yes &= ~((((caught & nh) + nh) | caught) >> f1 & low)
                 self._votes.setdefault(r - 1, {})[idx] = yes
-            if r <= self.finalized_round:
-                self._late[r] = self._late.get(r, 0) | bit
-            else:
+            if r > self.finalized_round:
                 ranked = self._by_digest.setdefault(r, [])
                 ranked.insert(bisect.bisect_right(
                     ranked, (digest,), key=self._id_key), idx)
@@ -902,17 +899,16 @@ class EventStore:
     def view_finalized_round(self, known: int) -> int:
         """Largest finalized round fully decidable inside a node's view: up
         to it, the view knows a decider of every round, and every witness
-        it knows was decided by a decider it knows.  A decider of round r
+        with fame it knows was decided by a decider it knows; a witness
+        without fame is not famous (see View limits).  A decider of round r
         strongly sees a supermajority of round r + 1 witnesses, so it
         descends from every famous witness of round r, and the view, down-
         closed, knows every event received by round r."""
         # the view knows every event below its lowest missing index
         low = (~known & known + 1).bit_length() - 1
-        deciders, late = self._deciders, self._late
+        deciders = self._deciders
         for r in range(1, self.finalized_round + 1):
             record = deciders[r]
-            if known & late.get(r, 0):
-                return r - 1
             if record[0] >= low:
                 # the view must know a decider, and every decider of a
                 # witness it knows; masks are shifted down by record[1]
@@ -1100,10 +1096,8 @@ def decided_length(graph: Hashgraph) -> int:
     round_received finds."""
     store = graph.store
     store.advance_consensus()
-    rounds = store._order_rounds
-    if graph.known.bit_count() == len(store._creator):
-        return len(rounds)
-    return bisect.bisect_right(rounds, store.view_finalized_round(graph.known))
+    return bisect.bisect_right(store._order_rounds,
+                               store.view_finalized_round(graph.known))
 
 
 def consensus_order(graph: Hashgraph) -> Order:

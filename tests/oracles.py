@@ -673,9 +673,11 @@ def median_timestamp(store, anc, x, famous):
 def reference_view_finalized_round(store, known):
     """store.view_finalized_round(known) as a rescan from round 1: the
     rounds up to the first finalized round none of whose deciders the view
-    knows, or with a witness the view knows that is undecided, or decided
-    by a witness the view does not know."""
-    deciders, fame = deciders_of(store), fame_of(store)
+    knows, or with a witness the view knows that was decided by a witness
+    the view does not know.  In a finalized round the only witnesses
+    without fame are those that landed once it was finalized, which are
+    not famous and stop no view."""
+    deciders = deciders_of(store)
     r = 0
     while r < store.finalized_round:
         nxt = r + 1
@@ -686,9 +688,7 @@ def reference_view_finalized_round(store, known):
             if not (known >> w) & 1:
                 continue
             decider = deciders.get(w)
-            if w not in fame or (
-                decider is not None and not (known >> decider) & 1
-            ):
+            if decider is not None and not (known >> decider) & 1:
                 return r
         r = nxt
     return r

@@ -498,17 +498,14 @@ def test_consensus_matches_per_event_median_search(seed):
 
 
 def check_view_records(store):
-    """The records view limits read, for each finalized round: _late[r]
-    masks exactly its witnesses without fame, the decider groups partition
-    the rest, and the stored highest decider is the largest of them.  A
-    finalized round is decided, so its record is one flat tuple, and its
-    masks, shifted down by the round's first witness, span the round's
-    witnesses alone."""
+    """The records view limits read, for each finalized round: the
+    decider groups partition its witnesses with fame, and the stored
+    highest decider is the largest of them.  A finalized round is decided,
+    so its record is one flat tuple, and its masks, shifted down by the
+    round's first witness, span the round's witnesses alone."""
     fame = fame_of(store)
     for r in range(1, store.finalized_round + 1):
         ws = store.witnesses_by_round[r]
-        assert store._late.get(r, 0) == sum(
-            1 << w for w in ws if w not in fame)
         record = store._deciders[r]
         assert type(record) is tuple
         assert all(0 < mask < 1 << ws[-1] - ws[0] + 1
@@ -524,19 +521,15 @@ def check_view_records(store):
 
 def check_view_limits(store, views):
     """Each view's finalized round against the rescan from round 1, and its
-    consensus_order against the canonical order cut at that round (all of
-    it for a view that knows every event); then the records the limits are
-    read from.  Returns the rounds."""
+    consensus_order against the canonical order cut at that round; then
+    the records the limits are read from.  Returns the rounds."""
     limits = []
     for view in views:
         order = consensus_order(view)
         limit = store.view_finalized_round(view.known)
         assert limit == reference_view_finalized_round(store, view.known)
-        if view.known.bit_count() == len(store.by_index):
-            assert order == store.consensus
-        else:
-            assert list(order) == [oe for oe in store.consensus
-                                   if oe.round_received <= limit]
+        assert list(order) == [oe for oe in store.consensus
+                               if oe.round_received <= limit]
         limits.append(limit)
     check_view_records(store)
     return limits
@@ -546,8 +539,8 @@ def check_view_limits(store, views):
 def test_view_limits_match_rescan(seed):
     # every member's view, polled every 20 steps while the store grows.  On
     # seeds 1 and 5 two members join halfway: their genesis events land in
-    # finalized round 1 and stay undecided, so a view that learns one drops
-    # to round 0
+    # finalized round 1 and are never voted on.  The brute-force oracle
+    # decides each not famous, and a view that learns one keeps round 1
     polls = []
 
     def poll(t, views):
@@ -559,6 +552,13 @@ def test_view_limits_match_rescan(seed):
     limits = check_view_limits(store, views)
     polls.append((store.finalized_round, limits))
     assert store._forkers
+    fame = fame_of(store)
+    late = [w for r in range(1, store.finalized_round + 1)
+            for w in store.witnesses_by_round[r] if w not in fame]
+    assert len(late) == 2 * (seed % 4 == 1)
+    if late:
+        brute = BruteGraph(store.population, records(store)).fame()
+        assert [brute.get(store._id(w)) for w in late] == [False, False]
     # some views reach the store's finalized round and some stop short
     assert any(0 < limit == final for final, ls in polls for limit in ls)
     assert any(limit < final for final, ls in polls for limit in ls)
@@ -571,8 +571,7 @@ def test_view_limit_reads_each_decider_group_at_its_round():
     # function of the mask, so these masks, not down-closed, reach the
     # test of each group's round-relative witness mask alone.  Polls every
     # 5 steps and two joiners split rounds into several groups; a group is
-    # tried where none of its events decides a lower round, and no mask
-    # holds a late witness
+    # tried where none of its events decides a lower round
     def poll(t, views):
         if t % 5 == 0:
             views[0].store.advance_consensus()
@@ -581,7 +580,7 @@ def test_view_limit_reads_each_decider_group_at_its_round():
     for seed in SEEDS:
         store, _ = gossip_dag(seed, steps=300, poll=poll, joins=2)
         store.advance_consensus()
-        full = (1 << len(store.by_index)) - 1 & ~sum(store._late.values())
+        full = (1 << len(store.by_index)) - 1
         below = 0   # the deciders of the rounds below r
         for r in range(1, store.finalized_round + 1):
             groups = decider_groups(store, r)[1]
@@ -599,14 +598,15 @@ def test_view_limit_reads_each_decider_group_at_its_round():
     assert (kept, stopped) == (9, 9)
 
 
-def test_late_witness_in_finalized_round_stays_undecided():
+def test_late_witness_is_not_famous_and_caps_no_view():
     # all 7 members gossip until member 6's head is in a round above
     # member 5's, and in round 2 or later; then members 0-4, a
     # supermajority, gossip on without 5 and 6, whose last events stay
     # their creators' last, so neither is ancient.  A 6 -> 5 sync then
-    # lands 5's record event as a witness in an already finalized round,
-    # and it is never voted on.  Member 1's view reads that round's limit
-    # before the witness lands and again once it has learned it
+    # lands 5's record event as a witness in an already finalized round.
+    # Its round's deciders predate it, so it is not famous: the engine
+    # never votes on it, and member 1's view keeps every finalized round
+    # once it has learned it
     store = EventStore(range(7))
     views = [Hashgraph(store, i) for i in range(7)]
     for i in range(7):
@@ -643,20 +643,22 @@ def test_late_witness_in_finalized_round_stays_undecided():
     assert 2 <= r <= before <= store.finalized_round
     store.advance_consensus()
     check_view_records(store)
-    assert store._late == {r: 1 << late}
+    brute = BruteGraph(store.population, records(store)).fame()
+    assert brute[store._id(late)] is False
+    assert late not in fame_of(store) and late not in deciders_of(store)
     gossip_sync(views[5], watcher, len(store.by_index))
     assert watcher.known >> late & 1
-    assert store.view_finalized_round(watcher.known) == r - 1 == (
-        reference_view_finalized_round(store, watcher.known))
-    # a view that knows the witness stops below its round; one that does
-    # not keeps every finalized round
-    assert late not in fame_of(store)
-    assert limits() == [r - 1, store.finalized_round]
+    assert store.view_finalized_round(watcher.known) == (
+        reference_view_finalized_round(store, watcher.known)) >= before
+    # a view that knows the witness keeps every finalized round, like one
+    # that does not
+    assert limits() == [store.finalized_round] * 2
     finalized = store.finalized_round
     gossip(60)
     store.advance_consensus()
     assert store.finalized_round > finalized and late not in fame_of(store)
-    assert limits() == [r - 1, store.finalized_round]
+    assert late not in deciders_of(store)
+    assert limits() == [store.finalized_round] * 2
 
 
 def known_events_of(store, view, creator):
@@ -1050,7 +1052,7 @@ def store_state(store):
         store_columns(store), store._seq, store._anc, store._reach,
         store._cmask, store._forkers, store._forker_bits, store._apart,
         store._wcreators, store._by_digest, store._undecided, store._votes,
-        store._witness_count, store.max_round, store._late))
+        store._witness_count, store.max_round))
 
 
 def check_rejected(store, views, insert, reason):
