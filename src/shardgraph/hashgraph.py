@@ -22,7 +22,7 @@ import hashlib
 import struct
 from array import array
 from collections.abc import Sequence
-from itertools import chain, compress, groupby, islice
+from itertools import compress, groupby, islice
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -203,14 +203,11 @@ class EventStore:
       a bit per event whose ``units`` has bit k set, so the events of one
       creator in a mask are one AND and the units of a mask are a few
       popcounts (``units_of``).
-    - ``_by_digest[r]`` is round r's witnesses sorted by digest, the order
-      fame voting and ordering visit them in; a new witness takes its place
-      by one bisect keyed on digest.  Tallies read the lists of rounds two
-      or more above ``_first_undecided_round`` and ``advance_consensus``
-      those above ``finalized_round``, so round r's list is dropped once r
-      is finalized, and a witness landing in a finalized round is filed
-      in none.  ``witnesses_by_round[r]`` keeps insertion order,
-      its first entry the round's lowest index, in an ``array("i")``.
+    - ``witnesses_by_round[r]`` lists round r's witnesses in insertion
+      order, its first entry the round's lowest index, in an
+      ``array("i")``.  A tally visits a round's voters sorted by digest
+      (a stable sort, so equal ids keep insertion order), and ordering
+      reads a round's famous witnesses in any order.
     - ``_witness_count`` counts the witnesses inserted so far; a witness's
       position is its place in ``witnesses_by_round[r]``, which is
       append-only.
@@ -231,18 +228,18 @@ class EventStore:
       fame and its deciders are those of one vote per (voter, witness)
       pair cast in that order.  A vote is never recast, so a poll with no
       witness inserted since the last (``_fame_polled``) returns at once.
-      ``_undecided[r]`` packs round r's undecided witnesses like a vote
-      vector: a witness is set at insert unless its round is below
-      ``_first_undecided_round``, and cleared by the tally that decides it.
-      Once round r is decided (``_first_undecided_round`` passes it),
-      ``_undecided[r]``, ``_votes[r]``, ``_covered[r]`` and the strong
-      sight of round r + 2 witnesses are dropped: live vote state is
-      bounded by the witnesses of undecided rounds.  ``add_member`` re-lays
-      it when F doubles.  A decision is final, so fame is what outlives the
-      vote: two masks over event index, ``_decided`` (fame decided) and
-      ``_famous`` (decided famous), 2 bits per event.  ``_tally`` sets a
-      witness's bits when it decides it, and ``advance_consensus`` reads
-      them: a round is ordered once every witness of it is decided.
+      A poll packs each round's undecided witnesses like a vote vector,
+      from ``_decided`` and the round's witness list, for the rounds from
+      ``_first_undecided_round`` up.  Once round r is decided
+      (``_first_undecided_round`` passes it), ``_votes[r]``,
+      ``_covered[r]`` and the strong sight of round r + 2 witnesses are
+      dropped: live vote state is bounded by the witnesses of undecided
+      rounds.  ``add_member`` re-lays it when F doubles.  A decision is
+      final, so fame is what outlives the vote: two masks over event
+      index, ``_decided`` (fame decided) and ``_famous`` (decided famous),
+      2 bits per event.  ``_tally`` sets a witness's bits when it decides
+      it, and ``advance_consensus`` reads them: a round is ordered once
+      every witness of it is decided.
     - Bit-sliced median: ordering a round walks each famous witness's
       self-parent chain once (see below) and feeds each chain event's
       (created_at, newly reached events) segment, in created_at order, into
@@ -251,20 +248,21 @@ class EventStore:
       carry out of the top plane comes with its lower-median stamp, and the
       events that carry out at one stamp are ordered by digest.
     - View limits are written when their facts are decided.
-      ``_deciders[r]`` is [highest decider, {decider: mask of the round-r
-      witnesses its vote decided}], kept by ``_tally``, each mask shifted
-      down by round r's first witness index, so it spans the round's
-      witnesses and not the history.  Once round r is decided
-      (``_first_undecided_round`` passes it) the record becomes one flat
-      tuple, (highest decider, first witness index, decider, mask,
-      decider, mask, ...), and every finalized round is decided.  A
-      witness w landing in a finalized round r is in no tally and no
-      group: it is not famous.  A view that knows a decider of round r
-      knows its ancestors, all older than w, among them a round r + 2
-      witness whose first tally, not a coin round, decides w not famous,
-      as no round r + 1 witness sees w.  ``view_finalized_round`` checks
-      a round in a few big-int operations, and a round whose deciders all
-      lie below the view's lowest missing event in one comparison.
+      ``_deciders[r]`` is [highest decider, round r's first witness index,
+      decider, mask, decider, mask, ...], each mask the round-r witnesses
+      the decider's vote decided, shifted down by the first witness index,
+      so it spans the round's witnesses and not the history.  ``_tally``
+      appends a pair per decision, so a voter that decides on two polls
+      has two, and once round r is decided (``_first_undecided_round``
+      passes it) the record is frozen as a tuple; every finalized round
+      is decided.  A witness w landing in a finalized round r is in no
+      tally and no group: it is not famous.  A view that knows a decider
+      of round r knows its ancestors, all older than w, among them a round
+      r + 2 witness whose first tally, not a coin round, decides w not
+      famous, as no round r + 1 witness sees w.  ``view_finalized_round``
+      checks a round in a few big-int operations, and a round whose
+      deciders all lie below the view's lowest missing event in one
+      comparison.
     - ``_reach[x]`` packs, for round(x) - 1 and round(x), which creators own
       an event on a path from each witness of that round down to x.  Field p
       (bits p*F to p*F + F - 1, F = ``_width``) holds the creator mask for
@@ -318,7 +316,7 @@ class EventStore:
       ``_order_stamps``.  A value outside 32 bits raises
       ``OverflowError`` when appended, so none is truncated.  An id is
       read from its column only where it leaves the store: sealing a
-      child, the sorts by id (``_by_digest``, an ordered batch), a coin,
+      child, the sorts by id (a round's voters, an ordered batch), a coin,
       a replayed event's copy (``replay``) and the entries ``consensus``
       builds when read.  ``by_index`` and a ``Transfer`` yield indices,
       and a reader takes the column it needs.  No dict is keyed by id, so
@@ -383,7 +381,6 @@ class EventStore:
         self.round: list[int] = []
         self.witnesses_by_round: dict[int, array] = {}
         self._witness_count = 0
-        self._by_digest: dict[int, list[int]] = {}
         self.max_round = 0
         # packed witness reach: (round - 1 reach, round reach)
         self._reach: list[tuple[int, int]] = []
@@ -402,10 +399,9 @@ class EventStore:
         # decided, and those decided famous
         self._decided = 0
         self._famous = 0
-        self._undecided: dict[int, int] = {}  # round -> undecided witnesses
-        # round -> [highest decider, {decider: mask of witnesses it decided}]
-        # while the round is voted on, then (highest decider, first witness,
-        # decider, mask, ...); masks are shifted down by the first witness
+        # round -> [highest decider, first witness, decider, mask of the
+        # witnesses it decided shifted down by the first, ...], a tuple once
+        # the round is decided
         self._deciders: dict[int, list | tuple] = {}
         self._first_undecided_round = 1
         self._fame_polled = 0                # witnesses at the last poll
@@ -445,9 +441,8 @@ class EventStore:
         self._member_bit[node] = len(self._member_bit)
         if len(self._member_bit) > self._width:
             old, self._width = self._width, 2 * self._width
-            self._wcreators, self._undecided = (
-                {r: self._relay(v, old) for r, v in packed.items()}
-                for packed in (self._wcreators, self._undecided))
+            self._wcreators = {r: self._relay(v, old)
+                               for r, v in self._wcreators.items()}
             self._reach = [x and (self._relay(x[0], old),
                                   self._relay(x[1], old)) for x in self._reach]
             for state in (self._votes, self._covered):
@@ -571,10 +566,8 @@ class EventStore:
         # reach as the round - 1 reach if it is one round below, and
         # nothing else; every field the self-parent brings has the
         # creator's bit already, and the other parent's new fields get it
-        # here.  _present and _seen_flags are written out inline, so a
-        # typical insert calls no other helper.
-        f, reach, rounds = self._width, self._reach, self.round
-        low, nh, f1 = self._low, self._nh, f - 1
+        # here
+        reach, rounds, present = self._reach, self.round, self._present
         r, prev, cur = 1, 0, 0
         if spi is not None:
             r = rounds[spi]
@@ -587,25 +580,15 @@ class EventStore:
             elif ro > r:
                 prev, cur, r = (cur if ro == r + 1 else 0), 0, ro
             if pp & ~prev:
-                prev |= pp | ((((pp & nh) + nh) | pp) >> f1 & low) * cbit
+                prev |= pp | present(pp) * cbit
             if pc & ~cur:
-                cur |= pc | ((((pc & nh) + nh) | pc) >> f1 & low) * cbit
+                cur |= pc | present(pc) * cbit
         # an empty reach (a genesis event's) sees nothing, and sm fields of
         # sm bits need sm * sm bits
-        if cur and cur.bit_count() >= sm * sm:
-            v = cur
-            if forked:
-                v &= low * (self._full & ~forked)
-                caught = self._wcreators.get(r, 0) & low * forked
-                if caught:
-                    v &= ~(((((caught & nh) + nh) | caught) >> f1 & low)
-                           * self._full)
-            for k, mk in self._swar:
-                v = (v & mk) + ((v >> k) & mk)
-            if ((v + low * (2 * f - sm)) >> f.bit_length()
-                    & low).bit_count() >= sm:
-                r += 1
-                prev, cur = cur, 0
+        if (cur and cur.bit_count() >= sm * sm
+                and self._seen_flags(cur, r, forked, sm).bit_count() >= sm):
+            r += 1
+            prev, cur = cur, 0
         rounds.append(r)
         if spi is None or rounds[spi] < r:
             same_round = self.witnesses_by_round.get(r)
@@ -617,25 +600,18 @@ class EventStore:
             if pos == self._fields:
                 self._fields *= 2
                 self._pack_constants()
-                low, nh = self._low, self._nh
-            field = cbit << pos * f
+            field = cbit << pos * self._width
             cur |= field
             self._wcreators[r] = self._wcreators.get(r, 0) | field
-            if r >= self._first_undecided_round:
-                self._undecided[r] = self._undecided.get(r, 0) | 1 << pos * f
             if r - 1 >= self._first_undecided_round:
                 # first-round votes: yes on the round r - 1 witnesses this
                 # one sees, those it descends from and has not caught
                 # forking
-                yes = (((prev & nh) + nh) | prev) >> f1 & low
+                yes = present(prev)
                 if forked:
-                    caught = self._wcreators.get(r - 1, 0) & low * forked
-                    yes &= ~((((caught & nh) + nh) | caught) >> f1 & low)
+                    yes &= ~present(self._wcreators.get(r - 1, 0)
+                                    & self._low * forked)
                 self._votes.setdefault(r - 1, {})[idx] = yes
-            if r > self.finalized_round:
-                ranked = self._by_digest.setdefault(r, [])
-                ranked.insert(bisect.bisect_right(
-                    ranked, (digest,), key=self._id_key), idx)
         if r > self.max_round:
             self.max_round = r
         reach.append((prev, cur))
@@ -731,18 +707,21 @@ class EventStore:
             # no new witness, so no (voter, witness) pair left to vote on
             return
         self._fame_polled = self._witness_count
+        f = self._width
         for r in range(self._first_undecided_round, self.max_round + 1):
-            undecided = self._undecided.get(r, 0)
+            # round r's undecided fields, LOW bits over its witness positions
+            ws = self.witnesses_by_round[r]
+            base = ws[0]
+            decided = self._decided >> base
+            undecided = sum(1 << p * f for p, w in enumerate(ws)
+                            if not decided >> w - base & 1)
             if undecided and r + 2 <= self.max_round:
-                undecided = self._undecided[r] = self._tally(r, undecided)
+                undecided = self._tally(r, undecided)
             if r == self._first_undecided_round and not undecided:
                 # nothing votes on round r again: drop its vote state and
                 # the strong sight of the voters that only voted on it
                 self._first_undecided_round = r + 1
-                last, groups = self._deciders[r]
-                self._deciders[r] = (last, self.witnesses_by_round[r][0],
-                                     *chain.from_iterable(groups.items()))
-                self._undecided.pop(r, None)
+                self._deciders[r] = tuple(self._deciders[r])
                 self._votes.pop(r, None)
                 self._covered.pop(r, None)
                 for v in self.witnesses_by_round.get(r + 2, ()):
@@ -764,7 +743,7 @@ class EventStore:
             raise HashgraphError("no members to take a supermajority of")
         for d in range(r + 2, self.max_round + 1):
             coin = (d - r) % COIN_PERIOD == 0
-            for v in self._by_digest[d]:
+            for v in sorted(self.witnesses_by_round[d], key=self._id_key):
                 todo = undecided & ~covered.get(v, 0)
                 if not todo:
                     continue
@@ -794,9 +773,9 @@ class EventStore:
                         fame |= famous << w - base
                     self._decided |= won << base
                     self._famous |= fame << base
-                    record = self._deciders.setdefault(r, [v, {}])
+                    record = self._deciders.setdefault(r, [v, base])
                     record[0] = max(record[0], v)
-                    record[1][v] = record[1].get(v, 0) | won
+                    record += v, won
                     undecided &= ~decided
                     if not undecided:
                         return 0
@@ -864,7 +843,7 @@ class EventStore:
         decided, fame = self._decided, self._famous
         r = self.finalized_round + 1
         while True:
-            witnesses = self._by_digest.get(r)
+            witnesses = self.witnesses_by_round.get(r)
             if not witnesses:
                 break
             if any(not decided >> w & 1 for w in witnesses):
@@ -892,8 +871,6 @@ class EventStore:
                             reach[x] = _FREED
                             anc[x] = 0
             self.finalized_round = r
-            # no witness is filed here from now on (see add_event)
-            del self._by_digest[r]
             r += 1
 
     def view_finalized_round(self, known: int) -> int:

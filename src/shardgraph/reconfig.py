@@ -213,9 +213,7 @@ def split_quotas(
         quota = min(-(-remaining // left), sizes[donor] - min_size)
         if quota <= 0:
             continue
-        candidates = [
-            m for m in table.members(donor) if m != table.coordinators[donor]
-        ]
+        candidates = table.non_coordinators(donor)
         quotas.append((donor, candidates, quota))
         remaining -= min(quota, len(candidates))
     return quotas

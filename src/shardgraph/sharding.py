@@ -47,6 +47,12 @@ class CommitteeTable:
             n for n, c in self.assignment.items() if c == committee
         )
 
+    def non_coordinators(self, committee: CommitteeId) -> list[NodeId]:
+        """The committee's members other than its coordinator, which is
+        never an equivocator, a churn victim or a reorganization mover."""
+        coordinator = self.coordinators[committee]
+        return [m for m in self.members(committee) if m != coordinator]
+
     def global_committee(self) -> list[NodeId]:
         return sorted(self.coordinators.values())
 

@@ -282,11 +282,7 @@ class Simulation:
         self.equivocators: list[int] = []
         if config.adversary_kind == "equivocator":
             for cid in sorted(self.table.coordinators):
-                members = [
-                    m
-                    for m in self.table.members(cid)
-                    if m != self.table.coordinators[cid]
-                ]
+                members = self.table.non_coordinators(cid)
                 count = max(1, int(config.adversary_fraction * len(members)))
                 count = min(count, len(members))
                 self.equivocators.extend(
@@ -542,10 +538,7 @@ class Simulation:
             cid = cfg.adversary_committee
         else:
             cid = self.rng.choice(sorted(self.table.coordinators))
-        victims = [
-            m for m in self.table.members(cid)
-            if m != self.table.coordinators[cid]
-        ]
+        victims = self.table.non_coordinators(cid)
         if len(victims) <= 1:
             return
         victim = self.rng.choice(victims)

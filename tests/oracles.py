@@ -569,18 +569,17 @@ def fame_of(store):
 def decider_groups(store, r):
     """Round r's decider record as (highest decider, {decider: mask of
     the round-r witnesses its vote decided}), the masks over event index.
-    The store keeps each mask shifted down by the round's first witness,
-    in a list and a dict while the round is voted on and in one flat
-    tuple (highest decider, first witness, decider, mask, ...) once it is
-    decided."""
+    The store keeps one flat record, [highest decider, first witness,
+    decider, mask, ...], each mask shifted down by the round's first
+    witness and a voter that decided on two polls in two pairs, which this
+    ORs into one mask."""
     record = store._deciders[r]
     base = store.witnesses_by_round[r][0]
-    if isinstance(record, tuple):
-        assert record[1] == base
-        pairs = zip(record[2::2], record[3::2])
-    else:
-        pairs = record[1].items()
-    return record[0], {d: ws << base for d, ws in pairs}
+    assert record[1] == base
+    groups = {}
+    for d, ws in zip(record[2::2], record[3::2]):
+        groups[d] = groups.get(d, 0) | ws << base
+    return record[0], groups
 
 
 def deciders_of(store):

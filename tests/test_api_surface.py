@@ -12,7 +12,7 @@ Nor does it keep write-only state: every attribute the package assigns on
 ``self`` must be read somewhere in ``src/`` or ``perfbench/``.
 
 And every annotation of a function or method it defines names something the
-defining module can resolve.
+defining module can resolve, and every name a module imports it also uses.
 
 Nor does importing it load the stdlib's introspection modules, which every
 run would pay for in set-up time.
@@ -186,6 +186,31 @@ def test_every_annotation_resolves():
         except Exception as exc:
             unresolved.append(f"{name}: {exc!r}")
     assert unresolved == []
+
+
+def unused_imports():
+    """(file, line, name) of each name a package module imports and never
+    reads as a name or an attribute; ``from __future__ import annotations``
+    is a compiler switch, not a name."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name != "annotations" and name not in used:
+                        yield path.relative_to(ROOT), node.lineno, name
+
+
+def test_every_import_is_used():
+    assert [f"{rel}:{line} {name}"
+            for rel, line, name in unused_imports()] == []
 
 
 # dataclasses imports inspect, which imports dis, ast and tokenize: about

@@ -1,7 +1,8 @@
 """Differential tests of the EventStore's incremental indices (fork bits,
-rounds and witnesses, fame votes, self-parent walks, digest-sorted
-witnesses, view heads, gossip transfers) against brute-force or reference
-recomputation on seeded gossip DAGs with injected forks."""
+rounds and witnesses, fame votes and deciders, self-parent walks, view
+heads, gossip transfers) against brute-force or reference recomputation,
+or against another insert order, on seeded gossip DAGs with injected
+forks."""
 
 import copy
 import functools
@@ -428,6 +429,55 @@ def test_voter_deciding_a_round_on_two_polls_keeps_both():
     assert late and {False, True} in joined
 
 
+def shuffled_topological_order(store, rng):
+    """store's event indices in a random order that lists every event after
+    its parents."""
+    waiting, children = [], {}
+    for i in store.by_index:
+        parents = {p for p in (store._self_parent[i], store._other_parent[i])
+                   if p >= 0}
+        waiting.append(len(parents))
+        for p in parents:
+            children.setdefault(p, []).append(i)
+    ready = [i for i, n in enumerate(waiting) if not n]
+    order = []
+    while ready:
+        i = ready.pop(rng.randrange(len(ready)))
+        order.append(i)
+        for c in children.get(i, ()):
+            waiting[c] -= 1
+            if not waiting[c]:
+                ready.append(c)
+    assert sorted(order) == list(store.by_index)
+    return order
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fame_deciders_and_order_do_not_depend_on_insert_order(seed):
+    # a forked DAG inserted into two fresh stores, in index order and in a
+    # seeded random topological order, then polled once: witness positions
+    # differ, but fame, its deciders and the consensus order are functions
+    # of ancestry, so both stores give the same ones, keyed by id
+    built = gossip_dag(seed)[0]
+    assert built._forkers
+    evs = records(built)
+    shuffled = shuffled_topological_order(built, random.Random(seed))
+    assert shuffled != list(built.by_index)
+    annotations = []
+    for order in (built.by_index, shuffled):
+        store = EventStore(built.population)
+        for i in order:
+            oracles.insert_event(store, evs[i])
+        store.advance_consensus()
+        annotations.append((
+            {store._id(w): famous for w, famous in fame_of(store).items()},
+            {store._id(w): store._id(d)
+             for w, d in deciders_of(store).items()},
+            list(store.consensus)))
+    assert annotations[0] == annotations[1]
+    assert annotations[0][1] and annotations[0][2]
+
+
 def test_vote_state_stays_flat_in_history():
     # live vote-state entries are capped by the witnesses of the rounds
     # still voted on, so the last 1200 steps of a forked 7-member schedule
@@ -693,6 +743,9 @@ def test_famous_witness_seeing_own_fork_stamped_by_self_ancestors():
         for u in store.witnesses_by_round[r]:
             store._decided |= 1 << u
             store._famous |= 1 << u
+    # mark every witness polled, so the next poll casts no vote and keeps
+    # the fame set by hand
+    store._fame_polled = store._witness_count
     store.advance_consensus()
     assert store.finalized_round == 2 and store.consensus
     assert [tuple(oe) for oe in store.consensus] == reference_consensus(store)
@@ -713,13 +766,12 @@ def test_heads_and_digest_order_after_gossip(seed):
         i = view.head
         assert i in own
         assert store._seq[i] == max(store._seq[j] for j in own)
-    # a finalized round's list is dropped: ordering has read it
+    # events ordered at one round and stamp are in digest order
     store.advance_consensus()
     assert store.finalized_round >= 2
-    assert store._by_digest.keys() == {
-        r for r in store.witnesses_by_round if r > store.finalized_round}
-    for r, ranked in store._by_digest.items():
-        assert ranked == sorted(store.witnesses_by_round[r], key=store._id)
+    entries = [(oe.round_received, oe.consensus_timestamp, oe.event_id)
+               for oe in store.consensus]
+    assert entries == sorted(entries)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
@@ -882,32 +934,6 @@ def test_gossip_chain_rejected_step_leaves_its_receiver(seed, n, data, kind):
     assert view_states(views) == view_states(singles)
 
 
-@pytest.mark.parametrize("seed", SEEDS[:4])
-def test_undecided_mask_is_each_open_rounds_undecided_witnesses(seed):
-    # after every poll of a forked schedule whose field width doubles
-    # halfway (7 members and 3 joiners outgrow 8 bits), each round still
-    # voted on packs exactly its witnesses that fame has not decided, and
-    # rounds are decided at both widths
-    decided = {}
-
-    def poll(t, views):
-        store = views[0].store
-        store.advance_consensus()
-        f, fur = store._width, store._first_undecided_round
-        decided[f] = fur
-        fame = fame_of(store)
-        assert store._undecided.keys() <= set(range(fur, store.max_round + 1))
-        for r in range(fur, store.max_round + 1):
-            assert store._undecided.get(r, 0) == sum(
-                1 << p * f
-                for p, w in enumerate(store.witnesses_by_round[r])
-                if w not in fame)
-
-    store, _ = gossip_dag(seed, steps=400, n=7, joins=3, poll=poll)
-    assert store._forkers and decided.keys() == {8, 16}
-    assert 1 < decided[8] < decided[16]
-
-
 # -- reach lifetime ------------------------------------------------------------
 
 
@@ -1051,7 +1077,7 @@ def store_state(store):
     return copy.deepcopy((
         store_columns(store), store._seq, store._anc, store._reach,
         store._cmask, store._forkers, store._forker_bits, store._apart,
-        store._wcreators, store._by_digest, store._undecided, store._votes,
+        store._wcreators, store._votes,
         store._witness_count, store.max_round))
 
 
