@@ -84,6 +84,10 @@ def _seal(
     units."""
     a, b = len(self_parent), len(other_parent)
     frame = _FRAMES.get((a, b)) or _frame(a, b)
+    if not payload:
+        return hashlib.sha256(
+            frame(8, creator, a, self_parent, b, other_parent, 4, 0)
+            + _TAIL(8, created_at)).digest(), 0
     parts = [frame(8, creator, a, self_parent, b, other_parent, 4,
                    len(payload))]
     for tx in payload:
@@ -98,9 +102,6 @@ def payload_units(payload: Iterable[Transaction]) -> int:
     size units."""
     return sum(map(_SIZE_UNITS, payload))
 
-
-# a freed packed witness reach; a live one, (prev, cur), is never falsy
-_FREED = ()
 
 _FLAG = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -263,77 +264,80 @@ class EventStore:
       checks a round in a few big-int operations, and a round whose
       deciders all lie below the view's lowest missing event in one
       comparison.
-    - ``_reach[x]`` packs, for round(x) - 1 and round(x), which creators own
-      an event on a path from each witness of that round down to x.  Field p
-      (bits p*F to p*F + F - 1, F = ``_width``) holds the creator mask for
-      the witness at position p.  A child ORs its parents' reaches and sets
-      its creator's bit in every field the other parent brings; a field
-      count, forked creators and witnesses masked out, is a SWAR popcount,
-      so strong sight is a few big-int operations.  F is a power of two, at
-      least 8 and at least the member bits; when ``add_member`` outgrows it
-      F doubles and re-lays every live reach at once, with the vote state,
-      so a stored reach is always at the store's width.
+    - Live records: ``_live[x]`` is event x's (anc, forked, prev, cur),
+      kept only while x is live.  ``anc`` is its ancestor mask, its own
+      bit included, and ``forked`` the member bits of the creators it sees
+      forking, a parent's own int wherever the other parent adds no bit to
+      it, so a chain's events share one.  ``prev`` and ``cur`` are its
+      packed witness reaches for round(x) - 1 and round(x): which creators
+      own an event on a path from each witness of that round down to x.
+      Field p (bits p*F to p*F + F - 1, F = ``_width``) holds the creator
+      mask for the witness at position p.  A child ORs its parents' reaches
+      and sets its creator's bit in every field the other parent brings; a
+      field count, forked creators and witnesses masked out, is a SWAR
+      popcount, so strong sight is a few big-int operations.  F is a power
+      of two, at least 8 and at least the member bits; when ``add_member``
+      outgrows it F doubles and re-lays every live reach at once, with the
+      vote state, so a stored reach is always at the store's width.
     - Reach lifetime: a reach is read by a child's insert and by the
       event's own first vote as a witness (``_strongly_seen_prev``), and by
       nothing else.  Once an event is ordered its round is finalized, so it
       votes no more, and once it also has a later event of its creator, a
       self-child or another branch, no insert but a fork's reads it:
       an honest creator's next event chains onto its last.
-      ``advance_consensus`` therefore frees the reach of each newly ordered
+      ``advance_consensus`` therefore pops the record of each newly ordered
       event's self-parent, and of each newly ordered event that is not its
-      creator's last, a forker's dead branch tip included, replacing it
-      with the shared falsy entry ``_FREED``.  Live reaches are the
-      unordered events plus about one per creator, its last ordered event,
-      not the history, and no freed reach is read again (see Ancient
-      parents).
-    - Ancestry lifetime: ``_anc[x]`` is read by a child's insert, by
+      creator's last, a forker's dead branch tip included.  Live records
+      are the unordered events plus about one per creator, its last
+      ordered event, not the history, and no popped record is read again
+      (see Ancient parents).
+    - Ancestry lifetime: a record's mask is read by a child's insert, by
       ``advance_consensus`` and ``_order_round`` (the famous witnesses of
       the round being ordered and their self-parent chains) and by
-      ``member_view`` (a creator's last event).  The loop that frees a
-      reach sets the same event's mask to 0, which no live mask is (each
-      holds its own bit): an ordered event's ancestors are ordered, so
-      ``_order_round`` reads 0 as the empty set it would find, and neither a
-      famous witness of an unfinalized round nor a last event is freed.
-      Live masks are the unordered events' and about one per creator, its
-      last ordered event's, each spanning the history below it.
-      ``_forked[x]`` is a parent's own int wherever the other parent adds
-      no bit to it, so a chain's events share one.
-    - Ancient parents: an event whose reach and mask are freed, ordered
-      and superseded, is ancient, as Hedera's platform calls an event too
-      old to take part in consensus.  An honest creator's next event
-      chains onto its last, and a sync's other-parent is its sender's
-      head, so only a fork on an old event or a stale view names one.
+      ``member_view`` (a creator's last event).  An ordered event's
+      ancestors are ordered, so ``_order_round`` reads a missing record as
+      the empty set it would find, and neither a famous witness of an
+      unfinalized round nor a last event is popped.  Live masks are the
+      unordered events' and about one per creator, its last ordered
+      event's, each spanning the history below it.
+    - Ancient parents: an event with no live record, ordered and
+      superseded, is ancient, as Hedera's platform calls an event too old
+      to take part in consensus.  An honest creator's next event chains
+      onto its last, and a sync's other-parent is its sender's head, so
+      only a fork on an old event or a stale view names one.
       ``add_event`` rejects a child of an ancient parent before anything
-      changes: the rule that rejects a parent is the one that freed it,
-      and no freed entry is read again.
+      changes: the lookup that reads a parent's record is the one that
+      finds it missing, and no popped record is read again.
     - Column layout: inside a store an event's only name is its index, and
-      no per-event object outlives its insert.  Ids are one ``bytearray``,
-      ``_ids``, 32 bytes per event; creator, created_at, self-parent and
-      other-parent indices (-1 for none) and ``_seq`` are ``array("i")``
-      columns, 4 bytes per event, payloads a list, and units bits in the
-      unit planes.  The consensus order is three more ``array("i")``
-      columns, ``_order_events`` (event indices), ``_order_rounds`` and
-      ``_order_stamps``.  A value outside 32 bits raises
-      ``OverflowError`` when appended, so none is truncated.  An id is
-      read from its column only where it leaves the store: sealing a
-      child, the sorts by id (a round's voters, an ordered batch), a coin,
-      a replayed event's copy (``replay``) and the entries ``consensus``
-      builds when read.  ``by_index`` and a ``Transfer`` yield indices,
-      and a reader takes the column it needs.  No dict is keyed by id, so
-      an exact duplicate is inserted again, as a second branch of its
-      creator.
-    - Payload lifetime: a local event's transactions are read once, by
+      no per-event object outlives its insert but a live record and a
+      held payload.  Ids are one ``bytearray``, ``_ids``, 32 bytes per
+      event; creator, created_at, self-parent and other-parent indices (-1
+      for none), ``_seq`` and ``round`` are ``array("i")`` columns, 4 bytes
+      per event, and units bits in the unit planes.  No attribute is a
+      list with a slot per event: what only live events need sits in the
+      two frontier dicts, ``_live`` and ``_payload``.  The consensus order
+      is three more ``array("i")`` columns, ``_order_events`` (event
+      indices), ``_order_rounds`` and ``_order_stamps``.  A value outside
+      32 bits raises ``OverflowError`` when appended, so none is
+      truncated.  An id is read from its column only where it leaves the
+      store: sealing a child, the sorts by id (a round's voters, an ordered
+      batch), a coin, a replayed event's copy (``replay``) and the entries
+      ``consensus`` builds when read.  ``by_index`` and a ``Transfer``
+      yield indices, and a reader takes the column it needs.  No dict is
+      keyed by id, so an exact duplicate is inserted again, as a second
+      branch of its creator.
+    - Payload lifetime: ``_payload`` holds each payload, empty ones too,
+      until it is taken.  A local event's transactions are read once, by
       the walk that applies its committee's newly ordered events, and by
-      nothing else.  ``take_payload`` hands them to that walk and sets the
-      event's ``_payload`` slot to None.  A payload of None means
-      "applied": a store rebuilt from a replica replays the events with
-      their payloads as they stand (``replay``), so the walk of the rebuilt
-      store skips those the old store applied.  A global event's are read
-      by each seat's view as it first receives the event and by the global
-      walk, which reads its join and reorganization transactions once it
-      is ordered; the poll sets the slot to None once the event is ordered
-      and every seat knows it.  A seat that lacks it, a down committee's
-      until it is back, keeps it held.
+      nothing else.  ``take_payload`` pops them for that walk.  A payload
+      not held means "applied": a store rebuilt from a replica replays the
+      events with their payloads as they stand (``replay``), so the walk of
+      the rebuilt store skips those the old store applied.  A global
+      event's are read by each seat's view as it first receives the event
+      and by the global walk, which reads its join and reorganization
+      transactions once it is ordered; the poll pops them once the event is
+      ordered and every seat knows it.  A seat that lacks it, a down
+      committee's until it is back, keeps it held.
     - ``_sm`` is the supermajority of the population, kept by
       ``add_member`` and ``remove_member`` (0 while the population is empty,
       which makes a read raise), so neither insert nor a tally recounts it.
@@ -344,10 +348,10 @@ class EventStore:
     creator that has never branched has one chain, so only forkers are
     tested.  Forked bits are inherited: a creator caught forking in a
     parent's ancestry stays caught, so insert only tests the forkers not
-    already in ``_forked``.  Ancestry is monotone along a self-parent
-    chain: a later event of the chain descends from everything an earlier
-    one does, so one backward walk per famous witness finds, for every
-    event of a round, the earliest self-ancestor of the witness that
+    already in its parents' forked masks.  Ancestry is monotone along a
+    self-parent chain: a later event of the chain descends from everything
+    an earlier one does, so one backward walk per famous witness finds, for
+    every event of a round, the earliest self-ancestor of the witness that
     reaches it.  That event's created_at is the witness's stamp for the
     event (Baird's consensus-timestamp rule); a self-parent chain is one
     chain even when its creator forks elsewhere.
@@ -368,9 +372,12 @@ class EventStore:
         self._self_parent = array("i")
         self._other_parent = array("i")
         self._seq = array("i")               # position along self-parent chain
-        self._payload: list[Optional[tuple[Transaction, ...]]] = []
-        self._anc: list[int] = []            # ancestor bitmask, includes self
-        self._forked: list[int] = []         # creators with a fork visible
+        # the payloads still held (see Payload lifetime)
+        self._payload: dict[int, tuple[Transaction, ...]] = {}
+        # the live events' (ancestor mask, includes self; creators with a
+        # fork visible; packed witness reach of round - 1; of round); an
+        # index missing here is ancient (see Ancestry lifetime)
+        self._live: dict[int, tuple[int, int, int, int]] = {}
         self._cmask: dict[NodeId, int] = {}  # creator -> its events' mask
         self._unit_planes: list[int] = []
         self._forkers: dict[NodeId, int] = {}  # creator -> its member bit
@@ -378,12 +385,10 @@ class EventStore:
         # from
         self._apart: dict[int, tuple[int, ...]] = {}
         self._forker_bits = 0
-        self.round: list[int] = []
+        self.round = array("i")
         self.witnesses_by_round: dict[int, array] = {}
         self._witness_count = 0
         self.max_round = 0
-        # packed witness reach: (round - 1 reach, round reach)
-        self._reach: list[tuple[int, int]] = []
         self._wcreators: dict[int, int] = {}  # round -> packed witness creators
         self._width = 8
         while self._width < len(self._member_bit):
@@ -443,8 +448,10 @@ class EventStore:
             old, self._width = self._width, 2 * self._width
             self._wcreators = {r: self._relay(v, old)
                                for r, v in self._wcreators.items()}
-            self._reach = [x and (self._relay(x[0], old),
-                                  self._relay(x[1], old)) for x in self._reach]
+            relay = self._relay
+            self._live = {i: (anc, forked, relay(prev, old), relay(cur, old))
+                          for i, (anc, forked, prev, cur)
+                          in self._live.items()}
             for state in (self._votes, self._covered):
                 for r, vectors in state.items():
                     state[r] = {v: self._relay(x, old)
@@ -474,25 +481,27 @@ class EventStore:
         sealed from the fields, the parents' ids read from the id column.
         A replayed event (``replay``) gives its source's ``event_id``: it
         must reseal to it, or, if its payload was taken (None), it takes
-        that id and ``units`` as given.  A parent whose ancestor mask
-        ``advance_consensus`` freed is ancient, and a child of it is
+        that id and ``units`` as given.  A parent whose live record
+        ``advance_consensus`` popped is ancient, and a child of it is
         rejected before anything changes (see Ancient parents)."""
         spi, opi = self_parent, other_parent
-        ids, creators, ancs = self._ids, self._creator, self._anc
+        ids, creators, live = self._ids, self._creator, self._live
         idx = len(creators)
         if spi is not None:
             if not 0 <= spi < idx:
                 raise HashgraphError(f"dangling self_parent {spi}")
             if creators[spi] != creator:
                 raise HashgraphError("self_parent by a different creator")
-            if not ancs[spi]:
+            sp_live = live.get(spi)
+            if sp_live is None:
                 raise HashgraphError(f"ancient self_parent {spi}")
         if opi is not None:
             if not 0 <= opi < idx:
                 raise HashgraphError(f"dangling other_parent {opi}")
             if creators[opi] == creator:
                 raise HashgraphError("other_parent created by creator itself")
-            if not ancs[opi]:
+            op_live = live.get(opi)
+            if op_live is None:
                 raise HashgraphError(f"ancient other_parent {opi}")
         if creator not in self._member_bit:
             raise HashgraphError(f"creator {creator} is not a member")
@@ -506,6 +515,7 @@ class EventStore:
                 payload, created_at)
             if event_id is not None and digest != event_id:
                 raise HashgraphError("replayed event reseals to another id")
+            self._payload[idx] = payload
         elif event_id is None or len(event_id) != 32:
             raise HashgraphError("an event without a payload needs its id")
         else:
@@ -515,7 +525,6 @@ class EventStore:
         creators.append(creator)
         self._created_at.append(created_at)
         self._other_parent.append(-1 if opi is None else opi)
-        self._payload.append(payload)
         bit = 1 << idx
         cbit = 1 << self._member_bit[creator]
         own = self._cmask.get(creator, 0)
@@ -531,23 +540,24 @@ class EventStore:
         # fork bookkeeping: while a creator has not branched, its last
         # inserted event is its tip, so an event whose self-parent is not
         # the tip (or a second root) is a branch point
-        anc, forked, seq = bit, 0, self._seq
+        rounds, seq = self.round, self._seq
         sp = -1 if spi is None else spi
         self._self_parent.append(sp)
         if spi is None:
             seq.append(0)
+            anc, forked, prev, cur, r = bit, 0, 0, 0, 1
         else:
-            anc |= ancs[spi]
-            forked = self._forked[spi]
+            anc, forked, prev, cur = sp_live
+            anc |= bit
+            r = rounds[spi]
             seq.append(seq[spi] + 1)
         if opi is not None:
-            anc |= ancs[opi]
-            other = self._forked[opi]
+            other_anc, other, pp, pc = op_live
+            anc |= other_anc
             if other & ~forked:
                 # a child shares a parent's int where the other parent's
                 # mask adds no bit to it
                 forked = forked | other if forked else other
-        ancs.append(anc)
         if self._forker_bits & cbit or sp != own.bit_length() - 1:
             self._forkers[creator] = cbit
             self._forker_bits |= cbit
@@ -560,29 +570,25 @@ class EventStore:
                     x = anc & cmask[c]
                     if x and x.bit_count() != seq[x.bit_length() - 1] + 1:
                         forked |= cb
-        self._forked.append(forked)
 
         # round assignment: the parent of the lower round gives its round
         # reach as the round - 1 reach if it is one round below, and
         # nothing else; every field the self-parent brings has the
         # creator's bit already, and the other parent's new fields get it
-        # here
-        reach, rounds, present = self._reach, self.round, self._present
-        r, prev, cur = 1, 0, 0
-        if spi is not None:
-            r = rounds[spi]
-            prev, cur = reach[spi]
+        # here.  A field is present iff its low F - 1 bits plus
+        # 2^(F-1) - 1 carry into its top bit or the top bit is set
+        # (``_present``, inlined)
+        nh, low, top = self._nh, self._low, self._width - 1
         if opi is not None:
             ro = rounds[opi]
-            pp, pc = reach[opi]
             if ro < r:
                 pp, pc = (pc if ro == r - 1 else 0), 0
             elif ro > r:
                 prev, cur, r = (cur if ro == r + 1 else 0), 0, ro
             if pp & ~prev:
-                prev |= pp | present(pp) * cbit
+                prev |= pp | ((((pp & nh) + nh) | pp) >> top & low) * cbit
             if pc & ~cur:
-                cur |= pc | present(pc) * cbit
+                cur |= pc | ((((pc & nh) + nh) | pc) >> top & low) * cbit
         # an empty reach (a genesis event's) sees nothing, and sm fields of
         # sm bits need sm * sm bits
         if (cur and cur.bit_count() >= sm * sm
@@ -600,6 +606,7 @@ class EventStore:
             if pos == self._fields:
                 self._fields *= 2
                 self._pack_constants()
+                nh, low = self._nh, self._low
             field = cbit << pos * self._width
             cur |= field
             self._wcreators[r] = self._wcreators.get(r, 0) | field
@@ -607,23 +614,21 @@ class EventStore:
                 # first-round votes: yes on the round r - 1 witnesses this
                 # one sees, those it descends from and has not caught
                 # forking
-                yes = present(prev)
+                yes = (((prev & nh) + nh) | prev) >> top & low
                 if forked:
-                    yes &= ~present(self._wcreators.get(r - 1, 0)
-                                    & self._low * forked)
+                    yes &= ~self._present(self._wcreators.get(r - 1, 0)
+                                          & low * forked)
                 self._votes.setdefault(r - 1, {})[idx] = yes
         if r > self.max_round:
             self.max_round = r
-        reach.append((prev, cur))
+        live[idx] = (anc, forked, prev, cur)
         return idx
 
     def take_payload(self, i: int) -> Optional[tuple[Transaction, ...]]:
         """Event i's transactions, for the walk that applies it once it is
         ordered, or None if they were taken before (see Payload
         lifetime)."""
-        payload = self._payload[i]
-        self._payload[i] = None
-        return payload
+        return self._payload.pop(i, None)
 
     def _pack_constants(self) -> None:
         """LOW, bit 0 of each of ``_fields`` fields, and the SWAR masks for
@@ -681,8 +686,8 @@ class EventStore:
         below = self.round[a] - r
         if below not in (0, 1):
             return []
-        flags = self._seen_flags(
-            self._reach[a][1 - below], r, self._forked[a], self._sm)
+        _, forked, prev, cur = self._live[a]
+        flags = self._seen_flags(prev if below else cur, r, forked, self._sm)
         ws = self.witnesses_by_round.get(r, ())
         return list(compress(ws, self._unpack(flags, len(ws))))
 
@@ -708,14 +713,16 @@ class EventStore:
             return
         self._fame_polled = self._witness_count
         f = self._width
-        for r in range(self._first_undecided_round, self.max_round + 1):
+        # only a round with voters two rounds up can be tallied, and so
+        # decided and dropped
+        for r in range(self._first_undecided_round, self.max_round - 1):
             # round r's undecided fields, LOW bits over its witness positions
             ws = self.witnesses_by_round[r]
             base = ws[0]
             decided = self._decided >> base
             undecided = sum(1 << p * f for p, w in enumerate(ws)
                             if not decided >> w - base & 1)
-            if undecided and r + 2 <= self.max_round:
+            if undecided:
                 undecided = self._tally(r, undecided)
             if r == self._first_undecided_round and not undecided:
                 # nothing votes on round r again: drop its vote state and
@@ -743,7 +750,12 @@ class EventStore:
             raise HashgraphError("no members to take a supermajority of")
         for d in range(r + 2, self.max_round + 1):
             coin = (d - r) % COIN_PERIOD == 0
-            for v in sorted(self.witnesses_by_round[d], key=self._id_key):
+            # undecided only shrinks, so a voter that owes no vote now owes
+            # none later in the round
+            voters = [v for v in self.witnesses_by_round[d]
+                      if undecided & ~covered.get(v, 0)]
+            voters.sort(key=self._id_key)
+            for v in voters:
                 todo = undecided & ~covered.get(v, 0)
                 if not todo:
                     continue
@@ -794,16 +806,16 @@ class EventStore:
         starts at 2^B - (k + 1) for k = (len(famous) - 1) // 2 and
         B = k.bit_length(): an event carries out of the top plane at its
         (k + 1)-th smallest stamp, the lower median."""
-        anc, self_parent, created_at = (self._anc, self._self_parent,
-                                        self._created_at)
+        live, self_parent, created_at = (self._live, self._self_parent,
+                                         self._created_at)
         segments = []
         for w in famous:
             y, hit = w, fresh
             while hit:
                 sp = self_parent[y]
-                # a freed mask is an ordered event's, and reaches nothing
-                # fresh, as 0 does
-                below = (anc[sp] >> lo) & fresh if sp >= 0 else 0
+                # an ancient event is ordered, and reaches nothing fresh
+                entry = live.get(sp)
+                below = (entry[0] >> lo) & fresh if entry else 0
                 if hit != below:
                     segments.append((created_at[y], hit ^ below))
                 y, hit = sp, below
@@ -838,7 +850,7 @@ class EventStore:
         """Assign round-received and consensus timestamps for every round
         whose witnesses are all fame-decided."""
         self.elect_fame()
-        reach, anc, self_parent = self._reach, self._anc, self._self_parent
+        live, self_parent = self._live, self._self_parent
         creators, cmask = self._creator, self._cmask
         decided, fame = self._decided, self._famous
         r = self.finalized_round + 1
@@ -850,9 +862,9 @@ class EventStore:
                 break
             famous = [w for w in witnesses if fame >> w & 1]
             if famous:
-                inter = anc[famous[0]]
+                inter = live[famous[0]][0]
                 for w in famous[1:]:
-                    inter &= anc[w]
+                    inter &= live[w][0]
                 fresh = inter & ~self._emitted
                 if fresh:
                     lo = (fresh & -fresh).bit_length() - 1
@@ -861,15 +873,11 @@ class EventStore:
                     # an ordered event's self-parent is ordered and has a
                     # self-child, and an ordered event that is not its
                     # creator's last has one too or is a dead fork tip:
-                    # only a fork on either reads its reach and mask again
+                    # only a fork on either would read its entry again
                     for x in _set_bits(fresh):
-                        sp = self_parent[x]
-                        if sp >= 0:
-                            reach[sp] = _FREED
-                            anc[sp] = 0
+                        live.pop(self_parent[x], None)
                         if cmask[creators[x]].bit_length() - 1 != x:
-                            reach[x] = _FREED
-                            anc[x] = 0
+                            live.pop(x)
             self.finalized_round = r
             r += 1
 
@@ -941,7 +949,7 @@ def replay(store: EventStore, events: Transfer) -> None:
         sp, op = self_parent[i], other_parent[i]
         copies[i] = store.add_event(
             creators[i], None if sp < 0 else copies.get(sp, -1),
-            None if op < 0 else copies.get(op, -1), source._payload[i],
+            None if op < 0 else copies.get(op, -1), source._payload.get(i),
             created_at[i], source._id(i), units.get(i, 0))
 
 
@@ -987,7 +995,7 @@ def member_view(store: EventStore, owner: NodeId) -> Hashgraph:
     own = store._cmask.get(owner, 0)
     if own:
         view.head = last = own.bit_length() - 1
-        view.known = store._anc[last]
+        view.known = store._live[last][0]
     return view
 
 

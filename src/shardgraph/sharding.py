@@ -225,7 +225,7 @@ def coordinator_receive_global(
     inbound queue."""
     queue = state.queues[receiver_committee]
     queue.inbound += _delivered_to(
-        receiver_committee, state.global_store._payload[event])
+        receiver_committee, state.global_store._payload.get(event, ()))
     return queue
 
 
@@ -308,6 +308,6 @@ def recover_failed_shard(
     source, held = replica.events.store, replica.events.mask
     lost = Transfer(source, (1 << len(source.by_index)) - 1 & ~held)
     state.queues[failed].inbound[:0] = _delivered_to(
-        failed, (tx for i in lost for tx in source._payload[i] or ()))
+        failed, (tx for i in lost for tx in source._payload.get(i, ())))
     table.epoch += 1
     return replica

@@ -466,7 +466,7 @@ class Simulation:
         gstore.advance_consensus()
         ordered, stamps = gstore._order_events, gstore._order_stamps
         for k in range(self.global_ptr, len(ordered)):
-            for tx in gstore._payload[ordered[k]]:
+            for tx in gstore._payload.get(ordered[k], ()):
                 if tx.kind == KIND_JOIN:
                     self._apply_join(tx, stamps[k], t)
                 elif tx.kind == KIND_REORG:
@@ -479,7 +479,7 @@ class Simulation:
         for seat in self.state.seats.values():
             freed &= seat.known
         for i in Transfer(gstore, freed):
-            gstore._payload[i] = None
+            gstore._payload.pop(i, None)
         self.global_released |= freed
         self._maybe_checkpoint(t)
 

@@ -399,7 +399,7 @@ def record_of(store, i):
     the units from the unit planes."""
     sp, op = store._self_parent[i], store._other_parent[i]
     return Record(store._creator[i], store._id(sp) if sp >= 0 else None,
-                  store._id(op) if op >= 0 else None, store._payload[i],
+                  store._id(op) if op >= 0 else None, store._payload.get(i),
                   store._created_at[i], store._id(i), units_at(store, i))
 
 
@@ -450,7 +450,7 @@ def ancestry(store, masks=None):
 
 def ordered_and_superseded(store, i):
     """Whether event i is ordered and not its creator's last event: only
-    such an event's reach and ancestor mask are ever freed."""
+    such an event leaves the store's live records."""
     return bool(store._emitted >> i & 1) and (
         store._cmask[store._creator[i]].bit_length() - 1 != i)
 
@@ -459,11 +459,16 @@ def engine_ancestry(store, i):
     """The store's own ancestor mask of event i, or None where it freed
     it, which it does only for an ordered, superseded event.  Pairwise
     ancestry is checked on ``ancestry(store)``, which a kept mask equals."""
-    mask = store._anc[i]
-    if mask:
-        return mask
+    entry = store._live.get(i)
+    if entry:
+        return entry[0]
     assert ordered_and_superseded(store, i)
     return None
+
+
+def forked_of(store, i):
+    """The member bits of the creators live event i sees forking."""
+    return store._live[i][1]
 
 
 # fame reference over an EventStore's own annotations ------------------------
@@ -512,7 +517,7 @@ class ReferenceFame:
             # v sees w: w is an ancestor and its creator is not caught forking
             creator = store._member_bit[store._creator[w]]
             result = bool(ancestry(store, self.anc)[v] >> w & 1
-                          and not store._forked[v] >> creator & 1)
+                          and not forked_of(store, v) >> creator & 1)
         else:
             yes = no = 0
             for u in self.strongly_seen_prev(v):
@@ -629,7 +634,10 @@ def check_vote_state_bounds(store):
 def retained_store_bytes(cfg):
     """Run cfg's simulation under tracemalloc and return the bytes still
     allocated from the engine module once it has ended and a collection
-    has run, and the events in its stores."""
+    has run, and the events in its stores.  A collection before tracing
+    starts empties CPython's free lists, so an object the run takes from
+    them is traced too."""
+    gc.collect()
     tracemalloc.start()
     try:
         sim = Simulation(cfg)

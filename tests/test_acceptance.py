@@ -174,7 +174,7 @@ def test_criterion_6_oracle_equivalence():
         assert records(store) == events
         oracle = BruteGraph(graph.population, events)
         rounds, witness, _ = oracle.rounds()
-        ok = ok and store.round == [rounds[e.digest] for e in events]
+        ok = ok and list(store.round) == [rounds[e.digest] for e in events]
         ok = ok and witness_flags(store) == [witness[e.digest] for e in events]
         store.elect_fame()
         ok = ok and {

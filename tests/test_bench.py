@@ -227,8 +227,10 @@ def test_bench_add_event_forked(benchmark):
                                rounds=1, iterations=1)
     assert len(store.by_index) == len(events) > 1000
     assert len(store._forkers) == 2 and store.max_round >= 7
-    assert store._forked == built._forked
-    assert sum(f.bit_count() == 2 for f in store._forked) > len(events) // 2
+    assert store._live == built._live
+    forked = [entry[1] for entry in store._live.values()]
+    assert len(forked) == len(events)
+    assert sum(f.bit_count() == 2 for f in forked) > len(events) // 2
 
 
 def test_bench_advance_consensus(benchmark, dag):

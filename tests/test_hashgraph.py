@@ -139,7 +139,7 @@ def test_insert_by_a_non_member_raises_and_leaves_the_store():
 
     def state():
         return (records(store), bytes(store._ids), store.round[:],
-                store._anc[:], dict(store._cmask), list(store.population),
+                dict(store._live), dict(store._cmask), list(store.population),
                 dict(store._member_bit), store._sm, store._width)
 
     before = state()
@@ -406,7 +406,7 @@ def test_rounds_all_genesis():
     g = graph_of([0, 1, 2, 3])
     for i in range(4):
         add_for(g, i, None, (), 0)
-    assert g.store.round == [1] * 4
+    assert list(g.store.round) == [1] * 4
     assert all(witness_flags(g.store))
 
 
@@ -421,7 +421,7 @@ def test_rounds_match_brute_force(big_fixture_graph):
 
 def test_rounds_never_lowered_by_growth():
     graph, _ = round_robin_fixture(4, 3)
-    before = list(graph.store.round)
+    before = graph.store.round[:]
     g2 = graph_of([0, 1, 2, 3], owner=0)
     for e in known_records(graph):
         insert(g2, e)

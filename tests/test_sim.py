@@ -713,7 +713,7 @@ def test_down_seat_holds_the_global_payloads_it_lacks():
         poll(t)
         everywhere = known_to_seats(sim, sim.state.seats)
         for i in gstore.by_index:
-            if gstore._payload[i] is None:
+            if i not in gstore._payload:
                 assert everywhere >> i & 1
         if 1 in sim.down:
             # ordered, known to every other seat and held for the down one
