@@ -208,7 +208,8 @@ class EventStore:
       order, its first entry the round's lowest index, in an
       ``array("i")``.  A tally visits a round's voters sorted by digest
       (a stable sort, so equal ids keep insertion order), and ordering
-      reads a round's famous witnesses in any order.
+      reads a round's famous witnesses in any order.  Rounds grow one at
+      a time, each with a witness, so they are 1 to its length.
     - ``_witness_count`` counts the witnesses inserted so far; a witness's
       position is its place in ``witnesses_by_round[r]``, which is
       append-only.
@@ -221,21 +222,24 @@ class EventStore:
       witnesses it strongly sees (``_ss_prev[v]``, computed at its first
       vote), and SWAR threshold compares give its vote and its decided-yes
       and decided-no fields; on a coin round the low bit of its digest
-      fills the fields short of a supermajority.  ``_covered[r][v]`` marks
-      the fields v has voted on, so a witness that lands in round r later
-      is still voted on by voters that have voted on the rest.
+      fills the fields short of a supermajority.  ``_covered[r][v]`` is
+      the count of round-r witnesses at v's last vote on the round: one
+      that lands later takes a higher position, so v owes a vote on the
+      undecided fields at or past the count.
     - Vote state lifetime: ``elect_fame`` visits voters round by round in
       digest order on every pass and stops voting on a decided witness, so
       fame and its deciders are those of one vote per (voter, witness)
       pair cast in that order.  A vote is never recast, so a poll with no
       witness inserted since the last (``_fame_polled``) returns at once.
       A poll packs each round's undecided witnesses like a vote vector,
-      from ``_decided`` and the round's witness list, for the rounds from
-      ``_first_undecided_round`` up.  Once round r is decided
-      (``_first_undecided_round`` passes it), ``_votes[r]``,
-      ``_covered[r]`` and the strong sight of round r + 2 witnesses are
-      dropped: live vote state is bounded by the witnesses of undecided
-      rounds.  ``add_member`` re-lays it when F doubles.  A decision is
+      from ``_decided`` and the round's witness list, for the rounds past
+      ``finalized_round``.  ``advance_consensus`` finalizes a round once
+      every witness of it is decided, and then drops ``_votes[r]``,
+      ``_covered[r]`` and the strong sight of round r + 2 witnesses, which
+      vote on no later round: live vote state is bounded by the witnesses
+      of unfinalized rounds.  ``elect_fame`` alone, without the
+      finalization, keeps the state of the rounds it decided.
+      ``add_member`` re-lays the vectors when F doubles.  A decision is
       final, so fame is what outlives the vote: two masks over event
       index, ``_decided`` (fame decided) and ``_famous`` (decided famous),
       2 bits per event.  ``_tally`` sets a witness's bits when it decides
@@ -254,10 +258,10 @@ class EventStore:
       the decider's vote decided, shifted down by the first witness index,
       so it spans the round's witnesses and not the history.  ``_tally``
       appends a pair per decision, so a voter that decides on two polls
-      has two, and once round r is decided (``_first_undecided_round``
-      passes it) the record is frozen as a tuple; every finalized round
-      is decided.  A witness w landing in a finalized round r is in no
-      tally and no group: it is not famous.  A view that knows a decider
+      has two, and ``advance_consensus`` freezes the record as a tuple
+      when it finalizes round r, every witness of which is then decided.
+      A witness w landing in a finalized round r is in no tally and no
+      group: it is not famous.  A view that knows a decider
       of round r knows its ancestors, all older than w, among them a round
       r + 2 witness whose first tally, not a coin round, decides w not
       famous, as no round r + 1 witness sees w.  ``view_finalized_round``
@@ -388,7 +392,6 @@ class EventStore:
         self.round = array("i")
         self.witnesses_by_round: dict[int, array] = {}
         self._witness_count = 0
-        self.max_round = 0
         self._wcreators: dict[int, int] = {}  # round -> packed witness creators
         self._width = 8
         while self._width < len(self._member_bit):
@@ -396,7 +399,8 @@ class EventStore:
         self._fields = 8                     # fields the constants cover
         self._pack_constants()
         # fame machinery
-        # round r -> voter -> vote vector, and -> the fields it voted on
+        # round r -> voter -> vote vector, and -> how many of the round's
+        # fields it has voted on
         self._votes: dict[int, dict[int, int]] = {}
         self._covered: dict[int, dict[int, int]] = {}
         self._ss_prev: dict[int, list[int]] = {}
@@ -406,9 +410,8 @@ class EventStore:
         self._famous = 0
         # round -> [highest decider, first witness, decider, mask of the
         # witnesses it decided shifted down by the first, ...], a tuple once
-        # the round is decided
+        # the round is finalized
         self._deciders: dict[int, list | tuple] = {}
-        self._first_undecided_round = 1
         self._fame_polled = 0                # witnesses at the last poll
         # total ordering: the consensus order's columns
         self._order_events = array("i")
@@ -452,10 +455,8 @@ class EventStore:
             self._live = {i: (anc, forked, relay(prev, old), relay(cur, old))
                           for i, (anc, forked, prev, cur)
                           in self._live.items()}
-            for state in (self._votes, self._covered):
-                for r, vectors in state.items():
-                    state[r] = {v: self._relay(x, old)
-                                for v, x in vectors.items()}
+            for r, vectors in self._votes.items():
+                self._votes[r] = {v: relay(x, old) for v, x in vectors.items()}
             self._pack_constants()
 
     def remove_member(self, node: NodeId) -> None:
@@ -610,7 +611,7 @@ class EventStore:
             field = cbit << pos * self._width
             cur |= field
             self._wcreators[r] = self._wcreators.get(r, 0) | field
-            if r - 1 >= self._first_undecided_round:
+            if r - 1 > self.finalized_round:
                 # first-round votes: yes on the round r - 1 witnesses this
                 # one sees, those it descends from and has not caught
                 # forking
@@ -619,8 +620,6 @@ class EventStore:
                     yes &= ~self._present(self._wcreators.get(r - 1, 0)
                                           & low * forked)
                 self._votes.setdefault(r - 1, {})[idx] = yes
-        if r > self.max_round:
-            self.max_round = r
         live[idx] = (anc, forked, prev, cur)
         return idx
 
@@ -713,9 +712,9 @@ class EventStore:
             return
         self._fame_polled = self._witness_count
         f = self._width
-        # only a round with voters two rounds up can be tallied, and so
-        # decided and dropped
-        for r in range(self._first_undecided_round, self.max_round - 1):
+        # only a round with voters two rounds up can be tallied
+        for r in range(self.finalized_round + 1,
+                       len(self.witnesses_by_round) - 1):
             # round r's undecided fields, LOW bits over its witness positions
             ws = self.witnesses_by_round[r]
             base = ws[0]
@@ -723,40 +722,32 @@ class EventStore:
             undecided = sum(1 << p * f for p, w in enumerate(ws)
                             if not decided >> w - base & 1)
             if undecided:
-                undecided = self._tally(r, undecided)
-            if r == self._first_undecided_round and not undecided:
-                # nothing votes on round r again: drop its vote state and
-                # the strong sight of the voters that only voted on it
-                self._first_undecided_round = r + 1
-                self._deciders[r] = tuple(self._deciders[r])
-                self._votes.pop(r, None)
-                self._covered.pop(r, None)
-                for v in self.witnesses_by_round.get(r + 2, ()):
-                    self._ss_prev.pop(v, None)
+                self._tally(r, undecided)
 
-    def _tally(self, r: int, undecided: int) -> int:
+    def _tally(self, r: int, undecided: int) -> None:
         """Have every round r + 2 or later witness, round by round in digest
         order, vote on the fields of undecided (LOW bits over round r's
-        witness positions) it has not voted on; returns the fields left
-        undecided.  A voter's yes count per field is the sum of the vote
-        vectors of the round-below witnesses it strongly sees, which have
-        all voted on those fields before it."""
+        witness positions) it has not voted on, those at or past the count
+        it has voted on: a witness that lands in round r later takes the
+        next position.  A voter's yes count per field is the sum of the
+        vote vectors of the round-below witnesses it strongly sees, which
+        have all voted on those fields before it."""
         votes = self._votes[r]
         covered = self._covered.setdefault(r, {})
         ws = self.witnesses_by_round[r]
-        base = ws[0]
+        base, f, n = ws[0], self._width, len(ws)
         sm = self._sm
         if not sm:
             raise HashgraphError("no members to take a supermajority of")
-        for d in range(r + 2, self.max_round + 1):
+        for d in range(r + 2, len(self.witnesses_by_round) + 1):
             coin = (d - r) % COIN_PERIOD == 0
             # undecided only shrinks, so a voter that owes no vote now owes
             # none later in the round
             voters = [v for v in self.witnesses_by_round[d]
-                      if undecided & ~covered.get(v, 0)]
+                      if undecided >> covered.get(v, 0) * f]
             voters.sort(key=self._id_key)
             for v in voters:
-                todo = undecided & ~covered.get(v, 0)
+                todo = undecided & -(1 << covered.get(v, 0) * f)
                 if not todo:
                     continue
                 ss = self._strongly_seen_prev(v)
@@ -774,13 +765,13 @@ class EventStore:
                     # where the tally is short of a supermajority
                     vote = (vote & decided
                             | (self._ids[(v << 5) + 31] & 1) * (todo & ~decided))
-                covered[v] = covered.get(v, 0) | todo
+                covered[v] = n
                 votes[v] = votes.get(v, 0) | vote & todo
                 if decided and not coin:
-                    flags = self._unpack(decided, len(ws))
+                    flags = self._unpack(decided, n)
                     won = fame = 0
                     for w, famous in zip(compress(ws, flags), compress(
-                            self._unpack(vote, len(ws)), flags)):
+                            self._unpack(vote, n), flags)):
                         won |= 1 << w - base
                         fame |= famous << w - base
                     self._decided |= won << base
@@ -790,8 +781,7 @@ class EventStore:
                     record += v, won
                     undecided &= ~decided
                     if not undecided:
-                        return 0
-        return undecided
+                        return
 
     # -- total order --------------------------------------------------------
 
@@ -848,7 +838,9 @@ class EventStore:
 
     def advance_consensus(self) -> None:
         """Assign round-received and consensus timestamps for every round
-        whose witnesses are all fame-decided."""
+        whose witnesses are all fame-decided, and, as each such round is
+        finalized, freeze its deciders and drop its vote state (see Vote
+        state lifetime)."""
         self.elect_fame()
         live, self_parent = self._live, self._self_parent
         creators, cmask = self._creator, self._cmask
@@ -878,6 +870,14 @@ class EventStore:
                         live.pop(self_parent[x], None)
                         if cmask[creators[x]].bit_length() - 1 != x:
                             live.pop(x)
+            # nothing votes on round r again: freeze its deciders and drop
+            # its vote state and the strong sight of the voters that only
+            # voted on it
+            self._deciders[r] = tuple(self._deciders[r])
+            self._votes.pop(r, None)
+            self._covered.pop(r, None)
+            for v in self.witnesses_by_round.get(r + 2, ()):
+                self._ss_prev.pop(v, None)
             self.finalized_round = r
             r += 1
 

@@ -27,9 +27,7 @@ def analytic_comm_cost_sharded(
 ) -> float:
     if s < 1:
         raise MetricsError("s must be >= 1")
-    if n % s != 0:
-        raise MetricsError("balanced case requires s to divide n")
-    return (n // s - 1) * (throughput / n) * event_size
+    return (n / s - 1) * (throughput / n) * event_size
 
 
 def analytic_cross_cost(cross_throughput: float, event_size: float) -> float:
@@ -151,9 +149,7 @@ def compare_measured(
 
     row(
         "comm_per_node",
-        analytic_comm_cost_sharded(n, s, rate, event_size)
-        if n % s == 0
-        else analytic_comm_cost(n, rate, event_size),
+        analytic_comm_cost_sharded(n, s, rate, event_size),
         comm_rate(plain),
     )
     row("cross_send_cost", analytic_cross_cost(cross_rate, event_size), cross_rate)

@@ -44,7 +44,6 @@ from .config import ScenarioConfig
 from .hashgraph import (
     Hashgraph,
     Order,
-    Transfer,
     consensus_order,
     create_event,
     detect_forks,
@@ -267,12 +266,10 @@ class Simulation:
         self.metrics = MetricsReport(duration=config.duration)
         self.inject_until = config.resolved_inject_until()
         self.next_node_id = config.n
-        self.next_tx = 0
         self.inject_tick: dict[str, int] = {}
         self.ordered_count: dict[str, int] = {}
         self.consensus_ptr: dict = {cid: 0 for cid in self.table.coordinators}
         self.global_ptr = 0
-        self.global_released = 0      # global events whose payload is freed
         self.reorg: dict[int, dict] = {}
         self.reorg_log: list = []
         self.action_log: list = []
@@ -345,19 +342,18 @@ class Simulation:
         # the generated __new__
         new = tuple.__new__
         arrivals = inject_workload(self.cfg, self.rng, self.table, self.down)
-        first = self.next_tx
-        cross = 0
-        for i, (origin_node, ocid, target) in enumerate(arrivals, first):
+        # the injected count so far numbers the next transaction
+        metrics = self.metrics
+        for i, (origin_node, ocid, target) in enumerate(
+                arrivals, metrics.injected_tx_units):
             tx_id = f"t{i}"
             pending[origin_node].append(
                 new(Transaction, (tx_id, ocid, target, 1, KIND_PAYLOAD, ()))
             )
             if ocid != target:
-                cross += 1
                 inject_tick[tx_id] = t
-        self.next_tx = first + len(arrivals)
-        self.metrics.injected_tx_units += len(arrivals)
-        self.metrics.injected_cross_units += cross
+        metrics.injected_tx_units += len(arrivals)
+        metrics.injected_cross_units = len(inject_tick)
 
     def _gossip(self, t):
         table, down, views = self.table, self.down, self.views
@@ -455,9 +451,9 @@ class Simulation:
                             lat = t - inject_tick.get(tx_id, t)
                             latency[lat] = latency.get(lat, 0) + 1
                     elif kind == KIND_INTRA_REORG:
-                        self._on_intra_reorg(cid, tx, stamps[k], t)
+                        self._on_intra_reorg(tx, stamps[k], t)
                     elif kind == KIND_RESELECT:
-                        self._on_reselect(cid, tx, stamps[k], t)
+                        self._on_reselect(tx, stamps[k], t)
             if keyed:
                 ordered_units[cid] = units
             self.consensus_ptr[cid] = len(ordered)
@@ -475,12 +471,12 @@ class Simulation:
         # an ordered event every seat knows has been received by each seat
         # and applied by the walk above, so nothing reads its payload again;
         # a seat still missing it, a down committee's too, keeps it held
-        freed = gstore._emitted & ~self.global_released
+        freed = gstore._emitted
         for seat in self.state.seats.values():
             freed &= seat.known
-        for i in Transfer(gstore, freed):
-            gstore._payload.pop(i, None)
-        self.global_released |= freed
+        held = gstore._payload
+        for i in [i for i in held if freed >> i & 1]:
+            del held[i]
         self._maybe_checkpoint(t)
 
     def _maybe_checkpoint(self, t):
@@ -630,8 +626,6 @@ class Simulation:
 
     def _apply_join(self, tx, consensus_ts, t):
         node = tx.data[0]
-        if node in self.table.assignment:
-            return
         cid = join_node(self.state, self.table, node, consensus_ts)
         self.views[node] = self._local_view(node)
         self.pending[node] = []
@@ -649,16 +643,14 @@ class Simulation:
     def _raise_reorg(self, cid, t):
         tx = control_tx(f"reorg{cid}-{t}", cid, KIND_REORG, (cid,))
         self.state.queues[cid].outbound.append(tx)
-        self.reorg[cid] = {"phase": "await-global"}
+        self.reorg[cid] = {}
         self.action_log.append(
             {"at": t, "action": "reorg_requested", "committee": cid}
         )
 
     def _on_reorg_global(self, tx, ts_g, t):
         cid = tx.data[0]
-        entry = self.reorg.get(cid)
-        if entry is None or entry["phase"] != "await-global":
-            return
+        entry = self.reorg[cid]
         pool = donor_pool(self.table, cid, self.cfg.min_committee_size)
         if pool is None:
             del self.reorg[cid]
@@ -681,26 +673,16 @@ class Simulation:
                 f"reorganization of committee {cid} deferred: no donors"
             )
             return
-        entry.update(
-            phase="await-donors", donors=donors, donor_ts={}
-        )
+        entry.update(donors=donors, donor_ts={})
         for donor in donors:
             coord = self.table.coordinators[donor]
             self.pending[coord].append(control_tx(
                 f"ireorg{cid}-{donor}-{t}", donor, KIND_INTRA_REORG,
                 (cid, donor)))
 
-    def _on_intra_reorg(self, ordered_cid, tx, ts, t):
+    def _on_intra_reorg(self, tx, ts, t):
         depleted, donor = tx.data
-        entry = self.reorg.get(depleted)
-        if (
-            entry is None
-            or entry["phase"] != "await-donors"
-            or donor != ordered_cid
-            or donor not in entry["donors"]
-            or donor in entry["donor_ts"]
-        ):
-            return
+        entry = self.reorg[depleted]
         entry["donor_ts"][donor] = ts
         if len(entry["donor_ts"]) == len(entry["donors"]):
             self._apply_reorg_transfers(depleted, entry, t)
@@ -728,7 +710,7 @@ class Simulation:
             for node in moved:
                 self.views[node] = self._local_view(node)
         changed = [depleted, *transfers]
-        entry.update(phase="await-reselect", pending_reselect=set(changed))
+        entry["pending_reselect"] = set(changed)
         for c in changed:
             coord = self.table.coordinators[c]
             self.pending[coord].append(control_tx(
@@ -746,10 +728,8 @@ class Simulation:
             }
         )
 
-    def _on_reselect(self, ordered_cid, tx, ts, t):
+    def _on_reselect(self, tx, ts, t):
         c = tx.data[0]
-        if c != ordered_cid:
-            return
         members = self.table.members(c)
         new = reselect_coordinator(self.state, self.table, c, ts)
         self.ever_coordinators.add(new)

@@ -542,12 +542,13 @@ class ReferenceFame:
         def digest_sorted(ids):
             return sorted(ids, key=store._id)
 
-        for r in range(self.first_undecided_round, store.max_round + 1):
+        top = len(store.witnesses_by_round)
+        for r in range(self.first_undecided_round, top + 1):
             witnesses = store.witnesses_by_round.get(r, ())
             for w in digest_sorted(witnesses):
                 if w in self.fame:
                     continue
-                for d in range(r + 1, store.max_round + 1):
+                for d in range(r + 1, top + 1):
                     for v in digest_sorted(store.witnesses_by_round.get(d, ())):
                         self.vote(v, w)
                         if w in self.fame:
@@ -597,34 +598,43 @@ def deciders_of(store):
 
 def vote_state(store):
     """A copy of the store's vote state: the vote vectors and the voted
-    fields per (round, voter), and the voters' strong sight."""
+    field counts per (round, voter), and the voters' strong sight."""
     return ({r: dict(vectors) for r, vectors in store._votes.items()},
-            {r: dict(masks) for r, masks in store._covered.items()},
+            {r: dict(counts) for r, counts in store._covered.items()},
             dict(store._ss_prev))
 
 
 def check_vote_state_bounds(store):
-    """Vote state lives only for rounds from _first_undecided_round up: a
-    round r's vectors are of later witnesses, its voted fields of witnesses
-    two rounds up or more, and strong sight is kept for witnesses that can
-    still vote.  Returns the live entries, which these bounds cap by the
-    witnesses of those rounds."""
-    fur = store._first_undecided_round
+    """Vote state lives only for the rounds past finalized_round, as
+    advance_consensus drops a round's as it finalizes it: a round r's
+    vectors are of later witnesses, its voted-field counts of witnesses two
+    rounds up or more, each between 1 and the round's witnesses, and
+    strong sight is kept for witnesses that can still vote.  A round's
+    decider record is frozen as a tuple exactly when it is finalized.
+    Returns the live entries, which these bounds cap by the witnesses of
+    those rounds."""
+    fin = store.finalized_round
     above = {}
-    for r in range(store.max_round, fur - 1, -1):
+    for r in range(len(store.witnesses_by_round), fin, -1):
         above[r] = above.get(r + 1, set()) | set(
             store.witnesses_by_round.get(r + 1, ()))
     assert store._votes.keys() <= above.keys()
     assert store._covered.keys() <= above.keys()
     for r, vectors in store._votes.items():
         assert vectors.keys() <= above[r]
-    for r, masks in store._covered.items():
-        assert masks.keys() <= above.get(r + 1, set())
-    assert store._ss_prev.keys() <= above.get(fur + 1, set())
+    for r, counts in store._covered.items():
+        assert counts.keys() <= above.get(r + 1, set())
+        width = len(store.witnesses_by_round[r])
+        assert all(type(c) is int and 1 <= c <= width
+                   for c in counts.values())
+    assert store._ss_prev.keys() <= above.get(fin + 1, set())
+    assert store._deciders.keys() >= set(range(1, fin + 1))
+    for r, record in store._deciders.items():
+        assert isinstance(record, tuple) == (r <= fin)
     live = (sum(map(len, store._votes.values()))
             + sum(map(len, store._covered.values())) + len(store._ss_prev))
     assert live <= sum(2 * len(ws) for ws in above.values()) + len(
-        above.get(fur + 1, ()))
+        above.get(fin + 1, ()))
     return live
 
 

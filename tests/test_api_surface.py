@@ -13,17 +13,22 @@ Nor does it keep write-only state: every attribute the package assigns on
 
 And every annotation of a function or method it defines names something the
 defining module can resolve, and every name a module imports it also uses.
+Nor do its docstrings and comments name, between double backticks, an
+identifier that no code, builtin or identifier string literal in the package
+defines, such as deleted state; a name followed by ``*`` is a pattern.
 
 Nor does importing it load the stdlib's introspection modules, which every
 run would pay for in set-up time.
 """
 
 import ast
+import builtins
 import importlib
 import inspect
 import io
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tokenize
@@ -58,12 +63,12 @@ def definitions(private=False):
                     yield path.relative_to(ROOT), d.lineno, d.name
 
 
-def references():
+def references(tops=("src", "perfbench")):
     """name -> the (file, line) places of each name token, each name or
     attribute inside an f-string's fields, and each string literal, in the
-    sources under src/ and perfbench/."""
+    sources under the directories tops, src/ and perfbench/ by default."""
     places = defaultdict(set)
-    for top in ("src", "perfbench"):
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             rel = path.relative_to(ROOT)
             source = io.StringIO(path.read_text(encoding="utf-8"))
@@ -211,6 +216,31 @@ def unused_imports():
 def test_every_import_is_used():
     assert [f"{rel}:{line} {name}"
             for rel, line, name in unused_imports()] == []
+
+
+def doc_spans():
+    """(file, line, text) of each double-backticked span in a docstring or
+    a comment of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        notes = [(node.body[0].lineno, ast.get_docstring(node, clean=False))
+                 for node in ast.walk(ast.parse(text))
+                 if isinstance(node, (ast.Module, *DEFS))
+                 and ast.get_docstring(node) is not None]
+        tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+        notes += [(tok.start[0], tok.string) for tok in tokens
+                  if tok.type == tokenize.COMMENT]
+        for line, note in notes:
+            for m in re.finditer(r"``(.+?)``", note, re.S):
+                yield (path.relative_to(ROOT),
+                       line + note.count("\n", 0, m.start()), m.group(1))
+
+
+def test_docs_name_no_deleted_state():
+    defined = references(("src",)).keys() | set(dir(builtins))
+    assert [f"{rel}:{line} {name}" for rel, line, span in doc_spans()
+            for name in re.findall(r"\b[A-Za-z_]\w*(?!\w|\*)", span)
+            if name not in defined] == []
 
 
 # dataclasses imports inspect, which imports dis, ast and tokenize: about

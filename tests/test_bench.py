@@ -132,7 +132,7 @@ def test_per_event_records_are_slotted_and_frozen():
 def test_bench_add_event(benchmark, dag):
     store = benchmark.pedantic(filled_store, args=dag, rounds=1, iterations=1)
     assert len(store.by_index) == len(dag[1])
-    assert store.max_round >= 10
+    assert len(store.witnesses_by_round) >= 10
 
 
 def test_bench_gossip_ring(benchmark):
@@ -168,7 +168,7 @@ def test_bench_gossip_ring(benchmark):
     # the ring's first sender receives last, and then knows every event
     assert views[plan[-1][1][0]].known == (1 << len(store.by_index)) - 1
     assert all(units_at(store, i) == 1 for _, i in syncs)
-    assert store.max_round >= 20
+    assert len(store.witnesses_by_round) >= 20
 
 
 def test_bench_build_events(benchmark):
@@ -207,7 +207,7 @@ def test_bench_inject(benchmark):
             h.update(("%d %s %d %d %d %s %r\n" % (
                 node, tx.tx_id, tx.origin, tx.target, tx.size_units, tx.kind,
                 tx.data)).encode())
-    assert sim.next_tx == sim.metrics.injected_tx_units == 19133
+    assert sim.metrics.injected_tx_units == 19133
     assert sim.metrics.injected_cross_units == len(sim.inject_tick) == 1990
     # built without the constructor, each is the record it would build
     assert all(tx == Transaction(tx.tx_id, tx.origin, tx.target)
@@ -226,7 +226,7 @@ def test_bench_add_event_forked(benchmark):
     store = benchmark.pedantic(filled_store, args=(built.population, events),
                                rounds=1, iterations=1)
     assert len(store.by_index) == len(events) > 1000
-    assert len(store._forkers) == 2 and store.max_round >= 7
+    assert len(store._forkers) == 2 and len(store.witnesses_by_round) >= 7
     assert store._live == built._live
     forked = [entry[1] for entry in store._live.values()]
     assert len(forked) == len(events)
@@ -256,8 +256,10 @@ def test_bench_elect_fame(benchmark, dag):
         rounds=1, iterations=1,
     )
     assert len(fame_of(store)) > len(dag[0]) * 8
-    # vote state is kept only for the rounds still voted on
-    assert min(store._votes) == store._first_undecided_round > 8
+    # finalizing the decided rounds drops their vote state, so it is kept
+    # only for the rounds still voted on
+    store.advance_consensus()
+    assert min(store._votes) == store.finalized_round + 1 > 8
     check_vote_state_bounds(store)
 
 
@@ -277,7 +279,7 @@ def test_bench_consensus_polls_32_members(benchmark):
         return store
 
     store = benchmark.pedantic(replay, rounds=1, iterations=1)
-    assert (store.max_round, store.finalized_round) == (18, 16)
+    assert (len(store.witnesses_by_round), store.finalized_round) == (18, 16)
     fame = fame_of(store)
     assert len(fame) == sum(fame.values()) == 512
     assert len(store.consensus) == 3158
