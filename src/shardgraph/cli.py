@@ -11,20 +11,20 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig, apply_setting, load_config
 from .metrics import (
+    COMPARISON_COLUMNS,
     MetricsError,
     analytic_comm_cost,
     analytic_comm_cost_sharded,
     analytic_cross_cost,
     analytic_replica_count,
 )
-from .simulation import SimulationError, run_scenario, write_report
+from .simulation import SimulationError, run_scenario, write_csv, write_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -142,21 +142,12 @@ def cmd_sweep(args) -> int:
             failures += 1
             continue
         failures += not _exactly_once(point, report, f"{param}={value}: ")
-        for row in report.comparison:
-            combined.append(
-                [param, value, row["quantity"], row["analytic"],
-                 row["measured"], row["relative_deviation"],
-                 row["within_tolerance"]]
-            )
+        combined += ([param, value, *(row[k] for k in COMPARISON_COLUMNS)]
+                     for row in report.comparison)
         print(f"{param}={value}: report written to {point_dir}")
     out_root.mkdir(parents=True, exist_ok=True)
-    with open(out_root / "combined.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["param", "value", "quantity", "analytic", "measured",
-             "relative_deviation", "within_tolerance"]
-        )
-        w.writerows(combined)
+    write_csv(out_root / "combined.csv",
+              ["param", "value", *COMPARISON_COLUMNS], combined)
     print(f"combined comparison written to {out_root / 'combined.csv'}")
     return EXIT_INVARIANT if failures else EXIT_OK
 

@@ -232,19 +232,18 @@ class EventStore:
       pair cast in that order.  A vote is never recast, so a poll with no
       witness inserted since the last (``_fame_polled``) returns at once.
       A poll packs each round's undecided witnesses like a vote vector,
-      from ``_decided`` and the round's witness list, for the rounds past
-      ``finalized_round``.  ``advance_consensus`` finalizes a round once
-      every witness of it is decided, and then drops ``_votes[r]``,
-      ``_covered[r]`` and the strong sight of round r + 2 witnesses, which
-      vote on no later round: live vote state is bounded by the witnesses
-      of unfinalized rounds.  ``elect_fame`` alone, without the
-      finalization, keeps the state of the rounds it decided.
-      ``add_member`` re-lays the vectors when F doubles.  A decision is
-      final, so fame is what outlives the vote: two masks over event
-      index, ``_decided`` (fame decided) and ``_famous`` (decided famous),
-      2 bits per event.  ``_tally`` sets a witness's bits when it decides
-      it, and ``advance_consensus`` reads them: a round is ordered once
-      every witness of it is decided.
+      for the rounds past ``finalized_round``: a witness is decided iff a
+      mask of its round's decider record holds it.  ``advance_consensus``
+      finalizes a round once every witness of it is decided, and then
+      drops ``_votes[r]``, ``_covered[r]`` and the strong sight of round
+      r + 2 witnesses, which vote on no later round: live vote state is
+      bounded by the witnesses of unfinalized rounds.  ``elect_fame``
+      alone, without the finalization, keeps the state of the rounds it
+      decided.  ``add_member`` re-lays the vectors when F doubles.  A
+      decision is final, so fame is what outlives the vote: one mask over
+      event index, ``_famous``, which ``_tally`` sets as it decides a
+      witness famous and ``advance_consensus`` reads, and the decider
+      records (see View limits).
     - Bit-sliced median: ordering a round walks each famous witness's
       self-parent chain once (see below) and feeds each chain event's
       (created_at, newly reached events) segment, in created_at order, into
@@ -253,14 +252,15 @@ class EventStore:
       carry out of the top plane comes with its lower-median stamp, and the
       events that carry out at one stamp are ordered by digest.
     - View limits are written when their facts are decided.
-      ``_deciders[r]`` is [highest decider, round r's first witness index,
-      decider, mask, decider, mask, ...], each mask the round-r witnesses
-      the decider's vote decided, shifted down by the first witness index,
-      so it spans the round's witnesses and not the history.  ``_tally``
-      appends a pair per decision, so a voter that decides on two polls
-      has two, and ``advance_consensus`` freezes the record as a tuple
-      when it finalizes round r, every witness of which is then decided.
-      A witness w landing in a finalized round r is in no tally and no
+      ``_deciders[r]`` is [highest decider, decider, mask, decider, mask,
+      ...], each mask the round-r witnesses the decider's vote decided,
+      shifted down by ``witnesses_by_round[r][0]``, so it spans the round's
+      witnesses and not the history; a record is read with its round's
+      witness list, so dropping one drops both.  ``_tally`` appends a pair
+      per decision, so a voter that decides on two polls has two, and
+      ``advance_consensus`` freezes the record as a tuple when it
+      finalizes round r, every witness of which is then decided.  A
+      witness w landing in a finalized round r is in no tally and no
       group: it is not famous.  A view that knows a decider
       of round r knows its ancestors, all older than w, among them a round
       r + 2 witness whose first tally, not a coin round, decides w not
@@ -404,13 +404,10 @@ class EventStore:
         self._votes: dict[int, dict[int, int]] = {}
         self._covered: dict[int, dict[int, int]] = {}
         self._ss_prev: dict[int, list[int]] = {}
-        # fame as two masks over event index: witnesses whose fame is
-        # decided, and those decided famous
-        self._decided = 0
-        self._famous = 0
-        # round -> [highest decider, first witness, decider, mask of the
-        # witnesses it decided shifted down by the first, ...], a tuple once
-        # the round is finalized
+        self._famous = 0                     # mask of witnesses decided famous
+        # round -> [highest decider, decider, mask of the witnesses it
+        # decided shifted down by the round's first, ...], a tuple once the
+        # round is finalized
         self._deciders: dict[int, list | tuple] = {}
         self._fame_polled = 0                # witnesses at the last poll
         # total ordering: the consensus order's columns
@@ -441,7 +438,7 @@ class EventStore:
     def add_member(self, node: NodeId) -> None:
         # a returning member takes its old bit back
         if node in self.population:
-            return
+            raise HashgraphError(f"node {node} is already a member")
         bisect.insort(self.population, node)
         self._update_supermajority()
         if node in self._member_bit:
@@ -461,9 +458,10 @@ class EventStore:
 
     def remove_member(self, node: NodeId) -> None:
         # Bit assignments are kept stable; only the supermajority base shrinks.
-        if node in self.population:
-            self.population.remove(node)
-            self._update_supermajority()
+        if node not in self.population:
+            raise HashgraphError(f"node {node} is not a member")
+        self.population.remove(node)
+        self._update_supermajority()
 
     def _update_supermajority(self) -> None:
         # an empty population has no supermajority: 0 makes the next read
@@ -705,6 +703,14 @@ class EventStore:
             ss = self._ss_prev[v] = self._strongly_seen(v, self.round[v] - 1)
         return ss
 
+    def _decided_in(self, r: int) -> int:
+        """The round-r witnesses whose fame is decided, as a mask shifted
+        down by the round's first witness: the OR of its decider masks."""
+        decided = 0
+        for won in islice(self._deciders.get(r, ()), 2, None, 2):
+            decided |= won
+        return decided
+
     def elect_fame(self) -> None:
         """Decide witness fame where decidable; decisions are final."""
         if self._fame_polled == self._witness_count:
@@ -717,8 +723,7 @@ class EventStore:
                        len(self.witnesses_by_round) - 1):
             # round r's undecided fields, LOW bits over its witness positions
             ws = self.witnesses_by_round[r]
-            base = ws[0]
-            decided = self._decided >> base
+            base, decided = ws[0], self._decided_in(r)
             undecided = sum(1 << p * f for p, w in enumerate(ws)
                             if not decided >> w - base & 1)
             if undecided:
@@ -774,9 +779,8 @@ class EventStore:
                             self._unpack(vote, n), flags)):
                         won |= 1 << w - base
                         fame |= famous << w - base
-                    self._decided |= won << base
                     self._famous |= fame << base
-                    record = self._deciders.setdefault(r, [v, base])
+                    record = self._deciders.setdefault(r, [v])
                     record[0] = max(record[0], v)
                     record += v, won
                     undecided &= ~decided
@@ -844,13 +848,12 @@ class EventStore:
         self.elect_fame()
         live, self_parent = self._live, self._self_parent
         creators, cmask = self._creator, self._cmask
-        decided, fame = self._decided, self._famous
+        fame = self._famous
         r = self.finalized_round + 1
         while True:
             witnesses = self.witnesses_by_round.get(r)
-            if not witnesses:
-                break
-            if any(not decided >> w & 1 for w in witnesses):
+            if (not witnesses
+                    or self._decided_in(r).bit_count() < len(witnesses)):
                 break
             famous = [w for w in witnesses if fame >> w & 1]
             if famous:
@@ -896,9 +899,10 @@ class EventStore:
             record = deciders[r]
             if record[0] >= low:
                 # the view must know a decider, and every decider of a
-                # witness it knows; masks are shifted down by record[1]
-                base, knows_one = record[1], False
-                pairs = islice(record, 2, None)
+                # witness it knows; masks are shifted down by the round's
+                # first witness
+                base, knows_one = self.witnesses_by_round[r][0], False
+                pairs = islice(record, 1, None)
                 for d, ws in zip(pairs, pairs):
                     if known >> d & 1:
                         knows_one = True

@@ -16,6 +16,11 @@ class MetricsError(Exception):
     pass
 
 
+# the fields of a formula comparison row, in report and CSV column order
+COMPARISON_COLUMNS = ("quantity", "analytic", "measured",
+                      "relative_deviation", "within_tolerance")
+
+
 def analytic_comm_cost(n: int, throughput: float, event_size: float) -> float:
     if n < 1:
         raise MetricsError("n must be >= 1")
@@ -136,16 +141,14 @@ def compare_measured(
     rows = []
 
     def row(quantity, analytic, measured):
-        dev = (measured - analytic) / analytic if analytic else 0.0
-        rows.append(
-            {
-                "quantity": quantity,
-                "analytic": analytic,
-                "measured": measured,
-                "relative_deviation": dev,
-                "within_tolerance": abs(dev) <= tolerance if analytic else True,
-            }
-        )
+        # an analytic of None is no model term: no deviation, and in bounds
+        if analytic:
+            dev = (measured - analytic) / analytic
+        else:
+            dev = None if analytic is None else 0.0
+        within = abs(dev) <= tolerance if analytic else True
+        rows.append(dict(zip(COMPARISON_COLUMNS,
+                             (quantity, analytic, measured, dev, within))))
 
     row(
         "comm_per_node",
@@ -160,13 +163,5 @@ def compare_measured(
             mean(report.replica_counts.values()) if report.replica_counts else 0,
         )
     if coords:
-        rows.append(
-            {
-                "quantity": "comm_per_coordinator",
-                "analytic": None,
-                "measured": comm_rate(coords),
-                "relative_deviation": None,
-                "within_tolerance": True,
-            }
-        )
+        row("comm_per_coordinator", None, comm_rate(coords))
     return rows

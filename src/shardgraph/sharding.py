@@ -192,15 +192,19 @@ def coordinator_ingest_local(
     return queue
 
 
+def _take_oldest(queued: list[Transaction], limit: int) -> list[Transaction]:
+    """Remove and return the oldest queued transactions, at most limit."""
+    batch = queued[:limit]
+    del queued[:limit]
+    return batch
+
+
 def flush_outbound(
     state: ShardState, committee: CommitteeId, batch_limit: int
 ) -> list[Transaction]:
     """Step 2a: the oldest queued outbound transactions, at most batch_limit,
     for the coordinator's next global event."""
-    queue = state.queues[committee]
-    batch = queue.outbound[:batch_limit]
-    del queue.outbound[:batch_limit]
-    return batch
+    return _take_oldest(state.queues[committee].outbound, batch_limit)
 
 
 def flush_inbound(
@@ -208,10 +212,7 @@ def flush_inbound(
 ) -> list[Transaction]:
     """Step 3: the oldest queued inbound transactions, at most batch_limit,
     for delivery in the coordinator's next local event."""
-    queue = state.queues[committee]
-    batch = queue.inbound[:batch_limit]
-    del queue.inbound[:batch_limit]
-    return batch
+    return _take_oldest(state.queues[committee].inbound, batch_limit)
 
 
 def coordinator_receive_global(

@@ -38,7 +38,7 @@ import math
 import os
 import random
 from pathlib import Path
-from typing import NamedTuple, Optional, TextIO
+from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
 
 from .config import ScenarioConfig
 from .hashgraph import (
@@ -52,7 +52,7 @@ from .hashgraph import (
     member_view,
     payload_units,
 )
-from .metrics import MetricsReport, compare_measured
+from .metrics import COMPARISON_COLUMNS, MetricsReport, compare_measured
 from .reconfig import (
     DEFAULT_DONOR_COUNT,
     ChurnLedger,
@@ -836,49 +836,26 @@ def write_report(report: RunReport, outdir) -> None:
     finally:
         tmp.unlink(missing_ok=True)
     m = report.metrics
-    with open(out / "per_node_metrics.csv", "w", newline="", encoding="utf-8") as fh:
+    nodes = sorted(set(m.per_node_comm) | set(m.per_node_received)
+                   | set(m.per_node_storage) | set(report.order_lengths))
+    write_csv(out / "per_node_metrics.csv",
+              ["node", "sent_units", "handshakes", "received_units",
+               "storage_units", "order_len"],
+              ([node, m.per_node_comm.get(node, 0),
+                m.per_node_handshake.get(node, 0),
+                m.per_node_received.get(node, 0),
+                m.per_node_storage.get(node, 0),
+                report.order_lengths.get(node, "")] for node in nodes))
+    write_csv(out / "formula_comparison.csv", COMPARISON_COLUMNS,
+              ([row[k] for k in COMPARISON_COLUMNS]
+               for row in report.comparison))
+    write_csv(out / "cross_latency_histogram.csv", ["latency_ticks", "count"],
+              sorted(m.cross_latency.items()))
+
+
+def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a CSV table to path: the header row, then rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(
-            ["node", "sent_units", "handshakes", "received_units",
-             "storage_units", "order_len"]
-        )
-        nodes = sorted(
-            set(m.per_node_comm)
-            | set(m.per_node_received)
-            | set(m.per_node_storage)
-            | set(report.order_lengths)
-        )
-        for node in nodes:
-            w.writerow(
-                [
-                    node,
-                    m.per_node_comm.get(node, 0),
-                    m.per_node_handshake.get(node, 0),
-                    m.per_node_received.get(node, 0),
-                    m.per_node_storage.get(node, 0),
-                    report.order_lengths.get(node, ""),
-                ]
-            )
-    with open(out / "formula_comparison.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["quantity", "analytic", "measured", "relative_deviation",
-             "within_tolerance"]
-        )
-        for row in report.comparison:
-            w.writerow(
-                [
-                    row["quantity"],
-                    row["analytic"],
-                    row["measured"],
-                    row["relative_deviation"],
-                    row["within_tolerance"],
-                ]
-            )
-    with open(
-        out / "cross_latency_histogram.csv", "w", newline="", encoding="utf-8"
-    ) as fh:
-        w = csv.writer(fh)
-        w.writerow(["latency_ticks", "count"])
-        for lat in sorted(m.cross_latency):
-            w.writerow([lat, m.cross_latency[lat]])
+        w.writerow(header)
+        w.writerows(rows)

@@ -6,7 +6,7 @@ incremental bitmask machinery.  The references further down recompute fame,
 ordering and a view's finalized round over an EventStore's own rounds,
 strong sight and fame, with ancestry built from the store's parent links
 (ancestry), not read from the masks it frees once ordered.  fame_of
-reads its fame masks, decider_groups and deciders_of its fame deciders,
+reads its famous mask, decider_groups and deciders_of its fame deciders,
 vote_state and check_vote_state_bounds its fame vote state,
 retained_store_bytes what a run's stores keep, and round_robin_fixture
 gossips the small DAGs the oracle tests run on.  insert and add_for grow a
@@ -565,25 +565,22 @@ class ReferenceFame:
 
 def fame_of(store):
     """Witness -> whether it is famous, for every witness whose fame is
-    decided, read from the store's decided and famous masks."""
-    decided, famous = store._decided, store._famous
-    return {w: bool(famous >> w & 1)
-            for ws in store.witnesses_by_round.values() for w in ws
-            if decided >> w & 1}
+    decided: those its round's decider record holds, read against the
+    store's famous mask."""
+    famous = store._famous
+    return {w: bool(famous >> w & 1) for w in deciders_of(store)}
 
 
 def decider_groups(store, r):
     """Round r's decider record as (highest decider, {decider: mask of
     the round-r witnesses its vote decided}), the masks over event index.
-    The store keeps one flat record, [highest decider, first witness,
-    decider, mask, ...], each mask shifted down by the round's first
-    witness and a voter that decided on two polls in two pairs, which this
-    ORs into one mask."""
+    The store keeps one flat record, [highest decider, decider, mask, ...],
+    each mask shifted down by the round's first witness and a voter that
+    decided on two polls in two pairs, which this ORs into one mask."""
     record = store._deciders[r]
     base = store.witnesses_by_round[r][0]
-    assert record[1] == base
     groups = {}
-    for d, ws in zip(record[2::2], record[3::2]):
+    for d, ws in zip(record[1::2], record[2::2]):
         groups[d] = groups.get(d, 0) | ws << base
     return record[0], groups
 

@@ -562,7 +562,7 @@ def check_view_records(store):
         record = store._deciders[r]
         assert type(record) is tuple
         assert all(0 < mask < 1 << ws[-1] - ws[0] + 1
-                   for mask in record[3::2])
+                   for mask in record[2::2])
         last, groups = decider_groups(store, r)
         union = 0
         for mask in groups.values():
@@ -745,10 +745,11 @@ def test_famous_witness_seeing_own_fork_stamped_by_self_ancestors():
     for r in (1, 2):
         ws = store.witnesses_by_round[r]
         for u in ws:
-            store._decided |= 1 << u
             store._famous |= 1 << u
-        # a decider record, as a tally would have begun it
-        store._deciders[r] = [max(ws), ws[0]]
+        # a decider record, as a tally would have written it had the round's
+        # highest witness decided them all
+        store._deciders[r] = [max(ws), max(ws),
+                              sum(1 << u - ws[0] for u in ws)]
     # mark every witness polled, so the next poll casts no vote and keeps
     # the fame set by hand
     store._fame_polled = store._witness_count

@@ -1,7 +1,8 @@
 """Golden report digests.
 
-Each scenario pins the sha256 of the ``report.json`` that ``write_report``
-writes, read back from disk, so the digests cover the output path itself.
+Each scenario pins the sha256 of every file that ``write_report`` writes,
+``report.json`` and its three CSV tables, read back from disk, so the
+digests cover the output path itself.
 A refactor that claims to keep behaviour must leave every digest unchanged;
 a change that alters report bytes on purpose regenerates them and says why.
 The same files are checked to be strict JSON and to summarize the orders
@@ -86,19 +87,81 @@ GOLDEN = {
 }
 
 
+CSV_TABLES = ("per_node_metrics.csv", "formula_comparison.csv",
+              "cross_latency_histogram.csv")
+# a run that delivers no cross transaction writes the header row alone
+HEADER_ONLY_HISTOGRAM = (
+    "d4b45e27cac96e2061dd10a1d74d1b63d5b256e6e39e62ed77adb0f06ab8c4a1")
+# each scenario's CSV table digests, in CSV_TABLES order
+CSV_GOLDEN = {
+    "unsharded": (
+        "c15f5a15204f51ca1e1cabdbdf4d3f9258139236782b25488029f63b8361957d",
+        "b7912788f54f376f934fe87bdbddd843dd2639a93550f9a0d815faf9b96cd798",
+        HEADER_ONLY_HISTOGRAM,
+    ),
+    "sharded-cross": (
+        "eb6376c58ce5ed07653003fd2ae7dc9ea2d61983d20f42993004c0df70f0a15c",
+        "fba773c961a461b39bf4d931c3d4b5c7560984034d826bf0f627a83f03bdf7e6",
+        "f49703126249a5ce5796227555c4beb1aab4928efc2dbd107668d0330dbed212",
+    ),
+    "equivocator": (
+        "9e27cc3e361ded22457b4560cfd4487fc5dc8a61c73443c00509d28f1b22e3f9",
+        "8897b6dc3397d63084a71d19da1202121611503ad3dffd7e405897e5d82f30e8",
+        HEADER_ONLY_HISTOGRAM,
+    ),
+    "churn-rejoin": (
+        "f61d9dd2046a462ba7f3d9afcb2283f4faa714b518484e8295881a2d70a6de24",
+        "3f59d57d4e0abf7809872218cea51146f8ce96cce53beb7ac25ac410f4001a34",
+        "dacbbe412d292bc0832fa2e606ed60e3636b7fc95be13de5847dda4c059f5c93",
+    ),
+    "churn-literal-trigger": (
+        "63280d97ede8c7e40fee9ea0dd3a50390f22a0aa1e65f0ddae06093545c0ec18",
+        "c2383798503664b596a3a03c6facbfb720cc269b692dc140a7315a1510afe965",
+        HEADER_ONLY_HISTOGRAM,
+    ),
+    "churn-no-donors": (
+        "8e6ec2521aad684ff8f62a3480a75fec6a168b9cdb6385a426d1dba31c37e6fa",
+        "a5840977262a6037a6e68366f878f2ef9610ea1278e15232cfc2490416bf195c",
+        HEADER_ONLY_HISTOGRAM,
+    ),
+    "sync-interval-2": (
+        "6165aaec4432ba876fb3bd7dc36eae88c79e5461d4adeb99b4732b9ab2df3bf7",
+        "adcbdd30628f9b674f42d7515c3ec1cd8974a166756793491a8f8093fb531f4a",
+        "9b8e64e040e7b70f5897b97da926d94a86d3da5a3a0a6b9b339dee7e46c7fbdd",
+    ),
+    "shard-failure": (
+        "535fad7537a181457977cb409aa8954edcd7b1291ac45be99b30bf7297854e40",
+        "401c7efa7d05daf2a95e71902e577a662476c1a80e5f1fd87bb52c976f3df940",
+        HEADER_ONLY_HISTOGRAM,
+    ),
+    "shard-failure-cross": (
+        "5cbb8b1c5725772617f3a78c6f250b30e8ef943c124e8b1464fe94d9507d65fe",
+        "97f12c2704700ea3a6e341fccdf3db40775b97c540f213f929b902847acd1c4e",
+        "3214193e48d30519a8e6969b13a2a1421a37b34778b7092e91007f3f43dd6e54",
+    ),
+}
+
+
 @pytest.fixture(scope="module", params=sorted(GOLDEN))
 def golden(request, tmp_path_factory):
-    """(name, in-memory report, written report.json bytes) of a scenario."""
+    """(name, in-memory report, written report.json bytes, output
+    directory) of a scenario."""
     name = request.param
     report = run_scenario(GOLDEN[name][0])
     out = tmp_path_factory.mktemp(name)
     write_report(report, out)
-    return name, report, (out / "report.json").read_bytes()
+    return name, report, (out / "report.json").read_bytes(), out
 
 
 def test_report_digest_unchanged(golden):
-    name, _, written = golden
+    name, _, written, _ = golden
     assert hashlib.sha256(written).hexdigest() == GOLDEN[name][1]
+
+
+def test_csv_digests_unchanged(golden):
+    name, _, _, out = golden
+    assert tuple(hashlib.sha256((out / table).read_bytes()).hexdigest()
+                 for table in CSV_TABLES) == CSV_GOLDEN[name]
 
 
 def _reject(constant):
@@ -115,7 +178,7 @@ HEX_ID = re.compile("[0-9a-f]{64}")
 def test_report_ids_are_lowercase_hex(golden):
     # an event id leaves the program only as its 64 lowercase hex digits;
     # in memory it is the raw 32-byte digest
-    name, report, written = golden
+    name, report, written, _ = golden
     forks = json.loads(written)["forks"]
     ids = [x for pairs in forks.values() for _, *pair in pairs for x in pair]
     assert all(HEX_ID.fullmatch(x) for x in ids)
@@ -139,7 +202,7 @@ def reference_summary(order):
 
 
 def test_report_summarizes_the_in_memory_orders(golden):
-    name, report, written = golden
+    name, report, written, _ = golden
     data = json.loads(written)
     assert data["consensus"] == {
         str(cid): reference_summary(order)

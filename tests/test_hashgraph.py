@@ -102,13 +102,16 @@ def test_kept_supermajority_follows_membership(monkeypatch):
     sizes = check_supermajority(monkeypatch)
     store = EventStore(range(3))
     assert store._sm == supermajority(3)
-    # joins past two widenings of the reach fields, leaves, and two no-ops:
-    # a leave of a non-member and a join of a member
+    # joins past two widenings of the reach fields and leaves; a leave of a
+    # non-member and a join of a member raise and change nothing
     for node in range(3, 20):
         store.add_member(node)
-    for node in (0, 7, 12, 40):
+    for node in (0, 7, 12):
         store.remove_member(node)
-    store.add_member(5)
+    with pytest.raises(HashgraphError, match="node 40 is not a member"):
+        store.remove_member(40)
+    with pytest.raises(HashgraphError, match="node 5 is already a member"):
+        store.add_member(5)
     assert store._width == 32 and len(store.population) == 17
     # every member leaves, as in shard recovery before the replacements
     # join: no supermajority is taken of an empty population

@@ -477,6 +477,29 @@ def test_monotone_sharding_benefit():
     assert comms[0] >= comms[1] >= comms[2]
 
 
+@pytest.mark.parametrize(
+    "name", ["unsharded", "sharded-cross", "equivocator", "sync-interval-2"])
+def test_storage_counter_is_what_each_node_holds(name):
+    # without churn or recovery, a node's storage counter is the units of
+    # the events its views hold: its committee view, plus the global seat
+    # for a coordinator.  What the nodes hold beyond their own events is
+    # what they were sent, each unit once, which the run's conservation
+    # check cannot see: it compares two counters bumped by the same value.
+    # Under churn and recovery the counter sums what a node stored in every
+    # committee it was in, and differs from what it holds (ROADMAP item 20)
+    sim = Simulation(GOLDEN[name][0])
+    metrics = sim.run().metrics
+    seats = {seat.owner: seat for seat in sim.state.seats.values()}
+    received = 0
+    for node, view in sim.views.items():
+        held = [view, seats[node]] if node in seats else [view]
+        assert metrics.per_node_storage.get(node, 0) == sum(
+            v.store.units_of(v.known) for v in held)
+        received += sum(v.store.units_of(v.known & ~v.store._cmask.get(node, 0))
+                        for v in held)
+    assert sum(metrics.per_node_comm.values()) == received > 0
+
+
 # -- adversaries ------------------------------------------------------------
 
 
