@@ -279,10 +279,12 @@ class EventStore:
       mask for the witness at position p.  A child ORs its parents' reaches
       and sets its creator's bit in every field the other parent brings; a
       field count, forked creators and witnesses masked out, is a SWAR
-      popcount, so strong sight is a few big-int operations.  F is a power
-      of two, at least 8 and at least the member bits; when ``add_member``
-      outgrows it F doubles and re-lays every live reach at once, with the
-      vote state, so a stored reach is always at the store's width.
+      popcount, so strong sight is a few big-int operations, asked of two
+      rounds only: of round(x) by x's round test at insert, and of
+      round(x) - 1 by a witness's first vote.  F is a power of two, at
+      least 8 and at least the member bits; when ``add_member`` outgrows it
+      F doubles and re-lays every live reach at once, with the vote state,
+      so a stored reach is always at the store's width.
     - Reach lifetime: a reach is read by a child's insert and by the
       event's own first vote as a witness (``_strongly_seen_prev``), and by
       nothing else.  Once an event is ordered its round is finalized, so it
@@ -677,17 +679,6 @@ class EventStore:
         f, low = self._width, self._low
         return (counts + low * (2 * f - t)) >> f.bit_length() & low
 
-    def _strongly_seen(self, a: int, r: int) -> list[int]:
-        """The round-r witnesses that a strongly sees, in position order;
-        a's reach answers only rounds round(a) - 1 and round(a)."""
-        below = self.round[a] - r
-        if below not in (0, 1):
-            return []
-        _, forked, prev, cur = self._live[a]
-        flags = self._seen_flags(prev if below else cur, r, forked, self._sm)
-        ws = self.witnesses_by_round.get(r, ())
-        return list(compress(ws, self._unpack(flags, len(ws))))
-
     def units_of(self, mask: int) -> int:
         """The summed payload units of the events in mask."""
         total = 0
@@ -698,9 +689,17 @@ class EventStore:
     # -- fame ---------------------------------------------------------------
 
     def _strongly_seen_prev(self, v: int) -> list[int]:
+        """The round(v) - 1 witnesses that witness v strongly sees, in
+        position order, from its round - 1 reach, kept from its first
+        vote."""
         ss = self._ss_prev.get(v)
         if ss is None:
-            ss = self._ss_prev[v] = self._strongly_seen(v, self.round[v] - 1)
+            r = self.round[v] - 1
+            _, forked, prev, _ = self._live[v]
+            flags = self._seen_flags(prev, r, forked, self._sm)
+            ws = self.witnesses_by_round[r]
+            ss = self._ss_prev[v] = list(
+                compress(ws, self._unpack(flags, len(ws))))
         return ss
 
     def _decided_in(self, r: int) -> int:
@@ -958,7 +957,7 @@ def replay(store: EventStore, events: Transfer) -> None:
 
 
 class Hashgraph:
-    """One participant's (possibly partial) view over an event store.
+    """A node's view of an event store: what ``owner``, the node, knows.
 
     ``known`` is a down-closed mask of the store's events.  Of the heads the
     view keeps only ``head``, the index of the owner's known event furthest
@@ -968,17 +967,11 @@ class Hashgraph:
     head.
     """
 
-    def __init__(self, store: EventStore, owner: Optional[NodeId] = None):
+    def __init__(self, store: EventStore, owner: NodeId):
         self.store = store
         self.owner = owner
         self.known = 0
         self.head: Optional[int] = None
-
-    # -- basic accessors ----------------------------------------------------
-
-    @property
-    def population(self) -> list[NodeId]:
-        return self.store.population
 
     def _head_after(self, mask: int) -> Optional[int]:
         """The head once the view learns the events in mask: the owner's
@@ -1009,9 +1002,9 @@ def create_event(
     payload: Sequence[Transaction],
     now: int,
 ) -> int:
-    """Append a new event for the view's owner, chaining onto the view's
-    head, and return its index.  The store checks the parents' creators;
-    the other-parent must be in the view, which keeps the view
+    """Append a new event created by the view's owner, chained onto the
+    view's head, and return its index.  The store checks the parents'
+    creators; the other-parent must be in the view, which keeps the view
     down-closed."""
     if other_parent is not None and not (
             other_parent >= 0 and graph.known >> other_parent & 1):
@@ -1067,7 +1060,7 @@ def gossip_sync(
     sender_graph: Hashgraph,
     receiver_graph: Hashgraph,
     now: int,
-    payload: Sequence[Transaction] = (),
+    payload: Sequence[Transaction],
 ) -> tuple[Transfer, int]:
     """Push the sender's view into the receiver's and record the sync:
     the chain of the two views.  Returns the events the receiver was
@@ -1095,17 +1088,13 @@ def consensus_order(graph: Hashgraph) -> Order:
     return graph.store.consensus[:length]
 
 
-def detect_forks(graph: Hashgraph) -> set[tuple[NodeId, EventId, EventId]]:
-    """Every same-creator event pair the view knows where neither is the
-    other's ancestor, from the evidence recorded at insert."""
-    store, known = graph.store, graph.known
+def detect_forks(store: EventStore) -> set[tuple[NodeId, EventId, EventId]]:
+    """Every same-creator event pair of the store where neither is the
+    other's ancestor, each as (creator, lower id, higher id), from the
+    evidence recorded at insert (``_apart``)."""
     forks: set[tuple[NodeId, EventId, EventId]] = set()
     for b, apart in store._apart.items():
-        if known >> b & 1:
-            creator, db = store._creator[b], store._id(b)
-            for a in apart:
-                if not known >> a & 1:
-                    continue
-                da = store._id(a)
-                forks.add((creator,) + ((da, db) if da < db else (db, da)))
+        creator, db = store._creator[b], store._id(b)
+        for da in map(store._id, apart):
+            forks.add((creator,) + ((da, db) if da < db else (db, da)))
     return forks

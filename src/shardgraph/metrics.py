@@ -50,7 +50,7 @@ def analytic_replica_count(n: int, s: int) -> int:
 class MetricsReport:
     """Counters accumulated during one simulation run."""
 
-    def __init__(self, duration: int = 0):
+    def __init__(self, duration: int):
         self.duration = duration
         self.per_node_comm: dict[int, float] = {}
         self.per_node_handshake: dict[int, float] = {}
@@ -112,7 +112,7 @@ def mean(values) -> float:
 def compare_measured(
     report: MetricsReport,
     config,
-    coordinators=(),
+    coordinators,
     tolerance: float = 0.15,
 ) -> list[dict]:
     """Per-quantity (analytic, measured, relative deviation) rows.

@@ -38,10 +38,10 @@ def derive_value(consensus_timestamp: int) -> int:
 class ChurnLedger:
     """Per-committee departure counts since the last reorganization."""
 
-    def __init__(self, exits: Optional[dict[CommitteeId, int]] = None,
-                 baseline: Optional[dict[CommitteeId, int]] = None):
-        self.exits = {} if exits is None else exits
-        self.baseline = {} if baseline is None else baseline
+    def __init__(self, exits: dict[CommitteeId, int],
+                 baseline: dict[CommitteeId, int]):
+        self.exits = exits
+        self.baseline = baseline
 
     @classmethod
     def from_table(cls, table: CommitteeTable) -> "ChurnLedger":
@@ -61,15 +61,10 @@ class ChurnLedger:
 
 
 def check_reorg_trigger(
-    ledger: ChurnLedger,
-    committee: CommitteeId,
-    mode: str = TRIGGER_COMMITTEE_FRACTION,
-    num_committees: Optional[int] = None,
+    ledger: ChurnLedger, committee: CommitteeId, mode: str, num_committees: int
 ) -> bool:
     exits = ledger.exits.get(committee, 0)
     if mode == TRIGGER_LITERAL:
-        if num_committees is None:
-            raise ReconfigError("literal trigger mode needs the shard count")
         return exits > num_committees / 2
     return exits > ledger.baseline.get(committee, 0) / 2
 

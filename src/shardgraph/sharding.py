@@ -242,16 +242,14 @@ def _delivered_to(
 
 
 def replicate_checkpoint(
-    state: ShardState,
-    table: CommitteeTable,
-    committee: CommitteeId,
-    source: Hashgraph,
+    state: ShardState, committee: CommitteeId, source: Hashgraph
 ) -> None:
     """Replace the committee's replica with ``source``, the coordinator's
-    view of its graph, when the global committee has a member to hold it."""
-    if table.num_committees > 1:
+    view of its graph, when the global committee has a member to hold it:
+    when there are other committees."""
+    if len(state.local_stores) > 1:
         state.replicas[committee] = ReplicaSnapshot(
-            population=list(source.population),
+            population=list(source.store.population),
             events=Transfer(source.store, source.known),
             length=decided_length(source),
         )

@@ -196,7 +196,9 @@ def order_summary(order: Order) -> dict:
     }
 
 
-def _full_view(store, owner=None) -> Hashgraph:
+def _full_view(store, owner) -> Hashgraph:
+    """The owner's view of every event of store, headless: a replacement
+    member's view of a recovered committee's graph."""
     g = Hashgraph(store, owner)
     g.known = (1 << len(store.by_index)) - 1
     return g
@@ -263,7 +265,7 @@ class Simulation:
         self.pending: dict[int, list[Transaction]] = {
             node: [] for node in sorted(self.table.assignment)
         }
-        self.metrics = MetricsReport(duration=config.duration)
+        self.metrics = MetricsReport(config.duration)
         self.inject_until = config.resolved_inject_until()
         self.next_node_id = config.n
         self.inject_tick: dict[str, int] = {}
@@ -493,9 +495,7 @@ class Simulation:
             if cid in self.down:
                 continue
             coord = self.table.coordinators[cid]
-            replicate_checkpoint(
-                self.state, self.table, cid, source=self.views[coord]
-            )
+            replicate_checkpoint(self.state, cid, source=self.views[coord])
             self.metrics.replica_counts[cid] = replica_holder_count(
                 self.state, self.table, cid
             )
@@ -607,8 +607,7 @@ class Simulation:
             self.cfg.s > 1
             and cid not in self.reorg
             and check_reorg_trigger(
-                self.ledger, cid, self.cfg.trigger_mode, num_committees=self.cfg.s
-            )
+                self.ledger, cid, self.cfg.trigger_mode, self.cfg.s)
         ):
             self._raise_reorg(cid, t)
 
@@ -769,9 +768,8 @@ class Simulation:
             store = self.state.local_stores[cid]
             store.advance_consensus()
             consensus[cid] = store.consensus
-            forks[cid] = sorted(
-                (creator, a.hex(), b.hex())
-                for creator, a, b in detect_forks(_full_view(store)))
+            forks[cid] = sorted((creator, a.hex(), b.hex())
+                                for creator, a, b in detect_forks(store))
         order_lengths = {
             node: len(consensus_order(view))
             for node, view in sorted(self.views.items())
@@ -795,8 +793,7 @@ class Simulation:
             "duplicate_count": len(duplicated),
         }
         comparison = compare_measured(
-            self.metrics, self.cfg, coordinators=sorted(self.ever_coordinators)
-        )
+            self.metrics, self.cfg, sorted(self.ever_coordinators))
         return RunReport(
             config=self.cfg.to_dict(),
             metrics=self.metrics,

@@ -30,6 +30,7 @@ import hashlib
 import io
 import tracemalloc
 import weakref
+from itertools import compress
 from typing import NamedTuple, Optional
 
 from shardgraph import hashgraph
@@ -94,7 +95,7 @@ def check_supermajority(monkeypatch) -> list[int]:
 def round_robin_fixture(
     n: int = 4, events_per_node: int = 3
 ) -> tuple[Hashgraph, list]:
-    """A deterministic n-node gossip schedule: a view that knows every
+    """A deterministic n-node gossip schedule: member 0's view of every
     event of the resulting store, and the events' records in creation
     order."""
     store = EventStore(range(n))
@@ -118,8 +119,9 @@ def round_robin_fixture(
             tick += 1
             if min(created) >= events_per_node:
                 break
-    full = Hashgraph(store)
+    full = Hashgraph(store, 0)
     full.known = (1 << len(store.by_index)) - 1
+    full.head = full._head_after(full.known)
     recs = records(store)
     return full, [recs[i] for i in events]
 
@@ -475,9 +477,18 @@ def forked_of(store, i):
 
 
 def strongly_seen(store, a, r):
-    """The round-r witnesses a strongly sees, in witnesses_by_round order,
-    as the store's _strongly_seen lists them."""
-    return store._strongly_seen(a, r)
+    """The round-r witnesses live event a strongly sees, in
+    witnesses_by_round order, read from its live record: a's reaches
+    answer only rounds round(a) - 1 and round(a), and any other round
+    gets [].  The store reads the round(a) - 1 answer when a votes
+    (``_strongly_seen_prev``)."""
+    below = store.round[a] - r
+    if below not in (0, 1):
+        return []
+    _, forked, prev, cur = store._live[a]
+    flags = store._seen_flags(prev if below else cur, r, forked, store._sm)
+    ws = store.witnesses_by_round.get(r, ())
+    return list(compress(ws, store._unpack(flags, len(ws))))
 
 
 class ReferenceFame:

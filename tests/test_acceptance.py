@@ -172,7 +172,7 @@ def test_criterion_6_oracle_equivalence():
         assert len(events) <= 20
         store = graph.store
         assert records(store) == events
-        oracle = BruteGraph(graph.population, events)
+        oracle = BruteGraph(store.population, events)
         rounds, witness, _ = oracle.rounds()
         ok = ok and list(store.round) == [rounds[e.digest] for e in events]
         ok = ok and witness_flags(store) == [witness[e.digest] for e in events]

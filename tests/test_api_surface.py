@@ -19,6 +19,12 @@ defines, such as deleted state; a name followed by ``*`` is a pattern.
 
 Nor does importing it load the stdlib's introspection modules, which every
 run would pay for in set-up time.
+
+Nor does a function or method it defines keep a keyword default that only
+tests use: some call in ``src/`` or ``perfbench/`` must leave each default
+out.  Calls are resolved by name as the reference checks resolve them: a
+call's name is its callee's name or attribute, a class's name calls its
+``__init__``, and ``cls(...)`` in a classmethod calls its own class.
 """
 
 import ast
@@ -261,3 +267,92 @@ def test_import_loads_no_introspection_module():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.split() == []
+
+
+def decorators(fn):
+    """The names of fn's plain-name decorators."""
+    return {getattr(d, "id", None) for d in fn.decorator_list}
+
+
+def call_sites():
+    """name -> (positional count, keyword names) of each call under src/
+    and perfbench/ that names it, or None for a call with ``*`` or ``**``
+    arguments, which may pass anything.  ``cls`` in a classmethod names
+    its class."""
+    calls = defaultdict(list)
+    for top in ("src", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            class_of = {}
+            for cls in ast.walk(tree):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for fn in cls.body:
+                    if (isinstance(fn, ast.FunctionDef)
+                            and "classmethod" in decorators(fn)):
+                        first = fn.args.args[0].arg
+                        class_of.update((id(node), cls.name)
+                                     for node in ast.walk(fn)
+                                     if getattr(node, "id", None) == first)
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Name):
+                    name = class_of.get(id(func), func.id)
+                elif isinstance(func, ast.Attribute):
+                    name = func.attr
+                else:
+                    continue
+                starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                           or any(k.arg is None for k in node.keywords))
+                calls[name].append(None if starred else (
+                    len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def keyword_defaults():
+    """(file, line, qualified name, call name, parameter, position) of each
+    parameter with a default of a module-level function or a method of a
+    module-level class in the package; position counts the arguments a
+    call passes, so it skips a method's ``self`` or ``cls`` and is None for
+    a keyword-only parameter."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        rel = path.relative_to(ROOT)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                fns = [(node, node.name, node.name, 0)]
+            elif isinstance(node, ast.ClassDef):
+                fns = [(fn, f"{node.name}.{fn.name}",
+                        node.name if fn.name == "__init__" else fn.name,
+                        0 if "staticmethod" in decorators(fn) else 1)
+                       for fn in node.body if isinstance(fn, ast.FunctionDef)]
+            else:
+                continue
+            for fn, qualname, called, skip in fns:
+                args = fn.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for p in range(first, len(positional)):
+                    yield (rel, fn.lineno, qualname, called,
+                           positional[p].arg, p - skip)
+                for a, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield rel, fn.lineno, qualname, called, a.arg, None
+
+
+def test_every_keyword_default_is_used_outside_tests():
+    calls = call_sites()
+
+    def left_out(call, name, position):
+        if call is None:
+            return False
+        count, keywords = call
+        return ((position is None or count <= position)
+                and name not in keywords)
+
+    assert [f"{rel}:{line} {qualname}({name}=...)"
+            for rel, line, qualname, called, name, position
+            in keyword_defaults()
+            if not any(left_out(call, name, position)
+                       for call in calls[called])] == []

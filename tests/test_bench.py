@@ -52,7 +52,7 @@ def index_fields(events):
 @pytest.fixture(scope="module")
 def dag():
     graph, events = round_robin_fixture(n=16, events_per_node=60)
-    return graph.population, index_fields(events)
+    return graph.store.population, index_fields(events)
 
 
 def filled_store(population, fields):
@@ -64,7 +64,7 @@ def filled_store(population, fields):
 
 def round_robin_events(n, per_node):
     graph, events = round_robin_fixture(n, per_node)
-    return graph.population, index_fields(events)
+    return graph.store.population, index_fields(events)
 
 
 def forked_events():
@@ -271,7 +271,7 @@ def test_bench_consensus_polls_32_members(benchmark):
     events = index_fields(events)
 
     def replay():
-        store = EventStore(graph.population)
+        store = EventStore(graph.store.population)
         for i, fields in enumerate(events, 1):
             store.add_event(*fields)
             if i % 32 == 0:
@@ -319,12 +319,12 @@ def test_bench_gossip_sync(benchmark, dag):
     def setup():
         store = filled_store(*dag)
         store.add_member(joiner)
-        full = Hashgraph(store)
+        full = Hashgraph(store, 0)
         full.known = (1 << len(events)) - 1
         return (full, Hashgraph(store, joiner)), {}
 
     def push(full, empty):
-        return gossip_sync(full, empty, 1000)
+        return gossip_sync(full, empty, 1000, ())
 
     transfer, ev = benchmark.pedantic(push, setup=setup, rounds=1, iterations=1)
     assert len(transfer) == len(events)

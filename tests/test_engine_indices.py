@@ -62,8 +62,8 @@ def equivocate(views, node, peers, t, sync=gossip_sync):
         payload = (Transaction(tx_id=f"fork{node}-{t}{marker}", origin=0,
                                target=0, size_units=0),)
         create_event(branch, None, payload, t)
-    sync(view, views[peers[0]], t)
-    sync(alt, views[peers[1]], t)
+    sync(view, views[peers[0]], t, ())
+    sync(alt, views[peers[1]], t, ())
     return alt
 
 
@@ -121,7 +121,7 @@ def brute_forked(oracle, digest):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fork_bookkeeping_matches_brute_force(seed):
-    store, views = gossip_dag(seed)
+    store, _ = gossip_dag(seed)
     oracle = BruteGraph(store.population, records(store))
     forked_any = set()
     for i, ev in enumerate(records(store)):
@@ -130,32 +130,22 @@ def test_fork_bookkeeping_matches_brute_force(seed):
         assert got == brute_forked(oracle, ev.digest)
         forked_any |= got
     assert forked_any  # the schedule did inject visible forks
-    forks = oracle.forks()
-    assert detect_forks(_full_view(store)) == forks
-    check_view_forks(store, views, forks)
-
-
-def check_view_forks(store, views, forks):
-    """Each member's detect_forks equals the brute-force fork pairs whose
-    events it knows; returns how many views miss some pair of forks."""
-    missed = 0
-    for view in views:
-        known = {store._id(i) for i in store.by_index
-                 if view.known >> i & 1}
-        seen = {f for f in forks if f[1] in known and f[2] in known}
-        assert detect_forks(view) == seen
-        missed += seen != forks
-    return missed
+    assert detect_forks(store) == oracle.forks()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_detect_forks_on_partial_views(seed):
-    # early in a schedule some fork branches have not reached every member
+    # early in a schedule some fork branches have not reached every member;
+    # the store's evidence holds every pair all the same
     missed = 0
     for steps in (40, 80):
         store, views = gossip_dag(seed, steps=steps)
-        forks = BruteGraph(store.population, records(store)).forks()
-        missed += check_view_forks(store, views, forks)
+        forks = detect_forks(store)
+        assert forks == BruteGraph(store.population, records(store)).forks()
+        index, paired = oracles.index_of(store), 0
+        for _, a, b in forks:
+            paired |= 1 << index[a] | 1 << index[b]
+        missed += sum(paired & ~view.known != 0 for view in views)
     assert missed
 
 
@@ -204,13 +194,7 @@ def test_fork_shapes_outside_the_equivocator_schedule():
         assert got == brute_forked(oracle, ev.digest)
     forks = oracle.forks()
     assert {f[0] for f in forks} == {0, 1, 2}
-    assert detect_forks(_full_view(store)) == forks
-    views = []
-    for anc in oracles.ancestry(store):
-        view = Hashgraph(store)
-        view.known = anc
-        views.append(view)
-    assert check_view_forks(store, views, forks)
+    assert detect_forks(store) == forks
 
 
 def bits(mask):
@@ -669,7 +653,7 @@ def test_late_witness_is_not_famous_and_caps_no_view():
     def gossip(steps, members=range(5)):
         for _ in range(steps):
             s, r = rng.sample(members, 2)
-            gossip_sync(views[s], views[r], len(store.by_index))
+            gossip_sync(views[s], views[r], len(store.by_index), ())
 
     def limits():
         full = (1 << len(store.by_index)) - 1
@@ -689,7 +673,7 @@ def test_late_witness_is_not_famous_and_caps_no_view():
     watcher = views[1]
     before = store.view_finalized_round(watcher.known)
     assert before == reference_view_finalized_round(store, watcher.known)
-    gossip_sync(views[6], views[5], len(store.by_index))
+    gossip_sync(views[6], views[5], len(store.by_index), ())
     late = views[5].head
     r = store.round[late]
     assert late in store.witnesses_by_round[r]
@@ -699,7 +683,7 @@ def test_late_witness_is_not_famous_and_caps_no_view():
     brute = BruteGraph(store.population, records(store)).fame()
     assert brute[store._id(late)] is False
     assert late not in fame_of(store) and late not in deciders_of(store)
-    gossip_sync(views[5], watcher, len(store.by_index))
+    gossip_sync(views[5], watcher, len(store.by_index), ())
     assert watcher.known >> late & 1
     assert store.view_finalized_round(watcher.known) == (
         reference_view_finalized_round(store, watcher.known)) >= before
@@ -739,7 +723,7 @@ def test_famous_witness_seeing_own_fork_stamped_by_self_ancestors():
         [(1, 3), (2, 3), (3, 0), (0, 1), (1, 2), (2, 3), (3, 0), (0, 1),
          (1, 2), (2, 3), (3, 1), (1, 0)], 2,
     ):
-        gossip_sync(views[s], views[r], t)
+        gossip_sync(views[s], views[r], t, ())
     (w,) = [u for u in store.witnesses_by_round[2] if sees_own_fork(store, u)]
     assert store._creator[w] == 0
     for r in (1, 2):
@@ -816,7 +800,7 @@ def test_equivocator_head_is_later_absorbed_branch():
     a, b = views[0].head, alt.head
     assert store._seq[a] == store._seq[b]
     assert b < a
-    transfer, ev = gossip_sync(views[2], views[0], 2)
+    transfer, ev = gossip_sync(views[2], views[0], 2, ())
     assert b in list(transfer)
     assert store._self_parent[ev] == b and views[0].head == ev
 
@@ -842,8 +826,8 @@ def test_transfers_match_brute_force(seed):
     # a joiner's empty view takes the whole history in one sync
     joiner = len(views)
     store.add_member(joiner)
-    transfer, _ = transfer_checked(_full_view(store), Hashgraph(store, joiner),
-                                   250)
+    transfer, _ = transfer_checked(_full_view(store, 0),
+                                   Hashgraph(store, joiner), 250)
     assert len(transfer) == len(store.by_index) - 1
     # a rejoining member's empty view takes its head back: the furthest
     # along its chain, the last in index order on a tie
@@ -935,7 +919,7 @@ def test_gossip_chain_rejected_step_leaves_its_receiver(seed, n, data, kind):
     with pytest.raises(hashgraph.HashgraphError):
         gossip_chain(chain, [()] * n, 30)
     for s, r in zip(singles, singles[1:at]):
-        gossip_sync(s, r, 30)
+        gossip_sync(s, r, 30, ())
     assert (bad.known, bad.head) == (0, None)
     assert store_columns(store) == store_columns(twin)
     assert view_states(views) == view_states(singles)
@@ -1069,8 +1053,7 @@ def test_freed_reach_rebuilds_to_never_polled_entry(cfg, forked, widened,
     for store in stores + [sim.state.global_store]:
         fresh = never_polled(store)
         assert check_kept_state(store, fresh) > len(store.by_index) // 2
-        assert detect_forks(_full_view(store)) == detect_forks(
-            _full_view(fresh))
+        assert detect_forks(store) == detect_forks(fresh)
 
 
 # -- ancient parents -----------------------------------------------------------
@@ -1190,7 +1173,7 @@ def test_gossip_chain_stops_at_an_ancient_parent(kind):
     if kind == "receiver":
         stale = stale_view(store, 0, base)
         chain, reason = [a, b, stale, views[1]], f"ancient self_parent {base}"
-        gossip_sync(singles[-2], singles[-1], 500)
+        gossip_sync(singles[-2], singles[-1], 500, ())
     else:
         stale = stale_view(store, 1, other)
         chain, reason = [stale, a, b], f"ancient other_parent {other}"
@@ -1206,14 +1189,14 @@ def test_detect_forks_from_evidence_matches_brute_force(never_polled):
     # members 0 and 1 gossip honestly while rounds are ordered and their
     # early masks freed, then equivocate: their masks are freed by the rule
     # every creator's are, before and after their first branch point, and
-    # the fork pairs recorded at insert are, in every view, brute force's
-    # and those of a never-polled replay
+    # the fork pairs recorded at insert are brute force's and those of a
+    # never-polled replay
     def poll(t, views):
         if t % 5 == 0:
             views[0].store.advance_consensus()
             check_frontier(views[0].store)
 
-    store, views = gossip_dag(1, steps=400, n=7, poll=poll, fork_from=150)
+    store, _ = gossip_dag(1, steps=400, n=7, poll=poll, fork_from=150)
     fresh = never_polled(store)
     assert sorted(store._forkers) == [0, 1]
     ordered = set(oracles.index_of(store)[oe.event_id]
@@ -1227,13 +1210,8 @@ def test_detect_forks_from_evidence_matches_brute_force(never_polled):
         assert len(superseded) >= 10 and not any(
             x in store._live for x in superseded)
     forks = BruteGraph(store.population, records(store)).forks()
-    assert detect_forks(_full_view(store)) == forks
-    assert detect_forks(_full_view(fresh)) == forks
-    for view in views:
-        twin = Hashgraph(fresh, view.owner)
-        twin.known = view.known
-        assert detect_forks(view) == detect_forks(twin)
-    assert check_view_forks(store, views, forks)
+    assert detect_forks(store) == forks
+    assert detect_forks(fresh) == forks
 
 
 @functools.cache

@@ -43,8 +43,8 @@ def tx(i, origin=0, target=0):
     return Transaction(tx_id=f"tx{i}", origin=origin, target=target)
 
 
-def graph_of(population, owner=None):
-    """A view of a fresh store of its own."""
+def graph_of(population, owner):
+    """owner's view of a fresh store of its own."""
     return Hashgraph(EventStore(population), owner)
 
 
@@ -73,7 +73,7 @@ def known_records(graph):
 
 
 def brute(graph):
-    return BruteGraph(graph.population, known_records(graph))
+    return BruteGraph(graph.store.population, known_records(graph))
 
 
 def by_digest(store, values):
@@ -205,13 +205,6 @@ def test_create_event_errors():
     assert g.known.bit_count() == 1
 
 
-def test_create_event_on_ownerless_view_rejected():
-    g = graph_of([0, 1])
-    with pytest.raises(HashgraphError):
-        create_event(g, None, (), 0)
-    assert len(g.store.by_index) == 0
-
-
 # -- gossip_sync ------------------------------------------------------------
 
 
@@ -232,9 +225,9 @@ def test_transfer_iterates_its_mask_indices_in_order(big_fixture_graph):
 def test_gossip_sync_empty_diff():
     a, b = shared_views(2)
     ea = create_event(a, None, (), 0)
-    gossip_sync(a, b, 1)
+    gossip_sync(a, b, 1, ())
     before = b.known.bit_count()
-    transferred, ev = gossip_sync(a, b, 2)
+    transferred, ev = gossip_sync(a, b, 2, ())
     assert list(transferred) == []
     assert len(transferred) == 0 and transferred.units == 0
     assert b.known.bit_count() == before + 1
@@ -246,7 +239,7 @@ def test_gossip_sync_transfers_diff():
     create_event(a, None, (), 0)
     create_event(a, None, (), 1)
     create_event(a, None, (), 2)
-    transferred, ev = gossip_sync(a, b, 3)
+    transferred, ev = gossip_sync(a, b, 3, ())
     assert len(transferred) == 3
     assert b.known.bit_count() == 4
     assert a.store._creator[ev] == 1
@@ -261,7 +254,7 @@ def test_gossip_sync_full_schedule_converges():
     for t in range(1, 40):
         sender = rng.randrange(n)
         receiver = (sender + rng.randrange(1, n)) % n
-        gossip_sync(graphs[sender], graphs[receiver], t)
+        gossip_sync(graphs[sender], graphs[receiver], t, ())
     snapshot = set().union(
         *({g.store._id(i) for i in Transfer(g.store, g.known)}
           for g in graphs)
@@ -269,7 +262,7 @@ def test_gossip_sync_full_schedule_converges():
     # closing rounds: everyone pushes to everyone; every pre-existing event
     # must reach every graph
     for t, (s, r) in enumerate(itertools.permutations(range(n), 2), 40):
-        gossip_sync(graphs[s], graphs[r], t)
+        gossip_sync(graphs[s], graphs[r], t, ())
     for g in graphs:
         assert snapshot <= {g.store._id(i)
                             for i in Transfer(g.store, g.known)}
@@ -279,7 +272,7 @@ def test_gossip_sync_across_stores_rejected():
     a, b = graph_of([0, 1], owner=0), graph_of([0, 1], owner=1)
     create_event(a, None, (), 0)
     with pytest.raises(HashgraphError):
-        gossip_sync(a, b, 1)
+        gossip_sync(a, b, 1, ())
     assert b.known.bit_count() == 0
 
 
@@ -289,7 +282,7 @@ def test_gossip_sync_between_views_of_one_owner_rejected():
     a, b = Hashgraph(store, 0), Hashgraph(store, 0)
     create_event(a, None, (), 0)
     with pytest.raises(HashgraphError):
-        gossip_sync(a, b, 1)
+        gossip_sync(a, b, 1, ())
     assert len(store.by_index) == 1
     # the rejected sync leaves the receiver's view as it was
     assert (b.known, b.head) == (0, None)
@@ -352,7 +345,7 @@ def test_strongly_sees_single_member():
 
 
 def test_strongly_sees_two_of_four_is_not_enough():
-    g = graph_of([0, 1, 2, 3])
+    g = graph_of([0, 1, 2, 3], owner=0)
     e0 = add_for(g, 0, None, (), 0)
     e1 = add_for(g, 1, e0.digest, (), 1)
     e1b = add_for(g, 1, None, (), 2)
@@ -406,7 +399,7 @@ def test_strongly_sees_outside_domain_rejected():
 
 
 def test_rounds_all_genesis():
-    g = graph_of([0, 1, 2, 3])
+    g = graph_of([0, 1, 2, 3], owner=0)
     for i in range(4):
         add_for(g, i, None, (), 0)
     assert list(g.store.round) == [1] * 4
@@ -454,7 +447,7 @@ def test_fame_idempotent(big_fixture_graph):
 def test_unreferenced_witness_not_famous():
     # node 3 creates its genesis witness but never gossips; nobody can see
     # it, so once voting completes it must be decided not famous
-    g = graph_of([0, 1, 2, 3])
+    g = graph_of([0, 1, 2, 3], owner=0)
     genesis = [add_for(g, i, None, (), 0) for i in range(4)]
     active = [0, 1, 2]
     for t in range(1, 60):
@@ -521,9 +514,9 @@ def test_consensus_order_identical_after_full_sync():
         gossip_sync(graphs[s], graphs[r], t, (tx(t),))
     # flood until views agree
     for t, (s, r) in enumerate(itertools.permutations(range(n), 2), 200):
-        gossip_sync(graphs[s], graphs[r], t)
+        gossip_sync(graphs[s], graphs[r], t, ())
     for t, (s, r) in enumerate(itertools.permutations(range(n), 2), 300):
-        gossip_sync(graphs[s], graphs[r], t)
+        gossip_sync(graphs[s], graphs[r], t, ())
     orders = [consensus_order(g) for g in graphs]
     lens = [len(o) for o in orders]
     m = min(lens)
@@ -556,7 +549,7 @@ def test_annotations_independent_of_arrival_order(fixture_graph):
     for _ in range(5):
         # any topological shuffle must produce identical annotations
         pending = list(evs)
-        g = graph_of([0, 1, 2, 3])
+        g = graph_of([0, 1, 2, 3], owner=0)
         added = set()
         while pending:
             choices = [
@@ -582,7 +575,7 @@ def test_annotations_independent_of_arrival_order(fixture_graph):
 
 
 def test_detect_forks_honest_empty(big_fixture_graph):
-    assert detect_forks(big_fixture_graph) == set()
+    assert detect_forks(big_fixture_graph.store) == set()
 
 
 def test_detect_forks_reports_equivocation():
@@ -592,12 +585,12 @@ def test_detect_forks_reports_equivocation():
     f2 = new_record(0, base, None, (tx(1),), 1)
     insert(g, f1)
     insert(g, f2)
-    forks = detect_forks(g)
+    forks = detect_forks(g.store)
     assert forks == {(0,) + tuple(sorted((f1.digest, f2.digest)))}
 
 
 def test_detect_forks_matches_pairwise_oracle():
-    g = graph_of([0, 1, 2, 3])
+    g = graph_of([0, 1, 2, 3], owner=0)
     base = add_for(g, 0, None, (), 0)
     e1 = add_for(g, 1, base.digest, (), 1)
     f1 = new_record(0, base.digest, e1.digest, (), 2)
@@ -606,7 +599,7 @@ def test_detect_forks_matches_pairwise_oracle():
     insert(g, f2)
     child = new_record(0, f1.digest, e1.digest, (), 3)
     insert(g, child)
-    assert detect_forks(g) == brute(g).forks()
+    assert detect_forks(g.store) == brute(g).forks()
 
 
 # -- events / serialization -------------------------------------------------

@@ -2,12 +2,13 @@
 
 perfbench/tracer.py wraps simulator calls by name where the simulator looks
 them up, and reads some of their arguments by position (the committee as
-the 3rd argument of the coordinator pipeline steps, ``source`` as the 4th
-of ``replicate_checkpoint``).  A rename or a reordered parameter would leave
-a per-layer metric missing or stuck at zero, so one traced run must produce
-every per-layer metric BENCHMARK.json lists.  Its tick clock wraps
-``Scheduler.pop``, which must return each tick 0 to duration - 1 once, in
-order, and then None.
+the 3rd argument of the coordinator pipeline steps) or by keyword
+(``source`` of ``replicate_checkpoint``, which the simulator passes by
+keyword, where the tracer looks first).  A rename or a reordered parameter
+would leave a per-layer metric missing or stuck at zero, so one traced run
+must produce every per-layer metric BENCHMARK.json lists.  Its tick clock
+wraps ``Scheduler.pop``, which must return each tick 0 to duration - 1 once,
+in order, and then None.
 """
 
 import json

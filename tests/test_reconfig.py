@@ -100,14 +100,15 @@ def test_leave_unknown_node():
 )
 def test_trigger_committee_fraction(baseline, exits, expected):
     ledger = ChurnLedger(exits={0: exits}, baseline={0: baseline})
-    assert check_reorg_trigger(ledger, 0, TRIGGER_COMMITTEE_FRACTION) == expected
+    assert check_reorg_trigger(
+        ledger, 0, TRIGGER_COMMITTEE_FRACTION, 1) == expected
 
 
 def test_trigger_literal_mode():
     ledger = ChurnLedger(exits={0: 3}, baseline={0: 100})
-    assert not check_reorg_trigger(ledger, 0, TRIGGER_LITERAL, num_committees=10)
+    assert not check_reorg_trigger(ledger, 0, TRIGGER_LITERAL, 10)
     ledger.exits[0] = 6
-    assert check_reorg_trigger(ledger, 0, TRIGGER_LITERAL, num_committees=10)
+    assert check_reorg_trigger(ledger, 0, TRIGGER_LITERAL, 10)
 
 
 def test_trigger_monotone_until_reset():
@@ -121,18 +122,19 @@ def test_trigger_monotone_until_reset():
         removed += 1
         if removed > len(table.members(cid)):
             break
-        if check_reorg_trigger(ledger, cid):
+        if check_reorg_trigger(ledger, cid, TRIGGER_COMMITTEE_FRACTION, 2):
             break
-    assert check_reorg_trigger(ledger, cid)
+    assert check_reorg_trigger(ledger, cid, TRIGGER_COMMITTEE_FRACTION, 2)
     leave_node(
         state,
         table,
         ledger,
         next(m for m in table.members(cid) if m != table.coordinators[cid]),
     )
-    assert check_reorg_trigger(ledger, cid)  # still true
+    # still true
+    assert check_reorg_trigger(ledger, cid, TRIGGER_COMMITTEE_FRACTION, 2)
     ledger.reset(cid, len(table.members(cid)))
-    assert not check_reorg_trigger(ledger, cid)
+    assert not check_reorg_trigger(ledger, cid, TRIGGER_COMMITTEE_FRACTION, 2)
 
 
 # -- donors / reorg ---------------------------------------------------------
@@ -171,7 +173,8 @@ def test_reorg_rebalances_and_preserves_partition():
     depleted = 3
     deplete(state, table, ledger, depleted, 4)
     assert len(table.members(depleted)) == 4
-    assert check_reorg_trigger(ledger, depleted)
+    assert check_reorg_trigger(
+        ledger, depleted, TRIGGER_COMMITTEE_FRACTION, 10)
     _, donors, _, transfers = reorganize(
         state, table, ledger, depleted, global_ts=500,
         donor_ts=lambda cid: 600 + cid,
@@ -190,7 +193,8 @@ def test_reorg_rebalances_and_preserves_partition():
     assert sizes == len(table.assignment)
     assert ledger.exits[depleted] == 0
     assert ledger.baseline[depleted] == 10
-    assert not check_reorg_trigger(ledger, depleted)
+    assert not check_reorg_trigger(
+        ledger, depleted, TRIGGER_COMMITTEE_FRACTION, 10)
     assert table.epoch == 1
 
 

@@ -97,8 +97,8 @@ def local_event(state, table, cid, payload, creator=None, now=0):
 
 
 def full_view(store):
-    """A view that knows every event of the store."""
-    view = Hashgraph(store)
+    """A member's view that knows every event of the store."""
+    view = Hashgraph(store, store.population[0])
     view.known = (1 << len(store.by_index)) - 1
     return view
 
@@ -217,7 +217,7 @@ def test_replica_holder_count_matches_formula():
     for cid in range(s):
         local_event(state, table, cid, ())
         source = full_view(state.local_stores[cid])
-        replicate_checkpoint(state, table, cid, source)
+        replicate_checkpoint(state, cid, source)
     for cid in range(s):
         assert replica_holder_count(state, table, cid) == n // s + s - 1 == 19
 
@@ -226,10 +226,10 @@ def test_replicate_idempotent(small_state):
     state, table = small_state
     local_event(state, table, 0, (tx(1, 0, 0),))
     source = full_view(state.local_stores[0])
-    replicate_checkpoint(state, table, 0, source)
+    replicate_checkpoint(state, 0, source)
     first = state.replicas[0]
     holders = replica_holder_count(state, table, 0)
-    replicate_checkpoint(state, table, 0, source)
+    replicate_checkpoint(state, 0, source)
     assert list(state.replicas) == [0]
     again = state.replicas[0]
     assert again.events.mask == first.events.mask
@@ -247,7 +247,7 @@ def test_replicate_single_committee_builds_no_snapshot(monkeypatch):
     state = ShardState(table)
     local_event(state, table, 0, ())
     monkeypatch.setattr(shardgraph.sharding, "decided_length", unexpected)
-    replicate_checkpoint(state, table, 0, full_view(state.local_stores[0]))
+    replicate_checkpoint(state, 0, full_view(state.local_stores[0]))
     assert state.replicas == {}
     assert replica_holder_count(state, table, 0) == 4
 
@@ -262,8 +262,8 @@ def test_seat_coordinator_hands_over_the_global_view(small_state):
     gstore = state.global_store
     create_event(state.seats[0], None, (), 0)
     create_event(state.seats[1], None, (), 0)
-    gossip_sync(state.seats[0], state.seats[1], 1)
-    _, last = gossip_sync(state.seats[1], state.seats[0], 2)
+    gossip_sync(state.seats[0], state.seats[1], 1, ())
+    _, last = gossip_sync(state.seats[1], state.seats[0], 2, ())
     known = state.seats[0].known
     # a node with no event in the global graph takes the seat headless
     seat_coordinator(state, table, 0, new)
@@ -318,7 +318,7 @@ def test_recover_preserves_consensus_prefix():
     store.advance_consensus()
     pre = list(store.consensus)
     assert pre
-    replicate_checkpoint(state, table, 0, full_view(store))
+    replicate_checkpoint(state, 0, full_view(store))
     replacements = [100, 101, 102, 103, 104, 105]
     recover_failed_shard(state, table, 0, replacements)
     table.validate()
@@ -338,12 +338,12 @@ def test_replica_order_stays_the_checkpointed_prefix():
     want = consensus_order(view)
     store = state.local_stores[0]
     assert 0 < len(want) < len(store.consensus)
-    replicate_checkpoint(state, table, 0, view)
+    replicate_checkpoint(state, 0, view)
     replica = state.replicas[0]
     assert replica.length == len(want) and replica.consensus == want
     members = table.members(0)
     for t in range(30, 40):
-        gossip_sync(views[members[t % 6]], views[members[(t + 1) % 6]], t)
+        gossip_sync(views[members[t % 6]], views[members[(t + 1) % 6]], t, ())
     store.advance_consensus()
     assert len(consensus_order(view)) > len(want)
     assert replica.consensus == want
@@ -355,7 +355,7 @@ def test_recover_keeps_supermajority_through_empty_population(monkeypatch):
     table = partition_nodes(range(12), 2, seed=2)
     state = ShardState(table)
     build_consensus_history(state, table, 0)
-    replicate_checkpoint(state, table, 0, full_view(state.local_stores[0]))
+    replicate_checkpoint(state, 0, full_view(state.local_stores[0]))
     recover_failed_shard(state, table, 0, [100, 101, 102, 103])
     assert 0 in sizes
     store = state.local_stores[0]
@@ -368,11 +368,11 @@ def test_recover_uses_latest_checkpoint():
     table = partition_nodes(range(12), 3, seed=2)
     state = ShardState(table)
     views = build_consensus_history(state, table, 0, rounds=6)
-    replicate_checkpoint(state, table, 0, full_view(state.local_stores[0]))
+    replicate_checkpoint(state, 0, full_view(state.local_stores[0]))
     first = state.replicas[0]
     members = table.members(0)
-    gossip_sync(views[members[0]], views[members[1]], 99)
-    replicate_checkpoint(state, table, 0, full_view(state.local_stores[0]))
+    gossip_sync(views[members[0]], views[members[1]], 99, ())
+    replicate_checkpoint(state, 0, full_view(state.local_stores[0]))
     latest = state.replicas[0]
     assert len(latest.events) == len(first.events) + 1
     used = recover_failed_shard(state, table, 0, [100, 101, 102, 103])
@@ -388,7 +388,7 @@ def test_recover_keeps_the_unflushed_outbound_queue():
     table = partition_nodes(range(8), 2, seed=2)
     state = ShardState(table)
     local_event(state, table, 0, ())
-    replicate_checkpoint(state, table, 0, full_view(state.local_stores[0]))
+    replicate_checkpoint(state, 0, full_view(state.local_stores[0]))
     queue = state.queues[0]
     sent = [tx(1, 0, 1), tx(2, 0, 1)]
     queue.outbound.extend(sent)
@@ -408,7 +408,7 @@ def test_recover_requeues_deliveries_the_replica_lacks():
     state = ShardState(table)
     members = table.members(0)
     local_event(state, table, 0, (tx(0, 1, 0),))
-    replicate_checkpoint(state, table, 0, full_view(state.local_stores[0]))
+    replicate_checkpoint(state, 0, full_view(state.local_stores[0]))
     local_event(state, table, 0, (tx(1, 1, 0), tx(2, 0, 0), tx(3, 0, 1)),
                 creator=members[1])
     local_event(state, table, 0, (tx(4, 1, 0),), creator=members[2])
@@ -488,7 +488,7 @@ def test_recover_empty_committee():
     table = partition_nodes(range(8), 2, seed=2)
     state = ShardState(table)
     local_event(state, table, 0, ())
-    replicate_checkpoint(state, table, 0, full_view(state.local_stores[0]))
+    replicate_checkpoint(state, 0, full_view(state.local_stores[0]))
     recover_failed_shard(state, table, 0, [50, 51, 52, 53])
     assert len(state.local_stores[0].consensus) == 0
     table.validate()

@@ -540,6 +540,31 @@ def test_churn_with_rejoin_keeps_population():
     assert joins and all(_replay(e, cfg.s) for e in joins)
 
 
+@pytest.mark.parametrize("name", ["churn-rejoin", "shard-failure-cross"])
+def test_membership_agrees_with_the_table_after_every_tick(name):
+    # through leaves, joins, reorganizations, reselections, a failure and
+    # its recovery, the committee table, each store's population and the
+    # nodes that own a view and a pending buffer name the same members
+    cfg = GOLDEN[name][0]
+    sim = Simulation(cfg)
+    tick, ticks = sim._tick, []
+
+    def checked(t):
+        tick(t)
+        table, state = sim.table, sim.state
+        for cid, store in state.local_stores.items():
+            assert store.population == table.members(cid)
+        assert state.global_store.population == table.global_committee()
+        nodes = table.assignment.keys()
+        assert sim.views.keys() == sim.pending.keys() == nodes
+        assert all(view.owner == node for node, view in sim.views.items())
+        ticks.append(t)
+
+    sim._tick = checked
+    sim.run()
+    assert ticks == list(range(cfg.duration)) and sim.table.epoch > 0
+
+
 def test_churn_rejoin_single_committee_settles_joins_at_once():
     # with s == 1 there is no global graph to order a join request in, so
     # the single committee takes the joiner on the request's own tick
