@@ -15,7 +15,8 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ScenarioConfig, apply_setting, load_config
+from .config import (EQUIVOCATOR, NO_ADVERSARY, ConfigError, ScenarioConfig,
+                     apply_setting, load_config)
 from .metrics import (
     COMPARISON_COLUMNS,
     MetricsError,
@@ -30,10 +31,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INVARIANT = 4
-
-
-def _default_out_root() -> str:
-    return os.environ.get("SHARDGRAPH_OUT", "runs")
 
 
 def _load(args) -> ScenarioConfig:
@@ -67,7 +64,7 @@ def _exactly_once(config: ScenarioConfig, report, label: str = "") -> bool:
     churn or a shard failure lost some in events never ordered, each one
     once; says why not on stderr."""
     bad = report.tx_audit["duplicate_count"]
-    if config.adversary_kind in ("none", "equivocator"):
+    if config.adversary_kind in (NO_ADVERSARY, EQUIVOCATOR):
         bad += report.tx_audit["missing_count"]
     if bad:
         print(
@@ -82,7 +79,7 @@ def cmd_run(args) -> int:
     config = _load(args)
     _warn_short_injection(config)
     report = run_scenario(config)
-    out = Path(args.out or _default_out_root()) / "run"
+    out = Path(args.out) / "run"
     write_report(report, out)
     print(f"report written to {out}")
     print(f"  injected tx units: {report.metrics.injected_tx_units}")
@@ -128,7 +125,7 @@ def cmd_sweep(args) -> int:
         apply_setting(point, param, value)
         point.validate()
         points.append((value, point))
-    out_root = Path(args.out or _default_out_root()) / "sweep"
+    out_root = Path(args.out) / "sweep"
     combined = []
     failures = 0
     for value, point in points:
@@ -158,14 +155,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="sharded hashgraph simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run one scenario and write a report")
-    p_run.add_argument("--config", help="scenario config file (key = value)")
-    p_run.add_argument("--out", help="output directory root")
-    p_run.add_argument(
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--config", help="scenario config file (key = value)")
+    scenario.add_argument(
+        "--out", default=os.environ.get("SHARDGRAPH_OUT", "runs"),
+        help="output directory root",
+    )
+    scenario.add_argument(
         "--set", action="append", metavar="KEY=VALUE",
         help="override a config key (repeatable)",
     )
+
+    p_run = sub.add_parser("run", parents=[scenario],
+                           help="run one scenario and write a report")
     p_run.set_defaults(func=cmd_run)
 
     p_form = sub.add_parser("formulas", help="print the analytic cost table")
@@ -178,13 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="event_size")
     p_form.set_defaults(func=cmd_formulas)
 
-    p_sweep = sub.add_parser("sweep", help="run a parameter grid")
-    p_sweep.add_argument("--config", help="base scenario config file")
-    p_sweep.add_argument("--out", help="output directory root")
-    p_sweep.add_argument(
-        "--set", action="append", metavar="KEY=VALUE",
-        help="override a config key (repeatable)",
-    )
+    p_sweep = sub.add_parser("sweep", parents=[scenario],
+                             help="run a parameter grid")
     p_sweep.add_argument(
         "--sweep", required=True, metavar="PARAM=V1,V2,...",
         help="parameter and comma-separated value grid",

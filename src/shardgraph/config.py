@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from .reconfig import TRIGGER_COMMITTEE_FRACTION, TRIGGER_MODES
+
 # The longest a cross-shard transaction took from its injection to its
 # ordering at the target: 24 ticks at sync_interval 1, and at most 29 more
 # for each further tick of sync_interval (53, 77, 103, 119 and 155 ticks at
@@ -21,8 +23,8 @@ CROSS_LATENCY_PER_INTERVAL = 29
 # this loads the run too little for its figures to mean much
 MIN_INJECT_ROUNDS = 4
 
-ADVERSARY_KINDS = ("none", "equivocator", "churn", "shard_failure")
-TRIGGER_MODES = ("committee-fraction", "literal-s-over-2")
+ADVERSARY_KINDS = NO_ADVERSARY, EQUIVOCATOR, CHURN, SHARD_FAILURE = (
+    "none", "equivocator", "churn", "shard_failure")
 
 
 class ConfigError(Exception):
@@ -43,9 +45,9 @@ class ScenarioConfig:
     batch_limit: int = 16          # txs per coordinator queue flush
     checkpoint_period: int = 4     # global finalized rounds between checkpoints
     inject_until: int = 0          # 0 = auto (leave a drain window)
-    trigger_mode: str = "committee-fraction"
+    trigger_mode: str = TRIGGER_COMMITTEE_FRACTION
     min_committee_size: int = 4
-    adversary_kind: str = "none"
+    adversary_kind: str = NO_ADVERSARY
     adversary_fraction: float = 0.0
     adversary_interval: int = 5
     adversary_committee: int = -1  # -1 = pick deterministically
@@ -100,7 +102,7 @@ class ScenarioConfig:
             raise ConfigError("adversary.recover_delay must be >= 1")
         if not -1 <= self.adversary_committee < self.s:
             raise ConfigError("adversary.committee must be -1 or in [0, s)")
-        if self.adversary_kind == "shard_failure":
+        if self.adversary_kind == SHARD_FAILURE:
             # the last tick is duration - 1: a failure or recovery past it
             # never happens, and the report would not say so
             fail_at = self.resolved_fail_at()

@@ -2,8 +2,8 @@
 
 Analytic quantities, for n nodes, s shards, throughput T and event size E:
 
-* unsharded per-node communication  (n - 1) * (T / n) * E
-* sharded per-node communication    (n/s - 1) * (T / n) * E
+* sharded per-node communication    (n/s - 1) * (T / n) * E; the
+  unsharded (n - 1) * (T / n) * E is its s = 1 case
 * cross-shard send cost             T_cross * E
 * complete-graph copy count         n/s + s - 1
 * per-node storage ratio            1/s
@@ -22,14 +22,14 @@ COMPARISON_COLUMNS = ("quantity", "analytic", "measured",
 
 
 def analytic_comm_cost(n: int, throughput: float, event_size: float) -> float:
-    if n < 1:
-        raise MetricsError("n must be >= 1")
-    return (n - 1) * (throughput / n) * event_size
+    return analytic_comm_cost_sharded(n, 1, throughput, event_size)
 
 
 def analytic_comm_cost_sharded(
     n: int, s: int, throughput: float, event_size: float
 ) -> float:
+    if n < 1:
+        raise MetricsError("n must be >= 1")
     if s < 1:
         raise MetricsError("s must be >= 1")
     return (n / s - 1) * (throughput / n) * event_size

@@ -20,6 +20,7 @@ CommitteeId = int
 # Reorg-trigger interpretations ("exceeds half of ..."):
 TRIGGER_COMMITTEE_FRACTION = "committee-fraction"  # half the committee's own baseline
 TRIGGER_LITERAL = "literal-s-over-2"               # half the number of committees
+TRIGGER_MODES = (TRIGGER_COMMITTEE_FRACTION, TRIGGER_LITERAL)
 
 DEFAULT_DONOR_COUNT = 2
 
@@ -76,6 +77,14 @@ def choose_join_committee(consensus_timestamp: int, s: int) -> CommitteeId:
     return derive_value(consensus_timestamp) % s
 
 
+def _draw(consensus_timestamp: int, pool: Iterable[int], k: int) -> list[int]:
+    """k distinct members of pool, or all of them when it holds fewer,
+    drawn by the timestamp's seed from the sorted pool, in sorted order."""
+    pool = sorted(pool)
+    rng = random.Random(derive_value(consensus_timestamp))
+    return sorted(rng.sample(pool, min(k, len(pool))))
+
+
 def choose_donors(
     consensus_timestamp: int,
     depleted: CommitteeId,
@@ -83,20 +92,14 @@ def choose_donors(
     k: int,
 ) -> list[CommitteeId]:
     """Expand one timestamp into k distinct donor committees."""
-    pool = sorted(c for c in eligible if c != depleted)
-    if not pool:
-        return []
-    rng = random.Random(derive_value(consensus_timestamp))
-    k = min(k, len(pool))
-    return sorted(rng.sample(pool, k))
+    return _draw(consensus_timestamp,
+                 (c for c in eligible if c != depleted), k)
+
 
 def choose_split_members(
     consensus_timestamp: int, candidates: Iterable[NodeId], count: int
 ) -> list[NodeId]:
-    pool = sorted(candidates)
-    rng = random.Random(derive_value(consensus_timestamp))
-    count = min(count, len(pool))
-    return sorted(rng.sample(pool, count))
+    return _draw(consensus_timestamp, candidates, count)
 
 
 def choose_coordinator(

@@ -225,12 +225,12 @@ def coordinator_receive_global(
     global graph's event of this index, into the receiving coordinator's
     inbound queue."""
     queue = state.queues[receiver_committee]
-    queue.inbound += _delivered_to(
+    queue.inbound += delivered_to(
         receiver_committee, state.global_store._payload.get(event, ()))
     return queue
 
 
-def _delivered_to(
+def delivered_to(
     committee: CommitteeId, txs: Iterable[Transaction]
 ) -> list[Transaction]:
     """The cross-shard transactions among txs that target committee."""
@@ -306,7 +306,7 @@ def recover_failed_shard(
     # index order
     source, held = replica.events.store, replica.events.mask
     lost = Transfer(source, (1 << len(source.by_index)) - 1 & ~held)
-    state.queues[failed].inbound[:0] = _delivered_to(
+    state.queues[failed].inbound[:0] = delivered_to(
         failed, (tx for i in lost for tx in source._payload.get(i, ())))
     table.epoch += 1
     return replica

@@ -37,10 +37,11 @@ import json
 import math
 import os
 import random
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
 
-from .config import ScenarioConfig
+from .config import CHURN, EQUIVOCATOR, NO_ADVERSARY, SHARD_FAILURE, ScenarioConfig
 from .hashgraph import (
     Hashgraph,
     Order,
@@ -72,6 +73,7 @@ from .sharding import (
     ShardingError,
     coordinator_ingest_local,
     coordinator_receive_global,
+    delivered_to,
     flush_inbound,
     flush_outbound,
     partition_nodes,
@@ -131,10 +133,11 @@ def poisson_sample(rng: random.Random, lam: float) -> int:
         count += 1
 
 
-def inject_workload(config, rng, table, down):
+def inject_workload(config, rng, table, down, first):
     """Poisson arrivals for one tick at the members of the committees not
-    in ``down``: (origin node, origin committee, target committee)
-    triples."""
+    in ``down``: (origin node, transaction) pairs, each transaction a
+    one-unit payload from the node's committee, numbered ``t{first}``,
+    ``t{first + 1}`` and on."""
     assignment = table.assignment
     pool = sorted(node for node, cid in assignment.items() if cid not in down)
     if not pool:
@@ -144,14 +147,17 @@ def inject_workload(config, rng, table, down):
     others = {c: [d for d in committees if d != c] for c in committees}
     choice, rand, ratio = rng.choice, rng.random, config.cross_ratio
     cross = len(committees) > 1
-    for _ in range(poisson_sample(rng, config.tx_rate)):
+    # tuple.__new__ builds each record without the generated __new__'s call
+    new = tuple.__new__
+    for i in range(first, first + poisson_sample(rng, config.tx_rate)):
         origin_node = choice(pool)
         ocid = assignment[origin_node]
         if cross and rand() < ratio:
             target = choice(others[ocid])
         else:
             target = ocid
-        out.append((origin_node, ocid, target))
+        out.append((origin_node, new(
+            Transaction, (f"t{i}", ocid, target, 1, KIND_PAYLOAD, ()))))
     return out
 
 
@@ -279,7 +285,7 @@ class Simulation:
         self.anomalies: list = []
         self.last_ckpt_round = 0
         self.equivocators: list[int] = []
-        if config.adversary_kind == "equivocator":
+        if config.adversary_kind == EQUIVOCATOR:
             for cid in sorted(self.table.coordinators):
                 members = self.table.non_coordinators(cid)
                 count = max(1, int(config.adversary_fraction * len(members)))
@@ -314,7 +320,7 @@ class Simulation:
         down committee."""
         cfg = self.cfg
         kind = cfg.adversary_kind
-        if kind == "shard_failure":
+        if kind == SHARD_FAILURE:
             cid = cfg.adversary_committee
             if cid < 0:
                 cid = cfg.s - 1
@@ -323,11 +329,11 @@ class Simulation:
                 self._fail_shard(t, cid)
             elif t == fail_at + cfg.adversary_recover_delay:
                 self._recover_shard(t, cid)
-        elif kind != "none" and t and t % cfg.adversary_interval == 0:
-            if kind == "equivocator":
+        elif kind != NO_ADVERSARY and t and t % cfg.adversary_interval == 0:
+            if kind == EQUIVOCATOR:
                 for node in self.equivocators:
                     self._equivocate(node, t)
-            else:
+            elif kind == CHURN:
                 self._churn_act(t)
         if t < self.inject_until:
             self._inject(t)
@@ -339,23 +345,15 @@ class Simulation:
 
     def _inject(self, t):
         pending, inject_tick = self.pending, self.inject_tick
-        # an injected transaction is a one-unit payload with every other
-        # field at its default; tuple.__new__ builds it without the call to
-        # the generated __new__
-        new = tuple.__new__
-        arrivals = inject_workload(self.cfg, self.rng, self.table, self.down)
         # the injected count so far numbers the next transaction
-        metrics = self.metrics
-        for i, (origin_node, ocid, target) in enumerate(
-                arrivals, metrics.injected_tx_units):
-            tx_id = f"t{i}"
-            pending[origin_node].append(
-                new(Transaction, (tx_id, ocid, target, 1, KIND_PAYLOAD, ()))
-            )
-            if ocid != target:
-                inject_tick[tx_id] = t
-        metrics.injected_tx_units += len(arrivals)
-        metrics.injected_cross_units = len(inject_tick)
+        arrivals = inject_workload(self.cfg, self.rng, self.table, self.down,
+                                   self.metrics.injected_tx_units)
+        for node, tx in arrivals:
+            pending[node].append(tx)
+            if tx.origin != tx.target:
+                inject_tick[tx.tx_id] = t
+        self.metrics.injected_tx_units += len(arrivals)
+        self.metrics.injected_cross_units = len(inject_tick)
 
     def _gossip(self, t):
         table, down, views = self.table, self.down, self.views
@@ -447,15 +445,15 @@ class Simulation:
                     if kind == KIND_PAYLOAD:
                         keyed = True
                         units += tx.size_units
-                        if tx.target == cid and tx.origin != cid:
-                            tx_id = tx.tx_id
-                            ordered_count[tx_id] = ordered_count.get(tx_id, 0) + 1
-                            lat = t - inject_tick.get(tx_id, t)
-                            latency[lat] = latency.get(lat, 0) + 1
                     elif kind == KIND_INTRA_REORG:
                         self._on_intra_reorg(tx, stamps[k], t)
                     elif kind == KIND_RESELECT:
                         self._on_reselect(tx, stamps[k], t)
+            for tx in delivered_to(cid, chain.from_iterable(payloads)):
+                tx_id = tx.tx_id
+                ordered_count[tx_id] = ordered_count.get(tx_id, 0) + 1
+                lat = t - inject_tick.get(tx_id, t)
+                latency[lat] = latency.get(lat, 0) + 1
             if keyed:
                 ordered_units[cid] = units
             self.consensus_ptr[cid] = len(ordered)

@@ -25,6 +25,10 @@ tests use: some call in ``src/`` or ``perfbench/`` must leave each default
 out.  Calls are resolved by name as the reference checks resolve them: a
 call's name is its callee's name or attribute, a class's name calls its
 ``__init__``, and ``cls(...)`` in a classmethod calls its own class.
+
+And each name of a closed name set, the adversary kinds and the
+reorg-trigger modes, is spelled once in the package, as one string literal;
+every other use goes through the constant that holds it.
 """
 
 import ast
@@ -43,6 +47,8 @@ from collections import defaultdict
 from pathlib import Path
 
 import shardgraph
+from shardgraph.config import ADVERSARY_KINDS
+from shardgraph.reconfig import TRIGGER_MODES
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "shardgraph"
@@ -356,3 +362,21 @@ def test_every_keyword_default_is_used_outside_tests():
             in keyword_defaults()
             if not any(left_out(call, name, position)
                        for call in calls[called])] == []
+
+
+def string_literals():
+    """value -> the (file, line) places of each str constant, docstrings
+    included, in the package."""
+    places = defaultdict(list)
+    for path in sorted(PACKAGE.glob("*.py")):
+        rel = path.relative_to(ROOT)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                places[node.value].append((rel, node.lineno))
+    return places
+
+
+def test_each_closed_name_set_is_written_once():
+    places = string_literals()
+    assert {name: places[name] for name in (*ADVERSARY_KINDS, *TRIGGER_MODES)
+            if len(places[name]) != 1} == {}

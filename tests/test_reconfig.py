@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from shardgraph.reconfig import (
     DEFAULT_DONOR_COUNT,
     TRIGGER_COMMITTEE_FRACTION,
     TRIGGER_LITERAL,
+    TRIGGER_MODES,
     ChurnLedger,
     ReconfigError,
     apply_transfers,
@@ -20,6 +23,7 @@ from shardgraph.reconfig import (
     reselect_coordinator,
     split_quotas,
 )
+from shardgraph.config import ConfigError, ScenarioConfig
 from shardgraph.sharding import ShardState, partition_nodes
 
 
@@ -111,6 +115,22 @@ def test_trigger_literal_mode():
     assert check_reorg_trigger(ledger, 0, TRIGGER_LITERAL, 10)
 
 
+def test_config_accepts_exactly_the_trigger_modes():
+    def accepted(mode):
+        try:
+            ScenarioConfig(trigger_mode=mode).validate()
+        except ConfigError:
+            return False
+        return True
+
+    near = ["", "committee_fraction", "literal", "s-over-2"]
+    near += [m.upper() for m in TRIGGER_MODES]
+    near += [m + " " for m in TRIGGER_MODES]
+    assert [m for m in (*TRIGGER_MODES, *near) if accepted(m)] == list(
+        TRIGGER_MODES)
+    assert ScenarioConfig().trigger_mode in TRIGGER_MODES
+
+
 def test_trigger_monotone_until_reset():
     state, table, ledger = make_state(20, 2)
     cid = 0
@@ -143,6 +163,21 @@ def test_trigger_monotone_until_reset():
 def test_forced_donor_with_two_shards():
     for ts in range(20):
         assert choose_donors(ts, 0, [1], 2) == [1]
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 5, 9])
+def test_donor_draw_is_the_split_draw_without_the_depleted(size):
+    # one seeded k-of-a-pool draw serves both phases: the donors are the
+    # split draw from the eligible committees other than the depleted one,
+    # for an empty pool and for k past the pool's size too
+    for ts in range(-3, 40, 7):
+        pool = random.Random(ts).sample(range(12), size)
+        for depleted in (0, 3, 11):
+            for k in (0, 1, 2, 4, 12):
+                split = choose_split_members(
+                    ts, [c for c in pool if c != depleted], k)
+                assert choose_donors(ts, depleted, pool, k) == split
+                assert len(split) == min(k, len(set(pool) - {depleted}))
 
 
 def deplete(state, table, ledger, committee, to_size):

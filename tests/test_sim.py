@@ -66,8 +66,8 @@ def test_inject_workload_cross_fraction():
     rng = random.Random(5)
     txs = []
     while len(txs) < 10_000:
-        txs.extend(inject_workload(cfg, rng, table, set()))
-    cross = sum(1 for _, o, t in txs if o != t)
+        txs.extend(inject_workload(cfg, rng, table, set(), 0))
+    cross = sum(1 for _, tx in txs if tx.origin != tx.target)
     assert abs(cross / len(txs) - 0.3) < 0.02
 
 
@@ -75,18 +75,46 @@ def test_inject_workload_extremes():
     table = partition_nodes(range(8), 2, seed=1)
     rng = random.Random(5)
     cfg0 = ScenarioConfig(n=8, s=2, cross_ratio=0.0, tx_rate=50.0)
-    assert all(o == t for _, o, t in inject_workload(cfg0, rng, table, set()))
+    assert all(tx.origin == tx.target
+               for _, tx in inject_workload(cfg0, rng, table, set(), 0))
     cfg1 = ScenarioConfig(n=8, s=2, cross_ratio=1.0, tx_rate=50.0)
-    assert all(o != t for _, o, t in inject_workload(cfg1, rng, table, set()))
+    assert all(tx.origin != tx.target
+               for _, tx in inject_workload(cfg1, rng, table, set(), 0))
 
 
 def test_inject_workload_skips_down_committees():
     table = partition_nodes(range(8), 2, seed=1)
     cfg = ScenarioConfig(n=8, s=2, cross_ratio=0.5, tx_rate=50.0)
-    txs = inject_workload(cfg, random.Random(5), table, {0})
-    assert txs and {o for _, o, _ in txs} == {1}
-    assert all(table.committee_of(node) == 1 for node, _, _ in txs)
-    assert inject_workload(cfg, random.Random(5), table, {0, 1}) == []
+    txs = inject_workload(cfg, random.Random(5), table, {0}, 0)
+    assert txs and {tx.origin for _, tx in txs} == {1}
+    assert all(table.committee_of(node) == 1 for node, _ in txs)
+    assert inject_workload(cfg, random.Random(5), table, {0, 1}, 0) == []
+
+
+def test_inject_workload_numbers_from_first():
+    table = partition_nodes(range(8), 2, seed=1)
+    cfg = ScenarioConfig(n=8, s=2, cross_ratio=0.5, tx_rate=50.0)
+    txs = inject_workload(cfg, random.Random(5), table, set(), 17)
+    assert [tx.tx_id for _, tx in txs] == [
+        f"t{i}" for i in range(17, 17 + len(txs))]
+    assert all(tx.size_units == 1 and tx.kind == KIND_PAYLOAD
+               and tx.origin == table.committee_of(node) for node, tx in txs)
+    # _inject files the same draws at their origin nodes and stamps
+    # exactly the cross ones
+    sim = Simulation(small_cfg(cross_ratio=0.5))
+    rng = random.Random()
+    rng.setstate(sim.rng.getstate())
+    expected = inject_workload(sim.cfg, rng, sim.table, set(), 0)
+    assert any(tx.origin != tx.target for _, tx in expected)
+    assert any(tx.origin == tx.target for _, tx in expected)
+    sim._inject(4)
+    assert sim.metrics.injected_tx_units == len(expected)
+    filed = {node: [] for node in sim.pending}
+    for node, tx in expected:
+        filed[node].append(tx)
+    assert sim.pending == filed
+    assert sim.inject_tick == {tx.tx_id: 4 for _, tx in expected
+                               if tx.origin != tx.target}
 
 
 # -- basic runs -------------------------------------------------------------
