@@ -333,17 +333,17 @@ class EventStore:
       keyed by id, so an exact duplicate is inserted again, as a second
       branch of its creator.
     - Payload lifetime: ``_payload`` holds each payload, empty ones too,
-      until it is taken.  A local event's transactions are read once, by
-      the walk that applies its committee's newly ordered events, and by
-      nothing else.  ``take_payload`` pops them for that walk.  A payload
-      not held means "applied": a store rebuilt from a replica replays the
-      events with their payloads as they stand (``replay``), so the walk of
-      the rebuilt store skips those the old store applied.  A global
-      event's are read by each seat's view as it first receives the event
-      and by the global walk, which reads its join and reorganization
-      transactions once it is ordered; the poll pops them once the event is
-      ordered and every seat knows it.  A seat that lacks it, a down
-      committee's until it is back, keeps it held.
+      until it is taken.  ``walk`` reads those of the events ordered since
+      the store's last walk (``_walked``), in consensus order.  A local
+      event's transactions are read once, by the walk that applies them
+      and pops them.  A payload not held means "applied": a store rebuilt
+      from a replica replays the events with their payloads as they stand
+      (``replay``), so its own walk, from its first entry, skips those the
+      old store applied.  A global event's are read by each seat's view as
+      it first receives the event (``payload``) and by the global walk,
+      which reads its join and reorganization transactions; ``release``
+      pops them once the event is ordered and every seat knows it.  A seat
+      that lacks it, a down committee's until it is back, keeps it held.
     - ``_sm`` is the supermajority of the population, kept by
       ``add_member`` and ``remove_member`` (0 while the population is empty,
       which makes a read raise), so neither insert nor a tally recounts it.
@@ -417,6 +417,7 @@ class EventStore:
         self._order_rounds = array("i")
         self._order_stamps = array("i")
         self._emitted = 0                    # bitmask of ordered events
+        self._walked = 0                     # order entries walked
         self.finalized_round = 0
 
     @property
@@ -623,11 +624,28 @@ class EventStore:
         live[idx] = (anc, forked, prev, cur)
         return idx
 
-    def take_payload(self, i: int) -> Optional[tuple[Transaction, ...]]:
-        """Event i's transactions, for the walk that applies it once it is
-        ordered, or None if they were taken before (see Payload
-        lifetime)."""
-        return self._payload.pop(i, None)
+    def payload(self, i: int) -> tuple[Transaction, ...]:
+        """Event i's transactions while held, else none."""
+        return self._payload.get(i, ())
+
+    def walk(self, take: bool) -> list[tuple[tuple[Transaction, ...], int]]:
+        """(payload, consensus timestamp) of each event ordered since the
+        last walk, in consensus order, skipping payloads not held or empty;
+        if ``take``, every walked payload is popped."""
+        events, stamps = self._order_events, self._order_stamps
+        read = self._payload.pop if take else self._payload.get
+        start, self._walked = self._walked, len(events)
+        return [(p, stamps[k]) for k in range(start, len(events))
+                if (p := read(events[k], None))]
+
+    def release(self, views: Iterable[Hashgraph]) -> None:
+        """Pop the payloads of the ordered events that every view knows."""
+        freed = self._emitted
+        for view in views:
+            freed &= view.known
+        held = self._payload
+        for i in [i for i in held if freed >> i & 1]:
+            del held[i]
 
     def _pack_constants(self) -> None:
         """LOW, bit 0 of each of ``_fields`` fields, and the SWAR masks for
@@ -972,6 +990,11 @@ class Hashgraph:
         self.owner = owner
         self.known = 0
         self.head: Optional[int] = None
+
+    def reseat(self, owner: NodeId) -> None:
+        """Hand the view to owner, headed by its furthest known event."""
+        self.owner, self.head = owner, None
+        self.head = self._head_after(self.known)
 
     def _head_after(self, mask: int) -> Optional[int]:
         """The head once the view learns the events in mask: the owner's

@@ -161,9 +161,7 @@ def seat_coordinator(
     table.coordinators[committee] = new
     state.global_store.remove_member(old)
     state.global_store.add_member(new)
-    seat = state.seats[committee]
-    seat.owner, seat.head = new, None
-    seat.head = seat._head_after(seat.known)
+    state.seats[committee].reseat(new)
 
 
 # -- pipeline steps ---------------------------------------------------------
@@ -174,7 +172,7 @@ def coordinator_ingest_local(
     table: CommitteeTable,
     committee: CommitteeId,
     payloads: Iterable[tuple[Transaction, ...]],
-) -> CacheQueue:
+) -> None:
     """Step 1: queue the cross-shard transactions that originate in this
     committee, from the payloads of the events its local graph has newly
     ordered, in consensus order, for the global graph.  A transaction is
@@ -182,14 +180,12 @@ def coordinator_ingest_local(
     committee's coordinator then.  Each payload is ordered once, so no
     transaction is queued twice; a delivered transaction from another
     committee is not sent back through the global graph."""
-    queue = state.queues[committee]
-    outbound = queue.outbound
+    outbound = state.queues[committee].outbound
     for payload in payloads:
         for tx in payload:
             if (tx.target != committee and tx.origin == committee
                     and tx.kind == KIND_PAYLOAD):
                 outbound.append(tx)
-    return queue
 
 
 def _take_oldest(queued: list[Transaction], limit: int) -> list[Transaction]:
@@ -220,14 +216,12 @@ def coordinator_receive_global(
     table: CommitteeTable,
     receiver_committee: CommitteeId,
     event: int,
-) -> CacheQueue:
+) -> None:
     """Step 2b: file transactions targeting this committee, from the
     global graph's event of this index, into the receiving coordinator's
     inbound queue."""
-    queue = state.queues[receiver_committee]
-    queue.inbound += delivered_to(
-        receiver_committee, state.global_store._payload.get(event, ()))
-    return queue
+    state.queues[receiver_committee].inbound += delivered_to(
+        receiver_committee, state.global_store.payload(event))
 
 
 def delivered_to(
@@ -307,6 +301,6 @@ def recover_failed_shard(
     source, held = replica.events.store, replica.events.mask
     lost = Transfer(source, (1 << len(source.by_index)) - 1 & ~held)
     state.queues[failed].inbound[:0] = delivered_to(
-        failed, (tx for i in lost for tx in source._payload.get(i, ())))
+        failed, (tx for i in lost for tx in source.payload(i)))
     table.epoch += 1
     return replica

@@ -276,8 +276,6 @@ class Simulation:
         self.next_node_id = config.n
         self.inject_tick: dict[str, int] = {}
         self.ordered_count: dict[str, int] = {}
-        self.consensus_ptr: dict = {cid: 0 for cid in self.table.coordinators}
-        self.global_ptr = 0
         self.reorg: dict[int, dict] = {}
         self.reorg_log: list = []
         self.action_log: list = []
@@ -427,18 +425,12 @@ class Simulation:
         for cid in sorted(self.state.local_stores):
             store = self.state.local_stores[cid]
             store.advance_consensus()
-            ordered, stamps = store._order_events, store._order_stamps
-            take = store.take_payload
             # the committee's key exists once any payload-kind transaction,
             # a zero-size marker included, has been ordered there
             keyed = cid in ordered_units
             units = ordered_units.get(cid, 0)
             payloads = []
-            for k in range(self.consensus_ptr.get(cid, 0), len(ordered)):
-                payload = take(ordered[k])
-                if not payload:
-                    # empty, or applied in the store a recovery replaced
-                    continue
+            for payload, stamp in store.walk(True):
                 payloads.append(payload)
                 for tx in payload:
                     kind = tx.kind
@@ -446,9 +438,9 @@ class Simulation:
                         keyed = True
                         units += tx.size_units
                     elif kind == KIND_INTRA_REORG:
-                        self._on_intra_reorg(tx, stamps[k], t)
+                        self._on_intra_reorg(tx, stamp, t)
                     elif kind == KIND_RESELECT:
-                        self._on_reselect(tx, stamps[k], t)
+                        self._on_reselect(tx, stamp, t)
             for tx in delivered_to(cid, chain.from_iterable(payloads)):
                 tx_id = tx.tx_id
                 ordered_count[tx_id] = ordered_count.get(tx_id, 0) + 1
@@ -456,27 +448,19 @@ class Simulation:
                 latency[lat] = latency.get(lat, 0) + 1
             if keyed:
                 ordered_units[cid] = units
-            self.consensus_ptr[cid] = len(ordered)
             coordinator_ingest_local(self.state, self.table, cid, payloads)
         gstore = self.state.global_store
         gstore.advance_consensus()
-        ordered, stamps = gstore._order_events, gstore._order_stamps
-        for k in range(self.global_ptr, len(ordered)):
-            for tx in gstore._payload.get(ordered[k], ()):
+        for payload, stamp in gstore.walk(False):
+            for tx in payload:
                 if tx.kind == KIND_JOIN:
-                    self._apply_join(tx, stamps[k], t)
+                    self._apply_join(tx, stamp, t)
                 elif tx.kind == KIND_REORG:
-                    self._on_reorg_global(tx, stamps[k], t)
-        self.global_ptr = len(ordered)
+                    self._on_reorg_global(tx, stamp, t)
         # an ordered event every seat knows has been received by each seat
         # and applied by the walk above, so nothing reads its payload again;
         # a seat still missing it, a down committee's too, keeps it held
-        freed = gstore._emitted
-        for seat in self.state.seats.values():
-            freed &= seat.known
-        held = gstore._payload
-        for i in [i for i in held if freed >> i & 1]:
-            del held[i]
+        gstore.release(self.state.seats.values())
         self._maybe_checkpoint(t)
 
     def _maybe_checkpoint(self, t):
@@ -484,8 +468,8 @@ class Simulation:
             store = self.state.local_stores[0]
         else:
             store = self.state.global_store
-        rounds = store._order_rounds
-        finalized = rounds[-1] if rounds else 0
+        order = store.consensus
+        finalized = order[-1].round_received if order else 0
         if finalized < self.last_ckpt_round + self.cfg.checkpoint_period:
             return
         self.last_ckpt_round = finalized
@@ -582,9 +566,6 @@ class Simulation:
                 # rounds keep advancing past the replayed history
                 create_event(g, tip, (), t)
         self.ever_coordinators.add(self.table.coordinators[cid])
-        # the walk starts over on the recovered store's order; the events
-        # the old store applied were replayed as headers, and are skipped
-        self.consensus_ptr[cid] = 0
         self.recovery_log.append(
             {"at": t, "action": "recover_shard", "committee": cid,
              "replacements": replacements,
@@ -703,9 +684,13 @@ class Simulation:
                 }
             )
         apply_transfers(self.state, self.table, self.ledger, depleted, transfers)
-        for moved in transfers.values():
+        for donor, moved in transfers.items():
+            # a mover's buffer stays with its old committee's coordinator
+            kept = self.pending[self.table.coordinators[donor]]
             for node in moved:
                 self.views[node] = self._local_view(node)
+                kept += self.pending[node]
+                self.pending[node] = []
         changed = [depleted, *transfers]
         entry["pending_reselect"] = set(changed)
         for c in changed:

@@ -380,3 +380,43 @@ def test_each_closed_name_set_is_written_once():
     places = string_literals()
     assert {name: places[name] for name in (*ADVERSARY_KINDS, *TRIGGER_MODES)
             if len(places[name]) != 1} == {}
+
+
+# the public API of a namedtuple, spelled with a leading underscore
+NAMEDTUPLE_API = {"_asdict", "_replace", "_fields", "_make"}
+
+
+def foreign_private_reads():
+    """(file, line, expression) of each attribute access ``x._name``, one
+    leading underscore, under src/shardgraph and perfbench/ whose name the
+    module does not define: as a def or class, an assigned name, or an
+    attribute assigned on ``self`` or ``cls``, the receivers that are
+    exempt."""
+    own = {"self", "cls"}
+    for path in sorted([*PACKAGE.glob("*.py"),
+                        *(ROOT / "perfbench").rglob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined, accesses = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, DEFS):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                if getattr(node.value, "id", None) in own:
+                    if isinstance(node.ctx, ast.Store):
+                        defined.add(node.attr)
+                elif (node.attr.startswith("_") and not is_dunder(node.attr)
+                        and node.attr not in NAMEDTUPLE_API):
+                    accesses.append(node)
+        for node in accesses:
+            if node.attr not in defined:
+                yield path.relative_to(ROOT), node.lineno, ast.unparse(node)
+
+
+def test_no_module_reads_another_modules_private_attribute():
+    # the sharding layer feeds and reads the hashgraph engine through its
+    # interface, so a change of the store's representation stays in
+    # hashgraph.py
+    assert [f"{rel}:{line} {expr}"
+            for rel, line, expr in foreign_private_reads()] == []

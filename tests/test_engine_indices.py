@@ -950,8 +950,8 @@ def check_held_payloads(sim):
     """Each store holds exactly the payloads not yet taken: a local store's
     events past its walk, which takes each ordered event's, and the global
     store's events not yet released to every seat."""
-    for cid, store in sim.state.local_stores.items():
-        taken = set(store._order_events[:sim.consensus_ptr.get(cid, 0)])
+    for store in sim.state.local_stores.values():
+        taken = set(store._order_events[:store._walked])
         assert store._payload.keys() == set(store.by_index) - taken
     gstore = sim.state.global_store
     released = gstore._emitted
@@ -1256,10 +1256,10 @@ def test_live_mask_bytes_grow_linearly_in_history():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_columns_read_back_each_inserted_event(seed, monkeypatch):
     # every inserted event reads back from the store's columns with its
-    # seven fields, forks and (odd seeds) a width doubling included; a taken
-    # payload reads back as None; and a store rebuilt from the records of a
-    # transfer's indices, under the same membership changes, orders them
-    # the same
+    # seven fields, forks and (odd seeds) a width doubling included; a
+    # payload the walk took reads back as None; and a store rebuilt from the
+    # records of a transfer's indices, under the same membership changes,
+    # orders them the same and has nothing to walk
     n, joins, steps = (7, 3, 400) if seed % 2 else (None, 0, 150)
     inserted, log = [], []
     add_event, add_member = EventStore.add_event, EventStore.add_member
@@ -1284,10 +1284,13 @@ def test_columns_read_back_each_inserted_event(seed, monkeypatch):
     assert records(store) == inserted
     store.advance_consensus()
     assert store.consensus
-    taken = range(0, len(inserted), 3)
-    for i in taken:
-        assert store.take_payload(i) == inserted[i].payload
-        assert store.take_payload(i) is None
+    # the walk takes every ordered event's payload and yields the non-empty
+    # ones with their consensus timestamps, once
+    taken = list(store._order_events)
+    assert store.walk(True) == [
+        (inserted[i].payload, ts)
+        for i, ts in zip(taken, store._order_stamps) if inserted[i].payload]
+    assert store.walk(True) == []
     recs = records(store)
     for i in taken:
         assert recs[i] == (*inserted[i][:3], None, *inserted[i][4:])
@@ -1301,7 +1304,7 @@ def test_columns_read_back_each_inserted_event(seed, monkeypatch):
     fresh.advance_consensus()
     assert fresh.consensus == store.consensus
     assert records(fresh) == recs
-    assert [fresh.take_payload(i) for i in taken] == [None] * len(taken)
+    assert fresh.walk(True) == []
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

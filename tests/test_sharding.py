@@ -104,13 +104,14 @@ def full_view(store):
 
 
 def ingest_ordered(state, table, cid, *events):
-    """What a poll does with the events its committee's graph newly
-    ordered: take each one's payload, skip those taken before, and queue
-    the rest's outbound transactions in one ingest."""
+    """What a poll's walk does with the events its committee's graph newly
+    ordered: pop each one's payload, skip those popped before, and queue
+    the rest's outbound transactions in one ingest.  Returns the
+    committee's queue."""
     store = state.local_stores[cid]
-    payloads = [store.take_payload(i) for i in events]
-    return coordinator_ingest_local(
-        state, table, cid, [p for p in payloads if p])
+    payloads = [store._payload.pop(i, None) for i in events]
+    coordinator_ingest_local(state, table, cid, [p for p in payloads if p])
+    return state.queues[cid]
 
 
 def test_ingest_intra_only_leaves_queue_alone(small_state):
@@ -184,11 +185,11 @@ def test_receive_global_filters_by_target(small_state):
     coord = table.coordinators[0]
     view = Hashgraph(state.global_store, coord)
     ev = create_event(view, None, (cross,), 5)
-    q1 = coordinator_receive_global(state, table, 1, ev)
-    assert q1.inbound == [cross]
+    coordinator_receive_global(state, table, 1, ev)
+    assert state.queues[1].inbound == [cross]
     # the origin committee's own coordinator ignores it
-    q0 = coordinator_receive_global(state, table, 0, ev)
-    assert q0.inbound == []
+    coordinator_receive_global(state, table, 0, ev)
+    assert state.queues[0].inbound == []
 
 
 def test_emit_local_delivers_inbound(small_state):
@@ -413,8 +414,8 @@ def test_recover_requeues_deliveries_the_replica_lacks():
                 creator=members[1])
     local_event(state, table, 0, (tx(4, 1, 0),), creator=members[2])
     applied = local_event(state, table, 0, (tx(5, 1, 0),), creator=members[3])
-    store = state.local_stores[0]
-    store.take_payload(applied)
+    # a poll's walk applied it and popped its payload
+    del state.local_stores[0]._payload[applied]
     queue = state.queues[0]
     queue.inbound.append(tx(6, 1, 0))
     recover_failed_shard(state, table, 0, [50, 51, 52, 53])
@@ -470,7 +471,7 @@ def test_replay_copies_the_unit_planes_over_the_transfer():
             f"u{t}", 0, 0, size_units=rng.randrange(8)),))
     n = len(store.by_index)
     for i in range(0, n, 3):
-        store.take_payload(i)
+        del store._payload[i]
     assert len(store._unit_planes) == 3
     for mask in [view.known for view in views] + [(1 << n) - 1]:
         copy = EventStore(store.population)
