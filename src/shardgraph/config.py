@@ -61,9 +61,6 @@ class ScenarioConfig:
         if settings:
             raise TypeError(f"unknown ScenarioConfig fields {sorted(settings)}")
 
-    def __eq__(self, other):
-        return isinstance(other, ScenarioConfig) and vars(self) == vars(other)
-
     def validate(self) -> None:
         if self.s < 1:
             raise ConfigError("s must be >= 1")

@@ -112,7 +112,8 @@ class ShardState:
     """Graphs, seats, queues and replicas of one sharded deployment.  A
     committee's seat in the global committee is its queues and its view of
     the global graph, ``seats[c]``, owned by the committee's coordinator;
-    ``seat_coordinator`` hands both to a new coordinator."""
+    ``seat_coordinator`` hands both to a new coordinator.  ``seated`` holds
+    every node that has ever held a seat."""
 
     def __init__(self, table: CommitteeTable):
         self.local_stores: dict[CommitteeId, EventStore] = {
@@ -127,6 +128,7 @@ class ShardState:
             cid: Hashgraph(self.global_store, coord)
             for cid, coord in table.coordinators.items()
         }
+        self.seated: set[NodeId] = set(table.coordinators.values())
         # each committee's latest checkpoint; every global-committee member
         # other than the committee's coordinator holds it
         self.replicas: dict[CommitteeId, ReplicaSnapshot] = {}
@@ -159,6 +161,7 @@ def seat_coordinator(
     if new == old:
         return
     table.coordinators[committee] = new
+    state.seated.add(new)
     state.global_store.remove_member(old)
     state.global_store.add_member(new)
     state.seats[committee].reseat(new)

@@ -227,7 +227,7 @@ class RunReport(NamedTuple):
     recovery_log: list
     tx_audit: dict
     anomalies: list
-    checkpoint_count: int = 0
+    checkpoint_count: int
 
     def to_dict(self) -> dict:
         """The serialized report, with every consensus order replaced by
@@ -264,13 +264,10 @@ class Simulation:
         self.state = ShardState(self.table)
         self.ledger = ChurnLedger.from_table(self.table)
         self.down: set[int] = set()   # failed committees not yet recovered
-        self.views: dict[int, Hashgraph] = {
-            node: self._local_view(node) for node in sorted(self.table.assignment)
-        }
-        self.ever_coordinators = set(self.table.coordinators.values())
-        self.pending: dict[int, list[Transaction]] = {
-            node: [] for node in sorted(self.table.assignment)
-        }
+        self.views: dict[int, Hashgraph] = {}
+        self.pending: dict[int, list[Transaction]] = {}
+        for node in sorted(self.table.assignment):
+            self._enter(node, self._local_view(node))
         self.metrics = MetricsReport(config.duration)
         self.inject_until = config.resolved_inject_until()
         self.next_node_id = config.n
@@ -304,6 +301,33 @@ class Simulation:
         return member_view(
             self.state.local_stores[self.table.committee_of(node)], node
         )
+
+    # -- membership: the one way into a committee and the one way out --------
+
+    def _enter(self, node, view):
+        """Give node, a new member of its committee, view of the committee
+        graph and an empty transaction buffer."""
+        self.views[node] = view
+        self.pending[node] = []
+
+    def _exit(self, node, heir):
+        """Drop node's view and hand its buffered transactions to heir's
+        buffer; with heir None they are dropped."""
+        del self.views[node]
+        buffered = self.pending.pop(node)
+        if heir is not None:
+            self.pending[heir] += buffered
+
+    def _chose(self, purpose, t, ts, pool, chosen, **where):
+        """Log a reconfiguration choice: chosen, drawn from pool by the
+        consensus timestamp ts, so any observer can recompute it."""
+        self.reorg_log.append({"purpose": purpose, "at": t,
+                               "consensus_timestamp": ts, "pool": pool,
+                               "chosen": chosen, **where})
+
+    def _act(self, t, action, **fields):
+        """Log an action of the run at tick t."""
+        self.action_log.append({"at": t, "action": action, **fields})
 
     # -- run loop ------------------------------------------------------------
 
@@ -481,7 +505,7 @@ class Simulation:
             self.metrics.replica_counts[cid] = replica_holder_count(
                 self.state, self.table, cid
             )
-        self.action_log.append({"at": t, "action": "checkpoint"})
+        self._act(t, "checkpoint")
 
     # -- adversaries -----------------------------------------------------------
 
@@ -506,9 +530,7 @@ class Simulation:
         create_event(view, None, (marker_a,), t)
         self._chain(cid, [view, self.views[p1]], t)
         self._chain(cid, [alt, self.views[p2]], t)
-        self.action_log.append(
-            {"at": t, "action": "equivocate", "node": node, "committee": cid}
-        )
+        self._act(t, "equivocate", node=node, committee=cid)
 
     def _churn_act(self, t):
         cfg = self.cfg
@@ -549,23 +571,24 @@ class Simulation:
                 self.state, self.table, cid, replacements
             )
         except ShardingError as exc:
+            if cid in self.state.replicas:
+                # the replica exists but does not rebuild the committee
+                raise SimulationError(
+                    f"shard {cid} recovery failed: {exc}") from exc
             self.anomalies.append(f"shard {cid} recovery failed: {exc}")
             return
         self.down.discard(cid)
         for m in old_members:
-            self.views.pop(m, None)
-            self.pending.pop(m, None)
+            self._exit(m, None)
         store = self.state.local_stores[cid]
         tip = len(store.by_index) - 1
         for node in replacements:
             g = _full_view(store, node)
-            self.views[node] = g
-            self.pending[node] = []
+            self._enter(node, g)
             if tip >= 0:
                 # anchor the new member's chain to the recovered graph so
                 # rounds keep advancing past the replayed history
                 create_event(g, tip, (), t)
-        self.ever_coordinators.add(self.table.coordinators[cid])
         self.recovery_log.append(
             {"at": t, "action": "recover_shard", "committee": cid,
              "replacements": replacements,
@@ -577,11 +600,8 @@ class Simulation:
     def _leave(self, node, t):
         cid = self.table.committee_of(node)
         leave_node(self.state, self.table, self.ledger, node)
-        self.views.pop(node, None)
-        self.pending.pop(node, None)
-        self.action_log.append(
-            {"at": t, "action": "leave", "node": node, "committee": cid}
-        )
+        self._exit(node, self.table.coordinators[cid])
+        self._act(t, "leave", node=node, committee=cid)
         if (
             self.cfg.s > 1
             and cid not in self.reorg
@@ -600,31 +620,20 @@ class Simulation:
             self._apply_join(tx, t, t)
         else:
             self.state.queues[rcid].outbound.append(tx)
-        self.action_log.append({"at": t, "action": "join_request", "node": node})
+        self._act(t, "join_request", node=node)
 
     def _apply_join(self, tx, consensus_ts, t):
         node = tx.data[0]
         cid = join_node(self.state, self.table, node, consensus_ts)
-        self.views[node] = self._local_view(node)
-        self.pending[node] = []
-        self.reorg_log.append(
-            {
-                "purpose": "join",
-                "at": t,
-                "consensus_timestamp": consensus_ts,
-                "pool": list(range(self.cfg.s)),
-                "chosen": cid,
-                "node": node,
-            }
-        )
+        self._enter(node, self._local_view(node))
+        self._chose("join", t, consensus_ts, list(range(self.cfg.s)), cid,
+                    node=node)
 
     def _raise_reorg(self, cid, t):
         tx = control_tx(f"reorg{cid}-{t}", cid, KIND_REORG, (cid,))
         self.state.queues[cid].outbound.append(tx)
         self.reorg[cid] = {}
-        self.action_log.append(
-            {"at": t, "action": "reorg_requested", "committee": cid}
-        )
+        self._act(t, "reorg_requested", committee=cid)
 
     def _on_reorg_global(self, tx, ts_g, t):
         cid = tx.data[0]
@@ -635,16 +644,7 @@ class Simulation:
             self.ledger.reset(cid, len(self.table.members(cid)))
             return
         donors = choose_donors(ts_g, cid, pool, DEFAULT_DONOR_COUNT)
-        self.reorg_log.append(
-            {
-                "purpose": "reorg-donors",
-                "at": t,
-                "committee": cid,
-                "consensus_timestamp": ts_g,
-                "pool": pool,
-                "chosen": donors,
-            }
-        )
+        self._chose("reorg-donors", t, ts_g, pool, donors, committee=cid)
         if not donors:
             del self.reorg[cid]
             self.anomalies.append(
@@ -672,69 +672,37 @@ class Simulation:
         ):
             ts_d = entry["donor_ts"][donor]
             transfers[donor] = choose_split_members(ts_d, candidates, quota)
-            self.reorg_log.append(
-                {
-                    "purpose": "reorg-split",
-                    "at": t,
-                    "committee": depleted,
-                    "donor": donor,
-                    "consensus_timestamp": ts_d,
-                    "pool": candidates,
-                    "chosen": transfers[donor],
-                }
-            )
+            self._chose("reorg-split", t, ts_d, candidates, transfers[donor],
+                        committee=depleted, donor=donor)
         apply_transfers(self.state, self.table, self.ledger, depleted, transfers)
         for donor, moved in transfers.items():
             # a mover's buffer stays with its old committee's coordinator
-            kept = self.pending[self.table.coordinators[donor]]
             for node in moved:
-                self.views[node] = self._local_view(node)
-                kept += self.pending[node]
-                self.pending[node] = []
+                self._exit(node, self.table.coordinators[donor])
+                self._enter(node, self._local_view(node))
         changed = [depleted, *transfers]
         entry["pending_reselect"] = set(changed)
         for c in changed:
             coord = self.table.coordinators[c]
             self.pending[coord].append(control_tx(
                 f"resel{c}-{t}-{self.table.epoch}", c, KIND_RESELECT, (c,)))
-        self.action_log.append(
-            {
-                "at": t,
-                "action": "reorg_applied",
-                "committee": depleted,
-                "transfers": {str(d): m for d, m in sorted(transfers.items())},
-                "sizes": {
-                    str(c): len(self.table.members(c))
-                    for c in sorted(self.table.coordinators)
-                },
-            }
-        )
+        self._act(t, "reorg_applied", committee=depleted,
+                  transfers={str(d): m for d, m in sorted(transfers.items())},
+                  sizes={str(c): len(self.table.members(c))
+                         for c in sorted(self.table.coordinators)})
 
     def _on_reselect(self, tx, ts, t):
         c = tx.data[0]
         members = self.table.members(c)
         new = reselect_coordinator(self.state, self.table, c, ts)
-        self.ever_coordinators.add(new)
-        self.reorg_log.append(
-            {
-                "purpose": "reselect",
-                "at": t,
-                "committee": c,
-                "consensus_timestamp": ts,
-                "pool": members,
-                "chosen": new,
-            }
-        )
+        self._chose("reselect", t, ts, members, new, committee=c)
         for entry_cid, entry in list(self.reorg.items()):
             pend = entry.get("pending_reselect")
             if pend is not None and c in pend:
                 pend.discard(c)
                 if not pend:
                     del self.reorg[entry_cid]
-                    self.action_log.append(
-                        {"at": t, "action": "reorg_complete",
-                         "committee": entry_cid}
-                    )
+                    self._act(t, "reorg_complete", committee=entry_cid)
 
     # -- wrap-up ---------------------------------------------------------------
 
@@ -776,7 +744,7 @@ class Simulation:
             "duplicate_count": len(duplicated),
         }
         comparison = compare_measured(
-            self.metrics, self.cfg, sorted(self.ever_coordinators))
+            self.metrics, self.cfg, sorted(self.state.seated))
         return RunReport(
             config=self.cfg.to_dict(),
             metrics=self.metrics,

@@ -26,9 +26,9 @@ class Transaction(NamedTuple):
     tx_id: str
     origin: int
     target: int
-    size_units: int = 1
-    kind: str = KIND_PAYLOAD
-    data: tuple = ()
+    size_units: int
+    kind: str
+    data: tuple
 
 
 def control_tx(tx_id: str, committee: int, kind: str = KIND_PAYLOAD,

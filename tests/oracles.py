@@ -44,7 +44,7 @@ from shardgraph.hashgraph import (
     supermajority,
 )
 from shardgraph.simulation import Simulation
-from shardgraph.transactions import Transaction
+from shardgraph.transactions import KIND_PAYLOAD, Transaction
 
 
 # the event digest -----------------------------------------------------------
@@ -111,7 +111,8 @@ def round_robin_fixture(
             if created[receiver] >= events_per_node:
                 continue
             payload = (
-                Transaction(tx_id=f"t{tick}_{receiver}", origin=0, target=0),
+                Transaction(tx_id=f"t{tick}_{receiver}", origin=0, target=0,
+                            size_units=1, kind=KIND_PAYLOAD, data=()),
             )
             _, ev = gossip_sync(graphs[sender], graphs[receiver], tick, payload)
             events.append(ev)

@@ -76,7 +76,7 @@ def test_criterion_2_storage_ratio(comm_grid):
         return mean(
             v
             for node, v in report.metrics.per_node_storage.items()
-            if node not in sim.ever_coordinators
+            if node not in sim.state.seated
         )
 
     ratio = noncoord_storage(8) / noncoord_storage(1)

@@ -20,11 +20,12 @@ defines, such as deleted state; a name followed by ``*`` is a pattern.
 Nor does importing it load the stdlib's introspection modules, which every
 run would pay for in set-up time.
 
-Nor does a function or method it defines keep a keyword default that only
-tests use: some call in ``src/`` or ``perfbench/`` must leave each default
-out.  Calls are resolved by name as the reference checks resolve them: a
-call's name is its callee's name or attribute, a class's name calls its
-``__init__``, and ``cls(...)`` in a classmethod calls its own class.
+Nor does a function or method it defines, or a NamedTuple field, keep a
+keyword default that only tests use: some call in ``src/`` or ``perfbench/``
+must leave each default out.  Calls are resolved by name as the reference
+checks resolve them: a call's name is its callee's name or attribute, a
+class's name calls its ``__init__`` or builds its NamedTuple, and
+``cls(...)`` in a classmethod calls its own class.
 
 And each name of a closed name set, the adversary kinds and the
 reorg-trigger modes, is spelled once in the package, as one string literal;
@@ -317,18 +318,32 @@ def call_sites():
     return calls
 
 
+def namedtuple_fields(cls):
+    """The annotated fields of a module-level ``NamedTuple`` class, in
+    order, or none for any other class."""
+    if not any(getattr(b, "id", None) == "NamedTuple" for b in cls.bases):
+        return []
+    return [f for f in cls.body
+            if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+
+
 def keyword_defaults():
     """(file, line, qualified name, call name, parameter, position) of each
     parameter with a default of a module-level function or a method of a
-    module-level class in the package; position counts the arguments a
-    call passes, so it skips a method's ``self`` or ``cls`` and is None for
-    a keyword-only parameter."""
+    module-level class in the package, and of each field with a default of
+    a module-level NamedTuple; position counts the arguments a call passes,
+    so it skips a method's ``self`` or ``cls`` and is None for a
+    keyword-only parameter."""
     for path in sorted(PACKAGE.glob("*.py")):
         rel = path.relative_to(ROOT)
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.FunctionDef):
                 fns = [(node, node.name, node.name, 0)]
             elif isinstance(node, ast.ClassDef):
+                for p, f in enumerate(namedtuple_fields(node)):
+                    if f.value is not None:
+                        yield (rel, f.lineno, f"{node.name}.{f.target.id}",
+                               node.name, f.target.id, p)
                 fns = [(fn, f"{node.name}.{fn.name}",
                         node.name if fn.name == "__init__" else fn.name,
                         0 if "staticmethod" in decorators(fn) else 1)

@@ -28,7 +28,7 @@ from shardgraph.hashgraph import (
     gossip_sync,
 )
 from shardgraph.simulation import Simulation, run_scenario, write_report
-from shardgraph.transactions import Transaction
+from shardgraph.transactions import KIND_PAYLOAD, Transaction
 
 from oracles import (
     ancestry,
@@ -119,8 +119,8 @@ def test_report_write_allocates_less_than_half_its_size(tmp_path):
 def test_per_event_records_are_slotted_and_frozen():
     # an event has no record of its own (a store names it by its index);
     # its transactions are records
-    tx = Transaction("t1", 0, 1, size_units=2)
-    tx2 = Transaction("t1", 0, 1, size_units=2)
+    tx = Transaction("t1", 0, 1, 2, KIND_PAYLOAD, ())
+    tx2 = Transaction("t1", 0, 1, 2, KIND_PAYLOAD, ())
     assert not hasattr(tx, "__dict__")
     with pytest.raises(AttributeError):
         tx.origin = 1
@@ -145,7 +145,8 @@ def test_bench_gossip_ring(benchmark):
     for t in range(1, rounds + 1):
         ring = rng.sample(range(n), n)
         plan.append((t, ring + ring[:1], [
-            (Transaction(f"t{t}-{m}", 0, 0),) for m in ring[1:] + ring[:1]]))
+            (Transaction(f"t{t}-{m}", 0, 0, 1, KIND_PAYLOAD, ()),)
+            for m in ring[1:] + ring[:1]]))
 
     def setup():
         store = EventStore(range(n))
@@ -210,7 +211,8 @@ def test_bench_inject(benchmark):
     assert sim.metrics.injected_tx_units == 19133
     assert sim.metrics.injected_cross_units == len(sim.inject_tick) == 1990
     # built without the constructor, each is the record it would build
-    assert all(tx == Transaction(tx.tx_id, tx.origin, tx.target)
+    assert all(tx == Transaction(tx.tx_id, tx.origin, tx.target, 1,
+                                 KIND_PAYLOAD, ())
                and type(tx) is Transaction
                for buf in sim.pending.values() for tx in buf)
     assert h.hexdigest() == (

@@ -4,6 +4,7 @@ import pytest
 
 import shardgraph.cli
 from shardgraph.cli import main
+from shardgraph.sharding import ReplicaSnapshot
 
 
 def run_cli(*argv):
@@ -181,6 +182,24 @@ def test_run_fails_a_duplicate_under_every_adversary(
                    "--set", f"adversary.kind={kind}") == code
     violated = "exactly-once violated for 1 transactions"
     assert (violated in capsys.readouterr().err) == bool(code)
+
+
+def test_a_diverged_recovery_fails_run_and_sweep(
+        tmp_path, capsys, monkeypatch):
+    # a replica that does not replay to its checkpointed order, here one
+    # that starts one entry late, is an invariant failure, not an anomaly:
+    # run exits 4 and sweep counts the point failed
+    monkeypatch.setattr(ReplicaSnapshot, "consensus", property(
+        lambda r: r.events.store.consensus[1:r.length + 1]))
+    base = ["--set", "n=8", "--set", "s=2", "--set", "duration=40",
+            "--set", "checkpoint_period=2",
+            "--set", "adversary.kind=shard_failure"]
+    assert run_cli("run", "--out", str(tmp_path), *base) == 4
+    assert run_cli("sweep", "--out", str(tmp_path), *base,
+                   "--sweep", "seed=1,2") == 4
+    err = capsys.readouterr().err
+    assert err.count("replica replay diverged from checkpoint order") == 3
+    assert not (tmp_path / "sweep" / "seed-1").exists()
 
 
 def test_sweep_rejects_a_bad_point_before_running_any(tmp_path, capsys):

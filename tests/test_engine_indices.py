@@ -27,7 +27,7 @@ from shardgraph.hashgraph import (
 )
 from shardgraph.config import ScenarioConfig
 from shardgraph.simulation import Simulation, _full_view
-from shardgraph.transactions import Transaction
+from shardgraph.transactions import KIND_PAYLOAD, Transaction
 
 from oracles import (
     BruteGraph,
@@ -60,7 +60,8 @@ def equivocate(views, node, peers, t, sync=gossip_sync):
     alt.head = head
     for branch, marker in ((alt, "b"), (view, "a")):
         payload = (Transaction(tx_id=f"fork{node}-{t}{marker}", origin=0,
-                               target=0, size_units=0),)
+                               target=0, size_units=0, kind=KIND_PAYLOAD,
+                               data=()),)
         create_event(branch, None, payload, t)
     sync(view, views[peers[0]], t, ())
     sync(alt, views[peers[1]], t, ())
@@ -97,7 +98,8 @@ def gossip_dag(seed, steps=250, fork_p=0.3, sync=gossip_sync, n=None,
         else:
             r = (s + rng.randrange(1, n)) % n
             payload = (Transaction(tx_id=f"t{t}", origin=0, target=0,
-                                   size_units=1 + t % 7),)
+                                   size_units=1 + t % 7, kind=KIND_PAYLOAD,
+                                   data=()),)
             sync(views[s], views[r], t, payload)
         if poll is not None:
             poll(t, views)
@@ -864,7 +866,9 @@ def view_states(views):
 
 TXS = st.lists(st.builds(Transaction, tx_id=st.text("abc", max_size=3),
                          origin=st.just(0), target=st.just(0),
-                         size_units=st.integers(0, 3)), max_size=3)
+                         size_units=st.integers(0, 3),
+                         kind=st.just(KIND_PAYLOAD), data=st.just(())),
+               max_size=3)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -882,7 +886,8 @@ def test_gossip_chain_equals_its_syncs_one_at_a_time(seed, n, steps, data):
         ring = [m for m in ring if m not in (0, 2)] + [2, 0]
     payloads = [list(data.draw(TXS)) for _ in ring]
     coordinator = data.draw(st.integers(0, len(ring) - 1))
-    payloads[coordinator] += [Transaction(f"in{k}", 1, 0) for k in range(3)]
+    payloads[coordinator] += [
+        Transaction(f"in{k}", 1, 0, 1, KIND_PAYLOAD, ()) for k in range(3)]
     receivers = ring[1:] + ring[:1]
     store, views, branch = chain_fixture(seed, n, steps)
     twin, singles, _ = chain_fixture(seed, n, steps)

@@ -42,12 +42,14 @@ GOLDEN = {
                        adversary_interval=3, adversary_rejoin=True),
         "83ff708fc4e875fe60ba3319a2b74269f3b5e1a1ef67c6edc95297bdae8ddfb0",
     ),
+    # node 11 leaves committee 0 at tick 24 holding t196 in its buffer,
+    # which goes to coordinator 23: all 957 injected units are ordered
     "churn-literal-trigger": (
         ScenarioConfig(n=24, s=4, seed=4, duration=150, tx_rate=8.0,
                        adversary_kind="churn", adversary_committee=0,
                        adversary_interval=3,
                        trigger_mode="literal-s-over-2"),
-        "e79c5f1bfbcc78699bafceda99e39c9469053d331d5ebdd0e69c4b3f9622d439",
+        "e4d7084a1e4a83be8448da1e90bcbcb16f8a80d55bf858bee3cda170038a11b9",
     ),
     # the reorganization is deferred: no committee is above the minimum size
     "churn-no-donors": (
@@ -115,8 +117,8 @@ CSV_GOLDEN = {
         "dacbbe412d292bc0832fa2e606ed60e3636b7fc95be13de5847dda4c059f5c93",
     ),
     "churn-literal-trigger": (
-        "63280d97ede8c7e40fee9ea0dd3a50390f22a0aa1e65f0ddae06093545c0ec18",
-        "c2383798503664b596a3a03c6facbfb720cc269b692dc140a7315a1510afe965",
+        "ea28d7cbbc3b47eaaafd37ac118ba39c4fc3d0e5a5ed897135c06fedf2c7d6f9",
+        "1f704b78d8ef3d2c536014becc1f15e4e805ec45cb7ef9e8d968e52d01463422",
         HEADER_ONLY_HISTOGRAM,
     ),
     "churn-no-donors": (

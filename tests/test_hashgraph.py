@@ -18,7 +18,7 @@ from shardgraph.hashgraph import (
     gossip_sync,
     supermajority,
 )
-from shardgraph.transactions import Transaction
+from shardgraph.transactions import KIND_PAYLOAD, Transaction
 
 from oracles import (
     BruteGraph,
@@ -40,7 +40,8 @@ from oracles import (
 
 
 def tx(i, origin=0, target=0):
-    return Transaction(tx_id=f"tx{i}", origin=origin, target=target)
+    return Transaction(tx_id=f"tx{i}", origin=origin, target=target,
+                       size_units=1, kind=KIND_PAYLOAD, data=())
 
 
 def graph_of(population, owner):
@@ -628,15 +629,16 @@ def test_digest_known_answers():
         "c4d403b8f5ec9d9abec97ffe663aadcee34472090997bf897c8b5ad6df6958d9"
     )
     peer, _ = seal(1, None, None, (), 0)
-    both, units = seal(0, genesis, peer,
-                       (tx(1), Transaction("x-2", 0, 1, size_units=3)), 7)
+    both, units = seal(0, genesis, peer, (
+        tx(1), Transaction("x-2", 0, 1, 3, KIND_PAYLOAD, ())), 7)
     assert both.hex() == (
         "c0e76cee6c1260d6e01d430b08eafbebc253d3ff4927fb021c28b609a34a5b02"
     )
     assert units == 4
     # created_at is signed, and a tx_id's length prefix counts its UTF-8
     # bytes (12 here), not its 6 characters
-    wide, _ = seal(5, genesis, None, (Transaction("tx-é€😀", 1, 2),), -3)
+    wide, _ = seal(5, genesis, None, (
+        Transaction("tx-é€😀", 1, 2, 1, KIND_PAYLOAD, ()),), -3)
     assert wide.hex() == (
         "676f358aa564f4b9536f9e75cbebe3abe9adf94e2ec9b98b29aa05bb8d4dd971"
     )
@@ -648,7 +650,8 @@ PARENTS = st.none() | st.binary(min_size=32, max_size=32) | (
 PAYLOADS = st.lists(
     st.builds(Transaction, tx_id=st.text(max_size=12),
               origin=st.integers(0, 7), target=st.integers(0, 7),
-              size_units=st.integers(0, 9)),
+              size_units=st.integers(0, 9), kind=st.just(KIND_PAYLOAD),
+              data=st.just(())),
     max_size=20,
 ).map(tuple)
 

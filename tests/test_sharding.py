@@ -29,13 +29,14 @@ from shardgraph.sharding import (
     replicate_checkpoint,
     seat_coordinator,
 )
-from shardgraph.transactions import Transaction
+from shardgraph.transactions import KIND_PAYLOAD, Transaction
 
 from oracles import check_supermajority
 
 
 def tx(i, origin, target):
-    return Transaction(tx_id=f"tx{i}", origin=origin, target=target)
+    return Transaction(tx_id=f"tx{i}", origin=origin, target=target,
+                       size_units=1, kind=KIND_PAYLOAD, data=())
 
 
 # -- partitioning -----------------------------------------------------------
@@ -306,7 +307,8 @@ def build_consensus_history(state, table, cid, rounds=30):
                 views[m],
                 views[partner],
                 t,
-                (Transaction(tx_id=f"c{cid}_{k}", origin=cid, target=cid),),
+                (Transaction(tx_id=f"c{cid}_{k}", origin=cid, target=cid,
+                             size_units=1, kind=KIND_PAYLOAD, data=()),),
             )
     return views
 
@@ -468,7 +470,7 @@ def test_replay_copies_the_unit_planes_over_the_transfer():
     for t in range(40):
         s, r = rng.sample(range(4), 2)
         gossip_sync(views[s], views[r], t, (Transaction(
-            f"u{t}", 0, 0, size_units=rng.randrange(8)),))
+            f"u{t}", 0, 0, rng.randrange(8), KIND_PAYLOAD, ()),))
     n = len(store.by_index)
     for i in range(0, n, 3):
         del store._payload[i]

@@ -22,14 +22,15 @@ from shardgraph.hashgraph import (
 from shardgraph.metrics import mean
 from shardgraph.simulation import (
     Simulation,
+    SimulationError,
     inject_workload,
     order_summary,
     poisson_sample,
     run_scenario,
     write_report,
 )
-from shardgraph.sharding import partition_nodes
-from shardgraph.transactions import KIND_PAYLOAD
+from shardgraph.sharding import ReplicaSnapshot, partition_nodes
+from shardgraph.transactions import KIND_PAYLOAD, control_tx
 
 from oracles import new_record, record_of, records, report_text
 from test_golden import GOLDEN
@@ -476,7 +477,7 @@ def test_comm_linearity_in_rate():
         plain = [
             v
             for node, v in rep.metrics.per_node_comm.items()
-            if node not in sim.ever_coordinators
+            if node not in sim.state.seated
         ]
         xs.append(rate)
         ys.append(mean(plain) / 50)
@@ -499,7 +500,7 @@ def test_monotone_sharding_benefit():
         plain = [
             v
             for node, v in rep.metrics.per_node_comm.items()
-            if node not in sim.ever_coordinators
+            if node not in sim.state.seated
         ]
         comms.append(mean(plain))
     assert comms[0] >= comms[1] >= comms[2]
@@ -995,6 +996,56 @@ def test_shard_failure_without_replica_is_reported():
                 if e["action"] == "recover_shard"]
 
 
+def test_shard_recovery_divergence_is_an_invariant_failure(monkeypatch):
+    # a replica that exists but does not replay to its checkpointed order
+    # is an engine fault, not a lost committee: the run stops.  Each
+    # checkpointed order here starts one entry late
+    monkeypatch.setattr(ReplicaSnapshot, "consensus", property(
+        lambda r: r.events.store.consensus[1:r.length + 1]))
+    with pytest.raises(SimulationError, match="shard 1 recovery failed: "
+                       "replica replay diverged from checkpoint order"):
+        run_scenario(GOLDEN["shard-failure"][0])
+
+
+def test_exit_hands_the_buffer_to_the_heir():
+    sim = Simulation(GOLDEN["sharded-cross"][0])
+    node, heir = sim.table.non_coordinators(0)[:2]
+    held = control_tx("held", 0)
+    sim.pending[node].append(held)
+    kept = list(sim.pending[heir])
+    sim._exit(node, heir)
+    assert node not in sim.views and node not in sim.pending
+    assert sim.pending[heir] == [*kept, held]
+
+
+def test_recovery_drops_the_failed_members_buffers():
+    # the failed committee's members exit with no heir: what they held
+    # died with the committee
+    cfg = GOLDEN["shard-failure"][0]
+    recover_at = cfg.adversary_fail_at + cfg.adversary_recover_delay
+    sim = Simulation(cfg)
+    failed = sim.table.members(1)
+    held = control_tx("held", 1)
+    for t in range(recover_at + 1):
+        if t == recover_at:
+            sim.pending[failed[0]].append(held)
+        sim._tick(t)
+    assert not set(failed) & (sim.views.keys() | sim.pending.keys())
+    assert not any(held in buf for buf in sim.pending.values())
+
+
+def test_a_leavers_buffer_is_ordered_by_its_coordinator(monkeypatch):
+    # node 11 leaves committee 0 at tick 24 still holding t196: its last
+    # ring, node 11 alone while coordinator 23 was on global duty, did
+    # not run.  Coordinator 23 inherits the buffer and orders t196 there
+    ingests = record_ingests(monkeypatch)
+    report = run_scenario(GOLDEN["churn-literal-trigger"][0])
+    assert [c for c, payloads in ingests for p in payloads for tx in p
+            if tx.tx_id == "t196"] == [0]
+    assert (sum(report.metrics.ordered_tx_units.values())
+            == report.metrics.injected_tx_units)
+
+
 # -- config -----------------------------------------------------------------
 
 
@@ -1098,8 +1149,8 @@ def test_config_parse_and_overrides():
         apply_setting(cfg, "bogus", "1")
     with pytest.raises(TypeError):
         ScenarioConfig(bogus=1)
-    # to_dict gives the fields in declared order, and rebuilds an equal
-    # config
+    # to_dict gives the fields in declared order, and rebuilds a config
+    # with the same fields
     assert list(cfg.to_dict()) == [
         "n", "s", "seed", "duration", "sync_interval", "tx_rate",
         "cross_ratio", "batch_limit", "checkpoint_period", "inject_until",
@@ -1107,7 +1158,7 @@ def test_config_parse_and_overrides():
         "adversary_fraction", "adversary_interval", "adversary_committee",
         "adversary_fail_at", "adversary_recover_delay", "adversary_rejoin",
     ]
-    assert ScenarioConfig(**cfg.to_dict()) == cfg
-    assert cfg != ScenarioConfig()
+    assert ScenarioConfig(**cfg.to_dict()).to_dict() == cfg.to_dict()
+    assert cfg.to_dict() != ScenarioConfig().to_dict()
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("n = 4\nnot a setting\n")
