@@ -81,6 +81,8 @@ class ScenarioConfig:
             raise ConfigError("batch_limit must be >= 1")
         if self.checkpoint_period < 1:
             raise ConfigError("checkpoint_period must be >= 1")
+        if self.inject_until < 0:
+            raise ConfigError("inject_until must be >= 0 (0 = auto)")
         if self.min_committee_size < 1:
             raise ConfigError("min_committee_size must be >= 1")
         if self.trigger_mode not in TRIGGER_MODES:
@@ -99,6 +101,8 @@ class ScenarioConfig:
             raise ConfigError("adversary.recover_delay must be >= 1")
         if not -1 <= self.adversary_committee < self.s:
             raise ConfigError("adversary.committee must be -1 or in [0, s)")
+        if self.adversary_fail_at < -1:
+            raise ConfigError("adversary.fail_at must be >= -1 (-1 = auto)")
         if self.adversary_kind == SHARD_FAILURE:
             # the last tick is duration - 1: a failure or recovery past it
             # never happens, and the report would not say so

@@ -1,35 +1,61 @@
-"""Brute-force reference implementations for the consensus rules.
+"""The one adapter through which the tests observe the engine, and
+brute-force reference implementations of the consensus rules.
 
-These work from plain event records (creator, parents, created_at) using
-naive set/transitive-closure computations, independent of the package's
-incremental bitmask machinery.  The references further down recompute fame,
-ordering and a view's finalized round over an EventStore's own rounds,
-strong sight and fame, with ancestry built from the store's parent links
-(ancestry), not read from the masks it frees once ordered.  fame_of
-reads its famous mask, decider_groups and deciders_of its fame deciders,
-vote_state and check_vote_state_bounds its fame vote state,
-retained_store_bytes what a run's stores keep, and round_robin_fixture
-gossips the small DAGs the oracle tests run on.  insert and add_for grow a
-DAG on a view by hand, naming parents by id through a test-side id to
-index map (index_of), as the store keeps none; report_text serializes a
-report the way write_report does, check_supermajority checks a store's
-kept supermajority at every membership change, and reference_digest
-serializes an event's fields one ``int.to_bytes`` at a time, as the digest
-was first defined.  The oracles
+Tests observe the engine only through this module: no other test module
+reads, assigns or imports a private name of the package, which
+``test_no_test_reads_a_private_name_but_the_adapter`` in
+test_api_surface.py enforces, so a change of the store's layout edits
+hashgraph.py and this module alone.  The observations, in groups:
+
+- an event's columns (event, id_column, seal, set_bits, and rewired,
+  which corrupts a parent link for the length of a block) and the
+  records built from them (record_of, records, units_at);
+- the live set and the fields of a live record (live_records,
+  live_record, engine_ancestry, forked_of, strongly_seen);
+- held payloads and the walk position (held_payloads, take_payload,
+  walk_position), the unit planes (unit_planes) and each creator's
+  events (creator_masks);
+- the packed-field layout (packing: width, fields, member bits and the
+  kept supermajority) and its SWAR helpers (packed_store, present,
+  at_least, seen_flags);
+- vote and fame state (vote_state, fame_of, decider_groups, deciders_of,
+  decider_record, decide_by_hand), the order columns (order_columns,
+  ordered_mask) and fork state and evidence (forkers, fork_evidence);
+- whole-store snapshots (columns, state) and the representation
+  invariants (check_vote_state_bounds, check_column_layout,
+  retained_store_bytes);
+- the Simulation hooks (hook, tick, inject, exit_committee, full_view).
+
+The references work from plain event records (creator, parents,
+created_at) using naive set/transitive-closure computations, independent
+of the package's incremental bitmask machinery.  The references further
+down recompute fame, ordering and a view's finalized round over an
+EventStore's own rounds, strong sight and fame, with ancestry built from
+the store's parent links (ancestry), not read from the masks it frees once
+ordered; round_robin_fixture gossips the small DAGs the oracle tests run
+on.  insert and add_for grow a DAG on a view by hand, naming parents by id
+through a test-side id to index map (index_of), as the store keeps none;
+report_text serializes a report the way write_report does,
+check_supermajority checks a store's kept supermajority at every
+membership change, and reference_digest serializes an event's fields one
+``int.to_bytes`` at a time, as the digest was first defined.  The oracles
 read a coin from an event id's last hex digit.  Their event records are
 test-side: record_of and records read a store's events from its columns
 as Records (the store names an event by its index alone), and new_record
-builds the events they insert by hand from reference_digest, not with
-the engine's serializer.
+builds the events they insert by hand from reference_digest, not with the
+engine's serializer.
 """
 
 from __future__ import annotations
 
+import copy
 import gc
 import hashlib
 import io
 import tracemalloc
 import weakref
+from array import array
+from contextlib import contextmanager
 from itertools import compress
 from typing import NamedTuple, Optional
 
@@ -38,13 +64,323 @@ from shardgraph.hashgraph import (
     COIN_PERIOD,
     EventStore,
     Hashgraph,
+    _seal,
     _set_bits,
     create_event,
     gossip_sync,
     supermajority,
 )
-from shardgraph.simulation import Simulation
+from shardgraph.simulation import Simulation, _full_view
 from shardgraph.transactions import KIND_PAYLOAD, Transaction
+
+
+# an event's columns ---------------------------------------------------------
+
+
+class Event(NamedTuple):
+    """An event as its store's columns hold it, its parents by index (None
+    for none)."""
+    creator: int
+    self_parent: Optional[int]
+    other_parent: Optional[int]
+    seq: int                    # its place along its self-parent chain
+    round: int
+    created_at: int
+    id: bytes
+
+
+def event(store, i):
+    """Event i of store, read from its columns."""
+    sp, op = store._self_parent[i], store._other_parent[i]
+    return Event(store._creator[i], sp if sp >= 0 else None,
+                 op if op >= 0 else None, store._seq[i], store.round[i],
+                 store._created_at[i], store._id(i))
+
+
+def id_column(store):
+    """The store's ids in index order, 32 bytes each, in one bytes
+    object."""
+    return bytes(store._ids)
+
+
+def seal(creator, self_parent, other_parent, payload, created_at):
+    """The engine's digest and units of these five fields, its parents
+    given by digest (None for none)."""
+    return _seal(creator, self_parent or b"", other_parent or b"", payload,
+                 created_at)
+
+
+@contextmanager
+def rewired(store, i, parent, index):
+    """Inside the block, event i's parent ("self_parent" or "other_parent")
+    is the event at index (None for none) in the store's columns, as a
+    corrupted store would hold it; its digest and everything else stay."""
+    column = {"self_parent": store._self_parent,
+              "other_parent": store._other_parent}[parent]
+    kept = column[i]
+    column[i] = -1 if index is None else index
+    try:
+        yield
+    finally:
+        column[i] = kept
+
+
+# the positions of a mask's set bits, lowest first, as the engine lists them
+set_bits = _set_bits
+
+
+# live records, held payloads, unit planes ------------------------------------
+
+
+class LiveRecord(NamedTuple):
+    """A live event's record: its ancestor mask (its own bit included), the
+    member bits of the creators it sees forking, and its packed witness
+    reaches for round - 1 and for its round."""
+    anc: int
+    forked: int
+    prev: int
+    cur: int
+
+
+def live_records(store):
+    """Each live event's LiveRecord, by index in insert order; an index
+    missing is ancient."""
+    return {i: LiveRecord._make(entry) for i, entry in store._live.items()}
+
+
+def live_record(store, i):
+    """Event i's LiveRecord, or None once it is ancient."""
+    entry = store._live.get(i)
+    return None if entry is None else LiveRecord._make(entry)
+
+
+def held_payloads(store):
+    """Event -> its payload, for each payload the store still holds."""
+    return dict(store._payload)
+
+
+def take_payload(store, i):
+    """Pop event i's payload, as a walk that applies it does; None if it
+    is not held."""
+    return store._payload.pop(i, None)
+
+
+def walk_position(store):
+    """How many consensus order entries the store's walks have read."""
+    return store._walked
+
+
+def unit_planes(store):
+    """The store's unit planes: plane k has a bit per event whose units
+    have bit k set."""
+    return list(store._unit_planes)
+
+
+def creator_masks(store):
+    """Creator -> the mask of its events, for each creator with one."""
+    return dict(store._cmask)
+
+
+# the packed-field layout -----------------------------------------------------
+
+
+class Packing(NamedTuple):
+    """How the store packs reaches and vote vectors: the field width F, the
+    fields its SWAR constants cover, each member's bit (a member that left
+    keeps its bit) and the kept supermajority of its population (0 while
+    it is empty)."""
+    width: int
+    fields: int
+    member_bits: dict
+    supermajority: int
+
+
+def packing(store):
+    return Packing(store._width, store._fields, dict(store._member_bit),
+                   store._sm)
+
+
+def packed_store(width, n):
+    """A store of width members, so with width-bit fields, whose constants
+    cover n fields, doubled from 8 the way witness positions double
+    them."""
+    store = EventStore(range(width))
+    assert store._width == width
+    while store._fields < n:
+        store._fields *= 2
+    store._pack_constants()
+    return store
+
+
+def present(store, v):
+    """The store's LOW bits of v's nonzero fields."""
+    return store._present(v)
+
+
+def at_least(store, counts, t):
+    """The store's LOW bits of the fields of counts that are at least t."""
+    return store._at_least(counts, t)
+
+
+def seen_flags(store, reach, q, creators, forked, sm):
+    """The store's strong-sight flags of round-q reach, round q's witness
+    creators packed as creators: the LOW bits of the fields whose witness
+    creator is not in forked and whose creators outside forked number
+    sm."""
+    store._wcreators[q] = creators
+    return store._seen_flags(reach, q, forked, sm)
+
+
+# order, forks and fame by hand ------------------------------------------------
+
+
+class OrderColumns(NamedTuple):
+    """The consensus order's columns: each entry's event index, round
+    received and consensus timestamp."""
+    events: list
+    rounds: list
+    stamps: list
+
+
+def order_columns(store):
+    return OrderColumns(list(store._order_events), list(store._order_rounds),
+                        list(store._order_stamps))
+
+
+def ordered_mask(store):
+    """The mask of the store's ordered events, as the store keeps it."""
+    return store._emitted
+
+
+def forkers(store):
+    """The creators that made a branch point, in the order of their
+    first."""
+    return list(store._forkers)
+
+
+def fork_evidence(store):
+    """Forker's event -> its creator's earlier events it does not descend
+    from, each a fork pair with it, as recorded at insert."""
+    return dict(store._apart)
+
+
+def decider_record(store, r):
+    """Round r's decider record as stored: whether it is frozen (a tuple,
+    as finalizing the round leaves it), and its masks, each shifted down
+    by the round's first witness."""
+    record = store._deciders[r]
+    return type(record) is tuple, list(record[2::2])
+
+
+def decide_by_hand(store, rounds):
+    """Decide every witness of each of rounds famous, with a decider
+    record as a tally would have written it had the round's highest
+    witness decided them all, and mark every witness polled, so the next
+    poll casts no vote and keeps this fame."""
+    for r in rounds:
+        ws = store.witnesses_by_round[r]
+        for w in ws:
+            store._famous |= 1 << w
+        store._deciders[r] = [max(ws), max(ws),
+                              sum(1 << w - ws[0] for w in ws)]
+    store._fame_polled = store._witness_count
+
+
+# whole-store snapshots and the column layout ---------------------------------
+
+
+def columns(store):
+    """The store's event columns, payloads, unit planes, rounds, witnesses
+    and live records, for comparison on the spot."""
+    return (store._ids, store._creator, store._created_at,
+            store._self_parent, store._other_parent, store._payload,
+            store._unit_planes, store.round, store.witnesses_by_round,
+            store._live)
+
+
+def state(store):
+    """A copy of everything the store keeps: its columns, membership and
+    packing, masks, unit planes, fork evidence and consensus records."""
+    return copy.deepcopy((
+        columns(store), store._seq, store._cmask, store._forkers,
+        store._forker_bits, store._apart, store._wcreators, store._votes,
+        store._witness_count, len(store.witnesses_by_round),
+        store.population, packing(store)))
+
+
+def holds_bytes(value):
+    """Whether value, or any container in it, holds a bytes object."""
+    if isinstance(value, bytes):
+        return True
+    if isinstance(value, dict):
+        return any(holds_bytes(k) or holds_bytes(v) for k, v in value.items())
+    if isinstance(value, (list, tuple, set)):
+        return any(map(holds_bytes, value))
+    return False
+
+
+def check_column_layout(store):
+    """The store keeps its ids in one bytearray, 32 bytes per event, and
+    its integer fields, rounds and order in typed arrays; no other
+    attribute holds an id, as a dict key or otherwise, and none is a
+    per-event list: the only lists are per member, per unit bit and per
+    field width, and the live records and held payloads are dicts of the
+    frontier, each under half the history."""
+    assert type(store._ids) is bytearray
+    assert len(store._ids) == 32 * len(store.by_index) > 0
+    for name in ("_creator", "_created_at", "_self_parent",
+                 "_other_parent", "_seq", "round", "_order_events",
+                 "_order_rounds", "_order_stamps"):
+        assert type(getattr(store, name)) is array
+    assert {name for name, value in vars(store).items()
+            if type(value) is list} == {"population", "_unit_planes",
+                                        "_swar"}
+    for frontier in (store._live, store._payload):
+        assert type(frontier) is dict
+        assert len(frontier) < len(store.by_index) // 2
+    assert [name for name, value in vars(store).items()
+            if name != "_ids" and holds_bytes(value)] == []
+
+
+# the simulation's steps --------------------------------------------------------
+
+
+def hook(sim, step, check, before=False):
+    """Run check(t) after each of sim's ticks (step "tick") or polls (step
+    "poll"), or before each given before."""
+    name = {"tick": "_tick", "poll": "_poll"}[step]
+    run = getattr(sim, name)
+
+    def hooked(t):
+        if before:
+            check(t)
+        run(t)
+        if not before:
+            check(t)
+
+    setattr(sim, name, hooked)
+
+
+def tick(sim, t):
+    """Run sim's tick t alone."""
+    sim._tick(t)
+
+
+def inject(sim, t):
+    """File tick t's injected transactions at their origin nodes."""
+    sim._inject(t)
+
+
+def exit_committee(sim, node, heir):
+    """Drop node's view and hand its buffered transactions to heir's buffer,
+    or drop them with heir None: the one way out of a committee."""
+    sim._exit(node, heir)
+
+
+def full_view(store, owner):
+    """owner's headless view of every event of store, as a replacement
+    member of a recovered committee gets it."""
+    return _full_view(store, owner)
 
 
 # the event digest -----------------------------------------------------------
@@ -605,12 +941,20 @@ def deciders_of(store):
             for w in _set_bits(ws)}
 
 
+class VoteState(NamedTuple):
+    """The vote vectors and the voted field counts per round and voter,
+    and the voters' kept strong sight."""
+    votes: dict
+    covered: dict
+    strong_sight: dict
+
+
 def vote_state(store):
-    """A copy of the store's vote state: the vote vectors and the voted
-    field counts per (round, voter), and the voters' strong sight."""
-    return ({r: dict(vectors) for r, vectors in store._votes.items()},
-            {r: dict(counts) for r, counts in store._covered.items()},
-            dict(store._ss_prev))
+    """A copy of the store's vote state."""
+    return VoteState(
+        {r: dict(vectors) for r, vectors in store._votes.items()},
+        {r: dict(counts) for r, counts in store._covered.items()},
+        dict(store._ss_prev))
 
 
 def check_vote_state_bounds(store):

@@ -30,6 +30,11 @@ class's name calls its ``__init__`` or builds its NamedTuple, and
 And each name of a closed name set, the adversary kinds and the
 reorg-trigger modes, is spelled once in the package, as one string literal;
 every other use goes through the constant that holds it.
+
+Nor does a module read, assign or import another module's private name:
+under src/ and perfbench/ none does, and under tests/ only the adapter
+tests/oracles.py reads the engine's internals, so a change of the store's
+layout edits hashgraph.py and oracles.py alone.
 """
 
 import ast
@@ -399,39 +404,86 @@ def test_each_closed_name_set_is_written_once():
 
 # the public API of a namedtuple, spelled with a leading underscore
 NAMEDTUPLE_API = {"_asdict", "_replace", "_fields", "_make"}
+# the one test module that reads the engine's internals, and the one private
+# name a test may import: perfbench's replay of a reconfiguration choice,
+# which lives with the benchmark
+ADAPTER = Path("tests/oracles.py")
+PRIVATE_IMPORTS = {("workloads", "_replay")}
 
 
-def foreign_private_reads():
-    """(file, line, expression) of each attribute access ``x._name``, one
-    leading underscore, under src/shardgraph and perfbench/ whose name the
-    module does not define: as a def or class, an assigned name, or an
-    attribute assigned on ``self`` or ``cls``, the receivers that are
-    exempt."""
+def is_private(name):
+    return name.startswith("_") and not is_dunder(name)
+
+
+def foreign_private_uses(rel, source):
+    """(line, expression) of each private use in the module at rel, of
+    text source: each attribute access ``x._name``, read or assigned, whose
+    name the module does not define (as a def or class, an assigned name,
+    or an attribute assigned on ``self`` or ``cls``, the receivers that are
+    exempt), and each ``from m import _name`` but workloads' ``_replay``.
+    The adapter, tests/oracles.py, is exempt."""
+    if rel == ADAPTER:
+        return
     own = {"self", "cls"}
-    for path in sorted([*PACKAGE.glob("*.py"),
-                        *(ROOT / "perfbench").rglob("*.py")]):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined, accesses = set(), []
-        for node in ast.walk(tree):
-            if isinstance(node, DEFS):
-                defined.add(node.name)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                defined.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                if getattr(node.value, "id", None) in own:
-                    if isinstance(node.ctx, ast.Store):
-                        defined.add(node.attr)
-                elif (node.attr.startswith("_") and not is_dunder(node.attr)
-                        and node.attr not in NAMEDTUPLE_API):
-                    accesses.append(node)
-        for node in accesses:
-            if node.attr not in defined:
-                yield path.relative_to(ROOT), node.lineno, ast.unparse(node)
+    defined, accesses = set(), []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, DEFS):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            if getattr(node.value, "id", None) in own:
+                if isinstance(node.ctx, ast.Store):
+                    defined.add(node.attr)
+            elif is_private(node.attr) and node.attr not in NAMEDTUPLE_API:
+                accesses.append(node)
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if (is_private(alias.name) and (node.module, alias.name)
+                        not in PRIVATE_IMPORTS):
+                    yield node.lineno, f"import {alias.name}"
+    for node in accesses:
+        if node.attr not in defined:
+            yield node.lineno, ast.unparse(node)
+
+
+def private_uses(paths):
+    """file:line expression of each foreign private use in paths."""
+    found = []
+    for path in sorted(paths):
+        rel = path.relative_to(ROOT)
+        found += [f"{rel}:{line} {expr}" for line, expr in
+                  foreign_private_uses(rel, path.read_text(encoding="utf-8"))]
+    return found
 
 
 def test_no_module_reads_another_modules_private_attribute():
     # the sharding layer feeds and reads the hashgraph engine through its
     # interface, so a change of the store's representation stays in
     # hashgraph.py
-    assert [f"{rel}:{line} {expr}"
-            for rel, line, expr in foreign_private_reads()] == []
+    assert private_uses([*PACKAGE.glob("*.py"),
+                         *(ROOT / "perfbench").rglob("*.py")]) == []
+
+
+def test_no_test_reads_a_private_name_but_the_adapter():
+    # the tests observe the engine through tests/oracles.py alone, so a
+    # change of the store's layout edits hashgraph.py and oracles.py
+    assert private_uses((ROOT / "tests").glob("*.py")) == []
+
+
+# a test module that reaches into the engine three ways
+LEAKY_TEST = """\
+from shardgraph.hashgraph import _seal
+
+
+def test_leaks(store, sim):
+    assert store._creator[0] == 0
+    sim._poll = print
+"""
+
+
+def test_private_use_guard_flags_a_test_module_but_the_adapter():
+    assert sorted(foreign_private_uses(Path("tests/test_leaky.py"),
+                                       LEAKY_TEST)) == [
+        (1, "import _seal"), (5, "store._creator"), (6, "sim._poll")]
+    assert list(foreign_private_uses(ADAPTER, LEAKY_TEST)) == []

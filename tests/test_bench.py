@@ -21,7 +21,6 @@ from shardgraph.config import ScenarioConfig
 from shardgraph.hashgraph import (
     EventStore,
     Hashgraph,
-    _seal,
     consensus_order,
     create_event,
     gossip_chain,
@@ -33,10 +32,17 @@ from shardgraph.transactions import KIND_PAYLOAD, Transaction
 from oracles import (
     ancestry,
     check_vote_state_bounds,
+    creator_masks,
+    event,
     fame_of,
+    forkers,
+    inject,
+    live_records,
     records,
     round_robin_fixture,
+    seal,
     units_at,
+    vote_state,
 )
 from test_engine_indices import gossip_dag
 
@@ -179,8 +185,8 @@ def test_bench_build_events(benchmark):
     events = records(built)
 
     def rebuild():
-        return [_seal(e.creator, e.self_parent or b"", e.other_parent or b"",
-                      e.payload, e.created_at) for e in events]
+        return [seal(e.creator, e.self_parent, e.other_parent, e.payload,
+                     e.created_at) for e in events]
 
     rebuilt = benchmark.pedantic(rebuild, rounds=1, iterations=1)
     assert len(rebuilt) == len(events) > 1000
@@ -194,12 +200,12 @@ def test_bench_inject(benchmark):
     cfg = ScenarioConfig(n=128, s=8, seed=11, duration=100, tx_rate=256.0,
                          cross_ratio=0.1)
 
-    def inject(sim):
+    def inject_all(sim):
         for t in range(sim.inject_until):
-            sim._inject(t)
+            inject(sim, t)
         return sim
 
-    sim = benchmark.pedantic(inject, setup=lambda: ((Simulation(cfg),), {}),
+    sim = benchmark.pedantic(inject_all, setup=lambda: ((Simulation(cfg),), {}),
                              rounds=1, iterations=1)
     assert sim.inject_until == 75
     h = hashlib.sha256()
@@ -228,9 +234,10 @@ def test_bench_add_event_forked(benchmark):
     store = benchmark.pedantic(filled_store, args=(built.population, events),
                                rounds=1, iterations=1)
     assert len(store.by_index) == len(events) > 1000
-    assert len(store._forkers) == 2 and len(store.witnesses_by_round) >= 7
-    assert store._live == built._live
-    forked = [entry[1] for entry in store._live.values()]
+    assert len(forkers(store)) == 2 and len(store.witnesses_by_round) >= 7
+    live = live_records(store)
+    assert live == live_records(built)
+    forked = [entry.forked for entry in live.values()]
     assert len(forked) == len(events)
     assert sum(f.bit_count() == 2 for f in forked) > len(events) // 2
 
@@ -261,7 +268,7 @@ def test_bench_elect_fame(benchmark, dag):
     # finalizing the decided rounds drops their vote state, so it is kept
     # only for the rounds still voted on
     store.advance_consensus()
-    assert min(store._votes) == store.finalized_round + 1 > 8
+    assert min(vote_state(store).votes) == store.finalized_round + 1 > 8
     check_vote_state_bounds(store)
 
 
@@ -296,10 +303,10 @@ def test_bench_consensus_order(benchmark, dag):
     def setup():
         store = filled_store(*dag)
         store.advance_consensus()
-        views = []
+        views, own = [], creator_masks(store)
         for m in population:
             view = Hashgraph(store, m)
-            view.known = ancestry(store)[store._cmask[m].bit_length() - 1]
+            view.known = ancestry(store)[own[m].bit_length() - 1]
             views.append(view)
         return (views,), {}
 
@@ -334,4 +341,4 @@ def test_bench_gossip_sync(benchmark, dag):
     recs = records(transfer.store)
     assert index_fields([recs[i] for i in transfer]) == events
     assert transfer.units == sum(recs[i].units for i in transfer) > 0
-    assert transfer.store._self_parent[ev] == -1
+    assert event(transfer.store, ev).self_parent is None

@@ -4,9 +4,7 @@ heads, gossip transfers) against brute-force or reference recomputation,
 or against another insert order, on seeded gossip DAGs with injected
 forks."""
 
-import copy
 import functools
-from array import array
 import random
 import sys
 
@@ -26,23 +24,42 @@ from shardgraph.hashgraph import (
     supermajority,
 )
 from shardgraph.config import ScenarioConfig
-from shardgraph.simulation import Simulation, _full_view
+from shardgraph.simulation import Simulation
 from shardgraph.transactions import KIND_PAYLOAD, Transaction
 
 from oracles import (
     BruteGraph,
     ReferenceFame,
+    check_column_layout,
     check_vote_state_bounds,
+    creator_masks,
+    decide_by_hand,
     decider_groups,
+    decider_record,
     deciders_of,
+    event,
     fame_of,
+    fork_evidence,
     forked_of,
+    forkers,
+    full_view,
+    held_payloads,
+    hook,
+    id_column,
+    live_record,
+    live_records,
     median_stamps,
+    order_columns,
+    ordered_mask,
+    packing,
     records,
     reference_consensus,
     reference_view_finalized_round,
+    seal,
     strongly_seen,
+    unit_planes,
     vote_state,
+    walk_position,
     witness_flags,
 )
 
@@ -125,9 +142,9 @@ def brute_forked(oracle, digest):
 def test_fork_bookkeeping_matches_brute_force(seed):
     store, _ = gossip_dag(seed)
     oracle = BruteGraph(store.population, records(store))
-    forked_any = set()
+    forked_any, member_bits = set(), packing(store).member_bits
     for i, ev in enumerate(records(store)):
-        got = {c for c, b in store._member_bit.items()
+        got = {c for c, b in member_bits.items()
                if forked_of(store, i) >> b & 1}
         assert got == brute_forked(oracle, ev.digest)
         forked_any |= got
@@ -183,15 +200,16 @@ def test_fork_shapes_outside_the_equivocator_schedule():
     add("d5", 3, "d4", "c2")
     d6 = add("d6", 3, "d5", "c2'")
     add("d7", 3, "d6", "c1")
-    assert list(store._forkers) == [0, 1, 2]
+    assert forkers(store) == [0, 1, 2]
     # each fork is caught by the first event that reaches both branches;
     # member 2's only by the branch's own fork, as c1 comes later
     for i, c in ((d2, 0), (d4, 1), (d6, 2)):
         assert forked_of(store, i - 1) >> c & 1 == 0
         assert forked_of(store, i) >> c & 1
     oracle = BruteGraph(store.population, records(store))
+    member_bits = packing(store).member_bits
     for i, ev in enumerate(records(store)):
-        got = {c for c, b in store._member_bit.items()
+        got = {c for c, b in member_bits.items()
                if forked_of(store, i) >> b & 1}
         assert got == brute_forked(oracle, ev.digest)
     forks = oracle.forks()
@@ -214,7 +232,9 @@ def brute_rounds(store):
     reach a supermajority."""
     n, anc = len(store.by_index), oracles.ancestry(store)
     sm = supermajority(len(store.population))
-    creator_bit = [store._member_bit[c] for c in store._creator]
+    member_bits = packing(store).member_bits
+    events = [event(store, x) for x in store.by_index]
+    creator_bit = [member_bits[ev.creator] for ev in events]
     events_of = {}
     for x, b in enumerate(creator_bit):
         events_of[b] = events_of.get(b, 0) | 1 << x
@@ -223,9 +243,9 @@ def brute_rounds(store):
         for y in bits(anc[x]):
             desc[y] |= 1 << x
     rounds, witness, by_round = [], [], {}
-    for a in store.by_index:
-        parents = [p for p in (store._self_parent[a], store._other_parent[a])
-                   if p >= 0]
+    for a, ev in enumerate(events):
+        parents = [p for p in (ev.self_parent, ev.other_parent)
+                   if p is not None]
         r = max((rounds[p] for p in parents), default=1)
         if parents:
             forked = forked_of(store, a)
@@ -240,8 +260,8 @@ def brute_rounds(store):
             if seen >= sm:
                 r += 1
         rounds.append(r)
-        sp = store._self_parent[a]
-        witness.append(sp < 0 or rounds[sp] < r)
+        sp = ev.self_parent
+        witness.append(sp is None or rounds[sp] < r)
         if witness[-1]:
             by_round.setdefault(r, []).append(a)
     return rounds, witness
@@ -268,11 +288,11 @@ def test_strong_sight_survives_widening(n, steps, width):
     # three members past the field width double it; once they leave, the
     # supermajority is as before, so every re-laid reach must answer alike
     store, _ = gossip_dag(3, steps=steps, n=n)
-    assert store._forkers and store._width == width
+    assert forkers(store) and packing(store).width == width
     before = strong_sight(store)
     for m in range(n, n + 3):
         store.add_member(m)
-    assert store._width == 2 * width
+    assert packing(store).width == 2 * width
     for m in range(n, n + 3):
         store.remove_member(m)
     assert store.population == list(range(n))
@@ -288,7 +308,7 @@ def test_strong_sight_after_midway_joins_matches_brute_force(n, steps,
     # before are re-laid then.  Brute strong sight ignores forks, so
     # the schedule has none.
     store, _ = gossip_dag(3, steps=steps, fork_p=0, n=n, joins=3)
-    assert store._width > n + 1 and not store._forkers
+    assert packing(store).width > n + 1 and not forkers(store)
     o = BruteGraph(store.population, records(store))
     pairs = found = 0
     for a, ev in enumerate(records(store)):
@@ -297,11 +317,11 @@ def test_strong_sight_after_midway_joins_matches_brute_force(n, steps,
             found += len(seen)
             for w in store.witnesses_by_round.get(r, ()):
                 pairs += 1
-                b = store._id(w)
+                b = event(store, w).id
                 assert (w in seen) == (o.is_ancestor(ev.digest, b)
                                        and o.strongly_sees(ev.digest, b))
     assert (pairs, found) == pairs_found
-    assert any(store._creator[w] >= n
+    assert any(event(store, w).creator >= n
                for ws in store.witnesses_by_round.values() for w in ws)
 
 
@@ -328,17 +348,17 @@ def check_fame_against_reference(built, remove=None, members=None):
         ref.elect_fame()
         assert fame_of(store) == ref.fame
         assert deciders_of(store) == ref.decider
-        polls.append((store._width, check_vote_state_bounds(store)))
+        polls.append((packing(store).width, check_vote_state_bounds(store)))
         return vote_state(store)
 
     half = len(built.by_index) // 14 * 7
     for i, ev in enumerate(records(built), 1):
-        if ev.creator not in store._member_bit:
+        if ev.creator not in packing(store).member_bits:
             store.add_member(ev.creator)
         x = oracles.insert_event(store, ev)
         r = store.round[x]
         late += (x in store.witnesses_by_round[r]
-                 and bool(store._covered.get(r)))
+                 and bool(vote_state(store).covered.get(r)))
         if i % 7 == 0 or i == len(built.by_index):
             votes = poll()
             assert poll() == votes
@@ -346,7 +366,7 @@ def check_fame_against_reference(built, remove=None, members=None):
                 store.remove_member(remove)
                 assert poll() == votes
     assert len(fame_of(store)) > len(store.population)
-    assert store._votes and store.consensus
+    assert vote_state(store).votes and store.consensus
     assert [tuple(oe) for oe in store.consensus] == reference_consensus(store)
     return store, polls, late
 
@@ -385,7 +405,7 @@ def test_fame_matches_reference_on_simulated_equivocators():
     ))
     sim.run()
     store = sim.state.local_stores[0]
-    assert store._forkers
+    assert forkers(store)
     check_fame_against_reference(store)
 
 
@@ -398,10 +418,10 @@ def test_fame_and_order_across_widening(n, steps, seed, width):
     # joiners' genesis events land in round 1 after witnesses two rounds up
     # have voted on it, so those voters vote again on the new fields alone
     built = gossip_dag(seed, steps=steps, n=n, joins=3)[0]
-    assert built._forkers and built._width == 2 * width
+    assert forkers(built) and packing(built).width == 2 * width
     store, polls, late = check_fame_against_reference(built,
                                                       members=range(n))
-    assert store._width == 2 * width and late == 3
+    assert packing(store).width == 2 * width and late == 3
     before = [live for f, live in polls if f == width]
     assert before and before[-1] > 0
     assert any(f == 2 * width and live for f, live in polls)
@@ -413,7 +433,7 @@ def test_voter_deciding_a_round_on_two_polls_keeps_both():
     # earlier poll decides it: that voter's group holds both
     built = gossip_dag(35, steps=250, n=6, joins=3)[0]
     store, _, late = check_fame_against_reference(built, members=range(6))
-    joined = [{store._creator[w] >= 6 for w in hashgraph._set_bits(ws)}
+    joined = [{event(store, w).creator >= 6 for w in bits(ws)}
               for ws in decider_groups(store, 1)[1].values()]
     assert late and {False, True} in joined
 
@@ -423,8 +443,9 @@ def shuffled_topological_order(store, rng):
     its parents."""
     waiting, children = [], {}
     for i in store.by_index:
-        parents = {p for p in (store._self_parent[i], store._other_parent[i])
-                   if p >= 0}
+        ev = event(store, i)
+        parents = {p for p in (ev.self_parent, ev.other_parent)
+                   if p is not None}
         waiting.append(len(parents))
         for p in parents:
             children.setdefault(p, []).append(i)
@@ -448,7 +469,7 @@ def test_fame_deciders_and_order_do_not_depend_on_insert_order(seed):
     # differ, but fame, its deciders and the consensus order are functions
     # of ancestry, so both stores give the same ones, keyed by id
     built = gossip_dag(seed)[0]
-    assert built._forkers
+    assert forkers(built)
     evs = records(built)
     shuffled = shuffled_topological_order(built, random.Random(seed))
     assert shuffled != list(built.by_index)
@@ -459,8 +480,9 @@ def test_fame_deciders_and_order_do_not_depend_on_insert_order(seed):
             oracles.insert_event(store, evs[i])
         store.advance_consensus()
         annotations.append((
-            {store._id(w): famous for w, famous in fame_of(store).items()},
-            {store._id(w): store._id(d)
+            {event(store, w).id: famous
+             for w, famous in fame_of(store).items()},
+            {event(store, w).id: event(store, d).id
              for w, d in deciders_of(store).items()},
             list(store.consensus)))
     assert annotations[0] == annotations[1]
@@ -480,7 +502,7 @@ def test_vote_state_stays_flat_in_history():
             peaks.append(check_vote_state_bounds(store))
 
     store, _ = gossip_dag(3, steps=1500, poll=poll)
-    assert store.finalized_round > 19 and store._forkers
+    assert store.finalized_round > 19 and forkers(store)
     early, late = max(peaks[:60]), max(peaks[60:])
     assert 0 < late <= early <= 5 * len(store.population)
     assert early < sum(map(len, store.witnesses_by_round.values())) // 5
@@ -545,10 +567,9 @@ def check_view_records(store):
     fame = fame_of(store)
     for r in range(1, store.finalized_round + 1):
         ws = store.witnesses_by_round[r]
-        record = store._deciders[r]
-        assert type(record) is tuple
-        assert all(0 < mask < 1 << ws[-1] - ws[0] + 1
-                   for mask in record[2::2])
+        frozen, masks = decider_record(store, r)
+        assert frozen
+        assert all(0 < mask < 1 << ws[-1] - ws[0] + 1 for mask in masks)
         last, groups = decider_groups(store, r)
         union = 0
         for mask in groups.values():
@@ -590,14 +611,15 @@ def test_view_limits_match_rescan(seed):
     store, views = gossip_dag(seed, joins=2 * (seed % 4 == 1), poll=poll)
     limits = check_view_limits(store, views)
     polls.append((store.finalized_round, limits))
-    assert store._forkers
+    assert forkers(store)
     fame = fame_of(store)
     late = [w for r in range(1, store.finalized_round + 1)
             for w in store.witnesses_by_round[r] if w not in fame]
     assert len(late) == 2 * (seed % 4 == 1)
     if late:
         brute = BruteGraph(store.population, records(store)).fame()
-        assert [brute.get(store._id(w)) for w in late] == [False, False]
+        assert [brute.get(event(store, w).id) for w in late] == [False,
+                                                                  False]
     # some views reach the store's finalized round and some stop short
     assert any(0 < limit == final for final, ls in polls for limit in ls)
     assert any(limit < final for final, ls in polls for limit in ls)
@@ -683,7 +705,7 @@ def test_late_witness_is_not_famous_and_caps_no_view():
     store.advance_consensus()
     check_view_records(store)
     brute = BruteGraph(store.population, records(store)).fame()
-    assert brute[store._id(late)] is False
+    assert brute[event(store, late).id] is False
     assert late not in fame_of(store) and late not in deciders_of(store)
     gossip_sync(views[5], watcher, len(store.by_index), ())
     assert watcher.known >> late & 1
@@ -702,11 +724,12 @@ def test_late_witness_is_not_famous_and_caps_no_view():
 
 def known_events_of(store, view, creator):
     return [i for i in store.by_index
-            if store._creator[i] == creator and view.known >> i & 1]
+            if event(store, i).creator == creator and view.known >> i & 1]
 
 
 def sees_own_fork(store, w):
-    return forked_of(store, w) >> store._member_bit[store._creator[w]] & 1
+    bit = packing(store).member_bits[event(store, w).creator]
+    return forked_of(store, w) >> bit & 1
 
 
 def test_famous_witness_seeing_own_fork_stamped_by_self_ancestors():
@@ -727,18 +750,10 @@ def test_famous_witness_seeing_own_fork_stamped_by_self_ancestors():
     ):
         gossip_sync(views[s], views[r], t, ())
     (w,) = [u for u in store.witnesses_by_round[2] if sees_own_fork(store, u)]
-    assert store._creator[w] == 0
-    for r in (1, 2):
-        ws = store.witnesses_by_round[r]
-        for u in ws:
-            store._famous |= 1 << u
-        # a decider record, as a tally would have written it had the round's
-        # highest witness decided them all
-        store._deciders[r] = [max(ws), max(ws),
-                              sum(1 << u - ws[0] for u in ws)]
-    # mark every witness polled, so the next poll casts no vote and keeps
-    # the fame set by hand
-    store._fame_polled = store._witness_count
+    assert event(store, w).creator == 0
+    # rounds 1 and 2 famous, each decided by its highest witness, and every
+    # witness polled, so the next poll casts no vote and keeps this fame
+    decide_by_hand(store, (1, 2))
     store.advance_consensus()
     assert store.finalized_round == 2 and store.consensus
     assert [tuple(oe) for oe in store.consensus] == reference_consensus(store)
@@ -758,7 +773,7 @@ def test_heads_and_digest_order_after_gossip(seed):
         own = known_events_of(store, view, view.owner)
         i = view.head
         assert i in own
-        assert store._seq[i] == max(store._seq[j] for j in own)
+        assert event(store, i).seq == max(event(store, j).seq for j in own)
     # events ordered at one round and stamp are in digest order
     store.advance_consensus()
     assert store.finalized_round >= 2
@@ -786,13 +801,13 @@ def test_record_event_heads_receiver_view(seed):
     alt_heads = [head for sender, head in heads if id(sender) not in members]
     assert alt_heads
     for head in alt_heads:
-        (tx,) = store._payload[head]
+        (tx,) = held_payloads(store)[head]
         assert tx.tx_id.startswith("fork") and tx.tx_id.endswith("b")
 
 
 def test_equivocator_head_is_later_absorbed_branch():
     # branch b has the lower index; when gossip brings it back to the
-    # equivocator's own view it ties with branch a on _seq and, absorbed
+    # equivocator's own view it ties with branch a on seq and, absorbed
     # later, becomes the head the next event chains onto
     store = EventStore(range(4))
     views = [Hashgraph(store, i) for i in range(4)]
@@ -800,11 +815,11 @@ def test_equivocator_head_is_later_absorbed_branch():
         create_event(views[i], None, (), 0)
     alt = equivocate(views, 0, (1, 2), 1)
     a, b = views[0].head, alt.head
-    assert store._seq[a] == store._seq[b]
+    assert event(store, a).seq == event(store, b).seq
     assert b < a
     transfer, ev = gossip_sync(views[2], views[0], 2, ())
     assert b in list(transfer)
-    assert store._self_parent[ev] == b and views[0].head == ev
+    assert event(store, ev).self_parent == b and views[0].head == ev
 
 
 def transfer_checked(sender, receiver, t, payload=()):
@@ -816,27 +831,28 @@ def transfer_checked(sender, receiver, t, payload=()):
     transfer, ev = gossip_sync(sender, receiver, t, payload)
     assert len(transfer) == len(want)
     assert list(transfer) == want
+    held = held_payloads(store)
     assert transfer.units == sum(tx.size_units for i in want
-                                 for tx in store._payload[i])
+                                 for tx in held[i])
     return transfer, ev
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_transfers_match_brute_force(seed):
     store, views = gossip_dag(seed, sync=transfer_checked)
-    assert len(store._unit_planes) == 3
+    assert len(unit_planes(store)) == 3
     # a joiner's empty view takes the whole history in one sync
     joiner = len(views)
     store.add_member(joiner)
-    transfer, _ = transfer_checked(_full_view(store, 0),
+    transfer, _ = transfer_checked(full_view(store, 0),
                                    Hashgraph(store, joiner), 250)
     assert len(transfer) == len(store.by_index) - 1
     # a rejoining member's empty view takes its head back: the furthest
     # along its chain, the last in index order on a tie
     own = known_events_of(store, views[1], 0)
-    head = max(own, key=lambda i: (store._seq[i], i))
+    head = max(own, key=lambda i: (event(store, i).seq, i))
     _, ev = transfer_checked(views[1], Hashgraph(store, 0), 251)
-    assert store._self_parent[ev] == head
+    assert event(store, ev).self_parent == head
 
 
 # -- gossip chains -------------------------------------------------------------
@@ -851,13 +867,6 @@ def chain_fixture(seed, n, steps):
     store.add_member(n)
     views.append(Hashgraph(store, n))
     return store, views, alt.head
-
-
-def store_columns(store):
-    return (store._ids, store._creator, store._created_at,
-            store._self_parent, store._other_parent, store._payload,
-            store._unit_planes, store.round, store.witnesses_by_round,
-            store._live)
 
 
 def view_states(views):
@@ -897,14 +906,14 @@ def test_gossip_chain_equals_its_syncs_one_at_a_time(seed, n, steps, data):
             for s, r, payload in zip(ring, receivers, payloads)]
     assert [(mask, store.units_of(mask), ev) for mask, ev in syncs] == [
         (transfer.mask, transfer.units, ev) for transfer, ev in want]
-    assert store_columns(store) == store_columns(twin)
+    assert oracles.columns(store) == oracles.columns(twin)
     assert view_states(views) == view_states(singles)
     store.advance_consensus()
     twin.advance_consensus()
     assert store.consensus == twin.consensus
     if learn:
         (made,) = [ev for r, (_, ev) in zip(receivers, syncs) if r == 0]
-        assert store._self_parent[made] == branch
+        assert event(store, made).self_parent == branch
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -926,7 +935,7 @@ def test_gossip_chain_rejected_step_leaves_its_receiver(seed, n, data, kind):
     for s, r in zip(singles, singles[1:at]):
         gossip_sync(s, r, 30, ())
     assert (bad.known, bad.head) == (0, None)
-    assert store_columns(store) == store_columns(twin)
+    assert oracles.columns(store) == oracles.columns(twin)
     assert view_states(views) == view_states(singles)
 
 
@@ -940,15 +949,16 @@ def check_frontier(store):
     so a forker's dead branch tips go as any superseded event does, and no
     live ordered event has an ordered self-child.
     Returns the live records and their ancestor masks' summed bytes."""
-    live, emitted = store._live, store._emitted
+    live, emitted = live_records(store), ordered_mask(store)
+    own = creator_masks(store)
     assert len(live) <= (len(store.by_index) - len(store.consensus)
-                         + len(store._cmask))
+                         + len(own))
     for x in live:
         if emitted >> x & 1:
-            later = store._cmask[store._creator[x]] >> x + 1 << x + 1
-            assert not any(store._self_parent[y] == x and emitted >> y & 1
-                           for y in bits(later))
-    return len(live), sum(sys.getsizeof(entry[0]) for entry in live.values())
+            later = own[event(store, x).creator] >> x + 1 << x + 1
+            assert not any(event(store, y).self_parent == x
+                           and emitted >> y & 1 for y in bits(later))
+    return len(live), sum(sys.getsizeof(entry.anc) for entry in live.values())
 
 
 def check_held_payloads(sim):
@@ -956,13 +966,13 @@ def check_held_payloads(sim):
     events past its walk, which takes each ordered event's, and the global
     store's events not yet released to every seat."""
     for store in sim.state.local_stores.values():
-        taken = set(store._order_events[:store._walked])
-        assert store._payload.keys() == set(store.by_index) - taken
+        taken = set(order_columns(store).events[:walk_position(store)])
+        assert held_payloads(store).keys() == set(store.by_index) - taken
     gstore = sim.state.global_store
-    released = gstore._emitted
+    released = ordered_mask(gstore)
     for seat in sim.state.seats.values():
         released &= seat.known
-    assert gstore._payload.keys() == {
+    assert held_payloads(gstore).keys() == {
         i for i in gstore.by_index if not released >> i & 1}
 
 
@@ -992,8 +1002,9 @@ def never_polled(monkeypatch):
         for name, args in log[store]:
             methods[name](fresh, *args)
         assert fresh.round == store.round
-        assert list(fresh._live) == list(fresh.by_index)
-        assert all(entry[0] >> i & 1 for i, entry in fresh._live.items())
+        live = live_records(fresh)
+        assert list(live) == list(fresh.by_index)
+        assert all(entry.anc >> i & 1 for i, entry in live.items())
         return fresh
 
     return replay
@@ -1005,9 +1016,9 @@ def check_kept_state(store, fresh):
     superseded event; returns how many events' records were freed."""
     freed = 0
     for i in store.by_index:
-        entry = store._live.get(i)
+        entry = live_record(store, i)
         if entry:
-            assert entry == fresh._live[i]
+            assert entry == live_record(fresh, i)
         else:
             assert oracles.engine_ancestry(store, i) is None
             freed += 1
@@ -1041,20 +1052,18 @@ def test_freed_reach_rebuilds_to_never_polled_entry(cfg, forked, widened,
     # raise), and what is kept is what a never-polled replay of the same
     # inserts holds
     sim = Simulation(cfg)
-    poll = sim._poll
 
     def checked(t):
-        poll(t)
         for store in sim.state.local_stores.values():
             check_frontier(store)
         check_frontier(sim.state.global_store)
         check_held_payloads(sim)
 
-    sim._poll = checked
+    hook(sim, "poll", checked)
     sim.run()
     stores = list(sim.state.local_stores.values())
-    assert any(store._forkers for store in stores) == forked
-    assert any(store._width > 8 for store in stores) == widened
+    assert any(forkers(store) for store in stores) == forked
+    assert any(packing(store).width > 8 for store in stores) == widened
     for store in stores + [sim.state.global_store]:
         fresh = never_polled(store)
         assert check_kept_state(store, fresh) > len(store.by_index) // 2
@@ -1071,32 +1080,24 @@ def ancient_parents():
     store, views = gossip_dag(0, steps=200, fork_p=0)
     store.advance_consensus()
     assert store.finalized_round >= 4
-    own = [i for i in bits(store._cmask[0]) if store.round[i] >= 2]
+    masks = creator_masks(store)
+    own = [i for i in bits(masks[0]) if store.round[i] >= 2]
     base, child = own[0], own[1]
-    other = max(i for i in bits(store._cmask[1]) if i < child)
+    other = max(i for i in bits(masks[1]) if i < child)
     for i in (base, other):
-        assert i not in store._live
+        assert i not in live_records(store)
         assert oracles.engine_ancestry(store, i) is None
     assert views[0].known >> other & 1
     return store, views, base, other
 
 
-def store_state(store):
-    """A copy of every column, mask, unit plane and consensus record the
-    store keeps."""
-    return copy.deepcopy((
-        store_columns(store), store._seq, store._cmask, store._forkers,
-        store._forker_bits, store._apart, store._wcreators, store._votes,
-        store._witness_count, len(store.witnesses_by_round)))
-
-
 def check_rejected(store, views, insert, reason):
     """insert() raises HashgraphError for reason and leaves the store and
     every view in views as they were."""
-    before = store_state(store), view_states(views)
+    before = oracles.state(store), view_states(views)
     with pytest.raises(hashgraph.HashgraphError, match=f"^{reason}$"):
         insert()
-    assert (store_state(store), view_states(views)) == before
+    assert (oracles.state(store), view_states(views)) == before
 
 
 def stale_view(store, owner, head):
@@ -1140,12 +1141,13 @@ def test_every_index_missing_from_live_is_an_ancient_parent():
     # every event a poll freed is rejected as either parent, and the store
     # and its views stay as they were
     store, views, _, _ = ancient_parents()
-    ancient = [i for i in store.by_index if i not in store._live]
+    live, masks = live_records(store), creator_masks(store)
+    ancient = [i for i in store.by_index if i not in live]
     assert len(ancient) > len(store.by_index) // 2
     for i in ancient[::len(ancient) // 8]:
-        creator = store._creator[i]
-        other = next(c for c in store._cmask if c != creator)
-        head = store._cmask[other].bit_length() - 1
+        creator = event(store, i).creator
+        other = next(c for c in masks if c != creator)
+        head = masks[other].bit_length() - 1
         check_rejected(store, views,
                        lambda: store.add_event(creator, i, None, (), 500),
                        f"ancient self_parent {i}")
@@ -1186,7 +1188,7 @@ def test_gossip_chain_stops_at_an_ancient_parent(kind):
     with pytest.raises(hashgraph.HashgraphError, match=f"^{reason}$"):
         gossip_chain(chain, [()] * (len(chain) - 1), 500)
     assert (stale.known, stale.head) == (oracles.ancestry(store)[head], head)
-    assert store_state(store) == store_state(twin)
+    assert oracles.state(store) == oracles.state(twin)
     assert view_states(views) == view_states(singles)
 
 
@@ -1203,17 +1205,19 @@ def test_detect_forks_from_evidence_matches_brute_force(never_polled):
 
     store, _ = gossip_dag(1, steps=400, n=7, poll=poll, fork_from=150)
     fresh = never_polled(store)
-    assert sorted(store._forkers) == [0, 1]
+    assert sorted(forkers(store)) == [0, 1]
     ordered = set(oracles.index_of(store)[oe.event_id]
                   for oe in store.consensus)
-    for c in store._forkers:
-        own = list(bits(store._cmask[c]))
-        first = min(b for b in store._apart if store._creator[b] == c)
-        assert sum(i not in store._live for i in own if i < first) > 10
-        superseded = {store._self_parent[x] for x in own
-                      if x in ordered and store._self_parent[x] >= first}
+    live, masks = live_records(store), creator_masks(store)
+    for c in forkers(store):
+        own = list(bits(masks[c]))
+        first = min(b for b in fork_evidence(store)
+                    if event(store, b).creator == c)
+        assert sum(i not in live for i in own if i < first) > 10
+        parents = [event(store, x).self_parent for x in own if x in ordered]
+        superseded = {p for p in parents if p is not None and p >= first}
         assert len(superseded) >= 10 and not any(
-            x in store._live for x in superseded)
+            x in live for x in superseded)
     forks = BruteGraph(store.population, records(store)).forks()
     assert detect_forks(store) == forks
     assert detect_forks(fresh) == forks
@@ -1226,16 +1230,15 @@ def grid_run_peaks(duration):
     their ancestor masks' summed bytes."""
     sim = Simulation(ScenarioConfig(n=16, s=1, seed=1, duration=duration,
                                     tx_rate=48.0, inject_until=duration))
-    store, poll = sim.state.local_stores[0], sim._poll
+    store = sim.state.local_stores[0]
     records, mask_bytes = [], []
 
     def checked(t):
-        poll(t)
         live, live_bytes = check_frontier(store)
         records.append(live)
         mask_bytes.append(live_bytes)
 
-    sim._poll = checked
+    hook(sim, "poll", checked)
     sim.run()
     assert len(store.by_index) > 6 * duration
     return max(records), max(mask_bytes)
@@ -1272,8 +1275,9 @@ def test_columns_read_back_each_inserted_event(seed, monkeypatch):
     def recorded_insert(store, creator, sp, op, payload, created_at):
         i = add_event(store, creator, sp, op, payload, created_at)
         inserted.append(oracles.new_record(
-            creator, None if sp is None else store._id(sp),
-            None if op is None else store._id(op), payload, created_at))
+            creator, None if sp is None else event(store, sp).id,
+            None if op is None else event(store, op).id, payload,
+            created_at))
         log.append(("add_event", i))
         return i
 
@@ -1285,16 +1289,17 @@ def test_columns_read_back_each_inserted_event(seed, monkeypatch):
     monkeypatch.setattr(EventStore, "add_member", recorded_member)
     store, views = gossip_dag(seed, steps=steps, n=n, joins=joins)
     monkeypatch.undo()
-    assert store._forkers and store._width == (16 if joins else 8)
+    assert forkers(store) and packing(store).width == (16 if joins else 8)
     assert records(store) == inserted
     store.advance_consensus()
     assert store.consensus
     # the walk takes every ordered event's payload and yields the non-empty
     # ones with their consensus timestamps, once
-    taken = list(store._order_events)
+    order = order_columns(store)
+    taken = order.events
     assert store.walk(True) == [
         (inserted[i].payload, ts)
-        for i, ts in zip(taken, store._order_stamps) if inserted[i].payload]
+        for i, ts in zip(taken, order.stamps) if inserted[i].payload]
     assert store.walk(True) == []
     recs = records(store)
     for i in taken:
@@ -1322,13 +1327,13 @@ def test_id_column_is_the_canonical_serialization(seed, steps, members):
     # names its owner's furthest known event
     n, joins = members
     store, views = gossip_dag(seed, steps=steps, n=n, joins=joins)
-    assert store._width == (16 if n + joins > 8 else 8)
-    assert len(store._ids) == 32 * len(store.by_index)
+    assert packing(store).width == (16 if n + joins > 8 else 8)
+    ids = id_column(store)
+    assert len(ids) == 32 * len(store.by_index)
     for i, rec in enumerate(records(store)):
-        digest, units = hashgraph._seal(
-            rec.creator, rec.self_parent or b"", rec.other_parent or b"",
-            rec.payload, rec.created_at)
-        assert digest == bytes(store._ids[32 * i:32 * i + 32])
+        digest, units = seal(rec.creator, rec.self_parent, rec.other_parent,
+                             rec.payload, rec.created_at)
+        assert digest == ids[32 * i:32 * i + 32]
         assert units == rec.units
     for view in views:
         own = known_events_of(store, view, view.owner)
@@ -1336,18 +1341,8 @@ def test_id_column_is_the_canonical_serialization(seed, steps, members):
             assert view.head is None
             continue
         assert view.head in own
-        assert store._seq[view.head] == max(store._seq[j] for j in own)
-
-
-def holds_bytes(value):
-    """Whether value, or any container in it, holds a bytes object."""
-    if isinstance(value, bytes):
-        return True
-    if isinstance(value, dict):
-        return any(holds_bytes(k) or holds_bytes(v) for k, v in value.items())
-    if isinstance(value, (list, tuple, set)):
-        return any(map(holds_bytes, value))
-    return False
+        assert event(store, view.head).seq == max(event(store, j).seq
+                                                  for j in own)
 
 
 def test_store_keeps_ids_in_one_byte_column():
@@ -1363,24 +1358,11 @@ def test_store_keeps_ids_in_one_byte_column():
         adversary_interval=2))
     sim.run()
     stores = [*sim.state.local_stores.values(), sim.state.global_store]
-    assert any(store._forkers for store in stores)
+    assert any(forkers(store) for store in stores)
     for store in stores:
-        assert type(store._ids) is bytearray
-        assert len(store._ids) == 32 * len(store.by_index) > 0
-        for name in ("_creator", "_created_at", "_self_parent",
-                     "_other_parent", "_seq", "round", "_order_events",
-                     "_order_rounds", "_order_stamps"):
-            assert type(getattr(store, name)) is array
+        check_column_layout(store)
         assert store.consensus
-        assert {name for name, value in vars(store).items()
-                if type(value) is list} == {"population", "_unit_planes",
-                                            "_swar"}
         assert len(store.population) < len(store.by_index)
-        for frontier in (store._live, store._payload):
-            assert type(frontier) is dict
-            assert len(frontier) < len(store.by_index) // 2
-        assert [name for name, value in vars(store).items()
-                if name != "_ids" and holds_bytes(value)] == []
 
 
 @functools.cache

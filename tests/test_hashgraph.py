@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shardgraph.hashgraph import (
-    _seal,
-    _set_bits,
     EventStore,
     Hashgraph,
     HashgraphError,
@@ -26,14 +24,19 @@ from oracles import (
     ancestry,
     check_supermajority,
     engine_ancestry,
+    event,
     fame_of,
     head_of,
     index_of,
     insert,
     new_record,
+    packing,
     records,
     reference_digest,
     round_robin_fixture,
+    seal,
+    set_bits,
+    state,
     strongly_seen,
     witness_flags,
 )
@@ -79,11 +82,11 @@ def brute(graph):
 
 def by_digest(store, values):
     """values, one per store event in index order, keyed by event digest."""
-    return {store._id(i): v for i, v in zip(store.by_index, values)}
+    return {event(store, i).id: v for i, v in zip(store.by_index, values)}
 
 
 def fame_by_digest(store):
-    return {store._id(w): f for w, f in fame_of(store).items()}
+    return {event(store, w).id: f for w, f in fame_of(store).items()}
 
 
 # -- supermajority ----------------------------------------------------------
@@ -102,7 +105,7 @@ def test_supermajority_rejects_zero():
 def test_kept_supermajority_follows_membership(monkeypatch):
     sizes = check_supermajority(monkeypatch)
     store = EventStore(range(3))
-    assert store._sm == supermajority(3)
+    assert packing(store).supermajority == supermajority(3)
     # joins past two widenings of the reach fields and leaves; a leave of a
     # non-member and a join of a member raise and change nothing
     for node in range(3, 20):
@@ -113,7 +116,7 @@ def test_kept_supermajority_follows_membership(monkeypatch):
         store.remove_member(40)
     with pytest.raises(HashgraphError, match="node 5 is already a member"):
         store.add_member(5)
-    assert store._width == 32 and len(store.population) == 17
+    assert packing(store).width == 32 and len(store.population) == 17
     # every member leaves, as in shard recovery before the replacements
     # join: no supermajority is taken of an empty population
     for node in list(store.population):
@@ -132,8 +135,8 @@ def test_returning_member_rejoins_population_with_its_bit():
     store.remove_member(2)
     store.add_member(2)
     assert store.population == [0, 1, 2, 3]
-    assert store._sm == supermajority(4)
-    assert store._member_bit == {0: 0, 1: 1, 2: 2, 3: 3}
+    assert packing(store).supermajority == supermajority(4)
+    assert packing(store).member_bits == {0: 0, 1: 1, 2: 2, 3: 3}
 
 
 def test_insert_by_a_non_member_raises_and_leaves_the_store():
@@ -141,15 +144,10 @@ def test_insert_by_a_non_member_raises_and_leaves_the_store():
     store = EventStore(range(3))
     store.add_event(0, None, None, (), 0)
 
-    def state():
-        return (records(store), bytes(store._ids), store.round[:],
-                dict(store._live), dict(store._cmask), list(store.population),
-                dict(store._member_bit), store._sm, store._width)
-
-    before = state()
+    before = records(store), state(store)
     with pytest.raises(HashgraphError, match="creator 7 is not a member"):
         store.add_event(7, None, 0, (), 1)
-    assert state() == before
+    assert (records(store), state(store)) == before
     store.add_member(7)
     assert store.add_event(7, None, 0, (), 1) == 1
 
@@ -161,7 +159,7 @@ def test_set_bits_matches_brute_force():
         for _ in range(50)
     ]
     for m in masks:
-        assert list(_set_bits(m)) == [
+        assert list(set_bits(m)) == [
             i for i in range(m.bit_length()) if m >> i & 1
         ]
 
@@ -180,7 +178,7 @@ def test_create_event_genesis():
 def test_create_event_head_chaining():
     g = graph_of([0, 1], owner=0)
     i1 = create_event(g, None, (), 0)
-    e2 = add_for(g, 1, g.store._id(i1), (), 1)
+    e2 = add_for(g, 1, event(g.store, i1).id, (), 1)
     assert g.head == 0
     i3 = create_event(g, 1, (tx(1),), 2)
     i4 = create_event(g, None, (), 3)
@@ -232,7 +230,7 @@ def test_gossip_sync_empty_diff():
     assert list(transferred) == []
     assert len(transferred) == 0 and transferred.units == 0
     assert b.known.bit_count() == before + 1
-    assert a.store._other_parent[ev] == ea
+    assert event(a.store, ev).other_parent == ea
 
 
 def test_gossip_sync_transfers_diff():
@@ -243,7 +241,7 @@ def test_gossip_sync_transfers_diff():
     transferred, ev = gossip_sync(a, b, 3, ())
     assert len(transferred) == 3
     assert b.known.bit_count() == 4
-    assert a.store._creator[ev] == 1
+    assert event(a.store, ev).creator == 1
 
 
 def test_gossip_sync_full_schedule_converges():
@@ -257,7 +255,7 @@ def test_gossip_sync_full_schedule_converges():
         receiver = (sender + rng.randrange(1, n)) % n
         gossip_sync(graphs[sender], graphs[receiver], t, ())
     snapshot = set().union(
-        *({g.store._id(i) for i in Transfer(g.store, g.known)}
+        *({event(g.store, i).id for i in Transfer(g.store, g.known)}
           for g in graphs)
     )
     # closing rounds: everyone pushes to everyone; every pre-existing event
@@ -265,7 +263,7 @@ def test_gossip_sync_full_schedule_converges():
     for t, (s, r) in enumerate(itertools.permutations(range(n), 2), 40):
         gossip_sync(graphs[s], graphs[r], t, ())
     for g in graphs:
-        assert snapshot <= {g.store._id(i)
+        assert snapshot <= {event(g.store, i).id
                             for i in Transfer(g.store, g.known)}
 
 
@@ -373,7 +371,7 @@ def test_strongly_sees_matches_brute_force(fixture_graph, big_fixture_graph):
                 found += len(seen)
                 for w in store.witnesses_by_round.get(r, ()):
                     domain += 1
-                    b = store._id(w)
+                    b = event(store, w).id
                     assert (w in seen) == (
                         o.is_ancestor(ev.digest, b)
                         and o.strongly_sees(ev.digest, b)
@@ -392,7 +390,7 @@ def test_strongly_sees_outside_domain_rejected():
     r = store.round[late]
     assert r >= 3
     old = [w for w in store.witnesses_by_round[r - 2]
-           if o.strongly_sees(store._id(late), store._id(w))]
+           if o.strongly_sees(event(store, late).id, event(store, w).id)]
     assert old and strongly_seen(store, late, r - 2) == []
 
 
@@ -472,7 +470,7 @@ def test_consensus_order_single_node_chain():
     k = len(order)
     assert k >= 3
     assert [oe.event_id for oe in order] == [
-        g.store._id(i) for i in evs][:k]
+        event(g.store, i).id for i in evs][:k]
     assert [oe.consensus_timestamp for oe in order] == list(range(k))
 
 
@@ -581,7 +579,7 @@ def test_detect_forks_honest_empty(big_fixture_graph):
 
 def test_detect_forks_reports_equivocation():
     g = graph_of([0, 1, 2, 3], owner=0)
-    base = g.store._id(create_event(g, None, (), 0))
+    base = event(g.store, create_event(g, None, (), 0)).id
     f1 = new_record(0, base, None, (), 1)
     f2 = new_record(0, base, None, (tx(1),), 1)
     insert(g, f1)
@@ -604,13 +602,6 @@ def test_detect_forks_matches_pairwise_oracle():
 
 
 # -- events / serialization -------------------------------------------------
-
-
-def seal(creator, self_parent, other_parent, payload, created_at):
-    """The engine's digest and units of these five fields, its parents
-    given by digest (None for none)."""
-    return _seal(creator, self_parent or b"", other_parent or b"", payload,
-                 created_at)
 
 
 def test_digest_stable_and_unique():

@@ -8,7 +8,6 @@ from shardgraph.hashgraph import (
     Hashgraph,
     HashgraphError,
     Transfer,
-    _set_bits,
     consensus_order,
     create_event,
     gossip_sync,
@@ -31,7 +30,16 @@ from shardgraph.sharding import (
 )
 from shardgraph.transactions import KIND_PAYLOAD, Transaction
 
-from oracles import check_supermajority
+from oracles import (
+    check_supermajority,
+    event,
+    id_column,
+    packing,
+    rewired,
+    set_bits,
+    take_payload,
+    unit_planes,
+)
 
 
 def tx(i, origin, target):
@@ -110,7 +118,7 @@ def ingest_ordered(state, table, cid, *events):
     the rest's outbound transactions in one ingest.  Returns the
     committee's queue."""
     store = state.local_stores[cid]
-    payloads = [store._payload.pop(i, None) for i in events]
+    payloads = [take_payload(store, i) for i in events]
     coordinator_ingest_local(state, table, cid, [p for p in payloads if p])
     return state.queues[cid]
 
@@ -363,7 +371,7 @@ def test_recover_keeps_supermajority_through_empty_population(monkeypatch):
     assert 0 in sizes
     store = state.local_stores[0]
     assert store.population == [100, 101, 102, 103]
-    assert store._sm == supermajority(4)
+    assert packing(store).supermajority == supermajority(4)
     store.advance_consensus()
 
 
@@ -417,7 +425,7 @@ def test_recover_requeues_deliveries_the_replica_lacks():
     local_event(state, table, 0, (tx(4, 1, 0),), creator=members[2])
     applied = local_event(state, table, 0, (tx(5, 1, 0),), creator=members[3])
     # a poll's walk applied it and popped its payload
-    del state.local_stores[0]._payload[applied]
+    assert take_payload(state.local_stores[0], applied) is not None
     queue = state.queues[0]
     queue.inbound.append(tx(6, 1, 0))
     recover_failed_shard(state, table, 0, [50, 51, 52, 53])
@@ -437,25 +445,21 @@ def test_replay_with_a_wrong_parent_index_raises():
     n = len(source.by_index)
     copy = EventStore(source.population)
     replay(copy, Transfer(source, (1 << n) - 1))
-    assert copy._ids == source._ids and copy.round == source.round
+    assert id_column(copy) == id_column(source) and copy.round == source.round
     x = n - 1
-    sp, op = source._self_parent[x], source._other_parent[x]
+    sp, op = event(source, x).self_parent, event(source, x).other_parent
     other = next(i for i in range(n - 1, -1, -1) if i != op
-                 and source._creator[i] not in (source._creator[x],
-                                                source._creator[op]))
-    earlier = source._self_parent[sp]
+                 and event(source, i).creator not in (
+                     event(source, x).creator, event(source, op).creator))
+    earlier = event(source, sp).self_parent
     dropped = (1 << n) - 1 & ~(1 << op)
-    for column, wrong, mask in (
-            (source._other_parent, other, (1 << n) - 1),
-            (source._self_parent, earlier, (1 << n) - 1),
-            (source._other_parent, op, dropped)):
-        kept = column[x]
-        column[x] = wrong
-        try:
+    for parent, wrong, mask in (
+            ("other_parent", other, (1 << n) - 1),
+            ("self_parent", earlier, (1 << n) - 1),
+            ("other_parent", op, dropped)):
+        with rewired(source, x, parent, wrong):
             with pytest.raises(HashgraphError):
                 replay(EventStore(source.population), Transfer(source, mask))
-        finally:
-            column[x] = kept
 
 
 def test_replay_copies_the_unit_planes_over_the_transfer():
@@ -473,18 +477,19 @@ def test_replay_copies_the_unit_planes_over_the_transfer():
             f"u{t}", 0, 0, rng.randrange(8), KIND_PAYLOAD, ()),))
     n = len(store.by_index)
     for i in range(0, n, 3):
-        del store._payload[i]
-    assert len(store._unit_planes) == 3
+        assert take_payload(store, i) is not None
+    planes = unit_planes(store)
+    assert len(planes) == 3
     for mask in [view.known for view in views] + [(1 << n) - 1]:
         copy = EventStore(store.population)
         replay(copy, Transfer(store, mask))
-        kept = list(_set_bits(mask))
+        kept = list(set_bits(mask))
         want = [sum(1 << j for j, i in enumerate(kept) if plane >> i & 1)
-                for plane in store._unit_planes]
+                for plane in planes]
         while want and not want[-1]:
             want.pop()
-        assert copy._unit_planes == want and any(want)
-    assert copy._unit_planes == store._unit_planes
+        assert unit_planes(copy) == want and any(want)
+    assert unit_planes(copy) == planes
 
 
 def test_recover_empty_committee():

@@ -15,7 +15,6 @@ from shardgraph.hashgraph import (
     EventStore,
     Order,
     OrderedEvent,
-    _set_bits,
     consensus_order,
     decided_length,
 )
@@ -32,7 +31,24 @@ from shardgraph.simulation import (
 from shardgraph.sharding import ReplicaSnapshot, partition_nodes
 from shardgraph.transactions import KIND_PAYLOAD, control_tx
 
-from oracles import new_record, record_of, records, report_text
+from oracles import (
+    creator_masks,
+    event,
+    exit_committee,
+    forkers,
+    held_payloads,
+    hook,
+    id_column,
+    inject,
+    new_record,
+    order_columns,
+    record_of,
+    records,
+    report_text,
+    set_bits,
+    tick,
+    walk_position,
+)
 from test_golden import GOLDEN
 
 # reorg_log entries replay through the benchmark's own output check
@@ -108,7 +124,7 @@ def test_inject_workload_numbers_from_first():
     expected = inject_workload(sim.cfg, rng, sim.table, set(), 0)
     assert any(tx.origin != tx.target for _, tx in expected)
     assert any(tx.origin == tx.target for _, tx in expected)
-    sim._inject(4)
+    inject(sim, 4)
     assert sim.metrics.injected_tx_units == len(expected)
     filed = {node: [] for node in sim.pending}
     for node, tx in expected:
@@ -373,7 +389,7 @@ def test_ordered_units_match_a_walk_of_the_final_orders(cfg, monkeypatch):
 
 def ordered_mask(store):
     """The mask of store's ordered events, from its order column."""
-    return sum(1 << i for i in set(store._order_events))
+    return sum(1 << i for i in set(order_columns(store).events))
 
 
 def known_to_seats(sim, seats):
@@ -454,8 +470,8 @@ def test_coordinator_alternates_pools():
     sim = Simulation(small_cfg(duration=20))
     sim.run()
     for cid, coord in sim.table.coordinators.items():
-        assert coord in sim.state.local_stores[cid]._cmask
-        assert coord in sim.state.global_store._cmask
+        assert coord in creator_masks(sim.state.local_stores[cid])
+        assert coord in creator_masks(sim.state.global_store)
 
 
 def test_empty_event_fraction_low_at_high_rate():
@@ -524,8 +540,8 @@ def test_storage_counter_is_what_each_node_holds(name):
         held = [view, seats[node]] if node in seats else [view]
         assert metrics.per_node_storage.get(node, 0) == sum(
             v.store.units_of(v.known) for v in held)
-        received += sum(v.store.units_of(v.known & ~v.store._cmask.get(node, 0))
-                        for v in held)
+        received += sum(v.store.units_of(
+            v.known & ~creator_masks(v.store).get(node, 0)) for v in held)
     assert sum(metrics.per_node_comm.values()) == received > 0
 
 
@@ -576,10 +592,9 @@ def test_membership_agrees_with_the_table_after_every_tick(name):
     # nodes that own a view and a pending buffer name the same members
     cfg = GOLDEN[name][0]
     sim = Simulation(cfg)
-    tick, ticks = sim._tick, []
+    ticks = []
 
     def checked(t):
-        tick(t)
         table, state = sim.table, sim.state
         for cid, store in state.local_stores.items():
             assert store.population == table.members(cid)
@@ -589,7 +604,7 @@ def test_membership_agrees_with_the_table_after_every_tick(name):
         assert all(view.owner == node for node, view in sim.views.items())
         ticks.append(t)
 
-    sim._tick = checked
+    hook(sim, "tick", checked)
     sim.run()
     assert ticks == list(range(cfg.duration)) and sim.table.epoch > 0
 
@@ -646,7 +661,8 @@ def test_replacement_coordinator_gossips_globally_after_recovery():
     coord = sim.table.coordinators[1]
     assert coord in rec["replacements"]
     store = sim.state.global_store
-    assert any(store._creator[i] == coord and store._created_at[i] > rec["at"]
+    assert any(event(store, i).creator == coord
+               and event(store, i).created_at > rec["at"]
                for i in store.by_index)
     checkpoints = [a["at"] for a in report.action_log
                    if a["action"] == "checkpoint"]
@@ -670,7 +686,7 @@ def test_recovery_replays_the_replica_under_its_ids(cfg, monkeypatch):
     def recorded(state, table, failed, replacements):
         replica = recover(state, table, failed, replacements)
         store = state.local_stores[failed]
-        recoveries.append((replica, bytes(store._ids), list(store.consensus)))
+        recoveries.append((replica, id_column(store), list(store.consensus)))
         return replica
 
     monkeypatch.setattr(shardgraph.simulation, "recover_failed_shard",
@@ -679,7 +695,7 @@ def test_recovery_replays_the_replica_under_its_ids(cfg, monkeypatch):
     assert not report.anomalies
     ((replica, ids, order),) = recoveries
     source, mask = replica.events.store, replica.events.mask
-    assert ids == b"".join(source._id(i) for i in _set_bits(mask))
+    assert ids == b"".join(event(source, i).id for i in set_bits(mask))
     assert len(ids) == 32 * mask.bit_count() > 0
     checkpointed = list(replica.consensus)
     assert checkpointed and order[:len(checkpointed)] == checkpointed
@@ -695,17 +711,16 @@ def test_decided_prefix_is_inside_each_view_on_churn():
         n=24, s=3, seed=1, duration=100, tx_rate=12.0, cross_ratio=0.2,
         adversary_kind="churn", adversary_interval=3,
         adversary_rejoin=True))
-    poll, lengths = sim._poll, []
+    lengths = []
 
     def checked(t):
-        poll(t)
         for view in [*sim.views.values(), *sim.state.seats.values()]:
             length = decided_length(view)
             lengths.append(length)
             assert all(view.known >> i & 1
-                       for i in view.store._order_events[:length])
+                       for i in order_columns(view.store).events[:length])
 
-    sim._poll = checked
+    hook(sim, "poll", checked)
     sim.run()
     assert len(lengths) == 2368 and 0 in lengths and max(lengths) > 100
 
@@ -719,10 +734,9 @@ def test_no_decided_prefix_shrinks_on_the_churn_workload(seed):
     # an event with no parents in finalized round 1, a witness that is not
     # famous
     sim = Simulation(scenario("churn", seed))
-    poll, views, seats, replicas, falls = sim._poll, {}, {}, {}, []
+    views, seats, replicas, falls = {}, {}, {}, []
 
     def checked(t):
-        poll(t)
         for kind, graphs, lengths in (("view", sim.views, views),
                                       ("seat", sim.state.seats, seats)):
             for key, view in graphs.items():
@@ -736,7 +750,7 @@ def test_no_decided_prefix_shrinks_on_the_churn_workload(seed):
                 falls.append((t, "replica", cid, replicas[cid], replica.length))
             replicas[cid] = replica.length
 
-    sim._poll = checked
+    hook(sim, "poll", checked)
     sim.run()
     assert max(length for _, length in views.values()) > 1000
     assert max(length for _, length in seats.values()) > 100
@@ -754,9 +768,9 @@ def test_shard_recovery_applies_each_event_once(monkeypatch):
     def recorded(store, take):
         # a local walk applies each event it reaches whose payload is held
         if take:
-            for i in store._order_events[store._walked:]:
-                (applied if i in store._payload else skipped).append(
-                    store._id(i))
+            held = held_payloads(store)
+            for i in order_columns(store).events[walk_position(store):]:
+                (applied if i in held else skipped).append(event(store, i).id)
         return walk(store, take)
 
     monkeypatch.setattr(EventStore, "walk", recorded)
@@ -791,21 +805,20 @@ def test_walk_yields_each_ordered_event_once(monkeypatch):
     sim = Simulation(ScenarioConfig(n=16, s=2, seed=3, duration=60,
                                     tx_rate=16.0, cross_ratio=0.3))
     stores = [*sim.state.local_stores.values(), sim.state.global_store]
-    poll = sim._poll
 
     def advanced(t):
         nonlocal ahead
         for view in [*sim.views.values(), *sim.state.seats.values()]:
             consensus_order(view)
-        ahead += sum(len(store.consensus) - store._walked for store in stores)
-        poll(t)
+        ahead += sum(len(store.consensus) - walk_position(store)
+                     for store in stores)
 
-    sim._poll = advanced
+    hook(sim, "poll", advanced, before=True)
     sim.run()
     assert ahead > 0
     for store in stores:
         payloads = [(inserted[oe.event_id].payload, oe.consensus_timestamp)
-                    for oe in store.consensus[:store._walked]]
+                    for oe in store.consensus[:walk_position(store)]]
         assert walked[store] == [(p, ts) for p, ts in payloads if p]
         assert len(walked[store]) > 10
 
@@ -846,23 +859,23 @@ def test_down_seat_holds_the_global_payloads_it_lacks():
         checkpoint_period=2, adversary_kind="shard_failure",
         adversary_committee=1, adversary_fail_at=50,
         adversary_recover_delay=20))
-    gstore, poll = sim.state.global_store, sim._poll
+    gstore = sim.state.global_store
     others = [cid for cid in sim.state.seats if cid != 1]
     held_while_down = 0
 
     def checked(t):
         nonlocal held_while_down
-        poll(t)
         everywhere = known_to_seats(sim, sim.state.seats)
+        held = held_payloads(gstore)
         for i in gstore.by_index:
-            if i not in gstore._payload:
+            if i not in held:
                 assert everywhere >> i & 1
         if 1 in sim.down:
             # ordered, known to every other seat and held for the down one
             held_while_down += (known_to_seats(sim, others)
                                 & ~everywhere).bit_count()
 
-    sim._poll = checked
+    hook(sim, "poll", checked)
     audit = sim.run().tx_audit
     assert held_while_down > 0
     assert (audit["injected_cross"], audit["missing_count"],
@@ -931,7 +944,7 @@ def test_member_moved_back_resumes_its_chain():
     assert [ev.created_at for ev in own if ev.self_parent is None] == [74]
     assert own[-1].created_at > 113
     assert not any(report.forks.values())
-    assert not any(st._forkers for st in sim.state.local_stores.values())
+    assert not any(forkers(st) for st in sim.state.local_stores.values())
 
 
 @pytest.mark.parametrize("cfg", [
@@ -957,7 +970,7 @@ def test_a_seat_receives_each_global_event_once(cfg, monkeypatch):
     sim = Simulation(cfg)
     sim.run()
     assert len(receipts) == len(set(receipts)) > 0
-    assert not sim.state.global_store._forkers
+    assert not forkers(sim.state.global_store)
     coordinators = sim.table.coordinators
     assert sim.state.global_store.population == sorted(coordinators.values())
     assert {c: seat.owner for c, seat in sim.state.seats.items()} == coordinators
@@ -1013,7 +1026,7 @@ def test_exit_hands_the_buffer_to_the_heir():
     held = control_tx("held", 0)
     sim.pending[node].append(held)
     kept = list(sim.pending[heir])
-    sim._exit(node, heir)
+    exit_committee(sim, node, heir)
     assert node not in sim.views and node not in sim.pending
     assert sim.pending[heir] == [*kept, held]
 
@@ -1029,7 +1042,7 @@ def test_recovery_drops_the_failed_members_buffers():
     for t in range(recover_at + 1):
         if t == recover_at:
             sim.pending[failed[0]].append(held)
-        sim._tick(t)
+        tick(sim, t)
     assert not set(failed) & (sim.views.keys() | sim.pending.keys())
     assert not any(held in buf for buf in sim.pending.values())
 
@@ -1105,6 +1118,20 @@ def test_config_validation_errors():
         with pytest.raises(ConfigError, match="min_committee_size"):
             ScenarioConfig(min_committee_size=size).validate()
     ScenarioConfig(min_committee_size=1).validate()
+    # a value below a setting's "auto" one is refused, not read as "auto":
+    # at duration 60, inject_until -5 injected until tick 45 and fail_at -9
+    # failed the shard at tick 20.  The "auto" values themselves pass
+    for kind in ("none", "shard_failure"):
+        for key, name, bad, good in (
+                ("inject_until", "inject_until", (-5, -1), (0, 1)),
+                ("adversary_fail_at", "adversary.fail_at", (-9, -2), (-1, 0))):
+            for value in bad:
+                with pytest.raises(ConfigError, match=name):
+                    ScenarioConfig(duration=60, adversary_kind=kind,
+                                   **{key: value}).validate()
+            for value in good:
+                ScenarioConfig(duration=60, adversary_kind=kind,
+                               **{key: value}).validate()
 
 
 def test_drain_window_covers_the_relay():

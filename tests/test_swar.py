@@ -1,26 +1,16 @@
-"""Property tests of the EventStore's SWAR helpers (``_present``,
-``_at_least``, ``_seen_flags``) against a per-field reference.  Field p of a
+"""Property tests of the EventStore's SWAR helpers (present, at_least,
+seen_flags in oracles) against a per-field reference.  Field p of a
 packed int is bits p*F to p*F + F - 1, as in a reach or a vote vector."""
 
 from hypothesis import given, settings, strategies as st
 
-from shardgraph.hashgraph import EventStore
+from oracles import at_least, packed_store, packing, present, seen_flags
 
 WIDTHS = (8, 16, 32, 64)
-# 8 fields before the first doubling of _fields, up to 32 after the second
+# 8 fields before the first doubling of the fields, up to 32 after the
+# second
 MAX_FIELDS = 24
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
-
-
-def packed_store(width, n):
-    """A store with width-bit fields whose constants cover n fields, doubled
-    from 8 the way witness positions double them."""
-    store = EventStore(range(width))
-    assert store._width == width
-    while store._fields < n:
-        store._fields *= 2
-    store._pack_constants()
-    return store
 
 
 def pack(fields, width):
@@ -57,9 +47,9 @@ def fields_of(draw, value=field_value):
 def test_present_flags_nonzero_fields(case):
     width, fields = case
     store = packed_store(width, len(fields))
-    got = store._present(pack(fields, width))
+    got = present(store, pack(fields, width))
     # the helpers answer for every field the store's constants cover
-    fields += [0] * (store._fields - len(fields))
+    fields += [0] * (packing(store).fields - len(fields))
     assert unpack_low(got, width, len(fields)) == [int(x != 0) for x in fields]
 
 
@@ -69,8 +59,8 @@ def test_at_least_compares_each_count(case, data):
     width, counts = case
     t = data.draw(st.integers(0, width))
     store = packed_store(width, len(counts))
-    got = store._at_least(pack(counts, width), t)
-    counts += [0] * (store._fields - len(counts))
+    got = at_least(store, pack(counts, width), t)
+    counts += [0] * (packing(store).fields - len(counts))
     assert unpack_low(got, width, len(counts)) == [int(c >= t) for c in counts]
 
 
@@ -88,9 +78,10 @@ def test_seen_flags_counts_unforked_creators(case, data):
     sm = data.draw(st.integers(1, width))
     store = packed_store(width, n)
     q = 3
-    store._wcreators[q] = pack([1 << c for c in creators], width)
-    got = store._seen_flags(pack(reach, width), q, forked, sm)
+    got = seen_flags(store, pack(reach, width), q,
+                     pack([1 << c for c in creators], width), forked, sm)
     want = [int(not forked >> c & 1 and (x & ~forked).bit_count() >= sm)
             for x, c in zip(reach, creators)]
-    want += [0] * (store._fields - n)
-    assert unpack_low(got, width, store._fields) == want
+    fields = packing(store).fields
+    want += [0] * (fields - n)
+    assert unpack_low(got, width, fields) == want
