@@ -285,6 +285,17 @@ class EventStore:
       least 8 and at least the member bits; when ``add_member`` outgrows it
       F doubles and re-lays every live reach at once, with the vote state,
       so a stored reach is always at the store's width.
+    - Forked masks: ``_masks_of`` builds, for one ``forked`` value, LOW
+      times the member bits outside it and LOW times it, which strong
+      sight and first-round votes apply to every field at once.
+      ``_forked_masks`` keeps them by ``forked`` for the life of one
+      packing: ``_pack_constants`` drops them when the width or the field
+      count doubles, so a kept mask is always at the store's packing.  A
+      store meets few forked values (3 to 5 on the benchmark's forks
+      workload), so the cache stays small.  The insert's round test first
+      compares the masked reach's bit count with sm * sm and runs the
+      SWAR count only when it passes; a vote reads every field's flag
+      (``_strongly_seen_prev``), so ``_seen_flags`` takes no such bound.
     - Reach lifetime: a reach is read by a child's insert and by the
       event's own first vote as a witness (``_strongly_seen_prev``), and by
       nothing else.  Once an event is ordered its round is finalized, so it
@@ -398,7 +409,7 @@ class EventStore:
         self._width = 8
         while self._width < len(self._member_bit):
             self._width *= 2
-        self._fields = 8                     # fields the constants cover
+        self._field_count = 8                # fields the constants cover
         self._pack_constants()
         # fame machinery
         # round r -> voter -> vote vector, and -> how many of the round's
@@ -592,11 +603,15 @@ class EventStore:
             if pc & ~cur:
                 cur |= pc | ((((pc & nh) + nh) | pc) >> top & low) * cbit
         # an empty reach (a genesis event's) sees nothing, and sm fields of
-        # sm bits need sm * sm bits
-        if (cur and cur.bit_count() >= sm * sm
-                and self._seen_flags(cur, r, forked, sm).bit_count() >= sm):
-            r += 1
-            prev, cur = cur, 0
+        # sm bits need sm * sm bits, counted again once the forked
+        # creators' bits and fields are masked out: the fields' counts, a
+        # SWAR popcount, are read only when the bits are there
+        if cur and cur.bit_count() >= sm * sm:
+            seen = self._unforked(cur, r, forked) if forked else cur
+            if (seen.bit_count() >= sm * sm
+                    and self._dense_fields(seen, sm).bit_count() >= sm):
+                r += 1
+                prev, cur = cur, 0
         rounds.append(r)
         if spi is None or rounds[spi] < r:
             same_round = self.witnesses_by_round.get(r)
@@ -605,8 +620,8 @@ class EventStore:
             pos = len(same_round)
             same_round.append(idx)
             self._witness_count += 1
-            if pos == self._fields:
-                self._fields *= 2
+            if pos == self._field_count:
+                self._field_count *= 2
                 self._pack_constants()
                 nh, low = self._nh, self._low
             field = cbit << pos * self._width
@@ -619,7 +634,7 @@ class EventStore:
                 yes = (((prev & nh) + nh) | prev) >> top & low
                 if forked:
                     yes &= ~self._present(self._wcreators.get(r - 1, 0)
-                                          & low * forked)
+                                          & self._masks_of(forked)[1])
                 self._votes.setdefault(r - 1, {})[idx] = yes
         live[idx] = (anc, forked, prev, cur)
         return idx
@@ -648,11 +663,13 @@ class EventStore:
             del held[i]
 
     def _pack_constants(self) -> None:
-        """LOW, bit 0 of each of ``_fields`` fields, and the SWAR masks for
-        the current width."""
+        """LOW, bit 0 of each of ``_field_count`` fields, and the SWAR masks
+        for the current width; the forked masks built from the old ones
+        are dropped."""
         f = self._width
         full = self._full = (1 << f) - 1
-        low = self._low = ((1 << f * self._fields) - 1) // full
+        low = self._low = ((1 << f * self._field_count) - 1) // full
+        self._forked_masks: dict[int, tuple[int, int]] = {}
         self._nh = low * ((1 << f - 1) - 1)
         self._swar = [(k, low * (full // ((1 << 2 * k) - 1) * ((1 << k) - 1)))
                       for k in (1 << j for j in range(f.bit_length() - 1))]
@@ -678,17 +695,40 @@ class EventStore:
         nh = self._nh
         return (((v & nh) + nh) | v) >> self._width - 1 & self._low
 
-    def _seen_flags(self, v: int, q: int, forked: int, sm: int) -> int:
-        """LOW bits of the fields of round-q reach v whose witness creator
-        is not in forked and whose creators outside forked number sm."""
-        if forked:
-            v &= self._low * (self._full & ~forked)
-            caught = self._wcreators.get(q, 0) & self._low * forked
-            if caught:
-                v &= ~(self._present(caught) * self._full)
+    def _masks_of(self, forked: int) -> tuple[int, int]:
+        """(every field's bits outside forked, every field's forked bits),
+        built once per forked value and packing."""
+        masks = self._forked_masks.get(forked)
+        if masks is None:
+            low = self._low
+            masks = self._forked_masks[forked] = (
+                low * (self._full & ~forked), low * forked)
+        return masks
+
+    def _unforked(self, v: int, q: int, forked: int) -> int:
+        """Round-q reach v without the bits of the creators in forked and
+        without the fields whose witness creator is in forked."""
+        honest, caught = self._masks_of(forked)
+        v &= honest
+        caught &= self._wcreators.get(q, 0)
+        if caught:
+            v &= ~(self._present(caught) * self._full)
+        return v
+
+    def _dense_fields(self, v: int, sm: int) -> int:
+        """LOW bits of the fields of v with at least sm bits set."""
         for k, mk in self._swar:
             v = (v & mk) + ((v >> k) & mk)
         return self._at_least(v, sm)
+
+    def _seen_flags(self, v: int, q: int, forked: int, sm: int) -> int:
+        """LOW bits of the fields of round-q reach v whose witness creator
+        is not in forked and whose creators outside forked number sm.
+        Every field's flag is read (``_strongly_seen_prev``), so no bound
+        on the reach's bit count cuts it short."""
+        if forked:
+            v = self._unforked(v, q, forked)
+        return self._dense_fields(v, sm)
 
     def _at_least(self, counts: int, t: int) -> int:
         """LOW bits of the fields of counts, each at most F, that are at

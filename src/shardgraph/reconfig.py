@@ -130,7 +130,7 @@ def join_node(
     if new_node in table.assignment:
         raise ReconfigError(f"node {new_node} already assigned")
     cid = choose_join_committee(consensus_timestamp, table.num_committees)
-    table.assignment[new_node] = cid
+    table.place(new_node, cid)
     state.local_stores[cid].add_member(new_node)
     return cid
 
@@ -142,7 +142,7 @@ def leave_node(
     node: NodeId,
 ) -> None:
     """Remove a node from its committee and note the exit in the ledger."""
-    cid = table.assignment.pop(node, None)
+    cid = table.remove(node)
     if cid is None:
         raise ReconfigError(f"unknown node {node}")
     ledger.note_exit(cid)
@@ -228,7 +228,7 @@ def apply_transfers(
     ledger and open a new epoch."""
     for donor, moved in transfers.items():
         for node in moved:
-            table.assignment[node] = depleted
+            table.place(node, depleted)
             state.local_stores[donor].remove_member(node)
             state.local_stores[depleted].add_member(node)
         # donors keep their exit counts; only their baseline moves

@@ -8,8 +8,9 @@ cache queues, and holds replicas of the local graphs.
 
 from __future__ import annotations
 
+import bisect
 import random
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 from .hashgraph import (
     EventStore,
@@ -30,11 +31,20 @@ class ShardingError(Exception):
 
 
 class CommitteeTable:
-    """Node -> committee assignment plus per-committee coordinators."""
+    """Node -> committee assignment plus per-committee coordinators.
+
+    Beside ``assignment`` the table keeps each committee's members in node
+    order, so no reader sorts or scans the assignment.  ``place`` and
+    ``remove`` are the only writers of either, so the two never disagree;
+    ``members`` hands out a copy, which a later move leaves as it is."""
 
     def __init__(self, assignment: dict[NodeId, CommitteeId],
                  coordinators: dict[CommitteeId, NodeId], epoch: int = 0):
-        self.assignment = assignment
+        self.assignment: dict[NodeId, CommitteeId] = {}
+        self._members: dict[CommitteeId, list[NodeId]] = {
+            c: [] for c in coordinators}
+        for node, committee in assignment.items():
+            self.place(node, committee)
         self.coordinators = coordinators
         self.epoch = epoch
 
@@ -42,16 +52,29 @@ class CommitteeTable:
     def num_committees(self) -> int:
         return len(self.coordinators)
 
+    def place(self, node: NodeId, committee: CommitteeId) -> None:
+        """Put node in committee, moving it out of its old one if any."""
+        self.remove(node)
+        self.assignment[node] = committee
+        bisect.insort(self._members.setdefault(committee, []), node)
+
+    def remove(self, node: NodeId) -> Optional[CommitteeId]:
+        """Take node out of its committee and return that committee, or
+        None for a node the table does not hold."""
+        committee = self.assignment.pop(node, None)
+        if committee is not None:
+            self._members[committee].remove(node)
+        return committee
+
     def members(self, committee: CommitteeId) -> list[NodeId]:
-        return sorted(
-            n for n, c in self.assignment.items() if c == committee
-        )
+        """The committee's members in node order, as a new list."""
+        return list(self._members.get(committee, ()))
 
     def non_coordinators(self, committee: CommitteeId) -> list[NodeId]:
         """The committee's members other than its coordinator, which is
         never an equivocator, a churn victim or a reorganization mover."""
         coordinator = self.coordinators[committee]
-        return [m for m in self.members(committee) if m != coordinator]
+        return [m for m in self._members[committee] if m != coordinator]
 
     def global_committee(self) -> list[NodeId]:
         return sorted(self.coordinators.values())
@@ -293,9 +316,9 @@ def recover_failed_shard(
     state.local_stores[failed] = store
 
     for node in table.members(failed):
-        del table.assignment[node]
+        table.remove(node)
     for node in replacements:
-        table.assignment[node] = failed
+        table.place(node, failed)
     seat_coordinator(state, table, failed, replacements[0])
     # the new coordinator takes over the committee's queues.  The cross
     # transactions delivered in events the replica lacks, and not applied,

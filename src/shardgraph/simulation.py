@@ -138,12 +138,13 @@ def inject_workload(config, rng, table, down, first):
     in ``down``: (origin node, transaction) pairs, each transaction a
     one-unit payload from the node's committee, numbered ``t{first}``,
     ``t{first + 1}`` and on."""
-    assignment = table.assignment
-    pool = sorted(node for node, cid in assignment.items() if cid not in down)
+    committees = sorted(table.coordinators)
+    pool = sorted(chain.from_iterable(
+        table.members(c) for c in committees if c not in down))
     if not pool:
         return []
     out = []
-    committees = sorted(table.coordinators)
+    assignment = table.assignment
     others = {c: [d for d in committees if d != c] for c in committees}
     choice, rand, ratio = rng.choice, rng.random, config.cross_ratio
     cross = len(committees) > 1
@@ -266,7 +267,7 @@ class Simulation:
         self.down: set[int] = set()   # failed committees not yet recovered
         self.views: dict[int, Hashgraph] = {}
         self.pending: dict[int, list[Transaction]] = {}
-        for node in sorted(self.table.assignment):
+        for node in range(config.n):
             self._enter(node, self._local_view(node))
         self.metrics = MetricsReport(config.duration)
         self.inject_until = config.resolved_inject_until()
@@ -388,14 +389,13 @@ class Simulation:
                 coord for cid, coord in table.coordinators.items()
                 if cid not in down
             }
-        # every committee's ring in one pass over the assignment, each in
-        # node order before it is shuffled
-        rings: dict[int, list[int]] = {}
-        for node, cid in sorted(table.assignment.items()):
-            if cid not in down and node not in global_duty:
-                rings.setdefault(cid, []).append(node)
-        for cid in sorted(rings):
-            ring = rings[cid]
+        # each committee's ring in node order before it is shuffled
+        for cid in sorted(table.coordinators):
+            if cid in down:
+                continue
+            ring = table.members(cid)
+            if global_duty:
+                ring = [node for node in ring if node not in global_duty]
             if len(ring) < 2:
                 continue
             self.rng.shuffle(ring)

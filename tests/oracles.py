@@ -196,8 +196,8 @@ class Packing(NamedTuple):
 
 
 def packing(store):
-    return Packing(store._width, store._fields, dict(store._member_bit),
-                   store._sm)
+    return Packing(store._width, store._field_count,
+                   dict(store._member_bit), store._sm)
 
 
 def packed_store(width, n):
@@ -206,10 +206,17 @@ def packed_store(width, n):
     them."""
     store = EventStore(range(width))
     assert store._width == width
-    while store._fields < n:
-        store._fields *= 2
+    while store._field_count < n:
+        store._field_count *= 2
     store._pack_constants()
     return store
+
+
+def forked_masks(store):
+    """Forked creator bits -> the (outside, inside) masks the store keeps
+    for them: every field's bits outside the forked creators, and every
+    field's forked bits."""
+    return dict(store._forked_masks)
 
 
 def present(store, v):
@@ -826,6 +833,22 @@ def strongly_seen(store, a, r):
     flags = store._seen_flags(prev if below else cur, r, forked, store._sm)
     ws = store.witnesses_by_round.get(r, ())
     return list(compress(ws, store._unpack(flags, len(ws))))
+
+
+def vote_sight(store, v):
+    """The round(v) - 1 witnesses that witness v's votes read as strongly
+    seen (``_strongly_seen_prev``), kept from its first vote."""
+    return store._strongly_seen_prev(v)
+
+
+def unforked_prev_bits(store, v):
+    """The bits of live witness v's round(v) - 1 reach outside the creators
+    it sees forking and the fields of their witnesses: the count the
+    insert's round test compares with sm * sm."""
+    _, forked, prev, _ = store._live[v]
+    if forked:
+        prev = store._unforked(prev, store.round[v] - 1, forked)
+    return prev.bit_count()
 
 
 class ReferenceFame:

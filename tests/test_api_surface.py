@@ -12,7 +12,8 @@ Nor does it keep write-only state: every attribute the package assigns on
 ``self`` must be read somewhere in ``src/`` or ``perfbench/``.
 
 And every annotation of a function or method it defines names something the
-defining module can resolve, and every name a module imports it also uses.
+defining module can resolve, and every name a module imports it also uses,
+in the tests too.
 Nor do its docstrings and comments name, between double backticks, an
 identifier that no code, builtin or identifier string literal in the package
 defines, such as deleted state; a name followed by ``*`` is a pattern.
@@ -35,6 +36,11 @@ Nor does a module read, assign or import another module's private name:
 under src/ and perfbench/ none does, and under tests/ only the adapter
 tests/oracles.py reads the engine's internals, so a change of the store's
 layout edits hashgraph.py and oracles.py alone.
+
+And the committee table has one writer: no code outside ``CommitteeTable``
+stores into, deletes from or pops its ``assignment``, and none under src/
+or perfbench/ sorts it, so the member lists the table keeps beside it
+cannot go stale and no reader rebuilds them.
 """
 
 import ast
@@ -212,10 +218,11 @@ def test_every_annotation_resolves():
 
 
 def unused_imports():
-    """(file, line, name) of each name a package module imports and never
-    reads as a name or an attribute; ``from __future__ import annotations``
-    is a compiler switch, not a name."""
-    for path in sorted(PACKAGE.glob("*.py")):
+    """(file, line, name) of each name a package module or a test module
+    imports and never reads as a name or an attribute; ``from __future__
+    import annotations`` is a compiler switch, not a name."""
+    for path in [*sorted(PACKAGE.glob("*.py")),
+                 *sorted((ROOT / "tests").glob("*.py"))]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = set()
         for node in ast.walk(tree):
@@ -471,19 +478,97 @@ def test_no_test_reads_a_private_name_but_the_adapter():
     assert private_uses((ROOT / "tests").glob("*.py")) == []
 
 
-# a test module that reaches into the engine three ways
+# a test module that reaches into the engine four ways, and uses a
+# namedtuple's public API once
 LEAKY_TEST = """\
 from shardgraph.hashgraph import _seal
 
 
-def test_leaks(store, sim):
+def test_leaks(store, sim, record):
     assert store._creator[0] == 0
     sim._poll = print
+    store._field_count *= 2
+    assert record._replace(units=0)
 """
 
 
 def test_private_use_guard_flags_a_test_module_but_the_adapter():
     assert sorted(foreign_private_uses(Path("tests/test_leaky.py"),
                                        LEAKY_TEST)) == [
-        (1, "import _seal"), (5, "store._creator"), (6, "sim._poll")]
+        (1, "import _seal"), (5, "store._creator"), (6, "sim._poll"),
+        (7, "store._field_count")]
     assert list(foreign_private_uses(ADAPTER, LEAKY_TEST)) == []
+
+
+# the one class whose methods may write or sort a committee assignment
+ASSIGNMENT_OWNER = "CommitteeTable"
+# the dict methods that change a dict in place
+DICT_WRITERS = {"pop", "popitem", "clear", "update", "setdefault"}
+
+
+def assignment_writes(source, sorts=True):
+    """(line, expression) of each write of an ``assignment`` attribute in
+    source outside ``CommitteeTable``'s methods, a subscript store or
+    ``del`` or a call of a dict method that changes it, and given sorts
+    each ``sorted`` call over an expression that reads it."""
+    tree = ast.parse(source)
+    owned = {id(node) for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) and cls.name == ASSIGNMENT_OWNER
+             for node in ast.walk(cls)}
+
+    def is_assignment(node):
+        return isinstance(node, ast.Attribute) and node.attr == "assignment"
+
+    for node in ast.walk(tree):
+        if id(node) in owned:
+            continue
+        if (isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and is_assignment(node.value)):
+            yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr in DICT_WRITERS
+                    and is_assignment(func.value)):
+                yield node.lineno, ast.unparse(node)
+            elif (sorts and getattr(func, "id", None) == "sorted"
+                  and any(is_assignment(n) for arg in node.args
+                          for n in ast.walk(arg))):
+                yield node.lineno, ast.unparse(node)
+
+
+def test_only_the_committee_table_writes_or_sorts_its_assignment():
+    # a test may sort the assignment, as the reference scan the kept
+    # member lists are checked against
+    found = []
+    for top in ("src", "perfbench", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            rel = path.relative_to(ROOT)
+            found += [f"{rel}:{line} {expr}" for line, expr in
+                      assignment_writes(path.read_text(encoding="utf-8"),
+                                        sorts=top != "tests")]
+    assert found == []
+
+
+# a module that writes a table's assignment four ways and sorts it once,
+# beside the owner's own writes
+LEAKY_WRITER = """\
+class CommitteeTable:
+    def place(self, node, committee):
+        self.assignment[node] = committee
+
+
+def move(table, node):
+    table.assignment[node] = 1
+    del table.assignment[node]
+    table.assignment.pop(node, None)
+    table.assignment.update({node: 0})
+    return sorted(table.assignment.items())
+"""
+
+
+def test_assignment_guard_flags_every_write_but_the_owners():
+    assert sorted(line for line, _ in assignment_writes(LEAKY_WRITER)) == [
+        7, 8, 9, 10, 11]
+    assert sorted(line for line, _ in assignment_writes(
+        LEAKY_WRITER, sorts=False)) == [7, 8, 9, 10]

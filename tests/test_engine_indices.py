@@ -40,6 +40,7 @@ from oracles import (
     event,
     fame_of,
     fork_evidence,
+    forked_masks,
     forked_of,
     forkers,
     full_view,
@@ -57,7 +58,9 @@ from oracles import (
     reference_view_finalized_round,
     seal,
     strongly_seen,
+    unforked_prev_bits,
     unit_planes,
+    vote_sight,
     vote_state,
     walk_position,
     witness_flags,
@@ -224,17 +227,15 @@ def bits(mask):
         mask ^= low
 
 
-def brute_rounds(store):
-    """Every event's round and witness flag from the direct definition over
-    parent-link ancestry, the live records' forked masks and the
-    population: a strongly sees w when w's creator is not forked in a, and
-    the creators not forked in a that own an event in anc(a) & desc(w)
-    reach a supermajority."""
+def brute_sight(store):
+    """sees(a, w, sm), strong sight from the direct definition over
+    parent-link ancestry and the live records' forked masks: a strongly
+    sees w when w's creator is not forked in a, and the creators not
+    forked in a that own an event in anc(a) & desc(w) number sm."""
     n, anc = len(store.by_index), oracles.ancestry(store)
-    sm = supermajority(len(store.population))
     member_bits = packing(store).member_bits
-    events = [event(store, x) for x in store.by_index]
-    creator_bit = [member_bits[ev.creator] for ev in events]
+    creator_bit = [member_bits[event(store, x).creator]
+                   for x in store.by_index]
     events_of = {}
     for x, b in enumerate(creator_bit):
         events_of[b] = events_of.get(b, 0) | 1 << x
@@ -242,23 +243,33 @@ def brute_rounds(store):
     for x in range(n):
         for y in bits(anc[x]):
             desc[y] |= 1 << x
+
+    def sees(a, w, sm):
+        forked = forked_of(store, a)
+        if forked >> creator_bit[w] & 1:
+            return False
+        between = anc[a] & desc[w]
+        return sum(1 for b, mask in events_of.items()
+                   if between & mask and not forked >> b & 1) >= sm
+
+    return sees
+
+
+def brute_rounds(store, sms=None):
+    """Every event's round and witness flag from ``brute_sight``, each
+    event's under the supermajority sms gives it, one per event, or by
+    default the population's."""
+    sees = brute_sight(store)
+    sms = sms or [supermajority(len(store.population))] * len(store.by_index)
     rounds, witness, by_round = [], [], {}
-    for a, ev in enumerate(events):
+    for a in store.by_index:
+        ev = event(store, a)
         parents = [p for p in (ev.self_parent, ev.other_parent)
                    if p is not None]
         r = max((rounds[p] for p in parents), default=1)
-        if parents:
-            forked = forked_of(store, a)
-            seen = 0
-            for w in by_round.get(r, ()):
-                if forked >> creator_bit[w] & 1:
-                    continue
-                between = anc[a] & desc[w]
-                creators = [b for b, mask in events_of.items()
-                            if between & mask and not forked >> b & 1]
-                seen += len(creators) >= sm
-            if seen >= sm:
-                r += 1
+        if parents and sum(sees(a, w, sms[a])
+                           for w in by_round.get(r, ())) >= sms[a]:
+            r += 1
         rounds.append(r)
         sp = ev.self_parent
         witness.append(sp is None or rounds[sp] < r)
@@ -274,6 +285,56 @@ def test_rounds_and_witnesses_match_brute_force(seed):
     assert list(store.round) == rounds
     assert witness_flags(store) == witness
     assert len(store.witnesses_by_round) >= 4
+
+
+def test_round_test_bound_leaves_vote_sight_whole():
+    # two joiners raise the supermajority from 4 to 5 at step 50.  Ten
+    # round-2 and round-3 witnesses then hold, forked creators masked out,
+    # 16 to 21 bits in their round - 1 reach, under 5 * 5, and three of
+    # them 4 fields of 5 creators.  The insert's round test may stop at
+    # the bit count; the strong sight a vote reads keeps every field
+    store, _ = gossip_dag(1, steps=100, joins=2)
+    sm = packing(store).supermajority
+    sees = brute_sight(store)
+    under = []
+    for r in range(2, len(store.witnesses_by_round) + 1):
+        below = store.witnesses_by_round[r - 1]
+        for v in store.witnesses_by_round[r]:
+            count = unforked_prev_bits(store, v)
+            if forked_of(store, v) and count < sm * sm:
+                seen = vote_sight(store, v)
+                assert seen == [w for w in below if sees(v, w, sm)]
+                under.append((count, len(seen)))
+    assert sm == 5
+    assert sorted(under) == [(16, 0)] * 7 + [(20, 4)] * 2 + [(21, 4)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rounds_match_brute_force_across_doublings_with_masks_cached(seed):
+    # two joiners at step 125 take 7 members past the 8-bit fields and
+    # round 1 past 8 witnesses, so the width and the field count double
+    # while the store holds the masks of forked sets.  Every kept mask is
+    # the one the store's packing builds, and every round is the direct
+    # definition's, each event's under the supermajority of its insert
+    packings, doubled, sms = [], [], []
+
+    def poll(t, views):
+        store = views[0].store
+        p = packing(store)
+        full = (1 << p.width) - 1
+        low = ((1 << p.width * p.fields) - 1) // full
+        masks = forked_masks(store)
+        assert masks == {f: (low * (full & ~f), low * f) for f in masks}
+        if packings and (p.width, p.fields) != packings[-1][1:]:
+            doubled.append((t, packings[-1][0]))
+        packings.append((len(masks), p.width, p.fields))
+        # the events this step inserted, each under the supermajority now
+        sms.extend([p.supermajority] * (len(store.by_index) - len(sms)))
+
+    store, _ = gossip_dag(seed, steps=250, n=7, joins=2, poll=poll)
+    assert [t for t, _ in doubled] == [125] and doubled[0][1] > 0
+    assert packing(store).width == packing(store).fields == 16
+    assert list(store.round) == brute_rounds(store, sms)[0]
 
 
 def strong_sight(store):

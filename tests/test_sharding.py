@@ -81,6 +81,23 @@ def test_partition_deterministic():
     assert a.assignment != c.assignment
 
 
+def test_table_keeps_member_lists_through_moves():
+    # place and remove are the only writers: each committee's list stays
+    # the sorted scan of the assignment, and a list handed out before a
+    # move is a copy the move leaves alone
+    table = CommitteeTable({5: 0, 1: 1, 3: 0, 2: 1}, {0: 3, 1: 2})
+    assert (table.members(0), table.members(1)) == ([3, 5], [1, 2])
+    before = table.members(0)
+    table.place(5, 1)
+    table.place(7, 0)
+    assert table.remove(1) == 1 and table.remove(1) is None
+    assert before == [3, 5]
+    assert (table.members(0), table.members(1)) == ([3, 7], [2, 5])
+    assert table.assignment == {2: 1, 3: 0, 5: 1, 7: 0}
+    assert table.non_coordinators(0) == [7]
+    table.validate()
+
+
 def test_partition_errors():
     with pytest.raises(ShardingError):
         partition_nodes(range(4), 0, seed=0)

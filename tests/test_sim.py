@@ -609,6 +609,42 @@ def test_membership_agrees_with_the_table_after_every_tick(name):
     assert ticks == list(range(cfg.duration)) and sim.table.epoch > 0
 
 
+MEMBERSHIP_STEPS = ("join_node", "leave_node", "apply_transfers",
+                    "recover_failed_shard")
+
+
+@pytest.mark.parametrize("name, steps", [
+    ("churn-rejoin", {"join_node", "leave_node", "apply_transfers"}),
+    ("shard-failure", {"recover_failed_shard"}),
+])
+def test_member_lists_agree_after_every_membership_step(name, steps,
+                                                        monkeypatch):
+    # after each join, leave, reorganization's moves and recovery, every
+    # committee's kept member list is the sorted scan of the assignment
+    # and its store's population
+    sim = Simulation(GOLDEN[name][0])
+    table, stores = sim.table, sim.state.local_stores
+    ran = []
+
+    def checked(step, run):
+        def wrapped(*args):
+            out = run(*args)
+            for cid in table.coordinators:
+                members = table.members(cid)
+                assert members == sorted(
+                    n for n, c in table.assignment.items() if c == cid)
+                assert members == stores[cid].population
+            ran.append(step)
+            return out
+        return wrapped
+
+    for step in MEMBERSHIP_STEPS:
+        monkeypatch.setattr(shardgraph.simulation, step, checked(
+            step, getattr(shardgraph.simulation, step)))
+    sim.run()
+    assert set(ran) == steps
+
+
 def test_churn_rejoin_single_committee_settles_joins_at_once():
     # with s == 1 there is no global graph to order a join request in, so
     # the single committee takes the joiner on the request's own tick
