@@ -13,6 +13,10 @@ sync is the set difference of two masks and needs no walk over history.  A
 view keeps one head, its owner's, which the owner's next event chains onto,
 and the units a sync carries are popcounts over the store's bit planes of
 each event's payload units.
+
+A view is built with what it knows, ``Hashgraph(store, owner, known, head)``,
+and afterwards only this module moves it: ``_record`` its ``known`` and
+``head`` as its owner records an event, ``reseat`` its ``owner`` and ``head``.
 """
 
 from __future__ import annotations
@@ -1023,13 +1027,17 @@ class Hashgraph:
     On a tie, which only a forked owner has, the later-absorbed event wins:
     an equivocator's second branch that gossip brings back becomes its
     head.
+
+    A view starts with the ``known`` and ``head`` it is built with, empty and
+    headless by default; then only ``_record`` and ``reseat`` move it.
     """
 
-    def __init__(self, store: EventStore, owner: NodeId):
+    def __init__(self, store: EventStore, owner: NodeId, known: int = 0,
+                 head: Optional[int] = None):
         self.store = store
         self.owner = owner
-        self.known = 0
-        self.head: Optional[int] = None
+        self.known = known
+        self.head = head
 
     def reseat(self, owner: NodeId) -> None:
         """Hand the view to owner, headed by its furthest known event."""
@@ -1051,12 +1059,9 @@ def member_view(store: EventStore, owner: NodeId) -> Hashgraph:
     """The owner's view as its last event in store left it, headed by that
     event, so a node back in a committee it left starts no second root;
     empty if it has no event there."""
-    view = Hashgraph(store, owner)
-    own = store._cmask.get(owner, 0)
-    if own:
-        view.head = last = own.bit_length() - 1
-        view.known = store._live[last][0]
-    return view
+    last = store._cmask.get(owner, 0).bit_length() - 1
+    return (Hashgraph(store, owner, store._live[last][0], last) if last >= 0
+            else Hashgraph(store, owner))
 
 
 def create_event(

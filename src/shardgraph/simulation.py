@@ -203,14 +203,6 @@ def order_summary(order: Order) -> dict:
     }
 
 
-def _full_view(store, owner) -> Hashgraph:
-    """The owner's view of every event of store, headless: a replacement
-    member's view of a recovered committee's graph."""
-    g = Hashgraph(store, owner)
-    g.known = (1 << len(store.by_index)) - 1
-    return g
-
-
 class RunReport(NamedTuple):
     config: dict
     metrics: MetricsReport
@@ -287,7 +279,7 @@ class Simulation:
                 count = max(1, int(config.adversary_fraction * len(members)))
                 count = min(count, len(members))
                 self.equivocators.extend(
-                    sorted(self.rng.sample(sorted(members), count))
+                    sorted(self.rng.sample(members, count))
                 )
             if config.adversary_fraction >= 1 / 3:
                 self.anomalies.append(
@@ -514,8 +506,7 @@ class Simulation:
         a different honest peer."""
         cid = self.table.committee_of(node)
         view = self.views[node]
-        head = view.head
-        if head is None:
+        if view.head is None:
             return
         peers = [m for m in self.table.members(cid) if m != node]
         if len(peers) < 2:
@@ -523,9 +514,7 @@ class Simulation:
         p1, p2 = self.rng.sample(peers, 2)
         marker_a = control_tx(f"fork{node}-{t}a", cid)
         marker_b = control_tx(f"fork{node}-{t}b", cid)
-        alt = Hashgraph(view.store, node)
-        alt.known = view.known
-        alt.head = head
+        alt = Hashgraph(view.store, node, view.known, view.head)
         create_event(alt, None, (marker_b,), t)
         create_event(view, None, (marker_a,), t)
         self._chain(cid, [view, self.views[p1]], t)
@@ -583,7 +572,7 @@ class Simulation:
         store = self.state.local_stores[cid]
         tip = len(store.by_index) - 1
         for node in replacements:
-            g = _full_view(store, node)
+            g = Hashgraph(store, node, (1 << len(store.by_index)) - 1)
             self._enter(node, g)
             if tip >= 0:
                 # anchor the new member's chain to the recovered graph so

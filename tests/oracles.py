@@ -24,7 +24,7 @@ hashgraph.py and this module alone.  The observations, in groups:
 - whole-store snapshots (columns, state) and the representation
   invariants (check_vote_state_bounds, check_column_layout,
   retained_store_bytes);
-- the Simulation hooks (hook, tick, inject, exit_committee, full_view).
+- the Simulation hooks (hook, tick, inject, on_enter, exit_committee).
 
 The references work from plain event records (creator, parents,
 created_at) using naive set/transitive-closure computations, independent
@@ -70,7 +70,7 @@ from shardgraph.hashgraph import (
     gossip_sync,
     supermajority,
 )
-from shardgraph.simulation import Simulation, _full_view
+from shardgraph.simulation import Simulation
 from shardgraph.transactions import KIND_PAYLOAD, Transaction
 
 
@@ -378,16 +378,22 @@ def inject(sim, t):
     sim._inject(t)
 
 
+def on_enter(sim, check):
+    """Run check(node, view) as each node enters its committee with view,
+    through the one way in, before the simulator takes the view."""
+    enter = sim._enter
+
+    def checked(node, view):
+        check(node, view)
+        enter(node, view)
+
+    sim._enter = checked
+
+
 def exit_committee(sim, node, heir):
     """Drop node's view and hand its buffered transactions to heir's buffer,
     or drop them with heir None: the one way out of a committee."""
     sim._exit(node, heir)
-
-
-def full_view(store, owner):
-    """owner's headless view of every event of store, as a replacement
-    member of a recovered committee gets it."""
-    return _full_view(store, owner)
 
 
 # the event digest -----------------------------------------------------------
@@ -463,9 +469,9 @@ def round_robin_fixture(
             tick += 1
             if min(created) >= events_per_node:
                 break
-    full = Hashgraph(store, 0)
-    full.known = (1 << len(store.by_index)) - 1
-    full.head = full._head_after(full.known)
+    # member 0 creates each of its events on its own view, so that view's
+    # head is its furthest event
+    full = Hashgraph(store, 0, (1 << len(store.by_index)) - 1, graphs[0].head)
     recs = records(store)
     return full, [recs[i] for i in events]
 

@@ -37,10 +37,12 @@ under src/ and perfbench/ none does, and under tests/ only the adapter
 tests/oracles.py reads the engine's internals, so a change of the store's
 layout edits hashgraph.py and oracles.py alone.
 
-And the committee table has one writer: no code outside ``CommitteeTable``
-stores into, deletes from or pops its ``assignment``, and none under src/
-or perfbench/ sorts it, so the member lists the table keeps beside it
-cannot go stale and no reader rebuilds them.
+And some attributes have one writer each, read from one table: no code
+outside ``CommitteeTable`` stores into, deletes from or pops its
+``assignment``, and none under src/ or perfbench/ sorts it, so the member
+lists the table keeps beside it cannot go stale and no reader rebuilds
+them; and no module but hashgraph.py (and the adapter) assigns a view's
+``known``, ``head`` or ``owner``, so a view starts as it is built.
 """
 
 import ast
@@ -500,54 +502,84 @@ def test_private_use_guard_flags_a_test_module_but_the_adapter():
     assert list(foreign_private_uses(ADAPTER, LEAKY_TEST)) == []
 
 
-# the one class whose methods may write or sort a committee assignment
-ASSIGNMENT_OWNER = "CommitteeTable"
+# attribute -> its one writer: the module, and the class in it whose code
+# alone may write it, or None for the whole module.  The table's member
+# lists stay true to its assignment, and a view is built with what it knows
+# and moved only by the engine afterwards
+ENGINE = Path("src/shardgraph/hashgraph.py")
+VIEW = {"known", "head", "owner"}
+WRITERS = {
+    "assignment": (Path("src/shardgraph/sharding.py"), "CommitteeTable"),
+    **dict.fromkeys(VIEW, (ENGINE, None)),
+}
+# what src/ and perfbench/ may not sort either, as the table keeps it sorted
+UNSORTED = {"assignment"}
 # the dict methods that change a dict in place
 DICT_WRITERS = {"pop", "popitem", "clear", "update", "setdefault"}
 
 
-def assignment_writes(source, sorts=True):
-    """(line, expression) of each write of an ``assignment`` attribute in
-    source outside ``CommitteeTable``'s methods, a subscript store or
-    ``del`` or a call of a dict method that changes it, and given sorts
-    each ``sorted`` call over an expression that reads it."""
+def foreign_writes(rel, source, sorts=True):
+    """(line, attribute, expression) of each write, in the module at rel of
+    text source, of an attribute that WRITERS gives to another writer: an
+    assignment to it, plain, augmented or in a tuple target, or a ``del``;
+    a subscript store or ``del`` into it or a call of a dict method that
+    changes it; and given sorts, a ``sorted`` call over an expression that
+    reads one in UNSORTED.  The adapter, tests/oracles.py, may write what
+    the engine may."""
     tree = ast.parse(source)
-    owned = {id(node) for cls in ast.walk(tree)
-             if isinstance(cls, ast.ClassDef) and cls.name == ASSIGNMENT_OWNER
-             for node in ast.walk(cls)}
+    inside = {cls.name: {id(node) for node in ast.walk(cls)}
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)}
 
-    def is_assignment(node):
-        return isinstance(node, ast.Attribute) and node.attr == "assignment"
+    def foreign(node):
+        if not (isinstance(node, ast.Attribute) and node.attr in WRITERS):
+            return False
+        module, cls = WRITERS[node.attr]
+        if rel == ADAPTER and module == ENGINE:
+            return False
+        return rel != module or (cls is not None
+                                 and id(node) not in inside.get(cls, ()))
 
     for node in ast.walk(tree):
-        if id(node) in owned:
-            continue
-        if (isinstance(node, ast.Subscript)
-                and isinstance(node.ctx, (ast.Store, ast.Del))
-                and is_assignment(node.value)):
-            yield node.lineno, ast.unparse(node)
+        targets = ()
+        if (isinstance(node, (ast.Attribute, ast.Subscript))
+                and isinstance(node.ctx, (ast.Store, ast.Del))):
+            targets = (node if isinstance(node, ast.Attribute)
+                       else node.value,)
         elif isinstance(node, ast.Call):
             func = node.func
-            if (isinstance(func, ast.Attribute) and func.attr in DICT_WRITERS
-                    and is_assignment(func.value)):
-                yield node.lineno, ast.unparse(node)
-            elif (sorts and getattr(func, "id", None) == "sorted"
-                  and any(is_assignment(n) for arg in node.args
-                          for n in ast.walk(arg))):
-                yield node.lineno, ast.unparse(node)
+            if isinstance(func, ast.Attribute) and func.attr in DICT_WRITERS:
+                targets = (func.value,)
+            elif sorts and getattr(func, "id", None) == "sorted":
+                targets = [n for arg in node.args for n in ast.walk(arg)
+                           if getattr(n, "attr", None) in UNSORTED]
+        for target in targets:
+            if foreign(target):
+                yield node.lineno, target.attr, ast.unparse(node)
 
 
-def test_only_the_committee_table_writes_or_sorts_its_assignment():
-    # a test may sort the assignment, as the reference scan the kept
-    # member lists are checked against
+def tree_writes(attrs):
+    """file:line expression of each foreign write of one of attrs under
+    src/, perfbench/ and tests/; a test may sort what src may not, as the
+    reference scan a kept list is checked against."""
     found = []
     for top in ("src", "perfbench", "tests"):
         for path in sorted((ROOT / top).rglob("*.py")):
             rel = path.relative_to(ROOT)
-            found += [f"{rel}:{line} {expr}" for line, expr in
-                      assignment_writes(path.read_text(encoding="utf-8"),
-                                        sorts=top != "tests")]
-    assert found == []
+            found += [f"{rel}:{line} {expr}" for line, attr, expr in
+                      foreign_writes(rel, path.read_text(encoding="utf-8"),
+                                     sorts=top != "tests")
+                      if attr in attrs]
+    return found
+
+
+def test_only_the_committee_table_writes_or_sorts_its_assignment():
+    assert tree_writes({"assignment"}) == []
+
+
+def test_only_the_engine_moves_a_view_after_it_is_built():
+    # a view's known and head are given to its constructor, so where a
+    # view starts is decided at one call per entry path
+    assert tree_writes(VIEW) == []
 
 
 # a module that writes a table's assignment four ways and sorts it once,
@@ -567,8 +599,30 @@ def move(table, node):
 """
 
 
+def flagged(rel, source, sorts=True):
+    return sorted(line for line, _, _ in foreign_writes(rel, source, sorts))
+
+
 def test_assignment_guard_flags_every_write_but_the_owners():
-    assert sorted(line for line, _ in assignment_writes(LEAKY_WRITER)) == [
-        7, 8, 9, 10, 11]
-    assert sorted(line for line, _ in assignment_writes(
-        LEAKY_WRITER, sorts=False)) == [7, 8, 9, 10]
+    owner = WRITERS["assignment"][0]
+    assert flagged(owner, LEAKY_WRITER) == [7, 8, 9, 10, 11]
+    assert flagged(owner, LEAKY_WRITER, sorts=False) == [7, 8, 9, 10]
+    # a class of that name owns nothing outside the owner's module
+    assert flagged(Path("tests/test_leaky.py"), LEAKY_WRITER) == [
+        3, 7, 8, 9, 10, 11]
+
+
+# a module that moves views three ways and reads them once
+LEAKY_VIEW = """\
+def fork(view, other):
+    view.known = other.known
+    view.known |= 1 << other.head
+    view.head, other.owner = other.head, view.owner
+"""
+
+
+def test_view_guard_flags_every_write_but_the_engines():
+    assert [(line, attr) for line, attr, _ in foreign_writes(
+        Path("src/shardgraph/simulation.py"), LEAKY_VIEW)] == [
+        (2, "known"), (3, "known"), (4, "head"), (4, "owner")]
+    assert flagged(ENGINE, LEAKY_VIEW) == flagged(ADAPTER, LEAKY_VIEW) == []

@@ -303,12 +303,9 @@ def test_bench_consensus_order(benchmark, dag):
     def setup():
         store = filled_store(*dag)
         store.advance_consensus()
-        views, own = [], creator_masks(store)
-        for m in population:
-            view = Hashgraph(store, m)
-            view.known = ancestry(store)[own[m].bit_length() - 1]
-            views.append(view)
-        return (views,), {}
+        own, masks = creator_masks(store), ancestry(store)
+        return ([Hashgraph(store, m, masks[own[m].bit_length() - 1])
+                 for m in population],), {}
 
     def order(views):
         return views, [consensus_order(view) for view in views]
@@ -328,8 +325,7 @@ def test_bench_gossip_sync(benchmark, dag):
     def setup():
         store = filled_store(*dag)
         store.add_member(joiner)
-        full = Hashgraph(store, 0)
-        full.known = (1 << len(events)) - 1
+        full = Hashgraph(store, 0, (1 << len(events)) - 1)
         return (full, Hashgraph(store, joiner)), {}
 
     def push(full, empty):

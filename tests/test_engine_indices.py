@@ -43,7 +43,6 @@ from oracles import (
     forked_masks,
     forked_of,
     forkers,
-    full_view,
     held_payloads,
     hook,
     id_column,
@@ -74,10 +73,7 @@ def equivocate(views, node, peers, t, sync=gossip_sync):
     the simulator's equivocators fork; neither branch reaches the other.
     Branch b is added first, so it has the lower index."""
     view = views[node]
-    head = view.head
-    alt = Hashgraph(view.store, node)
-    alt.known = view.known
-    alt.head = head
+    alt = Hashgraph(view.store, node, view.known, view.head)
     for branch, marker in ((alt, "b"), (view, "a")):
         payload = (Transaction(tx_id=f"fork{node}-{t}{marker}", origin=0,
                                target=0, size_units=0, kind=KIND_PAYLOAD,
@@ -905,8 +901,8 @@ def test_transfers_match_brute_force(seed):
     # a joiner's empty view takes the whole history in one sync
     joiner = len(views)
     store.add_member(joiner)
-    transfer, _ = transfer_checked(full_view(store, 0),
-                                   Hashgraph(store, joiner), 250)
+    full = Hashgraph(store, 0, (1 << len(store.by_index)) - 1)
+    transfer, _ = transfer_checked(full, Hashgraph(store, joiner), 250)
     assert len(transfer) == len(store.by_index) - 1
     # a rejoining member's empty view takes its head back: the furthest
     # along its chain, the last in index order on a tie
@@ -1163,9 +1159,7 @@ def check_rejected(store, views, insert, reason):
 
 def stale_view(store, owner, head):
     """owner's view as it stood when head was its last event."""
-    view = Hashgraph(store, owner)
-    view.known, view.head = oracles.ancestry(store)[head], head
-    return view
+    return Hashgraph(store, owner, oracles.ancestry(store)[head], head)
 
 
 def test_fork_on_a_freed_self_parent_is_rejected():

@@ -124,9 +124,8 @@ def local_event(state, table, cid, payload, creator=None, now=0):
 
 def full_view(store):
     """A member's view that knows every event of the store."""
-    view = Hashgraph(store, store.population[0])
-    view.known = (1 << len(store.by_index)) - 1
-    return view
+    return Hashgraph(store, store.population[0],
+                     (1 << len(store.by_index)) - 1)
 
 
 def ingest_ordered(state, table, cid, *events):

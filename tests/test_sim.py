@@ -32,6 +32,7 @@ from shardgraph.sharding import ReplicaSnapshot, partition_nodes
 from shardgraph.transactions import KIND_PAYLOAD, control_tx
 
 from oracles import (
+    ancestry,
     creator_masks,
     event,
     exit_committee,
@@ -41,6 +42,7 @@ from oracles import (
     id_column,
     inject,
     new_record,
+    on_enter,
     order_columns,
     record_of,
     records,
@@ -548,13 +550,28 @@ def test_storage_counter_is_what_each_node_holds(name):
 # -- adversaries ------------------------------------------------------------
 
 
-def test_equivocator_detected_honest_agree():
+def test_equivocator_detected_honest_agree(monkeypatch):
+    # each branch view is built where its equivocator's own view stands
     cfg = ScenarioConfig(n=14, s=2, seed=4, duration=50, tx_rate=10.0,
                          adversary_kind="equivocator",
                          adversary_fraction=0.1, adversary_interval=5)
     sim = Simulation(cfg)
+    build, branches = shardgraph.simulation.Hashgraph, []
+
+    def branch(*args):
+        view = build(*args)
+        origin = sim.views[view.owner]
+        assert view is not origin and view.store is origin.store
+        assert (view.known, view.head) == (origin.known, origin.head)
+        assert view.head is not None
+        branches.append(view.owner)
+        return view
+
+    monkeypatch.setattr(shardgraph.simulation, "Hashgraph", branch)
     report = sim.run()
-    assert sim.equivocators
+    assert sim.equivocators and set(branches) <= set(sim.equivocators)
+    assert len(branches) == [a["action"] for a in report.action_log].count(
+        "equivocate") > 0
     forkers = {
         creator for cid in report.forks for creator, _, _ in report.forks[cid]
     }
@@ -675,10 +692,27 @@ def shard_failure_cfg():
 
 
 def test_shard_failure_recovery_preserves_checkpoint():
+    # each replacement enters knowing every event of the recovered graph,
+    # headless, and its first event anchors on the replayed tip
     sim = Simulation(shard_failure_cfg())
+    entered = []
+
+    def checked(node, view):
+        size = len(view.store.by_index)
+        assert (view.known, view.head) == ((1 << size) - 1, None)
+        entered.append((node, view.store, size))
+
+    on_enter(sim, checked)
     report = sim.run()
     assert not report.anomalies
     rec = next(e for e in report.recovery_log if e["action"] == "recover_shard")
+    assert [node for node, _, _ in entered] == rec["replacements"]
+    tip = entered[0][2] - 1
+    for k, (node, store, size) in enumerate(entered):
+        anchor = event(store, size)
+        assert size == tip + 1 + k
+        assert (anchor.creator, anchor.self_parent, anchor.other_parent) == (
+            node, None, tip)
     ckpt = rec["checkpointed_order"]
     assert ckpt
     post = report.consensus[1]
@@ -968,9 +1002,27 @@ def test_churn_epoch_counts_applied_reorgs_only():
 def test_member_moved_back_resumes_its_chain():
     # node 53 joins committee 0 at t=73, is moved to committee 3 at t=92
     # and back at t=113.  Its view there resumes at its last event, so it
-    # makes no second root and no committee takes it for a forker
+    # makes no second root and no committee takes it for a forker.  Every
+    # node enters a committee where it has no event with an empty,
+    # headless view, and one where it has with the ancestry of its last
     sim = Simulation(churn_rejoin_cfg())
+    assert {(v.known, v.head) for v in sim.views.values()} == {(0, None)}
+    entered, masks = [], {}
+
+    def checked(node, view):
+        store = view.store
+        own = list(set_bits(creator_masks(store).get(node, 0)))
+        if not own:
+            assert (view.known, view.head) == (0, None)
+        else:
+            last = max(own, key=lambda i: event(store, i).seq)
+            known = ancestry(store, masks.setdefault(id(store), []))[last]
+            assert (view.known, view.head) == (known, last)
+        entered.append((node, bool(own)))
+
+    on_enter(sim, checked)
     report = sim.run()
+    assert (53, False) in entered and (53, True) in entered
     moved = [a["at"] for a in report.action_log
              if a["action"] == "reorg_applied"
              and any(53 in m for m in a["transfers"].values())]
