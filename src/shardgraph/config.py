@@ -70,7 +70,7 @@ class ScenarioConfig:
             raise ConfigError("duration must be >= 1")
         if self.sync_interval < 1:
             raise ConfigError("sync_interval must be >= 1")
-        # a rate of nan or inf never ends poisson_sample's draw loop
+        # an infinite rate never ends poisson_sample's draw loop
         if not 0 <= self.tx_rate < math.inf:
             raise ConfigError("tx_rate must be finite and >= 0")
         if not 0.0 <= self.cross_ratio <= 1.0:

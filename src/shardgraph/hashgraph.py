@@ -289,17 +289,18 @@ class EventStore:
       least 8 and at least the member bits; when ``add_member`` outgrows it
       F doubles and re-lays every live reach at once, with the vote state,
       so a stored reach is always at the store's width.
-    - Forked masks: ``_masks_of`` builds, for one ``forked`` value, LOW
-      times the member bits outside it and LOW times it, which strong
-      sight and first-round votes apply to every field at once.
-      ``_forked_masks`` keeps them by ``forked`` for the life of one
-      packing: ``_pack_constants`` drops them when the width or the field
-      count doubles, so a kept mask is always at the store's packing.  A
-      store meets few forked values (3 to 5 on the benchmark's forks
-      workload), so the cache stays small.  The insert's round test first
-      compares the masked reach's bit count with sm * sm and runs the
-      SWAR count only when it passes; a vote reads every field's flag
-      (``_strongly_seen_prev``), so ``_seen_flags`` takes no such bound.
+    - Forked masks: the fork rule is written once.  ``_caught(q, forked)``
+      names round q's fields whose witness creator is in ``forked``: the
+      first-round votes drop them, and ``_unforked`` zeroes them and every
+      forked creator's bits in a reach, whose ``_dense_fields`` is strong
+      sight, at insert and for a vote.  ``_forked_masks`` keeps
+      ``_masks_of(forked)``, LOW times the member bits outside forked, for
+      the life of one packing: ``_pack_constants`` drops it when the width
+      or the field count doubles.  A store meets few forked values (3 to 5
+      on the benchmark's forks workload), so the cache stays small.  The
+      insert's round test first compares the masked reach's bit count with
+      sm * sm and runs the SWAR count only when it passes; a vote reads
+      every field's flag (``_strongly_seen_prev``), so it takes no bound.
     - Reach lifetime: a reach is read by a child's insert and by the
       event's own first vote as a witness (``_strongly_seen_prev``), and by
       nothing else.  Once an event is ordered its round is finalized, so it
@@ -637,8 +638,7 @@ class EventStore:
                 # forking
                 yes = (((prev & nh) + nh) | prev) >> top & low
                 if forked:
-                    yes &= ~self._present(self._wcreators.get(r - 1, 0)
-                                          & self._masks_of(forked)[1])
+                    yes &= ~self._caught(r - 1, forked)
                 self._votes.setdefault(r - 1, {})[idx] = yes
         live[idx] = (anc, forked, prev, cur)
         return idx
@@ -673,7 +673,7 @@ class EventStore:
         f = self._width
         full = self._full = (1 << f) - 1
         low = self._low = ((1 << f * self._field_count) - 1) // full
-        self._forked_masks: dict[int, tuple[int, int]] = {}
+        self._forked_masks: dict[int, int] = {}
         self._nh = low * ((1 << f - 1) - 1)
         self._swar = [(k, low * (full // ((1 << 2 * k) - 1) * ((1 << k) - 1)))
                       for k in (1 << j for j in range(f.bit_length() - 1))]
@@ -699,40 +699,31 @@ class EventStore:
         nh = self._nh
         return (((v & nh) + nh) | v) >> self._width - 1 & self._low
 
-    def _masks_of(self, forked: int) -> tuple[int, int]:
-        """(every field's bits outside forked, every field's forked bits),
-        built once per forked value and packing."""
-        masks = self._forked_masks.get(forked)
-        if masks is None:
-            low = self._low
-            masks = self._forked_masks[forked] = (
-                low * (self._full & ~forked), low * forked)
-        return masks
+    def _masks_of(self, forked: int) -> int:
+        """Every field's bits outside forked, built once per forked value
+        and packing."""
+        honest = self._forked_masks.get(forked)
+        if honest is None:
+            honest = self._forked_masks[forked] = (
+                self._low * (self._full & ~forked))
+        return honest
+
+    def _caught(self, q: int, forked: int) -> int:
+        """LOW bits of round q's fields whose witness creator is in
+        forked."""
+        return self._present(self._wcreators.get(q, 0) & self._low * forked)
 
     def _unforked(self, v: int, q: int, forked: int) -> int:
         """Round-q reach v without the bits of the creators in forked and
         without the fields whose witness creator is in forked."""
-        honest, caught = self._masks_of(forked)
-        v &= honest
-        caught &= self._wcreators.get(q, 0)
-        if caught:
-            v &= ~(self._present(caught) * self._full)
-        return v
+        return (v & self._masks_of(forked)
+                & ~(self._caught(q, forked) * self._full))
 
     def _dense_fields(self, v: int, sm: int) -> int:
         """LOW bits of the fields of v with at least sm bits set."""
         for k, mk in self._swar:
             v = (v & mk) + ((v >> k) & mk)
         return self._at_least(v, sm)
-
-    def _seen_flags(self, v: int, q: int, forked: int, sm: int) -> int:
-        """LOW bits of the fields of round-q reach v whose witness creator
-        is not in forked and whose creators outside forked number sm.
-        Every field's flag is read (``_strongly_seen_prev``), so no bound
-        on the reach's bit count cuts it short."""
-        if forked:
-            v = self._unforked(v, q, forked)
-        return self._dense_fields(v, sm)
 
     def _at_least(self, counts: int, t: int) -> int:
         """LOW bits of the fields of counts, each at most F, that are at
@@ -758,7 +749,8 @@ class EventStore:
         if ss is None:
             r = self.round[v] - 1
             _, forked, prev, _ = self._live[v]
-            flags = self._seen_flags(prev, r, forked, self._sm)
+            flags = self._dense_fields(
+                self._unforked(prev, r, forked) if forked else prev, self._sm)
             ws = self.witnesses_by_round[r]
             ss = self._ss_prev[v] = list(
                 compress(ws, self._unpack(flags, len(ws))))

@@ -117,20 +117,18 @@ def event_units(payload: list[Transaction]) -> int:
 
 
 def poisson_sample(rng: random.Random, lam: float) -> int:
-    """Knuth's method, chunked so exp() never underflows for large rates."""
+    """Knuth's method, in chunks of rate at most 30 so exp() never
+    underflows for large rates."""
     count = 0
-    while lam > 30:
-        count += poisson_sample(rng, 30)
-        lam -= 30
-    if lam <= 0:
-        return count
-    limit = math.exp(-lam)
-    p = 1.0
-    while True:
-        p *= rng.random()
-        if p <= limit:
-            return count
-        count += 1
+    while lam > 0:
+        chunk = min(lam, 30)
+        lam -= chunk
+        limit = math.exp(-chunk)
+        p = rng.random()
+        while p > limit:
+            count += 1
+            p *= rng.random()
+    return count
 
 
 def inject_workload(config, rng, table, down, first):

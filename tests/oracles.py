@@ -24,7 +24,8 @@ hashgraph.py and this module alone.  The observations, in groups:
 - whole-store snapshots (columns, state) and the representation
   invariants (check_vote_state_bounds, check_column_layout,
   retained_store_bytes);
-- the Simulation hooks (hook, tick, inject, on_enter, exit_committee).
+- the Simulation hooks (hook, tick, inject, on_enter, on_reselect,
+  exit_committee).
 
 The references work from plain event records (creator, parents,
 created_at) using naive set/transitive-closure computations, independent
@@ -213,9 +214,8 @@ def packed_store(width, n):
 
 
 def forked_masks(store):
-    """Forked creator bits -> the (outside, inside) masks the store keeps
-    for them: every field's bits outside the forked creators, and every
-    field's forked bits."""
+    """Forked creator bits -> the mask the store keeps for them: every
+    field's bits outside the forked creators."""
     return dict(store._forked_masks)
 
 
@@ -235,7 +235,8 @@ def seen_flags(store, reach, q, creators, forked, sm):
     creator is not in forked and whose creators outside forked number
     sm."""
     store._wcreators[q] = creators
-    return store._seen_flags(reach, q, forked, sm)
+    return store._dense_fields(
+        store._unforked(reach, q, forked) if forked else reach, sm)
 
 
 # order, forks and fame by hand ------------------------------------------------
@@ -388,6 +389,18 @@ def on_enter(sim, check):
         enter(node, view)
 
     sim._enter = checked
+
+
+def on_reselect(sim, check):
+    """Run check(tx, t) as each ordered reselection transaction tx is
+    applied at tick t, before the simulator applies it."""
+    reselect = sim._on_reselect
+
+    def checked(tx, ts, t):
+        check(tx, t)
+        reselect(tx, ts, t)
+
+    sim._on_reselect = checked
 
 
 def exit_committee(sim, node, heir):
@@ -836,7 +849,9 @@ def strongly_seen(store, a, r):
     if below not in (0, 1):
         return []
     _, forked, prev, cur = store._live[a]
-    flags = store._seen_flags(prev if below else cur, r, forked, store._sm)
+    reach = prev if below else cur
+    flags = store._dense_fields(
+        store._unforked(reach, r, forked) if forked else reach, store._sm)
     ws = store.witnesses_by_round.get(r, ())
     return list(compress(ws, store._unpack(flags, len(ws))))
 

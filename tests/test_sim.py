@@ -43,6 +43,7 @@ from oracles import (
     inject,
     new_record,
     on_enter,
+    on_reselect,
     order_columns,
     record_of,
     records,
@@ -68,6 +69,24 @@ def small_cfg(**kw):
 # -- primitives -------------------------------------------------------------
 
 
+def recursive_poisson(rng, lam):
+    """Knuth's method as first written: a recursive call per chunk of 30
+    while the rate exceeds 30, then one chunk of what is left."""
+    count = 0
+    while lam > 30:
+        count += recursive_poisson(rng, 30)
+        lam -= 30
+    if lam <= 0:
+        return count
+    limit = math.exp(-lam)
+    p = 1.0
+    while True:
+        p *= rng.random()
+        if p <= limit:
+            return count
+        count += 1
+
+
 def test_poisson_mean_and_determinism():
     rng = random.Random(0)
     samples = [poisson_sample(rng, 5.0) for _ in range(2000)]
@@ -77,6 +96,13 @@ def test_poisson_mean_and_determinism():
     assert poisson_sample(random.Random(1), 0.0) == 0
     # chunked path for large rates must not hang or underflow
     assert poisson_sample(random.Random(2), 200.0) > 100
+    # at and around the chunk boundaries the loop draws the numbers the
+    # recursion drew: the same counts, and the stream left where it was
+    for lam in (0, 0.5, 5.0, 29.5, 30, 30.5, 60, 256):
+        ours, ref = random.Random(7), random.Random(7)
+        got = [poisson_sample(ours, lam) for _ in range(50)]
+        assert got == [recursive_poisson(ref, lam) for _ in range(50)]
+        assert ours.getstate() == ref.getstate()
 
 
 def test_inject_workload_cross_fraction():
@@ -624,6 +650,32 @@ def test_membership_agrees_with_the_table_after_every_tick(name):
     hook(sim, "tick", checked)
     sim.run()
     assert ticks == list(range(cfg.duration)) and sim.table.epoch > 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a reselection completes every reorganization pending on its committee "
+    "(ROADMAP item 9)"))
+def test_each_reselection_is_pending_in_one_reorganization():
+    # in the churn-rejoin golden, the reorganizations of committees 0 and 1
+    # are applied at tick 113 and both change committees 1 and 3; each
+    # reselection transaction must answer its own reorganization alone,
+    # but resel3-113-4 (tick 116) and resel1-113-4 (tick 119) each find
+    # both pending and complete them early
+    sim = Simulation(GOLDEN["churn-rejoin"][0])
+    applied, shared = [], []
+
+    def check(tx, t):
+        c = tx.data[0]
+        pending = [cid for cid, entry in sorted(sim.reorg.items())
+                   if c in entry.get("pending_reselect", ())]
+        applied.append(tx.tx_id)
+        if len(pending) > 1:
+            shared.append((t, tx.tx_id, pending))
+
+    on_reselect(sim, check)
+    sim.run()
+    assert len(applied) == 12
+    assert shared == []
 
 
 MEMBERSHIP_STEPS = ("join_node", "leave_node", "apply_transfers",

@@ -1,6 +1,8 @@
-"""Property tests of the EventStore's SWAR helpers (present, at_least,
-seen_flags in oracles) against a per-field reference.  Field p of a
-packed int is bits p*F to p*F + F - 1, as in a reach or a vote vector."""
+"""Property tests of the EventStore's SWAR helpers (present, at_least, and
+seen_flags in oracles: the engine's fork filter, ``_unforked``, then its
+field count, ``_dense_fields``, as strong sight composes them) against a
+per-field reference.  Field p of a packed int is bits p*F to p*F + F - 1,
+as in a reach or a vote vector."""
 
 from hypothesis import given, settings, strategies as st
 
