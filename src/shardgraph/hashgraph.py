@@ -213,9 +213,8 @@ class EventStore:
       ``array("i")``.  A tally visits a round's voters sorted by digest
       (a stable sort, so equal ids keep insertion order), and ordering
       reads a round's famous witnesses in any order.  Rounds grow one at
-      a time, each with a witness, so they are 1 to its length.
-    - ``_witness_count`` counts the witnesses inserted so far; a witness's
-      position is its place in ``witnesses_by_round[r]``, which is
+      a time, each with a witness, so they are 1 to its length.  A
+      witness's position is its place in its round's list, which is
       append-only.
     - Packed votes: ``_votes[r][v]`` is witness v's vote on every round-r
       witness at once, packed like a reach: the LOW bit of field p is its
@@ -234,7 +233,9 @@ class EventStore:
       digest order on every pass and stops voting on a decided witness, so
       fame and its deciders are those of one vote per (voter, witness)
       pair cast in that order.  A vote is never recast, so a poll with no
-      witness inserted since the last (``_fame_polled``) returns at once.
+      event inserted since the last (``_fame_polled``) returns at once; one
+      that follows only events that are not witnesses casts no vote, as
+      every voter's covered count already spans its round.
       A poll packs each round's undecided witnesses like a vote vector,
       for the rounds past ``finalized_round``: a witness is decided iff a
       mask of its round's decider record holds it.  ``advance_consensus``
@@ -289,17 +290,14 @@ class EventStore:
       least 8 and at least the member bits; when ``add_member`` outgrows it
       F doubles and re-lays every live reach at once, with the vote state,
       so a stored reach is always at the store's width.
-    - Forked masks: the fork rule is written once.  ``_caught(q, forked)``
+    - Fork filter: the fork rule is written once.  ``_caught(q, forked)``
       names round q's fields whose witness creator is in ``forked``: the
       first-round votes drop them, and ``_unforked`` zeroes them and every
       forked creator's bits in a reach, whose ``_dense_fields`` is strong
-      sight, at insert and for a vote.  ``_forked_masks`` keeps
-      ``_masks_of(forked)``, LOW times the member bits outside forked, for
-      the life of one packing: ``_pack_constants`` drops it when the width
-      or the field count doubles.  A store meets few forked values (3 to 5
-      on the benchmark's forks workload), so the cache stays small.  The
-      insert's round test first compares the masked reach's bit count with
-      sm * sm and runs the SWAR count only when it passes; a vote reads
+      sight, at insert and for a vote.  Both masks are built per call and
+      kept nowhere: only a store with forked creators builds them.  The
+      insert's round test first compares the masked reach's bit count
+      with sm * sm and runs the SWAR count only when it passes; a vote reads
       every field's flag (``_strongly_seen_prev``), so it takes no bound.
     - Reach lifetime: a reach is read by a child's insert and by the
       event's own first vote as a witness (``_strongly_seen_prev``), and by
@@ -409,7 +407,6 @@ class EventStore:
         self._forker_bits = 0
         self.round = array("i")
         self.witnesses_by_round: dict[int, array] = {}
-        self._witness_count = 0
         self._wcreators: dict[int, int] = {}  # round -> packed witness creators
         self._width = 8
         while self._width < len(self._member_bit):
@@ -427,7 +424,7 @@ class EventStore:
         # decided shifted down by the round's first, ...], a tuple once the
         # round is finalized
         self._deciders: dict[int, list | tuple] = {}
-        self._fame_polled = 0                # witnesses at the last poll
+        self._fame_polled = 0                # events at the last poll
         # total ordering: the consensus order's columns
         self._order_events = array("i")
         self._order_rounds = array("i")
@@ -624,7 +621,6 @@ class EventStore:
                 same_round = self.witnesses_by_round[r] = array("i")
             pos = len(same_round)
             same_round.append(idx)
-            self._witness_count += 1
             if pos == self._field_count:
                 self._field_count *= 2
                 self._pack_constants()
@@ -668,12 +664,10 @@ class EventStore:
 
     def _pack_constants(self) -> None:
         """LOW, bit 0 of each of ``_field_count`` fields, and the SWAR masks
-        for the current width; the forked masks built from the old ones
-        are dropped."""
+        for the current width."""
         f = self._width
         full = self._full = (1 << f) - 1
         low = self._low = ((1 << f * self._field_count) - 1) // full
-        self._forked_masks: dict[int, int] = {}
         self._nh = low * ((1 << f - 1) - 1)
         self._swar = [(k, low * (full // ((1 << 2 * k) - 1) * ((1 << k) - 1)))
                       for k in (1 << j for j in range(f.bit_length() - 1))]
@@ -699,15 +693,6 @@ class EventStore:
         nh = self._nh
         return (((v & nh) + nh) | v) >> self._width - 1 & self._low
 
-    def _masks_of(self, forked: int) -> int:
-        """Every field's bits outside forked, built once per forked value
-        and packing."""
-        honest = self._forked_masks.get(forked)
-        if honest is None:
-            honest = self._forked_masks[forked] = (
-                self._low * (self._full & ~forked))
-        return honest
-
     def _caught(self, q: int, forked: int) -> int:
         """LOW bits of round q's fields whose witness creator is in
         forked."""
@@ -716,8 +701,9 @@ class EventStore:
     def _unforked(self, v: int, q: int, forked: int) -> int:
         """Round-q reach v without the bits of the creators in forked and
         without the fields whose witness creator is in forked."""
-        return (v & self._masks_of(forked)
-                & ~(self._caught(q, forked) * self._full))
+        full = self._full
+        return (v & self._low * (full & ~forked)
+                & ~(self._caught(q, forked) * full))
 
     def _dense_fields(self, v: int, sm: int) -> int:
         """LOW bits of the fields of v with at least sm bits set."""
@@ -766,10 +752,11 @@ class EventStore:
 
     def elect_fame(self) -> None:
         """Decide witness fame where decidable; decisions are final."""
-        if self._fame_polled == self._witness_count:
-            # no new witness, so no (voter, witness) pair left to vote on
+        count = len(self._creator)
+        if self._fame_polled == count:
+            # no new event, so no new witness and no pair left to vote on
             return
-        self._fame_polled = self._witness_count
+        self._fame_polled = count
         f = self._width
         # only a round with voters two rounds up can be tallied
         for r in range(self.finalized_round + 1,

@@ -19,6 +19,8 @@ class MetricsError(Exception):
 # the fields of a formula comparison row, in report and CSV column order
 COMPARISON_COLUMNS = ("quantity", "analytic", "measured",
                       "relative_deviation", "within_tolerance")
+# the largest |relative deviation| of a formula row within tolerance
+TOLERANCE = 0.15
 
 
 def analytic_comm_cost(n: int, throughput: float, event_size: float) -> float:
@@ -113,7 +115,6 @@ def compare_measured(
     report: MetricsReport,
     config,
     coordinators,
-    tolerance: float = 0.15,
 ) -> list[dict]:
     """Per-quantity (analytic, measured, relative deviation) rows.
 
@@ -146,7 +147,7 @@ def compare_measured(
             dev = (measured - analytic) / analytic
         else:
             dev = None if analytic is None else 0.0
-        within = abs(dev) <= tolerance if analytic else True
+        within = abs(dev) <= TOLERANCE if analytic else True
         rows.append(dict(zip(COMPARISON_COLUMNS,
                              (quantity, analytic, measured, dev, within))))
 

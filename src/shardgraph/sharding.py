@@ -39,14 +39,14 @@ class CommitteeTable:
     ``members`` hands out a copy, which a later move leaves as it is."""
 
     def __init__(self, assignment: dict[NodeId, CommitteeId],
-                 coordinators: dict[CommitteeId, NodeId], epoch: int = 0):
+                 coordinators: dict[CommitteeId, NodeId]):
         self.assignment: dict[NodeId, CommitteeId] = {}
         self._members: dict[CommitteeId, list[NodeId]] = {
             c: [] for c in coordinators}
         for node, committee in assignment.items():
             self.place(node, committee)
         self.coordinators = coordinators
-        self.epoch = epoch
+        self.epoch = 0
 
     @property
     def num_committees(self) -> int:

@@ -213,12 +213,6 @@ def packed_store(width, n):
     return store
 
 
-def forked_masks(store):
-    """Forked creator bits -> the mask the store keeps for them: every
-    field's bits outside the forked creators."""
-    return dict(store._forked_masks)
-
-
 def present(store, v):
     """The store's LOW bits of v's nonzero fields."""
     return store._present(v)
@@ -283,7 +277,7 @@ def decider_record(store, r):
 def decide_by_hand(store, rounds):
     """Decide every witness of each of rounds famous, with a decider
     record as a tally would have written it had the round's highest
-    witness decided them all, and mark every witness polled, so the next
+    witness decided them all, and mark every event polled, so the next
     poll casts no vote and keeps this fame."""
     for r in rounds:
         ws = store.witnesses_by_round[r]
@@ -291,7 +285,7 @@ def decide_by_hand(store, rounds):
             store._famous |= 1 << w
         store._deciders[r] = [max(ws), max(ws),
                               sum(1 << w - ws[0] for w in ws)]
-    store._fame_polled = store._witness_count
+    store._fame_polled = len(store.by_index)
 
 
 # whole-store snapshots and the column layout ---------------------------------
@@ -312,7 +306,7 @@ def state(store):
     return copy.deepcopy((
         columns(store), store._seq, store._cmask, store._forkers,
         store._forker_bits, store._apart, store._wcreators, store._votes,
-        store._witness_count, len(store.witnesses_by_round),
+        len(store.witnesses_by_round),
         store.population, packing(store)))
 
 

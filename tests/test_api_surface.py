@@ -22,8 +22,10 @@ Nor does importing it load the stdlib's introspection modules, which every
 run would pay for in set-up time.
 
 Nor does a function or method it defines, or a NamedTuple field, keep a
-keyword default that only tests use: some call in ``src/`` or ``perfbench/``
-must leave each default out.  Calls are resolved by name as the reference
+keyword default that only tests use, or one that only tests change: some
+call in ``src/`` or ``perfbench/`` must leave each default out, and some
+must pass it, by position or by name, but for the few that ``UNPASSED``
+names with a reason.  Calls are resolved by name as the reference
 checks resolve them: a call's name is its callee's name or attribute, a
 class's name calls its ``__init__`` or builds its NamedTuple, and
 ``cls(...)`` in a classmethod calls its own class.
@@ -295,40 +297,46 @@ def decorators(fn):
     return {getattr(d, "id", None) for d in fn.decorator_list}
 
 
-def call_sites():
-    """name -> (positional count, keyword names) of each call under src/
-    and perfbench/ that names it, or None for a call with ``*`` or ``**``
-    arguments, which may pass anything.  ``cls`` in a classmethod names
-    its class."""
-    calls = defaultdict(list)
-    for top in ("src", "perfbench"):
+def sources(*tops):
+    """(file, text) of each module under the directories tops."""
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            class_of = {}
-            for cls in ast.walk(tree):
-                if not isinstance(cls, ast.ClassDef):
-                    continue
-                for fn in cls.body:
-                    if (isinstance(fn, ast.FunctionDef)
-                            and "classmethod" in decorators(fn)):
-                        first = fn.args.args[0].arg
-                        class_of.update((id(node), cls.name)
-                                     for node in ast.walk(fn)
-                                     if getattr(node, "id", None) == first)
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if isinstance(func, ast.Name):
-                    name = class_of.get(id(func), func.id)
-                elif isinstance(func, ast.Attribute):
-                    name = func.attr
-                else:
-                    continue
-                starred = (any(isinstance(a, ast.Starred) for a in node.args)
-                           or any(k.arg is None for k in node.keywords))
-                calls[name].append(None if starred else (
-                    len(node.args), {k.arg for k in node.keywords}))
+            yield path.relative_to(ROOT), path.read_text(encoding="utf-8")
+
+
+def call_sites(modules):
+    """name -> (positional count, keyword names) of each call in modules,
+    (file, text) pairs, that names it, or None for a call with ``*`` or
+    ``**`` arguments, which may pass anything.  ``cls`` in a classmethod
+    names its class."""
+    calls = defaultdict(list)
+    for _, text in modules:
+        tree = ast.parse(text)
+        class_of = {}
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (isinstance(fn, ast.FunctionDef)
+                        and "classmethod" in decorators(fn)):
+                    first = fn.args.args[0].arg
+                    class_of.update((id(node), cls.name)
+                                    for node in ast.walk(fn)
+                                    if getattr(node, "id", None) == first)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = class_of.get(id(func), func.id)
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                continue
+            starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            calls[name].append(None if starred else (
+                len(node.args), {k.arg for k in node.keywords}))
     return calls
 
 
@@ -341,16 +349,15 @@ def namedtuple_fields(cls):
             if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
 
 
-def keyword_defaults():
+def keyword_defaults(modules):
     """(file, line, qualified name, call name, parameter, position) of each
     parameter with a default of a module-level function or a method of a
-    module-level class in the package, and of each field with a default of
-    a module-level NamedTuple; position counts the arguments a call passes,
-    so it skips a method's ``self`` or ``cls`` and is None for a
-    keyword-only parameter."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        rel = path.relative_to(ROOT)
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    module-level class in modules, (file, text) pairs, and of each field
+    with a default of a module-level NamedTuple; position counts the
+    arguments a call passes, so it skips a method's ``self`` or ``cls`` and
+    is None for a keyword-only parameter."""
+    for rel, text in modules:
+        for node in ast.parse(text).body:
             if isinstance(node, ast.FunctionDef):
                 fns = [(node, node.name, node.name, 0)]
             elif isinstance(node, ast.ClassDef):
@@ -376,21 +383,73 @@ def keyword_defaults():
                         yield rel, fn.lineno, qualname, called, a.arg, None
 
 
-def test_every_keyword_default_is_used_outside_tests():
-    calls = call_sites()
-
-    def left_out(call, name, position):
+def unearned_defaults(defaults, calls, passed):
+    """file:line qualname(parameter=...) of each of defaults that no call
+    in calls leaves out, or given passed, that no call passes, by position
+    or by name.  A call with ``*`` or ``**`` arguments does neither."""
+    def earns(call, name, position):
         if call is None:
             return False
         count, keywords = call
-        return ((position is None or count <= position)
-                and name not in keywords)
+        given = (position is not None and count > position
+                 or name in keywords)
+        return given if passed else not given
 
-    assert [f"{rel}:{line} {qualname}({name}=...)"
-            for rel, line, qualname, called, name, position
-            in keyword_defaults()
-            if not any(left_out(call, name, position)
-                       for call in calls[called])] == []
+    return [f"{rel}:{line} {qualname}({name}=...)"
+            for rel, line, qualname, called, name, position in defaults
+            if not any(earns(call, name, position) for call in calls[called])]
+
+
+def test_every_keyword_default_is_used_outside_tests():
+    assert unearned_defaults(keyword_defaults(sources(PACKAGE)),
+                             call_sites(sources("src", "perfbench")),
+                             passed=False) == []
+
+
+# (function, parameter) of the keyword defaults that no call in src/ or
+# perfbench/ needs to pass, each with its reason.  Calls resolve by name, so
+# perfbench/rep.py's ``main(sys.argv[1:])`` would pass cli.main's argv; the
+# entry keeps the guard from leaning on that
+UNPASSED = {
+    ("main", "argv"): "the process's argument vector, which the console "
+                      "script leaves to sys.argv",
+}
+
+
+def test_every_keyword_default_is_passed_outside_tests():
+    # a default that every caller keeps is a constant, not a parameter
+    defaults = list(keyword_defaults(sources(PACKAGE)))
+    assert UNPASSED.keys() <= {(d[2], d[4]) for d in defaults}
+    assert unearned_defaults(
+        [d for d in defaults if (d[2], d[4]) not in UNPASSED],
+        call_sites(sources("src", "perfbench")), passed=True) == []
+
+
+# a module whose defaults are passed by position or by name and left out,
+# always passed, and never passed but through ``**``
+DEFAULTS = """\
+def send(x, size=1, *, mode="a"):
+    return send(x, 2) or send(x, mode="b")
+
+
+def scale(v, factor=2):
+    return scale(v, factor=3)
+
+
+class Table:
+    def __init__(self, rows, epoch=0, limit=None):
+        Table(rows) or Table(rows, **{"limit": 1})
+"""
+
+
+def test_default_guards_flag_a_default_no_call_leaves_out_or_passes():
+    defaults = list(keyword_defaults([(Path("m.py"), DEFAULTS)]))
+    calls = call_sites([(Path("m.py"), DEFAULTS)])
+    assert unearned_defaults(defaults, calls, passed=False) == [
+        "m.py:5 scale(factor=...)"]
+    assert unearned_defaults(defaults, calls, passed=True) == [
+        "m.py:10 Table.__init__(epoch=...)",
+        "m.py:10 Table.__init__(limit=...)"]
 
 
 def string_literals():

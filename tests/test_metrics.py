@@ -1,6 +1,8 @@
 import pytest
 
+from shardgraph import simulation
 from shardgraph.config import ScenarioConfig
+from shardgraph.hashgraph import Transfer
 from shardgraph.metrics import (
     MetricsError,
     MetricsReport,
@@ -9,6 +11,7 @@ from shardgraph.metrics import (
     analytic_cross_cost,
     analytic_replica_count,
 )
+from shardgraph.sharding import ReplicaSnapshot
 from shardgraph.simulation import run_scenario
 
 
@@ -66,3 +69,69 @@ def test_report_counters_monotone():
     r.total_events = 10
     r.empty_events = 2
     assert r.empty_event_fraction == pytest.approx(0.2)
+
+
+# -- faults a comparison row can and cannot see --------------------------------
+
+
+def rows(config):
+    """The run's comparison rows by quantity."""
+    return {r["quantity"]: r for r in run_scenario(config).comparison}
+
+
+def test_comm_row_fails_when_syncs_count_their_units_twice(monkeypatch):
+    # the row reads +0.031 on this run, and +1.06 with every sync's sent
+    # units counted twice: the fault is far outside the tolerance
+    cfg = ScenarioConfig(n=32, s=2, seed=3, duration=40, tx_rate=64)
+    row = rows(cfg)["comm_per_node"]
+    assert row["relative_deviation"] == pytest.approx(0.031, abs=1e-3)
+    assert row["within_tolerance"]
+    add_syncs = MetricsReport.add_syncs
+    monkeypatch.setattr(MetricsReport, "add_syncs", lambda self, nodes, sent,
+                        made: add_syncs(self, nodes, [2 * u for u in sent],
+                                        made))
+    row = rows(cfg)["comm_per_node"]
+    assert row["relative_deviation"] == pytest.approx(1.06, abs=0.01)
+    assert not row["within_tolerance"]
+
+
+# a cross-shard run with a checkpoint every other tick: its cross_send_cost
+# row reads 1.95 against 1.95 and its replica_count row 9 against 9
+CROSS = ScenarioConfig(n=16, s=2, seed=3, duration=40, tx_rate=16,
+                       cross_ratio=0.3, checkpoint_period=2)
+
+
+@pytest.mark.xfail(strict=True, reason="cross_send_cost reads the injected "
+                   "cross rate, not what the coordinators relay")
+def test_cross_row_fails_when_coordinators_relay_each_tx_twice(monkeypatch):
+    ingest = simulation.coordinator_ingest_local
+
+    def twice(state, table, committee, payloads):
+        payloads = list(payloads)
+        ingest(state, table, committee, payloads)
+        ingest(state, table, committee, payloads)
+
+    monkeypatch.setattr(simulation, "coordinator_ingest_local", twice)
+    report = run_scenario(CROSS)
+    assert report.tx_audit["duplicate_count"] == 78
+    row = {r["quantity"]: r for r in report.comparison}["cross_send_cost"]
+    assert not row["within_tolerance"]
+
+
+@pytest.mark.xfail(strict=True, reason="replica_count counts the holders of "
+                   "a replica, not what the replica holds")
+def test_replica_row_fails_when_replicas_hold_nothing(monkeypatch):
+    replicate, held = simulation.replicate_checkpoint, []
+
+    def emptied(state, committee, source):
+        replicate(state, committee, source)
+        if committee in state.replicas:
+            held.append(len(state.replicas[committee].events))
+            state.replicas[committee] = ReplicaSnapshot(
+                state.replicas[committee].population,
+                Transfer(source.store, 0), 0)
+
+    monkeypatch.setattr(simulation, "replicate_checkpoint", emptied)
+    row = rows(CROSS)["replica_count"]
+    assert held and min(held) > 0
+    assert not row["within_tolerance"]
