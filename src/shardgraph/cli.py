@@ -17,14 +17,7 @@ from pathlib import Path
 
 from .config import (EQUIVOCATOR, NO_ADVERSARY, ConfigError, ScenarioConfig,
                      apply_setting, load_config)
-from .metrics import (
-    COMPARISON_COLUMNS,
-    MetricsError,
-    analytic_comm_cost,
-    analytic_comm_cost_sharded,
-    analytic_cross_cost,
-    analytic_replica_count,
-)
+from .metrics import COMPARISON_COLUMNS, ROWS, MetricsError
 from .simulation import SimulationError, run_scenario, write_csv, write_report
 
 EXIT_OK = 0
@@ -96,14 +89,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_formulas(args) -> int:
-    n, s = args.n, args.s
-    rows = [
-        ("comm_per_node_unsharded", analytic_comm_cost(n, args.throughput, args.event_size)),
-        ("comm_per_node_sharded", analytic_comm_cost_sharded(n, s, args.throughput, args.event_size)),
-        ("cross_send_cost", analytic_cross_cost(args.cross_throughput, args.event_size)),
-        ("replica_count", analytic_replica_count(n, s)),
-        ("storage_ratio", 1 / s),
-    ]
+    model = (args.n, args.s, args.throughput, args.cross_throughput,
+             args.event_size)
+    rows = [(row.quantity, row.analytic(*model))
+            for row in ROWS if row.analytic is not None]
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {value:g}")

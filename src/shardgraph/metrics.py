@@ -1,15 +1,11 @@
-"""Measured communication/storage counters and the closed-form cost model.
-
-Analytic quantities, for n nodes, s shards, throughput T and event size E:
-
-* sharded per-node communication    (n/s - 1) * (T / n) * E; the
-  unsharded (n - 1) * (T / n) * E is its s = 1 case
-* cross-shard send cost             T_cross * E
-* complete-graph copy count         n/s + s - 1
-* per-node storage ratio            1/s
+"""Measured communication/storage counters and the closed-form cost model,
+declared once as ``ROWS``: the report compares each entry with a run, and
+the ``formulas`` command prints each closed form.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple, Optional
 
 
 class MetricsError(Exception):
@@ -23,10 +19,6 @@ COMPARISON_COLUMNS = ("quantity", "analytic", "measured",
 TOLERANCE = 0.15
 
 
-def analytic_comm_cost(n: int, throughput: float, event_size: float) -> float:
-    return analytic_comm_cost_sharded(n, 1, throughput, event_size)
-
-
 def analytic_comm_cost_sharded(
     n: int, s: int, throughput: float, event_size: float
 ) -> float:
@@ -35,10 +27,6 @@ def analytic_comm_cost_sharded(
     if s < 1:
         raise MetricsError("s must be >= 1")
     return (n / s - 1) * (throughput / n) * event_size
-
-
-def analytic_cross_cost(cross_throughput: float, event_size: float) -> float:
-    return cross_throughput * event_size
 
 
 def analytic_replica_count(n: int, s: int) -> int:
@@ -111,58 +99,80 @@ def mean(values) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
+def _per_tick(report: MetricsReport, units: float) -> float:
+    return units / report.duration if report.duration else 0.0
+
+
+def _comm_rate(report: MetricsReport, nodes: list[int]) -> float:
+    """The mean units per tick that nodes sent."""
+    return mean(report.per_node_comm[v] / report.duration for v in nodes)
+
+
+class Row(NamedTuple):
+    """A quantity of the cost model: its closed form in (n, s, T, T_cross,
+    E), for n nodes, s shards, throughput T, cross-shard throughput T_cross
+    and event size E, or None for no model term; what a run measures of
+    it, of the report and its plain and coordinator nodes that sent, or
+    None where no run measures it (it gives None for a run without any);
+    and the (n, s) where the closed form holds."""
+    quantity: str
+    analytic: Optional[Callable[..., float]]
+    measured: Optional[Callable[..., Optional[float]]]
+    holds: Callable[[int, int], bool] = lambda n, s: True
+
+
+ROWS = (
+    # the unsharded network is the sharded form's s = 1 case
+    Row("comm_per_node_unsharded",
+        lambda n, s, T, T_cross, E: analytic_comm_cost_sharded(n, 1, T, E),
+        None),
+    # averaged over the nodes that coordinate no committee
+    Row("comm_per_node",
+        lambda n, s, T, T_cross, E: analytic_comm_cost_sharded(n, s, T, E),
+        lambda report, plain, coords: _comm_rate(report, plain)),
+    Row("cross_send_cost", lambda n, s, T, T_cross, E: T_cross * E,
+        lambda report, plain, coords: _per_tick(
+            report, report.injected_cross_units)),
+    # n/s + s - 1 copies of the complete graph
+    Row("replica_count",
+        lambda n, s, T, T_cross, E: analytic_replica_count(n, s),
+        lambda report, plain, coords: (mean(report.replica_counts.values())
+                                       if report.replica_counts else 0),
+        holds=lambda n, s: n % s == 0),
+    # coordinators carry the global committee's load too
+    Row("comm_per_coordinator", None, lambda report, plain, coords: (
+        _comm_rate(report, coords) if coords else None)),
+    Row("storage_ratio", lambda n, s, T, T_cross, E: 1 / s, None),
+)
+
+
 def compare_measured(
     report: MetricsReport,
     config,
     coordinators,
 ) -> list[dict]:
-    """Per-quantity (analytic, measured, relative deviation) rows.
-
-    Coordinator nodes carry the additional global-committee load, so formula
-    rows average over non-coordinator nodes only; coordinators get their own
-    informational row, whose analytic value and deviation are None (null in
-    report.json): the model has no coordinator term.
-    """
+    """A comparison row per entry of ``ROWS`` that the run measures at its
+    (n, s), with E = 1.  An analytic value of None has no deviation (null
+    in report.json) and is within tolerance."""
     n, s = config.n, config.s
     coordinators = set(coordinators)
-    rate = report.injected_tx_units / report.duration if report.duration else 0.0
-    cross_rate = (
-        report.injected_cross_units / report.duration if report.duration else 0.0
-    )
-    event_size = 1.0
-
-    def comm_rate(nodes):
-        return mean(
-            report.per_node_comm.get(v, 0.0) / report.duration for v in nodes
-        )
-
-    plain = [v for v in report.per_node_comm if v not in coordinators]
-    coords = [v for v in report.per_node_comm if v in coordinators]
-
+    nodes = ([v for v in report.per_node_comm if v not in coordinators],
+             [v for v in report.per_node_comm if v in coordinators])
+    model = (_per_tick(report, report.injected_tx_units),
+             _per_tick(report, report.injected_cross_units), 1.0)
     rows = []
-
-    def row(quantity, analytic, measured):
-        # an analytic of None is no model term: no deviation, and in bounds
+    for row in ROWS:
+        if row.measured is None or not row.holds(n, s):
+            continue
+        measured = row.measured(report, *nodes)
+        if measured is None:
+            continue
+        analytic = row.analytic and row.analytic(n, s, *model)
         if analytic:
             dev = (measured - analytic) / analytic
         else:
             dev = None if analytic is None else 0.0
         within = abs(dev) <= TOLERANCE if analytic else True
         rows.append(dict(zip(COMPARISON_COLUMNS,
-                             (quantity, analytic, measured, dev, within))))
-
-    row(
-        "comm_per_node",
-        analytic_comm_cost_sharded(n, s, rate, event_size),
-        comm_rate(plain),
-    )
-    row("cross_send_cost", analytic_cross_cost(cross_rate, event_size), cross_rate)
-    if n % s == 0:
-        row(
-            "replica_count",
-            analytic_replica_count(n, s),
-            mean(report.replica_counts.values()) if report.replica_counts else 0,
-        )
-    if coords:
-        row("comm_per_coordinator", None, comm_rate(coords))
+                             (row.quantity, analytic, measured, dev, within))))
     return rows

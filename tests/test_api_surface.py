@@ -25,10 +25,11 @@ Nor does a function or method it defines, or a NamedTuple field, keep a
 keyword default that only tests use, or one that only tests change: some
 call in ``src/`` or ``perfbench/`` must leave each default out, and some
 must pass it, by position or by name, but for the few that ``UNPASSED``
-names with a reason.  Calls are resolved by name as the reference
-checks resolve them: a call's name is its callee's name or attribute, a
-class's name calls its ``__init__`` or builds its NamedTuple, and
-``cls(...)`` in a classmethod calls its own class.
+names with a reason.  A call is resolved by module: a plain name is the
+file's own or what its imports bind, and ``module.name(...)`` is that
+module's; a method call is resolved by its attribute name alone.  A class's
+name calls its ``__init__`` or builds its NamedTuple, and ``cls(...)`` in a
+classmethod calls its own class.
 
 And each name of a closed name set, the adversary kinds and the
 reorg-trigger modes, is spelled once in the package, as one string literal;
@@ -304,14 +305,50 @@ def sources(*tops):
             yield path.relative_to(ROOT), path.read_text(encoding="utf-8")
 
 
+def module_of(rel):
+    """The name a module is imported by: its file's stem."""
+    return Path(rel).stem
+
+
+def bindings(tree, scanned):
+    """(imported, modules) of a module's tree: imported maps each name that
+    a ``from ... import`` line binds to (module, name) of what it names, and
+    modules maps each name bound to a module, by ``import`` or by a ``from
+    ... import`` of one of the scanned modules, to that module."""
+    imported, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = module_of((node.module or "").replace(".", "/"))
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                imported[bound] = (source, alias.name)
+                if alias.name in scanned:
+                    modules[bound] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    modules[alias.asname] = module_of(
+                        alias.name.replace(".", "/"))
+                else:
+                    first = alias.name.split(".")[0]
+                    modules[first] = first
+    return imported, modules
+
+
 def call_sites(modules):
-    """name -> (positional count, keyword names) of each call in modules,
-    (file, text) pairs, that names it, or None for a call with ``*`` or
-    ``**`` arguments, which may pass anything.  ``cls`` in a classmethod
+    """callee -> (positional count, keyword names) of each call in modules,
+    (file, text) pairs, or None for a call with ``*`` or ``**`` arguments,
+    which may pass anything.  A callee is (module, name): a plain name is
+    what the file's ``from ... import`` lines bind it to, or else the
+    file's own, and ``m.name(...)`` on a module m is m's.  A method call
+    keeps its attribute name alone, (None, name).  ``cls`` in a classmethod
     names its class."""
+    modules = list(modules)
+    scanned = {module_of(rel) for rel, _ in modules}
     calls = defaultdict(list)
-    for _, text in modules:
+    for rel, text in modules:
         tree = ast.parse(text)
+        imported, module_names = bindings(tree, scanned)
         class_of = {}
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
@@ -329,13 +366,15 @@ def call_sites(modules):
             func = node.func
             if isinstance(func, ast.Name):
                 name = class_of.get(id(func), func.id)
+                callee = imported.get(name, (module_of(rel), name))
             elif isinstance(func, ast.Attribute):
-                name = func.attr
+                receiver = getattr(func.value, "id", None)
+                callee = (module_names.get(receiver), func.attr)
             else:
                 continue
             starred = (any(isinstance(a, ast.Starred) for a in node.args)
                        or any(k.arg is None for k in node.keywords))
-            calls[name].append(None if starred else (
+            calls[callee].append(None if starred else (
                 len(node.args), {k.arg for k in node.keywords}))
     return calls
 
@@ -350,37 +389,40 @@ def namedtuple_fields(cls):
 
 
 def keyword_defaults(modules):
-    """(file, line, qualified name, call name, parameter, position) of each
+    """(file, line, qualified name, callee, parameter, position) of each
     parameter with a default of a module-level function or a method of a
     module-level class in modules, (file, text) pairs, and of each field
-    with a default of a module-level NamedTuple; position counts the
-    arguments a call passes, so it skips a method's ``self`` or ``cls`` and
-    is None for a keyword-only parameter."""
+    with a default of a module-level NamedTuple; the callee is a key of
+    ``call_sites``, and position counts the arguments a call passes, so it
+    skips a method's ``self`` or ``cls`` and is None for a keyword-only
+    parameter."""
     for rel, text in modules:
+        own = module_of(rel)
         for node in ast.parse(text).body:
             if isinstance(node, ast.FunctionDef):
-                fns = [(node, node.name, node.name, 0)]
+                fns = [(node, node.name, (own, node.name), 0)]
             elif isinstance(node, ast.ClassDef):
                 for p, f in enumerate(namedtuple_fields(node)):
                     if f.value is not None:
                         yield (rel, f.lineno, f"{node.name}.{f.target.id}",
-                               node.name, f.target.id, p)
+                               (own, node.name), f.target.id, p)
                 fns = [(fn, f"{node.name}.{fn.name}",
-                        node.name if fn.name == "__init__" else fn.name,
+                        (own, node.name) if fn.name == "__init__"
+                        else (None, fn.name),
                         0 if "staticmethod" in decorators(fn) else 1)
                        for fn in node.body if isinstance(fn, ast.FunctionDef)]
             else:
                 continue
-            for fn, qualname, called, skip in fns:
+            for fn, qualname, callee, skip in fns:
                 args = fn.args
                 positional = args.posonlyargs + args.args
                 first = len(positional) - len(args.defaults)
                 for p in range(first, len(positional)):
-                    yield (rel, fn.lineno, qualname, called,
+                    yield (rel, fn.lineno, qualname, callee,
                            positional[p].arg, p - skip)
                 for a, default in zip(args.kwonlyargs, args.kw_defaults):
                     if default is not None:
-                        yield rel, fn.lineno, qualname, called, a.arg, None
+                        yield rel, fn.lineno, qualname, callee, a.arg, None
 
 
 def unearned_defaults(defaults, calls, passed):
@@ -396,8 +438,8 @@ def unearned_defaults(defaults, calls, passed):
         return given if passed else not given
 
     return [f"{rel}:{line} {qualname}({name}=...)"
-            for rel, line, qualname, called, name, position in defaults
-            if not any(earns(call, name, position) for call in calls[called])]
+            for rel, line, qualname, callee, name, position in defaults
+            if not any(earns(call, name, position) for call in calls[callee])]
 
 
 def test_every_keyword_default_is_used_outside_tests():
@@ -407,9 +449,7 @@ def test_every_keyword_default_is_used_outside_tests():
 
 
 # (function, parameter) of the keyword defaults that no call in src/ or
-# perfbench/ needs to pass, each with its reason.  Calls resolve by name, so
-# perfbench/rep.py's ``main(sys.argv[1:])`` would pass cli.main's argv; the
-# entry keeps the guard from leaning on that
+# perfbench/ needs to pass, each with its reason
 UNPASSED = {
     ("main", "argv"): "the process's argument vector, which the console "
                       "script leaves to sys.argv",
@@ -440,6 +480,20 @@ class Table:
     def __init__(self, rows, epoch=0, limit=None):
         Table(rows) or Table(rows, **{"limit": 1})
 """
+# two modules that define main: a's is left out at home and passed through
+# an alias and b's own is only passed, which a's calls cannot earn back
+MAIN_A = """\
+def main(argv=None):
+    return main()
+"""
+MAIN_B = """\
+import a
+from a import main as run
+
+
+def main(argv=None):
+    return main(["-h"]) or run(["-v"]) or a.main()
+"""
 
 
 def test_default_guards_flag_a_default_no_call_leaves_out_or_passes():
@@ -450,6 +504,12 @@ def test_default_guards_flag_a_default_no_call_leaves_out_or_passes():
     assert unearned_defaults(defaults, calls, passed=True) == [
         "m.py:10 Table.__init__(epoch=...)",
         "m.py:10 Table.__init__(limit=...)"]
+    mains = [(Path("a.py"), MAIN_A), (Path("b.py"), MAIN_B)]
+    defaults = list(keyword_defaults(mains))
+    calls = call_sites(mains)
+    assert unearned_defaults(defaults, calls, passed=False) == [
+        "b.py:5 main(argv=...)"]
+    assert unearned_defaults(defaults, calls, passed=True) == []
 
 
 def string_literals():

@@ -14,12 +14,13 @@ def run_cli(*argv):
 def test_formulas_table(capsys):
     assert run_cli("formulas", "-n", "100", "-s", "10",
                    "--throughput", "1000", "--cross-throughput", "50") == 0
-    out = capsys.readouterr().out
-    assert "990" in out
-    assert "90" in out
-    assert "50" in out
-    assert "19" in out
-    assert "0.1" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "comm_per_node_unsharded  990",
+        "comm_per_node            90",
+        "cross_send_cost          50",
+        "replica_count            19",
+        "storage_ratio            0.1",
+    ]
 
 
 def test_formulas_s1_reduction(capsys):
@@ -27,7 +28,7 @@ def test_formulas_s1_reduction(capsys):
     lines = dict(
         line.split(None, 1) for line in capsys.readouterr().out.splitlines()
     )
-    assert lines["comm_per_node_unsharded"] == lines["comm_per_node_sharded"]
+    assert lines["comm_per_node_unsharded"] == lines["comm_per_node"]
 
 
 def test_formulas_zero_event_size(capsys):
@@ -43,6 +44,11 @@ def test_formulas_zero_event_size(capsys):
 def test_formulas_invalid_params(capsys):
     assert run_cli("formulas", "-n", "100", "-s", "7") == 2
     assert "s to divide n" in capsys.readouterr().err
+    for args, error in [(("-n", "0"), "n must be >= 1"),
+                        (("-s", "0"), "s must be >= 1"),
+                        (("-s", "-2"), "s must be >= 1")]:
+        assert run_cli("formulas", *args) == 2
+        assert error in capsys.readouterr().err
 
 
 def test_run_minimal(tmp_path, capsys):

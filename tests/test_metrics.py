@@ -6,28 +6,36 @@ from shardgraph.hashgraph import Transfer
 from shardgraph.metrics import (
     MetricsError,
     MetricsReport,
-    analytic_comm_cost,
+    ROWS,
     analytic_comm_cost_sharded,
-    analytic_cross_cost,
     analytic_replica_count,
 )
 from shardgraph.sharding import ReplicaSnapshot
 from shardgraph.simulation import run_scenario
 
 
+def closed_form(quantity, n=1, s=1, T=0.0, T_cross=0.0, E=1.0):
+    """The closed form of the ROWS entry for quantity at these inputs."""
+    (row,) = [r for r in ROWS if r.quantity == quantity]
+    return row.analytic(n, s, T, T_cross, E)
+
+
 def test_comm_cost_values():
-    assert analytic_comm_cost(100, 1000, 1) == pytest.approx(990)
-    assert analytic_comm_cost(1, 1000, 1) == 0
-    assert analytic_comm_cost(100, 1000, 0) == 0
+    # the unsharded (n - 1)(T/n)E is the s = 1 case, whatever s is given
+    assert analytic_comm_cost_sharded(100, 1, 1000, 1) == pytest.approx(990)
+    assert analytic_comm_cost_sharded(1, 1, 1000, 1) == 0
+    assert analytic_comm_cost_sharded(100, 1, 1000, 0) == 0
+    assert closed_form("comm_per_node_unsharded", 100, 10,
+                       T=1000) == pytest.approx(990)
     with pytest.raises(MetricsError):
-        analytic_comm_cost(0, 1, 1)
+        analytic_comm_cost_sharded(0, 1, 1, 1)
 
 
 def test_sharded_comm_cost_values():
     assert analytic_comm_cost_sharded(100, 10, 1000, 1) == pytest.approx(90)
-    assert analytic_comm_cost_sharded(100, 1, 1000, 1) == analytic_comm_cost(
-        100, 1000, 1
-    )
+    assert closed_form("comm_per_node", 100, 10, T=1000) == pytest.approx(90)
+    assert closed_form("comm_per_node", 100, 1, T=1000) == closed_form(
+        "comm_per_node_unsharded", 100, 10, T=1000)
     assert analytic_comm_cost_sharded(64, 64, 1000, 1) == 0
     with pytest.raises(MetricsError):
         analytic_comm_cost_sharded(100, 0, 1000, 1)
@@ -48,9 +56,10 @@ def test_comm_row_holds_when_s_does_not_divide_n(n):
 
 
 def test_cross_cost_values():
-    assert analytic_cross_cost(0, 1) == 0
-    assert analytic_cross_cost(50, 1) == 50
-    assert analytic_cross_cost(50, 2) == 2 * analytic_cross_cost(50, 1)
+    assert closed_form("cross_send_cost", T_cross=0, E=1) == 0
+    assert closed_form("cross_send_cost", T_cross=50, E=1) == 50
+    assert closed_form("cross_send_cost", T_cross=50, E=2) == 2 * closed_form(
+        "cross_send_cost", T_cross=50, E=1)
 
 
 def test_replica_count_values():
@@ -59,6 +68,7 @@ def test_replica_count_values():
     assert analytic_replica_count(8, 8) == 8
     with pytest.raises(MetricsError):
         analytic_replica_count(10, 0)
+    assert closed_form("replica_count", 100, 10) == 19
 
 
 def test_report_counters_monotone():
@@ -135,3 +145,20 @@ def test_replica_row_fails_when_replicas_hold_nothing(monkeypatch):
     row = rows(CROSS)["replica_count"]
     assert held and min(held) > 0
     assert not row["within_tolerance"]
+
+
+# each ROWS entry with a closed form and a measured side -> the test of a
+# fault that its row must see, so no row lands without a killing mutant
+ROW_MUTANTS = {
+    "comm_per_node":
+        test_comm_row_fails_when_syncs_count_their_units_twice,
+    "cross_send_cost":
+        test_cross_row_fails_when_coordinators_relay_each_tx_twice,
+    "replica_count": test_replica_row_fails_when_replicas_hold_nothing,
+}
+
+
+def test_every_compared_row_has_a_killing_mutant():
+    assert set(ROW_MUTANTS) == {
+        r.quantity for r in ROWS
+        if r.analytic is not None and r.measured is not None}
