@@ -11,6 +11,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -89,6 +90,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_formulas(args) -> int:
+    for rate in ("throughput", "cross_throughput", "event_size"):
+        if not 0 <= getattr(args, rate) < math.inf:
+            raise ConfigError(f"{rate} must be finite and >= 0")
     model = (args.n, args.s, args.throughput, args.cross_throughput,
              args.event_size)
     rows = [(row.quantity, row.analytic(*model))
@@ -113,6 +117,10 @@ def cmd_sweep(args) -> int:
         point = ScenarioConfig(**config.to_dict())
         apply_setting(point, param, value)
         point.validate()
+        for seen, other in points:
+            if other.to_dict() == point.to_dict():
+                raise ConfigError(
+                    f"sweep values {seen!r} and {value!r} give one point")
         points.append((value, point))
     out_root = Path(args.out) / "sweep"
     combined = []

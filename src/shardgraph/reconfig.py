@@ -122,31 +122,23 @@ def join_request_receiver(table: CommitteeTable) -> NodeId:
 
 
 def join_node(
-    state: ShardState,
-    table: CommitteeTable,
-    new_node: NodeId,
-    consensus_timestamp: int,
+    table: CommitteeTable, new_node: NodeId, consensus_timestamp: int
 ) -> CommitteeId:
     if new_node in table.assignment:
         raise ReconfigError(f"node {new_node} already assigned")
     cid = choose_join_committee(consensus_timestamp, table.num_committees)
     table.place(new_node, cid)
-    state.local_stores[cid].add_member(new_node)
     return cid
 
 
 def leave_node(
-    state: ShardState,
-    table: CommitteeTable,
-    ledger: ChurnLedger,
-    node: NodeId,
+    table: CommitteeTable, ledger: ChurnLedger, node: NodeId
 ) -> None:
     """Remove a node from its committee and note the exit in the ledger."""
     cid = table.remove(node)
     if cid is None:
         raise ReconfigError(f"unknown node {node}")
     ledger.note_exit(cid)
-    state.local_stores[cid].remove_member(node)
 
 
 def reselect_coordinator(
@@ -218,7 +210,6 @@ def split_quotas(
 
 
 def apply_transfers(
-    state: ShardState,
     table: CommitteeTable,
     ledger: ChurnLedger,
     depleted: CommitteeId,
@@ -229,8 +220,6 @@ def apply_transfers(
     for donor, moved in transfers.items():
         for node in moved:
             table.place(node, depleted)
-            state.local_stores[donor].remove_member(node)
-            state.local_stores[depleted].add_member(node)
         # donors keep their exit counts; only their baseline moves
         ledger.baseline[donor] = len(table.members(donor))
     ledger.reset(depleted, len(table.members(depleted)))

@@ -8,7 +8,6 @@ cache queues, and holds replicas of the local graphs.
 
 from __future__ import annotations
 
-import bisect
 import random
 from typing import Iterable, NamedTuple, Optional
 
@@ -31,20 +30,22 @@ class ShardingError(Exception):
 
 
 class CommitteeTable:
-    """Node -> committee assignment plus per-committee coordinators.
+    """Node -> committee assignment, per-committee coordinators, and the
+    committees' graph stores.
 
-    Beside ``assignment`` the table keeps each committee's members in node
-    order, so no reader sorts or scans the assignment.  ``place`` and
-    ``remove`` are the only writers of either, so the two never disagree;
-    ``members`` hands out a copy, which a later move leaves as it is."""
+    A committee's members are its store's population, kept in node order,
+    so no reader sorts or scans the assignment.  ``place`` and ``remove``
+    are the only writers of the assignment and of the populations, so the
+    two never disagree; ``members`` hands out a copy, which a later move
+    leaves as it is."""
 
     def __init__(self, assignment: dict[NodeId, CommitteeId],
                  coordinators: dict[CommitteeId, NodeId]):
-        self.assignment: dict[NodeId, CommitteeId] = {}
-        self._members: dict[CommitteeId, list[NodeId]] = {
-            c: [] for c in coordinators}
-        for node, committee in assignment.items():
-            self.place(node, committee)
+        # a store numbers its member bits in node order
+        self.stores: dict[CommitteeId, EventStore] = {
+            c: EventStore(n for n, m in assignment.items() if m == c)
+            for c in coordinators}
+        self.assignment: dict[NodeId, CommitteeId] = dict(assignment)
         self.coordinators = coordinators
         self.epoch = 0
 
@@ -56,25 +57,26 @@ class CommitteeTable:
         """Put node in committee, moving it out of its old one if any."""
         self.remove(node)
         self.assignment[node] = committee
-        bisect.insort(self._members.setdefault(committee, []), node)
+        self.stores[committee].add_member(node)
 
     def remove(self, node: NodeId) -> Optional[CommitteeId]:
         """Take node out of its committee and return that committee, or
         None for a node the table does not hold."""
         committee = self.assignment.pop(node, None)
         if committee is not None:
-            self._members[committee].remove(node)
+            self.stores[committee].remove_member(node)
         return committee
 
     def members(self, committee: CommitteeId) -> list[NodeId]:
         """The committee's members in node order, as a new list."""
-        return list(self._members.get(committee, ()))
+        return list(self.stores[committee].population)
 
     def non_coordinators(self, committee: CommitteeId) -> list[NodeId]:
         """The committee's members other than its coordinator, which is
         never an equivocator, a churn victim or a reorganization mover."""
         coordinator = self.coordinators[committee]
-        return [m for m in self._members[committee] if m != coordinator]
+        return [m for m in self.stores[committee].population
+                if m != coordinator]
 
     def global_committee(self) -> list[NodeId]:
         return sorted(self.coordinators.values())
@@ -139,10 +141,8 @@ class ShardState:
     every node that has ever held a seat."""
 
     def __init__(self, table: CommitteeTable):
-        self.local_stores: dict[CommitteeId, EventStore] = {
-            cid: EventStore(table.members(cid))
-            for cid in range(table.num_committees)
-        }
+        # the table's own dict: its populations are the committees' members
+        self.local_stores = table.stores
         self.global_store = EventStore(table.global_committee())
         self.queues: dict[CommitteeId, CacheQueue] = {
             cid: CacheQueue() for cid in table.coordinators
@@ -309,14 +309,11 @@ def recover_failed_shard(
     prefix, want = store.consensus, replica.consensus
     if prefix[: len(want)] != want and want[: len(prefix)] != prefix:
         raise ShardingError("replica replay diverged from checkpoint order")
-    for node in replica.population:
-        store.remove_member(node)
-    for node in replacements:
-        store.add_member(node)
-    state.local_stores[failed] = store
-
     for node in table.members(failed):
         table.remove(node)
+    for node in replica.population:
+        store.remove_member(node)
+    table.stores[failed] = store
     for node in replacements:
         table.place(node, failed)
     seat_coordinator(state, table, failed, replacements[0])

@@ -586,7 +586,7 @@ class Simulation:
 
     def _leave(self, node, t):
         cid = self.table.committee_of(node)
-        leave_node(self.state, self.table, self.ledger, node)
+        leave_node(self.table, self.ledger, node)
         self._exit(node, self.table.coordinators[cid])
         self._act(t, "leave", node=node, committee=cid)
         if (
@@ -611,7 +611,7 @@ class Simulation:
 
     def _apply_join(self, tx, consensus_ts, t):
         node = tx.data[0]
-        cid = join_node(self.state, self.table, node, consensus_ts)
+        cid = join_node(self.table, node, consensus_ts)
         self._enter(node, self._local_view(node))
         self._chose("join", t, consensus_ts, list(range(self.cfg.s)), cid,
                     node=node)
@@ -661,7 +661,7 @@ class Simulation:
             transfers[donor] = choose_split_members(ts_d, candidates, quota)
             self._chose("reorg-split", t, ts_d, candidates, transfers[donor],
                         committee=depleted, donor=donor)
-        apply_transfers(self.state, self.table, self.ledger, depleted, transfers)
+        apply_transfers(self.table, self.ledger, depleted, transfers)
         for donor, moved in transfers.items():
             # a mover's buffer stays with its old committee's coordinator
             for node in moved:

@@ -42,10 +42,12 @@ layout edits hashgraph.py and oracles.py alone.
 
 And some attributes have one writer each, read from one table: no code
 outside ``CommitteeTable`` stores into, deletes from or pops its
-``assignment``, and none under src/ or perfbench/ sorts it, so the member
-lists the table keeps beside it cannot go stale and no reader rebuilds
-them; and no module but hashgraph.py (and the adapter) assigns a view's
-``known``, ``head`` or ``owner``, so a view starts as it is built.
+``assignment``, and none under src/ or perfbench/ sorts it, so no reader
+rebuilds the members the committee stores hold; no module under src/ or
+perfbench/ but sharding.py calls a store's ``add_member`` or
+``remove_member``, so a committee's members and its store's population
+are one list; and no module but hashgraph.py (and the adapter) assigns a
+view's ``known``, ``head`` or ``owner``, so a view starts as it is built.
 """
 
 import ast
@@ -621,15 +623,20 @@ def test_private_use_guard_flags_a_test_module_but_the_adapter():
     assert list(foreign_private_uses(ADAPTER, LEAKY_TEST)) == []
 
 
-# attribute -> its one writer: the module, and the class in it whose code
-# alone may write it, or None for the whole module.  The table's member
-# lists stay true to its assignment, and a view is built with what it knows
-# and moved only by the engine afterwards
+# attribute, or store method that writes the population, -> its one
+# writer: the module, and the class in it whose code alone may write it, or
+# None for the whole module.  A committee's members are its store's
+# population, moved with the assignment by the table's place and remove
+# alone; the global store's moves with a seat, in seat_coordinator.  A view
+# is built with what it knows and moved only by the engine afterwards
 ENGINE = Path("src/shardgraph/hashgraph.py")
+SHARDING = Path("src/shardgraph/sharding.py")
 VIEW = {"known", "head", "owner"}
+POPULATION = {"add_member", "remove_member"}
 WRITERS = {
-    "assignment": (Path("src/shardgraph/sharding.py"), "CommitteeTable"),
+    "assignment": (SHARDING, "CommitteeTable"),
     **dict.fromkeys(VIEW, (ENGINE, None)),
+    **dict.fromkeys(POPULATION, (SHARDING, None)),
 }
 # what src/ and perfbench/ may not sort either, as the table keeps it sorted
 UNSORTED = {"assignment"}
@@ -642,9 +649,9 @@ def foreign_writes(rel, source, sorts=True):
     text source, of an attribute that WRITERS gives to another writer: an
     assignment to it, plain, augmented or in a tuple target, or a ``del``;
     a subscript store or ``del`` into it or a call of a dict method that
-    changes it; and given sorts, a ``sorted`` call over an expression that
-    reads one in UNSORTED.  The adapter, tests/oracles.py, may write what
-    the engine may."""
+    changes it; a call of a POPULATION method; and given sorts, a
+    ``sorted`` call over an expression that reads one in UNSORTED.  The
+    adapter, tests/oracles.py, may write what the engine may."""
     tree = ast.parse(source)
     inside = {cls.name: {id(node) for node in ast.walk(cls)}
               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)}
@@ -666,7 +673,9 @@ def foreign_writes(rel, source, sorts=True):
                        else node.value,)
         elif isinstance(node, ast.Call):
             func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in DICT_WRITERS:
+            if isinstance(func, ast.Attribute) and func.attr in POPULATION:
+                targets = (func,)
+            elif isinstance(func, ast.Attribute) and func.attr in DICT_WRITERS:
                 targets = (func.value,)
             elif sorts and getattr(func, "id", None) == "sorted":
                 targets = [n for arg in node.args for n in ast.walk(arg)
@@ -676,12 +685,12 @@ def foreign_writes(rel, source, sorts=True):
                 yield node.lineno, target.attr, ast.unparse(node)
 
 
-def tree_writes(attrs):
+def tree_writes(attrs, tops=("src", "perfbench", "tests")):
     """file:line expression of each foreign write of one of attrs under
-    src/, perfbench/ and tests/; a test may sort what src may not, as the
-    reference scan a kept list is checked against."""
+    the directories tops; a test may sort what src may not, as the
+    reference scan a member list is checked against."""
     found = []
-    for top in ("src", "perfbench", "tests"):
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             rel = path.relative_to(ROOT)
             found += [f"{rel}:{line} {expr}" for line, attr, expr in
@@ -693,6 +702,12 @@ def tree_writes(attrs):
 
 def test_only_the_committee_table_writes_or_sorts_its_assignment():
     assert tree_writes({"assignment"}) == []
+
+
+def test_only_the_sharding_module_moves_a_store_member():
+    # engine tests move the members of standalone stores, so only the
+    # package and the benchmark are scanned
+    assert tree_writes(POPULATION, ("src", "perfbench")) == []
 
 
 def test_only_the_engine_moves_a_view_after_it_is_built():
@@ -745,3 +760,27 @@ def test_view_guard_flags_every_write_but_the_engines():
         Path("src/shardgraph/simulation.py"), LEAKY_VIEW)] == [
         (2, "known"), (3, "known"), (4, "head"), (4, "owner")]
     assert flagged(ENGINE, LEAKY_VIEW) == flagged(ADAPTER, LEAKY_VIEW) == []
+
+
+# a module that moves store members four ways, beside a store's own
+# definitions of the methods
+LEAKY_POPULATION = """\
+class EventStore:
+    def add_member(self, node):
+        self.population.append(node)
+
+
+def join(state, table, node):
+    state.local_stores[0].add_member(node)
+    table.stores[1].remove_member(node)
+    store = state.global_store
+    store.remove_member(node), store.add_member(node + 1)
+"""
+
+
+def test_population_guard_flags_every_member_move_but_the_sharding_ones():
+    assert sorted((line, attr) for line, attr, _ in foreign_writes(
+        Path("src/shardgraph/reconfig.py"), LEAKY_POPULATION)) == [
+        (7, "add_member"), (8, "remove_member"), (10, "add_member"),
+        (10, "remove_member")]
+    assert flagged(SHARDING, LEAKY_POPULATION) == []

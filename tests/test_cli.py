@@ -46,9 +46,22 @@ def test_formulas_invalid_params(capsys):
     assert "s to divide n" in capsys.readouterr().err
     for args, error in [(("-n", "0"), "n must be >= 1"),
                         (("-s", "0"), "s must be >= 1"),
-                        (("-s", "-2"), "s must be >= 1")]:
+                        (("-s", "-2"), "s must be >= 1"),
+                        (("--throughput", "-1000", "--event-size", "-1"),
+                         "throughput must be finite and >= 0"),
+                        (("--throughput", "nan"),
+                         "throughput must be finite and >= 0"),
+                        (("--cross-throughput", "-0.5"),
+                         "cross_throughput must be finite and >= 0"),
+                        (("--cross-throughput", "inf"),
+                         "cross_throughput must be finite and >= 0"),
+                        (("--event-size", "-1"),
+                         "event_size must be finite and >= 0"),
+                        (("--event-size", "nan"),
+                         "event_size must be finite and >= 0")]:
         assert run_cli("formulas", *args) == 2
-        assert error in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and error in err
 
 
 def test_run_minimal(tmp_path, capsys):
@@ -213,3 +226,11 @@ def test_sweep_rejects_a_bad_point_before_running_any(tmp_path, capsys):
                    "--sweep", "s=2,0") == 2
     assert "s must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
+    # a repeated point would run twice, into one directory or two
+    for grid, seen, value in (("seed=1,2,1", "1", "1"),
+                              ("seed=1,01", "1", "01")):
+        assert run_cli("sweep", "--out", str(tmp_path), "--set", "n=8",
+                       "--set", "s=2", "--sweep", grid) == 2
+        assert (f"sweep values {seen!r} and {value!r} give one point"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "sweep").exists()

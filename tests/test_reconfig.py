@@ -49,11 +49,11 @@ def test_join_modulo_one_shard():
 
 def test_join_assigns_and_registers():
     state, table, _ = make_state(20, 4)
-    cid = join_node(state, table, 99, consensus_timestamp=123)
+    cid = join_node(table, 99, consensus_timestamp=123)
     assert table.assignment[99] == cid
     assert 99 in state.local_stores[cid].population
     with pytest.raises(ReconfigError):
-        join_node(state, table, 99, consensus_timestamp=124)
+        join_node(table, 99, consensus_timestamp=124)
 
 
 def test_join_deterministic_given_timestamp():
@@ -82,20 +82,20 @@ def test_join_request_receiver_is_lowest_coordinator():
 
 
 def test_leave_non_coordinator():
-    state, table, ledger = make_state(12, 2)
+    _, table, ledger = make_state(12, 2)
     cid = 0
     member = next(
         m for m in table.members(cid) if m != table.coordinators[cid]
     )
-    leave_node(state, table, ledger, member)
+    leave_node(table, ledger, member)
     assert ledger.exits[cid] == 1
     assert member not in table.assignment
 
 
 def test_leave_unknown_node():
-    state, table, ledger = make_state(12, 2)
+    _, table, ledger = make_state(12, 2)
     with pytest.raises(ReconfigError):
-        leave_node(state, table, ledger, 999)
+        leave_node(table, ledger, 999)
 
 
 @pytest.mark.parametrize(
@@ -132,13 +132,13 @@ def test_config_accepts_exactly_the_trigger_modes():
 
 
 def test_trigger_monotone_until_reset():
-    state, table, ledger = make_state(20, 2)
+    _, table, ledger = make_state(20, 2)
     cid = 0
     removed = 0
     for m in list(table.members(cid)):
         if m == table.coordinators[cid]:
             continue
-        leave_node(state, table, ledger, m)
+        leave_node(table, ledger, m)
         removed += 1
         if removed > len(table.members(cid)):
             break
@@ -146,9 +146,7 @@ def test_trigger_monotone_until_reset():
             break
     assert check_reorg_trigger(ledger, cid, TRIGGER_COMMITTEE_FRACTION, 2)
     leave_node(
-        state,
-        table,
-        ledger,
+        table, ledger,
         next(m for m in table.members(cid) if m != table.coordinators[cid]),
     )
     # still true
@@ -180,16 +178,16 @@ def test_donor_draw_is_the_split_draw_without_the_depleted(size):
                 assert len(split) == min(k, len(set(pool) - {depleted}))
 
 
-def deplete(state, table, ledger, committee, to_size):
+def deplete(table, ledger, committee, to_size):
     """Remove non-coordinator members until the committee has to_size."""
     for m in list(table.members(committee)):
         if len(table.members(committee)) <= to_size:
             break
         if m != table.coordinators[committee]:
-            leave_node(state, table, ledger, m)
+            leave_node(table, ledger, m)
 
 
-def reorganize(state, table, ledger, depleted, global_ts, donor_ts,
+def reorganize(table, ledger, depleted, global_ts, donor_ts,
                min_size=4):
     """Both phases back to back, seeded by the given ordered timestamps."""
     pool = donor_pool(table, depleted, min_size)
@@ -199,19 +197,19 @@ def reorganize(state, table, ledger, depleted, global_ts, donor_ts,
         donor: choose_split_members(donor_ts(donor), candidates, quota)
         for donor, candidates, quota in quotas
     }
-    apply_transfers(state, table, ledger, depleted, transfers)
+    apply_transfers(table, ledger, depleted, transfers)
     return pool, donors, quotas, transfers
 
 
 def test_reorg_rebalances_and_preserves_partition():
     state, table, ledger = make_state(100, 10, seed=7)
     depleted = 3
-    deplete(state, table, ledger, depleted, 4)
+    deplete(table, ledger, depleted, 4)
     assert len(table.members(depleted)) == 4
     assert check_reorg_trigger(
         ledger, depleted, TRIGGER_COMMITTEE_FRACTION, 10)
     _, donors, _, transfers = reorganize(
-        state, table, ledger, depleted, global_ts=500,
+        table, ledger, depleted, global_ts=500,
         donor_ts=lambda cid: 600 + cid,
     )
     assert len(donors) == 2 and list(transfers) == donors
@@ -235,10 +233,10 @@ def test_reorg_rebalances_and_preserves_partition():
 
 def test_reorg_deterministic_replay():
     def run():
-        state, table, ledger = make_state(100, 10, seed=7)
-        deplete(state, table, ledger, 3, 4)
+        _, table, ledger = make_state(100, 10, seed=7)
+        deplete(table, ledger, 3, 4)
         result = reorganize(
-            state, table, ledger, 3, global_ts=500,
+            table, ledger, 3, global_ts=500,
             donor_ts=lambda cid: 600 + cid,
         )
         return result, dict(table.assignment), dict(table.coordinators)
@@ -247,24 +245,24 @@ def test_reorg_deterministic_replay():
 
 
 def test_reorg_skipped_when_already_at_target():
-    state, table, ledger = make_state(8, 2, seed=1)
+    _, table, ledger = make_state(8, 2, seed=1)
     # both committees hold the average size: nothing to refill
     assert donor_pool(table, 0, min_size=4) is None
     assert donor_pool(table, 0, min_size=2) is None
 
 
 def test_reorg_no_donor_above_minimum():
-    state, table, ledger = make_state(12, 2, seed=1)
-    deplete(state, table, ledger, 0, 4)
+    _, table, ledger = make_state(12, 2, seed=1)
+    deplete(table, ledger, 0, 4)
     # committee 1 holds exactly the minimum, so it cannot donate
     assert donor_pool(table, 0, min_size=6) == []
     assert donor_pool(table, 0, min_size=4) == [1]
 
 
 def test_split_quotas_share_need_and_keep_minimum():
-    state, table, ledger = make_state(40, 4, seed=3)
-    deplete(state, table, ledger, 0, 2)
-    deplete(state, table, ledger, 1, 7)
+    _, table, ledger = make_state(40, 4, seed=3)
+    deplete(table, ledger, 0, 2)
+    deplete(table, ledger, 1, 7)
     # 29 nodes: target ceil(29/4) = 8, so committee 0 lacks 6; committee 1
     # can spare only 1 above min_size 6, the later donors share the rest
     quotas = split_quotas(table, 0, [1, 2, 3], min_size=6)
@@ -279,11 +277,11 @@ def test_split_quotas_share_need_and_keep_minimum():
 
 
 def test_reorg_plan_recomputable_from_timestamps():
-    state, table, ledger = make_state(100, 10, seed=7)
+    _, table, ledger = make_state(100, 10, seed=7)
     depleted = 2
-    deplete(state, table, ledger, depleted, 4)
+    deplete(table, ledger, depleted, 4)
     pool, donors, quotas, transfers = reorganize(
-        state, table, ledger, depleted, global_ts=911,
+        table, ledger, depleted, global_ts=911,
         donor_ts=lambda c: 1000 + c,
     )
     # replaying the recorded timestamps reproduces every choice

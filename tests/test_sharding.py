@@ -82,9 +82,9 @@ def test_partition_deterministic():
 
 
 def test_table_keeps_member_lists_through_moves():
-    # place and remove are the only writers: each committee's list stays
-    # the sorted scan of the assignment, and a list handed out before a
-    # move is a copy the move leaves alone
+    # place and remove are the only writers: each committee's store
+    # population stays the sorted scan of the assignment, and a member
+    # list handed out before a move is a copy the move leaves alone
     table = CommitteeTable({5: 0, 1: 1, 3: 0, 2: 1}, {0: 3, 1: 2})
     assert (table.members(0), table.members(1)) == ([3, 5], [1, 2])
     before = table.members(0)
@@ -352,6 +352,30 @@ def test_recover_preserves_consensus_prefix():
     assert table.members(0) == replacements
     post = state.local_stores[0].consensus
     assert list(post[: len(pre)]) == pre
+
+
+def test_recover_after_members_changed_since_the_checkpoint():
+    # a member joins and another leaves after the checkpoint: recovery
+    # takes the table's members out of the failed store, empties the
+    # replayed store of the replica's, and seats only the replacements
+    table = partition_nodes(range(12), 2, seed=2)
+    state = ShardState(table)
+    build_consensus_history(state, table, 0)
+    replicate_checkpoint(state, 0, full_view(state.local_stores[0]))
+    checkpointed = state.replicas[0]
+    assert checkpointed.length > 0
+    leaver = table.non_coordinators(0)[0]
+    table.place(50, 0)
+    table.remove(leaver)
+    old = [*checkpointed.population, 50]
+    assert table.members(0) == sorted(set(old) - {leaver})
+    replacements = [100, 101, 102, 103, 104, 105]
+    recover_failed_shard(state, table, 0, replacements)
+    table.validate()
+    store = state.local_stores[0]
+    assert table.members(0) == replacements == store.population
+    assert not set(old) & set(table.assignment)
+    assert store.consensus[:checkpointed.length] == checkpointed.consensus
 
 
 def test_replica_order_stays_the_checkpointed_prefix():

@@ -689,8 +689,8 @@ MEMBERSHIP_STEPS = ("join_node", "leave_node", "apply_transfers",
 def test_member_lists_agree_after_every_membership_step(name, steps,
                                                         monkeypatch):
     # after each join, leave, reorganization's moves and recovery, every
-    # committee's kept member list is the sorted scan of the assignment
-    # and its store's population
+    # committee's members are the sorted scan of the assignment and the
+    # population of the store the run's views use
     sim = Simulation(GOLDEN[name][0])
     table, stores = sim.table, sim.state.local_stores
     ran = []
