@@ -48,7 +48,8 @@ class ScenarioConfig:
     trigger_mode: str = TRIGGER_COMMITTEE_FRACTION
     min_committee_size: int = 4
     adversary_kind: str = NO_ADVERSARY
-    adversary_fraction: float = 0.0
+    adversary_fraction: float = 0.0  # equivocating share of non-coordinators;
+                                     # each committee has at least one
     adversary_interval: int = 5
     adversary_committee: int = -1  # -1 = pick deterministically
     adversary_fail_at: int = -1    # -1 = duration // 3

@@ -67,6 +67,9 @@ _SIZE_UNITS = attrgetter("size_units")
 _TAIL = struct.Struct(">Iq").pack
 # the 32-byte id at a byte offset of an id column, as a 1-tuple
 _ID_AT = struct.Struct("32s").unpack_from
+# entries per sha256 update in ``Order.fingerprint``: a chunk's text and
+# its per-entry strings stay near 14 KB
+_SUMMARY_CHUNK = 64
 
 
 def _seal(
@@ -132,48 +135,61 @@ class Order(Sequence):
     timestamp.  The columns only grow, so a range stays fixed once taken;
     an entry is built as an ``OrderedEvent`` when read, its id read from
     the store's id column ``ids``, and a slice is another range of the same
-    columns."""
+    columns.  Only this module reads the columns: a reader outside takes
+    entries, and a report takes the ``fingerprint``."""
 
-    __slots__ = ("ids", "events", "rounds", "stamps", "start", "stop")
+    __slots__ = ("_ids", "_events", "_rounds", "_stamps", "_start", "_stop")
 
     def __init__(self, ids: bytearray, events: Sequence[int],
                  rounds: Sequence[int], stamps: Sequence[int],
                  start: int = 0, stop: Optional[int] = None):
-        self.ids, self.events = ids, events
-        self.rounds, self.stamps = rounds, stamps
-        self.start = start
-        self.stop = len(events) if stop is None else stop
+        self._ids, self._events = ids, events
+        self._rounds, self._stamps = rounds, stamps
+        self._start = start
+        self._stop = len(events) if stop is None else stop
 
     def __len__(self) -> int:
-        return self.stop - self.start
+        return self._stop - self._start
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             a, b, step = i.indices(len(self))
             if step != 1:
                 raise ValueError("an order slice is contiguous")
-            return Order(self.ids, self.events, self.rounds, self.stamps,
-                         self.start + a, self.start + max(a, b))
+            return Order(self._ids, self._events, self._rounds, self._stamps,
+                         self._start + a, self._start + max(a, b))
         if i < 0:
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError("order index out of range")
-        i += self.start
-        (event_id,) = _ID_AT(self.ids, self.events[i] << 5)
-        return OrderedEvent(event_id, self.rounds[i], self.stamps[i])
+        i += self._start
+        (event_id,) = _ID_AT(self._ids, self._events[i] << 5)
+        return OrderedEvent(event_id, self._rounds[i], self._stamps[i])
 
     def __iter__(self) -> Iterator[OrderedEvent]:
-        ids, a, b = self.ids, self.start, self.stop
+        ids, a, b = self._ids, self._start, self._stop
         return map(OrderedEvent,
                    (_ID_AT(ids, x << 5)[0]
-                    for x in islice(self.events, a, b)),
-                   islice(self.rounds, a, b), islice(self.stamps, a, b))
+                    for x in islice(self._events, a, b)),
+                   islice(self._rounds, a, b), islice(self._stamps, a, b))
 
-    def joined_ids(self, i: int, j: int) -> bytes:
-        """The ids of column entries i to j - 1, 32 bytes each, in one
-        bytes object."""
-        ids = self.ids
-        return b"".join([_ID_AT(ids, x << 5)[0] for x in self.events[i:j]])
+    def fingerprint(self) -> str:
+        """The hex sha256 of the entries, each encoded as
+        ``event_id,round_received,consensus_timestamp`` and a newline, the
+        id as its 64 lowercase hex digits; the other fields are integers,
+        so no field holds a separator and the encoding is injective.  The
+        columns are hashed a chunk of entries at a time, each chunk's ids
+        hex-encoded in one call, so the order's text is never held whole."""
+        h = hashlib.sha256()
+        ids, events = self._ids, self._events
+        rounds, stamps = self._rounds, self._stamps
+        for i in range(self._start, self._stop, _SUMMARY_CHUNK):
+            j = min(i + _SUMMARY_CHUNK, self._stop)
+            hexed = b"".join([_ID_AT(ids, x << 5)[0] for x in events[i:j]]
+                             ).hex(",", 32).split(",")
+            h.update("".join(map("%s,%d,%d\n".__mod__, zip(
+                hexed, rounds[i:j], stamps[i:j]))).encode())
+        return h.hexdigest()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Order):
@@ -342,10 +358,14 @@ class EventStore:
       truncated.  An id is read from its column only where it leaves the
       store: sealing a child, the sorts by id (a round's voters, an ordered
       batch), a coin, a replayed event's copy (``replay``) and the entries
-      ``consensus`` builds when read.  ``by_index`` and a ``Transfer``
-      yield indices, and a reader takes the column it needs.  No dict is
-      keyed by id, so an exact duplicate is inserted again, as a second
-      branch of its creator.
+      ``consensus`` builds when read.  No dict is keyed by id, so an exact
+      duplicate is inserted again, as a second branch of its creator.
+    - Index space: no other module of the package reads ``by_index`` or a
+      ``Transfer``'s ``mask``, or builds a mask; it asks the engine for
+      ``last_event``, a ``full_view`` or a transfer's ``payloads_outside``.
+      Iterating a ``Transfer`` yields indices, each read at once through
+      ``payload``.  So a rebase of the indices shifts only the masks that
+      engine objects hold: views, transfers and replicas' transfers.
     - Payload lifetime: ``_payload`` holds each payload, empty ones too,
       until it is taken.  ``walk`` reads those of the events ordered since
       the store's last walk (``_walked``), in consensus order.  A local
@@ -437,6 +457,11 @@ class EventStore:
     def by_index(self) -> range:
         """The store's event indices, in insert order."""
         return range(len(self._creator))
+
+    @property
+    def last_event(self) -> Optional[int]:
+        """The index of the latest inserted event, None while empty."""
+        return len(self._creator) - 1 if self._creator else None
 
     @property
     def consensus(self) -> Order:
@@ -974,6 +999,13 @@ class Transfer:
     def units(self) -> int:
         return self.store.units_of(self.mask)
 
+    def payloads_outside(self) -> list[tuple[Transaction, ...]]:
+        """The payloads the store holds of its events outside the mask, in
+        index order."""
+        store = self.store
+        rest = (1 << len(store._creator)) - 1 & ~self.mask
+        return [store.payload(i) for i in _set_bits(rest)]
+
 
 def replay(store: EventStore, events: Transfer) -> None:
     """Insert the events of a transfer from another store into store, in
@@ -1041,6 +1073,12 @@ def member_view(store: EventStore, owner: NodeId) -> Hashgraph:
     last = store._cmask.get(owner, 0).bit_length() - 1
     return (Hashgraph(store, owner, store._live[last][0], last) if last >= 0
             else Hashgraph(store, owner))
+
+
+def full_view(store: EventStore, owner: NodeId) -> Hashgraph:
+    """A headless view of every event of store, for an owner with no event
+    there: a member that takes over a graph rebuilt from a replica."""
+    return Hashgraph(store, owner, (1 << len(store._creator)) - 1)
 
 
 def create_event(

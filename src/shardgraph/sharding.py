@@ -321,9 +321,7 @@ def recover_failed_shard(
     # transactions delivered in events the replica lacks, and not applied,
     # die with those events, so they go back to the front of inbound, in
     # index order
-    source, held = replica.events.store, replica.events.mask
-    lost = Transfer(source, (1 << len(source.by_index)) - 1 & ~held)
     state.queues[failed].inbound[:0] = delivered_to(
-        failed, (tx for i in lost for tx in source.payload(i)))
+        failed, (tx for p in replica.events.payloads_outside() for tx in p))
     table.epoch += 1
     return replica

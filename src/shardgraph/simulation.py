@@ -32,7 +32,6 @@ ring, whose syncs run and are accounted one at a time.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
@@ -48,6 +47,7 @@ from .hashgraph import (
     consensus_order,
     create_event,
     detect_forks,
+    full_view,
     gossip_chain,
     gossip_sync,
     member_view,
@@ -168,36 +168,18 @@ def _str_keys(value):
     return value
 
 
-# entries per sha256 update in order_summary: a chunk's text and its
-# per-entry strings stay near 14 KB
-_SUMMARY_CHUNK = 64
-# an event id's length: a chunk's joined ids are hex-split every 32 bytes
-_ID_BYTES = 32
-
 # the recovery_log keys whose values are consensus orders
 _RECOVERY_ORDER_KEYS = ("pre_failure_order", "checkpointed_order")
 
 
 def order_summary(order: Order) -> dict:
     """What report.json holds of a consensus order: its length, the
-    round_received of its last entry (None when empty) and the sha256 of its
-    entries, each encoded as ``event_id,round_received,consensus_timestamp``
-    and a newline.  Event ids are raw 32-byte digests in memory and 64
-    lowercase hex digits here; the other fields are integers, so no field
-    holds a separator and the encoding is injective.  The order's columns
-    are hashed a chunk of entries at a time, each chunk's ids hex-encoded in
-    one call, so the order's text is never held whole."""
-    h = hashlib.sha256()
-    rounds, stamps = order.rounds, order.stamps
-    for i in range(order.start, order.stop, _SUMMARY_CHUNK):
-        j = min(i + _SUMMARY_CHUNK, order.stop)
-        hexed = order.joined_ids(i, j).hex(",", _ID_BYTES).split(",")
-        h.update("".join(map("%s,%d,%d\n".__mod__, zip(
-            hexed, rounds[i:j], stamps[i:j]))).encode())
+    round_received of its last entry (None when empty) and its
+    ``fingerprint``, the sha256 of its entries as text."""
     return {
         "length": len(order),
         "last_round_received": order[-1].round_received if order else None,
-        "sha256": h.hexdigest(),
+        "sha256": order.fingerprint(),
     }
 
 
@@ -272,6 +254,7 @@ class Simulation:
         self.last_ckpt_round = 0
         self.equivocators: list[int] = []
         if config.adversary_kind == EQUIVOCATOR:
+            at_bound = False
             for cid in sorted(self.table.coordinators):
                 members = self.table.non_coordinators(cid)
                 count = max(1, int(config.adversary_fraction * len(members)))
@@ -279,7 +262,9 @@ class Simulation:
                 self.equivocators.extend(
                     sorted(self.rng.sample(members, count))
                 )
-            if config.adversary_fraction >= 1 / 3:
+                # equivocators over all its members, the coordinator too
+                at_bound |= 3 * count >= len(members) + 1
+            if at_bound:
                 self.anomalies.append(
                     "adversary fraction >= 1/3: attack demonstration, "
                     "safety not guaranteed"
@@ -568,11 +553,11 @@ class Simulation:
         for m in old_members:
             self._exit(m, None)
         store = self.state.local_stores[cid]
-        tip = len(store.by_index) - 1
+        tip = store.last_event
         for node in replacements:
-            g = Hashgraph(store, node, (1 << len(store.by_index)) - 1)
+            g = full_view(store, node)
             self._enter(node, g)
-            if tip >= 0:
+            if tip is not None:
                 # anchor the new member's chain to the recovered graph so
                 # rounds keep advancing past the replayed history
                 create_event(g, tip, (), t)

@@ -48,6 +48,9 @@ perfbench/ but sharding.py calls a store's ``add_member`` or
 ``remove_member``, so a committee's members and its store's population
 are one list; and no module but hashgraph.py (and the adapter) assigns a
 view's ``known``, ``head`` or ``owner``, so a view starts as it is built.
+
+Nor does a module under src/ but hashgraph.py read the store's index space:
+a store's ``by_index`` or a transfer's ``mask``.
 """
 
 import ast
@@ -784,3 +787,46 @@ def test_population_guard_flags_every_member_move_but_the_sharding_ones():
         (7, "add_member"), (8, "remove_member"), (10, "add_member"),
         (10, "remove_member")]
     assert flagged(SHARDING, LEAKY_POPULATION) == []
+
+
+# the store's index space, which only the engine reads under src/: a
+# store's event indices and a transfer's mask.  A rebase of the indices
+# then shifts only the masks that engine objects hold
+INDEX_SPACE = {"by_index", "mask"}
+
+
+def index_reads(rel, source):
+    """(line, attribute, expression) of each read of an INDEX_SPACE
+    attribute in the module at rel, of text source, unless it is the
+    engine."""
+    if rel == ENGINE:
+        return
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in INDEX_SPACE
+                and isinstance(node.ctx, ast.Load)):
+            yield node.lineno, node.attr, ast.unparse(node)
+
+
+def test_only_the_engine_reads_the_index_space():
+    # the sharding layer asks the engine for a store's last event, a full
+    # view and the payloads a replica lacks; a sync's receiver reads each
+    # index its transfer yields at once, through the store's payload
+    assert [f"{rel}:{line} {expr}" for rel, text in sources("src")
+            for line, _, expr in index_reads(rel, text)] == []
+
+
+# a module that rebuilds a lost-event mask and a full view from the index
+# space, beside a view's own mask, which it may read
+LEAKY_INDEX = """\
+def lost(replica, store, view):
+    held = replica.events.mask
+    full = (1 << len(store.by_index)) - 1
+    return full & ~held, [i for i in store.by_index if view.known >> i & 1]
+"""
+
+
+def test_index_guard_flags_every_read_but_the_engines():
+    assert sorted((line, attr) for line, attr, _ in index_reads(
+        SHARDING, LEAKY_INDEX)) == [(2, "mask"), (3, "by_index"),
+                                    (4, "by_index")]
+    assert list(index_reads(ENGINE, LEAKY_INDEX)) == []

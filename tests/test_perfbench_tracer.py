@@ -68,4 +68,7 @@ def test_tracer_produces_every_per_layer_metric(tmp_path):
     assert len(clock.bounds) == duration + 1
     # read from replicate_checkpoint's ``source``
     assert layers["sharding.replicate_checkpoint.events_copied"] > 0
+    # one filing per global event a seat receives
+    assert (layers["sharding.coordinator_receive_global.calls"]
+            == layers["hashgraph.gossip_sync.events_transferred"])
     assert traced.out_wait and traced.in_wait

@@ -415,6 +415,33 @@ def test_ordered_units_match_a_walk_of_the_final_orders(cfg, monkeypatch):
     assert (sum(walked.values()) > 0) == (cfg.tx_rate > 0)
 
 
+BFT_ANOMALY = ("adversary fraction >= 1/3: attack demonstration, "
+               "safety not guaranteed")
+
+
+def equivocator_shares(sim):
+    """Each committee's equivocators over all its members."""
+    return [len(set(sim.equivocators) & set(sim.table.members(c)))
+            / len(sim.table.members(c)) for c in sorted(sim.table.coordinators)]
+
+
+def test_equivocator_anomaly_reads_each_committees_actual_share():
+    # every committee gets at least one equivocator: at n=6 s=2 that is one
+    # of three members, at the BFT bound, though the configured fraction
+    # is 0.1
+    sim = Simulation(ScenarioConfig(n=6, s=2, seed=1,
+                                    adversary_kind="equivocator",
+                                    adversary_fraction=0.1))
+    assert equivocator_shares(sim) == [1 / 3, 1 / 3]
+    assert sim.anomalies == [BFT_ANOMALY]
+    # the equivocator golden seats 1 of 8 per committee, forks 6 of 32
+    for cfg, share in ((GOLDEN["equivocator"][0], 1 / 8),
+                       (scenario("forks", 11), 6 / 32)):
+        sim = Simulation(cfg)
+        assert max(equivocator_shares(sim)) == share
+        assert sim.anomalies == []
+
+
 def ordered_mask(store):
     """The mask of store's ordered events, from its order column."""
     return sum(1 << i for i in set(order_columns(store).events))
