@@ -26,7 +26,7 @@ import hashlib
 import struct
 from array import array
 from collections.abc import Sequence
-from itertools import compress, groupby, islice
+from itertools import combinations, compress, groupby, islice
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -214,12 +214,9 @@ class EventStore:
       second root) to its member bit, and ``_forker_bits`` ORs those bits,
       so an insert whose inherited forked bits already hold them all skips
       the fork test in one AND.
-    - Fork evidence is recorded at insert: ``_apart[b]`` lists the earlier
-      events of a forker's event b's creator that b does not descend from,
-      each a fork pair with b (no later event is an ancestor of b).  Before
-      its first branch point a creator's events form one chain, so an event
-      inserted then has no pair with an earlier one, and ``detect_forks``
-      reads this record alone.
+    - Fork evidence is kept in no state of its own: ``detect_forks`` reads
+      each forker's sibling pairs (two events on one self-parent, or two
+      roots) from ``_cmask``, ``_self_parent`` and the id column.
     - ``_cmask[c]`` has a bit per event of creator c, and ``_unit_planes[k]``
       a bit per event whose ``units`` has bit k set, so the events of one
       creator in a mask are one AND and the units of a mask are a few
@@ -421,9 +418,6 @@ class EventStore:
         self._cmask: dict[NodeId, int] = {}  # creator -> its events' mask
         self._unit_planes: list[int] = []
         self._forkers: dict[NodeId, int] = {}  # creator -> its member bit
-        # forker's event -> its creator's earlier events it does not descend
-        # from
-        self._apart: dict[int, tuple[int, ...]] = {}
         self._forker_bits = 0
         self.round = array("i")
         self.witnesses_by_round: dict[int, array] = {}
@@ -598,11 +592,9 @@ class EventStore:
                 # a child shares a parent's int where the other parent's
                 # mask adds no bit to it
                 forked = forked | other if forked else other
-        if self._forker_bits & cbit or sp != own.bit_length() - 1:
+        if sp != own.bit_length() - 1:
             self._forkers[creator] = cbit
             self._forker_bits |= cbit
-            if own & anc != own:
-                self._apart[idx] = tuple(_set_bits(own & ~anc))
         if self._forker_bits & ~forked:
             cmask = self._cmask
             for c, cb in self._forkers.items():
@@ -1174,12 +1166,17 @@ def consensus_order(graph: Hashgraph) -> Order:
 
 
 def detect_forks(store: EventStore) -> set[tuple[NodeId, EventId, EventId]]:
-    """Every same-creator event pair of the store where neither is the
-    other's ancestor, each as (creator, lower id, higher id), from the
-    evidence recorded at insert (``_apart``)."""
+    """Every pair of a forker's events that share a self-parent, or that
+    are both roots, each as (creator, lower id, higher id): the branch
+    points of its self-parent tree, each pair forked by Baird's rule
+    (neither is a self-ancestor of the other).  A creator has such a pair
+    iff it has a branch point, so the pairs' creators are ``_forkers``,
+    and the set is a function of the DAG, not of the insert order."""
     forks: set[tuple[NodeId, EventId, EventId]] = set()
-    for b, apart in store._apart.items():
-        creator, db = store._creator[b], store._id(b)
-        for da in map(store._id, apart):
-            forks.add((creator,) + ((da, db) if da < db else (db, da)))
+    self_parent = store._self_parent.__getitem__
+    for creator in store._forkers:
+        own = sorted(_set_bits(store._cmask[creator]), key=self_parent)
+        for _, siblings in groupby(own, self_parent):
+            for pair in combinations(sorted(map(store._id, siblings)), 2):
+                forks.add((creator,) + pair)
     return forks

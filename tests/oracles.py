@@ -20,7 +20,7 @@ hashgraph.py and this module alone.  The observations, in groups:
   at_least, seen_flags);
 - vote and fame state (vote_state, fame_of, decider_groups, deciders_of,
   decider_record, decide_by_hand), the order columns (order_columns,
-  ordered_mask) and fork state and evidence (forkers, fork_evidence);
+  ordered_mask) and fork state (forkers);
 - whole-store snapshots (columns, state) and the representation
   invariants (check_vote_state_bounds, check_column_layout,
   retained_store_bytes);
@@ -260,12 +260,6 @@ def forkers(store):
     return list(store._forkers)
 
 
-def fork_evidence(store):
-    """Forker's event -> its creator's earlier events it does not descend
-    from, each a fork pair with it, as recorded at insert."""
-    return dict(store._apart)
-
-
 def decider_record(store, r):
     """Round r's decider record as stored: whether it is frozen (a tuple,
     as finalizing the round leaves it), and its masks, each shifted down
@@ -302,10 +296,10 @@ def columns(store):
 
 def state(store):
     """A copy of everything the store keeps: its columns, membership and
-    packing, masks, unit planes, fork evidence and consensus records."""
+    packing, masks, unit planes, forkers and consensus records."""
     return copy.deepcopy((
         columns(store), store._seq, store._cmask, store._forkers,
-        store._forker_bits, store._apart, store._wcreators, store._votes,
+        store._forker_bits, store._wcreators, store._votes,
         len(store.witnesses_by_round),
         store.population, packing(store)))
 
@@ -658,16 +652,32 @@ class BruteGraph:
         return out
 
     def forks(self):
+        """Each creator's sibling pairs: two of its events with one
+        self-parent, None counting as a root."""
         out = set()
         for a in self.events:
             for b in self.events:
-                if a.digest >= b.digest or a.creator != b.creator:
-                    continue
-                if not self.is_ancestor(
-                    a.digest, b.digest
-                ) and not self.is_ancestor(b.digest, a.digest):
-                    out.add((a.creator,) + tuple(sorted((a.digest, b.digest))))
+                if (a.digest < b.digest and a.creator == b.creator
+                        and a.self_parent == b.self_parent):
+                    out.add((a.creator, a.digest, b.digest))
         return out
+
+    def forked_among(self, digests):
+        """The creators with two events among digests neither of which is
+        a self-ancestor of the other (Baird's fork rule): a creator's
+        events there form one chain iff they all lie down the self-parent
+        chain of the one with the most ancestors.  Of an event's ancestors
+        (anc), the creators it sees forking; of every event, the
+        forkers."""
+        by_creator = {}
+        for a in digests:
+            by_creator.setdefault(self.by_id[a].creator, set()).add(a)
+        forked = set()
+        for c, evs in by_creator.items():
+            top = max(evs, key=lambda a: len(self.anc[a]))
+            if not evs <= {e.digest for e in self.self_ancestors(top)}:
+                forked.add(c)
+        return forked
 
 
 # growing a DAG for several creators on one view -----------------------------

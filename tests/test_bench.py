@@ -100,8 +100,9 @@ def test_store_bytes_per_event(source):
 def test_report_write_allocates_less_than_half_its_size(tmp_path):
     # write_report streams report.json, so its allocation peak is bounded
     # by the encoder's working set, not by the report's size; an equivocator
-    # every tick fills the fork evidence, which the report holds in full
-    report = run_scenario(ScenarioConfig(n=32, s=2, seed=5, duration=160,
+    # every tick fills the fork evidence (a sibling pair per equivocation),
+    # which the report holds in full: 260 ticks write about 580 KB
+    report = run_scenario(ScenarioConfig(n=32, s=2, seed=5, duration=260,
                                          tx_rate=32.0,
                                          adversary_kind="equivocator",
                                          adversary_fraction=0.3,

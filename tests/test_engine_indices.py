@@ -39,7 +39,6 @@ from oracles import (
     deciders_of,
     event,
     fame_of,
-    fork_evidence,
     forked_of,
     forkers,
     held_payloads,
@@ -121,33 +120,28 @@ def gossip_dag(seed, steps=250, fork_p=0.3, sync=gossip_sync, n=None,
     return store, views
 
 
-def brute_forked(oracle, digest):
-    """Creators with two incomparable events among digest's ancestors: a
-    creator's events there form a chain iff, sorted by ancestor count, each
-    is an ancestor of the next."""
-    by_creator = {}
-    for a in oracle.anc[digest]:
-        by_creator.setdefault(oracle.by_id[a].creator, []).append(a)
-    forked = set()
-    for c, evs in by_creator.items():
-        evs.sort(key=lambda a: len(oracle.anc[a]))
-        if not all(oracle.is_ancestor(b, a) for a, b in zip(evs, evs[1:])):
-            forked.add(c)
-    return forked
+def check_forks(store):
+    """Check each event's forked mask against the creators brute force sees
+    forking among its ancestors, and the fork evidence against brute
+    force's sibling pairs, whose creators are Baird's forkers; return the
+    creators some event sees forking and the evidence."""
+    oracle = BruteGraph(store.population, records(store))
+    forked_any, member_bits = set(), packing(store).member_bits
+    for i, ev in enumerate(oracle.events):
+        got = {c for c, b in member_bits.items()
+               if forked_of(store, i) >> b & 1}
+        assert got == oracle.forked_among(oracle.anc[ev.digest])
+        forked_any |= got
+    forks = detect_forks(store)
+    assert forks == oracle.forks()
+    assert {f[0] for f in forks} == oracle.forked_among(oracle.by_id)
+    return forked_any, forks
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fork_bookkeeping_matches_brute_force(seed):
-    store, _ = gossip_dag(seed)
-    oracle = BruteGraph(store.population, records(store))
-    forked_any, member_bits = set(), packing(store).member_bits
-    for i, ev in enumerate(records(store)):
-        got = {c for c, b in member_bits.items()
-               if forked_of(store, i) >> b & 1}
-        assert got == brute_forked(oracle, ev.digest)
-        forked_any |= got
+    forked_any, _ = check_forks(gossip_dag(seed)[0])
     assert forked_any  # the schedule did inject visible forks
-    assert detect_forks(store) == oracle.forks()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -157,8 +151,7 @@ def test_detect_forks_on_partial_views(seed):
     missed = 0
     for steps in (40, 80):
         store, views = gossip_dag(seed, steps=steps)
-        forks = detect_forks(store)
-        assert forks == BruteGraph(store.population, records(store)).forks()
+        _, forks = check_forks(store)
         index, paired = oracles.index_of(store), 0
         for _, a, b in forks:
             paired |= 1 << index[a] | 1 << index[b]
@@ -183,11 +176,10 @@ def test_a_branch_that_reaches_the_other_by_an_other_parent_forks():
     store, a2 = branch_through_other_parent()
     assert forkers(store) == [0]
     assert forked_of(store, a2) == 1 << packing(store).member_bits[0]
+    forked_any, forks = check_forks(store)
+    assert forked_any == {0} and len(forks) == 1
 
 
-@pytest.mark.xfail(strict=True, reason="two fork rules: the forked masks "
-                   "take Baird's (neither event a self-ancestor of the "
-                   "other), the fork evidence full ancestry")
 def test_every_creator_seen_forking_has_fork_evidence():
     store, _ = branch_through_other_parent()
     member_bits = packing(store).member_bits
@@ -234,15 +226,8 @@ def test_fork_shapes_outside_the_equivocator_schedule():
     for i, c in ((d2, 0), (d4, 1), (d6, 2)):
         assert forked_of(store, i - 1) >> c & 1 == 0
         assert forked_of(store, i) >> c & 1
-    oracle = BruteGraph(store.population, records(store))
-    member_bits = packing(store).member_bits
-    for i, ev in enumerate(records(store)):
-        got = {c for c, b in member_bits.items()
-               if forked_of(store, i) >> b & 1}
-        assert got == brute_forked(oracle, ev.digest)
-    forks = oracle.forks()
+    _, forks = check_forks(store)
     assert {f[0] for f in forks} == {0, 1, 2}
-    assert detect_forks(store) == forks
 
 
 def bits(mask):
@@ -1297,8 +1282,8 @@ def test_detect_forks_from_evidence_matches_brute_force(never_polled):
     # members 0 and 1 gossip honestly while rounds are ordered and their
     # early masks freed, then equivocate: their masks are freed by the rule
     # every creator's are, before and after their first branch point, and
-    # the fork pairs recorded at insert are brute force's and those of a
-    # never-polled replay
+    # the sibling pairs read from the columns are brute force's and those
+    # of a never-polled replay
     def poll(t, views):
         if t % 5 == 0:
             views[0].store.advance_consensus()
@@ -1307,20 +1292,21 @@ def test_detect_forks_from_evidence_matches_brute_force(never_polled):
     store, _ = gossip_dag(1, steps=400, n=7, poll=poll, fork_from=150)
     fresh = never_polled(store)
     assert sorted(forkers(store)) == [0, 1]
-    ordered = set(oracles.index_of(store)[oe.event_id]
-                  for oe in store.consensus)
+    forks, index = detect_forks(store), oracles.index_of(store)
+    ordered = set(index[oe.event_id] for oe in store.consensus)
     live, masks = live_records(store), creator_masks(store)
     for c in forkers(store):
         own = list(bits(masks[c]))
-        first = min(b for b in fork_evidence(store)
-                    if event(store, b).creator == c)
+        # the first event on a branch of c's first branch point
+        first = min(index[x] for f in forks if f[0] == c for x in f[1:])
         assert sum(i not in live for i in own if i < first) > 10
         parents = [event(store, x).self_parent for x in own if x in ordered]
         superseded = {p for p in parents if p is not None and p >= first}
         assert len(superseded) >= 10 and not any(
             x in live for x in superseded)
-    forks = BruteGraph(store.population, records(store)).forks()
-    assert detect_forks(store) == forks
+    oracle = BruteGraph(store.population, records(store))
+    assert forks == oracle.forks()
+    assert {f[0] for f in forks} == oracle.forked_among(oracle.by_id)
     assert detect_forks(fresh) == forks
 
 

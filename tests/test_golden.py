@@ -32,7 +32,7 @@ GOLDEN = {
         ScenarioConfig(n=16, s=2, seed=7, duration=50, tx_rate=16.0,
                        adversary_kind="equivocator", adversary_fraction=0.2,
                        adversary_interval=3),
-        "4840048c3a0a1a3079f7a66c7ac9e8c3f4dcd6bff51ab7d11584af1f6414fac9",
+        "3a997655950ae0753df98888e379637f35bf055164392faf9f957666471ebd41",
     ),
     # five applied reorganizations and one already at its target size;
     # node 53 is moved out of committee 0 and back, and resumes its chain

@@ -629,6 +629,10 @@ def test_equivocator_detected_honest_agree(monkeypatch):
         creator for cid in report.forks for creator, _, _ in report.forks[cid]
     }
     assert forkers == set(sim.equivocators)
+    # one sibling pair per equivocation: each splits a tip in two
+    assert {cid: len(pairs) for cid, pairs in report.forks.items()} == {
+        cid: sum(a["action"] == "equivocate" and a["committee"] == cid
+                 for a in report.action_log) for cid in report.forks}
     for cid in sorted(sim.table.coordinators):
         honest = [
             m
