@@ -36,7 +36,7 @@ def _load(args) -> ScenarioConfig:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        apply_setting(config, key.strip(), value.strip())
+        config = apply_setting(config, key.strip(), value.strip())
     config.validate()
     return config
 
@@ -114,11 +114,10 @@ def cmd_sweep(args) -> int:
     # half-written grid
     points = []
     for value in values:
-        point = ScenarioConfig(**config.to_dict())
-        apply_setting(point, param, value)
+        point = apply_setting(config, param, value)
         point.validate()
         for seen, other in points:
-            if other.to_dict() == point.to_dict():
+            if other == point:
                 raise ConfigError(
                     f"sweep values {seen!r} and {value!r} give one point")
         points.append((value, point))

@@ -7,7 +7,7 @@ the command line, so sweep scripts can diff configs line by line.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .reconfig import TRIGGER_COMMITTEE_FRACTION, TRIGGER_MODES
 
@@ -31,9 +31,10 @@ class ConfigError(Exception):
     pass
 
 
-class ScenarioConfig:
-    """Built by keyword from the annotated fields below, whose class
-    values are the defaults; an unknown name raises TypeError."""
+class ScenarioConfig(NamedTuple):
+    """A run's settings, built by keyword from the fields below with their
+    defaults; an unknown name raises TypeError.  A config is a value:
+    ``apply_setting`` returns a changed copy."""
 
     n: int = 8                     # node count
     s: int = 2                     # shard (committee) count
@@ -55,12 +56,6 @@ class ScenarioConfig:
     adversary_fail_at: int = -1    # -1 = duration // 3
     adversary_recover_delay: int = 20
     adversary_rejoin: bool = False
-
-    def __init__(self, **settings):
-        for name in _FIELDS:
-            setattr(self, name, settings.pop(name, getattr(ScenarioConfig, name)))
-        if settings:
-            raise TypeError(f"unknown ScenarioConfig fields {sorted(settings)}")
 
     def validate(self) -> None:
         if self.s < 1:
@@ -151,40 +146,36 @@ class ScenarioConfig:
         )
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _FIELDS}
-
-
-# field -> its annotated type, a name string under postponed evaluation
-_FIELDS = ScenarioConfig.__annotations__
+        return self._asdict()
 
 
 def _cast(attr: str, value: str):
-    kind = _FIELDS[attr]
+    # a field's type is its default's: under postponed evaluation the
+    # annotations are strings
+    kind = type(getattr(ScenarioConfig(), attr))
     try:
-        if kind == "bool":
+        if kind is bool:
             low = value.lower()
             if low in ("true", "yes", "1"):
                 return True
             if low in ("false", "no", "0"):
                 return False
             raise ValueError(value)
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
-        return value
+        return kind(value)
     except ValueError:
         raise ConfigError(
-            f"bad value {value!r} for key '{attr}' (expected {kind})"
+            f"bad value {value!r} for key '{attr}' (expected {kind.__name__})"
         ) from None
 
 
-def apply_setting(config: ScenarioConfig, key: str, value: str) -> None:
+def apply_setting(config: ScenarioConfig, key: str,
+                  value: str) -> ScenarioConfig:
+    """config with key set to value, cast to the field's type."""
     # a dotted config-file key adversary.x sets the flat field adversary_x
     attr = key.replace("adversary.", "adversary_", 1)
-    if attr not in _FIELDS:
+    if attr not in ScenarioConfig._fields:
         raise ConfigError(f"unknown config key '{key}'")
-    setattr(config, attr, _cast(attr, value))
+    return config._replace(**{attr: _cast(attr, value)})
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -199,7 +190,7 @@ def parse_config(text: str) -> ScenarioConfig:
             )
         key, _, value = line.partition("=")
         try:
-            apply_setting(config, key.strip(), value.strip())
+            config = apply_setting(config, key.strip(), value.strip())
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
     return config

@@ -38,7 +38,13 @@ def analytic_replica_count(n: int, s: int) -> int:
 
 
 class MetricsReport:
-    """Counters accumulated during one simulation run."""
+    """Counters accumulated during one simulation run.
+
+    ``total_events`` and ``empty_events``, and so ``empty_event_fraction``,
+    count the record events of local gossip syncs alone: not global-graph
+    events, not an equivocator's two branch events and not recovery
+    anchors.  They do count the events a failed committee's store loses at
+    its recovery."""
 
     def __init__(self, duration: int):
         self.duration = duration

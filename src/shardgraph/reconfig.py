@@ -46,12 +46,8 @@ class ChurnLedger:
 
     @classmethod
     def from_table(cls, table: CommitteeTable) -> "ChurnLedger":
-        return cls(
-            exits={cid: 0 for cid in table.coordinators},
-            baseline={
-                cid: len(table.members(cid)) for cid in table.coordinators
-            },
-        )
+        return cls(exits={cid: 0 for cid in table.coordinators},
+                   baseline=table.sizes())
 
     def note_exit(self, committee: CommitteeId) -> None:
         self.exits[committee] = self.exits.get(committee, 0) + 1
@@ -126,7 +122,8 @@ def join_node(
 ) -> CommitteeId:
     if new_node in table.assignment:
         raise ReconfigError(f"node {new_node} already assigned")
-    cid = choose_join_committee(consensus_timestamp, table.num_committees)
+    cid = choose_join_committee(consensus_timestamp,
+                                len(table.coordinators))
     table.place(new_node, cid)
     return cid
 
@@ -163,10 +160,6 @@ def reselect_coordinator(
 # (choose_split_members), and apply_transfers moves them.
 
 
-def _committee_sizes(table: CommitteeTable) -> dict[CommitteeId, int]:
-    return {cid: len(table.members(cid)) for cid in sorted(table.coordinators)}
-
-
 def _refill_target(sizes: dict[CommitteeId, int], min_size: int) -> int:
     """The (ceiling) average committee size, never below min_size."""
     return max(min_size, -(-sum(sizes.values()) // len(sizes)))
@@ -178,7 +171,7 @@ def donor_pool(
     """Committees that may donate members to ``depleted``: every other
     committee above min_size.  None when ``depleted`` already holds its
     refill target and there is nothing to do."""
-    sizes = _committee_sizes(table)
+    sizes = table.sizes()
     if sizes[depleted] >= _refill_target(sizes, min_size):
         return None
     return [c for c in sizes if c != depleted and sizes[c] > min_size]
@@ -195,7 +188,7 @@ def split_quotas(
     Donors, in order, each give an even share of what ``depleted`` still
     lacks of its refill target, without dropping below min_size; the
     candidates are the donor's members other than its coordinator."""
-    sizes = _committee_sizes(table)
+    sizes = table.sizes()
     remaining = _refill_target(sizes, min_size) - sizes[depleted]
     quotas = []
     for i, donor in enumerate(donors):
@@ -220,7 +213,9 @@ def apply_transfers(
     for donor, moved in transfers.items():
         for node in moved:
             table.place(node, depleted)
-        # donors keep their exit counts; only their baseline moves
-        ledger.baseline[donor] = len(table.members(donor))
-    ledger.reset(depleted, len(table.members(depleted)))
+    sizes = table.sizes()
+    # donors keep their exit counts; only their baseline moves
+    for donor in transfers:
+        ledger.baseline[donor] = sizes[donor]
+    ledger.reset(depleted, sizes[depleted])
     table.epoch += 1

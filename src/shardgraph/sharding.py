@@ -49,10 +49,6 @@ class CommitteeTable:
         self.coordinators = coordinators
         self.epoch = 0
 
-    @property
-    def num_committees(self) -> int:
-        return len(self.coordinators)
-
     def place(self, node: NodeId, committee: CommitteeId) -> None:
         """Put node in committee, moving it out of its old one if any."""
         self.remove(node)
@@ -70,6 +66,10 @@ class CommitteeTable:
     def members(self, committee: CommitteeId) -> list[NodeId]:
         """The committee's members in node order, as a new list."""
         return list(self.stores[committee].population)
+
+    def sizes(self) -> dict[CommitteeId, int]:
+        """Each committee's member count, in committee order."""
+        return {c: len(self.stores[c].population) for c in sorted(self.stores)}
 
     def non_coordinators(self, committee: CommitteeId) -> list[NodeId]:
         """The committee's members other than its coordinator, which is

@@ -613,7 +613,7 @@ class Simulation:
         pool = donor_pool(self.table, cid, self.cfg.min_committee_size)
         if pool is None:
             del self.reorg[cid]
-            self.ledger.reset(cid, len(self.table.members(cid)))
+            self.ledger.reset(cid, self.table.sizes()[cid])
             return
         donors = choose_donors(ts_g, cid, pool, DEFAULT_DONOR_COUNT)
         self._chose("reorg-donors", t, ts_g, pool, donors, committee=cid)
@@ -660,8 +660,8 @@ class Simulation:
                 f"resel{c}-{t}-{self.table.epoch}", c, KIND_RESELECT, (c,)))
         self._act(t, "reorg_applied", committee=depleted,
                   transfers={str(d): m for d, m in sorted(transfers.items())},
-                  sizes={str(c): len(self.table.members(c))
-                         for c in sorted(self.table.coordinators)})
+                  sizes={str(c): size
+                         for c, size in self.table.sizes().items()})
 
     def _on_reselect(self, tx, ts, t):
         c = tx.data[0]

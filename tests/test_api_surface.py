@@ -25,7 +25,8 @@ Nor does a function or method it defines, or a NamedTuple field, keep a
 keyword default that only tests use, or one that only tests change: some
 call in ``src/`` or ``perfbench/`` must leave each default out, and some
 must pass it, by position or by name, but for the few that ``UNPASSED``
-names with a reason.  A call is resolved by module: a plain name is the
+names with a reason, among them the scenario config's fields, which config
+text sets by name.  A call is resolved by module: a plain name is the
 file's own or what its imports bind, and ``module.name(...)`` is that
 module's; a method call is resolved by its attribute name alone.  A class's
 name calls its ``__init__`` or builds its NamedTuple, and ``cls(...)`` in a
@@ -69,7 +70,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import shardgraph
-from shardgraph.config import ADVERSARY_KINDS
+from shardgraph.config import ADVERSARY_KINDS, ScenarioConfig
 from shardgraph.reconfig import TRIGGER_MODES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -458,6 +459,10 @@ def test_every_keyword_default_is_used_outside_tests():
 UNPASSED = {
     ("main", "argv"): "the process's argument vector, which the console "
                       "script leaves to sys.argv",
+    **{(f"ScenarioConfig.{name}", name):
+       "a scenario setting: config files and --set pass it by name through "
+       "apply_setting, and the benchmark's workloads through **"
+       for name in ScenarioConfig._fields},
 }
 
 

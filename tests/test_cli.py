@@ -226,9 +226,12 @@ def test_sweep_rejects_a_bad_point_before_running_any(tmp_path, capsys):
                    "--sweep", "s=2,0") == 2
     assert "s must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
-    # a repeated point would run twice, into one directory or two
+    # a repeated point, compared as a config after each value is cast,
+    # would run twice, into one directory or two
     for grid, seen, value in (("seed=1,2,1", "1", "1"),
-                              ("seed=1,01", "1", "01")):
+                              ("seed=1,01", "1", "01"),
+                              ("tx_rate=8,8.0", "8", "8.0"),
+                              ("adversary.rejoin=yes,true", "yes", "true")):
         assert run_cli("sweep", "--out", str(tmp_path), "--set", "n=8",
                        "--set", "s=2", "--sweep", grid) == 2
         assert (f"sweep values {seen!r} and {value!r} give one point"

@@ -12,6 +12,7 @@ from shardgraph.metrics import (
 )
 from shardgraph.sharding import ReplicaSnapshot
 from shardgraph.simulation import run_scenario
+from test_golden import GOLDEN
 
 
 def closed_form(quantity, n=1, s=1, T=0.0, T_cross=0.0, E=1.0):
@@ -79,6 +80,19 @@ def test_report_counters_monotone():
     r.total_events = 10
     r.empty_events = 2
     assert r.empty_event_fraction == pytest.approx(0.2)
+
+
+def test_event_counts_leave_out_an_equivocators_branch_events():
+    # the counters see the record events of local gossip syncs alone: the
+    # golden equivocator run's local stores end with 878 events, 2 of them
+    # branch events for each of its 32 equivocations
+    sim = simulation.Simulation(GOLDEN["equivocator"][0])
+    sim.run()
+    stored = sum(len(store.by_index)
+                 for store in sim.state.local_stores.values())
+    forks = sum(a["action"] == "equivocate" for a in sim.action_log)
+    assert (stored, forks) == (878, 32)
+    assert sim.metrics.total_events == stored - 2 * forks == 814
 
 
 # -- faults a comparison row can and cannot see --------------------------------

@@ -1337,16 +1337,25 @@ def test_config_parse_and_overrides():
         "n = 16\ns = 4  # four committees\n\nadversary.kind = churn\n"
     )
     assert (cfg.n, cfg.s, cfg.adversary_kind) == (16, 4, "churn")
-    # each value is cast by its field's annotated type
-    apply_setting(cfg, "duration", "90")
-    apply_setting(cfg, "tx_rate", "12")
-    apply_setting(cfg, "adversary.rejoin", "yes")
+    # each value is cast by its field's type, into a new config that leaves
+    # its argument as it was
+    parsed = cfg
+    cfg = apply_setting(cfg, "duration", "90")
+    assert cfg == parsed._replace(duration=90) and parsed.duration == 60
+    cfg = apply_setting(cfg, "tx_rate", "12")
+    cfg = apply_setting(cfg, "adversary.rejoin", "yes")
     assert (cfg.duration, cfg.tx_rate, cfg.adversary_rejoin) == (90, 12.0, True)
     assert (type(cfg.duration), type(cfg.tx_rate)) == (int, float)
     with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
         apply_setting(cfg, "bogus", "1")
+    with pytest.raises(ConfigError, match="expected int"):
+        apply_setting(cfg, "n", "1.5")
+    with pytest.raises(ConfigError, match="expected bool"):
+        apply_setting(cfg, "adversary.rejoin", "maybe")
     with pytest.raises(TypeError):
         ScenarioConfig(bogus=1)
+    with pytest.raises(AttributeError):
+        cfg.n = 32
     # to_dict gives the fields in declared order, and rebuilds a config
     # with the same fields
     assert list(cfg.to_dict()) == [
