@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .reconfig import TRIGGER_COMMITTEE_FRACTION, TRIGGER_MODES
-
 # The longest a cross-shard transaction took from its injection to its
 # ordering at the target: 24 ticks at sync_interval 1, and at most 29 more
 # for each further tick of sync_interval (53, 77, 103, 119 and 155 ticks at
@@ -25,6 +23,10 @@ MIN_INJECT_ROUNDS = 4
 
 ADVERSARY_KINDS = NO_ADVERSARY, EQUIVOCATOR, CHURN, SHARD_FAILURE = (
     "none", "equivocator", "churn", "shard_failure")
+# the reorg trigger's readings of the paper's "exceeds half of": half the
+# committee's own baseline, or half the number of committees
+TRIGGER_MODES = TRIGGER_COMMITTEE_FRACTION, TRIGGER_LITERAL = (
+    "committee-fraction", "literal-s-over-2")
 
 
 class ConfigError(Exception):
@@ -52,7 +54,7 @@ class ScenarioConfig(NamedTuple):
     adversary_fraction: float = 0.0  # equivocating share of non-coordinators;
                                      # each committee has at least one
     adversary_interval: int = 5
-    adversary_committee: int = -1  # -1 = pick deterministically
+    adversary_committee: int = -1  # -1 = s - 1, or churn draws one per act
     adversary_fail_at: int = -1    # -1 = duration // 3
     adversary_recover_delay: int = 20
     adversary_rejoin: bool = False
@@ -102,23 +104,25 @@ class ScenarioConfig(NamedTuple):
         if self.adversary_kind == SHARD_FAILURE:
             # the last tick is duration - 1: a failure or recovery past it
             # never happens, and the report would not say so
-            fail_at = self.resolved_fail_at()
+            _, fail_at, recover_at = self.failure_schedule()
             if fail_at >= self.duration:
                 raise ConfigError(
                     f"adversary.fail_at ({fail_at}) must be before "
                     f"duration ({self.duration})"
                 )
-            if fail_at + self.adversary_recover_delay >= self.duration:
+            if recover_at >= self.duration:
                 raise ConfigError(
                     f"adversary.recover_delay puts the recovery at tick "
-                    f"{fail_at + self.adversary_recover_delay}, not before "
-                    f"duration ({self.duration})"
+                    f"{recover_at}, not before duration ({self.duration})"
                 )
 
-    def resolved_fail_at(self) -> int:
-        if self.adversary_fail_at < 0:
-            return self.duration // 3
-        return self.adversary_fail_at
+    def failure_schedule(self) -> tuple[int, int, int]:
+        """The shard failure's (committee, failure tick, recovery tick)."""
+        cid = (self.s - 1 if self.adversary_committee < 0
+               else self.adversary_committee)
+        fail_at = (self.duration // 3 if self.adversary_fail_at < 0
+                   else self.adversary_fail_at)
+        return cid, fail_at, fail_at + self.adversary_recover_delay
 
     def resolved_inject_until(self) -> int:
         if self.inject_until > 0:

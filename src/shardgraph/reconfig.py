@@ -12,15 +12,11 @@ import hashlib
 import random
 from typing import Iterable, Optional
 
+from .config import TRIGGER_LITERAL
 from .sharding import CommitteeTable, ShardState, seat_coordinator
 
 NodeId = int
 CommitteeId = int
-
-# Reorg-trigger interpretations ("exceeds half of ..."):
-TRIGGER_COMMITTEE_FRACTION = "committee-fraction"  # half the committee's own baseline
-TRIGGER_LITERAL = "literal-s-over-2"               # half the number of committees
-TRIGGER_MODES = (TRIGGER_COMMITTEE_FRACTION, TRIGGER_LITERAL)
 
 DEFAULT_DONOR_COUNT = 2
 

@@ -14,6 +14,7 @@ from typing import Iterable, NamedTuple, Optional
 from .hashgraph import (
     EventStore,
     Hashgraph,
+    HashgraphError,
     Order,
     Transfer,
     decided_length,
@@ -304,7 +305,11 @@ def recover_failed_shard(
         )
 
     store = EventStore(replica.population)
-    replay(store, replica.events)
+    try:
+        replay(store, replica.events)
+    except HashgraphError as exc:
+        raise ShardingError(
+            f"replica of committee {failed} does not replay: {exc}") from exc
     store.advance_consensus()
     prefix, want = store.consensus, replica.consensus
     if prefix[: len(want)] != want and want[: len(prefix)] != prefix:

@@ -319,13 +319,10 @@ class Simulation:
         cfg = self.cfg
         kind = cfg.adversary_kind
         if kind == SHARD_FAILURE:
-            cid = cfg.adversary_committee
-            if cid < 0:
-                cid = cfg.s - 1
-            fail_at = cfg.resolved_fail_at()
+            cid, fail_at, recover_at = cfg.failure_schedule()
             if t == fail_at:
                 self._fail_shard(t, cid)
-            elif t == fail_at + cfg.adversary_recover_delay:
+            elif t == recover_at:
                 self._recover_shard(t, cid)
         elif kind != NO_ADVERSARY and t and t % cfg.adversary_interval == 0:
             if kind == EQUIVOCATOR:

@@ -52,6 +52,9 @@ view's ``known``, ``head`` or ``owner``, so a view starts as it is built.
 
 Nor does a module under src/ but hashgraph.py read the store's index space:
 a store's ``by_index`` or a transfer's ``mask``.
+
+And each module of the package imports only the modules before it in
+``LAYERS``, so config.py, which every layer reads, is a leaf.
 """
 
 import ast
@@ -70,8 +73,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import shardgraph
-from shardgraph.config import ADVERSARY_KINDS, ScenarioConfig
-from shardgraph.reconfig import TRIGGER_MODES
+from shardgraph.config import ADVERSARY_KINDS, TRIGGER_MODES, ScenarioConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "shardgraph"
@@ -538,6 +540,62 @@ def test_each_closed_name_set_is_written_once():
     places = string_literals()
     assert {name: places[name] for name in (*ADVERSARY_KINDS, *TRIGGER_MODES)
             if len(places[name]) != 1} == {}
+
+
+# the package's modules in import order: each imports only those before it,
+# so config.py, which every layer reads, is a leaf beside the transactions
+LAYERS = ("transactions", "config", "metrics", "hashgraph", "sharding",
+          "reconfig", "simulation", "cli")
+
+
+def upward_imports(rel, source):
+    """(line, module) of each package module that the module at rel, of
+    text source, imports, by ``from .x``, ``from . import x``,
+    ``from shardgraph(.x) import`` or ``import shardgraph.x``, and that
+    LAYERS does not put before it."""
+    below = LAYERS[:LAYERS.index(module_of(rel))]
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "shardgraph" if node.level else ""
+            base = ".".join(filter(None, (base, node.module)))
+            names = ([f"{base}.{a.name}" for a in node.names]
+                     if base == "shardgraph" else [base])
+        else:
+            continue
+        for name in names:
+            package, _, module = name.partition(".")
+            if package == "shardgraph" and module not in below:
+                yield node.lineno, module
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    modules = sorted(module_of(rel) for rel, _ in sources("src"))
+    assert modules == sorted(("__init__", *LAYERS))
+    assert [f"{rel}:{line} {module}" for rel, text in sources("src")
+            if module_of(rel) in LAYERS
+            for line, module in upward_imports(rel, text)] == []
+
+
+# a config module that reaches up into the protocol stack four ways, and
+# down into the transactions once
+LEAKY_CONFIG = """\
+import json
+from .reconfig import TRIGGER_MODES
+from shardgraph.sharding import ShardState
+import shardgraph.hashgraph
+from . import metrics
+from .transactions import Transaction
+"""
+
+
+def test_layering_guard_flags_every_import_from_above():
+    config = Path("src/shardgraph/config.py")
+    assert list(upward_imports(config, LEAKY_CONFIG)) == [
+        (2, "reconfig"), (3, "sharding"), (4, "hashgraph"), (5, "metrics")]
+    assert list(upward_imports(Path("src/shardgraph/simulation.py"),
+                               LEAKY_CONFIG)) == []
 
 
 # the public API of a namedtuple, spelled with a leading underscore

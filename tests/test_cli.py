@@ -3,7 +3,9 @@ import json
 import pytest
 
 import shardgraph.cli
+import shardgraph.sharding
 from shardgraph.cli import main
+from shardgraph.hashgraph import HashgraphError
 from shardgraph.sharding import ReplicaSnapshot
 
 
@@ -219,6 +221,22 @@ def test_a_diverged_recovery_fails_run_and_sweep(
     err = capsys.readouterr().err
     assert err.count("replica replay diverged from checkpoint order") == 3
     assert not (tmp_path / "sweep" / "seed-1").exists()
+
+
+def test_a_replica_that_does_not_replay_fails_run(tmp_path, capsys,
+                                                 monkeypatch):
+    # an event the engine rejects during recovery's replay, here every
+    # one, is reported with its cause: run exits 4, with no traceback
+    def reject(store, events):
+        raise HashgraphError("creator 0 is not a member")
+
+    monkeypatch.setattr(shardgraph.sharding, "replay", reject)
+    assert run_cli("run", "--out", str(tmp_path), "--set", "n=8",
+                   "--set", "s=2", "--set", "duration=40",
+                   "--set", "checkpoint_period=2",
+                   "--set", "adversary.kind=shard_failure") == 4
+    assert ("shard 1 recovery failed: replica of committee 1 does not "
+            "replay: creator 0 is not a member") in capsys.readouterr().err
 
 
 def test_sweep_rejects_a_bad_point_before_running_any(tmp_path, capsys):

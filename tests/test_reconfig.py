@@ -4,9 +4,6 @@ import pytest
 
 from shardgraph.reconfig import (
     DEFAULT_DONOR_COUNT,
-    TRIGGER_COMMITTEE_FRACTION,
-    TRIGGER_LITERAL,
-    TRIGGER_MODES,
     ChurnLedger,
     ReconfigError,
     apply_transfers,
@@ -23,7 +20,13 @@ from shardgraph.reconfig import (
     reselect_coordinator,
     split_quotas,
 )
-from shardgraph.config import ConfigError, ScenarioConfig
+from shardgraph.config import (
+    TRIGGER_COMMITTEE_FRACTION,
+    TRIGGER_LITERAL,
+    TRIGGER_MODES,
+    ConfigError,
+    ScenarioConfig,
+)
 from shardgraph.sharding import ShardState, partition_nodes
 
 

@@ -10,10 +10,13 @@ from shardgraph.hashgraph import (
     Transfer,
     consensus_order,
     create_event,
+    gossip_chain,
     gossip_sync,
+    member_view,
     replay,
     supermajority,
 )
+from shardgraph.reconfig import ChurnLedger, leave_node
 from shardgraph.sharding import (
     CommitteeTable,
     ShardState,
@@ -376,6 +379,36 @@ def test_recover_after_members_changed_since_the_checkpoint():
     assert table.members(0) == replacements == store.population
     assert not set(old) & set(table.assignment)
     assert store.consensus[:checkpointed.length] == checkpointed.consensus
+
+
+@pytest.mark.xfail(strict=True, raises=ShardingError, reason=(
+    "replay runs under one population, the checkpoint's, not under each "
+    "event's epoch, so a member that left before the checkpoint fails it "
+    "(ROADMAP item 9)"))
+def test_recover_replays_the_events_of_a_member_that_left():
+    # a member gossips and leaves, the others gossip on and are
+    # checkpointed: the replica holds the leaver's events, but not the
+    # leaver in its population, so replaying them raises "creator 0 is not
+    # a member"
+    table = partition_nodes(range(16), 2, seed=3)
+    state = ShardState(table)
+    ledger = ChurnLedger.from_table(table)
+    store = state.local_stores[0]
+
+    def rounds(ticks):
+        for t in ticks:
+            views = [member_view(store, m) for m in table.members(0)]
+            gossip_chain([*views, views[0]], [()] * len(views), t)
+
+    rounds(range(12))
+    leave_node(table, ledger, table.non_coordinators(0)[0])
+    rounds(range(12, 20))
+    replicate_checkpoint(state, 0, member_view(store, table.coordinators[0]))
+    replica = state.replicas[0]
+    fresh = range(100, 100 + len(table.members(0)))
+    assert recover_failed_shard(state, table, 0, fresh) is replica
+    rebuilt = state.local_stores[0].consensus
+    assert rebuilt[:replica.length] == replica.consensus
 
 
 def test_replica_order_stays_the_checkpointed_prefix():

@@ -709,6 +709,17 @@ def test_each_reselection_is_pending_in_one_reorganization():
     assert shared == []
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "a leaver's view is dropped before its last event is gossiped on, so "
+    "that event is never ordered (ROADMAP item 9)"))
+def test_churn_loses_no_transaction_in_a_leavers_last_event():
+    # the benchmark's churn workload, cut to 40 ticks: node 49 leaves
+    # committee 3 at tick 4, and its tick-3 event, which holds t269, dies
+    # with its view
+    report = run_scenario(scenario("churn", 11)._replace(duration=40))
+    assert report.tx_audit["missing"] == []
+
+
 MEMBERSHIP_STEPS = ("join_node", "leave_node", "apply_transfers",
                     "recover_failed_shard")
 
@@ -1231,6 +1242,22 @@ def test_a_leavers_buffer_is_ordered_by_its_coordinator(monkeypatch):
 
 
 # -- config -----------------------------------------------------------------
+
+
+def test_one_failure_schedule_for_validate_and_the_run():
+    # committee -1 is the last one, and fail tick -1 a third of the run
+    assert ScenarioConfig(n=8, s=4, duration=31).failure_schedule() == (
+        3, 10, 30)
+    cfg = small_cfg(duration=40, checkpoint_period=2,
+                    adversary_kind="shard_failure")
+    cid, fail_at, recover_at = cfg.failure_schedule()
+    assert (cid, fail_at, recover_at) == (1, 13, 33)
+    sim = Simulation(cfg)
+    sim.run()
+    assert [(e["at"], e["action"], e["committee"])
+            for e in sim.recovery_log] == [
+        (fail_at, "fail_shard", cid), (recover_at, "recover_shard", cid)]
+    assert shard_failure_cfg().failure_schedule() == (1, 60, 75)
 
 
 def test_config_validation_errors():
